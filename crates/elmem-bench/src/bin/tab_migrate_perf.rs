@@ -18,8 +18,12 @@
 //!   must be **byte-identical**, and the wall-clock ratio is the speedup.
 //!
 //! `--smoke` runs a seconds-long version for CI: it always asserts
-//! parallel == serial plan identity, and additionally asserts speedup
-//! ≥ 1.5× when at least 4 cores are available and ≥ 4 jobs requested. A
+//! parallel == serial plan identity, additionally asserts speedup
+//! ≥ 1.5× when at least 4 cores are available and ≥ 4 jobs requested, and
+//! rebuilds the tier at 1 and at 8 store shards to assert that the serial
+//! plan is the same plan and costs at most 2× per item at 8 — a same-run
+//! ratio that holds on any runner and fails if reassembling the shard
+//! dumps ever goes super-linear again. A
 //! smoke run never reads from — or overwrites — a full-mode results file;
 //! its numbers come from a smaller tier and are not comparable.
 //! Absolute wall-clock numbers are machine-dependent; the machine-agnostic
@@ -45,10 +49,12 @@ const SCHEMA: &str = "elmem-migrate-perf-v1";
 /// the ring, set with Keyspace-drawn value sizes and strictly increasing
 /// timestamps, then a re-touch pass over every 7th key — a serving-warm
 /// steady state whose MRU lists are hotness-sorted, like the real system
-/// just before a scale-in.
-fn warmed_tier(nodes: u32, keys: u64) -> CacheTier {
+/// just before a scale-in. Every store is split into `shards` shards.
+fn warmed_tier(nodes: u32, keys: u64, shards: usize) -> CacheTier {
     let ks = Keyspace::new(keys, 11);
-    let mut tier = CacheTier::new(cluster_preset(Preset::from_cli(), nodes));
+    let mut config = cluster_preset(Preset::from_cli(), nodes);
+    config.store_shards = shards;
+    let mut tier = CacheTier::new(config);
     for k in 0..keys {
         let key = KeyId(k);
         let owner = tier.node_for_key(key).expect("non-empty membership");
@@ -129,7 +135,7 @@ fn main() {
     let costs = MigrationCosts::default();
 
     let t0 = Instant::now();
-    let tier = warmed_tier(nodes, keys);
+    let tier = warmed_tier(nodes, keys, elmem_store::default_shard_count());
     println!(
         "warmed tier: {nodes} nodes, {} resident items ({:.2}s to build)",
         tier.membership()
@@ -251,6 +257,37 @@ fn main() {
         println!("(speedup floor not asserted: cores={cores}, jobs={jobs})");
     }
     println!();
+
+    // -- 3b. Shard-count scaling of the serial plan (smoke only). ----------
+    if smoke {
+        let [(ns_1, digest_1), (ns_8, digest_8)] = [1usize, 8].map(|shards| {
+            let tier = warmed_tier(nodes, keys, shards);
+            let mut best = f64::INFINITY;
+            let mut digest = 0;
+            for _ in 0..5 {
+                let t0 = Instant::now();
+                let (plan, stats) = std::hint::black_box(
+                    plan_scale_in_shipments(&tier, &victims, 1).expect("planning succeeds"),
+                );
+                best = best.min(t0.elapsed().as_secs_f64() * 1e9 / stats.items_considered as f64);
+                digest = plan_digest(&plan);
+            }
+            (best, digest)
+        });
+        println!(
+            "plan by shard count: {ns_1:.0} ns/item at 1 shard, {ns_8:.0} ns/item at 8 \
+             ({:.2}x)\n",
+            ns_8 / ns_1
+        );
+        assert_eq!(
+            digest_1, digest_8,
+            "the plan must not depend on the shard count"
+        );
+        assert!(
+            ns_8 <= 2.0 * ns_1,
+            "planning costs {ns_8:.0} ns/item at 8 shards, over 2x the {ns_1:.0} ns/item at 1"
+        );
+    }
 
     // -- 4. Emit results/BENCH_migration.json. ------------------------------
     let mut doc = String::new();

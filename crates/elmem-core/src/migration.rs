@@ -393,6 +393,29 @@ fn auto_planning_jobs() -> usize {
 /// migrate faster than worker threads spawn.
 const PAR_MIN_ITEMS: u64 = 32_768;
 
+/// Worker threads for the routing and FuseCache stages of a migration
+/// that dumps `sources` — the one decision the planner and both executors
+/// share, so what [`plan_scale_in_shipments`] times is what a migration
+/// runs. An explicit `requested` count is honoured as is; `0` resolves
+/// automatically, staying serial below [`PAR_MIN_ITEMS`] dumped items.
+/// The fan-out unit is (source, shard), so the number of sources does not
+/// enter: one large source saturates every job.
+fn fanout_jobs(tier: &CacheTier, sources: &[NodeId], requested: usize) -> usize {
+    if requested != 0 {
+        return requested;
+    }
+    let items: u64 = sources
+        .iter()
+        .filter_map(|&id| tier.node(id).ok())
+        .map(|n| n.store.len())
+        .sum();
+    if items < PAR_MIN_ITEMS {
+        1
+    } else {
+        auto_planning_jobs()
+    }
+}
+
 /// One planned phase-3 shipment: the `take` hottest of the items a source
 /// routed to one (target, class) cell.
 ///
@@ -602,15 +625,19 @@ struct PlanCell {
 /// destination accepts from each source. Pure: reads the tier only.
 fn fuse_cell(tier: &CacheTier, cell: &PlanCell) -> Result<(Vec<usize>, u64), ElmemError> {
     let dest_store = &live_node(tier, cell.target)?.store;
+    // FuseCache reads only the hotness of each resident, in canonical
+    // (descending) order — which the MRU walk already has unless
+    // same-instant accesses landed out of tie-break order.
+    let mut own: Vec<Hotness> = dest_store
+        .iter_class_mru(cell.class)
+        .map(|i| i.hotness())
+        .collect();
+    if !own.is_sorted_by(|a, b| a >= b) {
+        own.sort_unstable_by(|a, b| b.cmp(a));
+    }
     // Capacity for this class on the destination, in items: the retained
     // node's own list length n (FuseCache picks the top n across its own
     // list + incoming, per §IV-A).
-    let own: Vec<Hotness> = dest_store
-        .dump_class(cell.class)
-        .items
-        .iter()
-        .map(|i| i.hotness())
-        .collect();
     let n = own.len().max(
         // An empty class on the destination can still grow: allow as
         // many items as one page of chunks as a floor.
@@ -722,19 +749,8 @@ pub fn plan_scale_in_shipments(
 ) -> Result<(Vec<Shipment>, PlanStats), ElmemError> {
     validate_retiring(tier.membership().members(), retiring)?;
     let retained_ring = tier.membership().ring().without(retiring);
-    let auto = jobs == 0;
-    let jobs = if auto { auto_planning_jobs() } else { jobs };
-    let retiring_items: u64 = retiring
-        .iter()
-        .filter_map(|&id| tier.node(id).ok())
-        .map(|n| n.store.len())
-        .sum();
-    let route_jobs = if auto && retiring_items < PAR_MIN_ITEMS {
-        1
-    } else {
-        jobs
-    };
-    let routed = route_sources(tier, retiring, &retained_ring, route_jobs)?;
+    let jobs = fanout_jobs(tier, retiring, jobs);
+    let routed = route_sources(tier, retiring, &retained_ring, jobs)?;
     let mut items_considered = 0u64;
     let mut inbound: InboundMap = HashMap::new();
     for (&src, routed_src) in retiring.iter().zip(routed) {
@@ -748,12 +764,7 @@ pub fn plan_scale_in_shipments(
     }
     let mut dest_keys: Vec<(NodeId, ClassId)> = inbound.keys().copied().collect();
     dest_keys.sort_unstable();
-    let fuse_jobs = if auto && items_considered < PAR_MIN_ITEMS {
-        1
-    } else {
-        jobs
-    };
-    let outcome = build_shipments(tier, &dest_keys, inbound, fuse_jobs)?;
+    let outcome = build_shipments(tier, &dest_keys, inbound, jobs)?;
     Ok((
         outcome.plan,
         PlanStats {
@@ -1057,18 +1068,8 @@ fn exec_scale_in(
     // scheduling and drop sampling are order-sensitive, so shipping stays
     // serial). A dropped shipment is retried after a backoff; the retry
     // budget covers only these injected drops (not database sheds).
-    let jobs = auto_planning_jobs();
-    let retiring_items: u64 = retiring
-        .iter()
-        .filter_map(|&id| tier.node(id).ok())
-        .map(|n| n.store.len())
-        .sum();
-    let route_jobs = if retiring.len() >= 2 && retiring_items >= PAR_MIN_ITEMS {
-        jobs
-    } else {
-        1
-    };
-    let routed = route_sources(tier, retiring, &retained_ring, route_jobs)?;
+    let jobs = fanout_jobs(tier, retiring, 0);
+    let routed = route_sources(tier, retiring, &retained_ring, jobs)?;
     let mut items_considered = 0u64;
     let mut metadata_bytes = ByteSize::ZERO;
     let mut dump_max = SimTime::ZERO;
@@ -1216,12 +1217,7 @@ fn exec_scale_in(
     let (plan, phase2_end) = match &sealed {
         Some(manifest) => (reconstruct_shipments(inbound, manifest)?, phase1_end),
         None => {
-            let fuse_jobs = if items_considered >= PAR_MIN_ITEMS {
-                jobs
-            } else {
-                1
-            };
-            let outcome = build_shipments(tier, &dest_keys, inbound, fuse_jobs)?;
+            let outcome = build_shipments(tier, &dest_keys, inbound, jobs)?;
             phases.fusecache = SimTime::from_nanos(
                 outcome
                     .per_dest_comparisons

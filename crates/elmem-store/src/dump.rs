@@ -1,11 +1,13 @@
 //! Metadata dumps: the "timestamp dump" modification ElMem adds to
 //! Memcached (§V-A1), used in migration phase 1 (§III-D1).
 
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
 use elmem_util::ByteSize;
 use serde::{Deserialize, Serialize};
 
 use crate::classes::ClassId;
-use crate::item::{ItemMeta, KEY_BYTES, TIMESTAMP_BYTES};
+use crate::item::{Hotness, ItemMeta, KEY_BYTES, TIMESTAMP_BYTES};
 
 /// MRU-ordered metadata of one slab class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -23,17 +25,42 @@ impl ClassDump {
     /// The store's MRU list is ordered by *access recency*; items touched in
     /// the same instant may appear in either order there. Dumps are the
     /// interchange format between nodes, so they re-sort by full hotness
-    /// (timestamp + tie-break). The list is already sorted — or nearly so —
-    /// in practice, so canonicalization detects the sorted run first
-    /// (one O(n) comparison pass, no allocation, the common case) and falls
-    /// back to a bounded insertion fixup for a handful of same-instant
-    /// inversions; only a genuinely disordered list pays the full sort.
+    /// (timestamp + tie-break). The list is already sorted in practice, so
+    /// canonicalization checks that first (one O(n) comparison pass, no
+    /// allocation, no writes) and only a disordered list pays a sort.
     ///
     /// Hotness is a total order and keys within a class are distinct, so
-    /// every path produces the same unique descending order — callers can
-    /// not observe which one ran.
+    /// the descending order is unique — callers can not observe which path
+    /// ran.
     pub fn new(class: ClassId, mut items: Vec<ItemMeta>) -> Self {
-        canonicalize(&mut items);
+        canonicalize(&mut items, ItemMeta::hotness);
+        ClassDump { class, items }
+    }
+
+    /// K-way merges canonical (descending-hotness) runs of one class —
+    /// the per-shard slices of a class — into its canonical dump, in
+    /// O(n log k) for n items in k runs.
+    pub(crate) fn merge(class: ClassId, runs: &[&[ItemMeta]]) -> Self {
+        // Max-heap of each run's head; `pos[r]` is the head's index in run r.
+        let mut heads: BinaryHeap<(Hotness, usize)> = runs
+            .iter()
+            .enumerate()
+            .filter_map(|(r, run)| run.first().map(|i| (i.hotness(), r)))
+            .collect();
+        let mut pos = vec![0usize; runs.len()];
+        let mut items = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
+        while let Some(mut head) = heads.peek_mut() {
+            let r = head.1;
+            items.push(runs[r][pos[r]]);
+            pos[r] += 1;
+            match runs[r].get(pos[r]) {
+                // Replacing the head in place re-sifts it once on drop.
+                Some(next) => head.0 = next.hotness(),
+                None => {
+                    PeekMut::pop(head);
+                }
+            }
+        }
         ClassDump { class, items }
     }
 
@@ -55,43 +82,16 @@ impl ClassDump {
     }
 }
 
-/// Adjacent inversions tolerated before the fixup abandons insertion
-/// sifting for a full sort. Same-instant multi-get accesses produce a few
-/// local inversions per dump; a list with more than this many is treated
-/// as unsorted.
-const MAX_INVERSION_FIXUPS: usize = 64;
-
-/// Sorts `items` into descending hotness, exploiting near-sortedness.
+/// Sorts `items` into descending hotness.
 ///
-/// One comparison pass finds the adjacent inversions. None (the common
-/// case: MRU lists are hotness-sorted under normal operation) — done, no
-/// writes at all. At most [`MAX_INVERSION_FIXUPS`] — insertion-sift from
-/// the first inversion onward, O(n + k·d) for k displaced items of travel
-/// distance d. More — full pattern-defeating sort.
-fn canonicalize(items: &mut [ItemMeta]) {
-    let mut first_inversion = None;
-    let mut inversions = 0usize;
-    for i in 1..items.len() {
-        if items[i - 1].hotness() < items[i].hotness() {
-            inversions += 1;
-            if first_inversion.is_none() {
-                first_inversion = Some(i);
-            }
-            if inversions > MAX_INVERSION_FIXUPS {
-                items.sort_unstable_by_key(|i| std::cmp::Reverse(i.hotness()));
-                return;
-            }
-        }
-    }
-    let Some(start) = first_inversion else {
-        return; // already sorted
-    };
-    for i in start..items.len() {
-        let mut j = i;
-        while j > 0 && items[j - 1].hotness() < items[j].hotness() {
-            items.swap(j - 1, j);
-            j -= 1;
-        }
+/// One comparison pass and no writes when the list is already descending
+/// (the common case: MRU lists are hotness-sorted under normal operation).
+/// Otherwise a stable merge sort, which finds the pre-sorted runs of a
+/// nearly-sorted list and merges them — O(n log n) at worst, whatever the
+/// shape of the disorder.
+pub(crate) fn canonicalize<T>(items: &mut [T], hotness: impl Fn(&T) -> Hotness) {
+    if !items.is_sorted_by(|a, b| hotness(a) >= hotness(b)) {
+        items.sort_by_key(|i| std::cmp::Reverse(hotness(i)));
     }
 }
 
@@ -149,7 +149,7 @@ mod tests {
         assert_eq!(d.wire_bytes().as_u64(), 63);
     }
 
-    /// Reference canonical order: the full sort the fast paths must match.
+    /// Reference canonical order: the full sort every path must match.
     fn full_sort(mut items: Vec<ItemMeta>) -> Vec<ItemMeta> {
         items.sort_by_key(|i| std::cmp::Reverse(i.hotness()));
         items
@@ -163,7 +163,7 @@ mod tests {
     }
 
     #[test]
-    fn few_inversions_fixed_by_insertion_path() {
+    fn few_local_inversions_fixed() {
         // Mostly descending with a handful of local swaps — the
         // same-instant multi-get pattern.
         let mut items: Vec<ItemMeta> = (0..200).map(|k| item(k, 2000 - k)).collect();
@@ -187,12 +187,55 @@ mod tests {
     }
 
     #[test]
-    fn heavily_shuffled_falls_back_to_full_sort() {
-        // Ascending input: every adjacent pair is an inversion, far past
-        // the fixup budget.
+    fn ascending_input_is_reversed() {
+        // Ascending input: every adjacent pair is an inversion.
         let items: Vec<ItemMeta> = (0..500).map(|k| item(k, k + 1)).collect();
         let expect = full_sort(items.clone());
         assert_eq!(ClassDump::new(ClassId(0), items).items, expect);
+    }
+
+    /// `runs` descending runs over one key range, item `k` in run `k % runs`
+    /// — what concatenating a class's per-shard dumps looks like.
+    fn concatenated_runs(n: u64, runs: u64, ts: impl Fn(u64) -> u64) -> Vec<ItemMeta> {
+        (0..runs)
+            .flat_map(|r| (0..n).filter(move |k| k % runs == r))
+            .map(|k| item(k, ts(k)))
+            .collect()
+    }
+
+    #[test]
+    fn concatenated_shard_runs_are_merged_not_sifted() {
+        // 8 descending runs have only 7 adjacent inversions, yet ¾ of the
+        // items are displaced by a quarter of the list: the shape that made
+        // a bounded-inversion insertion fixup quadratic (minutes at this
+        // size). Both a normal timestamp spread and the all-one-instant
+        // prefill pattern.
+        let n = 200_000;
+        for ts in [|k: u64| 1_000_000 - k, |_: u64| 7] {
+            let mut runs = concatenated_runs(n, 8, ts);
+            // Same-instant items order by tie-break, not key: sort each
+            // run so it is a genuine descending run.
+            for run in runs.chunks_mut((n / 8) as usize) {
+                run.sort_by_key(|i| std::cmp::Reverse(i.hotness()));
+            }
+            let expect = full_sort(runs.clone());
+            assert_eq!(ClassDump::new(ClassId(0), runs).items, expect);
+        }
+    }
+
+    #[test]
+    fn merge_of_runs_equals_sort_of_concatenation() {
+        let all = concatenated_runs(1000, 5, |k| 5000 - k / 3);
+        let mut runs: Vec<Vec<ItemMeta>> = all.chunks(200).map(<[_]>::to_vec).collect();
+        runs.push(Vec::new()); // an empty shard slice
+        runs.push(vec![item(9999, 1)]); // a run that ends last
+        for run in &mut runs {
+            run.sort_by_key(|i| std::cmp::Reverse(i.hotness()));
+        }
+        let refs: Vec<&[ItemMeta]> = runs.iter().map(Vec::as_slice).collect();
+        let expect = full_sort(runs.concat());
+        assert_eq!(ClassDump::merge(ClassId(3), &refs).items, expect);
+        assert!(ClassDump::merge(ClassId(3), &[]).is_empty());
     }
 
     #[test]

@@ -174,9 +174,10 @@ impl Shard {
         self.index.insert(item.key, (class, idx));
     }
 
-    /// Inserts `item` at the MRU *tail* with stamp `seq` — the
-    /// `batch_import` rebuild path, which pushes a merged list hottest
-    /// first. The caller guarantees `seq` is below the current tail stamp.
+    /// Inserts `item` at the MRU *tail* with stamp `seq` — how
+    /// `batch_import` lands an incoming item while it appends a merged
+    /// list hottest first. The caller guarantees `seq` is below the
+    /// current tail stamp.
     pub fn insert_back(&mut self, class: u16, item: ItemMeta, seq: u64) {
         let list = &mut self.lists[class as usize];
         let idx = list.take_slot();
@@ -185,6 +186,24 @@ impl Shard {
         list.len += 1;
         list.bytes_used += item.footprint();
         self.index.insert(item.key, (class, idx));
+    }
+
+    /// Empties a class's MRU list without touching its slots: every
+    /// occupied slot stays occupied, counted and indexed, but is linked
+    /// nowhere until [`relink_back`](Self::relink_back) appends it again.
+    /// The caller relinks every occupied slot before anything else reads
+    /// the list.
+    pub fn detach_list(&mut self, class: u16) {
+        let list = &mut self.lists[class as usize];
+        list.head = NIL;
+        list.tail = NIL;
+    }
+
+    /// Appends an occupied slot of a [detached](Self::detach_list) list
+    /// at the MRU tail with stamp `seq`. The caller guarantees `seq` is
+    /// below the current tail stamp.
+    pub fn relink_back(&mut self, class: u16, idx: u32, seq: u64) {
+        self.lists[class as usize].push_back(idx, seq);
     }
 
     /// Removes a key from this shard; returns its class and metadata.

@@ -17,7 +17,7 @@ use elmem_util::{ByteSize, ElmemError, KeyId, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::classes::{ClassId, SizeClasses};
-use crate::dump::{ClassDump, MetadataDump};
+use crate::dump::{canonicalize, ClassDump, MetadataDump};
 use crate::item::{item_footprint, Hotness, ItemMeta};
 use crate::shard::{shard_of, Shard, NIL};
 
@@ -228,6 +228,15 @@ impl Clone for MedianCache {
         fresh.state.store(state, SeqCst);
         fresh
     }
+}
+
+/// Where one member of a [`SlabStore::batch_import`] merge comes from.
+#[derive(Debug, Clone, Copy)]
+enum Origin {
+    /// An item already resident in the class, by position.
+    Resident { shard: u32, slot: u32 },
+    /// An accepted incoming item, by index into the accepted batch.
+    Incoming(usize),
 }
 
 /// Facade-level accounting for one size class, spanning all shards.
@@ -851,19 +860,20 @@ impl SlabStore {
 
     /// Reassembles per-shard dumps ([`dump_shard_classes`](Self::dump_shard_classes))
     /// into the full metadata dump, byte-identical to
-    /// [`dump_metadata`](Self::dump_metadata).
+    /// [`dump_metadata`](Self::dump_metadata): each shard slice is already
+    /// canonical, so a class is the k-way merge of its slices by hotness.
     pub fn merge_shard_dumps(&self, parts: &[Vec<ClassDump>]) -> MetadataDump {
         let dumps = self
             .classes
             .ids()
             .filter_map(|id| {
-                let mut items: Vec<ItemMeta> = Vec::new();
-                for part in parts {
-                    if let Some(d) = part.iter().find(|d| d.class == id) {
-                        items.extend_from_slice(&d.items);
-                    }
-                }
-                (!items.is_empty()).then(|| ClassDump::new(id, items))
+                let runs: Vec<&[ItemMeta]> = parts
+                    .iter()
+                    .filter_map(|part| part.iter().find(|d| d.class == id))
+                    .map(|d| d.items.as_slice())
+                    .collect();
+                let dump = ClassDump::merge(id, &runs);
+                (!dump.is_empty()).then_some(dump)
             })
             .collect();
         MetadataDump::new(dumps)
@@ -911,6 +921,11 @@ impl SlabStore {
     /// the merged population are evicted — by FuseCache's construction these
     /// are always colder than the migrated ones.
     ///
+    /// Residents that stay resident are relinked in place: the import
+    /// costs O(residents of the class) pointer writes plus one index
+    /// insert and one slot per item that lands, and frees only what it
+    /// evicts.
+    ///
     /// Returns the number of items actually resident from `incoming` after
     /// the merge.
     ///
@@ -934,6 +949,8 @@ impl SlabStore {
             }
         }
 
+        let ci = class.0 as usize;
+
         // Resolve key collisions: drop incoming copies that are colder than
         // a resident copy; remove resident copies that are colder.
         let mut accepted: Vec<ItemMeta> = Vec::with_capacity(incoming.len());
@@ -948,70 +965,93 @@ impl SlabStore {
             }
         }
 
-        // Canonicalize to strict hotness order (the MRU list may order
-        // same-instant accesses either way; see `ClassDump::new`).
-        let mut resident: Vec<ItemMeta> = self.iter_class_mru(class).collect();
-        resident.sort_by_key(|i| std::cmp::Reverse(i.hotness()));
-        // Snapshot the accepted keys (sorted, for binary search) before the
-        // merge consumes `accepted`; both import modes then build `merged`
-        // by *moving* the accepted items — no clones of the batch.
-        let mut incoming_keys: Vec<KeyId> = accepted.iter().map(|i| i.key).collect();
-        incoming_keys.sort_unstable();
-        let merged: Vec<ItemMeta> = match mode {
+        // Residents keep their slots and their index entries; only the
+        // class's order is rebuilt, in strict hotness order (the MRU list
+        // may order same-instant accesses either way; see `ClassDump::new`).
+        let mut resident: Vec<(Hotness, Origin)> =
+            Vec::with_capacity(self.class_meta[ci].len as usize);
+        let mut walk = self.iter_class_mru(class);
+        while let Some((si, slot)) = walk.next_slot() {
+            let hotness = self.shards[si].item(class.0, slot).hotness();
+            let shard = si as u32;
+            resident.push((hotness, Origin::Resident { shard, slot }));
+        }
+        canonicalize(&mut resident, |r| r.0);
+
+        // The merged population in its final MRU order.
+        let n = resident.len() + accepted.len();
+        let mut merged: Vec<Origin> = Vec::with_capacity(n);
+        match mode {
             ImportMode::Merge => {
                 // Both inputs are hottest-first; standard 2-way merge.
-                accepted.sort_by_key(|i| std::cmp::Reverse(i.hotness()));
-                let mut all = Vec::with_capacity(resident.len() + accepted.len());
+                canonicalize(&mut accepted, ItemMeta::hotness);
                 let (mut i, mut j) = (0usize, 0usize);
                 while i < resident.len() && j < accepted.len() {
-                    if resident[i].hotness() >= accepted[j].hotness() {
-                        all.push(resident[i]);
+                    if resident[i].0 >= accepted[j].hotness() {
+                        merged.push(resident[i].1);
                         i += 1;
                     } else {
-                        all.push(accepted[j]);
+                        merged.push(Origin::Incoming(j));
                         j += 1;
                     }
                 }
-                all.extend_from_slice(&resident[i..]);
-                all.extend_from_slice(&accepted[j..]);
-                all
+                merged.extend(resident[i..].iter().map(|r| r.1));
+                merged.extend((j..accepted.len()).map(Origin::Incoming));
             }
             ImportMode::Prepend => {
-                let mut all = accepted;
-                all.extend_from_slice(&resident);
-                all
+                merged.extend((0..accepted.len()).map(Origin::Incoming));
+                merged.extend(resident.iter().map(|r| r.1));
             }
-        };
+        }
 
-        // Rebuild the class list: clear it, then grow capacity and insert
-        // in order (hottest first, descending stamps from a block reserved
-        // off the LRU clock), evicting the overflow (the tail of `merged`).
-        for item in &resident {
-            self.remove_entry(item.key);
+        // Grow the class page by page while the merged population needs
+        // it and free pages remain; whatever still does not fit is the
+        // overflow — the coldest tail of `merged`. Evict its residents
+        // while the lists are still intact; its incoming items simply
+        // never land.
+        while self.class_meta[ci].capacity() < n as u64 && self.pages_used < self.pages_total {
+            self.class_meta[ci].pages += 1;
+            self.pages_used += 1;
         }
-        let n = merged.len() as u64;
+        let keep = (n as u64).min(self.class_meta[ci].capacity()) as usize;
+        for origin in &merged[keep..] {
+            if let Origin::Resident { shard, slot } = *origin {
+                let sh = &mut self.shards[shard as usize];
+                let key = sh.item(class.0, slot).key;
+                sh.remove(key);
+            }
+        }
+
+        // Relink: detach every shard's list of the class, then append the
+        // survivors hottest first — residents by pointer writes alone,
+        // incoming items into fresh slots — with descending stamps from a
+        // block reserved off the LRU clock.
+        for sh in &mut self.shards {
+            sh.detach_list(class.0);
+        }
         let base = self.lru_clock;
-        self.lru_clock += n;
+        self.lru_clock += n as u64;
         let mut kept_incoming = 0u64;
-        let mut inserted = 0u64;
-        for (i, item) in merged.iter().enumerate() {
-            if !self.secure_chunk(class) {
-                break; // class cannot grow further; rest is overflow
-            }
-            let seq = base + (n - i as u64);
-            let meta = &mut self.class_meta[class.0 as usize];
-            meta.len += 1;
-            meta.version += 1;
-            let si = shard_of(item.key, self.n_shards);
-            self.shards[si].insert_back(class.0, *item, seq);
-            inserted += 1;
-            if incoming_keys.binary_search(&item.key).is_ok() {
-                kept_incoming += 1;
-                self.stats.imported += 1;
+        for (i, origin) in merged[..keep].iter().enumerate() {
+            let seq = base + (n - i) as u64;
+            match *origin {
+                Origin::Resident { shard, slot } => {
+                    self.shards[shard as usize].relink_back(class.0, slot, seq);
+                }
+                Origin::Incoming(j) => {
+                    let item = accepted[j];
+                    let si = shard_of(item.key, self.n_shards);
+                    self.shards[si].insert_back(class.0, item, seq);
+                    kept_incoming += 1;
+                }
             }
         }
+        let meta = &mut self.class_meta[ci];
+        meta.len = keep as u64;
+        meta.version += 1;
+        self.stats.imported += kept_incoming;
         // Count the dropped overflow as evictions.
-        self.stats.evictions += merged.len() as u64 - inserted;
+        self.stats.evictions += (n - keep) as u64;
         Ok(kept_incoming)
     }
 
@@ -1253,10 +1293,10 @@ pub struct ClassMruIter<'a> {
     cursors: Vec<u32>,
 }
 
-impl Iterator for ClassMruIter<'_> {
-    type Item = ItemMeta;
-
-    fn next(&mut self) -> Option<ItemMeta> {
+impl ClassMruIter<'_> {
+    /// Advances to the next item in MRU order, returning its position as
+    /// (shard, slot).
+    fn next_slot(&mut self) -> Option<(usize, u32)> {
         let mut hottest: Option<(usize, u64)> = None;
         for (si, &cur) in self.cursors.iter().enumerate() {
             if cur == NIL {
@@ -1268,11 +1308,23 @@ impl Iterator for ClassMruIter<'_> {
             }
         }
         let (si, _) = hottest?;
-        let slot = &self.shards[si].lists[self.class as usize].slots[self.cursors[si] as usize];
-        self.cursors[si] = slot.next;
-        Some(slot.item.expect("linked slot is occupied"))
+        let idx = self.cursors[si];
+        self.cursors[si] = self.shards[si].lists[self.class as usize].slots[idx as usize].next;
+        Some((si, idx))
     }
 }
+
+impl Iterator for ClassMruIter<'_> {
+    type Item = ItemMeta;
+
+    fn next(&mut self) -> Option<ItemMeta> {
+        let (si, idx) = self.next_slot()?;
+        Some(*self.shards[si].item(self.class, idx))
+    }
+}
+
+#[cfg(test)]
+mod import_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1612,6 +1664,34 @@ mod tests {
         assert_eq!(s.merge_shard_dumps(&parts), full);
         for jobs in [1, 2, 8] {
             assert_eq!(s.dump_metadata_par(jobs), full);
+        }
+    }
+
+    #[test]
+    fn shard_dump_reassembly_is_not_quadratic() {
+        // One 200k-item class in 8 shard slices: every slice is a long
+        // descending run, so their concatenation has 7 inversions and ¾ of
+        // its items out of place — an insertion fixup moves each of them
+        // ~n/4 places and takes minutes here. A k-way merge takes
+        // milliseconds, so this test is the complexity guard. Both the
+        // spread a serving node has and the all-one-instant pattern a
+        // bulk load leaves.
+        for spread in [true, false] {
+            let mut s = SlabStore::new(StoreConfig {
+                memory: ByteSize::from_mib(32),
+                classes: SizeClasses::new(128, 2.0, 1024),
+                shards: 8,
+            });
+            for k in 0..200_000 {
+                s.set(KeyId(k), 10, if spread { t(k) } else { t(7) })
+                    .unwrap();
+            }
+            let full = s.dump_metadata();
+            assert_eq!(full.total_items(), 200_000);
+            let parts: Vec<Vec<ClassDump>> = (0..s.shard_count())
+                .map(|i| s.dump_shard_classes(i))
+                .collect();
+            assert_eq!(s.merge_shard_dumps(&parts), full);
         }
     }
 
