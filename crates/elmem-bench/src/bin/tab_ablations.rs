@@ -14,7 +14,7 @@ use elmem_bench::exp::{
 };
 use elmem_bench::sweep;
 use elmem_cluster::Cluster;
-use elmem_core::migration::{migrate_scale_in, MigrationCosts};
+use elmem_core::migration::{migrate, MigrateJob, MigrationCosts, Supervision};
 use elmem_core::scoring::node_score;
 use elmem_core::{
     run_experiment, AutoScalerConfig, MigrationPolicy, PredictiveConfig, ScaleAction,
@@ -132,12 +132,16 @@ fn ablate_vnodes(preset: Preset) {
         scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
         let migrated_for = |id: NodeId| -> u64 {
             let mut trial = cluster.tier.clone();
-            migrate_scale_in(
+            migrate(
                 &mut trial,
-                &[id],
+                &MigrateJob::ScaleIn {
+                    retiring: &[id],
+                    import_mode: ImportMode::Merge,
+                },
                 SimTime::from_secs(200),
                 &MigrationCosts::default(),
-                ImportMode::Merge,
+                &mut Supervision::none(),
+                None,
             )
             .expect("migration succeeds")
             .items_migrated

@@ -36,7 +36,7 @@ use std::time::Instant;
 use elmem_bench::exp::{cluster_preset, Preset};
 use elmem_bench::sweep;
 use elmem_cluster::CacheTier;
-use elmem_core::migration::{migrate_scale_in, MigrationCosts};
+use elmem_core::migration::{migrate, MigrateJob, MigrationCosts, Supervision};
 use elmem_core::{choose_retiring, plan_scale_in_shipments, Shipment};
 use elmem_store::ImportMode;
 use elmem_util::{KeyId, SimTime};
@@ -168,8 +168,18 @@ fn main() {
     for rep in 0..reps {
         let mut t = tier.clone();
         let t0 = Instant::now();
-        let r = migrate_scale_in(&mut t, &victims, now, &costs, ImportMode::Merge)
-            .expect("migration succeeds");
+        let r = migrate(
+            &mut t,
+            &MigrateJob::ScaleIn {
+                retiring: &victims,
+                import_mode: ImportMode::Merge,
+            },
+            now,
+            &costs,
+            &mut Supervision::none(),
+            None,
+        )
+        .expect("migration succeeds");
         let wall = t0.elapsed().as_secs_f64();
         println!(
             "migrate rep {rep}: {} considered, {} migrated in {:.3}s",

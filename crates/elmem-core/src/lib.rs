@@ -11,8 +11,9 @@
 //! * [`migration`] — the 3-phase migration (§III-D): metadata transfer,
 //!   hotness comparison (FuseCache), data migration, with modeled network
 //!   and CPU costs producing the paper's ~2-minute overhead breakdown —
-//!   runnable under [`migration::Supervision`] (per-phase deadlines,
-//!   shipment-drop retries, crash aborts) against an
+//!   one engine ([`migration::migrate`]) for scale-in, scale-out and the
+//!   Naive comparator, runnable under [`migration::Supervision`]
+//!   (per-phase deadlines, shipment-drop retries, crash aborts) against an
 //!   `elmem_sim::FaultPlan`;
 //! * [`policies`] — the comparators of §V: `baseline` (no migration),
 //!   `Naive`, and `CacheScale`;
@@ -66,10 +67,9 @@ pub use journal::{
 };
 pub use master::{Admission, DeferredAction, DeferredKind, JobKind, Master, Orchestration};
 pub use migration::{
-    migrate_scale_in, migrate_scale_in_journaled, migrate_scale_in_supervised, migrate_scale_out,
-    migrate_scale_out_journaled, plan_scale_in_shipments, set_planning_jobs, AbortCause,
-    MigrationCosts, MigrationOutcome, MigrationPhase, MigrationReport, PhaseBreakdown,
-    PhaseDeadlines, PlanStats, ResumePoint, RetryPolicy, Shipment, Supervision, MIGRATION_JOBS_ENV,
+    migrate, plan_scale_in_shipments, AbortCause, MigrateJob, MigrationCosts, MigrationOutcome,
+    MigrationPhase, MigrationReport, PhaseBreakdown, PhaseDeadlines, PlanStats, ResumePoint,
+    RetryPolicy, Shipment, Supervision,
 };
 pub use predictive::{PredictiveAutoScaler, PredictiveConfig};
 pub use telemetry::{

@@ -15,8 +15,7 @@ use elmem_util::{DetRng, ElmemError, NodeId, SimTime};
 use crate::healing::{HealingConfig, ReplacementPolicy};
 use crate::journal::MigrationJournal;
 use crate::migration::{
-    migrate_naive_scale_in, migrate_scale_in_journaled, migrate_scale_out,
-    migrate_scale_out_journaled, MigrationCosts, MigrationOutcome, MigrationReport, Supervision,
+    migrate, MigrateJob, MigrationCosts, MigrationOutcome, MigrationReport, Supervision,
 };
 use crate::policies::MigrationPolicy;
 use crate::scoring::choose_retiring;
@@ -313,15 +312,16 @@ impl Master {
             MigrationPolicy::ElMem { import } => {
                 let (victims, _) = choose_retiring(&cluster.tier, count as usize)?;
                 let id = self.next_id();
-                let report = migrate_scale_in_journaled(
+                let report = migrate(
                     &mut cluster.tier,
-                    &victims,
+                    &MigrateJob::ScaleIn {
+                        retiring: &victims,
+                        import_mode: import,
+                    },
                     now,
                     &self.costs,
-                    import,
                     supervision,
-                    &mut self.journal,
-                    id,
+                    Some((&mut self.journal, id)),
                 )?;
                 let committed_at = report.completed;
                 self.track_job(id, JobKind::ScaleIn, &victims, now, committed_at);
@@ -372,12 +372,16 @@ impl Master {
                 }
                 victims.sort_unstable();
                 let fraction = f64::from(members - count) / f64::from(members);
-                let report = migrate_naive_scale_in(
+                let report = migrate(
                     &mut cluster.tier,
-                    &victims,
-                    fraction,
+                    &MigrateJob::NaiveScaleIn {
+                        retiring: &victims,
+                        fraction,
+                    },
                     now,
                     &self.costs,
+                    &mut Supervision::none(),
+                    None,
                 )?;
                 let committed_at = report.completed;
                 Orchestration {
@@ -453,15 +457,17 @@ impl Master {
         let orch = match self.policy {
             MigrationPolicy::ElMem { .. } => {
                 let id = self.next_id();
-                let master_plan = supervision.master.clone();
-                let report = migrate_scale_out_journaled(
+                // A fill is not fault-supervised yet: of the caller's
+                // supervision only the Master-crash plan carries over.
+                let mut master_only = Supervision::none();
+                master_only.master = supervision.master.clone();
+                let report = migrate(
                     &mut cluster.tier,
-                    &ids,
+                    &MigrateJob::ScaleOut { new_nodes: &ids },
                     now,
                     &self.costs,
-                    &master_plan,
-                    &mut self.journal,
-                    id,
+                    &mut master_only,
+                    Some((&mut self.journal, id)),
                 )?;
                 let committed_at = report.completed;
                 self.track_job(id, JobKind::ScaleOut, &ids, now, committed_at);
@@ -512,16 +518,18 @@ impl Master {
     /// other crashed members) leave the membership before this returns.
     /// Per [`HealingConfig::replacement`] the Master then admits one
     /// replacement per death: cold (committed immediately) or, with
-    /// [`HealingConfig::warmup`], filled via the supervised scale-out path
-    /// — FuseCache picks the hottest items off the survivors — before the
-    /// deferred [`DeferredKind::CommitAdd`]. Recovery runs regardless of
+    /// [`HealingConfig::warmup`], filled by a scale-out job — every
+    /// survivor ships what hashes to the replacement; the job itself runs
+    /// unsupervised and unjournaled — before the deferred
+    /// [`DeferredKind::CommitAdd`]. Recovery runs regardless of
     /// the experiment's comparator policy: re-admitting capacity is the
     /// control plane's job, not the migration policy's.
     ///
     /// The returned [`Orchestration::nodes`] are the *replacements* (empty
-    /// for evict-only). A replacement that itself crashes before its
-    /// commit is filtered into [`DeferredKind::EvictCrashed`], like any
-    /// supervised scale-out.
+    /// for evict-only). `supervision` is consulted only after the fill: a
+    /// replacement that itself crashes before its commit is filtered into
+    /// [`DeferredKind::EvictCrashed`], as in
+    /// [`Master::scale_out_supervised`].
     ///
     /// # Errors
     ///
@@ -566,11 +574,18 @@ impl Master {
         }
         let ids = cluster.tier.provision_nodes(dead.len());
         let orch = if healing.warmup {
-            // Healing keeps the unjournaled path: a warm replacement is
+            // Healing runs the fill unjournaled: a warm replacement is
             // already the recovery action for a failure, and stacking a
             // Master-crash resume inside it buys nothing — a crashed-out
             // warmup just re-runs (DESIGN.md §13).
-            let report = migrate_scale_out(&mut cluster.tier, &ids, now, &self.costs)?;
+            let report = migrate(
+                &mut cluster.tier,
+                &MigrateJob::ScaleOut { new_nodes: &ids },
+                now,
+                &self.costs,
+                &mut Supervision::none(),
+                None,
+            )?;
             let committed_at = report.completed;
             let recovery_id = self.next_id();
             self.track_job(recovery_id, JobKind::Recovery, &ids, now, committed_at);

@@ -2,27 +2,36 @@
 //! (FuseCache), and data migration, with the per-phase cost model that
 //! reproduces the paper's ~2-minute overhead breakdown (§V-B2).
 //!
-//! Scale-in: every retiring Agent hashes its keys against the *retained*
-//! membership and ships `(key, timestamp)` metadata to the target nodes;
-//! each retained Agent runs FuseCache per slab class over its own MRU dump
-//! plus the incoming lists; the Master then directs the retiring nodes to
-//! ship exactly the chosen KV pairs, which the retained nodes batch-import
-//! (prepending/merging at the MRU head, evicting strictly colder items).
+//! One engine — [`migrate`] — runs every direction through the same three
+//! stages, **route → select/seal → ship**; the [`MigrateJob`] says which
+//! nodes move data where and which rule selects what ships:
 //!
-//! Scale-out (§III-D4): each existing node ships the keys that hash to the
-//! new nodes (≈ `1/(k+1)` of its keys); FuseCache is only needed if the
-//! shipped set exceeds the new node's capacity.
+//! * Scale-in: every retiring Agent hashes its keys against the *retained*
+//!   membership and ships `(key, timestamp)` metadata to the target nodes;
+//!   each retained Agent runs FuseCache per slab class over its own MRU
+//!   dump plus the incoming lists; the Master then directs the retiring
+//!   nodes to ship exactly the chosen KV pairs, which the retained nodes
+//!   batch-import (prepending/merging at the MRU head, evicting strictly
+//!   colder items).
+//! * Scale-out (§III-D4): the same steps with the roles reversed — each
+//!   existing node ships the keys that hash to the new nodes (≈ `1/(k+1)`
+//!   of its keys); FuseCache is only needed if the shipped set exceeds the
+//!   new node's capacity, so the comparison phases are zero-length.
+//! * The Naive comparator (§V-B4): each retiring node ships a fixed share
+//!   of its hottest items, no comparison.
+//!
+//! Supervision (deadlines, retries, crash aborts) and journaling (Master
+//! crash resume, DESIGN.md §13) are arguments of the one engine; their
+//! empty forms supervise and record nothing.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use elmem_cluster::{CacheNode, CacheTier};
 use elmem_hash::HashRing;
 use elmem_sim::fault::FaultInjector;
-use elmem_store::{
-    ClassDump, ClassId, Hotness, ImportMode, ItemMeta, MetadataDump, KEY_BYTES, TIMESTAMP_BYTES,
-};
-use elmem_util::par::par_map_indexed;
+use elmem_sim::Link;
+use elmem_store::{ClassId, Hotness, ImportMode, ItemMeta, KEY_BYTES, TIMESTAMP_BYTES};
+use elmem_util::par::{par_jobs, par_map_indexed};
 use elmem_util::{ByteSize, ElmemError, NodeId, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -231,8 +240,7 @@ impl MigrationOutcome {
 }
 
 /// Per-phase wall-clock budgets. `None` disables the check for that
-/// phase; [`PhaseDeadlines::none`] (the default) supervises nothing, so
-/// unsupervised migrations behave exactly as before.
+/// phase; [`PhaseDeadlines::none`] (the default) supervises nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseDeadlines {
     /// Budget for the metadata-transfer duration (excluding scoring+dump).
@@ -288,8 +296,8 @@ impl RetryPolicy {
 
 /// Supervision context for a migration: deadlines, the retry budget, and
 /// (optionally) the fault injector whose scheduled crashes and sampled
-/// drops the supervisor consults. [`Supervision::none`] supervises
-/// nothing — the unsupervised entry points use it.
+/// drops the supervisor consults. [`Supervision::none`] is the empty form:
+/// it supervises nothing and costs nothing.
 #[derive(Debug)]
 pub struct Supervision<'a> {
     /// Per-phase wall-clock budgets.
@@ -298,8 +306,8 @@ pub struct Supervision<'a> {
     pub retry: RetryPolicy,
     /// The experiment's fault injector, when faults are being injected.
     pub faults: Option<&'a mut FaultInjector>,
-    /// Scheduled Master crashes and the restart/recovery policy. Only the
-    /// journaled entry points consult it; the default plan never crashes.
+    /// Scheduled Master crashes and the restart/recovery policy. Only a
+    /// journaled migration consults it; the default plan never crashes.
     pub master: MasterPlan,
 }
 
@@ -319,10 +327,8 @@ impl<'a> Supervision<'a> {
     /// Supervision against `injector` with default deadlines/retries.
     pub fn with_faults(injector: &'a mut FaultInjector) -> Self {
         Supervision {
-            deadlines: PhaseDeadlines::none(),
-            retry: RetryPolicy::default(),
             faults: Some(injector),
-            master: MasterPlan::default(),
+            ..Supervision::none()
         }
     }
 
@@ -332,6 +338,13 @@ impl<'a> Supervision<'a> {
             .as_ref()
             .and_then(|f| f.crash_time(node))
             .filter(|&t| t < end)
+    }
+
+    /// The first of `nodes`, in order, to crash strictly before `end`.
+    fn first_crash_before(&self, nodes: &[NodeId], end: SimTime) -> Option<(NodeId, SimTime)> {
+        nodes
+            .iter()
+            .find_map(|&n| self.crash_before(n, end).map(|t| (n, t)))
     }
 
     fn sample_metadata_drop(&mut self) -> bool {
@@ -347,74 +360,327 @@ impl<'a> Supervision<'a> {
     }
 }
 
-/// How the destination merges migrated items (ElMem uses `Merge`; the
-/// Naive comparator uses `Prepend` — see `policies`).
-pub use elmem_store::ImportMode as MigrationImportMode;
-
 // ---------------------------------------------------------------------------
-// Planning fast path
-//
-// The migration *plan* — which items each retiring source ships to which
-// (destination, class) cell — is a pure function of the tier: dump + route
-// per source, then one FuseCache selection per cell. Both stages fan out
-// over `elmem_util::par::par_map_indexed` and reassemble in input order
-// (sources in retiring order, cells in sorted (target, class) order), so
-// the plan is byte-identical to a serial pass whatever the worker count.
-// The serial per-source link scheduling / fault sampling stays in the
-// supervised executor: link state and drop sampling are order-sensitive.
+// The job: direction and selection rule, as data
 // ---------------------------------------------------------------------------
 
-/// Worker threads used by the migration planner; 0 = resolve automatically.
-static PLANNING_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Environment variable overriding the automatic planner worker count.
-pub const MIGRATION_JOBS_ENV: &str = "ELMEM_MIGRATION_JOBS";
-
-/// Sets the planner's worker-thread count process-wide (0 = automatic:
-/// [`MIGRATION_JOBS_ENV`], else all cores). The plan is byte-identical
-/// whatever the count — this knob trades threads for wall-clock only.
-pub fn set_planning_jobs(jobs: usize) {
-    PLANNING_JOBS.store(jobs, Ordering::Relaxed);
+/// What a migration moves: the direction — a §III-D scale-in, or the
+/// §III-D4 scale-out that runs the same steps with the roles of the nodes
+/// reversed — and the rule that selects what ships. [`migrate`] runs every
+/// job through the same route → select/seal → ship engine.
+#[derive(Debug, Clone, Copy)]
+pub enum MigrateJob<'a> {
+    /// Drains the `retiring` members into the retained membership: each
+    /// retained node runs FuseCache per slab class over its own MRU list
+    /// plus the incoming metadata and accepts the globally hottest prefix
+    /// of every source's list.
+    ScaleIn {
+        /// The members to retire.
+        retiring: &'a [NodeId],
+        /// How the destinations merge the accepted items.
+        import_mode: ImportMode,
+    },
+    /// Fills `new_nodes` — provisioned (online) but not yet members: each
+    /// member ships whatever hashes to a new node under the expanded
+    /// membership, ≈ `1/(k+1)` of its keys, which typically fits the new
+    /// node outright. In the rare case it does not, the import evicts the
+    /// coldest overflow — equivalent to the paper's "run FuseCache to
+    /// determine the top pairs". The sources keep their copies until the
+    /// membership flips; afterwards those keys hash to the new node and
+    /// the stale copies age out of the sources' LRU naturally.
+    ScaleOut {
+        /// The nodes to fill.
+        new_nodes: &'a [NodeId],
+    },
+    /// The *Naive* comparator's drain (§V-B4): each retiring node ships the
+    /// hottest `fraction` of every slab class (assuming hotness
+    /// distributions are similar across nodes — no cross-node comparison),
+    /// and the targets import through the ordinary `set` path.
+    ///
+    /// Two deliberate differences from ElMem's migration, mirroring the
+    /// paper:
+    ///
+    /// * no FuseCache: the shipped amount ignores what actually fits
+    ///   hotter than the residents;
+    /// * **recency corruption**: plain `set`s stamp every migrated item
+    ///   with a fresh access time, so cold imports land *above* genuinely
+    ///   warm residents in the MRU order. Until the LRU dynamics wash that
+    ///   out, evictions keep hitting warm residents — which is why the
+    ///   paper's Naive "continues to degrade well after the scaling
+    ///   event". (ElMem's custom batch import preserves original
+    ///   timestamps, §III-D3.)
+    NaiveScaleIn {
+        /// The members to retire.
+        retiring: &'a [NodeId],
+        /// The share of each class's MRU list shipped, in `[0, 1]`.
+        fraction: f64,
+    },
 }
 
-fn auto_planning_jobs() -> usize {
-    match PLANNING_JOBS.load(Ordering::Relaxed) {
-        0 => std::env::var(MIGRATION_JOBS_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&j: &usize| j >= 1)
-            .unwrap_or_else(rayon::current_num_threads),
-        n => n,
+/// A validated job resolved against the tier: the per-direction constants
+/// the engine's stages read, so that no stage asks which direction it is
+/// serving (DESIGN.md §13 tabulates them).
+struct Recipe<'a> {
+    /// How the journal labels the job.
+    kind: MigrationKind,
+    /// The job's own nodes (retiring or joining), as journaled in `Started`.
+    nodes: &'a [NodeId],
+    /// The nodes whose dumps are routed: the retiring ones, or — filling
+    /// new nodes — every member.
+    sources: Vec<NodeId>,
+    /// The membership the scaling will commit; every item is routed to its
+    /// owner under it.
+    ring: HashRing,
+    /// The only targets worth shipping to (a fill: the new nodes — what
+    /// hashes elsewhere stays where it is); `None` ships to every owner.
+    keep: Option<&'a [NodeId]>,
+    /// Naive's source-side rule: offer only the hottest fraction of each
+    /// class, stamped as freshly `set` from the given instant on.
+    hottest: Option<(f64, SimTime)>,
+    /// Whether the comparison protocol of §III-D1–2 runs: the sources ship
+    /// metadata and the destinations choose with FuseCache. Without it
+    /// those phases are zero-length and log nothing — the plan is
+    /// everything routed, and the seal closes phase 1 the instant the dump
+    /// ends.
+    compares: bool,
+    /// How the destinations merge what arrives.
+    import_mode: ImportMode,
+    /// The cost model, with the phases this direction lacks priced at zero.
+    costs: MigrationCosts,
+}
+
+impl<'a> MigrateJob<'a> {
+    /// Validates the job against the tier and resolves its constants.
+    fn resolve(
+        &self,
+        tier: &CacheTier,
+        now: SimTime,
+        costs: &MigrationCosts,
+    ) -> Result<Recipe<'a>, ElmemError> {
+        let membership = tier.membership();
+        // §III-D4 and Naive skip scoring and the metadata exchange, and
+        // stream items without the tar+ssh pipeline.
+        let shortcut = MigrationCosts {
+            score_ns_per_slab: 0,
+            metadata_ns_per_item: 0,
+            data_ns_per_item: 0,
+            ..*costs
+        };
+        match *self {
+            MigrateJob::ScaleIn {
+                retiring,
+                import_mode,
+            } => {
+                validate_retiring(membership.members(), retiring)?;
+                Ok(Recipe {
+                    kind: MigrationKind::ScaleIn,
+                    nodes: retiring,
+                    sources: retiring.to_vec(),
+                    ring: membership.ring().without(retiring),
+                    keep: None,
+                    hottest: None,
+                    compares: true,
+                    import_mode,
+                    costs: *costs,
+                })
+            }
+            MigrateJob::ScaleOut { new_nodes } => {
+                validate_scale_out(tier, new_nodes)?;
+                Ok(Recipe {
+                    kind: MigrationKind::ScaleOut,
+                    nodes: new_nodes,
+                    sources: membership.members().to_vec(),
+                    ring: membership.ring().with(new_nodes),
+                    keep: Some(new_nodes),
+                    hottest: None,
+                    compares: false,
+                    import_mode: ImportMode::Merge,
+                    costs: shortcut,
+                })
+            }
+            MigrateJob::NaiveScaleIn { retiring, fraction } => {
+                if !(0.0..=1.0).contains(&fraction) {
+                    return Err(ElmemError::InvalidConfig(format!(
+                        "naive fraction {fraction} outside [0, 1]"
+                    )));
+                }
+                validate_retiring(membership.members(), retiring)?;
+                Ok(Recipe {
+                    kind: MigrationKind::ScaleIn,
+                    nodes: retiring,
+                    sources: retiring.to_vec(),
+                    ring: membership.ring().without(retiring),
+                    keep: None,
+                    hottest: Some((fraction, now)),
+                    compares: false,
+                    import_mode: ImportMode::Prepend,
+                    costs: shortcut,
+                })
+            }
+        }
     }
 }
 
-/// Below this many items an automatically-parallelized stage stays on the
-/// no-thread serial path: the tiers in unit tests and small sweep cells
-/// migrate faster than worker threads spawn.
+fn validate_retiring(members: &[NodeId], retiring: &[NodeId]) -> Result<(), ElmemError> {
+    if retiring.is_empty() {
+        return Err(ElmemError::InvalidScaling("no retiring nodes".to_string()));
+    }
+    for id in retiring {
+        if !members.contains(id) {
+            return Err(ElmemError::UnknownNode(id.0));
+        }
+    }
+    if retiring.len() >= members.len() {
+        return Err(ElmemError::InvalidScaling(
+            "cannot retire the whole tier".to_string(),
+        ));
+    }
+    Ok(())
+}
+
+/// Validates a scale-out request: the new nodes must be non-empty,
+/// provisioned, and outside the current membership.
+fn validate_scale_out(tier: &CacheTier, new_nodes: &[NodeId]) -> Result<(), ElmemError> {
+    if new_nodes.is_empty() {
+        return Err(ElmemError::InvalidScaling("no new nodes".to_string()));
+    }
+    let members = tier.membership().members();
+    for id in new_nodes {
+        if members.contains(id) {
+            return Err(ElmemError::InvalidScaling(format!(
+                "{id} is already a member"
+            )));
+        }
+        tier.node(*id)?; // must be provisioned
+    }
+    Ok(())
+}
+
+/// Typed node access during migration: a member that cannot be reached
+/// mid-flight surfaces as [`ElmemError::NodeUnavailable`] instead of a
+/// panic.
+fn live_node(tier: &CacheTier, id: NodeId) -> Result<&CacheNode, ElmemError> {
+    tier.node(id).map_err(|_| ElmemError::NodeUnavailable(id.0))
+}
+
+fn live_node_mut(tier: &mut CacheTier, id: NodeId) -> Result<&mut CacheNode, ElmemError> {
+    tier.node_mut(id)
+        .map_err(|_| ElmemError::NodeUnavailable(id.0))
+}
+
+// ---------------------------------------------------------------------------
+// Stage 1 — route
+//
+// The migration *plan* — which items each source ships to which
+// (destination, class) cell — is a pure function of the tier: dump + route
+// per source, then one selection per cell. Both stages fan out over
+// `elmem_util::par::par_map_indexed` and reassemble in input order, so the
+// plan is byte-identical to a serial pass whatever the worker count. The
+// serial per-source link scheduling / fault sampling stays in the ship
+// stage: link state and drop sampling are order-sensitive.
+// ---------------------------------------------------------------------------
+
+/// With no source this large, an automatically-parallelized migration
+/// stays on the no-thread serial path: the tiers in unit tests and small
+/// sweep cells migrate faster than worker threads spawn.
 const PAR_MIN_ITEMS: u64 = 32_768;
 
 /// Worker threads for the routing and FuseCache stages of a migration
-/// that dumps `sources` — the one decision the planner and both executors
+/// that dumps `sources` — the one decision the planner and the engine
 /// share, so what [`plan_scale_in_shipments`] times is what a migration
-/// runs. An explicit `requested` count is honoured as is; `0` resolves
-/// automatically, staying serial below [`PAR_MIN_ITEMS`] dumped items.
-/// The fan-out unit is (source, shard), so the number of sources does not
-/// enter: one large source saturates every job.
+/// runs. An explicit `requested` count is honoured as is; `0` resolves to
+/// [`par_jobs`], staying serial unless some source holds at least
+/// [`PAR_MIN_ITEMS`] items: sources are routed one at a time, each over
+/// its own shards and classes, so one large source saturates every job
+/// and many small ones would only pay for the threads.
 fn fanout_jobs(tier: &CacheTier, sources: &[NodeId], requested: usize) -> usize {
     if requested != 0 {
         return requested;
     }
-    let items: u64 = sources
+    let largest = sources
         .iter()
         .filter_map(|&id| tier.node(id).ok())
         .map(|n| n.store.len())
-        .sum();
-    if items < PAR_MIN_ITEMS {
+        .max()
+        .unwrap_or(0);
+    if largest < PAR_MIN_ITEMS {
         1
     } else {
-        auto_planning_jobs()
+        par_jobs()
     }
 }
+
+/// The routing result for one source: its metadata dump hashed against
+/// the ring the scaling will commit.
+struct RoutedSource {
+    /// Items the source dumped (before any source-side trimming).
+    n_items: u64,
+    per_target: HashMap<(NodeId, ClassId), Vec<ItemMeta>>,
+}
+
+/// Dumps every source and hashes each item against `ring` — the pure part
+/// of phase 1 (§III-D1) — keeping only the lists bound for a `keep` target
+/// when one is given. Sources are taken one at a time: a source's shards
+/// are dumped across `jobs` workers and merged back into its canonical
+/// dump (byte-identical to an unsharded `dump_metadata`, DESIGN.md §14),
+/// its classes are hashed across `jobs` workers, and the dump is released
+/// before the next source is touched — peak memory is one source's dump
+/// however many sources there are, and the plan is invariant in both the
+/// shard count and the job count.
+fn route_sources(
+    tier: &CacheTier,
+    sources: &[NodeId],
+    ring: &HashRing,
+    keep: Option<&[NodeId]>,
+    hottest: Option<(f64, SimTime)>,
+    jobs: usize,
+) -> Result<Vec<RoutedSource>, ElmemError> {
+    sources
+        .iter()
+        .map(|&src| {
+            let mut dump = live_node(tier, src)?.store.dump_metadata_par(jobs);
+            let n_items = dump.total_items();
+            if let Some((fraction, now)) = hottest {
+                for class_dump in &mut dump.classes {
+                    let take = (class_dump.items.len() as f64 * fraction).ceil() as usize;
+                    class_dump.items.truncate(take);
+                    // Plain-`set` semantics: the import gets a fresh access
+                    // time (preserving only the shipment's internal order).
+                    for (i, item) in class_dump.items.iter_mut().enumerate() {
+                        item.last_access = now + SimTime::from_nanos((take - i) as u64);
+                    }
+                }
+            }
+            let by_class = par_map_indexed(jobs, &dump.classes, |_, class_dump| {
+                let mut per_target: HashMap<NodeId, Vec<ItemMeta>> = HashMap::new();
+                for item in &class_dump.items {
+                    let target = ring.node_for(item.key).ok_or_else(|| {
+                        ElmemError::InconsistentMigration("target ring is empty".to_string())
+                    })?;
+                    if keep.is_none_or(|kept| kept.contains(&target)) {
+                        per_target.entry(target).or_default().push(*item);
+                    }
+                }
+                Ok(per_target)
+            });
+            let mut per_target = HashMap::new();
+            for (class_dump, lists) in dump.classes.iter().zip(by_class) {
+                let lists: HashMap<NodeId, Vec<ItemMeta>> = lists?;
+                for (target, items) in lists {
+                    per_target.insert((target, class_dump.class), items);
+                }
+            }
+            Ok(RoutedSource {
+                n_items,
+                per_target,
+            })
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// Stage 2 — select / seal
+// ---------------------------------------------------------------------------
 
 /// One planned phase-3 shipment: the `take` hottest of the items a source
 /// routed to one (target, class) cell.
@@ -428,9 +694,9 @@ pub struct Shipment {
     /// identity the journal acks and the destination's import ledger
     /// dedups on.
     pub seq: u64,
-    /// The retiring node shipping the items.
+    /// The node shipping the items.
     pub source: NodeId,
-    /// The retained node importing them.
+    /// The node importing them.
     pub target: NodeId,
     /// The slab class they belong to.
     pub class: ClassId,
@@ -441,28 +707,6 @@ pub struct Shipment {
 }
 
 impl Shipment {
-    /// Seals a whole item list as one shipment (`take` = everything) —
-    /// the scale-out path, where no FuseCache prefix is chosen.
-    pub(crate) fn sealed(
-        seq: u64,
-        source: NodeId,
-        target: NodeId,
-        class: ClassId,
-        items: Vec<ItemMeta>,
-    ) -> Self {
-        let take = items.len();
-        let checksum = shipment_checksum(&items);
-        Shipment {
-            seq,
-            source,
-            target,
-            class,
-            items,
-            take,
-            checksum,
-        }
-    }
-
     /// The journal's durable description of this shipment: enough to
     /// reconstruct and verify it from a fresh source dump on resume.
     pub fn manifest(&self) -> ShipmentManifest {
@@ -497,9 +741,10 @@ impl Shipment {
     }
 
     /// Recomputes the checksum over the current contents and compares it
-    /// against the sealed one — the end-to-end integrity check the chaos
-    /// engine runs at import time (DESIGN.md §12). Any mutation of the
-    /// item prefix between planning and import is caught here.
+    /// against the sealed one — the end-to-end integrity check every
+    /// shipment passes right before its import (DESIGN.md §12). Any
+    /// mutation of the item prefix between planning and import is caught
+    /// here.
     ///
     /// # Errors
     ///
@@ -547,72 +792,6 @@ pub struct PlanStats {
     pub comparisons: u64,
 }
 
-/// Phase-1 routing result for one retiring source: its metadata dump
-/// hashed against the retained ring.
-struct RoutedSource {
-    n_items: u64,
-    per_target: HashMap<(NodeId, ClassId), Vec<ItemMeta>>,
-}
-
-/// Dumps every retiring source and hashes each item against the retained
-/// ring — the pure part of phase 1 (§III-D1). The dump fan-out is
-/// per-(source, **shard**), not per-source: a handful of large retiring
-/// nodes still saturate every job, and the per-shard dumps are merged
-/// back into each source's canonical dump (byte-identical to an unsharded
-/// `dump_metadata`, DESIGN.md §14) before routing, so the plan is
-/// invariant in both the shard count and the job count.
-fn route_sources(
-    tier: &CacheTier,
-    retiring: &[NodeId],
-    retained_ring: &HashRing,
-    jobs: usize,
-) -> Result<Vec<RoutedSource>, ElmemError> {
-    // Phase 1a: one dump job per (retiring source, shard).
-    let mut shard_jobs: Vec<(NodeId, usize)> = Vec::new();
-    for &src in retiring {
-        for si in 0..live_node(tier, src)?.store.shard_count() {
-            shard_jobs.push((src, si));
-        }
-    }
-    let parts: Vec<Vec<ClassDump>> = par_map_indexed(jobs, &shard_jobs, |_, &(src, si)| {
-        Ok(live_node(tier, src)?.store.dump_shard_classes(si))
-    })
-    .into_iter()
-    .collect::<Result<_, ElmemError>>()?;
-    // Phase 1b: reassemble each source's canonical dump from its shard
-    // slices, then hash it against the retained ring, parallel over
-    // sources.
-    let mut dumps: Vec<MetadataDump> = Vec::with_capacity(retiring.len());
-    let mut cursor = 0;
-    for &src in retiring {
-        let store = &live_node(tier, src)?.store;
-        let n = store.shard_count();
-        dumps.push(store.merge_shard_dumps(&parts[cursor..cursor + n]));
-        cursor += n;
-    }
-    par_map_indexed(jobs, &dumps, |_, dump| {
-        let n_items = dump.total_items();
-        let mut per_target: HashMap<(NodeId, ClassId), Vec<ItemMeta>> = HashMap::new();
-        for class_dump in &dump.classes {
-            for item in &class_dump.items {
-                let target = retained_ring.node_for(item.key).ok_or_else(|| {
-                    ElmemError::InconsistentMigration("retained ring is empty".to_string())
-                })?;
-                per_target
-                    .entry((target, class_dump.class))
-                    .or_default()
-                    .push(*item);
-            }
-        }
-        Ok(RoutedSource {
-            n_items,
-            per_target,
-        })
-    })
-    .into_iter()
-    .collect()
-}
-
 /// One FuseCache work unit: the inbound source lists one (target, class)
 /// destination cell compares against its own MRU list.
 struct PlanCell {
@@ -653,8 +832,8 @@ fn fuse_cell(tier: &CacheTier, cell: &PlanCell) -> Result<(Vec<usize>, u64), Elm
     Ok((picks, stats.comparisons))
 }
 
-/// The phase-2 output: the shipment plan plus the comparison counts the
-/// cost model charges per destination.
+/// The FuseCache selection's output: the shipment plan plus the comparison
+/// counts the cost model charges per destination.
 struct CellOutcome {
     plan: Vec<Shipment>,
     per_dest_comparisons: HashMap<NodeId, u64>,
@@ -728,207 +907,42 @@ fn build_shipments(
     Ok(outcome)
 }
 
-/// The migration *planning* pipeline alone — §III-D1's dump + routing and
-/// §III-D2's FuseCache selection — without mutating the tier, charging
-/// simulated time, or shipping anything: the pure function the data-plane
-/// benchmark times and whose parallel/serial byte-identity the tests pin.
-///
-/// `jobs` is the worker-thread count for both stages; `0` resolves
-/// automatically ([`set_planning_jobs`], else [`MIGRATION_JOBS_ENV`], else
-/// all cores) and applies a work-size threshold so tiny migrations stay on
-/// the no-thread serial path. The returned plan is byte-identical
-/// whatever `jobs` is.
-///
-/// # Errors
-///
-/// Same validation as [`migrate_scale_in`].
-pub fn plan_scale_in_shipments(
-    tier: &CacheTier,
-    retiring: &[NodeId],
-    jobs: usize,
-) -> Result<(Vec<Shipment>, PlanStats), ElmemError> {
-    validate_retiring(tier.membership().members(), retiring)?;
-    let retained_ring = tier.membership().ring().without(retiring);
-    let jobs = fanout_jobs(tier, retiring, jobs);
-    let routed = route_sources(tier, retiring, &retained_ring, jobs)?;
-    let mut items_considered = 0u64;
-    let mut inbound: InboundMap = HashMap::new();
-    for (&src, routed_src) in retiring.iter().zip(routed) {
-        items_considered += routed_src.n_items;
-        for ((target, class), items) in routed_src.per_target {
-            inbound
-                .entry((target, class))
-                .or_default()
-                .push((src, items));
-        }
-    }
-    let mut dest_keys: Vec<(NodeId, ClassId)> = inbound.keys().copied().collect();
-    dest_keys.sort_unstable();
-    let outcome = build_shipments(tier, &dest_keys, inbound, jobs)?;
-    Ok((
-        outcome.plan,
-        PlanStats {
-            items_considered,
-            cells: dest_keys.len(),
-            comparisons: outcome.comparisons,
-        },
-    ))
-}
-
-/// Executes the 3-phase scale-in migration: moves the globally hottest
-/// subset of each retiring node's data to the retained nodes.
-///
-/// Does **not** flip the membership — the caller commits the scaling at
-/// `report.completed` (requests keep being served by the old membership
-/// during the migration, exactly as in the paper).
-///
-/// # Errors
-///
-/// * [`ElmemError::InvalidScaling`] if `retiring` is empty or would empty
-///   the membership;
-/// * [`ElmemError::UnknownNode`] if a retiring id is not a member.
-pub fn migrate_scale_in(
-    tier: &mut CacheTier,
-    retiring: &[NodeId],
-    now: SimTime,
-    costs: &MigrationCosts,
-    import_mode: ImportMode,
-) -> Result<MigrationReport, ElmemError> {
-    migrate_scale_in_supervised(
-        tier,
-        retiring,
-        now,
-        costs,
-        import_mode,
-        &mut Supervision::none(),
-    )
-}
-
-/// Typed node access during migration: a member that cannot be reached
-/// mid-flight surfaces as [`ElmemError::NodeUnavailable`] instead of a
-/// panic.
-fn live_node(tier: &CacheTier, id: NodeId) -> Result<&CacheNode, ElmemError> {
-    tier.node(id).map_err(|_| ElmemError::NodeUnavailable(id.0))
-}
-
-fn live_node_mut(tier: &mut CacheTier, id: NodeId) -> Result<&mut CacheNode, ElmemError> {
-    tier.node_mut(id)
-        .map_err(|_| ElmemError::NodeUnavailable(id.0))
-}
-
-/// Builds the terminal outcome for an aborted migration attempt:
-/// `completed` is the abort instant (never before `started`).
-#[allow(clippy::too_many_arguments)]
-fn aborted(
-    started: SimTime,
-    at: SimTime,
-    phases: PhaseBreakdown,
-    phase: MigrationPhase,
-    cause: AbortCause,
-    items_migrated: u64,
-    bytes_migrated: ByteSize,
-    metadata_bytes: ByteSize,
-    items_considered: u64,
-    transfer_retries: u32,
-) -> ExecOutcome {
-    ExecOutcome::Done(MigrationReport {
-        started,
-        completed: at.max(started),
-        phases,
-        items_migrated,
-        bytes_migrated,
-        metadata_bytes,
-        items_considered,
-        outcome: MigrationOutcome::Aborted { phase, cause },
-        transfer_retries,
-        resumes: Vec::new(),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Crash-recoverable execution (DESIGN.md §13)
-//
-// The executors below run one *attempt* of a migration. Under an [`ExecCtl`]
-// with a scheduled Master crash they stop at the first boundary the crash
-// precedes and return [`ExecOutcome::Interrupted`]; the journaled runner
-// ([`run_journaled`]) then truncates the journal to what was durable at the
-// crash instant, replays it, and launches the next attempt — resuming from
-// the sealed manifest when the crash landed after phase 2, or replanning
-// from scratch when it landed earlier (phases 1–2 never mutate any store,
-// so a pre-seal replan reproduces the identical plan from the unmutated
-// sources).
-// ---------------------------------------------------------------------------
-
-/// Per-attempt execution control for the journaled runner: the next
-/// scheduled Master crash, the journal to append durable records to, and
-/// the replayed state when this attempt is a resume.
-struct ExecCtl<'j> {
-    /// Next Master crash strictly after the attempt's start, if any.
-    master_crash: Option<SimTime>,
-    /// The journal and this migration's job id, when journaling.
-    journal: Option<(&'j mut MigrationJournal, u64)>,
-    /// Replayed journal state when resuming an interrupted migration.
-    resume: Option<ReplayState>,
-}
-
-impl ExecCtl<'static> {
-    /// No Master crashes, no journal: the legacy single-attempt path.
-    fn none() -> Self {
-        ExecCtl {
-            master_crash: None,
-            journal: None,
-            resume: None,
-        }
-    }
-}
-
-impl ExecCtl<'_> {
-    /// The Master crash preempting work that completes at `boundary`, if
-    /// one is scheduled strictly before it.
-    fn interrupted(&self, boundary: SimTime) -> Option<SimTime> {
-        self.master_crash.filter(|&c| c < boundary)
-    }
-
-    /// The journaled job id, when journaling.
-    fn id(&self) -> Option<u64> {
-        self.journal.as_ref().map(|(_, id)| *id)
-    }
-
-    /// Appends a record (built from the job id) that becomes durable at
-    /// `durable_at`. No-op without a journal.
-    fn log(&mut self, durable_at: SimTime, record: impl FnOnce(u64) -> JournalRecord) {
-        if let Some((journal, id)) = self.journal.as_mut() {
-            journal.append(durable_at, record(*id));
-        }
-    }
-}
-
-/// How one migration attempt ended.
-enum ExecOutcome {
-    /// The attempt ran to a terminal report (completed or fault-aborted).
-    Done(MigrationReport),
-    /// A Master crash at `at` interrupted the attempt inside `phase`.
-    Interrupted { at: SimTime, phase: MigrationPhase },
-}
-
-/// Which phase a fault time falls in, given the phase boundaries.
-fn phase_of(t: SimTime, phase1_end: SimTime, phase2_end: SimTime) -> MigrationPhase {
-    if t < phase1_end {
-        MigrationPhase::MetadataTransfer
-    } else if t < phase2_end {
-        MigrationPhase::HotnessComparison
-    } else {
-        MigrationPhase::DataMigration
-    }
+/// The selection of a job that does not compare: every routed list ships
+/// whole, in (source, target, class) order.
+fn seal_everything(inbound: InboundMap) -> Vec<Shipment> {
+    let mut moves: Vec<(NodeId, NodeId, ClassId, Vec<ItemMeta>)> = inbound
+        .into_iter()
+        .flat_map(|((target, class), lists)| {
+            lists
+                .into_iter()
+                .map(move |(source, items)| (source, target, class, items))
+        })
+        .collect();
+    moves.sort_unstable_by_key(|&(source, target, class, _)| (source, target, class));
+    moves
+        .into_iter()
+        .enumerate()
+        .map(|(seq, (source, target, class, items))| Shipment {
+            seq: seq as u64,
+            source,
+            target,
+            class,
+            take: items.len(),
+            checksum: shipment_checksum(&items),
+            items,
+        })
+        .collect()
 }
 
 /// Rebuilds a sealed shipment plan from freshly routed source dumps.
 ///
-/// Sources are never mutated before the scale-in commits, so re-routing
-/// their dumps reproduces the exact item lists FuseCache chose prefixes
-/// from; each sealed `take` prefix must then hash to the sealed checksum.
-/// Any divergence means the world changed under the journal — an
-/// [`ElmemError::InconsistentMigration`], never a silent re-plan.
+/// Sources are never mutated before the scaling commits (a drain imports
+/// onto the retained nodes, a fill onto nodes that are not members yet),
+/// so re-routing their dumps reproduces the exact item lists the plan
+/// chose prefixes from; each sealed `take` prefix must then hash to the
+/// sealed checksum. Any divergence means the world changed under the
+/// journal — an [`ElmemError::InconsistentMigration`], never a silent
+/// re-plan.
 fn reconstruct_shipments(
     mut inbound: InboundMap,
     manifest: &[ShipmentManifest],
@@ -973,78 +987,214 @@ fn reconstruct_shipments(
     Ok(plan)
 }
 
-/// [`migrate_scale_in`] under supervision: per-phase deadlines, bounded
-/// exponential-backoff retries for dropped shipments, and clean aborts
-/// when a source or destination crashes mid-flight.
+/// The migration *planning* pipeline alone — §III-D1's dump + routing and
+/// §III-D2's FuseCache selection — without mutating the tier, charging
+/// simulated time, or shipping anything: the pure function the data-plane
+/// benchmark times and whose parallel/serial byte-identity the tests pin.
 ///
-/// On an abort the function still returns `Ok`: the report's `outcome` is
-/// [`MigrationOutcome::Aborted`] with the phase the fault landed in and
-/// its cause, `completed` is the abort instant, and any phase-3 imports
-/// already applied are **kept** (they are strictly-hotter data already on
-/// healthy retained nodes). The caller — the Master — decides the
-/// fallback: commit the scaling without further migration, excluding
-/// crashed nodes from the retained membership.
+/// `jobs` is the worker-thread count for both stages; `0` resolves to
+/// [`par_jobs`] and applies a work-size threshold so tiny migrations stay
+/// on the no-thread serial path. The returned plan is byte-identical
+/// whatever `jobs` is.
 ///
 /// # Errors
 ///
-/// Same validation as [`migrate_scale_in`];
-/// [`ElmemError::NodeUnavailable`] if a node vanishes from the tier
-/// mid-computation.
-pub fn migrate_scale_in_supervised(
-    tier: &mut CacheTier,
+/// Same validation as a [`MigrateJob::ScaleIn`].
+pub fn plan_scale_in_shipments(
+    tier: &CacheTier,
     retiring: &[NodeId],
-    now: SimTime,
-    costs: &MigrationCosts,
-    import_mode: ImportMode,
-    supervision: &mut Supervision<'_>,
-) -> Result<MigrationReport, ElmemError> {
-    match exec_scale_in(
-        tier,
-        retiring,
-        now,
-        costs,
-        import_mode,
-        supervision,
-        ExecCtl::none(),
-    )? {
-        ExecOutcome::Done(report) => Ok(report),
-        ExecOutcome::Interrupted { .. } => Err(ElmemError::InconsistentMigration(
-            "unjournaled migration cannot be interrupted by a Master crash".to_string(),
-        )),
+    jobs: usize,
+) -> Result<(Vec<Shipment>, PlanStats), ElmemError> {
+    validate_retiring(tier.membership().members(), retiring)?;
+    let retained_ring = tier.membership().ring().without(retiring);
+    let jobs = fanout_jobs(tier, retiring, jobs);
+    let routed = route_sources(tier, retiring, &retained_ring, None, None, jobs)?;
+    let mut items_considered = 0u64;
+    let mut inbound: InboundMap = HashMap::new();
+    for (&src, routed_src) in retiring.iter().zip(routed) {
+        items_considered += routed_src.n_items;
+        for (cell, items) in routed_src.per_target {
+            inbound.entry(cell).or_default().push((src, items));
+        }
+    }
+    let mut dest_keys: Vec<(NodeId, ClassId)> = inbound.keys().copied().collect();
+    dest_keys.sort_unstable();
+    let outcome = build_shipments(tier, &dest_keys, inbound, jobs)?;
+    Ok((
+        outcome.plan,
+        PlanStats {
+            items_considered,
+            cells: dest_keys.len(),
+            comparisons: outcome.comparisons,
+        },
+    ))
+}
+
+// ---------------------------------------------------------------------------
+// The engine (DESIGN.md §13)
+//
+// `attempt` runs one pass of a job through the three stages. Under a
+// scheduled Master crash it stops at the first boundary the crash precedes
+// and reports `Attempt::Interrupted`; `migrate` then truncates the journal
+// to what was durable at the crash instant, replays it, and launches the
+// next attempt — resuming from the sealed manifest when the crash landed
+// after the seal, or replanning from scratch when it landed earlier
+// (nothing before the seal mutates any store, so a replan reproduces the
+// identical plan from the unmutated sources).
+// ---------------------------------------------------------------------------
+
+/// The journal a migration writes to and the Master crash that may cut the
+/// current attempt short. The empty form — no journal, no crash — logs
+/// nothing and never interrupts.
+struct Ctl<'j> {
+    /// The journal and this migration's job id, when journaling.
+    journal: Option<(&'j mut MigrationJournal, u64)>,
+    /// Next Master crash strictly after the attempt's start, if any.
+    master_crash: Option<SimTime>,
+}
+
+impl Ctl<'_> {
+    /// The Master crash preempting work that completes at `boundary`, if
+    /// one is scheduled strictly before it.
+    fn interrupted(&self, boundary: SimTime) -> Option<SimTime> {
+        self.master_crash.filter(|&c| c < boundary)
+    }
+
+    /// Appends a record (built from the job id) that becomes durable at
+    /// `durable_at`. No-op without a journal.
+    fn log(&mut self, durable_at: SimTime, record: impl FnOnce(u64) -> JournalRecord) {
+        if let Some((journal, id)) = self.journal.as_mut() {
+            journal.append(durable_at, record(*id));
+        }
     }
 }
 
-/// One attempt of the supervised scale-in migration, interruptible by a
-/// scheduled Master crash and resumable from replayed journal state (see
-/// [`migrate_scale_in_supervised`] for the fault semantics of a single
-/// uninterrupted attempt).
-fn exec_scale_in(
-    tier: &mut CacheTier,
-    retiring: &[NodeId],
-    now: SimTime,
-    costs: &MigrationCosts,
-    import_mode: ImportMode,
-    supervision: &mut Supervision<'_>,
-    mut ctl: ExecCtl<'_>,
-) -> Result<ExecOutcome, ElmemError> {
-    validate_retiring(tier.membership().members(), retiring)?;
-    let retained_ring = tier.membership().ring().without(retiring);
+/// How one migration attempt ended.
+enum Attempt {
+    /// The attempt ran to a terminal report (completed or fault-aborted).
+    Done(MigrationReport),
+    /// A Master crash at `at` interrupted the attempt inside `phase`.
+    Interrupted { at: SimTime, phase: MigrationPhase },
+}
 
+/// One attempt's report as it accrues, and the timeline behind it. Every
+/// way out of the engine — completion or abort, in any stage — finishes
+/// this one report.
+struct Progress {
+    /// The totals so far; `completed` and `outcome` are set on the way out.
+    report: MigrationReport,
+    /// When the dump and metadata landed (= `started` until then).
+    phase1_end: SimTime,
+    /// When the plan sealed and data started to move.
+    phase2_end: SimTime,
+}
+
+impl Progress {
+    fn new(started: SimTime) -> Self {
+        Progress {
+            report: MigrationReport {
+                started,
+                completed: started,
+                phases: PhaseBreakdown::default(),
+                items_migrated: 0,
+                bytes_migrated: ByteSize::ZERO,
+                metadata_bytes: ByteSize::ZERO,
+                items_considered: 0,
+                outcome: MigrationOutcome::Completed,
+                transfer_retries: 0,
+                resumes: Vec::new(),
+            },
+            phase1_end: started,
+            phase2_end: started,
+        }
+    }
+
+    /// Which phase a fault time falls in, given the boundaries passed.
+    fn phase_at(&self, t: SimTime) -> MigrationPhase {
+        if t < self.phase1_end {
+            MigrationPhase::MetadataTransfer
+        } else if t < self.phase2_end {
+            MigrationPhase::HotnessComparison
+        } else {
+            MigrationPhase::DataMigration
+        }
+    }
+
+    fn finish(mut self, completed: SimTime, outcome: MigrationOutcome) -> MigrationReport {
+        self.report.completed = completed;
+        self.report.outcome = outcome;
+        self.report
+    }
+
+    /// The terminal outcome of an aborted attempt: the Master gave up at
+    /// `at` (never before the start), keeping whatever already moved.
+    fn abort(self, at: SimTime, phase: MigrationPhase, cause: AbortCause) -> Attempt {
+        let at = at.max(self.report.started);
+        Attempt::Done(self.finish(at, MigrationOutcome::Aborted { phase, cause }))
+    }
+}
+
+/// Sends `bytes` over a source's NIC starting at `submit_at`; the
+/// shipment arrives `pipeline` (the per-item serialization cost) after the
+/// wire is done. While `dropped` reports the attempt lost it is re-sent
+/// after a bounded exponential backoff, each try burning link time and
+/// counting into `retries` (the budget covers only these injected drops,
+/// not database sheds).
+///
+/// Returns the arrival instant, or — the budget exhausted — the instant
+/// the last attempt failed and how many retries were made.
+fn send_with_retries(
+    link: &mut Link,
+    submit_at: SimTime,
+    bytes: ByteSize,
+    pipeline: SimTime,
+    retry: RetryPolicy,
+    mut dropped: impl FnMut() -> bool,
+    retries: &mut u32,
+) -> Result<SimTime, (SimTime, u32)> {
+    let mut attempt = 0u32;
+    let mut submit_at = submit_at;
+    loop {
+        let completion = link.schedule_transfer(submit_at, bytes) + pipeline;
+        if !dropped() {
+            return Ok(completion);
+        }
+        attempt += 1;
+        *retries += 1;
+        if attempt >= retry.max_attempts {
+            return Err((completion, attempt));
+        }
+        submit_at = completion + retry.backoff(attempt);
+    }
+}
+
+/// One pass of `recipe` through the three stages, from `now`: interruptible
+/// by the Master crash in `ctl`, and — given the replayed journal state of
+/// an interrupted predecessor — a resume of it.
+///
+/// Faults land on the report, not in the `Err`: a source or destination
+/// crash, an overrun deadline or an exhausted retry budget ends the
+/// attempt with [`MigrationOutcome::Aborted`].
+fn attempt(
+    tier: &mut CacheTier,
+    recipe: &Recipe<'_>,
+    now: SimTime,
+    supervision: &mut Supervision<'_>,
+    ctl: &mut Ctl<'_>,
+    resume: Option<ReplayState>,
+) -> Result<Attempt, ElmemError> {
     // A resume after the plan sealed is manifest-driven: partial imports
-    // have already mutated the destinations, so FuseCache must not re-run.
-    // The shipments are instead reconstructed from a fresh source dump
-    // (sources are never mutated before the commit) and verified against
-    // the sealed checksums. A resume *before* the seal replans from
-    // scratch — nothing was imported yet, so the replan is identical. A
-    // post-seal attempt also skips drop sampling in phase 1: the retry
+    // have already mutated the destinations, so the selection must not
+    // re-run. The shipments are instead reconstructed from a fresh source
+    // dump (sources are never mutated before the commit) and verified
+    // against the sealed checksums. A resume *before* the seal replans
+    // from scratch — nothing was imported yet, so the replan is identical.
+    // A post-seal attempt also skips drop sampling in phase 1: the retry
     // RNG draws belong to shipping, and a resumed pull re-reads the dump
     // rather than re-racing the injector.
-    let resume = ctl.resume.take();
-    let sealed: Option<Vec<ShipmentManifest>> = resume.as_ref().and_then(|st| st.manifest.clone());
-    let acked: BTreeSet<u64> = resume.map(|st| st.acked).unwrap_or_default();
-
-    let mut phases = PhaseBreakdown::default();
-    let mut transfer_retries = 0u32;
+    let (sealed, acked) = resume.map_or((None, BTreeSet::new()), |st| (st.manifest, st.acked));
+    let costs = &recipe.costs;
+    let mut progress = Progress::new(now);
 
     // §III-C scoring cost: every member node crawls its slabs for medians
     // (done in parallel across nodes; take the max = any node's cost).
@@ -1058,97 +1208,90 @@ fn exec_scale_in(
             .count() as u64;
         max_slabs = max_slabs.max(slabs);
     }
-    phases.scoring = SimTime::from_nanos(max_slabs * costs.score_ns_per_slab);
+    progress.report.phases.scoring = SimTime::from_nanos(max_slabs * costs.score_ns_per_slab);
 
-    // Phase 1 — dump + hash on each retiring node (§III-D1 already runs
-    // the sources in parallel; here worker threads fan the routing out
-    // when the volume warrants it, reassembled in retiring order so the
-    // result is byte-identical to a serial pass), then ship metadata to
-    // targets (per-source link, serialized, in retiring order — link
+    // Phase 1 — dump + hash on each source (§III-D1 already runs the
+    // sources in parallel; worker threads fan the routing out when the
+    // volume warrants it), then — when the job compares — ship metadata to
+    // the targets (per-source link, serialized, in source order: link
     // scheduling and drop sampling are order-sensitive, so shipping stays
-    // serial). A dropped shipment is retried after a backoff; the retry
-    // budget covers only these injected drops (not database sheds).
-    let jobs = fanout_jobs(tier, retiring, 0);
-    let routed = route_sources(tier, retiring, &retained_ring, jobs)?;
-    let mut items_considered = 0u64;
-    let mut metadata_bytes = ByteSize::ZERO;
-    let mut dump_max = SimTime::ZERO;
+    // serial). Dump totals accumulate source-by-source so an abort's
+    // partial report covers exactly the sources reached.
+    let jobs = fanout_jobs(tier, &recipe.sources, 0);
+    let routed = route_sources(
+        tier,
+        &recipe.sources,
+        &recipe.ring,
+        recipe.keep,
+        recipe.hottest,
+        jobs,
+    )?;
     // (target, class) → (source, items) lists.
     let mut inbound: InboundMap = HashMap::new();
     let mut transfer_done = now;
-    for (&src, routed_src) in retiring.iter().zip(routed) {
+    for (&src, routed_src) in recipe.sources.iter().zip(routed) {
         let n_items = routed_src.n_items;
-        items_considered += n_items;
-        dump_max = dump_max.max(SimTime::from_nanos(n_items * costs.dump_ns_per_item));
-        // Ship metadata over the source's NIC (tarball over ssh: one
-        // serialized stream per source; the pipeline's per-item CPU cost
-        // dominates the 21 B/item wire cost). Dump totals accumulate
-        // source-by-source in this loop so an abort's partial report is
-        // the same as when routing ran inline here.
-        let bytes = ByteSize((KEY_BYTES + TIMESTAMP_BYTES) * n_items);
-        metadata_bytes += bytes;
-        let pipeline = SimTime::from_nanos(n_items * costs.metadata_ns_per_item);
-        let mut attempt = 0u32;
-        let mut submit_at = now;
-        let done = loop {
-            let completion = live_node_mut(tier, src)?
-                .link
-                .schedule_transfer(submit_at, bytes)
-                + pipeline;
-            if sealed.is_some() || !supervision.sample_metadata_drop() {
-                break completion;
+        progress.report.items_considered += n_items;
+        let dump = SimTime::from_nanos(n_items * costs.dump_ns_per_item);
+        progress.report.phases.dump = progress.report.phases.dump.max(dump);
+        if recipe.compares {
+            // Tarball over ssh: one serialized stream per source; the
+            // pipeline's per-item CPU cost dominates the 21 B/item wire
+            // cost.
+            let bytes = ByteSize((KEY_BYTES + TIMESTAMP_BYTES) * n_items);
+            progress.report.metadata_bytes += bytes;
+            let sent = send_with_retries(
+                &mut live_node_mut(tier, src)?.link,
+                now,
+                bytes,
+                SimTime::from_nanos(n_items * costs.metadata_ns_per_item),
+                supervision.retry,
+                || sealed.is_none() && supervision.sample_metadata_drop(),
+                &mut progress.report.transfer_retries,
+            );
+            match sent {
+                Ok(done) => transfer_done = transfer_done.max(done),
+                Err((at, attempts)) => {
+                    progress.report.phases.metadata_transfer = at.saturating_sub(now);
+                    return Ok(progress.abort(
+                        at,
+                        MigrationPhase::MetadataTransfer,
+                        AbortCause::TransferRetriesExhausted {
+                            source: src,
+                            attempts,
+                        },
+                    ));
+                }
             }
-            attempt += 1;
-            transfer_retries += 1;
-            if attempt >= supervision.retry.max_attempts {
-                phases.dump = dump_max;
-                phases.metadata_transfer = completion.saturating_sub(now);
-                return Ok(aborted(
-                    now,
-                    completion,
-                    phases,
-                    MigrationPhase::MetadataTransfer,
-                    AbortCause::TransferRetriesExhausted {
-                        source: src,
-                        attempts: attempt,
-                    },
-                    0,
-                    ByteSize::ZERO,
-                    metadata_bytes,
-                    items_considered,
-                    transfer_retries,
-                ));
-            }
-            submit_at = completion + supervision.retry.backoff(attempt);
-        };
-        transfer_done = transfer_done.max(done);
-        for ((target, class), items) in routed_src.per_target {
-            inbound
-                .entry((target, class))
-                .or_default()
-                .push((src, items));
+        }
+        for (cell, items) in routed_src.per_target {
+            inbound.entry(cell).or_default().push((src, items));
         }
     }
-    phases.dump = dump_max;
-    phases.metadata_transfer = transfer_done.saturating_sub(now);
-    let phase1_end = now + phases.scoring + phases.dump + phases.metadata_transfer;
+    progress.report.phases.metadata_transfer = transfer_done.saturating_sub(now);
+    let metadata_start = now + progress.report.phases.scoring + progress.report.phases.dump;
+    let phase1_end = metadata_start + progress.report.phases.metadata_transfer;
+    progress.phase1_end = phase1_end;
+    progress.phase2_end = phase1_end;
 
     // Master-crash gate: a crash inside phase 1 interrupts the attempt
     // before this boundary's journal record ever becomes durable.
-    if let Some(t) = ctl.interrupted(phase1_end) {
-        return Ok(ExecOutcome::Interrupted {
-            at: t,
+    if let Some(at) = ctl.interrupted(phase1_end) {
+        return Ok(Attempt::Interrupted {
+            at,
             phase: MigrationPhase::MetadataTransfer,
         });
     }
-    ctl.log(phase1_end, |id| JournalRecord::PhaseDone {
-        id,
-        phase: MigrationPhase::MetadataTransfer,
-        at: phase1_end,
-    });
+    if recipe.compares {
+        ctl.log(phase1_end, |id| JournalRecord::PhaseDone {
+            id,
+            phase: MigrationPhase::MetadataTransfer,
+            at: phase1_end,
+        });
+    }
 
-    // Destinations, deterministic order (needed for crash checks below
-    // and the FuseCache pass).
+    // Destinations, deterministic order (needed for the crash checks and
+    // the FuseCache pass).
     let mut dest_keys: Vec<(NodeId, ClassId)> = inbound.keys().copied().collect();
     dest_keys.sort_unstable();
     let mut dests: Vec<NodeId> = dest_keys.iter().map(|&(t, _)| t).collect();
@@ -1157,68 +1300,38 @@ fn exec_scale_in(
     // A source or destination that dies before the metadata lands aborts
     // the migration in phase 1: its stream breaks and the Master gives up
     // at the crash instant.
-    for &src in retiring {
-        if let Some(t) = supervision.crash_before(src, phase1_end) {
-            return Ok(aborted(
-                now,
-                t,
-                phases,
-                MigrationPhase::MetadataTransfer,
-                AbortCause::SourceCrashed(src),
-                0,
-                ByteSize::ZERO,
-                metadata_bytes,
-                items_considered,
-                transfer_retries,
-            ));
-        }
+    if let Some((src, at)) = supervision.first_crash_before(&recipe.sources, phase1_end) {
+        let cause = AbortCause::SourceCrashed(src);
+        return Ok(progress.abort(at, MigrationPhase::MetadataTransfer, cause));
     }
-    for &dest in &dests {
-        if let Some(t) = supervision.crash_before(dest, phase1_end) {
-            return Ok(aborted(
-                now,
-                t,
-                phases,
-                MigrationPhase::MetadataTransfer,
-                AbortCause::DestinationCrashed(dest),
-                0,
-                ByteSize::ZERO,
-                metadata_bytes,
-                items_considered,
-                transfer_retries,
-            ));
-        }
+    if let Some((dest, at)) = supervision.first_crash_before(&dests, phase1_end) {
+        let cause = AbortCause::DestinationCrashed(dest);
+        return Ok(progress.abort(at, MigrationPhase::MetadataTransfer, cause));
     }
     if let Some(budget) = supervision.deadlines.metadata {
-        if phases.metadata_transfer > budget {
-            return Ok(aborted(
-                now,
-                now + phases.scoring + phases.dump + budget,
-                phases,
+        if progress.report.phases.metadata_transfer > budget {
+            return Ok(progress.abort(
+                metadata_start + budget,
                 MigrationPhase::MetadataTransfer,
                 AbortCause::DeadlineExceeded,
-                0,
-                ByteSize::ZERO,
-                metadata_bytes,
-                items_considered,
-                transfer_retries,
             ));
         }
     }
 
-    // Phase 2 — FuseCache on each retained node, per class: how many items
-    // to accept from each source. Runs in parallel across destinations
-    // (worker threads too, when the volume warrants it); cost = max per
-    // destination. The chosen items are moved out of the routed lists into
-    // the plan — no cloning. On a manifest-driven resume FuseCache is
-    // skipped entirely (the destinations already absorbed partial imports,
-    // so re-comparing would pick a different plan): the sealed plan is
-    // reconstructed from the freshly routed lists and checksum-verified.
-    let (plan, phase2_end) = match &sealed {
-        Some(manifest) => (reconstruct_shipments(inbound, manifest)?, phase1_end),
-        None => {
+    // Phase 2 — select and seal. A comparing job runs FuseCache on each
+    // destination, per class (in parallel across destinations — worker
+    // threads too, when the volume warrants it; cost = max per
+    // destination); any other ships every routed list whole. The chosen
+    // items are moved out of the routed lists into the plan — no cloning.
+    // On a manifest-driven resume the selection is skipped entirely (the
+    // destinations already absorbed partial imports, so re-comparing would
+    // pick a different plan): the sealed plan is reconstructed from the
+    // freshly routed lists and checksum-verified.
+    let plan = match &sealed {
+        Some(manifest) => reconstruct_shipments(inbound, manifest)?,
+        None if recipe.compares => {
             let outcome = build_shipments(tier, &dest_keys, inbound, jobs)?;
-            phases.fusecache = SimTime::from_nanos(
+            progress.report.phases.fusecache = SimTime::from_nanos(
                 outcome
                     .per_dest_comparisons
                     .values()
@@ -1226,20 +1339,28 @@ fn exec_scale_in(
                     .max()
                     .unwrap_or(0),
             );
-            (outcome.plan, phase1_end + phases.fusecache)
+            outcome.plan
         }
+        None => seal_everything(inbound),
     };
+    let phase2_end = phase1_end + progress.report.phases.fusecache;
+    progress.phase2_end = phase2_end;
 
-    // Master-crash gate at the phase-2 boundary: a crash here loses the
-    // plan (it only seals at the boundary), so the resumed attempt
-    // replans from scratch.
-    if let Some(t) = ctl.interrupted(phase2_end) {
-        return Ok(ExecOutcome::Interrupted {
-            at: t,
+    // Master-crash gate at the seal: a crash here loses the plan (it only
+    // seals at the boundary), so the resumed attempt replans from scratch.
+    if let Some(at) = ctl.interrupted(phase2_end) {
+        return Ok(Attempt::Interrupted {
+            at,
             phase: MigrationPhase::HotnessComparison,
         });
     }
     if sealed.is_none() {
+        // The seal closes the last phase before data moves.
+        let phase = if recipe.compares {
+            MigrationPhase::HotnessComparison
+        } else {
+            MigrationPhase::MetadataTransfer
+        };
         ctl.log(phase2_end, |id| JournalRecord::PlanSealed {
             id,
             at: phase2_end,
@@ -1247,54 +1368,51 @@ fn exec_scale_in(
         });
         ctl.log(phase2_end, |id| JournalRecord::PhaseDone {
             id,
-            phase: MigrationPhase::HotnessComparison,
+            phase,
             at: phase2_end,
         });
     }
 
     // A destination dying during the comparison aborts in phase 2
     // (crashes before phase 1's end already returned above).
-    for &dest in &dests {
-        if let Some(t) = supervision.crash_before(dest, phase2_end) {
-            return Ok(aborted(
-                now,
-                t,
-                phases,
-                MigrationPhase::HotnessComparison,
-                AbortCause::DestinationCrashed(dest),
-                0,
-                ByteSize::ZERO,
-                metadata_bytes,
-                items_considered,
-                transfer_retries,
-            ));
-        }
+    if let Some((dest, at)) = supervision.first_crash_before(&dests, phase2_end) {
+        let cause = AbortCause::DestinationCrashed(dest);
+        return Ok(progress.abort(at, MigrationPhase::HotnessComparison, cause));
     }
     if let Some(budget) = supervision.deadlines.hotness {
-        if phases.fusecache > budget {
-            return Ok(aborted(
-                now,
+        if progress.report.phases.fusecache > budget {
+            return Ok(progress.abort(
                 phase1_end + budget,
-                phases,
                 MigrationPhase::HotnessComparison,
                 AbortCause::DeadlineExceeded,
-                0,
-                ByteSize::ZERO,
-                metadata_bytes,
-                items_considered,
-                transfer_retries,
             ));
         }
     }
 
-    // Phase 3 — ship the chosen KV pairs (source links, serialized) and
-    // batch-import on the destinations. Imports applied before an abort
-    // are kept: they are strictly-hotter data already in place.
-    let data_start = phase2_end;
-    let mut items_migrated = 0u64;
-    let mut bytes_migrated = ByteSize::ZERO;
+    ship(tier, recipe, plan, &acked, supervision, ctl, progress)
+}
+
+/// Stage 3 — ship: sends every shipment of the sealed `plan` that is not
+/// durably acked over its source's link (serialized per source) and
+/// imports it on its destination. Imports applied before an abort are
+/// kept: they are strictly-hotter data already in place.
+fn ship(
+    tier: &mut CacheTier,
+    recipe: &Recipe<'_>,
+    plan: Vec<Shipment>,
+    acked: &BTreeSet<u64>,
+    supervision: &mut Supervision<'_>,
+    ctl: &mut Ctl<'_>,
+    mut progress: Progress,
+) -> Result<Attempt, ElmemError> {
+    let costs = &recipe.costs;
+    let data_start = progress.phase2_end;
     let mut data_done = data_start;
     let mut import_ns: HashMap<NodeId, u64> = HashMap::new();
+    // Destinations import in parallel: the phase costs the busiest one.
+    let busiest = |import_ns: &HashMap<NodeId, u64>| {
+        SimTime::from_nanos(import_ns.values().copied().max().unwrap_or(0))
+    };
     for shipment in plan {
         let bytes = ByteSize(shipment.items().iter().map(|i| i.footprint()).sum());
         if acked.contains(&shipment.seq) {
@@ -1302,104 +1420,80 @@ fn exec_scale_in(
             // on its destination. Count it toward the totals (so a
             // resumed report matches the uninterrupted one) but ship
             // nothing and charge no transfer or import time.
-            bytes_migrated += bytes;
-            items_migrated += shipment.len() as u64;
+            progress.report.bytes_migrated += bytes;
+            progress.report.items_migrated += shipment.len() as u64;
             continue;
         }
         let (src, target) = (shipment.source, shipment.target);
-        let pipeline = SimTime::from_nanos(shipment.len() as u64 * costs.data_ns_per_item);
-        let mut attempt = 0u32;
-        let mut submit_at = data_start;
-        let done = loop {
-            let completion = live_node_mut(tier, src)?
-                .link
-                .schedule_transfer(submit_at, bytes)
-                + pipeline;
-            if !supervision.sample_transfer_drop() {
-                break completion;
-            }
-            attempt += 1;
-            transfer_retries += 1;
-            if attempt >= supervision.retry.max_attempts {
-                phases.data_transfer = completion.saturating_sub(data_start);
-                phases.import = SimTime::from_nanos(import_ns.values().copied().max().unwrap_or(0));
-                return Ok(aborted(
-                    now,
-                    completion,
-                    phases,
+        let sent = send_with_retries(
+            &mut live_node_mut(tier, src)?.link,
+            data_start,
+            bytes,
+            SimTime::from_nanos(shipment.len() as u64 * costs.data_ns_per_item),
+            supervision.retry,
+            || supervision.sample_transfer_drop(),
+            &mut progress.report.transfer_retries,
+        );
+        let done = match sent {
+            Ok(done) => done,
+            Err((at, attempts)) => {
+                progress.report.phases.data_transfer = at.saturating_sub(data_start);
+                progress.report.phases.import = busiest(&import_ns);
+                return Ok(progress.abort(
+                    at,
                     MigrationPhase::DataMigration,
                     AbortCause::TransferRetriesExhausted {
                         source: src,
-                        attempts: attempt,
+                        attempts,
                     },
-                    items_migrated,
-                    bytes_migrated,
-                    metadata_bytes,
-                    items_considered,
-                    transfer_retries,
                 ));
             }
-            submit_at = completion + supervision.retry.backoff(attempt);
         };
         // Master-crash gate: the Master dies before this shipment lands,
-        // so it never ships. Everything already imported stays (the
-        // journaled runner resumes; the unjournaled path never sees a
-        // Master crash).
-        if let Some(t) = ctl.interrupted(done) {
-            return Ok(ExecOutcome::Interrupted {
-                at: t,
-                phase: phase_of(t, phase1_end, phase2_end),
+        // so it never ships. Everything already imported stays, and the
+        // next attempt resumes from the journal.
+        if let Some(at) = ctl.interrupted(done) {
+            return Ok(Attempt::Interrupted {
+                at,
+                phase: progress.phase_at(at),
             });
         }
         // A source or destination dying before this shipment lands aborts
         // here, keeping everything already imported. The phase is the one
         // the crash time falls in (a node may die while idle in an
         // earlier window and only be detected at its next shipment).
-        let crashed = supervision
-            .crash_before(src, done)
-            .map(|t| (t, AbortCause::SourceCrashed(src)))
-            .or_else(|| {
-                supervision
-                    .crash_before(target, done)
-                    .map(|t| (t, AbortCause::DestinationCrashed(target)))
-            });
-        if let Some((t, cause)) = crashed {
-            phases.data_transfer = t.max(data_start).saturating_sub(data_start);
-            phases.import = SimTime::from_nanos(import_ns.values().copied().max().unwrap_or(0));
-            return Ok(aborted(
-                now,
-                t,
-                phases,
-                phase_of(t, phase1_end, phase2_end),
-                cause,
-                items_migrated,
-                bytes_migrated,
-                metadata_bytes,
-                items_considered,
-                transfer_retries,
-            ));
+        if let Some((node, at)) = supervision.first_crash_before(&[src, target], done) {
+            let cause = if node == src {
+                AbortCause::SourceCrashed(node)
+            } else {
+                AbortCause::DestinationCrashed(node)
+            };
+            progress.report.phases.data_transfer = at.max(data_start).saturating_sub(data_start);
+            progress.report.phases.import = busiest(&import_ns);
+            let phase = progress.phase_at(at);
+            return Ok(progress.abort(at, phase, cause));
         }
         data_done = data_done.max(done);
         // Apply the import (items are hottest-first within each source's
         // class list; the store re-sorts/merges as configured). The sealed
-        // checksum proves the shipment arrives exactly as planned. The
-        // journaled path goes through the destination's import ledger,
-        // which suppresses a re-delivered shipment whose import already
-        // applied before a Master crash ate its ack.
+        // checksum proves the shipment arrives exactly as planned. A
+        // journaled migration goes through the destination's import
+        // ledger, which suppresses a re-delivered shipment whose import
+        // already applied before a Master crash ate its ack.
         shipment.verify_content()?;
         let node = live_node_mut(tier, target)?;
-        let applied = match ctl.id() {
-            Some(id) => node.import_shipment(
-                id,
+        let applied = match &ctl.journal {
+            Some((_, id)) => node.import_shipment(
+                *id,
                 shipment.seq,
                 shipment.checksum(),
                 shipment.class,
                 shipment.items(),
-                import_mode,
+                recipe.import_mode,
             )?,
             None => {
                 node.store
-                    .batch_import(shipment.class, shipment.items(), import_mode)?;
+                    .batch_import(shipment.class, shipment.items(), recipe.import_mode)?;
                 true
             }
         };
@@ -1417,574 +1511,188 @@ fn exec_scale_in(
                 at: done,
             }
         });
-        bytes_migrated += bytes;
-        items_migrated += shipment.len() as u64;
+        progress.report.bytes_migrated += bytes;
+        progress.report.items_migrated += shipment.len() as u64;
     }
-    phases.data_transfer = data_done.saturating_sub(data_start);
-    phases.import = SimTime::from_nanos(import_ns.values().copied().max().unwrap_or(0));
+    progress.report.phases.data_transfer = data_done.saturating_sub(data_start);
+    progress.report.phases.import = busiest(&import_ns);
 
     // Master-crash gate at the final boundary: all data landed, but the
     // Master dies before recording completion — the resumed attempt
     // re-delivers only what the journal never durably acked.
-    let completed = now + phases.total();
-    if let Some(t) = ctl.interrupted(completed) {
-        return Ok(ExecOutcome::Interrupted {
-            at: t,
+    let completed = progress.report.started + progress.report.phases.total();
+    if let Some(at) = ctl.interrupted(completed) {
+        return Ok(Attempt::Interrupted {
+            at,
             phase: MigrationPhase::DataMigration,
         });
     }
-
     if let Some(budget) = supervision.deadlines.data {
-        if phases.data_transfer + phases.import > budget {
-            return Ok(aborted(
-                now,
+        if progress.report.phases.data_transfer + progress.report.phases.import > budget {
+            return Ok(progress.abort(
                 data_start + budget,
-                phases,
                 MigrationPhase::DataMigration,
                 AbortCause::DeadlineExceeded,
-                items_migrated,
-                bytes_migrated,
-                metadata_bytes,
-                items_considered,
-                transfer_retries,
             ));
         }
     }
-
     ctl.log(completed, |id| JournalRecord::PhaseDone {
         id,
         phase: MigrationPhase::DataMigration,
         at: completed,
     });
-    Ok(ExecOutcome::Done(MigrationReport {
-        started: now,
-        completed,
-        phases,
-        items_migrated,
-        bytes_migrated,
-        metadata_bytes,
-        items_considered,
-        outcome: MigrationOutcome::Completed,
-        transfer_retries,
-        resumes: Vec::new(),
-    }))
+    Ok(Attempt::Done(
+        progress.finish(completed, MigrationOutcome::Completed),
+    ))
 }
 
-/// Executes the scale-out migration (§III-D4): each existing member ships
-/// the keys that hash to the `new_nodes` under the expanded membership.
+/// Executes a migration: moves what `job` selects to the nodes that will
+/// own it once the scaling commits.
 ///
-/// Does **not** flip the membership; the caller commits at
-/// `report.completed`. The new nodes must already be provisioned (online,
-/// outside the membership).
+/// Does **not** flip the membership — the caller commits the scaling at
+/// `report.completed` (requests keep being served by the old membership
+/// during the migration, exactly as in the paper).
+///
+/// `supervision` carries the per-phase deadlines, the bounded
+/// exponential-backoff retry budget for dropped shipments, and the fault
+/// injector whose crashes abort the migration cleanly;
+/// [`Supervision::none`] supervises nothing. On an abort the function
+/// still returns `Ok`: the report's `outcome` is
+/// [`MigrationOutcome::Aborted`] with the phase the fault landed in and
+/// its cause, `completed` is the abort instant, and any imports already
+/// applied are **kept** (they are strictly-hotter data already on healthy
+/// nodes). The caller — the Master — decides the fallback: commit the
+/// scaling without further migration, excluding crashed nodes from the
+/// membership.
+///
+/// With a `journal` (and the job id to write under) the migration records
+/// its progress, and a Master crash scheduled in `supervision.master`
+/// interrupts the running attempt; per the recovery policy the Master then
+/// replays the journal and resumes from the last durable point, or
+/// aborts. With no scheduled crash the journal records are the only
+/// difference to an unjournaled run — which never sees a Master crash:
+/// with nothing to resume from, there is nothing to simulate.
 ///
 /// # Errors
 ///
-/// [`ElmemError::InvalidScaling`] if `new_nodes` is empty or contains a
-/// current member.
-pub fn migrate_scale_out(
+/// * [`ElmemError::InvalidScaling`] if the job names no node, would retire
+///   the whole membership, or would add a node that is already a member;
+/// * [`ElmemError::UnknownNode`] if a retiring id is not a member or a new
+///   node is not provisioned;
+/// * [`ElmemError::InvalidConfig`] if a Naive `fraction` is outside
+///   `[0, 1]`;
+/// * [`ElmemError::NodeUnavailable`] if a node vanishes from the tier
+///   mid-computation;
+/// * [`ElmemError::InvariantViolation`] if a shipment's contents no longer
+///   match its sealed checksum at import time.
+pub fn migrate(
     tier: &mut CacheTier,
-    new_nodes: &[NodeId],
+    job: &MigrateJob<'_>,
     now: SimTime,
     costs: &MigrationCosts,
+    supervision: &mut Supervision<'_>,
+    journal: Option<(&mut MigrationJournal, u64)>,
 ) -> Result<MigrationReport, ElmemError> {
-    match exec_scale_out(tier, new_nodes, now, costs, ExecCtl::none())? {
-        ExecOutcome::Done(report) => Ok(report),
-        ExecOutcome::Interrupted { .. } => Err(ElmemError::InconsistentMigration(
-            "unjournaled migration cannot be interrupted by a Master crash".to_string(),
-        )),
-    }
-}
-
-/// Validates a scale-out request: the new nodes must be non-empty,
-/// provisioned, and outside the current membership.
-fn validate_scale_out(tier: &CacheTier, new_nodes: &[NodeId]) -> Result<(), ElmemError> {
-    if new_nodes.is_empty() {
-        return Err(ElmemError::InvalidScaling("no new nodes".to_string()));
-    }
-    let members = tier.membership().members();
-    for id in new_nodes {
-        if members.contains(id) {
-            return Err(ElmemError::InvalidScaling(format!(
-                "{id} is already a member"
-            )));
-        }
-        tier.node(*id)?; // must be provisioned
-    }
-    Ok(())
-}
-
-/// One attempt of the scale-out migration, interruptible by a scheduled
-/// Master crash and resumable from replayed journal state (see
-/// [`migrate_scale_out`]).
-fn exec_scale_out(
-    tier: &mut CacheTier,
-    new_nodes: &[NodeId],
-    now: SimTime,
-    costs: &MigrationCosts,
-    mut ctl: ExecCtl<'_>,
-) -> Result<ExecOutcome, ElmemError> {
-    validate_scale_out(tier, new_nodes)?;
-    let expanded_ring = tier.membership().ring().with(new_nodes);
-
-    // Re-dumping on resume is safe for scale-out too: imports land only
-    // on the provisioned-but-not-yet-member new nodes, so the members'
-    // dumps are untouched by a partially-executed plan. The re-derived
-    // plan must still match the sealed manifest exactly.
-    let resume = ctl.resume.take();
-    let sealed: Option<Vec<ShipmentManifest>> = resume.as_ref().and_then(|st| st.manifest.clone());
-    let acked: BTreeSet<u64> = resume.map(|st| st.acked).unwrap_or_default();
-
-    let mut phases = PhaseBreakdown::default();
-    let mut items_considered = 0u64;
-    let mut items_migrated = 0u64;
-    let mut bytes_migrated = ByteSize::ZERO;
-    let mut dump_max = SimTime::ZERO;
-    let mut transfer_done = now;
-    let mut import_ns: HashMap<NodeId, u64> = HashMap::new();
-
-    // Each existing member hashes its keys against the expanded membership
-    // and ships whatever lands on a new node. Under consistent hashing this
-    // is ~1/(k+1) of its keys, which typically fits the new node outright.
-    let mut moves: Vec<(NodeId, NodeId, ClassId, Vec<ItemMeta>)> = Vec::new();
-    for &src in tier.membership().members() {
-        let dump = live_node(tier, src)?.store.dump_metadata();
-        items_considered += dump.total_items();
-        dump_max = dump_max.max(SimTime::from_nanos(
-            dump.total_items() * costs.dump_ns_per_item,
-        ));
-        for class_dump in &dump.classes {
-            let mut per_new: HashMap<NodeId, Vec<ItemMeta>> = HashMap::new();
-            for item in &class_dump.items {
-                let owner = expanded_ring.node_for(item.key).ok_or_else(|| {
-                    ElmemError::InconsistentMigration("expanded ring is empty".to_string())
-                })?;
-                if new_nodes.contains(&owner) {
-                    per_new.entry(owner).or_default().push(*item);
-                }
-            }
-            for (target, items) in per_new {
-                moves.push((src, target, class_dump.class, items));
-            }
-        }
-    }
-    phases.dump = dump_max;
-    let seal_at = now + phases.dump;
-
-    // Master-crash gate before the plan seals: the resumed attempt
-    // re-dumps and re-derives the identical plan.
-    if let Some(t) = ctl.interrupted(seal_at) {
-        return Ok(ExecOutcome::Interrupted {
-            at: t,
-            phase: MigrationPhase::MetadataTransfer,
-        });
-    }
-
-    moves.sort_by_key(|(s, t, c, _)| (*s, *t, *c)); // deterministic
-    let plan: Vec<Shipment> = moves
-        .into_iter()
-        .enumerate()
-        .map(|(i, (s, t, c, items))| Shipment::sealed(i as u64, s, t, c, items))
-        .collect();
-    match &sealed {
-        Some(manifest) => {
-            // The re-derived plan must reproduce the sealed one exactly
-            // (same shipments, same contents — checksums included).
-            if plan.len() != manifest.len()
-                || plan
-                    .iter()
-                    .zip(manifest.iter())
-                    .any(|(s, m)| s.manifest() != *m)
-            {
-                return Err(ElmemError::InconsistentMigration(
-                    "resume: scale-out re-dump diverged from the sealed manifest".to_string(),
-                ));
-            }
-        }
-        None => {
-            ctl.log(seal_at, |id| JournalRecord::PlanSealed {
-                id,
-                at: seal_at,
-                manifest: plan.iter().map(Shipment::manifest).collect(),
-            });
-            ctl.log(seal_at, |id| JournalRecord::PhaseDone {
-                id,
-                phase: MigrationPhase::MetadataTransfer,
-                at: seal_at,
-            });
-        }
-    }
-
-    // Ship + import. (In the rare case the shipped set exceeds the new
-    // node's capacity, the store's import evicts the coldest overflow —
-    // equivalent to the paper's "run FuseCache to determine the top pairs".)
-    for shipment in plan {
-        let bytes = ByteSize(shipment.items().iter().map(|i| i.footprint()).sum());
-        bytes_migrated += bytes;
-        items_migrated += shipment.len() as u64;
-        if acked.contains(&shipment.seq) {
-            // Durably acked before the crash: already imported on the new
-            // node; counted above, nothing ships.
-            continue;
-        }
-        let done = live_node_mut(tier, shipment.source)?
-            .link
-            .schedule_transfer(seal_at, bytes);
-        transfer_done = transfer_done.max(done);
-        // Master-crash gate: the Master dies before this shipment lands.
-        if let Some(t) = ctl.interrupted(done) {
-            return Ok(ExecOutcome::Interrupted {
-                at: t,
-                phase: MigrationPhase::DataMigration,
-            });
-        }
-        let target = shipment.target;
-        let node = live_node_mut(tier, target)?;
-        let applied = match ctl.id() {
-            Some(id) => node.import_shipment(
-                id,
-                shipment.seq,
-                shipment.checksum(),
-                shipment.class,
-                shipment.items(),
-                ImportMode::Merge,
-            )?,
-            None => {
-                node.store
-                    .batch_import(shipment.class, shipment.items(), ImportMode::Merge)?;
-                true
-            }
-        };
-        if applied {
-            *import_ns.entry(target).or_default() +=
-                shipment.len() as u64 * costs.import_ns_per_item;
-        }
-        ctl.log(done + ACK_DURABILITY_LAG, |id| {
-            JournalRecord::ShipmentAcked {
-                id,
-                seq: shipment.seq,
-                at: done,
-            }
-        });
-        // The source keeps its copy until the membership flips; after the
-        // flip those keys hash to the new node and the stale copies age out
-        // of the source's LRU naturally (as in the real system).
-    }
-    phases.data_transfer = transfer_done.saturating_sub(seal_at);
-    phases.import = SimTime::from_nanos(import_ns.values().copied().max().unwrap_or(0));
-
-    let completed = now + phases.total();
-    if let Some(t) = ctl.interrupted(completed) {
-        return Ok(ExecOutcome::Interrupted {
-            at: t,
-            phase: MigrationPhase::DataMigration,
-        });
-    }
-    ctl.log(completed, |id| JournalRecord::PhaseDone {
+    // Validate before journaling Started: a rejected request never
+    // existed as far as the journal is concerned.
+    let recipe = job.resolve(tier, now, costs)?;
+    let mut ctl = Ctl {
+        journal,
+        master_crash: None,
+    };
+    ctl.log(now, |id| JournalRecord::Started {
         id,
-        phase: MigrationPhase::DataMigration,
-        at: completed,
+        kind: recipe.kind,
+        nodes: recipe.nodes.to_vec(),
+        at: now,
     });
-    Ok(ExecOutcome::Done(MigrationReport {
-        started: now,
-        completed,
-        phases,
-        items_migrated,
-        bytes_migrated,
-        metadata_bytes: ByteSize::ZERO,
-        items_considered,
-        outcome: MigrationOutcome::Completed,
-        transfer_retries: 0,
-        resumes: Vec::new(),
-    }))
-}
-
-/// The *Naive* comparator's migration (§V-B4): ships the hottest
-/// `fraction` of each retiring node's items (assuming hotness distributions
-/// are similar across nodes — no cross-node comparison), and the targets
-/// import them through the ordinary `set` path.
-///
-/// Two deliberate differences from ElMem's migration, mirroring the paper:
-///
-/// * no FuseCache: the shipped amount ignores what actually fits hotter
-///   than the residents;
-/// * **recency corruption**: plain `set`s stamp every migrated item with a
-///   fresh access time, so cold imports land *above* genuinely warm
-///   residents in the MRU order. Until the LRU dynamics wash that out,
-///   evictions keep hitting warm residents — which is why the paper's
-///   Naive "continues to degrade well after the scaling event". (ElMem's
-///   custom batch import preserves original timestamps, §III-D3.)
-///
-/// # Errors
-///
-/// Same validation as [`migrate_scale_in`]; also rejects `fraction`
-/// outside `[0, 1]`.
-pub fn migrate_naive_scale_in(
-    tier: &mut CacheTier,
-    retiring: &[NodeId],
-    fraction: f64,
-    now: SimTime,
-    costs: &MigrationCosts,
-) -> Result<MigrationReport, ElmemError> {
-    if !(0.0..=1.0).contains(&fraction) {
-        return Err(ElmemError::InvalidConfig(format!(
-            "naive fraction {fraction} outside [0, 1]"
-        )));
-    }
-    validate_retiring(tier.membership().members(), retiring)?;
-    let retained_ring = tier.membership().ring().without(retiring);
-
-    let mut phases = PhaseBreakdown::default();
-    let mut items_considered = 0u64;
-    let mut items_migrated = 0u64;
-    let mut bytes_migrated = ByteSize::ZERO;
-    let mut dump_max = SimTime::ZERO;
-    let mut transfer_done = now;
-    let mut import_ns: HashMap<NodeId, u64> = HashMap::new();
-
-    let mut moves: Vec<(NodeId, NodeId, ClassId, Vec<ItemMeta>)> = Vec::new();
-    for &src in retiring {
-        let dump = live_node(tier, src)?.store.dump_metadata();
-        items_considered += dump.total_items();
-        dump_max = dump_max.max(SimTime::from_nanos(
-            dump.total_items() * costs.dump_ns_per_item,
-        ));
-        for class_dump in &dump.classes {
-            let take = (class_dump.items.len() as f64 * fraction).ceil() as usize;
-            let mut per_target: HashMap<NodeId, Vec<ItemMeta>> = HashMap::new();
-            for (i, item) in class_dump.items.iter().take(take).enumerate() {
-                let target = retained_ring.node_for(item.key).ok_or_else(|| {
-                    ElmemError::InconsistentMigration("retained ring is empty".to_string())
-                })?;
-                // Plain-`set` semantics: the import gets a fresh access
-                // time (preserving only the shipment's internal order).
-                let corrupted = ItemMeta {
-                    last_access: now + SimTime::from_nanos((take - i) as u64),
-                    ..*item
-                };
-                per_target.entry(target).or_default().push(corrupted);
-            }
-            for (target, items) in per_target {
-                moves.push((src, target, class_dump.class, items));
-            }
-        }
-    }
-    phases.dump = dump_max;
-
-    moves.sort_by_key(|(s, t, c, _)| (*s, *t, *c));
-    for (src, target, class, items) in moves {
-        let bytes = ByteSize(items.iter().map(|i| i.footprint()).sum());
-        bytes_migrated += bytes;
-        items_migrated += items.len() as u64;
-        let done = live_node_mut(tier, src)?
-            .link
-            .schedule_transfer(now + phases.dump, bytes);
-        transfer_done = transfer_done.max(done);
-        *import_ns.entry(target).or_default() += items.len() as u64 * costs.import_ns_per_item;
-        let node = live_node_mut(tier, target)?;
-        node.store
-            .batch_import(class, &items, ImportMode::Prepend)?;
-    }
-    phases.data_transfer = transfer_done.saturating_sub(now + phases.dump);
-    phases.import = SimTime::from_nanos(import_ns.values().copied().max().unwrap_or(0));
-
-    Ok(MigrationReport {
-        started: now,
-        completed: now + phases.total(),
-        phases,
-        items_migrated,
-        bytes_migrated,
-        metadata_bytes: ByteSize::ZERO,
-        items_considered,
-        outcome: MigrationOutcome::Completed,
-        transfer_retries: 0,
-        resumes: Vec::new(),
-    })
-}
-
-/// Drives [`exec_scale_in`]/[`exec_scale_out`] attempts under a
-/// [`MasterPlan`]: journals `Started`, and on each Master-crash
-/// interruption truncates the journal to what was durable at the crash
-/// instant, replays it, and (per the recovery policy) either resumes a
-/// fresh attempt after the restart delay or gives up with a
-/// Master-crashed abort.
-#[allow(clippy::too_many_arguments)]
-fn run_journaled(
-    tier: &mut CacheTier,
-    nodes: &[NodeId],
-    kind: MigrationKind,
-    now: SimTime,
-    master: &MasterPlan,
-    journal: &mut MigrationJournal,
-    id: u64,
-    mut exec: impl FnMut(&mut CacheTier, SimTime, ExecCtl<'_>) -> Result<ExecOutcome, ElmemError>,
-) -> Result<MigrationReport, ElmemError> {
-    journal.append(
-        now,
-        JournalRecord::Started {
-            id,
-            kind,
-            nodes: nodes.to_vec(),
-            at: now,
-        },
-    );
     let mut resumes: Vec<ResumePoint> = Vec::new();
     let mut resume: Option<ReplayState> = None;
     let mut attempt_start = now;
     loop {
-        let ctl = ExecCtl {
-            master_crash: master.next_crash_after(attempt_start),
-            journal: Some((&mut *journal, id)),
-            resume: resume.take(),
-        };
-        match exec(tier, attempt_start, ctl)? {
-            ExecOutcome::Done(mut report) => {
+        if ctl.journal.is_some() {
+            ctl.master_crash = supervision.master.next_crash_after(attempt_start);
+        }
+        let (at, phase) = match attempt(
+            tier,
+            &recipe,
+            attempt_start,
+            supervision,
+            &mut ctl,
+            resume.take(),
+        )? {
+            Attempt::Done(mut report) => {
                 // The report spans the whole journey: `started` is the
                 // original trigger, `phases` the final attempt.
                 report.started = now;
                 report.resumes = resumes;
-                let terminal = match report.outcome {
-                    MigrationOutcome::Completed => JournalRecord::Committed {
-                        id,
-                        at: report.completed,
-                    },
-                    MigrationOutcome::Aborted { .. } => JournalRecord::Aborted {
-                        id,
-                        at: report.completed,
-                    },
-                };
-                journal.append(report.completed, terminal);
+                let at = report.completed;
+                ctl.log(at, |id| match report.outcome {
+                    MigrationOutcome::Completed => JournalRecord::Committed { id, at },
+                    MigrationOutcome::Aborted { .. } => JournalRecord::Aborted { id, at },
+                });
                 return Ok(report);
             }
-            ExecOutcome::Interrupted { at, phase } => {
-                // The crash eats every record not yet durable at `at`.
-                journal.discard_after(at);
-                let resumed_at = at + master.restart_delay;
-                if master.recovery == MasterRecovery::Abort {
-                    journal.append(resumed_at, JournalRecord::Aborted { id, at: resumed_at });
-                    resumes.push(ResumePoint {
-                        crashed_at: at,
-                        resumed_at,
-                        phase,
-                    });
-                    return Ok(MigrationReport {
-                        started: now,
-                        completed: resumed_at,
-                        phases: PhaseBreakdown::default(),
-                        items_migrated: 0,
-                        bytes_migrated: ByteSize::ZERO,
-                        metadata_bytes: ByteSize::ZERO,
-                        items_considered: 0,
-                        outcome: MigrationOutcome::Aborted {
-                            phase,
-                            cause: AbortCause::MasterCrashed,
-                        },
-                        transfer_retries: 0,
-                        resumes,
-                    });
-                }
-                let st = journal.replay(id);
-                journal.append(
-                    resumed_at,
-                    JournalRecord::Resumed {
-                        id,
-                        at: resumed_at,
-                        phase,
-                    },
-                );
-                resumes.push(ResumePoint {
-                    crashed_at: at,
-                    resumed_at,
-                    phase,
-                });
-                resume = Some(st);
-                attempt_start = resumed_at;
-            }
+            Attempt::Interrupted { at, phase } => (at, phase),
+        };
+        let Some((journal, id)) = ctl.journal.as_mut() else {
+            return Err(ElmemError::InconsistentMigration(
+                "unjournaled migration cannot be interrupted by a Master crash".to_string(),
+            ));
+        };
+        // The crash eats every record not yet durable at `at`.
+        journal.discard_after(at);
+        let resumed_at = at + supervision.master.restart_delay;
+        resumes.push(ResumePoint {
+            crashed_at: at,
+            resumed_at,
+            phase,
+        });
+        if supervision.master.recovery == MasterRecovery::Abort {
+            journal.append(
+                resumed_at,
+                JournalRecord::Aborted {
+                    id: *id,
+                    at: resumed_at,
+                },
+            );
+            let outcome = MigrationOutcome::Aborted {
+                phase,
+                cause: AbortCause::MasterCrashed,
+            };
+            let mut report = Progress::new(now).finish(resumed_at, outcome);
+            report.resumes = resumes;
+            return Ok(report);
         }
+        resume = Some(journal.replay(*id));
+        journal.append(
+            resumed_at,
+            JournalRecord::Resumed {
+                id: *id,
+                at: resumed_at,
+                phase,
+            },
+        );
+        attempt_start = resumed_at;
     }
-}
-
-/// [`migrate_scale_in_supervised`] under a crash-recoverable Master: the
-/// migration journals its progress into `journal` under job `id`, and a
-/// Master crash scheduled in `supervision.master` interrupts the attempt;
-/// per the recovery policy the Master then replays the journal and
-/// resumes from the last durable point (or aborts). With no scheduled
-/// crashes this is byte-for-byte [`migrate_scale_in_supervised`] plus the
-/// journal records.
-#[allow(clippy::too_many_arguments)]
-pub fn migrate_scale_in_journaled(
-    tier: &mut CacheTier,
-    retiring: &[NodeId],
-    now: SimTime,
-    costs: &MigrationCosts,
-    import_mode: ImportMode,
-    supervision: &mut Supervision<'_>,
-    journal: &mut MigrationJournal,
-    id: u64,
-) -> Result<MigrationReport, ElmemError> {
-    // Validate before journaling Started: a rejected request never
-    // existed as far as the journal is concerned.
-    validate_retiring(tier.membership().members(), retiring)?;
-    let master = supervision.master.clone();
-    run_journaled(
-        tier,
-        retiring,
-        MigrationKind::ScaleIn,
-        now,
-        &master,
-        journal,
-        id,
-        |tier, at, ctl| exec_scale_in(tier, retiring, at, costs, import_mode, supervision, ctl),
-    )
-}
-
-/// [`migrate_scale_out`] under a crash-recoverable Master; see
-/// [`migrate_scale_in_journaled`] for the journey semantics.
-pub fn migrate_scale_out_journaled(
-    tier: &mut CacheTier,
-    new_nodes: &[NodeId],
-    now: SimTime,
-    costs: &MigrationCosts,
-    master: &MasterPlan,
-    journal: &mut MigrationJournal,
-    id: u64,
-) -> Result<MigrationReport, ElmemError> {
-    validate_scale_out(tier, new_nodes)?;
-    run_journaled(
-        tier,
-        new_nodes,
-        MigrationKind::ScaleOut,
-        now,
-        master,
-        journal,
-        id,
-        |tier, at, ctl| exec_scale_out(tier, new_nodes, at, costs, ctl),
-    )
-}
-
-fn validate_retiring(members: &[NodeId], retiring: &[NodeId]) -> Result<(), ElmemError> {
-    if retiring.is_empty() {
-        return Err(ElmemError::InvalidScaling("no retiring nodes".to_string()));
-    }
-    for id in retiring {
-        if !members.contains(id) {
-            return Err(ElmemError::UnknownNode(id.0));
-        }
-    }
-    if retiring.len() >= members.len() {
-        return Err(ElmemError::InvalidScaling(
-            "cannot retire the whole tier".to_string(),
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use elmem_cluster::ClusterConfig;
-    use elmem_util::KeyId;
+    use elmem_sim::fault::FaultPlan;
+    use elmem_util::{DetRng, KeyId};
 
-    /// Tier with node 0 coldest: keys 0..400 spread by ring, all touched;
+    const NOW: SimTime = SimTime::from_secs(200_000);
+
+    /// The scale-in every test below runs unless it says otherwise.
+    const DRAIN: MigrateJob<'static> = MigrateJob::ScaleIn {
+        retiring: &[NodeId(0)],
+        import_mode: ImportMode::Merge,
+    };
+
+    /// Tier with node 0 coldest: keys 0..2000 spread by ring, all touched;
     /// node 0's items get old timestamps.
     fn warmed_tier() -> (CacheTier, Vec<u64>) {
         let mut tier = CacheTier::new(ClusterConfig::small_test());
@@ -2006,19 +1714,124 @@ mod tests {
         (tier, keys_on_0)
     }
 
+    /// Runs `job` at [`NOW`] with empty supervision and no journal.
+    fn run(tier: &mut CacheTier, job: MigrateJob<'_>) -> Result<MigrationReport, ElmemError> {
+        run_with(tier, job, &MigrationCosts::default())
+    }
+
+    fn run_with(
+        tier: &mut CacheTier,
+        job: MigrateJob<'_>,
+        costs: &MigrationCosts,
+    ) -> Result<MigrationReport, ElmemError> {
+        migrate(tier, &job, NOW, costs, &mut Supervision::none(), None)
+    }
+
+    /// Every node's per-class item vectors, in deterministic order — the
+    /// byte-level store state the invariants below compare.
+    fn fingerprint(tier: &CacheTier) -> Vec<(NodeId, ClassId, Vec<ItemMeta>)> {
+        let mut nodes: Vec<NodeId> = tier.iter_nodes().map(|n| n.id()).collect();
+        nodes.sort_unstable();
+        let mut out = Vec::new();
+        for id in nodes {
+            let store = &tier.node(id).unwrap().store;
+            for class in store.classes().ids() {
+                out.push((id, class, store.dump_class(class).items));
+            }
+        }
+        out
+    }
+
+    // ---- what every direction shares ---------------------------------------
+
+    #[test]
+    fn every_direction_keeps_the_engine_invariants() {
+        let (mut provisioned, _) = warmed_tier();
+        let new = provisioned.provision_nodes(1);
+        let (plain, _) = warmed_tier();
+        let jobs = [
+            ("scale-in", &plain, DRAIN),
+            (
+                "scale-out",
+                &provisioned,
+                MigrateJob::ScaleOut { new_nodes: &new },
+            ),
+            (
+                "naive",
+                &plain,
+                MigrateJob::NaiveScaleIn {
+                    retiring: &[NodeId(0)],
+                    fraction: 0.75,
+                },
+            ),
+        ];
+        for (name, before, job) in jobs {
+            let mut tier = before.clone();
+            let members = tier.membership().members().to_vec();
+            let recipe = job.resolve(&tier, NOW, &MigrationCosts::default()).unwrap();
+            let report = run(&mut tier, job).unwrap();
+
+            // Journaling records the same migration without perturbing it;
+            // the journal tells the full story and replays to a committed
+            // job whose every sealed shipment is acked.
+            let mut shadow = before.clone();
+            let mut journal = MigrationJournal::new();
+            let recorded = journaled(&mut shadow, job, MasterPlan::default(), &mut journal);
+            assert_eq!(report, recorded, "{name}");
+            assert_eq!(fingerprint(&tier), fingerprint(&shadow), "{name}");
+            let st = journal.replay(0);
+            assert!(st.committed, "{name}");
+            assert_eq!(st.resumes, 0, "{name}");
+            let manifest = st.manifest.expect("plan sealed");
+            assert_eq!(st.acked.len(), manifest.len(), "{name}");
+
+            // An empty supervision never aborts, retries or resumes.
+            assert!(report.outcome.is_completed(), "{name}");
+            assert_eq!(report.outcome.crashed_node(), None, "{name}");
+            assert_eq!(report.transfer_retries, 0, "{name}");
+            assert!(report.resumes.is_empty(), "{name}");
+
+            // The timeline is the sum of its phases.
+            assert_eq!(report.started, NOW, "{name}");
+            assert!(report.phases.total() > SimTime::ZERO, "{name}");
+            assert_eq!(report.completed, NOW + report.phases.total(), "{name}");
+
+            // The report's totals are the sealed plan's totals.
+            let planned: u64 = manifest.iter().map(|m| m.take as u64).sum();
+            assert!(planned > 0, "{name}: nothing shipped");
+            assert_eq!(report.items_migrated, planned, "{name}");
+            assert!(report.items_considered >= report.items_migrated, "{name}");
+            assert!(report.bytes_migrated > ByteSize::ZERO, "{name}");
+
+            // Nothing commits: the membership is untouched, every source
+            // still holds exactly what it held, and nobody went offline.
+            assert_eq!(tier.membership().members(), &members[..], "{name}");
+            // Only destinations named by the plan changed at all.
+            for (old, new) in fingerprint(before).iter().zip(&fingerprint(&tier)) {
+                let source = recipe.sources.contains(&old.0);
+                let dest = manifest.iter().any(|m| m.target == old.0);
+                assert!(!source || old == new, "{name}: source {} modified", old.0);
+                assert!(dest || old == new, "{name}: bystander {} changed", old.0);
+            }
+            for &src in &recipe.sources {
+                assert!(tier.node(src).unwrap().is_online(), "{name}");
+            }
+
+            // Every destination passes the store audit.
+            for m in &manifest {
+                tier.node(m.target).unwrap().store.audit().unwrap();
+            }
+        }
+    }
+
+    // ---- scale-in ----------------------------------------------------------
+
     #[test]
     fn scale_in_moves_items_to_correct_targets() {
         let (mut tier, keys_on_0) = warmed_tier();
-        let report = migrate_scale_in(
-            &mut tier,
-            &[NodeId(0)],
-            SimTime::from_secs(200_000),
-            &MigrationCosts::default(),
-            ImportMode::Merge,
-        )
-        .unwrap();
+        let report = run(&mut tier, DRAIN).unwrap();
         assert!(report.items_migrated > 0);
-        assert!(report.completed > report.started);
+        assert!(report.metadata_bytes > ByteSize::ZERO);
         // Migrated keys must sit on their retained-ring owner.
         let retained = tier.membership().ring().without(&[NodeId(0)]);
         let mut found = 0;
@@ -2033,32 +1846,9 @@ mod tests {
     }
 
     #[test]
-    fn migration_does_not_flip_membership() {
-        let (mut tier, _) = warmed_tier();
-        migrate_scale_in(
-            &mut tier,
-            &[NodeId(0)],
-            SimTime::from_secs(200_000),
-            &MigrationCosts::default(),
-            ImportMode::Merge,
-        )
-        .unwrap();
-        assert_eq!(tier.membership().len(), 4);
-        assert!(tier.node(NodeId(0)).unwrap().is_online());
-    }
-
-    #[test]
     fn migrated_items_are_hotter_than_evicted() {
         let (mut tier, _) = warmed_tier();
-        // Record pre-migration tail hotness on a retained node.
-        let report = migrate_scale_in(
-            &mut tier,
-            &[NodeId(0)],
-            SimTime::from_secs(200_000),
-            &MigrationCosts::default(),
-            ImportMode::Merge,
-        )
-        .unwrap();
+        run(&mut tier, DRAIN).unwrap();
         // Every class list on every retained node must still be sorted.
         for &id in tier.membership().members() {
             let store = &tier.node(id).unwrap().store;
@@ -2069,67 +1859,53 @@ mod tests {
                 }
             }
         }
-        assert!(report.phases.total() > SimTime::ZERO);
-    }
-
-    #[test]
-    fn phase_breakdown_sums_to_completion() {
-        let (mut tier, _) = warmed_tier();
-        let start = SimTime::from_secs(200_000);
-        let report = migrate_scale_in(
-            &mut tier,
-            &[NodeId(0)],
-            start,
-            &MigrationCosts::default(),
-            ImportMode::Merge,
-        )
-        .unwrap();
-        assert_eq!(report.completed, start + report.phases.total());
-        assert!(report.metadata_bytes > ByteSize::ZERO);
-        assert!(report.bytes_migrated > ByteSize::ZERO);
-        assert!(report.items_considered >= report.items_migrated);
     }
 
     #[test]
     fn retiring_unknown_node_fails() {
         let (mut tier, _) = warmed_tier();
-        assert!(migrate_scale_in(
-            &mut tier,
-            &[NodeId(77)],
-            SimTime::ZERO,
-            &MigrationCosts::default(),
-            ImportMode::Merge,
-        )
-        .is_err());
+        let job = MigrateJob::ScaleIn {
+            retiring: &[NodeId(77)],
+            import_mode: ImportMode::Merge,
+        };
+        assert!(run(&mut tier, job).is_err());
     }
 
     #[test]
     fn retiring_everything_fails() {
         let (mut tier, _) = warmed_tier();
         let all: Vec<NodeId> = tier.membership().members().to_vec();
-        assert!(migrate_scale_in(
-            &mut tier,
-            &all,
-            SimTime::ZERO,
-            &MigrationCosts::default(),
-            ImportMode::Merge,
-        )
-        .is_err());
+        let job = MigrateJob::ScaleIn {
+            retiring: &all,
+            import_mode: ImportMode::Merge,
+        };
+        assert!(run(&mut tier, job).is_err());
     }
+
+    #[test]
+    fn costs_scale_phase_times() {
+        let (mut t1, _) = warmed_tier();
+        let (mut t2, _) = warmed_tier();
+        let cheap = MigrationCosts::default();
+        let costly = MigrationCosts {
+            dump_ns_per_item: cheap.dump_ns_per_item * 10,
+            ..cheap
+        };
+        let r1 = run_with(&mut t1, DRAIN, &cheap).unwrap();
+        let r2 = run_with(&mut t2, DRAIN, &costly).unwrap();
+        assert!(r2.phases.dump > r1.phases.dump);
+    }
+
+    // ---- scale-out and Naive -----------------------------------------------
 
     #[test]
     fn scale_out_ships_remapped_keys() {
         let (mut tier, _) = warmed_tier();
         let new = tier.provision_nodes(1);
         let expanded = tier.membership().ring().with(&new);
-        let report = migrate_scale_out(
-            &mut tier,
-            &new,
-            SimTime::from_secs(200_000),
-            &MigrationCosts::default(),
-        )
-        .unwrap();
+        let report = run(&mut tier, MigrateJob::ScaleOut { new_nodes: &new }).unwrap();
         assert!(report.items_migrated > 0);
+        assert_eq!(report.metadata_bytes, ByteSize::ZERO);
         // Every key that remaps to the new node and was cached must now be
         // on the new node.
         let new_store = &tier.node(new[0]).unwrap().store;
@@ -2145,61 +1921,92 @@ mod tests {
     #[test]
     fn scale_out_rejects_existing_member() {
         let (mut tier, _) = warmed_tier();
-        assert!(migrate_scale_out(
-            &mut tier,
-            &[NodeId(0)],
-            SimTime::ZERO,
-            &MigrationCosts::default(),
-        )
-        .is_err());
+        let job = MigrateJob::ScaleOut {
+            new_nodes: &[NodeId(0)],
+        };
+        assert!(run(&mut tier, job).is_err());
     }
 
     #[test]
     fn scale_out_rejects_unprovisioned() {
         let (mut tier, _) = warmed_tier();
-        assert!(migrate_scale_out(
-            &mut tier,
-            &[NodeId(50)],
-            SimTime::ZERO,
-            &MigrationCosts::default(),
-        )
-        .is_err());
+        let job = MigrateJob::ScaleOut {
+            new_nodes: &[NodeId(50)],
+        };
+        assert!(run(&mut tier, job).is_err());
     }
 
     #[test]
-    fn costs_scale_phase_times() {
-        let (mut t1, _) = warmed_tier();
-        let (mut t2, _) = warmed_tier();
-        let cheap = MigrationCosts::default();
-        let costly = MigrationCosts {
-            dump_ns_per_item: cheap.dump_ns_per_item * 10,
-            ..cheap
+    fn naive_ships_the_hottest_fraction_with_fresh_stamps() {
+        let (mut tier, keys_on_0) = warmed_tier();
+        let job = MigrateJob::NaiveScaleIn {
+            retiring: &[NodeId(0)],
+            fraction: 0.5,
         };
-        let r1 = migrate_scale_in(
-            &mut t1,
-            &[NodeId(0)],
-            SimTime::from_secs(200_000),
-            &cheap,
-            ImportMode::Merge,
-        )
-        .unwrap();
-        let r2 = migrate_scale_in(
-            &mut t2,
-            &[NodeId(0)],
-            SimTime::from_secs(200_000),
-            &costly,
-            ImportMode::Merge,
-        )
-        .unwrap();
-        assert!(r2.phases.dump > r1.phases.dump);
+        let report = run(&mut tier, job).unwrap();
+        // One slab class on node 0: half of it ships, rounded up.
+        assert_eq!(report.items_considered, keys_on_0.len() as u64);
+        assert_eq!(report.items_migrated, keys_on_0.len().div_ceil(2) as u64);
+        // Plain-`set` semantics: every import is stamped after `NOW`, far
+        // above the residents' genuine access times.
+        let retained = tier.membership().ring().without(&[NodeId(0)]);
+        let mut fresh = 0;
+        for &k in &keys_on_0 {
+            let target = retained.node_for(KeyId(k)).unwrap();
+            let store = &tier.node(target).unwrap().store;
+            if let Some(item) = store.iter().find(|i| i.key == KeyId(k)) {
+                assert!(item.last_access > NOW);
+                fresh += 1;
+            }
+        }
+        assert_eq!(fresh, report.items_migrated);
+
+        let out_of_range = MigrateJob::NaiveScaleIn {
+            retiring: &[NodeId(0)],
+            fraction: 1.5,
+        };
+        assert!(matches!(
+            run(&mut tier, out_of_range),
+            Err(ElmemError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn ship_stage_rejects_a_shipment_mutated_after_sealing() {
+        let (mut tier, _) = warmed_tier();
+        let new = tier.provision_nodes(1);
+        let job = MigrateJob::ScaleOut { new_nodes: &new };
+        let recipe = job.resolve(&tier, NOW, &MigrationCosts::default()).unwrap();
+        // One sealed shipment: a member's hottest class, bound for the new node.
+        let dump = tier.node(NodeId(1)).unwrap().store.dump_metadata();
+        let cell = (new[0], dump.classes[0].class);
+        let items = dump.classes[0].items.clone();
+        let mut plan = seal_everything(HashMap::from([(cell, vec![(NodeId(1), items)])]));
+        plan[0].verify_content().unwrap();
+        // Corrupt the sealed prefix in flight.
+        plan[0].items[0].value_size += 1;
+
+        let mut ctl = Ctl {
+            journal: None,
+            master_crash: None,
+        };
+        let result = ship(
+            &mut tier,
+            &recipe,
+            plan,
+            &BTreeSet::new(),
+            &mut Supervision::none(),
+            &mut ctl,
+            Progress::new(NOW),
+        );
+        assert!(matches!(result, Err(ElmemError::InvariantViolation(_))));
+        assert!(
+            tier.node(new[0]).unwrap().store.is_empty(),
+            "a corrupt shipment must not reach the destination store"
+        );
     }
 
     // ---- supervision -----------------------------------------------------
-
-    use elmem_sim::fault::FaultPlan;
-    use elmem_util::DetRng;
-
-    const NOW: SimTime = SimTime::from_secs(200_000);
 
     fn injector(plan: FaultPlan) -> FaultInjector {
         FaultInjector::new(plan, DetRng::seed(42).split("faults"))
@@ -2212,31 +2019,15 @@ mod tests {
     ) -> MigrationReport {
         let mut sup = Supervision::with_faults(faults);
         sup.deadlines = deadlines;
-        migrate_scale_in_supervised(
+        migrate(
             tier,
-            &[NodeId(0)],
+            &DRAIN,
             NOW,
             &MigrationCosts::default(),
-            ImportMode::Merge,
             &mut sup,
+            None,
         )
         .unwrap()
-    }
-
-    #[test]
-    fn unsupervised_outcome_is_completed() {
-        let (mut tier, _) = warmed_tier();
-        let report = migrate_scale_in(
-            &mut tier,
-            &[NodeId(0)],
-            NOW,
-            &MigrationCosts::default(),
-            ImportMode::Merge,
-        )
-        .unwrap();
-        assert!(report.outcome.is_completed());
-        assert_eq!(report.transfer_retries, 0);
-        assert_eq!(report.outcome.crashed_node(), None);
     }
 
     #[test]
@@ -2268,14 +2059,7 @@ mod tests {
     fn destination_crash_in_phase3_keeps_partial_imports() {
         // Learn the fault-free phase boundaries first.
         let (mut probe, _) = warmed_tier();
-        let clean = migrate_scale_in(
-            &mut probe,
-            &[NodeId(0)],
-            NOW,
-            &MigrationCosts::default(),
-            ImportMode::Merge,
-        )
-        .unwrap();
+        let clean = run(&mut probe, DRAIN).unwrap();
         assert!(clean.phases.data_transfer > SimTime::ZERO);
         let data_start = NOW
             + clean.phases.scoring
@@ -2342,14 +2126,7 @@ mod tests {
         assert!(report.transfer_retries > 0);
         // Retries push the timeline out past the fault-free run.
         let (mut clean_tier, _) = warmed_tier();
-        let clean = migrate_scale_in(
-            &mut clean_tier,
-            &[NodeId(0)],
-            NOW,
-            &MigrationCosts::default(),
-            ImportMode::Merge,
-        )
-        .unwrap();
+        let clean = run(&mut clean_tier, DRAIN).unwrap();
         assert!(report.completed > clean.completed);
     }
 
@@ -2397,75 +2174,57 @@ mod tests {
 
     // ---- crash-recoverable control plane (DESIGN.md §13) -----------------
 
-    /// Every member's per-class item vectors, in deterministic order — the
-    /// byte-level store state the resume invariants compare.
-    fn fingerprint(tier: &CacheTier) -> Vec<(NodeId, ClassId, Vec<ItemMeta>)> {
-        let mut members: Vec<NodeId> = tier.membership().members().to_vec();
-        members.sort_unstable();
-        let mut out = Vec::new();
-        for id in members {
-            let store = &tier.node(id).unwrap().store;
-            for class in store.classes().ids() {
-                out.push((id, class, store.dump_class(class).items));
-            }
-        }
-        out
-    }
-
-    fn journaled_scale_in(
+    /// Runs `job` journaled as job 0 under the Master-crash plan `master`.
+    fn journaled(
         tier: &mut CacheTier,
+        job: MigrateJob<'_>,
         master: MasterPlan,
         journal: &mut MigrationJournal,
     ) -> MigrationReport {
         let mut sup = Supervision::none();
         sup.master = master;
-        migrate_scale_in_journaled(
+        migrate(
             tier,
-            &[NodeId(0)],
+            &job,
             NOW,
             &MigrationCosts::default(),
-            ImportMode::Merge,
             &mut sup,
-            journal,
-            0,
+            Some((journal, 0)),
         )
         .unwrap()
     }
 
+    fn crash_at(crashes: Vec<SimTime>) -> MasterPlan {
+        MasterPlan {
+            crashes,
+            ..MasterPlan::default()
+        }
+    }
+
     #[test]
-    fn journaled_run_without_crashes_matches_supervised() {
+    fn an_unjournaled_migration_ignores_the_master_crash_plan() {
         let (mut a, _) = warmed_tier();
         let (mut b, _) = warmed_tier();
-        let ra = migrate_scale_in_supervised(
-            &mut a,
-            &[NodeId(0)],
+        let clean = run(&mut a, DRAIN).unwrap();
+        let mut sup = Supervision::none();
+        sup.master = crash_at(vec![NOW + SimTime::from_nanos(1)]);
+        let report = migrate(
+            &mut b,
+            &DRAIN,
             NOW,
             &MigrationCosts::default(),
-            ImportMode::Merge,
-            &mut Supervision::none(),
+            &mut sup,
+            None,
         )
         .unwrap();
-        let mut journal = MigrationJournal::new();
-        let rb = journaled_scale_in(&mut b, MasterPlan::default(), &mut journal);
-        assert_eq!(ra, rb, "journaling must not perturb the migration");
-        assert_eq!(fingerprint(&a), fingerprint(&b));
-        // The journal tells the full story and replays to a committed job.
-        let st = journal.replay(0);
-        assert!(st.committed);
-        assert_eq!(st.resumes, 0);
-        assert_eq!(
-            st.acked.len(),
-            st.manifest.as_ref().unwrap().len(),
-            "every sealed shipment acked"
-        );
+        assert_eq!(report, clean);
     }
 
     #[test]
     fn scale_in_resumes_byte_identically_at_any_crash_point() {
         let (mut clean, _) = warmed_tier();
         let mut clean_journal = MigrationJournal::new();
-        let clean_report =
-            journaled_scale_in(&mut clean, MasterPlan::default(), &mut clean_journal);
+        let clean_report = journaled(&mut clean, DRAIN, MasterPlan::default(), &mut clean_journal);
         let want = fingerprint(&clean);
         let span = clean_report.completed.saturating_sub(NOW).as_nanos();
         assert!(span > 0);
@@ -2475,14 +2234,7 @@ mod tests {
             let crash = NOW + SimTime::from_nanos(span * num / 1000);
             let (mut tier, _) = warmed_tier();
             let mut journal = MigrationJournal::new();
-            let report = journaled_scale_in(
-                &mut tier,
-                MasterPlan {
-                    crashes: vec![crash],
-                    ..MasterPlan::default()
-                },
-                &mut journal,
-            );
+            let report = journaled(&mut tier, DRAIN, crash_at(vec![crash]), &mut journal);
             assert_eq!(report.outcome, MigrationOutcome::Completed);
             assert_eq!(report.resumes.len(), 1, "crash at {num}/1000");
             assert_eq!(report.resumes[0].crashed_at, crash);
@@ -2518,8 +2270,9 @@ mod tests {
     #[test]
     fn resume_twice_equals_resume_once() {
         let (mut clean, _) = warmed_tier();
-        let clean_report = journaled_scale_in(
+        let clean_report = journaled(
             &mut clean,
+            DRAIN,
             MasterPlan::default(),
             &mut MigrationJournal::new(),
         );
@@ -2530,12 +2283,10 @@ mod tests {
         let second = first + SimTime::from_millis(500) + SimTime::from_nanos(span / 4);
         let (mut tier, _) = warmed_tier();
         let mut journal = MigrationJournal::new();
-        let report = journaled_scale_in(
+        let report = journaled(
             &mut tier,
-            MasterPlan {
-                crashes: vec![first, second],
-                ..MasterPlan::default()
-            },
+            DRAIN,
+            crash_at(vec![first, second]),
             &mut journal,
         );
         assert_eq!(report.outcome, MigrationOutcome::Completed);
@@ -2548,8 +2299,9 @@ mod tests {
     #[test]
     fn abort_recovery_gives_up_with_master_crashed() {
         let (mut clean, _) = warmed_tier();
-        let clean_report = journaled_scale_in(
+        let clean_report = journaled(
             &mut clean,
+            DRAIN,
             MasterPlan::default(),
             &mut MigrationJournal::new(),
         );
@@ -2557,8 +2309,9 @@ mod tests {
         let crash = NOW + SimTime::from_nanos(span * 9 / 10);
         let (mut tier, _) = warmed_tier();
         let mut journal = MigrationJournal::new();
-        let report = journaled_scale_in(
+        let report = journaled(
             &mut tier,
+            DRAIN,
             MasterPlan {
                 crashes: vec![crash],
                 recovery: MasterRecovery::Abort,
@@ -2582,68 +2335,83 @@ mod tests {
     #[test]
     fn scale_out_resumes_byte_identically() {
         let (mut clean, _) = warmed_tier();
-        let new_clean = clean.provision_nodes(1);
-        let mut clean_journal = MigrationJournal::new();
-        let clean_report = migrate_scale_out_journaled(
+        let new = clean.provision_nodes(1);
+        let fill = MigrateJob::ScaleOut { new_nodes: &new };
+        let clean_report = journaled(
             &mut clean,
-            &new_clean,
-            NOW,
-            &MigrationCosts::default(),
-            &MasterPlan::default(),
-            &mut clean_journal,
-            0,
-        )
-        .unwrap();
+            fill,
+            MasterPlan::default(),
+            &mut MigrationJournal::new(),
+        );
         let span = clean_report.completed.saturating_sub(NOW).as_nanos();
         for num in [1u64, 500, 999] {
             let crash = NOW + SimTime::from_nanos(span * num / 1000);
             let (mut tier, _) = warmed_tier();
-            let new = tier.provision_nodes(1);
+            assert_eq!(tier.provision_nodes(1), new);
             let mut journal = MigrationJournal::new();
-            let report = migrate_scale_out_journaled(
-                &mut tier,
-                &new,
-                NOW,
-                &MigrationCosts::default(),
-                &MasterPlan {
-                    crashes: vec![crash],
-                    ..MasterPlan::default()
-                },
-                &mut journal,
-                0,
-            )
-            .unwrap();
+            let report = journaled(&mut tier, fill, crash_at(vec![crash]), &mut journal);
             assert_eq!(report.outcome, MigrationOutcome::Completed);
             assert_eq!(report.resumes.len(), 1);
             assert_eq!(
-                tier.node(new[0]).unwrap().store.dump_metadata().classes,
-                clean
-                    .node(new_clean[0])
-                    .unwrap()
-                    .store
-                    .dump_metadata()
-                    .classes,
-                "new node contents diverged (crash at {num}/1000)"
+                fingerprint(&tier),
+                fingerprint(&clean),
+                "store contents diverged (crash at {num}/1000)"
             );
             assert_eq!(report.items_migrated, clean_report.items_migrated);
         }
     }
 
     #[test]
-    fn journal_records_tell_a_coherent_story() {
+    fn each_direction_journals_its_own_record_sequence() {
+        let labels = |job: MigrateJob<'_>, tier: &mut CacheTier| {
+            let mut journal = MigrationJournal::new();
+            journaled(tier, job, MasterPlan::default(), &mut journal);
+            let mut labels: Vec<String> = Vec::new();
+            for e in journal.entries() {
+                let label = match e.record {
+                    JournalRecord::PhaseDone { phase, .. } => {
+                        format!("done:{}", crate::journal::phase_label(phase))
+                    }
+                    ref other => other.label().to_string(),
+                };
+                // One line per run of acks: how many there are is the
+                // plan's business, not the sequence's.
+                if labels.last() != Some(&label) {
+                    labels.push(label);
+                }
+            }
+            // Round-trips through the JSON WAL format byte-identically.
+            let json = journal.to_json();
+            let back = MigrationJournal::parse_json(&json).unwrap();
+            assert_eq!(back.to_json(), json);
+            assert_eq!(back.replay(0), journal.replay(0));
+            labels
+        };
         let (mut tier, _) = warmed_tier();
-        let mut journal = MigrationJournal::new();
-        let report = journaled_scale_in(&mut tier, MasterPlan::default(), &mut journal);
-        let labels: Vec<&str> = journal.entries().iter().map(|e| e.record.label()).collect();
-        assert_eq!(labels.first(), Some(&"started"));
-        assert_eq!(labels.last(), Some(&"committed"));
-        assert!(labels.contains(&"plan_sealed"));
-        assert!(labels.contains(&"shipment_acked"));
-        // Round-trips through the JSON WAL format byte-identically.
-        let json = journal.to_json();
-        let back = MigrationJournal::parse_json(&json).unwrap();
-        assert_eq!(back.to_json(), json);
-        assert_eq!(back.replay(0), journal.replay(0));
-        assert!(report.resumes.is_empty());
+        assert_eq!(
+            labels(DRAIN, &mut tier),
+            [
+                "started",
+                "done:metadata_transfer",
+                "plan_sealed",
+                "done:hotness_comparison",
+                "shipment_acked",
+                "done:data_migration",
+                "committed",
+            ]
+        );
+        let (mut tier, _) = warmed_tier();
+        let new = tier.provision_nodes(1);
+        assert_eq!(
+            labels(MigrateJob::ScaleOut { new_nodes: &new }, &mut tier),
+            [
+                "started",
+                "plan_sealed",
+                "done:metadata_transfer",
+                "shipment_acked",
+                "done:data_migration",
+                "committed",
+            ]
+        );
     }
 }

@@ -12,7 +12,9 @@
 //! compare against.
 //!
 //! Both the experiment sweep harness (`elmem-bench::sweep`) and the
-//! migration planner (`elmem-core::migration`) are built on this.
+//! migration planner (`elmem-core::migration`) are built on this, and
+//! [`par_jobs`] is the one worker-count knob every library-internal
+//! fan-out — the planner's included — resolves through.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -29,6 +31,21 @@ pub const PAR_JOBS_ENV: &str = "ELMEM_JOBS";
 /// baseline); `0` resets to the env-var/core-count default.
 pub fn set_par_jobs(jobs: usize) {
     PAR_JOBS.store(jobs, Ordering::Relaxed);
+}
+
+/// Runs `f` with [`par_jobs`] pinned to `jobs`, then restores the automatic
+/// count — also when `f` panics, so a failing assertion in one test cannot
+/// leave the process-wide count pinned for its siblings in the binary.
+pub fn with_par_jobs<R>(jobs: usize, f: impl FnOnce() -> R) -> R {
+    struct Reset;
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            set_par_jobs(0);
+        }
+    }
+    let _reset = Reset;
+    set_par_jobs(jobs);
+    f()
 }
 
 /// The worker count for library-internal fan-outs: the value installed by

@@ -196,11 +196,8 @@ mod tests {
     #[test]
     fn build_is_deterministic_across_worker_counts() {
         let zipf = ZipfPopularity::new(100_000, 1.0, 7);
-        elmem_util::par::set_par_jobs(1);
-        let serial = ZipfAlias::from_zipf(&zipf);
-        elmem_util::par::set_par_jobs(4);
-        let parallel = ZipfAlias::from_zipf(&zipf);
-        elmem_util::par::set_par_jobs(0);
+        let build = |jobs| elmem_util::par::with_par_jobs(jobs, || ZipfAlias::from_zipf(&zipf));
+        let (serial, parallel) = (build(1), build(4));
         assert_eq!(serial.table, parallel.table);
         assert_eq!(serial.fingerprint(), parallel.fingerprint());
     }

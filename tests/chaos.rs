@@ -4,9 +4,9 @@
 
 use elmem_cluster::{Cluster, ClusterConfig};
 use elmem_core::chaos::run_chaos;
-use elmem_core::migration::set_planning_jobs;
 use elmem_sim::chaos::{shrink, ChaosPlan};
 use elmem_sim::FaultPlan;
+use elmem_util::par::with_par_jobs;
 use elmem_util::telemetry::{BreakerPhase, EventKind};
 use elmem_util::{DetRng, KeyId, NodeId, SimTime};
 use elmem_workload::Keyspace;
@@ -62,19 +62,16 @@ fn fixture_replays_clean_and_deterministically() {
 /// Feeding the shrinker a deliberately "failing" predicate (the run pays
 /// at least one client timeout — true for the fixture, whose schedule
 /// crashes nodes) minimizes to the same plan on every run and at every
-/// planner worker count.
+/// worker count.
 #[test]
 fn shrinker_is_deterministic_across_worker_counts() {
     let plan = fixture_plan();
     let fails = |p: &ChaosPlan| run_chaos(p).result.client_timeouts > 0;
     assert!(fails(&plan), "predicate must hold for the full schedule");
 
-    set_planning_jobs(1);
-    let serial = shrink(&plan, fails);
-    let serial_again = shrink(&plan, fails);
-    set_planning_jobs(4);
-    let parallel = shrink(&plan, fails);
-    set_planning_jobs(1);
+    let serial = with_par_jobs(1, || shrink(&plan, fails));
+    let serial_again = with_par_jobs(1, || shrink(&plan, fails));
+    let parallel = with_par_jobs(4, || shrink(&plan, fails));
 
     assert!(fails(&serial), "minimal plan must still fail");
     assert_eq!(

@@ -4,7 +4,7 @@
 
 use elmem::cluster::{Cluster, ClusterConfig};
 use elmem::core::master::Master;
-use elmem::core::migration::{migrate_scale_in, migrate_scale_out, MigrationCosts};
+use elmem::core::migration::{migrate, MigrateJob, MigrationCosts, Supervision};
 use elmem::core::MigrationPolicy;
 use elmem::store::ImportMode;
 use elmem::util::{ByteSize, DetRng, ElmemError, KeyId, NodeId, SimTime};
@@ -40,12 +40,16 @@ fn migrating_an_empty_victim_is_a_clean_noop() {
         }
     }
     let before = c.tier.total_items();
-    let report = migrate_scale_in(
+    let report = migrate(
         &mut c.tier,
-        &[NodeId(0)],
+        &MigrateJob::ScaleIn {
+            retiring: &[NodeId(0)],
+            import_mode: ImportMode::Merge,
+        },
         t(10_000),
         &MigrationCosts::default(),
-        ImportMode::Merge,
+        &mut Supervision::none(),
+        None,
     )
     .unwrap();
     assert_eq!(report.items_migrated, 0);
@@ -72,12 +76,16 @@ fn expired_only_victim_migrates_then_expires_everywhere() {
     }
     // Migrate long after everything expired. The dump still carries the
     // items (lazy expiry), but once anything touches them they die.
-    migrate_scale_in(
+    migrate(
         &mut c.tier,
-        &[NodeId(0)],
+        &MigrateJob::ScaleIn {
+            retiring: &[NodeId(0)],
+            import_mode: ImportMode::Merge,
+        },
         t(100_000),
         &MigrationCosts::default(),
-        ImportMode::Merge,
+        &mut Supervision::none(),
+        None,
     )
     .unwrap();
     c.tier.commit_remove(&[NodeId(0)]).unwrap();
@@ -168,12 +176,16 @@ fn saturated_destination_still_only_keeps_hottest() {
             (id, store.iter().map(|i| i.key).collect())
         })
         .collect();
-    migrate_scale_in(
+    migrate(
         &mut c.tier,
-        &[victim],
+        &MigrateJob::ScaleIn {
+            retiring: &[victim],
+            import_mode: ImportMode::Merge,
+        },
         t(2_000_000),
         &MigrationCosts::default(),
-        ImportMode::Merge,
+        &mut Supervision::none(),
+        None,
     )
     .unwrap();
     c.tier.commit_remove(&[victim]).unwrap();
@@ -243,6 +255,13 @@ fn repeated_scale_in_and_out_round_trip() {
 #[test]
 fn scale_out_with_no_provisioned_nodes_rejected() {
     let mut c = cluster();
-    let err = migrate_scale_out(&mut c.tier, &[], t(1), &MigrationCosts::default());
+    let err = migrate(
+        &mut c.tier,
+        &MigrateJob::ScaleOut { new_nodes: &[] },
+        t(1),
+        &MigrationCosts::default(),
+        &mut Supervision::none(),
+        None,
+    );
     assert!(matches!(err, Err(ElmemError::InvalidScaling(_))));
 }

@@ -2,7 +2,7 @@
 //! preserves the globally hottest items and beats baseline hit rates.
 
 use elmem::cluster::{Cluster, ClusterConfig};
-use elmem::core::migration::{migrate_scale_in, MigrationCosts};
+use elmem::core::migration::{migrate, MigrateJob, MigrationCosts, Supervision};
 use elmem::core::scoring::choose_retiring;
 use elmem::store::{Hotness, ImportMode};
 use elmem::util::{DetRng, KeyId, NodeId, SimTime};
@@ -43,12 +43,16 @@ fn migration_preserves_global_hottest_set() {
 
     // Pick the coldest node, migrate, flip.
     let (victims, _) = choose_retiring(&cluster.tier, 1).unwrap();
-    let report = migrate_scale_in(
+    let report = migrate(
         &mut cluster.tier,
-        &victims,
+        &MigrateJob::ScaleIn {
+            retiring: &victims,
+            import_mode: ImportMode::Merge,
+        },
         now,
         &MigrationCosts::default(),
-        ImportMode::Merge,
+        &mut Supervision::none(),
+        None,
     )
     .unwrap();
     cluster.tier.commit_remove(&victims).unwrap();
@@ -90,12 +94,16 @@ fn migration_under_memory_pressure_keeps_sorted_lists() {
     assert!(cluster.tier.total_items() > 0);
 
     let (victims, _) = choose_retiring(&cluster.tier, 1).unwrap();
-    migrate_scale_in(
+    migrate(
         &mut cluster.tier,
-        &victims,
+        &MigrateJob::ScaleIn {
+            retiring: &victims,
+            import_mode: ImportMode::Merge,
+        },
         SimTime::from_secs(1_000_000),
         &MigrationCosts::default(),
-        ImportMode::Merge,
+        &mut Supervision::none(),
+        None,
     )
     .unwrap();
     cluster.tier.commit_remove(&victims).unwrap();
@@ -124,12 +132,16 @@ fn post_flip_requests_hit_migrated_data() {
         .collect();
     assert!(!victim_keys.is_empty());
 
-    migrate_scale_in(
+    migrate(
         &mut cluster.tier,
-        &victims,
+        &MigrateJob::ScaleIn {
+            retiring: &victims,
+            import_mode: ImportMode::Merge,
+        },
         now,
         &MigrationCosts::default(),
-        ImportMode::Merge,
+        &mut Supervision::none(),
+        None,
     )
     .unwrap();
     cluster.tier.commit_remove(&victims).unwrap();

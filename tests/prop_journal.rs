@@ -1,13 +1,14 @@
 //! Property test for journal replay idempotence (DESIGN.md §13): a
-//! migration interrupted by a Master crash at *any* point and resumed
-//! from the durable journal must leave every store identical to the same
-//! migration run uninterrupted — across warm states, seeds, and crash
-//! points, including a second crash during the resume — and every sealed
+//! migration — in either direction — interrupted by a Master crash at
+//! *any* point and resumed from the durable journal must leave every store
+//! identical to the same migration run uninterrupted — across warm states,
+//! seeds, and crash points, including a second crash during the resume —
+//! and every sealed
 //! shipment must be applied exactly once (re-deliveries suppressed by the
 //! Agents' import ledgers, never imported twice).
 
 use elmem::cluster::{Cluster, ClusterConfig};
-use elmem::core::migration::{migrate_scale_in_journaled, MigrationCosts, Supervision};
+use elmem::core::migration::{migrate, MigrateJob, MigrationCosts, Supervision};
 use elmem::core::{MasterPlan, MigrationJournal};
 use elmem::store::ImportMode;
 use elmem::util::{DetRng, KeyId, NodeId, SimTime};
@@ -44,15 +45,15 @@ fn warmed_cluster(accesses: &[u64], seed: u64) -> Cluster {
 /// Per-node resident items as `(key, value_size, last_access)`, sorted.
 type Fingerprint = Vec<(NodeId, Vec<(KeyId, u32, SimTime)>)>;
 
-/// Every member's resident items — the store-content equality the resume
-/// protocol must preserve.
+/// Every node's resident items (members and provisioned fill targets
+/// alike) — the store-content equality the resume protocol must preserve.
 fn fingerprint(cluster: &Cluster) -> Fingerprint {
-    let mut members: Vec<NodeId> = cluster.tier.membership().members().to_vec();
-    members.sort();
-    members
+    let mut nodes: Vec<&elmem::cluster::CacheNode> = cluster.tier.iter_nodes().collect();
+    nodes.sort_by_key(|n| n.id());
+    nodes
         .into_iter()
-        .map(|id| {
-            let store = &cluster.tier.node(id).unwrap().store;
+        .map(|node| {
+            let (id, store) = (node.id(), &node.store);
             let mut items: Vec<(KeyId, u32, SimTime)> = store
                 .iter()
                 .map(|i| (i.key, i.value_size, i.last_access))
@@ -63,30 +64,43 @@ fn fingerprint(cluster: &Cluster) -> Fingerprint {
         .collect()
 }
 
-/// Runs the journaled scale-in of [`VICTIM`] under `master`, returning the
-/// report and the journal.
+/// Runs one journaled migration under `master` — the scale-in of
+/// [`VICTIM`], or with `fill` the scale-out onto one freshly provisioned
+/// node — returning the report and the journal.
 fn run_journaled(
     cluster: &mut Cluster,
+    fill: bool,
     master: MasterPlan,
 ) -> (elmem::core::migration::MigrationReport, MigrationJournal) {
+    let new = if fill {
+        cluster.tier.provision_nodes(1)
+    } else {
+        Vec::new()
+    };
+    let job = if fill {
+        MigrateJob::ScaleOut { new_nodes: &new }
+    } else {
+        MigrateJob::ScaleIn {
+            retiring: &[VICTIM],
+            import_mode: ImportMode::Merge,
+        }
+    };
     let mut supervision = Supervision::none();
     supervision.master = master;
     let mut journal = MigrationJournal::new();
-    let report = migrate_scale_in_journaled(
+    let report = migrate(
         &mut cluster.tier,
-        &[VICTIM],
+        &job,
         NOW,
         &MigrationCosts::default(),
-        ImportMode::Merge,
         &mut supervision,
-        &mut journal,
-        0,
+        Some((&mut journal, 0)),
     )
     .expect("journaled migration runs");
     (report, journal)
 }
 
-/// Total sealed shipments vs. total ledger applications across survivors:
+/// Total sealed shipments vs. total ledger applications across all nodes:
 /// exactly-once delivery, no shipment lost, none applied twice.
 fn assert_exactly_once(cluster: &Cluster, journal: &MigrationJournal) {
     let replay = journal.replay(0);
@@ -99,10 +113,8 @@ fn assert_exactly_once(cluster: &Cluster, journal: &MigrationJournal) {
     );
     let applied: usize = cluster
         .tier
-        .membership()
-        .members()
-        .iter()
-        .map(|&id| cluster.tier.node(id).unwrap().import_ledger().len())
+        .iter_nodes()
+        .map(|node| node.import_ledger().len())
         .sum();
     assert_eq!(
         applied,
@@ -118,10 +130,11 @@ proptest! {
         accesses in prop::collection::vec(0u64..3000, 50..600),
         crash_frac in 1u64..1000,
         seed in 0u64..100,
+        fill in any::<bool>(),
     ) {
         // Uninterrupted reference run.
         let mut clean = warmed_cluster(&accesses, seed);
-        let (clean_report, _) = run_journaled(&mut clean, MasterPlan::default());
+        let (clean_report, _) = run_journaled(&mut clean, fill, MasterPlan::default());
         prop_assert!(clean_report.outcome.is_completed());
         let span = clean_report.completed.saturating_sub(NOW);
 
@@ -130,6 +143,7 @@ proptest! {
         let mut crashed = warmed_cluster(&accesses, seed);
         let (report, journal) = run_journaled(
             &mut crashed,
+            fill,
             MasterPlan {
                 crashes: vec![crash],
                 ..MasterPlan::default()
@@ -148,9 +162,10 @@ proptest! {
         accesses in prop::collection::vec(0u64..3000, 50..600),
         crash_frac in 1u64..900,
         seed in 0u64..100,
+        fill in any::<bool>(),
     ) {
         let mut clean = warmed_cluster(&accesses, seed);
-        let (clean_report, _) = run_journaled(&mut clean, MasterPlan::default());
+        let (clean_report, _) = run_journaled(&mut clean, fill, MasterPlan::default());
         let span = clean_report.completed.saturating_sub(NOW);
 
         // A second crash lands shortly after the first resume; whether it
@@ -163,6 +178,7 @@ proptest! {
         let mut crashed = warmed_cluster(&accesses, seed);
         let (report, journal) = run_journaled(
             &mut crashed,
+            fill,
             MasterPlan {
                 crashes: vec![first, second],
                 ..MasterPlan::default()
@@ -183,7 +199,7 @@ proptest! {
 fn pinned_double_crash_resumes_twice() {
     let accesses: Vec<u64> = (0..400).map(|i| (i * 7) % 3000).collect();
     let mut clean = warmed_cluster(&accesses, 13);
-    let (clean_report, _) = run_journaled(&mut clean, MasterPlan::default());
+    let (clean_report, _) = run_journaled(&mut clean, false, MasterPlan::default());
     let span = clean_report.completed.saturating_sub(NOW);
 
     let first = NOW + SimTime::from_nanos(span.as_nanos() / 2);
@@ -192,6 +208,7 @@ fn pinned_double_crash_resumes_twice() {
     let mut crashed = warmed_cluster(&accesses, 13);
     let (report, journal) = run_journaled(
         &mut crashed,
+        false,
         MasterPlan {
             crashes: vec![first, second],
             ..MasterPlan::default()

@@ -7,7 +7,7 @@
 use std::collections::{HashMap, HashSet};
 
 use elmem::cluster::{Cluster, ClusterConfig};
-use elmem::core::migration::{migrate_scale_in, MigrationCosts};
+use elmem::core::migration::{migrate, MigrateJob, MigrationCosts, Supervision};
 use elmem::store::{Hotness, ImportMode};
 use elmem::util::{DetRng, KeyId, NodeId, SimTime};
 use elmem::workload::{GeneralizedPareto, Keyspace};
@@ -81,13 +81,7 @@ proptest! {
         }
 
         // Run the real migration and flip.
-        migrate_scale_in(
-            &mut cluster.tier,
-            &[victim],
-            now + SimTime::from_secs(10),
-            &MigrationCosts::default(),
-            ImportMode::Merge,
-        )
+        migrate(&mut cluster.tier, &MigrateJob::ScaleIn { retiring: &[victim], import_mode: ImportMode::Merge }, now + SimTime::from_secs(10), &MigrationCosts::default(), &mut Supervision::none(), None)
         .unwrap();
         cluster.tier.commit_remove(&[victim]).unwrap();
 

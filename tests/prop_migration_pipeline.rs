@@ -2,13 +2,14 @@
 //! — contents, order, and stats — must be **byte-identical** whatever the
 //! worker count, across arbitrary warm states, node counts, and retiring
 //! sets; and the full supervised migration (report and every surviving
-//! store) must be unaffected by the planner's jobs knob.
+//! store) must be unaffected by the worker-count knob.
 
 use elmem::cluster::{CacheTier, ClusterConfig};
 use elmem::core::migration::{
-    migrate_scale_in, plan_scale_in_shipments, set_planning_jobs, MigrationCosts,
+    migrate, plan_scale_in_shipments, MigrateJob, MigrationCosts, Supervision,
 };
 use elmem::store::{ImportMode, MetadataDump};
+use elmem::util::par::with_par_jobs;
 use elmem::util::{KeyId, NodeId, SimTime};
 use proptest::prelude::*;
 
@@ -76,10 +77,15 @@ proptest! {
         let costs = MigrationCosts::default();
         let mut reference = None;
         for jobs in [1usize, 4] {
-            set_planning_jobs(jobs);
             let mut t = tier.clone();
-            let report =
-                migrate_scale_in(&mut t, &retiring, now, &costs, ImportMode::Merge).unwrap();
+            let job = MigrateJob::ScaleIn {
+                retiring: &retiring,
+                import_mode: ImportMode::Merge,
+            };
+            let report = with_par_jobs(jobs, || {
+                migrate(&mut t, &job, now, &costs, &mut Supervision::none(), None)
+            })
+            .unwrap();
             let state = tier_state(&t);
             match &reference {
                 None => reference = Some((report, state)),
@@ -89,6 +95,5 @@ proptest! {
                 }
             }
         }
-        set_planning_jobs(0);
     }
 }

@@ -13,7 +13,7 @@ use elmem::core::{
     run_experiment_with_telemetry, ExperimentConfig, FaultPlan, MigrationPolicy, ScaleAction,
 };
 use elmem::store::SizeClasses;
-use elmem::util::par::set_par_jobs;
+use elmem::util::par::with_par_jobs;
 use elmem::util::{ByteSize, DetRng, SimTime, TelemetryConfig};
 use elmem::workload::{
     DemandTrace, Keyspace, RequestGenerator, WorkloadConfig, ZipfAlias, ZipfPopularity,
@@ -83,12 +83,12 @@ fn hundred_node_scenario(seed: u64, shards: usize) -> ExperimentConfig {
 }
 
 fn dump(seed: u64, jobs: usize, shards: usize) -> String {
-    set_par_jobs(jobs);
-    let r = run_experiment_with_telemetry(
-        hundred_node_scenario(seed, shards),
-        TelemetryConfig::default(),
-    );
-    set_par_jobs(0);
+    let r = with_par_jobs(jobs, || {
+        run_experiment_with_telemetry(
+            hundred_node_scenario(seed, shards),
+            TelemetryConfig::default(),
+        )
+    });
     r.telemetry.to_json()
 }
 
@@ -150,11 +150,8 @@ proptest! {
     fn alias_generator_preserves_arrivals_and_permutation(seed in any::<u64>()) {
         let _guard = JOBS_KNOB.lock().unwrap_or_else(|e| e.into_inner());
         let zipf = ZipfPopularity::new(200_000, 1.0, seed);
-        set_par_jobs(1);
-        let serial = ZipfAlias::from_zipf(&zipf);
-        set_par_jobs(4);
-        let parallel = ZipfAlias::from_zipf(&zipf);
-        set_par_jobs(0);
+        let serial = with_par_jobs(1, || ZipfAlias::from_zipf(&zipf));
+        let parallel = with_par_jobs(4, || ZipfAlias::from_zipf(&zipf));
         prop_assert_eq!(serial.fingerprint(), parallel.fingerprint());
         // Twin RNGs: the rank the alias sampler draws maps to exactly the
         // key the rejection sampler's permutation assigns to that rank.
