@@ -121,8 +121,18 @@ impl CircuitBreaker {
     }
 
     /// The current state (without advancing open → half-open).
+    #[inline]
     pub fn state(&self) -> BreakerState {
         self.state
+    }
+
+    /// Whether the breaker is closed with no failure streak running — the
+    /// state of every breaker on a healthy node. In it, [`Self::allows`]
+    /// returns `true` and [`Self::record_success`] changes nothing, so a
+    /// caller about to do exactly those two may skip both.
+    #[inline]
+    pub fn is_settled(&self) -> bool {
+        self.state == BreakerState::Closed && self.consecutive_failures == 0
     }
 
     /// Total state transitions so far (a flap/instability metric).
@@ -201,6 +211,34 @@ mod tests {
         // The cooldown restarts from the failed probe.
         assert!(!b.allows(SimTime::from_secs(19)));
         assert!(b.allows(SimTime::from_secs(20)));
+    }
+
+    #[test]
+    fn settled_is_closed_with_no_streak() {
+        let mut b = breaker(2, 5);
+        assert!(b.is_settled());
+        // Settled: the serving path's two calls change nothing.
+        assert!(b.allows(SimTime::from_secs(1)));
+        b.record_success(SimTime::from_secs(1));
+        assert!(b.is_settled());
+        assert_eq!(b.transitions(), 0);
+        // A running streak unsettles a closed breaker (the next success
+        // has a counter to reset) ...
+        b.record_failure(SimTime::from_secs(2));
+        assert_eq!(b.state(), BreakerState::Closed);
+        assert!(!b.is_settled());
+        b.record_success(SimTime::from_secs(3));
+        assert!(b.is_settled());
+        // ... and so does every state but closed.
+        b.record_failure(SimTime::from_secs(4));
+        b.record_failure(SimTime::from_secs(4));
+        assert_eq!(b.state(), BreakerState::Open);
+        assert!(!b.is_settled());
+        assert!(b.allows(SimTime::from_secs(9)));
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert!(!b.is_settled());
+        b.record_success(SimTime::from_secs(9));
+        assert!(b.is_settled());
     }
 
     #[test]

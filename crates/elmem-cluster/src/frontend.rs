@@ -169,15 +169,28 @@ impl Cluster {
             self.telemetry.on_lookup(None, LookupClass::Miss, latency);
             return (latency, false);
         };
-        let timeout = self.tier.config().client_timeout;
-        let (reachable, slowdown) = {
-            let node = self.tier.node(node_id).expect("member node exists");
-            (node.is_reachable(now), node.link.slowdown_factor())
-        };
+        // One jitter draw per lookup, taken before the reachability
+        // decision: `latency_rng`'s draw order is part of every pinned run.
+        let jittered = self.mc_latency();
+        let config = self.tier.config();
+        let (timeout, breaker_config) = (config.client_timeout, config.breaker);
+        // Invariant: every ring member resolves. The tier never drops a
+        // `CacheNode` (power-off and crash keep the slot) and `commit_add`
+        // refuses an id it holds no node for. Resolved once per lookup;
+        // everything below touches the other fields of `self` directly so
+        // this borrow can live through the hit path.
+        let node = self.tier.node_mut(node_id).expect("ring member has a node");
         // A degraded NIC stretches the get by the link's slowdown factor;
-        // past the client timeout the node is as good as dead.
-        let cache_latency = self.mc_latency().mul_f64(slowdown);
-        if !reachable || cache_latency >= timeout {
+        // past the client timeout the node is as good as dead. A healthy
+        // link's factor is exactly 1.0, and `mul_f64(1.0)` is the identity
+        // below 2^53 ns — a jitter draw is at most 37 mean latencies.
+        let slowdown = node.link.slowdown_factor();
+        let cache_latency = if slowdown == 1.0 {
+            jittered
+        } else {
+            jittered.mul_f64(slowdown)
+        };
+        if !node.is_reachable(now) || cache_latency >= timeout {
             let latency = self.failover(node_id, now);
             self.telemetry
                 .on_lookup(Some(node_id), LookupClass::Failover, latency);
@@ -187,31 +200,35 @@ impl Cluster {
         // open breaker fails over fast until its cooldown elapses, and the
         // first allowed request is the half-open probe. Without this gate
         // a heal inside the cooldown would jump the breaker open → closed
-        // without ever probing. One breaker-map walk per lookup (this is
-        // the hot path), not one per state read.
-        let breaker = self.breaker(node_id);
-        let before = breaker.state();
-        let allowed = breaker.allows(now);
-        let probing = breaker.state();
-        if !allowed {
+        // without ever probing. The breaker is created on first touch
+        // either way (`breaker_state` reports it), but a settled one —
+        // every healthy node's, on every lookup — is left alone: `allows`
+        // would return true, `record_success` would change nothing, and
+        // both `on_breaker` calls would see closed → closed and emit
+        // nothing.
+        let breaker = self
+            .breakers
+            .get_or_insert_with(node_id, || CircuitBreaker::new(breaker_config));
+        if !breaker.is_settled() {
+            let before = breaker.state();
+            let allowed = breaker.allows(now);
+            let probing = breaker.state();
+            if !allowed {
+                self.telemetry.on_breaker(now, node_id, before, probing);
+                self.fast_failovers += 1;
+                self.telemetry.on_fast_failover(now, node_id);
+                let fetch = self.db.fetch(now);
+                let latency = fetch.completion() - now;
+                self.telemetry
+                    .on_lookup(Some(node_id), LookupClass::Failover, latency);
+                return (latency, false);
+            }
+            breaker.record_success(now);
+            let after = breaker.state();
             self.telemetry.on_breaker(now, node_id, before, probing);
-            self.fast_failovers += 1;
-            self.telemetry.on_fast_failover(now, node_id);
-            let fetch = self.db.fetch(now);
-            let latency = fetch.completion() - now;
-            self.telemetry
-                .on_lookup(Some(node_id), LookupClass::Failover, latency);
-            return (latency, false);
+            self.telemetry.on_breaker(now, node_id, probing, after);
         }
-        breaker.record_success(now);
-        let after = breaker.state();
-        self.telemetry.on_breaker(now, node_id, before, probing);
-        self.telemetry.on_breaker(now, node_id, probing, after);
-        let hit = {
-            let node = self.tier.node_mut(node_id).expect("member node exists");
-            node.store.get(key, now).is_some()
-        };
-        if hit {
+        if node.store.get(key, now).is_some() {
             self.telemetry
                 .on_lookup(Some(node_id), LookupClass::Hit, cache_latency);
             return (cache_latency, true);
@@ -222,19 +239,26 @@ impl Cluster {
                 .on_lookup(Some(node_id), LookupClass::Hit, promoted);
             return (promoted, true);
         }
-        // Miss: fetch from the database and fill the cache. A shed
-        // fetch (database overloaded) returns no data: the client eats
-        // the timeout and nothing is cached.
-        let fetch = self.db.fetch(now);
-        if fetch.is_served() {
-            let size = self.keyspace.value_size(key);
-            let node = self.tier.node_mut(node_id).expect("member node exists");
-            let _ = node.store.set(key, size, now);
-        }
-        let latency = fetch.completion() - now + cache_latency;
+        let latency = self.fetch_and_fill(key, node_id, now) + cache_latency;
         self.telemetry
             .on_lookup(Some(node_id), LookupClass::Miss, latency);
         (latency, false)
+    }
+
+    /// The miss path's tail: fetch `key` from the database and insert it
+    /// on its owner; returns the fetch's latency. A shed fetch (database
+    /// overloaded) returns no data: the client eats the timeout and
+    /// nothing is cached.
+    fn fetch_and_fill(&mut self, key: KeyId, owner: NodeId, now: SimTime) -> SimTime {
+        let fetch = self.db.fetch(now);
+        if fetch.is_served() {
+            let size = self.keyspace.value_size(key);
+            // The owner is resolved a second time on a miss only:
+            // `try_secondary` needed the whole tier in between.
+            let node = self.tier.node_mut(owner).expect("ring member has a node");
+            let _ = node.store.set(key, size, now);
+        }
+        fetch.completion() - now
     }
 
     /// A lookup whose owner cannot answer. With the breaker closed the
@@ -464,6 +488,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
+    use proptest::prelude::*;
 
     fn cluster() -> Cluster {
         Cluster::new(
@@ -664,6 +689,203 @@ mod tests {
         // Back to normal service afterwards.
         let (latency, _) = c.lookup_and_fill(KeyId(k), probe_at + SimTime::from_secs(1));
         assert!(latency < c.tier.config().client_timeout);
+    }
+
+    impl Cluster {
+        /// `lookup_and_fill` as it was before the healthy-node lane, kept
+        /// as the oracle: the owner re-resolved at each use, `mul_f64` on
+        /// every lookup, and the full breaker sequence (`allows` →
+        /// `record_success` → three state reads → two `on_breaker`s)
+        /// whether or not the breaker is settled.
+        fn lookup_and_fill_full_sequence(&mut self, key: KeyId, now: SimTime) -> (SimTime, bool) {
+            let Some(node_id) = self.tier.node_for_key(key) else {
+                let latency = self.db.fetch(now).completion() - now;
+                self.telemetry.on_lookup(None, LookupClass::Miss, latency);
+                return (latency, false);
+            };
+            let timeout = self.tier.config().client_timeout;
+            let (reachable, slowdown) = {
+                let node = self.tier.node(node_id).expect("member node exists");
+                (node.is_reachable(now), node.link.slowdown_factor())
+            };
+            let cache_latency = self.mc_latency().mul_f64(slowdown);
+            if !reachable || cache_latency >= timeout {
+                let latency = self.failover(node_id, now);
+                self.telemetry
+                    .on_lookup(Some(node_id), LookupClass::Failover, latency);
+                return (latency, false);
+            }
+            let breaker = self.breaker(node_id);
+            let before = breaker.state();
+            let allowed = breaker.allows(now);
+            let probing = breaker.state();
+            if !allowed {
+                self.telemetry.on_breaker(now, node_id, before, probing);
+                self.fast_failovers += 1;
+                self.telemetry.on_fast_failover(now, node_id);
+                let fetch = self.db.fetch(now);
+                let latency = fetch.completion() - now;
+                self.telemetry
+                    .on_lookup(Some(node_id), LookupClass::Failover, latency);
+                return (latency, false);
+            }
+            breaker.record_success(now);
+            let after = breaker.state();
+            self.telemetry.on_breaker(now, node_id, before, probing);
+            self.telemetry.on_breaker(now, node_id, probing, after);
+            let hit = {
+                let node = self.tier.node_mut(node_id).expect("member node exists");
+                node.store.get(key, now).is_some()
+            };
+            if hit {
+                self.telemetry
+                    .on_lookup(Some(node_id), LookupClass::Hit, cache_latency);
+                return (cache_latency, true);
+            }
+            if let Some(promoted) = self.try_secondary(key, node_id, now) {
+                self.telemetry
+                    .on_lookup(Some(node_id), LookupClass::Hit, promoted);
+                return (promoted, true);
+            }
+            let fetch = self.db.fetch(now);
+            if fetch.is_served() {
+                let size = self.keyspace.value_size(key);
+                let node = self.tier.node_mut(node_id).expect("member node exists");
+                let _ = node.store.set(key, size, now);
+            }
+            let latency = fetch.completion() - now + cache_latency;
+            self.telemetry
+                .on_lookup(Some(node_id), LookupClass::Miss, latency);
+            (latency, false)
+        }
+    }
+
+    /// One step of a fault history against the 4-node test tier.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// `count` lookups of `key`, 1 ms apart.
+        Lookups {
+            key: u64,
+            count: u64,
+        },
+        Advance {
+            ms: u64,
+        },
+        Partition {
+            node: u32,
+            ms: u64,
+        },
+        /// 40x degrades; 4 000x pushes a get past the client timeout.
+        Slow {
+            node: u32,
+            factor: f64,
+        },
+        Restore {
+            node: u32,
+        },
+        Crash {
+            node: u32,
+        },
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        // Lookups and clock jumps weighted up (the shim's `prop_oneof!`
+        // takes no weights, so by repetition); cooldown is 5 s, so jumps
+        // land on both sides of it.
+        let lookups = || (0u64..40, 1u64..8).prop_map(|(key, count)| Step::Lookups { key, count });
+        let advance = || (0u64..7_000).prop_map(|ms| Step::Advance { ms });
+        prop_oneof![
+            lookups(),
+            lookups(),
+            lookups(),
+            advance(),
+            advance(),
+            (0u32..4, 1u64..9_000).prop_map(|(node, ms)| Step::Partition { node, ms }),
+            (0u32..4, prop_oneof![Just(1.0), Just(40.0), Just(4_000.0)])
+                .prop_map(|(node, factor)| Step::Slow { node, factor }),
+            (0u32..4).prop_map(|node| Step::Restore { node }),
+            (0u32..4).prop_map(|node| Step::Crash { node }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn healthy_lane_matches_the_full_breaker_sequence(
+            steps in prop::collection::vec(step_strategy(), 1..60),
+            seed in 0u64..1_000,
+        ) {
+            let mk = || {
+                let mut c = Cluster::new(
+                    ClusterConfig::small_test(),
+                    Keyspace::new(10_000, seed),
+                    DetRng::seed(seed),
+                );
+                c.set_telemetry_config(&TelemetryConfig::default());
+                c.prefill((0..20).map(KeyId), SimTime::ZERO);
+                c
+            };
+            let (mut lane, mut full) = (mk(), mk());
+            let mut now = SimTime::from_secs(1);
+            for step in steps {
+                match step {
+                    Step::Lookups { key, count } => {
+                        for _ in 0..count {
+                            prop_assert_eq!(
+                                lane.lookup_and_fill(KeyId(key), now),
+                                full.lookup_and_fill_full_sequence(KeyId(key), now)
+                            );
+                            now += SimTime::from_millis(1);
+                        }
+                    }
+                    Step::Advance { ms } => now += SimTime::from_millis(ms),
+                    Step::Partition { node, ms } => {
+                        for c in [&mut lane, &mut full] {
+                            let link = &mut c.tier.node_mut(NodeId(node)).unwrap().link;
+                            link.partition_until(now + SimTime::from_millis(ms));
+                        }
+                    }
+                    Step::Slow { node, factor } => {
+                        for c in [&mut lane, &mut full] {
+                            c.tier.node_mut(NodeId(node)).unwrap().link.apply_slowdown(factor);
+                        }
+                    }
+                    Step::Restore { node } => {
+                        for c in [&mut lane, &mut full] {
+                            c.tier.node_mut(NodeId(node)).unwrap().link.restore_bandwidth();
+                        }
+                    }
+                    Step::Crash { node } => {
+                        for c in [&mut lane, &mut full] {
+                            c.tier.crash(NodeId(node)).unwrap();
+                        }
+                    }
+                }
+                for node in (0..4).map(NodeId) {
+                    prop_assert_eq!(lane.breaker_state(node), full.breaker_state(node));
+                }
+                prop_assert_eq!(lane.breaker_transitions(), full.breaker_transitions());
+                prop_assert_eq!(lane.client_timeouts(), full.client_timeouts());
+                prop_assert_eq!(lane.fast_failovers(), full.fast_failovers());
+            }
+            // Every traced event (breaker transitions, timeouts, fast
+            // failovers), every histogram and counter, the database's
+            // load and each store's contents.
+            let (a, b) = (lane.telemetry(), full.telemetry());
+            prop_assert_eq!(a.trace.to_vec(), b.trace.to_vec());
+            prop_assert_eq!(a.trace.recorded(), b.trace.recorded());
+            prop_assert_eq!(&a.get_hit, &b.get_hit);
+            prop_assert_eq!(&a.get_miss, &b.get_miss);
+            prop_assert_eq!(&a.timeout_path, &b.timeout_path);
+            for node in (0..4).map(NodeId) {
+                prop_assert_eq!(a.node_counters(node), b.node_counters(node));
+                prop_assert_eq!(
+                    lane.tier.node(node).unwrap().store.dump_metadata(),
+                    full.tier.node(node).unwrap().store.dump_metadata()
+                );
+            }
+            prop_assert_eq!(lane.db.fetches(), full.db.fetches());
+        }
     }
 
     #[test]

@@ -85,6 +85,7 @@ impl ClusterTelemetry {
 
     /// Records one classified lookup: its latency into the matching
     /// histogram and, when it was routed to a node, that node's counters.
+    #[inline]
     pub fn on_lookup(&mut self, node: Option<NodeId>, class: LookupClass, latency: SimTime) {
         match class {
             LookupClass::Hit => self.get_hit.record_time(latency),
@@ -114,6 +115,7 @@ impl ClusterTelemetry {
 
     /// Records one served web request: always into the response-time
     /// histogram, and as an event when request tracing is on.
+    #[inline]
     pub fn on_request(&mut self, at: SimTime, rt: SimTime, hits: u64, lookups: u64) {
         self.request_rt.record_time(rt);
         if self.trace_requests {

@@ -26,6 +26,14 @@ use elmem_util::{KeyId, NodeId};
 pub struct HashRing {
     /// (point, node) sorted by point.
     points: Vec<(u64, NodeId)>,
+    /// Prefix-bucket index over `points`: `starts[b]` is the index of the
+    /// first point whose top bits (`point >> shift`) are at least `b`
+    /// (`points.len()` when there is none). About two buckets per point,
+    /// so a lookup scans less than one point past its bucket's start on
+    /// average. A pure function of `points`; empty for an empty ring.
+    starts: Vec<u32>,
+    /// `64 − log2(starts.len())`: maps a hash to its bucket.
+    shift: u32,
     members: Vec<NodeId>,
     vnodes: u32,
 }
@@ -55,26 +63,41 @@ impl HashRing {
         // Resolve (astronomically unlikely) point collisions deterministically
         // in favour of the smaller node id (sort already did: tuples).
         points.dedup_by_key(|p| p.0);
+        let (starts, shift) = bucket_index(&points);
         HashRing {
             points,
+            starts,
+            shift,
             members: uniq,
             vnodes,
         }
     }
 
     /// The node responsible for `key`, or `None` if the ring is empty.
+    #[inline]
     pub fn node_for(&self, key: KeyId) -> Option<NodeId> {
         self.node_for_hash(mix64(key.0))
     }
 
-    /// Placement by precomputed key hash.
+    /// Placement by precomputed key hash: the owner of the first point at
+    /// or clockwise from `hash`, wrapping to the first point of the ring.
+    ///
+    /// Every point before `starts[bucket]` has a smaller prefix than
+    /// `hash` and is therefore smaller than `hash`, so the first point
+    /// `>= hash` — what a binary search over all points would return —
+    /// is the first such point at or after `starts[bucket]`.
+    #[inline]
     pub fn node_for_hash(&self, hash: u64) -> Option<NodeId> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let idx = self.points.partition_point(|&(p, _)| p < hash);
-        let idx = if idx == self.points.len() { 0 } else { idx };
-        Some(self.points[idx].1)
+        // An empty ring has no buckets.
+        let &start = self.starts.get((hash >> self.shift) as usize)?;
+        let owner = match self.points[start as usize..]
+            .iter()
+            .find(|&&(point, _)| point >= hash)
+        {
+            Some(&(_, node)) => node,
+            None => self.points[0].1,
+        };
+        Some(owner)
     }
 
     /// Members of the ring, sorted by id.
@@ -118,9 +141,40 @@ impl HashRing {
     }
 }
 
+/// Builds the prefix-bucket index of a point list: `(starts, shift)` as
+/// documented on [`HashRing`]. Branch-free — count the points of each
+/// bucket one slot to the right, then a running sum turns the counts into
+/// "points in earlier buckets", which is the index of the bucket's first
+/// point — because a loop that walks buckets and points together
+/// mispredicts on most buckets and cost more than the sort it follows.
+fn bucket_index(points: &[(u64, NodeId)]) -> (Vec<u32>, u32) {
+    if points.is_empty() {
+        return (Vec::new(), 0);
+    }
+    assert!(
+        u32::try_from(points.len()).is_ok(),
+        "a ring holds fewer than 2^32 points"
+    );
+    // A power of two in [2·len, 4·len), at least 2, so 1 <= shift <= 63.
+    let buckets = (points.len() * 2).next_power_of_two();
+    let shift = 64 - buckets.trailing_zeros();
+    let mut starts = vec![0u32; buckets + 1];
+    for &(point, _) in points {
+        starts[(point >> shift) as usize + 1] += 1;
+    }
+    starts.pop(); // the last bucket's count: no bucket starts after it
+    let mut earlier = 0;
+    for start in &mut starts {
+        earlier += *start;
+        *start = earlier;
+    }
+    (starts, shift)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashMap;
 
     fn ring(n: u32) -> HashRing {
@@ -227,6 +281,73 @@ mod tests {
     #[should_panic]
     fn zero_vnodes_rejected() {
         let _ = HashRing::new([NodeId(0)].into_iter(), 0);
+    }
+
+    /// The pre-index form of `node_for_hash`, kept as the oracle: a
+    /// binary search over all points.
+    fn node_for_hash_by_binary_search(ring: &HashRing, hash: u64) -> Option<NodeId> {
+        if ring.points.is_empty() {
+            return None;
+        }
+        let idx = ring.points.partition_point(|&(p, _)| p < hash);
+        let idx = if idx == ring.points.len() { 0 } else { idx };
+        Some(ring.points[idx].1)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn index_lookup_matches_partition_point(
+            nodes in prop_oneof![Just(0u32), Just(1u32), Just(3u32), Just(100u32)],
+            vnodes in prop_oneof![Just(1u32), Just(128u32), Just(1_024u32)],
+            first in 0u32..10_000,
+            stride in 1u32..7,
+            seed in any::<u64>(),
+        ) {
+            let ring = HashRing::new((0..nodes).map(|i| NodeId(first + i * stride)), vnodes);
+            // The index is consistent with the points it was built from.
+            prop_assert_eq!(ring.starts.is_empty(), ring.points.is_empty());
+            prop_assert!(ring.starts.windows(2).all(|w| w[0] <= w[1]));
+            prop_assert!(ring.starts.iter().all(|&s| s as usize <= ring.points.len()));
+
+            let mut hashes = vec![0, 1, u64::MAX - 1, u64::MAX];
+            for &(p, _) in &ring.points {
+                hashes.extend([p.wrapping_sub(1), p, p.wrapping_add(1)]);
+            }
+            let mut state = seed;
+            hashes.extend((0..2_000).map(|_| {
+                state = mix64(state);
+                state
+            }));
+            // Bucket edges: the first and last hash of a few buckets.
+            if !ring.starts.is_empty() {
+                for b in [0, 1, ring.starts.len() as u64 / 2, ring.starts.len() as u64 - 1] {
+                    let lo = b << ring.shift;
+                    hashes.extend([lo, lo | ((1u64 << ring.shift) - 1)]);
+                }
+            }
+            for hash in hashes {
+                prop_assert_eq!(
+                    ring.node_for_hash(hash),
+                    node_for_hash_by_binary_search(&ring, hash),
+                    "hash {:#x}", hash
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn index_has_about_two_buckets_per_point() {
+        for (nodes, vnodes) in [(1u32, 1u32), (4, 128), (5, 1_024), (100, 128)] {
+            let r = HashRing::new((0..nodes).map(NodeId), vnodes);
+            let (points, buckets) = (r.points.len(), r.starts.len());
+            assert!(buckets.is_power_of_two());
+            assert!(
+                (2 * points..4 * points).contains(&buckets),
+                "{points} points, {buckets} buckets"
+            );
+            assert_eq!(1u64 << (64 - r.shift), buckets as u64);
+        }
     }
 
     #[test]

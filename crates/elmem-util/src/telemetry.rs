@@ -139,6 +139,7 @@ impl LatencyHistogram {
     }
 
     /// Records one value (nanoseconds).
+    #[inline]
     pub fn record(&mut self, nanos: u64) {
         self.counts[bucket_index(nanos)] += 1;
         self.count += 1;
@@ -148,6 +149,7 @@ impl LatencyHistogram {
     }
 
     /// Records a [`SimTime`] span.
+    #[inline]
     pub fn record_time(&mut self, t: SimTime) {
         self.record(t.as_nanos());
     }

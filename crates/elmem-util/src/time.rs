@@ -60,9 +60,10 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `s` is negative or not finite.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid time: {s}");
-        SimTime((s * 1e9).round() as u64)
+        SimTime(round_to_u64(s * 1e9))
     }
 
     /// Nanoseconds since simulation start.
@@ -116,9 +117,30 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `f` is negative or not finite.
+    #[inline]
     pub fn mul_f64(self, f: f64) -> SimTime {
         assert!(f.is_finite() && f >= 0.0, "invalid factor: {f}");
-        SimTime((self.0 as f64 * f).round() as u64)
+        SimTime(round_to_u64(self.0 as f64 * f))
+    }
+}
+
+/// `x.round() as u64` for a non-negative finite `x`, without the libm call
+/// the baseline x86-64 target lowers `f64::round` to (this runs once per
+/// generated arrival and once per cache lookup).
+///
+/// Below 2^52 the truncation `t` and the fraction `x − t` are both exact
+/// (the fraction is a multiple of `ulp(x) <= 1/2` below 1), so adding one
+/// when the fraction reaches one half *is* round-half-away-from-zero — no
+/// `x + 0.5`, which rounds 0.49999999999999994 up. From 2^52 on every
+/// `f64` is already an integer and the old expression is kept as is.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+    if x < TWO_POW_52 {
+        let t = x as u64;
+        t + u64::from(x - t as f64 >= 0.5)
+    } else {
+        x.round() as u64
     }
 }
 
@@ -220,6 +242,55 @@ mod tests {
     fn mul_f64_scales() {
         assert_eq!(SimTime::from_secs(2).mul_f64(1.5).as_millis(), 3000);
         assert_eq!(SimTime::from_secs(2).mul_f64(0.0), SimTime::ZERO);
+    }
+
+    #[test]
+    fn round_to_u64_is_f64_round() {
+        // The old expression is the oracle. Edge cases: the value that
+        // breaks `floor(x + 0.5)`, exact halves (away from zero, not to
+        // even), both sides of the 2^52 switch, and past 2^53.
+        let two_pow_52 = (1u64 << 52) as f64;
+        let edges = [
+            0.0,
+            -0.0,
+            0.499_999_999_999_999_94,
+            0.5,
+            1.5,
+            2.5,
+            two_pow_52 - 1.5,
+            two_pow_52 - 1.0,
+            two_pow_52 - 0.5,
+            two_pow_52,
+            two_pow_52 + 1.0,
+            (1u64 << 53) as f64 + 2.0,
+            1e18,
+            u64::MAX as f64,
+            f64::MAX,
+        ];
+        for x in edges {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
+        // What the serving path feeds it: exponential jitter in ns, as
+        // drawn (`from_secs_f64`) and stretched by a slow link (`mul_f64`).
+        let mut rng = crate::DetRng::seed(17);
+        for i in 0..200_000 {
+            let secs = rng.next_exp(if i % 2 == 0 { 5_000.0 } else { 833.0 });
+            let x = secs * 1e9;
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+            assert_eq!(
+                SimTime::from_secs_f64(secs).mul_f64(50.0).0,
+                ((secs * 1e9).round() as u64 as f64 * 50.0).round() as u64
+            );
+            // Halves and their neighbours at every magnitude drawn.
+            let half = x.floor() + 0.5;
+            for y in [
+                half,
+                f64::from_bits(half.to_bits() - 1),
+                f64::from_bits(half.to_bits() + 1),
+            ] {
+                assert_eq!(round_to_u64(y), y.round() as u64, "y = {y:e}");
+            }
+        }
     }
 
     #[test]

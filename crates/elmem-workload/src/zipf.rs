@@ -1,16 +1,25 @@
 //! Zipf popularity over a keyspace.
 //!
 //! Facebook's Memcached traces are highly skewed; we model popularity as
-//! Zipf(s) over `n` ranks, with a pseudorandom rank→key permutation so that
-//! popular keys are spread across the consistent-hash ring rather than
-//! clustered in id space.
+//! Zipf(s) over `n` ranks, with a seeded rank→key bijection
+//! ([`ZipfPopularity::key_for_rank`]).
+//!
+//! The bijection is *not* a pseudorandom permutation: every round of its
+//! swap-or-not network maps `x` to `x` or to its mirror `n−1−x`, so rank
+//! `r` lands on key `r−1` or key `n−r` and nowhere else — the hot keys
+//! *are* the lowest and highest key ids (a unit test pins this so the
+//! docs cannot drift from the code again). Placement is spread all the
+//! same, because nothing downstream uses key ids raw: the hash ring and
+//! `Keyspace::value_size` both run them through `mix64` first. A real
+//! permutation would change every generated stream; it belongs to the
+//! one-sampler change (ROADMAP item 1), not here.
 
 use elmem_util::hashutil::mix64;
 use elmem_util::{DetRng, KeyId};
 
 /// Zipf sampler with O(1) sampling via rejection-inversion
 /// (Hörmann & Derflinger, as in Apache Commons' `ZipfDistribution`),
-/// plus a stable rank→key permutation.
+/// plus a stable, seeded rank→key bijection.
 ///
 /// # Example
 ///
@@ -27,8 +36,9 @@ use elmem_util::{DetRng, KeyId};
 pub struct ZipfPopularity {
     n: u64,
     s: f64,
-    /// Permutation seed mapping ranks to keys.
-    perm_seed: u64,
+    /// Seed of each swap-or-not round of the rank→key bijection:
+    /// `perm_seed ^ mix64(round)`.
+    round_seeds: [u64; SWAP_ROUNDS],
     // Precomputed rejection-inversion constants.
     h_integral_x1: f64,
     h_integral_n: f64,
@@ -36,8 +46,8 @@ pub struct ZipfPopularity {
 }
 
 impl ZipfPopularity {
-    /// Creates a Zipf(s) sampler over keys `0..n` with a permutation
-    /// determined by `perm_seed`.
+    /// Creates a Zipf(s) sampler over keys `0..n` with the rank→key
+    /// bijection determined by `perm_seed`.
     ///
     /// # Panics
     ///
@@ -51,7 +61,7 @@ impl ZipfPopularity {
         ZipfPopularity {
             n,
             s,
-            perm_seed,
+            round_seeds: std::array::from_fn(|round| perm_seed ^ mix64(round as u64)),
             h_integral_x1,
             h_integral_n,
             threshold,
@@ -68,7 +78,7 @@ impl ZipfPopularity {
         self.s
     }
 
-    /// Draws a key (permuted rank).
+    /// Draws a key (the sampled rank's [`Self::key_for_rank`]).
     pub fn sample(&self, rng: &mut DetRng) -> KeyId {
         self.key_for_rank(self.sample_rank(rng))
     }
@@ -89,20 +99,36 @@ impl ZipfPopularity {
         }
     }
 
-    /// The key assigned to a rank (stable pseudorandom permutation of
-    /// `1..=n` onto `0..n`).
+    /// The key assigned to a rank: a stable bijection of `1..=n` onto
+    /// `0..n` that sends rank `r` to key `r−1` or to its mirror `n−r`,
+    /// chosen by a seeded hash of the pair (see the module docs for what
+    /// that does and does not spread).
+    ///
+    /// Eight "swap-or-not" rounds, each of which swaps `x` with its mirror
+    /// `n−1−x` when a hash of the *unordered pair* `{x, mirror}` and the
+    /// round's seed is odd — a bijection on `[0, n)` for any round count.
+    /// A swap maps the pair onto itself, so every round hashes the same
+    /// pair word and only the round seed differs; where `x` ends up
+    /// depends only on whether the number of swaps is odd. So the pair
+    /// word is computed once and the eight hashes are independent
+    /// (pipelined) rather than an eight-deep dependent chain — the same
+    /// key, bit for bit, as applying the rounds one after another.
+    #[inline]
     pub fn key_for_rank(&self, rank: u64) -> KeyId {
         debug_assert!(rank >= 1 && rank <= self.n);
-        // "Swap-or-not" rounds: each round conditionally swaps x with its
-        // mirror n-1-x based on a hash of the unordered pair — a bijection
-        // on [0, n) for any round count.
-        let mut x = rank - 1;
-        for round in 0..8u64 {
-            x = swap_or_not_round(x, self.n, self.perm_seed ^ mix64(round));
-        }
-        KeyId(x)
+        let x = rank - 1;
+        let mirror = self.n - 1 - x;
+        let pair = x.min(mirror) ^ x.max(mirror).rotate_left(32);
+        let swaps = self
+            .round_seeds
+            .iter()
+            .fold(0, |parity, &seed| parity ^ mix64(pair ^ seed));
+        KeyId(if swaps & 1 == 1 { mirror } else { x })
     }
 }
+
+/// Rounds of the rank→key swap-or-not network.
+const SWAP_ROUNDS: usize = 8;
 
 /// `H(x) = (x^{1-s} − 1)/(1−s)` (→ `ln x` as `s → 1`).
 fn h_integral(x: f64, s: f64) -> f64 {
@@ -127,18 +153,6 @@ fn h_integral_inverse(u: f64, s: f64) -> f64 {
         (1.0 + u * (1.0 - s))
             .max(f64::MIN_POSITIVE)
             .powf(1.0 / (1.0 - s))
-    }
-}
-
-/// One swap-or-not round: x ↦ possibly its mirror in [0, n).
-fn swap_or_not_round(x: u64, n: u64, seed: u64) -> u64 {
-    let partner = n - 1 - x;
-    let lo = x.min(partner);
-    let hi = x.max(partner);
-    if mix64(lo ^ hi.rotate_left(32) ^ seed) & 1 == 1 {
-        partner
-    } else {
-        x
     }
 }
 
@@ -201,6 +215,89 @@ mod tests {
         let z = ZipfPopularity::new(997, 0.9, 5);
         let keys: HashSet<u64> = (1..=997).map(|r| z.key_for_rank(r).0).collect();
         assert_eq!(keys.len(), 997);
+    }
+
+    #[test]
+    fn rank_lands_on_its_own_slot_or_the_mirror() {
+        // What the module docs promise (and all they promise): the image
+        // of rank r is key r-1 or key n-r. A real permutation would fail
+        // this — and would move every pinned stream.
+        for n in [1u64, 2, 7, 1_000] {
+            for seed in [0u64, 5, u64::MAX] {
+                let z = ZipfPopularity::new(n, 1.0, seed);
+                for r in 1..=n {
+                    let k = z.key_for_rank(r).0;
+                    assert!(k == r - 1 || k == n - r, "n={n} rank {r} -> key {k}");
+                }
+            }
+        }
+    }
+
+    /// One swap-or-not round as `key_for_rank` applied it before the
+    /// parity form: x ↦ possibly its mirror in [0, n).
+    fn swap_or_not_round(x: u64, n: u64, seed: u64) -> u64 {
+        let partner = n - 1 - x;
+        let lo = x.min(partner);
+        let hi = x.max(partner);
+        if mix64(lo ^ hi.rotate_left(32) ^ seed) & 1 == 1 {
+            partner
+        } else {
+            x
+        }
+    }
+
+    /// The oracle for the parity form: the eight rounds chained, each
+    /// feeding the next, seeds derived from `perm_seed` on the spot.
+    fn chained_key_for_rank(n: u64, perm_seed: u64, rank: u64) -> KeyId {
+        let mut x = rank - 1;
+        for round in 0..8u64 {
+            x = swap_or_not_round(x, n, perm_seed ^ mix64(round));
+        }
+        KeyId(x)
+    }
+
+    const PERM_SEEDS: [u64; 4] = [0, 7, 0x9E37_79B9_7F4A_7C15, u64::MAX];
+
+    #[test]
+    fn parity_form_matches_chained_rounds_for_every_rank() {
+        // Degenerate sizes, and an even/odd pair at the benchmark's scale
+        // (odd n has a self-mirrored middle slot).
+        for n in [1u64, 2, 3, 40_000, 40_001] {
+            for seed in PERM_SEEDS {
+                let z = ZipfPopularity::new(n, 1.0, seed);
+                for r in 1..=n {
+                    assert_eq!(
+                        z.key_for_rank(r),
+                        chained_key_for_rank(n, seed, r),
+                        "n={n} seed={seed:#x} rank={r}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parity_form_matches_chained_rounds_at_paper_scale() {
+        let n = 19_000_000u64;
+        for seed in PERM_SEEDS {
+            let z = ZipfPopularity::new(n, 0.99, seed);
+            let mut rng = DetRng::seed(seed ^ 1);
+            // The ends, then ranks drawn the way the workload draws them
+            // and uniformly (Zipf alone would rarely leave the head).
+            let edges = [1, 2, n / 2, n / 2 + 1, n - 1, n];
+            let zipf_draws = (0..50_000)
+                .map(|_| z.sample_rank(&mut rng))
+                .collect::<Vec<_>>();
+            let mut rng = DetRng::seed(seed ^ 2);
+            let uniform_draws = (0..50_000).map(|_| 1 + rng.next_below(n));
+            for r in edges.into_iter().chain(zipf_draws).chain(uniform_draws) {
+                assert_eq!(
+                    z.key_for_rank(r),
+                    chained_key_for_rank(n, seed, r),
+                    "seed={seed:#x} rank={r}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,116 @@
+//! Stream-and-placement pin: FNV-1a digests of the generated request
+//! stream and of ring placement, committed as constants.
+//!
+//! The serving-loop kernels (`ZipfPopularity::key_for_rank`,
+//! `HashRing::node_for_hash`, `SimTime::from_secs_f64`) are optimised
+//! under a "same bits" contract. The goldens and the chaos fixture would
+//! catch a drift too, but minutes later and far from the cause; these
+//! digests fail in about a second and say which kernel moved. Every
+//! constant was computed at the commit *before* the kernels changed
+//! (PR 15, `7ab1128`), so a mismatch means today's code no longer
+//! produces that commit's stream or placement.
+//!
+//! A stream that changes on purpose (ROADMAP item 1's one-sampler PR)
+//! copies the rows the failure message prints, in the same reviewed diff
+//! that re-blesses the goldens.
+
+use elmem::hash::HashRing;
+use elmem::util::hashutil::fnv1a64;
+use elmem::util::{DetRng, KeyId, NodeId, SimTime};
+use elmem::workload::{DemandTrace, Keyspace, RequestGenerator, WebRequest, WorkloadConfig};
+
+/// 64-bit FNV-1a over the words' little-endian bytes.
+fn digest(words: &[u64]) -> u64 {
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    fnv1a64(&bytes)
+}
+
+const SEED: u64 = 7;
+const REQUESTS: usize = 20_000;
+
+/// Digest of the first [`REQUESTS`] requests (arrival, then each key).
+fn stream_digest(n: u64, s: f64, alias: bool) -> u64 {
+    let config = WorkloadConfig {
+        keyspace: Keyspace::new(n, SEED),
+        zipf_exponent: s,
+        items_per_request: 5,
+        peak_rate: 833.0,
+        // A dip, so the thinning loop rejects candidates too.
+        trace: DemandTrace::new(vec![1.0, 0.5, 1.0], SimTime::from_secs(30)),
+    };
+    let mut gen = RequestGenerator::with_alias_sampling(config, DetRng::seed(SEED), alias);
+    let mut req = WebRequest {
+        arrival: SimTime::ZERO,
+        keys: Vec::new(),
+    };
+    let mut words = Vec::with_capacity(REQUESTS * 6);
+    for i in 0..REQUESTS {
+        assert!(
+            gen.next_request_into(&mut req),
+            "trace ended at request {i}"
+        );
+        words.push(req.arrival.as_nanos());
+        words.extend(req.keys.iter().map(|key| key.0));
+    }
+    digest(&words)
+}
+
+/// Digest of `node_for` over keys `0..100 000`.
+fn placement_digest(nodes: u32, vnodes: u32) -> u64 {
+    let ring = HashRing::new((0..nodes).map(NodeId), vnodes);
+    let owners: Vec<u64> = (0..100_000)
+        .map(|k| u64::from(ring.node_for(KeyId(k)).expect("non-empty ring").0))
+        .collect();
+    digest(&owners)
+}
+
+#[test]
+fn request_streams_match_their_pinned_digests() {
+    // (keys, zipf exponent, alias sampling, digest at 7ab1128)
+    const PINS: [(u64, f64, bool, u64); 6] = [
+        (40_000, 1.0, false, 0x6eed_1f2f_4cde_b27c),
+        (40_000, 1.0, true, 0x8ef7_8920_e3d4_feea),
+        (200_000, 0.8, false, 0xbeae_3735_5704_75f5),
+        (200_000, 0.8, true, 0x469e_9533_5d72_a361),
+        (100_000, 1.2, false, 0x9c5b_2fd9_90e9_3624),
+        (100_000, 1.2, true, 0x8c4c_f064_1983_4afe),
+    ];
+    let moved: Vec<String> = PINS
+        .into_iter()
+        .filter_map(|(n, s, alias, want)| {
+            let got = stream_digest(n, s, alias);
+            (got != want).then(|| format!("({n}, {s:?}, {alias}, {got:#018x}),"))
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "request stream moved: suspect ZipfPopularity::key_for_rank (zipf's \
+         parity_form_* tests), then SimTime::from_secs_f64 (arrivals), then the \
+         samplers' RNG draw order. Rows now:\n{}",
+        moved.join("\n")
+    );
+}
+
+#[test]
+fn ring_placement_matches_its_pinned_digests() {
+    // (nodes, points per node, digest at 7ab1128)
+    const PINS: [(u32, u32, u64); 3] = [
+        (4, 128, 0x03b6_fd22_e6b4_66e7),
+        (5, 1_024, 0xefa8_15e6_f508_0626),
+        (100, 128, 0x6409_8a0d_6ac0_0b1a),
+    ];
+    let moved: Vec<String> = PINS
+        .into_iter()
+        .filter_map(|(nodes, vnodes, want)| {
+            let got = placement_digest(nodes, vnodes);
+            (got != want).then(|| format!("({nodes}, {vnodes}, {got:#018x}),"))
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "ring placement moved: suspect HashRing::node_for_hash's bucket index \
+         (ring's index_lookup_matches_partition_point test), then the point \
+         hashing. Rows now:\n{}",
+        moved.join("\n")
+    );
+}
