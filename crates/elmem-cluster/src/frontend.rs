@@ -1,8 +1,7 @@
 //! The web tier's serving path: multi-get, miss handling, response times.
 
-use std::collections::BTreeMap;
-
 use elmem_hash::HashRing;
+use elmem_store::SlabStore;
 use elmem_util::{DetRng, KeyId, NodeId, NodeMap, SimTime};
 use elmem_workload::{Keyspace, WebRequest};
 
@@ -13,9 +12,24 @@ use crate::telemetry::{ClusterTelemetry, LookupClass};
 use crate::tier::CacheTier;
 use elmem_util::TelemetryConfig;
 
-/// Key count below which [`Cluster::prefill`] always runs the plain serial
-/// loop — fan-out setup isn't worth it for laptop-scale fills.
-pub const PREFILL_FANOUT_MIN: usize = 100_000;
+/// Key count from which [`Cluster::prefill`] fans out (two blocks).
+///
+/// Set from measurement (EXPERIMENTS.md E24; 2 workers on the 2-vCPU
+/// reference box, 41 alternating serial/fanned fills per size, median ms):
+/// 40 k keys 6.4 → 4.7, 60 k 10.1 → 7.4, 100 k 18.1 → 13.0, 200 k 37.3 →
+/// 26.8 — 1.36–1.39× at every size, fanned ahead in 34–40 of 41 pairs. It
+/// would still win down to 8 k keys (1.25–1.47×; 0.91–0.96 at 4 k), but only
+/// while both vCPUs are really free: whenever the box time-slices them onto
+/// one core the fan-out *loses* 7–10 % at every size from 16 k to 100 k.
+/// Under two blocks the whole saving is under 3 ms, not worth that risk — and
+/// it keeps the benchmark's 40 k-key `serve_hot` build on one thread, so one
+/// workload sits on each side of this choice.
+pub const PREFILL_FANOUT_MIN: usize = 2 * PREFILL_BLOCK;
+
+/// Keys a fanned prefill buffers per fork-join — 256 KiB, its only memory
+/// beyond the stores themselves. The one thread a block spawns per extra
+/// worker (≈ 60 µs) is under 2 % of the ≈ 4.5 ms of sets the block carries.
+const PREFILL_BLOCK: usize = 1 << 15;
 
 /// Result of serving one web request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -382,98 +396,81 @@ impl Cluster {
 
     /// Pre-fills caches by directly setting keys on their current owners
     /// (used to start experiments warm, like the paper's steady state).
+    /// The `i`-th key is set at `start + i ns`, so later keys end up
+    /// hotter.
     ///
-    /// Above [`PREFILL_FANOUT_MIN`] keys (and `par_jobs() > 1`) the fill
-    /// fans out one worker per owning node: ring lookups are a parallel
-    /// pure map, timestamps are assigned in one serial pass in global key
-    /// order (exactly the serial loop's assignment), and each node's sets
-    /// run in their original relative order against that node's own store
-    /// — stores and their LRU clocks are per-node, so the final state is
-    /// byte-identical to the serial fill at any worker count.
+    /// The keys are streamed a block (32 Ki) at a time, never collected.
+    /// When the iterator promises at least [`PREFILL_FANOUT_MIN`] of them
+    /// the blocks are filled by up to `par_jobs()` workers, otherwise by
+    /// this thread alone; every store ends byte-identical either way.
     pub fn prefill(&mut self, keys: impl Iterator<Item = KeyId>, start: SimTime) {
-        let jobs = elmem_util::par::par_jobs();
-        let keys: Vec<KeyId> = keys.collect();
-        if jobs > 1 && keys.len() >= PREFILL_FANOUT_MIN {
-            self.prefill_fanout(&keys, start, jobs);
-            return;
-        }
-        let mut t = start;
-        for key in keys {
-            if let Some(node_id) = self.tier.node_for_key(key) {
-                let size = self.keyspace.value_size(key);
-                let node = self.tier.node_mut(node_id).expect("member node exists");
-                if node.is_online() {
-                    let _ = node.store.set(key, size, t);
-                }
-                t += SimTime::from_nanos(1);
-            }
-        }
+        // Every caller passes a rank range, whose lower bound is exact; an
+        // iterator that cannot say how long it is fills on one thread.
+        let jobs = if keys.size_hint().0 >= PREFILL_FANOUT_MIN {
+            elmem_util::par::par_jobs()
+        } else {
+            1
+        };
+        self.prefill_blocks(keys, start, jobs);
     }
 
-    /// The parallel prefill path: group `(key, timestamp)` per owning node
-    /// serially, then fill every involved node's store concurrently
-    /// (driven through the thread-safe concurrent facade, one worker per
-    /// node, per-node order preserved).
-    fn prefill_fanout(&mut self, keys: &[KeyId], start: SimTime, jobs: usize) {
-        use elmem_store::{ConcurrentSlabStore, SlabStore, StoreConfig};
-
-        // Owner lookup is a pure function of the ring — parallel map.
-        let tier = &self.tier;
-        let owners: Vec<Option<NodeId>> =
-            elmem_util::par::par_map_indexed(jobs, keys, |_, &k| tier.node_for_key(k));
-
-        // Serial pass: the timestamp sequence is identical to the serial
-        // loop's (`t` advances only for owned keys, online or not), and
-        // grouping preserves each node's relative set order.
-        let mut t = start;
-        let mut per_node: BTreeMap<NodeId, Vec<(KeyId, SimTime)>> = BTreeMap::new();
-        for (&key, &owner) in keys.iter().zip(&owners) {
-            if let Some(node_id) = owner {
-                per_node.entry(node_id).or_default().push((key, t));
-                t += SimTime::from_nanos(1);
-            }
-        }
-
-        // Move each online node's store out (a one-page placeholder holds
-        // the slot), fill all of them in parallel through the concurrent
-        // facade, and reinstall in node order. The `Mutex<Option<_>>`
-        // wrapper only ferries ownership into the worker; each store is
-        // taken exactly once.
-        type FillJob = (
-            NodeId,
-            std::sync::Mutex<Option<SlabStore>>,
-            Vec<(KeyId, SimTime)>,
-        );
-        let mut work: Vec<FillJob> = Vec::new();
-        for (node_id, items) in per_node {
-            let node = self.tier.node_mut(node_id).expect("member node exists");
-            if !node.is_online() {
-                continue; // timestamps consumed above, sets skipped
-            }
-            let store = std::mem::replace(
-                &mut node.store,
-                SlabStore::new(StoreConfig::with_memory(elmem_util::ByteSize::PAGE)),
-            );
-            work.push((node_id, std::sync::Mutex::new(Some(store)), items));
-        }
+    /// [`Self::prefill`] over `jobs` workers. The online members' stores
+    /// are dealt round-robin onto the workers; every worker scans each
+    /// block, routes each key on the ring and sets the ones its own stores
+    /// own (with one worker: all of them, on this thread, in stream
+    /// order). A ring with members owns every key, so a key's timestamp is
+    /// `start` plus its position in the stream whether or not its owner is
+    /// online (an offline owner consumes its timestamps and skips the
+    /// sets); each store sees its keys in stream order with those
+    /// timestamps, and stores share nothing, so the result does not depend
+    /// on the worker count. Extra memory is the one block.
+    fn prefill_blocks(
+        &mut self,
+        mut keys: impl Iterator<Item = KeyId>,
+        start: SimTime,
+        jobs: usize,
+    ) {
         let keyspace = &self.keyspace;
-        let filled = elmem_util::par::par_map_indexed(jobs, &work, |_, (_, cell, items)| {
-            let store = cell
-                .lock()
-                .expect("fill worker panicked")
-                .take()
-                .expect("each store is filled exactly once");
-            let cstore = ConcurrentSlabStore::from_serial(store);
-            for &(key, at) in items {
-                let _ = cstore.set(key, keyspace.value_size(key), at);
+        let (membership, nodes) = self.tier.membership_and_nodes_mut();
+        let ring = membership.ring();
+        let mut hands: Vec<NodeMap<&mut SlabStore>> = (0..jobs).map(|_| NodeMap::new()).collect();
+        let fillable = nodes.filter(|n| n.is_online() && membership.members().contains(&n.id()));
+        for (dealt, node) in fillable.enumerate() {
+            hands[dealt % jobs].insert(node.id(), &mut node.store);
+        }
+        hands.retain(|hand| !hand.is_empty());
+        let Some((mine, others)) = hands.split_first_mut() else {
+            return; // no member can take a set
+        };
+
+        let fill = |hand: &mut NodeMap<&mut SlabStore>, base: u64, block: &[KeyId]| {
+            for (i, &key) in block.iter().enumerate() {
+                let owner = ring
+                    .node_for(key)
+                    .expect("a ring with members owns every key");
+                if let Some(store) = hand.get_mut(owner) {
+                    let at = start + SimTime::from_nanos(base + i as u64);
+                    let _ = store.set(key, keyspace.value_size(key), at);
+                }
             }
-            cstore.into_serial()
-        });
-        for ((node_id, _, _), store) in work.into_iter().zip(filled) {
-            self.tier
-                .node_mut(node_id)
-                .expect("member node exists")
-                .store = store;
+        };
+        let mut block: Vec<KeyId> = Vec::new(); // sized by the first `extend`
+        let mut base = 0u64;
+        loop {
+            block.clear();
+            block.extend(keys.by_ref().take(PREFILL_BLOCK));
+            if block.is_empty() {
+                break;
+            }
+            // This thread is the first worker; the scope joins the others
+            // and re-raises a panic from any of them.
+            std::thread::scope(|s| {
+                for hand in others.iter_mut() {
+                    s.spawn(|| fill(hand, base, &block));
+                }
+                fill(mine, base, &block);
+            });
+            base += block.len() as u64;
         }
     }
 
@@ -543,38 +540,84 @@ mod tests {
         assert_eq!(out.hits, 3);
     }
 
-    #[test]
-    fn prefill_fanout_is_byte_identical_to_serial() {
-        // Same key stream through the serial loop and the per-node fan-out
-        // (forced directly, below the public threshold), with one node
-        // offline to exercise the timestamp-consumed-but-set-skipped rule.
-        let keys: Vec<KeyId> = (0..4000).rev().map(KeyId).collect();
-        let start = SimTime::from_millis(3);
-
-        let mut serial = cluster();
-        serial.tier.power_off(&[NodeId(1)]);
+    /// What a prefill means — one loop, one key after another — kept here
+    /// as the reference [`Cluster::prefill_blocks`] is compared against.
+    fn prefill_reference(c: &mut Cluster, keys: impl Iterator<Item = KeyId>, start: SimTime) {
         let mut t = start;
-        for &key in &keys {
-            if let Some(node_id) = serial.tier.node_for_key(key) {
-                let size = serial.keyspace.value_size(key);
-                let node = serial.tier.node_mut(node_id).unwrap();
+        for key in keys {
+            if let Some(node_id) = c.tier.node_for_key(key) {
+                let size = c.keyspace.value_size(key);
+                let node = c.tier.node_mut(node_id).unwrap();
                 if node.is_online() {
                     let _ = node.store.set(key, size, t);
                 }
                 t += SimTime::from_nanos(1);
             }
         }
+    }
 
-        for jobs in [2, 4] {
-            let mut fanout = cluster();
-            fanout.tier.power_off(&[NodeId(1)]);
-            fanout.prefill_fanout(&keys, start, jobs);
-            for node in serial.tier.membership().members() {
-                let a = serial.tier.node(*node).unwrap().store.dump_metadata();
-                let b = fanout.tier.node(*node).unwrap().store.dump_metadata();
-                assert_eq!(a, b, "node {node:?} diverged at jobs={jobs}");
+    fn assert_same_stores(a: &Cluster, b: &Cluster, what: &str) {
+        for (x, y) in a.tier.iter_nodes().zip(b.tier.iter_nodes()) {
+            let id = x.id();
+            assert_eq!(id, y.id(), "{what}");
+            assert_eq!(x.is_online(), y.is_online(), "{what}: node {id}");
+            assert_eq!(
+                x.store.dump_metadata(),
+                y.store.dump_metadata(),
+                "{what}: node {id} dump"
+            );
+            assert_eq!(x.store.stats(), y.store.stats(), "{what}: node {id} stats");
+            assert_eq!(y.store.audit(), Ok(()), "{what}: node {id} audit");
+        }
+    }
+
+    #[test]
+    fn prefill_fanout_is_byte_identical_to_serial() {
+        // Same key stream through the reference loop and the block fill
+        // (worker count forced, key counts on both sides of the public
+        // floor), with one node offline to exercise the
+        // timestamp-consumed-but-set-skipped rule.
+        // The large count spans several blocks with a ragged tail and
+        // overflows the 4 MiB nodes, so evictions must line up too; 8 jobs
+        // exceed the stores to deal, 3 deal them unevenly.
+        let start = SimTime::from_millis(3);
+        let large = PREFILL_FANOUT_MIN + 2 * PREFILL_BLOCK + 1234;
+        for nodes in [4u32, 5] {
+            let build = || {
+                let config = ClusterConfig {
+                    initial_nodes: nodes,
+                    ..ClusterConfig::small_test()
+                };
+                let mut c = Cluster::new(config, Keyspace::new(large as u64, 0), DetRng::seed(1));
+                c.tier.power_off(&[NodeId(1)]);
+                c
+            };
+            for count in [4000, large] {
+                let keys = || (0..count as u64).rev().map(KeyId);
+                let mut serial = build();
+                prefill_reference(&mut serial, keys(), start);
+                for jobs in [1, 2, 3, 8] {
+                    let what = format!("{nodes} nodes, {count} keys, {jobs} jobs");
+                    let mut fanout = build();
+                    fanout.prefill_blocks(keys(), start, jobs);
+                    assert_same_stores(&serial, &fanout, &what);
+                    // The public entry picks a side by key count and worker
+                    // count; whichever it picks, nothing differs.
+                    let mut public = build();
+                    elmem_util::par::with_par_jobs(jobs, || public.prefill(keys(), start));
+                    assert_same_stores(&serial, &public, &format!("{what} (public)"));
+                }
             }
         }
+    }
+
+    #[test]
+    fn prefill_without_a_fillable_member_is_a_noop() {
+        let mut c = cluster();
+        let members = c.tier.membership().members().to_vec();
+        c.tier.power_off(&members);
+        c.prefill_blocks((0..100).map(KeyId), SimTime::ZERO, 2);
+        assert_eq!(c.tier.total_items(), 0);
     }
 
     #[test]

@@ -281,6 +281,15 @@ impl CacheTier {
     pub fn iter_nodes(&self) -> impl Iterator<Item = &CacheNode> {
         self.nodes.values()
     }
+
+    /// The membership beside every node mutably (disjoint fields), so a
+    /// fill can route keys on the ring while its workers each hold their
+    /// own nodes' stores.
+    pub(crate) fn membership_and_nodes_mut(
+        &mut self,
+    ) -> (&Membership, impl Iterator<Item = &mut CacheNode>) {
+        (&self.membership, self.nodes.values_mut())
+    }
 }
 
 /// Convenience: drive a store set with the tier's timestamp domain.

@@ -85,6 +85,15 @@ impl AutoScalerConfig {
     }
 }
 
+/// Whether a decision epoch has passed at `now`, given when the last
+/// decision was made (the first falls due one epoch after the start).
+pub(crate) fn epoch_elapsed(last_decision: Option<SimTime>, epoch: SimTime, now: SimTime) -> bool {
+    match last_decision {
+        Some(last) => now.saturating_sub(last) >= epoch,
+        None => now >= epoch,
+    }
+}
+
 /// A scaling hint relayed to the Master.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScalingHint {
@@ -134,6 +143,9 @@ pub struct AutoScaler {
     engine: AdaptiveStackDistance,
     /// Ring buffer of recent warm-access distances (bytes).
     distances: Vec<u64>,
+    /// Where [`Self::memory_for`] selects its order statistic, kept so an
+    /// epoch's decision allocates nothing once the ring is full.
+    select_scratch: Vec<u64>,
     pos: usize,
     observed: u64,
     warm: u64,
@@ -160,6 +172,7 @@ impl AutoScaler {
         AutoScaler {
             engine: AdaptiveStackDistance::new(),
             distances: Vec::with_capacity(config.distance_samples.min(1 << 20)),
+            select_scratch: Vec::with_capacity(config.distance_samples.min(1 << 20)),
             pos: 0,
             observed: 0,
             warm: 0,
@@ -228,10 +241,7 @@ impl AutoScaler {
 
     /// Whether an epoch has elapsed since the last decision.
     pub fn epoch_elapsed(&self, now: SimTime) -> bool {
-        match self.last_decision {
-            Some(last) => now.saturating_sub(last) >= self.config.epoch,
-            None => now >= self.config.epoch,
-        }
+        epoch_elapsed(self.last_decision, self.config.epoch, now)
     }
 
     /// Memory required for a fraction `p` of warm accesses to hit, before
@@ -244,15 +254,19 @@ impl AutoScaler {
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 1]`.
-    pub fn memory_for(&self, p: f64) -> Option<ByteSize> {
+    pub fn memory_for(&mut self, p: f64) -> Option<ByteSize> {
         assert!((0.0..=1.0).contains(&p), "hit rate out of range: {p}");
         if self.distances.is_empty() {
             return None;
         }
-        let mut sorted = self.distances.clone();
-        sorted.sort_unstable();
-        let idx = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-        Some(ByteSize(sorted[idx]))
+        // One order statistic: an O(n) selection on a copy of the ring,
+        // not a full sort of it (the value at an index of the sorted
+        // order does not depend on how the rest is arranged).
+        let samples = &mut self.select_scratch;
+        samples.clear();
+        samples.extend_from_slice(&self.distances);
+        let idx = ((p * samples.len() as f64).ceil() as usize).clamp(1, samples.len()) - 1;
+        Some(ByteSize(*samples.select_nth_unstable(idx).1))
     }
 
     /// Runs the §III-B sizing at `now` for the observed `arrival_rate`
@@ -301,6 +315,7 @@ impl AutoScaler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn scaler(r_db: f64) -> AutoScaler {
         let mut cfg = AutoScalerConfig::new(r_db, ByteSize::from_mib(1));
@@ -386,6 +401,46 @@ mod tests {
             mem.as_u64() > 5000 * 100 / 2,
             "sized {mem} for a 500 KB working set"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn memory_for_selects_what_a_full_sort_would_read(
+            capacity in 1usize..300,
+            keys in 1u64..80,
+            accesses in 0usize..1_500,
+            seed in any::<u64>(),
+            ps in proptest::collection::vec(0.0f64..1.0, 0..6),
+        ) {
+            let mut cfg = AutoScalerConfig::new(100.0, ByteSize::from_mib(1));
+            cfg.distance_samples = capacity;
+            let mut a = AutoScaler::new(cfg);
+            // Few keys, many accesses: the ring fills, wraps, and holds
+            // runs of equal distances.
+            let mut state = seed;
+            for _ in 0..accesses {
+                state = elmem_util::hashutil::mix64(state);
+                a.observe(KeyId(state % keys), 1 + (state >> 40) % 4_096);
+            }
+            let ring = a.distances.clone();
+            let mut sorted = ring.clone();
+            sorted.sort_unstable();
+            let len = sorted.len();
+            prop_assert!(len <= capacity);
+            let edges = [0.0, 1.0 / len.max(1) as f64, 1.0];
+            for p in ps.into_iter().chain(edges) {
+                // The rule the sort-based version applied, verbatim.
+                let expected = (len > 0).then(|| {
+                    let idx = ((p * len as f64).ceil() as usize).clamp(1, len) - 1;
+                    ByteSize(sorted[idx])
+                });
+                prop_assert_eq!(a.memory_for(p), expected, "p = {}, {} samples", p, len);
+            }
+            // Selection rearranges the scratch copy, never the ring (its
+            // write position is an index into it).
+            prop_assert_eq!(&a.distances, &ring);
+        }
     }
 
     #[test]
@@ -481,7 +536,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn memory_for_out_of_range_panics() {
-        let a = scaler(100.0);
+        let mut a = scaler(100.0);
         let _ = a.memory_for(1.5);
     }
 }

@@ -15,7 +15,7 @@ use elmem_util::telemetry::EventKind;
 use elmem_util::{DetRng, NodeId, SimTime, TelemetryConfig};
 use elmem_workload::{RequestGenerator, WebRequest, WorkloadConfig};
 
-use crate::autoscaler::{AutoScaler, AutoScalerConfig, ScalingHint};
+use crate::autoscaler::AutoScalerConfig;
 use crate::healing::{
     ConfirmedDeath, FailureDetector, HealingConfig, NodeState, ProbeOutcome, RecoveryEvent,
 };
@@ -23,7 +23,8 @@ use crate::journal::{MasterPlan, MigrationJournal};
 use crate::master::{Admission, DeferredKind, JobKind, Master};
 use crate::migration::{MigrationCosts, MigrationReport, Supervision};
 use crate::policies::MigrationPolicy;
-use crate::predictive::{PredictiveAutoScaler, PredictiveConfig};
+use crate::predictive::PredictiveConfig;
+use crate::scaler_stage::ScalerStage;
 use crate::telemetry::{
     probe_class, record_migration_events, SeriesRecorder, TelemetryDump, TierSnapshot,
 };
@@ -167,51 +168,6 @@ impl From<AutoScalerConfig> for ScalerConfig {
 impl From<PredictiveConfig> for ScalerConfig {
     fn from(cfg: PredictiveConfig) -> Self {
         ScalerConfig::Predictive(cfg)
-    }
-}
-
-#[derive(Debug)]
-enum ScalerInstance {
-    Reactive(AutoScaler),
-    Predictive(PredictiveAutoScaler),
-}
-
-impl ScalerInstance {
-    fn new(config: &ScalerConfig) -> Self {
-        match config {
-            ScalerConfig::Reactive(c) => ScalerInstance::Reactive(AutoScaler::new(c.clone())),
-            ScalerConfig::Predictive(c) => {
-                ScalerInstance::Predictive(PredictiveAutoScaler::new(c.clone()))
-            }
-        }
-    }
-
-    fn observe(&mut self, key: elmem_util::KeyId, footprint: u64) {
-        match self {
-            ScalerInstance::Reactive(a) => a.observe(key, footprint),
-            ScalerInstance::Predictive(p) => p.observe(key, footprint),
-        }
-    }
-
-    fn epoch_elapsed(&self, now: SimTime) -> bool {
-        match self {
-            ScalerInstance::Reactive(a) => a.epoch_elapsed(now),
-            ScalerInstance::Predictive(p) => p.epoch_elapsed(now),
-        }
-    }
-
-    fn decide(&mut self, now: SimTime, rate: f64, current: u32) -> Option<ScalingHint> {
-        match self {
-            ScalerInstance::Reactive(a) => a.decide(now, rate, current),
-            ScalerInstance::Predictive(p) => p.decide(now, rate, current),
-        }
-    }
-
-    fn profiler_tracked_keys(&self) -> usize {
-        match self {
-            ScalerInstance::Reactive(a) => a.profiler_tracked_keys(),
-            ScalerInstance::Predictive(p) => p.profiler_tracked_keys(),
-        }
     }
 }
 
@@ -377,7 +333,12 @@ pub fn run_experiment_capture(
         );
     }
 
-    let mut autoscaler = config.autoscaler.as_ref().map(ScalerInstance::new);
+    // The AutoScaler runs beside this loop (DESIGN.md §10): the loop only
+    // queues the keys it served and asks for a decision once per epoch.
+    let mut autoscaler = config
+        .autoscaler
+        .as_ref()
+        .map(|c| ScalerStage::start(c, cluster.keyspace().clone()));
     let mut injector = FaultInjector::new(config.faults.clone(), rng.split("faults"));
     let mut control: EventQueue<ControlEvent> = EventQueue::new();
     let mut scheduled = config.scheduled.clone();
@@ -540,11 +501,7 @@ pub fn run_experiment_capture(
         let outcome = cluster.handle(&req);
         series.record_request(outcome.hits, outcome.lookups);
         if let Some(scaler) = autoscaler.as_mut() {
-            for &key in &req.keys {
-                let footprint =
-                    elmem_store::item::item_footprint(cluster.keyspace().value_size(key));
-                scaler.observe(key, footprint);
-            }
+            scaler.observe(&req.keys);
         }
         lookups_since += outcome.lookups;
         recorder.record_request(
@@ -664,7 +621,7 @@ pub fn run_experiment_capture(
         breaker_transitions: cluster.breaker_transitions(),
         probes_sent: detector.as_ref().map_or(0, |d| d.probes_sent()),
         detector_transitions: detector.as_ref().map_or(0, |d| d.transitions()),
-        profiler_tracked_keys: autoscaler.as_ref().map_or(0, |s| s.profiler_tracked_keys()),
+        profiler_tracked_keys: autoscaler.map_or(0, ScalerStage::finish),
         telemetry,
         journal: master.journal().clone(),
     };

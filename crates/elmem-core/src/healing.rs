@@ -216,25 +216,14 @@ impl FailureDetector {
     ) -> (Vec<ConfirmedDeath>, Vec<ProbeObservation>) {
         let members = cluster.tier.membership().members().to_vec();
         self.tracks.retain(|id, _| members.contains(id));
-        // Probing is pure per member, so a large tier's round fans out over
-        // worker threads; outcomes come back in member order and the track
-        // updates below stay serial, so the round is byte-identical to the
-        // all-serial path at any worker count.
-        let jobs = elmem_util::par::par_jobs();
-        let outcomes: Vec<ProbeOutcome> = if jobs > 1 && members.len() >= 64 {
-            let detector: &FailureDetector = self;
-            elmem_util::par::par_map_indexed(jobs, &members, |_, &id| {
-                detector.probe(cluster, id, now)
-            })
-        } else {
-            members
-                .iter()
-                .map(|&id| self.probe(cluster, id, now))
-                .collect()
-        };
         let mut confirmed = Vec::new();
         let mut observations = Vec::with_capacity(members.len());
-        for (&id, outcome) in members.iter().zip(outcomes) {
+        // Probed here, one member after another: a probe is a handful of
+        // loads, and a whole round (5 µs at 100 members, 222 µs at 1 000)
+        // costs less than forking it out (82 and 425 µs over 2 workers;
+        // EXPERIMENTS.md E24).
+        for &id in &members {
+            let outcome = self.probe(cluster, id, now);
             self.probes_sent += 1;
             let track = self.tracks.entry(id).or_insert_with(MemberTrack::new);
             let before = track.state;

@@ -18,7 +18,9 @@
 //! * [`policies`] — the comparators of §V: `baseline` (no migration),
 //!   `Naive`, and `CacheScale`;
 //! * [`elasticity`] — the end-to-end driver tying the control plane to the
-//!   serving stack in `elmem-cluster`.
+//!   serving stack in `elmem-cluster`; the AutoScaler runs beside its
+//!   serving loop as a batch-fed stage (a thread, or a direct call when
+//!   `elmem_util::par::par_jobs()` is 1) with bit-identical results.
 //!
 //! # Example
 //!
@@ -45,6 +47,7 @@ pub mod master;
 pub mod migration;
 pub mod policies;
 pub mod predictive;
+mod scaler_stage;
 pub mod scoring;
 pub mod telemetry;
 

@@ -122,6 +122,12 @@ impl<T> NodeMap<T> {
         self.slots.iter().filter_map(|s| s.as_ref())
     }
 
+    /// Present values mutably, in ascending id order. The borrows are
+    /// disjoint, so they can be handed to different threads.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.slots.iter_mut().filter_map(|s| s.as_mut())
+    }
+
     /// Present `(id, value)` pairs in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &T)> {
         self.slots
@@ -206,6 +212,15 @@ mod tests {
         *b += 2;
         assert_eq!(m.get(NodeId(7)), Some(&71));
         assert_eq!(m.get(NodeId(2)), Some(&22));
+    }
+
+    #[test]
+    fn values_mut_visits_present_slots_in_id_order() {
+        let mut m: NodeMap<u32> = [(NodeId(7), 70), (NodeId(2), 20)].into_iter().collect();
+        for (i, v) in m.values_mut().enumerate() {
+            *v += i as u32;
+        }
+        assert_eq!(m.values().copied().collect::<Vec<_>>(), vec![20, 71]);
     }
 
     #[test]

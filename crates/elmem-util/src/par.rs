@@ -16,11 +16,21 @@
 //! [`par_jobs`] is the one worker-count knob every library-internal
 //! fan-out — the planner's included — resolves through.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Worker count used by library-internal fan-outs (prefill, probe rounds)
-/// when the caller doesn't pass one explicitly. `0` = unset.
+/// Worker count used by library-internal fan-outs (prefill, the scaler
+/// stage, migration planning) when the caller doesn't pass one explicitly.
+/// `0` = unset.
 static PAR_JOBS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Whether this thread is one of [`par_map_indexed`]'s workers. Such a
+    /// thread already is one of `jobs` running side by side — a sweep runs
+    /// one experiment per core — so a fan-out nested inside it would only
+    /// add threads, not cores: [`par_jobs`] answers 1 there.
+    static ON_PAR_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Environment variable consulted by [`par_jobs`] when no explicit count
 /// has been set — the same knob the bench sweep harness honors.
@@ -48,10 +58,14 @@ pub fn with_par_jobs<R>(jobs: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The worker count for library-internal fan-outs: the value installed by
-/// [`set_par_jobs`], else `ELMEM_JOBS`, else the rayon pool size. Always
-/// at least 1.
+/// The worker count for library-internal fan-outs: 1 on a thread that is
+/// itself a [`par_map_indexed`] worker (nested fan-outs resolve inline),
+/// else the value installed by [`set_par_jobs`], else `ELMEM_JOBS`, else
+/// the rayon pool size. Always at least 1.
 pub fn par_jobs() -> usize {
+    if ON_PAR_WORKER.get() {
+        return 1;
+    }
     let v = PAR_JOBS.load(Ordering::Relaxed);
     if v != 0 {
         return v;
@@ -92,13 +106,16 @@ where
             let tx = tx.clone();
             let next = &next;
             let f = &f;
-            s.spawn(move |_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
+            s.spawn(move |_| {
+                ON_PAR_WORKER.set(true); // a fresh thread: nothing to restore
+                loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
+                    }
+                    let r = f(i, &items[i]);
+                    tx.send((i, r)).expect("collector outlives workers");
                 }
-                let r = f(i, &items[i]);
-                tx.send((i, r)).expect("collector outlives workers");
             });
         }
     });
@@ -140,6 +157,19 @@ mod tests {
             assert_eq!(*idx, i);
             assert_eq!(*c, items[i]);
         }
+    }
+
+    #[test]
+    fn nested_fanouts_resolve_inline() {
+        // On a worker `par_jobs` is 1 whatever is pinned; on the thread
+        // that called `par_map_indexed` (and on the serial path, which
+        // runs there) the pinned count still applies.
+        let seen = with_par_jobs(3, || {
+            let nested = par_map_indexed(2, &[(); 4], |_, _| par_jobs());
+            let serial = par_map_indexed(1, &[(); 2], |_, _| par_jobs());
+            (nested, serial, par_jobs())
+        });
+        assert_eq!(seen, (vec![1; 4], vec![3; 2], 3));
     }
 
     #[test]
