@@ -22,8 +22,8 @@
 //! ≥ 1.5× when at least 4 cores are available and ≥ 4 jobs requested, and
 //! rebuilds the tier at 1 and at 8 store shards to assert that the serial
 //! plan is the same plan and costs at most 2× per item at 8 — a same-run
-//! ratio that holds on any runner and fails if reassembling the shard
-//! dumps ever goes super-linear again. A
+//! ratio that holds on any runner and fails if merging a class's shard
+//! lists ever goes super-linear again. A
 //! smoke run never reads from — or overwrites — a full-mode results file;
 //! its numbers come from a smaller tier and are not comparable.
 //! Absolute wall-clock numbers are machine-dependent; the machine-agnostic

@@ -30,7 +30,8 @@ use elmem_cluster::{CacheNode, CacheTier};
 use elmem_hash::HashRing;
 use elmem_sim::fault::FaultInjector;
 use elmem_sim::Link;
-use elmem_store::{ClassId, Hotness, ImportMode, ItemMeta, KEY_BYTES, TIMESTAMP_BYTES};
+use elmem_store::{ClassId, Hotness, ImportMode, ItemMeta, SlabStore, KEY_BYTES, TIMESTAMP_BYTES};
+use elmem_util::nodemap::NodeMap;
 use elmem_util::par::{par_jobs, par_map_indexed};
 use elmem_util::{ByteSize, ElmemError, NodeId, SimTime};
 use serde::{Deserialize, Serialize};
@@ -612,21 +613,24 @@ fn fanout_jobs(tier: &CacheTier, sources: &[NodeId], requested: usize) -> usize 
 
 /// The routing result for one source: its metadata dump hashed against
 /// the ring the scaling will commit.
+#[derive(Default)]
 struct RoutedSource {
     /// Items the source dumped (before any source-side trimming).
     n_items: u64,
-    per_target: HashMap<(NodeId, ClassId), Vec<ItemMeta>>,
+    /// The routed lists by (target, class) cell, each in dump order.
+    per_target: Vec<((NodeId, ClassId), Vec<ItemMeta>)>,
 }
 
 /// Dumps every source and hashes each item against `ring` — the pure part
 /// of phase 1 (§III-D1) — keeping only the lists bound for a `keep` target
-/// when one is given. Sources are taken one at a time: a source's shards
-/// are dumped across `jobs` workers and merged back into its canonical
-/// dump (byte-identical to an unsharded `dump_metadata`, DESIGN.md §14),
-/// its classes are hashed across `jobs` workers, and the dump is released
-/// before the next source is touched — peak memory is one source's dump
-/// however many sources there are, and the plan is invariant in both the
-/// shard count and the job count.
+/// when one is given. The unit of work is one (source, class) cell: a
+/// worker dumps that class through the store's ordered walk, applies
+/// Naive's trim, routes the items into one bucket per target node and
+/// drops the dump before it takes the next cell. Peak memory is `jobs`
+/// class dumps beside the routed lists, the fan-out is as wide as sources ×
+/// classes whatever the shard count, and the cells reassemble in (source,
+/// class, target) order, so the plan is invariant in both the shard count
+/// and the job count.
 fn route_sources(
     tier: &CacheTier,
     sources: &[NodeId],
@@ -635,47 +639,46 @@ fn route_sources(
     hottest: Option<(f64, SimTime)>,
     jobs: usize,
 ) -> Result<Vec<RoutedSource>, ElmemError> {
-    sources
-        .iter()
-        .map(|&src| {
-            let mut dump = live_node(tier, src)?.store.dump_metadata_par(jobs);
-            let n_items = dump.total_items();
-            if let Some((fraction, now)) = hottest {
-                for class_dump in &mut dump.classes {
-                    let take = (class_dump.items.len() as f64 * fraction).ceil() as usize;
-                    class_dump.items.truncate(take);
-                    // Plain-`set` semantics: the import gets a fresh access
-                    // time (preserving only the shipment's internal order).
-                    for (i, item) in class_dump.items.iter_mut().enumerate() {
-                        item.last_access = now + SimTime::from_nanos((take - i) as u64);
-                    }
-                }
+    let mut cells: Vec<(usize, &SlabStore, ClassId)> = Vec::new();
+    for (si, &src) in sources.iter().enumerate() {
+        let store = &live_node(tier, src)?.store;
+        let occupied = store.classes().ids().filter(|&c| store.len_of_class(c) > 0);
+        cells.extend(occupied.map(|c| (si, store, c)));
+    }
+    let by_cell = par_map_indexed(jobs, &cells, |_, &(_, store, class)| {
+        let mut items = store.dump_class(class).items;
+        let n_items = items.len() as u64;
+        if let Some((fraction, now)) = hottest {
+            let take = (items.len() as f64 * fraction).ceil() as usize;
+            items.truncate(take);
+            // Plain-`set` semantics: the import gets a fresh access time
+            // (preserving only the shipment's internal order).
+            for (i, item) in items.iter_mut().enumerate() {
+                item.last_access = now + SimTime::from_nanos((take - i) as u64);
             }
-            let by_class = par_map_indexed(jobs, &dump.classes, |_, class_dump| {
-                let mut per_target: HashMap<NodeId, Vec<ItemMeta>> = HashMap::new();
-                for item in &class_dump.items {
-                    let target = ring.node_for(item.key).ok_or_else(|| {
-                        ElmemError::InconsistentMigration("target ring is empty".to_string())
-                    })?;
-                    if keep.is_none_or(|kept| kept.contains(&target)) {
-                        per_target.entry(target).or_default().push(*item);
-                    }
-                }
-                Ok(per_target)
-            });
-            let mut per_target = HashMap::new();
-            for (class_dump, lists) in dump.classes.iter().zip(by_class) {
-                let lists: HashMap<NodeId, Vec<ItemMeta>> = lists?;
-                for (target, items) in lists {
-                    per_target.insert((target, class_dump.class), items);
-                }
+        }
+        let mut buckets: NodeMap<Vec<ItemMeta>> = NodeMap::new();
+        for item in &items {
+            let target = ring.node_for(item.key).ok_or_else(|| {
+                ElmemError::InconsistentMigration("target ring is empty".to_string())
+            })?;
+            if keep.is_none_or(|kept| kept.contains(&target)) {
+                buckets.get_or_insert_with(target, Vec::new).push(*item);
             }
-            Ok(RoutedSource {
-                n_items,
-                per_target,
-            })
-        })
-        .collect()
+        }
+        Ok((n_items, buckets))
+    });
+    let mut routed: Vec<RoutedSource> = sources.iter().map(|_| RoutedSource::default()).collect();
+    for (&(si, _, class), cell) in cells.iter().zip(by_cell) {
+        let (n_items, mut buckets): (u64, NodeMap<Vec<ItemMeta>>) = cell?;
+        routed[si].n_items += n_items;
+        for target in buckets.keys().collect::<Vec<_>>() {
+            if let Some(items) = buckets.remove(target) {
+                routed[si].per_target.push(((target, class), items));
+            }
+        }
+    }
+    Ok(routed)
 }
 
 // ---------------------------------------------------------------------------
@@ -805,15 +808,13 @@ struct PlanCell {
 fn fuse_cell(tier: &CacheTier, cell: &PlanCell) -> Result<(Vec<usize>, u64), ElmemError> {
     let dest_store = &live_node(tier, cell.target)?.store;
     // FuseCache reads only the hotness of each resident, in canonical
-    // (descending) order — which the MRU walk already has unless
-    // same-instant accesses landed out of tie-break order.
-    let mut own: Vec<Hotness> = dest_store
-        .iter_class_mru(cell.class)
-        .map(|i| i.hotness())
+    // (descending) order: the destination's own timestamp dump.
+    let own: Vec<Hotness> = dest_store
+        .dump_class(cell.class)
+        .items
+        .iter()
+        .map(ItemMeta::hotness)
         .collect();
-    if !own.is_sorted_by(|a, b| a >= b) {
-        own.sort_unstable_by(|a, b| b.cmp(a));
-    }
     // Capacity for this class on the destination, in items: the retained
     // node's own list length n (FuseCache picks the top n across its own
     // list + incoming, per §IV-A).

@@ -1,8 +1,6 @@
 //! Metadata dumps: the "timestamp dump" modification ElMem adds to
 //! Memcached (§V-A1), used in migration phase 1 (§III-D1).
 
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
-
 use elmem_util::ByteSize;
 use serde::{Deserialize, Serialize};
 
@@ -34,33 +32,6 @@ impl ClassDump {
     /// ran.
     pub fn new(class: ClassId, mut items: Vec<ItemMeta>) -> Self {
         canonicalize(&mut items, ItemMeta::hotness);
-        ClassDump { class, items }
-    }
-
-    /// K-way merges canonical (descending-hotness) runs of one class —
-    /// the per-shard slices of a class — into its canonical dump, in
-    /// O(n log k) for n items in k runs.
-    pub(crate) fn merge(class: ClassId, runs: &[&[ItemMeta]]) -> Self {
-        // Max-heap of each run's head; `pos[r]` is the head's index in run r.
-        let mut heads: BinaryHeap<(Hotness, usize)> = runs
-            .iter()
-            .enumerate()
-            .filter_map(|(r, run)| run.first().map(|i| (i.hotness(), r)))
-            .collect();
-        let mut pos = vec![0usize; runs.len()];
-        let mut items = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
-        while let Some(mut head) = heads.peek_mut() {
-            let r = head.1;
-            items.push(runs[r][pos[r]]);
-            pos[r] += 1;
-            match runs[r].get(pos[r]) {
-                // Replacing the head in place re-sifts it once on drop.
-                Some(next) => head.0 = next.hotness(),
-                None => {
-                    PeekMut::pop(head);
-                }
-            }
-        }
         ClassDump { class, items }
     }
 
@@ -221,21 +192,6 @@ mod tests {
             let expect = full_sort(runs.clone());
             assert_eq!(ClassDump::new(ClassId(0), runs).items, expect);
         }
-    }
-
-    #[test]
-    fn merge_of_runs_equals_sort_of_concatenation() {
-        let all = concatenated_runs(1000, 5, |k| 5000 - k / 3);
-        let mut runs: Vec<Vec<ItemMeta>> = all.chunks(200).map(<[_]>::to_vec).collect();
-        runs.push(Vec::new()); // an empty shard slice
-        runs.push(vec![item(9999, 1)]); // a run that ends last
-        for run in &mut runs {
-            run.sort_by_key(|i| std::cmp::Reverse(i.hotness()));
-        }
-        let refs: Vec<&[ItemMeta]> = runs.iter().map(Vec::as_slice).collect();
-        let expect = full_sort(runs.concat());
-        assert_eq!(ClassDump::merge(ClassId(3), &refs).items, expect);
-        assert!(ClassDump::merge(ClassId(3), &[]).is_empty());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! One shard of a [`SlabStore`](crate::SlabStore): the slot arena, free
 //! lists, per-class MRU lists, and key index for the subset of keys that
-//! route here.
+//! route here — by default all of them: a store has one shard unless its
+//! config names more, and then a class's MRU list *is* its one shard list.
 //!
 //! A shard is deliberately *dumb*: it owns list surgery and byte/len
 //! accounting for its own slots, but every policy decision — whether a
@@ -20,8 +21,10 @@
 //! MRU order of a class is exactly the k-way merge of its shard lists by
 //! descending stamp — so the unsharded store's observable behavior
 //! (eviction victims, crawler visit order, the median position, dump
-//! contents) is recoverable at any shard count, byte for byte. See
-//! DESIGN.md §14.
+//! contents) is recoverable at any shard count, byte for byte. One kernel
+//! performs that merge for every ordered walk, from either end
+//! ([`ClassMruIter`](crate::store::ClassMruIter)); with one shard it has one
+//! lane and merges nothing. See DESIGN.md §14.
 
 use elmem_util::hashutil::{mix64, FastIntMap};
 use elmem_util::KeyId;

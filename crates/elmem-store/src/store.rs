@@ -1,13 +1,18 @@
-//! The slab store: pages, chunks, MRU lists, LRU eviction — sharded.
+//! The slab store: pages, chunks, MRU lists, LRU eviction.
 //!
-//! Since PR 8 the store body is split into N independent [`Shard`]s (key →
-//! shard via the same SplitMix64 finalizer the index hashes with). This
-//! serial facade drives them one op at a time and stays **byte-identical to
-//! the unsharded store at any shard count**: every MRU link carries a stamp
-//! from a global monotone LRU clock, so the global MRU order of a class is
-//! the k-way merge of its shard lists by descending stamp (see
-//! `shard.rs` and DESIGN.md §14). The [`ConcurrentSlabStore`] facade in
-//! `concurrent.rs` drives the same shards from real threads.
+//! The store body is N independent [`Shard`]s (key → shard via the same
+//! SplitMix64 finalizer the index hashes with), and N is **1 unless a
+//! config says otherwise**: one MRU list per slab class, as in the
+//! memcached the paper patches. This serial facade drives the shards one op
+//! at a time and is **byte-identical at any shard count**: every MRU link
+//! carries a stamp from a global monotone LRU clock, so the global MRU
+//! order of a class is the k-way merge of its shard lists by descending
+//! stamp — at one shard, the list itself. Every ordered walk (dump, median,
+//! FuseCache's resident list, `batch_import`, the TTL crawler) is one
+//! kernel, [`ClassMruIter`], which can be taken from either end; see
+//! `shard.rs` and DESIGN.md §14. More than one shard serves only the
+//! [`ConcurrentSlabStore`] facade in `concurrent.rs`, which drives the same
+//! shards from real threads and has no product caller.
 //!
 //! [`ConcurrentSlabStore`]: crate::ConcurrentSlabStore
 
@@ -19,21 +24,27 @@ use serde::{Deserialize, Serialize};
 use crate::classes::{ClassId, SizeClasses};
 use crate::dump::{canonicalize, ClassDump, MetadataDump};
 use crate::item::{item_footprint, Hotness, ItemMeta};
-use crate::shard::{shard_of, Shard, NIL};
+use crate::shard::{shard_of, Shard, ShardList, Slot, NIL};
 
 /// Environment variable overriding the default shard count
-/// ([`default_shard_count`]). CI runs the suite with `ELMEM_SHARDS=1` and
+/// ([`default_shard_count`]). The main CI job runs the suite at the default
+/// (one shard); the shard matrix reruns it with `ELMEM_SHARDS=4` (the count
+/// every golden and the chaos fixture were blessed under) and
 /// `ELMEM_SHARDS=8` to prove shard-count invariance end to end.
 pub const ELMEM_SHARDS_ENV: &str = "ELMEM_SHARDS";
 
 /// Upper bound on the shard count (configs clamp to it).
 pub const MAX_SHARDS: usize = 64;
 
-const DEFAULT_SHARDS: usize = 4;
+/// One MRU list per slab class. Measured, not assumed (EXPERIMENTS.md E25):
+/// with no product caller on the concurrent facade, four shards bought a
+/// 4-way merge under every ordered walk, four tails per eviction and
+/// sixteen small arenas per node, and nothing else.
+const DEFAULT_SHARDS: usize = 1;
 
 /// The shard count configs use unless told otherwise: the
 /// [`ELMEM_SHARDS_ENV`] variable if set (clamped to `1..=`[`MAX_SHARDS`]),
-/// else 4. Every observable output is shard-count-invariant, so the knob
+/// else 1. Every observable output is shard-count-invariant, so the knob
 /// trades nothing but memory layout and concurrent-facade parallelism.
 pub fn default_shard_count() -> usize {
     std::env::var(ELMEM_SHARDS_ENV)
@@ -621,44 +632,31 @@ impl SlabStore {
     /// cold end reclaiming expired items, visiting at most `budget` items
     /// in total. Returns the number reclaimed.
     ///
-    /// The cold-to-hot order is the ascending-stamp merge of the shard
-    /// lists — exactly the unsharded store's tail walk.
+    /// The cold-to-hot order is the ordered walk taken from its cold end:
+    /// the ascending-stamp merge of the shard lists.
     pub fn crawl_expired(&mut self, now: SimTime, budget: u64) -> u64 {
-        let mut visited = 0u64;
-        let mut reclaimed = 0u64;
-        'classes: for ci in 0..self.class_meta.len() {
-            // Per-shard cursors start at the tails and walk toward the
-            // heads; each step visits the globally coldest unvisited item.
-            let mut cursors: Vec<u32> = self.shards.iter().map(|sh| sh.lists[ci].tail).collect();
-            loop {
-                if visited >= budget {
-                    break 'classes;
-                }
-                let mut coldest: Option<(usize, u64)> = None;
-                for (si, &cur) in cursors.iter().enumerate() {
-                    if cur == NIL {
-                        continue;
-                    }
-                    let seq = self.shards[si].lists[ci].slots[cur as usize].seq;
-                    if coldest.is_none_or(|(_, s)| seq < s) {
-                        coldest = Some((si, seq));
-                    }
-                }
-                let Some((si, _)) = coldest else { break };
-                let cur = cursors[si];
-                let slot = &self.shards[si].lists[ci].slots[cur as usize];
-                let item = slot.item.expect("linked slot is occupied");
-                let prev = slot.prev;
-                visited += 1;
+        let mut unvisited = budget;
+        let mut expired: Vec<KeyId> = Vec::new();
+        for class in self.classes.ids() {
+            if unvisited == 0 {
+                break;
+            }
+            let mut walk = self.iter_class_mru(class);
+            while unvisited > 0 {
+                let Some((_, _, item)) = walk.step::<false>() else {
+                    break;
+                };
+                unvisited -= 1;
                 if item.is_expired(now) {
-                    self.remove_entry(item.key);
-                    self.stats.expired += 1;
-                    reclaimed += 1;
+                    expired.push(item.key);
                 }
-                cursors[si] = prev;
             }
         }
-        reclaimed
+        for &key in &expired {
+            self.remove_entry(key);
+        }
+        self.stats.expired += expired.len() as u64;
+        expired.len() as u64
     }
 
     /// Removes a key; returns whether it was present.
@@ -793,14 +791,14 @@ impl SlabStore {
     /// Iterates a class's items in MRU (hottest-first) order: the
     /// descending-stamp merge of the shard lists.
     pub fn iter_class_mru(&self, class: ClassId) -> ClassMruIter<'_> {
+        let ci = class.0 as usize;
         ClassMruIter {
-            shards: &self.shards,
-            class: class.0,
-            cursors: self
+            lanes: self
                 .shards
                 .iter()
-                .map(|sh| sh.lists[class.0 as usize].head)
+                .map(|sh| Lane::new(&sh.lists[ci]))
                 .collect(),
+            remaining: self.class_meta[ci].len as usize,
         }
     }
 
@@ -818,7 +816,7 @@ impl SlabStore {
     /// The MRU timestamps of a class in MRU order — the paper's
     /// "timestamp dump" Memcached modification (§V-A1).
     pub fn dump_class(&self, class: ClassId) -> ClassDump {
-        let items: Vec<ItemMeta> = self.iter_class_mru(class).collect();
+        let items = self.iter_class_mru(class).collect_with(|_, _, item| *item);
         ClassDump::new(class, items)
     }
 
@@ -831,62 +829,6 @@ impl SlabStore {
             .map(|id| self.dump_class(id))
             .collect();
         MetadataDump::new(dumps)
-    }
-
-    /// The canonicalized class dumps of one shard — the per-shard unit of
-    /// the parallel planning fan-out. Merging every shard's output with
-    /// [`merge_shard_dumps`](Self::merge_shard_dumps) reproduces
-    /// [`dump_metadata`](Self::dump_metadata) byte for byte: hotness is a
-    /// total order (distinct keys never tie), so the canonical descending
-    /// order of a class is unique however its items were partitioned.
-    pub fn dump_shard_classes(&self, shard: usize) -> Vec<ClassDump> {
-        let sh = &self.shards[shard];
-        self.classes
-            .ids()
-            .filter(|id| sh.lists[id.0 as usize].len > 0)
-            .map(|id| {
-                let list = &sh.lists[id.0 as usize];
-                let mut items = Vec::with_capacity(list.len as usize);
-                let mut cursor = list.head;
-                while cursor != NIL {
-                    let slot = &list.slots[cursor as usize];
-                    items.push(slot.item.expect("linked slot is occupied"));
-                    cursor = slot.next;
-                }
-                ClassDump::new(id, items)
-            })
-            .collect()
-    }
-
-    /// Reassembles per-shard dumps ([`dump_shard_classes`](Self::dump_shard_classes))
-    /// into the full metadata dump, byte-identical to
-    /// [`dump_metadata`](Self::dump_metadata): each shard slice is already
-    /// canonical, so a class is the k-way merge of its slices by hotness.
-    pub fn merge_shard_dumps(&self, parts: &[Vec<ClassDump>]) -> MetadataDump {
-        let dumps = self
-            .classes
-            .ids()
-            .filter_map(|id| {
-                let runs: Vec<&[ItemMeta]> = parts
-                    .iter()
-                    .filter_map(|part| part.iter().find(|d| d.class == id))
-                    .map(|d| d.items.as_slice())
-                    .collect();
-                let dump = ClassDump::merge(id, &runs);
-                (!dump.is_empty()).then_some(dump)
-            })
-            .collect();
-        MetadataDump::new(dumps)
-    }
-
-    /// [`dump_metadata`](Self::dump_metadata) with the per-shard dump work
-    /// fanned out over up to `jobs` threads (byte-identical at any job
-    /// count — the migration planner's fan-out unit).
-    pub fn dump_metadata_par(&self, jobs: usize) -> MetadataDump {
-        let shard_ids: Vec<usize> = (0..self.shards.len()).collect();
-        let parts =
-            elmem_util::par::par_map_indexed(jobs, &shard_ids, |_, &s| self.dump_shard_classes(s));
-        self.merge_shard_dumps(&parts)
     }
 
     /// Median hotness of a class's MRU list (the statistic the Master
@@ -969,13 +911,10 @@ impl SlabStore {
         // class's order is rebuilt, in strict hotness order (the MRU list
         // may order same-instant accesses either way; see `ClassDump::new`).
         let mut resident: Vec<(Hotness, Origin)> =
-            Vec::with_capacity(self.class_meta[ci].len as usize);
-        let mut walk = self.iter_class_mru(class);
-        while let Some((si, slot)) = walk.next_slot() {
-            let hotness = self.shards[si].item(class.0, slot).hotness();
-            let shard = si as u32;
-            resident.push((hotness, Origin::Resident { shard, slot }));
-        }
+            self.iter_class_mru(class).collect_with(|si, slot, item| {
+                let shard = si as u32;
+                (item.hotness(), Origin::Resident { shard, slot })
+            });
         canonicalize(&mut resident, |r| r.0);
 
         // The merged population in its final MRU order.
@@ -1283,34 +1222,112 @@ impl SlabStore {
     }
 }
 
-/// Iterator over a class's items in MRU order — the descending-stamp merge
-/// of the shard lists. Created by [`SlabStore::iter_class_mru`].
+/// One shard's lane of a [`ClassMruIter`]: the class's slots in that
+/// shard, resolved once, and a cursor at each end of what is left of the
+/// shard's list. Invariant: while `left > 0`, `head` and `tail` are linked
+/// slots of the list with `left - 1` links between them and `head_seq` /
+/// `tail_seq` are their stamps; at `left == 0` the stamps are the two
+/// sentinels and the cursors are dead.
 #[derive(Debug)]
-pub struct ClassMruIter<'a> {
-    shards: &'a [Shard],
-    class: u16,
-    /// Per-shard cursor into the class's list ([`NIL`] = exhausted).
-    cursors: Vec<u32>,
+struct Lane<'a> {
+    slots: &'a [Slot],
+    /// Items of the lane not yet yielded from either end.
+    left: u64,
+    /// The hottest slot left and its stamp; once nothing is left the stamp
+    /// is 0, below every live stamp (the LRU clock hands them out from 1).
+    head: u32,
+    head_seq: u64,
+    /// The coldest slot left and its stamp; `u64::MAX` once nothing is.
+    tail: u32,
+    tail_seq: u64,
 }
 
-impl ClassMruIter<'_> {
-    /// Advances to the next item in MRU order, returning its position as
-    /// (shard, slot).
-    fn next_slot(&mut self) -> Option<(usize, u32)> {
-        let mut hottest: Option<(usize, u64)> = None;
-        for (si, &cur) in self.cursors.iter().enumerate() {
-            if cur == NIL {
-                continue;
-            }
-            let seq = self.shards[si].lists[self.class as usize].slots[cur as usize].seq;
-            if hottest.is_none_or(|(_, s)| seq > s) {
-                hottest = Some((si, seq));
+impl<'a> Lane<'a> {
+    fn new(list: &'a ShardList) -> Self {
+        let mut lane = Lane {
+            slots: &list.slots,
+            left: list.len,
+            head: list.head,
+            head_seq: 0,
+            tail: list.tail,
+            tail_seq: u64::MAX,
+        };
+        if lane.left > 0 {
+            lane.head_seq = lane.slots[lane.head as usize].seq;
+            lane.tail_seq = lane.slots[lane.tail as usize].seq;
+        }
+        lane
+    }
+
+    /// Yields the slot at the hot (`HOT`) or the cold end and moves that
+    /// end's cursor one link inwards, loading the one stamp that changed.
+    fn take<const HOT: bool>(&mut self) -> (u32, &'a Slot) {
+        let idx = if HOT { self.head } else { self.tail };
+        let slot = &self.slots[idx as usize];
+        self.left -= 1;
+        if self.left == 0 {
+            (self.head_seq, self.tail_seq) = (0, u64::MAX);
+        } else if HOT {
+            self.head = slot.next;
+            self.head_seq = self.slots[slot.next as usize].seq;
+        } else {
+            self.tail = slot.prev;
+            self.tail_seq = self.slots[slot.prev as usize].seq;
+        }
+        (idx, slot)
+    }
+}
+
+/// Iterator over a class's items in MRU order — the descending-stamp merge
+/// of the shard lists, and the one ordered-walk kernel under the dump, the
+/// median, FuseCache's resident list, `batch_import` and the crawler. A
+/// step compares the lanes' cached stamps and touches only the lane that
+/// advances; the walk can be taken from its cold end as well, in the same
+/// way. Created by [`SlabStore::iter_class_mru`].
+#[derive(Debug)]
+pub struct ClassMruIter<'a> {
+    lanes: Vec<Lane<'a>>,
+    /// Items not yet yielded: the class length, counted down.
+    remaining: usize,
+}
+
+impl<'a> ClassMruIter<'a> {
+    /// Advances one item from the hot end (`HOT`: the next in MRU order)
+    /// or from the cold end (the last), returning its position as (shard,
+    /// slot) and the item.
+    fn step<const HOT: bool>(&mut self) -> Option<(usize, u32, &'a ItemMeta)> {
+        let exhausted = if HOT { 0 } else { u64::MAX };
+        let (mut si, mut best) = (0, exhausted);
+        for (i, lane) in self.lanes.iter().enumerate() {
+            let seq = if HOT { lane.head_seq } else { lane.tail_seq };
+            if (HOT && seq > best) || (!HOT && seq < best) {
+                (si, best) = (i, seq);
             }
         }
-        let (si, _) = hottest?;
-        let idx = self.cursors[si];
-        self.cursors[si] = self.shards[si].lists[self.class as usize].slots[idx as usize].next;
-        Some((si, idx))
+        if best == exhausted {
+            return None;
+        }
+        let (idx, slot) = self.lanes[si].take::<HOT>();
+        self.remaining -= 1;
+        let item = slot.item.as_ref().expect("linked slot is occupied");
+        Some((si, idx, item))
+    }
+
+    /// Drains the walk into a vector in MRU order, one item from the hot
+    /// end and one from the cold end in turn. A list walk is a chain of
+    /// dependent loads, each a likely cache miss; the two ends are two
+    /// independent chains, so their misses overlap.
+    fn collect_with<T>(mut self, f: impl Fn(usize, u32, &ItemMeta) -> T) -> Vec<T> {
+        let mut hot = Vec::with_capacity(self.remaining);
+        let mut cold = Vec::with_capacity(self.remaining / 2);
+        while let Some((si, idx, item)) = self.step::<true>() {
+            hot.push(f(si, idx, item));
+            if let Some((si, idx, item)) = self.step::<false>() {
+                cold.push(f(si, idx, item));
+            }
+        }
+        hot.extend(cold.into_iter().rev());
+        hot
     }
 }
 
@@ -1318,13 +1335,19 @@ impl Iterator for ClassMruIter<'_> {
     type Item = ItemMeta;
 
     fn next(&mut self) -> Option<ItemMeta> {
-        let (si, idx) = self.next_slot()?;
-        Some(*self.shards[si].item(self.class, idx))
+        self.step::<true>().map(|(_, _, item)| *item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
     }
 }
 
 #[cfg(test)]
 mod import_oracle;
+
+#[cfg(test)]
+mod walk_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1485,43 +1508,49 @@ mod tests {
         assert!(matches!(err, ElmemError::ItemTooLarge { .. }));
     }
 
-    #[test]
-    fn lru_eviction_within_class() {
-        // 1 page store: 1MiB / 128B chunks = 8192 chunks in smallest class.
-        let mut s = SlabStore::new(StoreConfig {
+    /// A one-page store (1 MiB / 128 B = 8192 chunks in the smallest
+    /// class) at an explicit shard count: the victim of an eviction is the
+    /// class's coldest item whichever shard tail holds it.
+    fn one_page_store(shards: usize) -> SlabStore {
+        SlabStore::new(StoreConfig {
             memory: ByteSize::from_mib(1),
             classes: SizeClasses::new(128, 2.0, 1024),
-            shards: default_shard_count(),
-        });
-        let cap = ByteSize::PAGE.as_u64() / 128;
-        for k in 0..cap + 10 {
-            s.set(KeyId(k), 10, t(k)).unwrap();
+            shards,
+        })
+    }
+
+    #[test]
+    fn lru_eviction_within_class() {
+        for shards in [1, 4] {
+            let mut s = one_page_store(shards);
+            let cap = ByteSize::PAGE.as_u64() / 128;
+            for k in 0..cap + 10 {
+                s.set(KeyId(k), 10, t(k)).unwrap();
+            }
+            assert_eq!(s.len(), cap);
+            assert_eq!(s.stats().evictions, 10);
+            // The 10 oldest were evicted.
+            for k in 0..10 {
+                assert!(!s.contains(KeyId(k)), "key {k} should be evicted");
+            }
+            assert!(s.contains(KeyId(10)));
         }
-        assert_eq!(s.len(), cap);
-        assert_eq!(s.stats().evictions, 10);
-        // The 10 oldest were evicted.
-        for k in 0..10 {
-            assert!(!s.contains(KeyId(k)), "key {k} should be evicted");
-        }
-        assert!(s.contains(KeyId(10)));
     }
 
     #[test]
     fn eviction_victim_is_lru_not_insertion_order() {
-        let mut s = SlabStore::new(StoreConfig {
-            memory: ByteSize::from_mib(1),
-            classes: SizeClasses::new(128, 2.0, 1024),
-            shards: default_shard_count(),
-        });
-        let cap = ByteSize::PAGE.as_u64() / 128;
-        for k in 0..cap {
-            s.set(KeyId(k), 10, t(k)).unwrap();
+        for shards in [1, 4] {
+            let mut s = one_page_store(shards);
+            let cap = ByteSize::PAGE.as_u64() / 128;
+            for k in 0..cap {
+                s.set(KeyId(k), 10, t(k)).unwrap();
+            }
+            // Touch key 0 so key 1 becomes LRU.
+            s.get(KeyId(0), t(10_000)).unwrap();
+            s.set(KeyId(999_999), 10, t(10_001)).unwrap();
+            assert!(s.contains(KeyId(0)));
+            assert!(!s.contains(KeyId(1)));
         }
-        // Touch key 0 so key 1 becomes LRU.
-        s.get(KeyId(0), t(10_000)).unwrap();
-        s.set(KeyId(999_999), 10, t(10_001)).unwrap();
-        assert!(s.contains(KeyId(0)));
-        assert!(!s.contains(KeyId(1)));
     }
 
     #[test]
@@ -1540,11 +1569,7 @@ mod tests {
     #[test]
     fn out_of_memory_when_class_empty_and_no_pages() {
         // 1 page total, used by the small class; large class cannot allocate.
-        let mut s = SlabStore::new(StoreConfig {
-            memory: ByteSize::from_mib(1),
-            classes: SizeClasses::new(128, 2.0, 1024),
-            shards: default_shard_count(),
-        });
+        let mut s = one_page_store(default_shard_count());
         s.set(KeyId(1), 10, t(1)).unwrap();
         let err = s.set(KeyId(2), 900, t(2)).unwrap_err();
         assert_eq!(err, ElmemError::OutOfMemory);
@@ -1648,50 +1673,28 @@ mod tests {
     }
 
     #[test]
-    fn sharded_dump_merge_matches_full_dump() {
-        let mut s = small_store();
-        // Sizes span two classes; the 2-page store can give each a page.
-        for k in 0..200 {
-            s.set(KeyId(k), 10 + (k as u32 % 150), t(k + 1)).unwrap();
-        }
-        for k in (0..200).step_by(7) {
-            s.get(KeyId(k), t(1000 + k)).unwrap();
-        }
-        let full = s.dump_metadata();
-        let parts: Vec<Vec<ClassDump>> = (0..s.shard_count())
-            .map(|i| s.dump_shard_classes(i))
-            .collect();
-        assert_eq!(s.merge_shard_dumps(&parts), full);
-        for jobs in [1, 2, 8] {
-            assert_eq!(s.dump_metadata_par(jobs), full);
-        }
-    }
-
-    #[test]
     fn shard_dump_reassembly_is_not_quadratic() {
-        // One 200k-item class in 8 shard slices: every slice is a long
-        // descending run, so their concatenation has 7 inversions and ¾ of
-        // its items out of place — an insertion fixup moves each of them
-        // ~n/4 places and takes minutes here. A k-way merge takes
-        // milliseconds, so this test is the complexity guard. Both the
-        // spread a serving node has and the all-one-instant pattern a
-        // bulk load leaves.
+        // One 200k-item class over 8 shard lanes: the walk reassembles it
+        // by stamp, and a bulk load that shares one instant leaves that
+        // order far from the canonical one, so the dump sorts all of it.
+        // Anything quadratic in either step takes minutes here; both the
+        // spread a serving node has and the all-one-instant pattern must
+        // take milliseconds and read the same as the single list.
         for spread in [true, false] {
-            let mut s = SlabStore::new(StoreConfig {
-                memory: ByteSize::from_mib(32),
-                classes: SizeClasses::new(128, 2.0, 1024),
-                shards: 8,
+            let [one, eight] = [1, 8].map(|shards| {
+                let mut s = SlabStore::new(StoreConfig {
+                    memory: ByteSize::from_mib(32),
+                    classes: SizeClasses::new(128, 2.0, 1024),
+                    shards,
+                });
+                for k in 0..200_000 {
+                    s.set(KeyId(k), 10, if spread { t(k) } else { t(7) })
+                        .unwrap();
+                }
+                s.dump_metadata()
             });
-            for k in 0..200_000 {
-                s.set(KeyId(k), 10, if spread { t(k) } else { t(7) })
-                    .unwrap();
-            }
-            let full = s.dump_metadata();
-            assert_eq!(full.total_items(), 200_000);
-            let parts: Vec<Vec<ClassDump>> = (0..s.shard_count())
-                .map(|i| s.dump_shard_classes(i))
-                .collect();
-            assert_eq!(s.merge_shard_dumps(&parts), full);
+            assert_eq!(eight.total_items(), 200_000);
+            assert_eq!(eight, one);
         }
     }
 
@@ -1740,31 +1743,29 @@ mod tests {
 
     #[test]
     fn batch_import_evicts_overflow_coldest() {
-        let mut s = SlabStore::new(StoreConfig {
-            memory: ByteSize::from_mib(1),
-            classes: SizeClasses::new(128, 2.0, 1024),
-            shards: default_shard_count(),
-        });
-        let cap = ByteSize::PAGE.as_u64() / 128;
-        for k in 0..cap {
-            s.set(KeyId(k), 10, t(k + 1)).unwrap();
+        for shards in [1, 4] {
+            let mut s = one_page_store(shards);
+            let cap = ByteSize::PAGE.as_u64() / 128;
+            for k in 0..cap {
+                s.set(KeyId(k), 10, t(k + 1)).unwrap();
+            }
+            let class = s.classes().class_for(item_footprint(10)).unwrap();
+            // Import `cap/2` items hotter than everything resident.
+            let incoming: Vec<ItemMeta> = (0..cap / 2)
+                .map(|i| ItemMeta {
+                    key: KeyId(1_000_000 + i),
+                    value_size: 10,
+                    last_access: t(10_000 + i),
+                    expires: SimTime::MAX,
+                })
+                .collect();
+            let kept = s.batch_import(class, &incoming, ImportMode::Merge).unwrap();
+            assert_eq!(kept, cap / 2);
+            assert_eq!(s.len(), cap);
+            // The coldest resident half is gone; hottest resident half remains.
+            assert!(!s.contains(KeyId(0)));
+            assert!(s.contains(KeyId(cap - 1)));
         }
-        let class = s.classes().class_for(item_footprint(10)).unwrap();
-        // Import `cap/2` items hotter than everything resident.
-        let incoming: Vec<ItemMeta> = (0..cap / 2)
-            .map(|i| ItemMeta {
-                key: KeyId(1_000_000 + i),
-                value_size: 10,
-                last_access: t(10_000 + i),
-                expires: SimTime::MAX,
-            })
-            .collect();
-        let kept = s.batch_import(class, &incoming, ImportMode::Merge).unwrap();
-        assert_eq!(kept, cap / 2);
-        assert_eq!(s.len(), cap);
-        // The coldest resident half is gone; hottest resident half remains.
-        assert!(!s.contains(KeyId(0)));
-        assert!(s.contains(KeyId(cap - 1)));
     }
 
     #[test]
@@ -1852,6 +1853,27 @@ mod tests {
     #[should_panic]
     fn zero_memory_store_rejected() {
         let _ = SlabStore::new(StoreConfig::with_memory(ByteSize::from_kib(4)));
+    }
+
+    #[test]
+    fn shards_env_var_is_the_count_under_test() {
+        // `default_shard_count` forgives a value it cannot parse, so a CI
+        // leg with a mistyped `ELMEM_SHARDS` would re-run the main job
+        // under another leg's name and pass. Whenever the variable is set,
+        // it must parse and be the count in force.
+        match std::env::var(ELMEM_SHARDS_ENV) {
+            Ok(v) => {
+                let n: usize = v
+                    .trim()
+                    .parse()
+                    .unwrap_or_else(|e| panic!("{ELMEM_SHARDS_ENV}={v:?} is no shard count: {e}"));
+                assert_eq!(default_shard_count(), n.clamp(1, MAX_SHARDS));
+            }
+            Err(std::env::VarError::NotPresent) => {
+                assert_eq!(default_shard_count(), DEFAULT_SHARDS);
+            }
+            Err(e) => panic!("{ELMEM_SHARDS_ENV} is unreadable: {e}"),
+        }
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl SlabStore {
 /// 16/32/64 KiB chunks — 64/32/16 to a page — under 4 pages: a few hundred
 /// items overflow a class, and whether a free page is left for it depends
 /// on what the other two classes hold.
-fn store(shards: usize) -> SlabStore {
+pub(super) fn store(shards: usize) -> SlabStore {
     SlabStore::new(StoreConfig {
         memory: ByteSize::from_mib(4),
         classes: SizeClasses::new(16_384, 2.0, 65_536),
@@ -139,7 +139,7 @@ type Batch = (Vec<(u64, u64)>, bool);
 /// with residents (of any class) and bring fresh keys; timestamps share a
 /// range of a few milliseconds, so colliding copies are hotter, colder and
 /// same-instant, and whole runs of the list tie on the timestamp.
-fn batch_items(pairs: &[(u64, u64)]) -> Vec<ItemMeta> {
+pub(super) fn batch_items(pairs: &[(u64, u64)]) -> Vec<ItemMeta> {
     let mut seen = std::collections::BTreeSet::new();
     pairs
         .iter()

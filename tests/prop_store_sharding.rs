@@ -149,24 +149,6 @@ proptest! {
         }
     }
 
-    /// Planning fan-out claim: the per-shard dump path migration planning
-    /// uses reassembles to the exact serial dump, at any job count.
-    #[test]
-    fn per_shard_dumps_merge_to_canonical_dump(
-        ops in prop::collection::vec(op_strategy(), 1..200),
-    ) {
-        let mut s = store(8);
-        for (i, op) in ops.iter().enumerate() {
-            apply(&mut s, op, SimTime::from_millis(7 * (i as u64 + 1)));
-        }
-        let full = s.dump_metadata();
-        let parts: Vec<_> = (0..s.shard_count()).map(|i| s.dump_shard_classes(i)).collect();
-        prop_assert_eq!(&s.merge_shard_dumps(&parts), &full);
-        for jobs in [1usize, 3, 8] {
-            prop_assert_eq!(&s.dump_metadata_par(jobs), &full);
-        }
-    }
-
     /// Concurrent-facade claim: under a seeded interleaving of per-thread
     /// op streams, applied one op at a time (every thread order is a legal
     /// schedule of the real facade), the concurrent store returns the same
