@@ -658,25 +658,32 @@ mod tests {
         };
         let config = experiment_for_plan(&plan);
         let keyspace = config.workload.keyspace.clone();
-        let (result, mut cluster) = run_experiment_capture(
+        let (result, cluster) = run_experiment_capture(
             config,
             TelemetryConfig {
                 trace_capacity: CHAOS_TRACE_CAPACITY,
                 ..TelemetryConfig::default()
             },
         );
-        // Hand-corrupt one store's byte accounting; the audit must see it.
+        // Hand-corrupt one store — its byte accounting, then each way its
+        // two slot lanes can disagree; the audit must see every one.
+        type Store = elmem_store::SlabStore;
         let id = cluster.tier.membership().members()[0];
-        cluster
-            .tier
-            .node_mut(id)
-            .unwrap()
-            .store
-            .corrupt_bytes_used_for_tests();
-        let violations = check_invariants(&plan, &result, &cluster, &keyspace);
-        assert!(
-            violations.iter().any(|m| m.contains("store audit failed")),
-            "violations: {violations:?}"
-        );
+        for corrupt in [
+            Store::corrupt_bytes_used_for_tests,
+            Store::corrupt_free_stamp_for_tests,
+            Store::corrupt_linked_stamp_for_tests,
+            Store::corrupt_lane_length_for_tests,
+        ] {
+            let mut cluster = cluster.clone();
+            corrupt(&mut cluster.tier.node_mut(id).unwrap().store);
+            let violations = check_invariants(&plan, &result, &cluster, &keyspace);
+            assert!(
+                violations
+                    .iter()
+                    .any(|m| m.contains("store audit failed") && m.contains(" shard ")),
+                "violations: {violations:?}"
+            );
+        }
     }
 }

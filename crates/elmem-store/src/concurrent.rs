@@ -172,6 +172,7 @@ impl ConcurrentSlabStore {
             shards: self
                 .shards
                 .into_iter()
+                // Poisoned only by a panic inside a shard op: a bug already raised.
                 .map(|m| m.into_inner().expect("shard lock"))
                 .collect(),
             class_meta: self
@@ -227,6 +228,7 @@ impl ConcurrentSlabStore {
     }
 
     fn lock_shard(&self, si: usize) -> std::sync::MutexGuard<'_, Shard> {
+        // Poisoned only by a panic that may have left the shard half-updated.
         self.shards[si].lock().expect("shard lock")
     }
 
@@ -265,7 +267,7 @@ impl ConcurrentSlabStore {
         let si = shard_of(key, self.n_shards);
         let sh = self.lock_shard(si);
         let (class, idx) = sh.index.get(&key).copied()?;
-        sh.lists[class as usize].slots[idx as usize].item
+        Some(*sh.item(class, idx))
     }
 
     /// Whether a key is resident.
@@ -385,6 +387,7 @@ impl ConcurrentSlabStore {
         // Slow path: drop the shard lock (see module docs), serialize on
         // the alloc lock, re-lock, and re-run — the key may have been
         // inserted or capacity freed in the window.
+        // Guards no data; poisoned only by a panic that poisoned a shard too.
         let _alloc = self.alloc.lock().expect("alloc lock");
         let mut sh = self.lock_shard(si);
         if self.try_update_in_place(&mut sh, class, new_item, footprint) {
@@ -418,10 +421,7 @@ impl ConcurrentSlabStore {
             .version
             .fetch_add(1, SeqCst);
         let old_footprint = sh.item(old_class, idx).footprint();
-        let item = sh.relink_front(old_class, idx, seq);
-        item.value_size = new_item.value_size;
-        item.last_access = new_item.last_access;
-        item.expires = new_item.expires;
+        *sh.relink_front(old_class, idx, seq) = new_item;
         let list = &mut sh.lists[old_class as usize];
         list.bytes_used = list.bytes_used - old_footprint + footprint;
         self.stats.sets.fetch_add(1, SeqCst);

@@ -3,6 +3,18 @@
 //! route here — by default all of them: a store has one shard unless its
 //! config names more, and then a class's MRU list *is* its one shard list.
 //!
+//! # Two lanes per arena
+//!
+//! A slot id indexes two parallel vectors: a 16-byte [`Link`] (stamp,
+//! prev, next) and the 32-byte [`ItemMeta`] the slot holds. Whatever only
+//! reorders a list — `unlink`, `push_front`, `push_back`, `detach_list`,
+//! `relink_back`, an ordered walk's hops — stays on the link lane; the
+//! item lane is read when an item is asked for and written when one is
+//! set. A slot is free exactly when its stamp is 0 (`remove` zeroes it,
+//! linking writes a live one), so no `Option` wraps the item, and
+//! [`SlabStore::audit`](crate::SlabStore::audit) checks "on the free list
+//! ⇔ stamp 0". See DESIGN.md §14.
+//!
 //! A shard is deliberately *dumb*: it owns list surgery and byte/len
 //! accounting for its own slots, but every policy decision — whether a
 //! chunk may be allocated, which class gets a page, which item is the
@@ -43,25 +55,32 @@ pub(crate) fn shard_of(key: KeyId, n_shards: u32) -> usize {
     ((u64::from(h) * u64::from(n_shards)) >> 32) as usize
 }
 
-/// One chunk: the item it holds (if any), its LRU-clock stamp, and its
-/// intrusive MRU links within the owning (shard, class) list.
-#[derive(Debug, Clone)]
-pub(crate) struct Slot {
-    pub item: Option<ItemMeta>,
-    /// LRU-clock stamp assigned when the slot was last linked.
+/// The hot half of one chunk: its LRU-clock stamp and its intrusive MRU
+/// links within the owning (shard, class) list. 16 bytes, four to a cache
+/// line, so a walk or a relink that needs no item never fetches one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Link {
+    /// LRU-clock stamp assigned when the slot was last linked; 0 exactly
+    /// when the slot is free (the clock hands stamps out from 1).
     pub seq: u64,
     pub prev: u32,
     pub next: u32,
 }
 
-/// One class's slots within one shard. Slots are *virtual chunks*: the
-/// vector grows lazily as the facade grants capacity, so the sum of slot
+// Four links or two items to a cache line, neither ever straddling one.
+const _: () = assert!(size_of::<Link>() == 16 && size_of::<ItemMeta>() == 32);
+
+/// One class's slots within one shard, as two lanes indexed by the same
+/// slot id: `links` for list surgery and ordered walks, `items` for what a
+/// slot holds (stale while the slot is free). Slots are *virtual chunks*:
+/// the lanes grow lazily as the facade grants capacity, so the sum of slot
 /// counts across shards never exceeds the class's page capacity — but
 /// which physical page a given shard's chunk lives on is not modeled
 /// (a documented non-goal, DESIGN.md §14).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ShardList {
-    pub slots: Vec<Slot>,
+    pub links: Vec<Link>,
+    pub items: Vec<ItemMeta>,
     pub free: Vec<u32>,
     pub head: u32,
     pub tail: u32,
@@ -71,10 +90,30 @@ pub(crate) struct ShardList {
     pub bytes_used: u64,
 }
 
+impl Clone for ShardList {
+    /// Copies the lanes *with their capacity*: the derive trims each to its
+    /// length, so the first insert into any cloned store reallocated and
+    /// copied a whole arena. Capacity nothing has written is not resident.
+    fn clone(&self) -> Self {
+        fn with_capacity_of<T: Copy>(v: &Vec<T>) -> Vec<T> {
+            let mut copy = Vec::with_capacity(v.capacity());
+            copy.extend_from_slice(v);
+            copy
+        }
+        ShardList {
+            links: with_capacity_of(&self.links),
+            items: with_capacity_of(&self.items),
+            free: with_capacity_of(&self.free),
+            ..*self
+        }
+    }
+}
+
 impl ShardList {
     fn new() -> Self {
         ShardList {
-            slots: Vec::new(),
+            links: Vec::new(),
+            items: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -83,31 +122,31 @@ impl ShardList {
         }
     }
 
+    /// Takes a linked slot out of the list; its own link is left stale for
+    /// the caller to overwrite or zero.
     fn unlink(&mut self, idx: u32) {
-        let (prev, next) = {
-            let s = &self.slots[idx as usize];
-            (s.prev, s.next)
-        };
+        let Link { prev, next, .. } = self.links[idx as usize];
         if prev != NIL {
-            self.slots[prev as usize].next = next;
+            self.links[prev as usize].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.slots[next as usize].prev = prev;
+            self.links[next as usize].prev = prev;
         } else {
             self.tail = prev;
         }
-        self.slots[idx as usize].prev = NIL;
-        self.slots[idx as usize].next = NIL;
     }
 
     fn push_front(&mut self, idx: u32, seq: u64) {
-        self.slots[idx as usize].seq = seq;
-        self.slots[idx as usize].prev = NIL;
-        self.slots[idx as usize].next = self.head;
-        if self.head != NIL {
-            self.slots[self.head as usize].prev = idx;
+        let next = self.head;
+        self.links[idx as usize] = Link {
+            seq,
+            prev: NIL,
+            next,
+        };
+        if next != NIL {
+            self.links[next as usize].prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {
@@ -116,11 +155,14 @@ impl ShardList {
     }
 
     fn push_back(&mut self, idx: u32, seq: u64) {
-        self.slots[idx as usize].seq = seq;
-        self.slots[idx as usize].next = NIL;
-        self.slots[idx as usize].prev = self.tail;
-        if self.tail != NIL {
-            self.slots[self.tail as usize].next = idx;
+        let prev = self.tail;
+        self.links[idx as usize] = Link {
+            seq,
+            prev,
+            next: NIL,
+        };
+        if prev != NIL {
+            self.links[prev as usize].next = idx;
         }
         self.tail = idx;
         if self.head == NIL {
@@ -128,20 +170,24 @@ impl ShardList {
         }
     }
 
-    /// Takes a slot index for a new item: a previously freed slot if one
-    /// exists, else a fresh virtual chunk. The *capacity* decision (is the
-    /// class allowed another chunk?) is the caller's.
-    fn take_slot(&mut self) -> u32 {
+    /// Stores a new item in a slot — a previously freed one if one exists,
+    /// else a fresh virtual chunk — and counts it; the caller links it. The
+    /// *capacity* decision (is the class allowed another chunk?) is the
+    /// caller's too.
+    fn occupy(&mut self, item: ItemMeta) -> u32 {
+        self.len += 1;
+        self.bytes_used += item.footprint();
         if let Some(idx) = self.free.pop() {
+            self.items[idx as usize] = item;
             return idx;
         }
-        let idx = self.slots.len() as u32;
-        self.slots.push(Slot {
-            item: None,
+        let idx = self.links.len() as u32;
+        self.links.push(Link {
             seq: 0,
             prev: NIL,
             next: NIL,
         });
+        self.items.push(item);
         idx
     }
 }
@@ -169,11 +215,8 @@ impl Shard {
     /// The caller has already secured capacity for one chunk.
     pub fn insert_front(&mut self, class: u16, item: ItemMeta, seq: u64) {
         let list = &mut self.lists[class as usize];
-        let idx = list.take_slot();
-        list.slots[idx as usize].item = Some(item);
+        let idx = list.occupy(item);
         list.push_front(idx, seq);
-        list.len += 1;
-        list.bytes_used += item.footprint();
         self.index.insert(item.key, (class, idx));
     }
 
@@ -183,11 +226,8 @@ impl Shard {
     /// current tail stamp.
     pub fn insert_back(&mut self, class: u16, item: ItemMeta, seq: u64) {
         let list = &mut self.lists[class as usize];
-        let idx = list.take_slot();
-        list.slots[idx as usize].item = Some(item);
+        let idx = list.occupy(item);
         list.push_back(idx, seq);
-        list.len += 1;
-        list.bytes_used += item.footprint();
         self.index.insert(item.key, (class, idx));
     }
 
@@ -203,8 +243,8 @@ impl Shard {
     }
 
     /// Appends an occupied slot of a [detached](Self::detach_list) list
-    /// at the MRU tail with stamp `seq`. The caller guarantees `seq` is
-    /// below the current tail stamp.
+    /// at the MRU tail with stamp `seq` — link lane only. The caller
+    /// guarantees `seq` is below the current tail stamp.
     pub fn relink_back(&mut self, class: u16, idx: u32, seq: u64) {
         self.lists[class as usize].push_back(idx, seq);
     }
@@ -214,10 +254,8 @@ impl Shard {
         let (class, idx) = self.index.remove(&key)?;
         let list = &mut self.lists[class as usize];
         list.unlink(idx);
-        let item = list.slots[idx as usize]
-            .item
-            .take()
-            .expect("indexed slot is occupied");
+        list.links[idx as usize].seq = 0;
+        let item = list.items[idx as usize];
         list.free.push(idx);
         list.len -= 1;
         list.bytes_used -= item.footprint();
@@ -230,27 +268,19 @@ impl Shard {
         let list = &mut self.lists[class as usize];
         list.unlink(idx);
         list.push_front(idx, seq);
-        list.slots[idx as usize]
-            .item
-            .as_mut()
-            .expect("indexed slot is occupied")
+        &mut list.items[idx as usize]
     }
 
-    /// The item in a slot, by reference.
+    /// The item in an occupied slot, by reference.
     pub fn item(&self, class: u16, idx: u32) -> &ItemMeta {
-        self.lists[class as usize].slots[idx as usize]
-            .item
-            .as_ref()
-            .expect("indexed slot is occupied")
+        &self.lists[class as usize].items[idx as usize]
     }
 
     /// The key of the coldest (tail) item of a class, with its stamp.
     pub fn tail_entry(&self, class: u16) -> Option<(KeyId, u64)> {
         let list = &self.lists[class as usize];
-        (list.tail != NIL).then(|| {
-            let slot = &list.slots[list.tail as usize];
-            (slot.item.expect("tail slot is occupied").key, slot.seq)
-        })
+        let tail = list.tail as usize;
+        (list.tail != NIL).then(|| (list.items[tail].key, list.links[tail].seq))
     }
 }
 
@@ -316,6 +346,6 @@ mod tests {
         sh.relink_front(0, idx, 3);
         assert_eq!(sh.tail_entry(0), Some((KeyId(2), 2)));
         let head = sh.lists[0].head;
-        assert_eq!(sh.lists[0].slots[head as usize].seq, 3);
+        assert_eq!(sh.lists[0].links[head as usize].seq, 3);
     }
 }

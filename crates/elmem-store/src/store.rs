@@ -9,7 +9,8 @@
 //! order of a class is the k-way merge of its shard lists by descending
 //! stamp — at one shard, the list itself. Every ordered walk (dump, median,
 //! FuseCache's resident list, `batch_import`, the TTL crawler) is one
-//! kernel, [`ClassMruIter`], which can be taken from either end; see
+//! kernel, [`ClassMruIter`], which can be taken from either end and hops
+//! along the slot arenas' 16-byte link lane, apart from the items; see
 //! `shard.rs` and DESIGN.md §14. More than one shard serves only the
 //! [`ConcurrentSlabStore`] facade in `concurrent.rs`, which drives the same
 //! shards from real threads and has no product caller.
@@ -23,8 +24,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::classes::{ClassId, SizeClasses};
 use crate::dump::{canonicalize, ClassDump, MetadataDump};
-use crate::item::{item_footprint, Hotness, ItemMeta};
-use crate::shard::{shard_of, Shard, ShardList, Slot, NIL};
+use crate::item::{Hotness, ItemMeta};
+use crate::shard::{shard_of, Link, Shard, ShardList, NIL};
 
 /// Environment variable overriding the default shard count
 /// ([`default_shard_count`]). The main CI job runs the suite at the default
@@ -442,7 +443,7 @@ impl SlabStore {
     pub fn peek(&self, key: KeyId) -> Option<ItemMeta> {
         let sh = &self.shards[shard_of(key, self.n_shards)];
         let (class, idx) = sh.index.get(&key).copied()?;
-        sh.lists[class as usize].slots[idx as usize].item
+        Some(*sh.item(class, idx))
     }
 
     /// Whether a key is resident.
@@ -543,13 +544,8 @@ impl SlabStore {
     }
 
     fn set_item(&mut self, new_item: ItemMeta) -> Result<(), ElmemError> {
-        let ItemMeta {
-            key,
-            value_size,
-            last_access: now,
-            expires,
-        } = new_item;
-        let footprint = item_footprint(value_size);
+        let key = new_item.key;
+        let footprint = new_item.footprint();
         let class = self
             .classes
             .class_for(footprint)
@@ -566,10 +562,7 @@ impl SlabStore {
                 self.class_meta[old_class as usize].version += 1;
                 let sh = &mut self.shards[si];
                 let old_footprint = sh.item(old_class, idx).footprint();
-                let item = sh.relink_front(old_class, idx, seq);
-                item.value_size = value_size;
-                item.last_access = now;
-                item.expires = expires;
+                *sh.relink_front(old_class, idx, seq) = new_item;
                 let list = &mut sh.lists[old_class as usize];
                 list.bytes_used = list.bytes_used - old_footprint + footprint;
                 self.stats.sets += 1;
@@ -584,16 +577,7 @@ impl SlabStore {
         let meta = &mut self.class_meta[class.0 as usize];
         meta.len += 1;
         meta.version += 1;
-        self.shards[si].insert_front(
-            class.0,
-            ItemMeta {
-                key,
-                value_size,
-                last_access: now,
-                expires,
-            },
-            seq,
-        );
+        self.shards[si].insert_front(class.0, new_item, seq);
         self.stats.sets += 1;
         Ok(())
     }
@@ -605,10 +589,7 @@ impl SlabStore {
         self.get(key, now)?;
         let si = shard_of(key, self.n_shards);
         let (class, idx) = self.shards[si].index.get(&key).copied()?;
-        let item = self.shards[si].lists[class as usize].slots[idx as usize]
-            .item
-            .as_mut()
-            .expect("indexed slot is occupied");
+        let item = &mut self.shards[si].lists[class as usize].items[idx as usize];
         item.expires = now.checked_add(ttl).unwrap_or(SimTime::MAX);
         Some(*item)
     }
@@ -805,11 +786,9 @@ impl SlabStore {
     /// Iterates all resident items (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = ItemMeta> + '_ {
         self.shards.iter().flat_map(|sh| {
-            sh.index.iter().map(|(_, &(class, idx))| {
-                sh.lists[class as usize].slots[idx as usize]
-                    .item
-                    .expect("indexed slot is occupied")
-            })
+            sh.index
+                .iter()
+                .map(|(_, &(class, idx))| *sh.item(class, idx))
         })
     }
 
@@ -1016,18 +995,11 @@ impl SlabStore {
             let mut class_len = 0u64;
             for (si, shard) in self.shards.iter().enumerate() {
                 let list = &shard.lists[ci];
-                let occupied = list.slots.iter().filter(|s| s.item.is_some()).count() as u64;
-                if occupied != list.len {
+                if list.links.len() != list.items.len() {
                     return fail(format!(
-                        "class {ci} shard {si}: len counter {} but {occupied} occupied slots",
-                        list.len
-                    ));
-                }
-                if list.free.len() as u64 + occupied != list.slots.len() as u64 {
-                    return fail(format!(
-                        "class {ci} shard {si}: {} free + {occupied} occupied != {} slots",
-                        list.free.len(),
-                        list.slots.len()
+                        "class {ci} shard {si}: {} links but {} items",
+                        list.links.len(),
+                        list.items.len()
                     ));
                 }
                 let mut free_sorted: Vec<u32> = list.free.clone();
@@ -1038,52 +1010,36 @@ impl SlabStore {
                         "class {ci} shard {si}: duplicate entries in free list"
                     ));
                 }
+                // On the free list ⇒ stamp 0; the two counts below make it ⇔.
                 for &idx in &free_sorted {
-                    match list.slots.get(idx as usize) {
-                        None => {
-                            return fail(format!(
-                                "class {ci} shard {si}: free slot {idx} out of range"
-                            ))
-                        }
-                        Some(slot) if slot.item.is_some() => {
-                            return fail(format!(
-                                "class {ci} shard {si}: free slot {idx} is occupied"
-                            ));
-                        }
-                        Some(_) => {}
+                    let Some(link) = list.links.get(idx as usize) else {
+                        return fail(format!(
+                            "class {ci} shard {si}: free slot {idx} out of range"
+                        ));
+                    };
+                    if link.seq != 0 {
+                        return fail(format!(
+                            "class {ci} shard {si}: free slot {idx} is occupied (stamp {})",
+                            link.seq
+                        ));
                     }
                 }
-                let bytes: u64 = list
-                    .slots
-                    .iter()
-                    .filter_map(|s| s.item.as_ref())
-                    .map(|i| i.footprint())
-                    .sum();
-                if bytes != list.bytes_used {
-                    return fail(format!(
-                        "class {ci} shard {si}: bytes_used {} but item footprints sum to {bytes}",
-                        list.bytes_used
-                    ));
-                }
-                // Forward MRU walk: every linked slot occupied, prev
-                // pointers mirror next pointers, stamps strictly
+                // Forward MRU walk: every linked slot occupied (stamp ≠ 0),
+                // prev pointers mirror next pointers, stamps strictly
                 // descending, and the walk covers exactly `len` items.
                 let mut walked = 0u64;
                 let mut prev = NIL;
                 let mut prev_seq = u64::MAX;
                 let mut cursor = list.head;
                 while cursor != NIL {
-                    let slot = match list.slots.get(cursor as usize) {
-                        Some(s) => s,
-                        None => {
-                            return fail(format!(
-                                "class {ci} shard {si}: MRU cursor {cursor} out of range"
-                            ))
-                        }
-                    };
-                    if slot.item.is_none() {
+                    let Some(slot) = list.links.get(cursor as usize) else {
                         return fail(format!(
-                            "class {ci} shard {si}: MRU-linked slot {cursor} is empty"
+                            "class {ci} shard {si}: MRU cursor {cursor} out of range"
+                        ));
+                    };
+                    if slot.seq == 0 {
+                        return fail(format!(
+                            "class {ci} shard {si}: MRU-linked slot {cursor} is free (stamp 0)"
                         ));
                     }
                     if slot.prev != prev {
@@ -1126,6 +1082,29 @@ impl SlabStore {
                     return fail(format!(
                         "class {ci} shard {si}: tail {} but MRU walk ended at {prev}",
                         list.tail
+                    ));
+                }
+                // A slot is occupied exactly when its stamp is live.
+                let occupied = || list.links.iter().zip(&list.items).filter(|s| s.0.seq != 0);
+                let n_occupied = occupied().count() as u64;
+                if n_occupied != list.len {
+                    return fail(format!(
+                        "class {ci} shard {si}: len counter {} but {n_occupied} occupied slots",
+                        list.len
+                    ));
+                }
+                if list.free.len() as u64 + n_occupied != list.links.len() as u64 {
+                    return fail(format!(
+                        "class {ci} shard {si}: {} free + {n_occupied} occupied != {} slots",
+                        list.free.len(),
+                        list.links.len()
+                    ));
+                }
+                let bytes: u64 = occupied().map(|(_, item)| item.footprint()).sum();
+                if bytes != list.bytes_used {
+                    return fail(format!(
+                        "class {ci} shard {si}: bytes_used {} but item footprints sum to {bytes}",
+                        list.bytes_used
                     ));
                 }
                 class_len += list.len;
@@ -1178,19 +1157,19 @@ impl SlabStore {
                         "{key} routes to shard {routed} but is indexed in shard {si}"
                     ))
                 } else {
-                    match shard
+                    let slot = shard
                         .lists
                         .get(class as usize)
-                        .and_then(|l| l.slots.get(idx as usize))
-                    {
+                        .and_then(|l| l.links.get(idx as usize).zip(l.items.get(idx as usize)));
+                    match slot {
                         None => Some(format!("{key} maps to out-of-range slot {class}/{idx}")),
-                        Some(slot) => match slot.item {
-                            None => Some(format!("{key} maps to empty slot {class}/{idx}")),
-                            Some(item) if item.key != key => {
-                                Some(format!("{key} maps to slot holding {}", item.key))
-                            }
-                            Some(_) => None,
-                        },
+                        Some((link, _)) if link.seq == 0 => {
+                            Some(format!("{key} maps to free slot {class}/{idx}"))
+                        }
+                        Some((_, item)) if item.key != key => {
+                            Some(format!("{key} maps to slot holding {}", item.key))
+                        }
+                        Some(_) => None,
                     }
                 };
                 if let Some(msg) = problem {
@@ -1206,31 +1185,55 @@ impl SlabStore {
         Ok(())
     }
 
-    /// Deliberately breaks the byte accounting of the first non-empty
-    /// shard list. Exists so cross-crate tests can prove [`SlabStore::audit`]
-    /// catches corruption; never call it outside tests.
+    /// Applies `damage` to the first non-empty shard list. The hooks below
+    /// exist so cross-crate tests can prove [`SlabStore::audit`] catches
+    /// corruption; never call them outside tests.
+    fn corrupt(&mut self, damage: impl FnOnce(&mut ShardList)) {
+        let mut lists = self.shards.iter_mut().flat_map(|sh| sh.lists.iter_mut());
+        if let Some(list) = lists.find(|l| l.len > 0) {
+            damage(list);
+        }
+    }
+
+    /// Breaks the byte accounting.
     #[doc(hidden)]
     pub fn corrupt_bytes_used_for_tests(&mut self) {
-        if let Some(list) = self
-            .shards
-            .iter_mut()
-            .flat_map(|sh| sh.lists.iter_mut())
-            .find(|l| l.len > 0)
-        {
-            list.bytes_used += 1;
-        }
+        self.corrupt(|list| list.bytes_used += 1);
+    }
+
+    /// Adds a copy of the MRU head's slot — live stamp — to the free list.
+    #[doc(hidden)]
+    pub fn corrupt_free_stamp_for_tests(&mut self) {
+        self.corrupt(|list| {
+            list.free.push(list.links.len() as u32);
+            list.links.push(list.links[list.head as usize]);
+            list.items.push(list.items[list.head as usize]);
+        });
+    }
+
+    /// Zeroes the stamp of a linked slot (the MRU head).
+    #[doc(hidden)]
+    pub fn corrupt_linked_stamp_for_tests(&mut self) {
+        self.corrupt(|list| list.links[list.head as usize].seq = 0);
+    }
+
+    /// Leaves the link lane one entry short of the item lane.
+    #[doc(hidden)]
+    pub fn corrupt_lane_length_for_tests(&mut self) {
+        self.corrupt(|list| list.items.push(list.items[list.head as usize]));
     }
 }
 
-/// One shard's lane of a [`ClassMruIter`]: the class's slots in that
-/// shard, resolved once, and a cursor at each end of what is left of the
-/// shard's list. Invariant: while `left > 0`, `head` and `tail` are linked
-/// slots of the list with `left - 1` links between them and `head_seq` /
-/// `tail_seq` are their stamps; at `left == 0` the stamps are the two
-/// sentinels and the cursors are dead.
+/// One shard's lane of a [`ClassMruIter`]: the class's two slot lanes in
+/// that shard, resolved once, and a cursor at each end of what is left of
+/// the shard's list. Invariant: while `left > 0`, `head` and `tail` are
+/// linked slots of the list with `left - 1` links between them and
+/// `head_seq` / `tail_seq` are their stamps; at `left == 0` the stamps are
+/// the two sentinels and the cursors are dead.
 #[derive(Debug)]
 struct Lane<'a> {
-    slots: &'a [Slot],
+    links: &'a [Link],
+    items: &'a [ItemMeta],
     /// Items of the lane not yet yielded from either end.
     left: u64,
     /// The hottest slot left and its stamp; once nothing is left the stamp
@@ -1245,7 +1248,8 @@ struct Lane<'a> {
 impl<'a> Lane<'a> {
     fn new(list: &'a ShardList) -> Self {
         let mut lane = Lane {
-            slots: &list.slots,
+            links: &list.links,
+            items: &list.items,
             left: list.len,
             head: list.head,
             head_seq: 0,
@@ -1253,28 +1257,29 @@ impl<'a> Lane<'a> {
             tail_seq: u64::MAX,
         };
         if lane.left > 0 {
-            lane.head_seq = lane.slots[lane.head as usize].seq;
-            lane.tail_seq = lane.slots[lane.tail as usize].seq;
+            lane.head_seq = lane.links[lane.head as usize].seq;
+            lane.tail_seq = lane.links[lane.tail as usize].seq;
         }
         lane
     }
 
     /// Yields the slot at the hot (`HOT`) or the cold end and moves that
-    /// end's cursor one link inwards, loading the one stamp that changed.
-    fn take<const HOT: bool>(&mut self) -> (u32, &'a Slot) {
+    /// end's cursor one link inwards, loading the one stamp that changed —
+    /// on the link lane alone; the item is handed back unread.
+    fn take<const HOT: bool>(&mut self) -> (u32, &'a ItemMeta) {
         let idx = if HOT { self.head } else { self.tail };
-        let slot = &self.slots[idx as usize];
+        let link = self.links[idx as usize];
         self.left -= 1;
         if self.left == 0 {
             (self.head_seq, self.tail_seq) = (0, u64::MAX);
         } else if HOT {
-            self.head = slot.next;
-            self.head_seq = self.slots[slot.next as usize].seq;
+            self.head = link.next;
+            self.head_seq = self.links[link.next as usize].seq;
         } else {
-            self.tail = slot.prev;
-            self.tail_seq = self.slots[slot.prev as usize].seq;
+            self.tail = link.prev;
+            self.tail_seq = self.links[link.prev as usize].seq;
         }
-        (idx, slot)
+        (idx, &self.items[idx as usize])
     }
 }
 
@@ -1282,8 +1287,11 @@ impl<'a> Lane<'a> {
 /// of the shard lists, and the one ordered-walk kernel under the dump, the
 /// median, FuseCache's resident list, `batch_import` and the crawler. A
 /// step compares the lanes' cached stamps and touches only the lane that
-/// advances; the walk can be taken from its cold end as well, in the same
-/// way. Created by [`SlabStore::iter_class_mru`].
+/// advances, and of that only its links: the chain of dependent loads runs
+/// through the 16-byte link lane, and the items it passes are independent
+/// loads the caller may overlap or skip ([`nth`](Iterator::nth) does). The
+/// walk can be taken from its cold end too. Created by
+/// [`SlabStore::iter_class_mru`].
 #[derive(Debug)]
 pub struct ClassMruIter<'a> {
     lanes: Vec<Lane<'a>>,
@@ -1307,9 +1315,8 @@ impl<'a> ClassMruIter<'a> {
         if best == exhausted {
             return None;
         }
-        let (idx, slot) = self.lanes[si].take::<HOT>();
+        let (idx, item) = self.lanes[si].take::<HOT>();
         self.remaining -= 1;
-        let item = slot.item.as_ref().expect("linked slot is occupied");
         Some((si, idx, item))
     }
 
@@ -1338,6 +1345,14 @@ impl Iterator for ClassMruIter<'_> {
         self.step::<true>().map(|(_, _, item)| *item)
     }
 
+    /// Skips on links alone: no item is read before the one asked for.
+    fn nth(&mut self, n: usize) -> Option<ItemMeta> {
+        for _ in 0..n {
+            self.step::<true>()?;
+        }
+        self.next()
+    }
+
     fn size_hint(&self) -> (usize, Option<usize>) {
         (self.remaining, Some(self.remaining))
     }
@@ -1352,6 +1367,7 @@ mod walk_oracle;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::item::item_footprint;
 
     #[test]
     fn stats_lookups_and_hit_rate() {
@@ -1933,5 +1949,83 @@ mod tests {
         let err = s.audit().unwrap_err();
         assert!(matches!(err, ElmemError::InvariantViolation(_)), "{err}");
         assert!(err.to_string().contains("bytes_used"), "{err}");
+    }
+
+    #[test]
+    fn audit_detects_lane_corruption() {
+        // Each way the two lanes can disagree about a slot is caught, and
+        // the report names the class and shard list it found it in.
+        type Hook = fn(&mut SlabStore);
+        let cases: [(Hook, &str); 3] = [
+            (
+                SlabStore::corrupt_free_stamp_for_tests,
+                "is occupied (stamp",
+            ),
+            (
+                SlabStore::corrupt_linked_stamp_for_tests,
+                "is free (stamp 0)",
+            ),
+            (SlabStore::corrupt_lane_length_for_tests, "links but"),
+        ];
+        for shards in [1, 4] {
+            for (corrupt, what) in cases {
+                let mut s = one_page_store(shards);
+                for k in 0..20 {
+                    s.set(KeyId(k), 50, t(k)).unwrap();
+                }
+                s.delete(KeyId(3));
+                s.audit().unwrap();
+                corrupt(&mut s);
+                let err = s.audit().unwrap_err();
+                assert!(matches!(err, ElmemError::InvariantViolation(_)), "{err}");
+                let msg = err.to_string();
+                assert!(msg.contains("class 0 shard 0: "), "{msg}");
+                assert!(msg.contains(what), "{msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn clone_keeps_lane_capacity() {
+        // A derived `Clone` trims every `Vec` to its length, so the first
+        // insert into a cloned store moved (reallocated and copied) both
+        // lanes of the class it landed in.
+        for shards in [1, 4] {
+            let mut s = one_page_store(shards);
+            for k in 0..100 {
+                s.set(KeyId(k), 10, t(k)).unwrap();
+            }
+            s.delete(KeyId(5));
+            let mut clone = s.clone();
+            clone.audit().unwrap();
+            assert_eq!(clone.dump_metadata(), s.dump_metadata());
+            for (copy, orig) in clone.shards.iter().zip(&s.shards) {
+                let (copy, orig) = (&copy.lists[0], &orig.lists[0]);
+                assert!(copy.links.capacity() >= orig.links.capacity());
+                assert!(copy.items.capacity() >= orig.items.capacity());
+                assert!(copy.free.capacity() >= orig.free.capacity());
+                assert!(orig.links.len() < orig.links.capacity(), "no room to test");
+            }
+            // While every lane has room, no set moves one.
+            let lanes = |s: &SlabStore| -> Vec<(*const Link, *const ItemMeta)> {
+                let lists = s.shards.iter().map(|sh| &sh.lists[0]);
+                lists
+                    .map(|l| (l.links.as_ptr(), l.items.as_ptr()))
+                    .collect()
+            };
+            let has_room = |s: &SlabStore| {
+                let mut lists = s.shards.iter().map(|sh| &sh.lists[0]);
+                lists.all(|l| l.links.len() < l.links.capacity())
+            };
+            let before = lanes(&clone);
+            let mut key = 1_000;
+            while has_room(&clone) {
+                clone.set(KeyId(key), 10, t(key)).unwrap();
+                assert_eq!(lanes(&clone), before, "set {key} moved a lane");
+                key += 1;
+            }
+            assert!(key > 1_001, "only the freed slot was ever filled");
+            clone.audit().unwrap();
+        }
     }
 }

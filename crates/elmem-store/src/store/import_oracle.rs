@@ -165,8 +165,8 @@ fn observe(s: &SlabStore) -> String {
                     let mut stamps = Vec::new();
                     let mut cursor = list.head;
                     while cursor != crate::shard::NIL {
-                        stamps.push(list.slots[cursor as usize].seq);
-                        cursor = list.slots[cursor as usize].next;
+                        stamps.push(list.links[cursor as usize].seq);
+                        cursor = list.links[cursor as usize].next;
                     }
                     stamps
                 })

@@ -2,9 +2,10 @@
 //!
 //! Two references. The first is the form the kernel replaced, verbatim: a
 //! cursor per shard and, at every step, a fresh read of every live
-//! cursor's stamp through `shards[si].lists[class].slots[cur]`. The second
-//! knows nothing about lists at all: every occupied slot of the class,
-//! sorted by stamp. From the hot end the kernel must visit the same (shard,
+//! cursor's stamp through `shards[si].lists[class].links[cur]`. The second
+//! knows nothing about lists at all: every slot of the class with a live
+//! stamp, paired with the item lane's entry at the same id and sorted by
+//! stamp. From the hot end the kernel must visit the same (shard,
 //! slot) positions in the same order as both; taking from both ends in any
 //! interleaving it must close in on the stamp order from either side; it
 //! must report how many items are left before every step, and leave
@@ -47,14 +48,14 @@ impl CursorWalk<'_> {
             if cur == NIL {
                 continue;
             }
-            let seq = self.shards[si].lists[self.class as usize].slots[cur as usize].seq;
+            let seq = self.shards[si].lists[self.class as usize].links[cur as usize].seq;
             if hottest.is_none_or(|(_, s)| seq > s) {
                 hottest = Some((si, seq));
             }
         }
         let (si, _) = hottest?;
         let idx = self.cursors[si];
-        self.cursors[si] = self.shards[si].lists[self.class as usize].slots[idx as usize].next;
+        self.cursors[si] = self.shards[si].lists[self.class as usize].links[idx as usize].next;
         Some((si, idx))
     }
 }
@@ -64,9 +65,10 @@ impl CursorWalk<'_> {
 fn by_stamp(s: &SlabStore, class: ClassId) -> Vec<(usize, u32, ItemMeta)> {
     let mut all: Vec<(u64, usize, u32, ItemMeta)> = Vec::new();
     for (si, sh) in s.shards.iter().enumerate() {
-        for (idx, slot) in sh.lists[class.0 as usize].slots.iter().enumerate() {
-            if let Some(item) = slot.item {
-                all.push((slot.seq, si, idx as u32, item));
+        let list = &sh.lists[class.0 as usize];
+        for (idx, (link, item)) in list.links.iter().zip(&list.items).enumerate() {
+            if link.seq != 0 {
+                all.push((link.seq, si, idx as u32, *item));
             }
         }
     }
@@ -124,6 +126,25 @@ fn check(s: &SlabStore, ends: &[bool], when: &str) {
         let order: Vec<ItemMeta> = want.iter().map(|&(_, _, item)| item).collect();
         let walked: Vec<ItemMeta> = s.iter_class_mru(class).collect();
         assert_eq!(walked, order, "{when} {class}");
+
+        // `nth(k)` skips on the link lane what `next` would have yielded:
+        // the k-th item (none from `len` on), then the walk goes on from
+        // there. (`skip(k).next()` is no reference — it calls `nth`.)
+        for k in 0..=order.len() + 1 {
+            let mut new = s.iter_class_mru(class);
+            assert_eq!(new.nth(k), order.get(k).copied(), "{when} {class} nth({k})");
+            let left = order.len().saturating_sub(k + 1);
+            assert_eq!(
+                new.size_hint(),
+                (left, Some(left)),
+                "{when} {class} nth({k})"
+            );
+            assert_eq!(
+                new.next(),
+                order.get(k + 1).copied(),
+                "{when} {class} nth({k})"
+            );
+        }
         let drained = s
             .iter_class_mru(class)
             .collect_with(|si, idx, item| (si, idx, *item));
