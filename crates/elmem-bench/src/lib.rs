@@ -7,5 +7,4 @@
 //! cores) while keeping output byte-identical to a serial run.
 
 pub mod exp;
-pub mod rss;
 pub mod sweep;

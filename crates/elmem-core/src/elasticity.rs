@@ -127,9 +127,8 @@ pub struct ExperimentResult {
     /// Distinct keys the autoscaler's stack-distance engine still tracked
     /// when the run ended (0 without an autoscaler). The adaptive engine
     /// caps this at the exact→MIMIR switch threshold (MIMIR evicts as its
-    /// buckets retire); the preserved legacy engine grows it with every
-    /// distinct key ever observed — `tab_scale`'s bounded-memory
-    /// assertion compares the two.
+    /// buckets retire); `elmem-bench`'s `paper_scale` test asserts the
+    /// bound at the paper's keyspace.
     pub profiler_tracked_keys: usize,
     /// The run's full telemetry story: event trace, latency histograms,
     /// counter time series, per-node rows. Byte-identical (via

@@ -6,7 +6,7 @@
 //! the pinned golden traces. At the paper's ~19M-key ETC scale the per-key
 //! state and `O(log n)` tree walks dominate the autoscaler's observation
 //! path, and the paper itself profiles with MIMIR (§III-B). The adaptive
-//! engine gives both: it records exactly until [`crate::adaptive_switch_keys`]
+//! engine gives both: it records exactly until [`crate::ADAPTIVE_SWITCH_KEYS`]
 //! distinct keys have been seen, then builds a [`Mimir`] estimator, replays
 //! the tracked keys into it **oldest-first** (so the recency order — and
 //! therefore every key's bucket — carries over) and drops the exact state.
@@ -18,7 +18,6 @@
 use elmem_util::KeyId;
 
 use crate::exact::ExactStackDistance;
-use crate::legacy::LegacyExactStackDistance;
 use crate::mimir::Mimir;
 
 /// Bucket count for the post-switch MIMIR estimator (the paper's
@@ -49,10 +48,6 @@ pub struct AdaptiveStackDistance {
 enum Engine {
     Exact(ExactStackDistance),
     Mimir(Mimir),
-    /// The preserved pre-optimization engine (benchmark baseline). Never
-    /// hands off to MIMIR — exactly the unbounded behavior `tab_scale`'s
-    /// pre-opt column measures.
-    Legacy(LegacyExactStackDistance),
 }
 
 impl Default for AdaptiveStackDistance {
@@ -62,18 +57,9 @@ impl Default for AdaptiveStackDistance {
 }
 
 impl AdaptiveStackDistance {
-    /// Creates an engine that switches at the global
-    /// [`crate::adaptive_switch_keys`] threshold (sampled at construction).
-    /// With [`crate::legacy_exact`] set, the engine instead runs the
-    /// preserved pre-optimization implementation and never switches.
+    /// Creates an engine that switches at [`crate::ADAPTIVE_SWITCH_KEYS`].
     pub fn new() -> Self {
-        if crate::legacy_exact() {
-            return AdaptiveStackDistance {
-                engine: Engine::Legacy(LegacyExactStackDistance::new()),
-                switch_keys: u64::MAX,
-            };
-        }
-        Self::with_switch_threshold(crate::adaptive_switch_keys())
+        Self::with_switch_threshold(crate::ADAPTIVE_SWITCH_KEYS)
     }
 
     /// Creates an engine with an explicit switch threshold (tests).
@@ -86,7 +72,7 @@ impl AdaptiveStackDistance {
 
     /// Whether the engine is still in its exact phase.
     pub fn is_exact(&self) -> bool {
-        matches!(self.engine, Engine::Exact(_) | Engine::Legacy(_))
+        matches!(self.engine, Engine::Exact(_))
     }
 
     /// Number of distinct keys currently tracked.
@@ -94,7 +80,6 @@ impl AdaptiveStackDistance {
         match &self.engine {
             Engine::Exact(e) => e.unique_keys(),
             Engine::Mimir(m) => m.tracked_keys(),
-            Engine::Legacy(e) => e.unique_keys(),
         }
     }
 
@@ -110,7 +95,6 @@ impl AdaptiveStackDistance {
                 d
             }
             Engine::Mimir(mimir) => mimir.record(key, bytes),
-            Engine::Legacy(legacy) => legacy.record(key, bytes),
         }
     }
 

@@ -358,12 +358,46 @@ mod tests {
     fn randomized_against_brute_force() {
         use elmem_util::DetRng;
         let mut rng = DetRng::seed(42);
-        let trace: Vec<(u64, u64)> = (0..300)
+        let uniform: Vec<(u64, u64)> = (0..300)
             .map(|_| (rng.next_below(30), 1 + rng.next_below(100)))
             .collect();
-        let mut e = ExactStackDistance::new();
-        let got: Vec<Option<u64>> = trace.iter().map(|&(k, b)| e.record(KeyId(k), b)).collect();
-        assert_eq!(got, brute_force(&trace));
+        // A hot core over a cold tail: positions both die (compaction) and
+        // accumulate (growth) in one run, and the tree grows again after it
+        // was compacted.
+        let mut rng = DetRng::seed(11);
+        let hot_cold: Vec<(u64, u64)> = (0..8_000u64)
+            .map(|i| {
+                let key = if i % 3 == 0 {
+                    rng.next_below(40)
+                } else {
+                    rng.next_below(1_500)
+                };
+                (key, 1 + rng.next_below(4096))
+            })
+            .collect();
+        for (trace, crosses_rebuilds) in [(uniform, false), (hot_cold, true)] {
+            let mut e = ExactStackDistance::new();
+            let (mut compactions, mut growths) = (0, 0);
+            let got: Vec<Option<u64>> = trace
+                .iter()
+                .map(|&(k, b)| {
+                    let (capacity, time) = (e.fenwick.len(), e.time);
+                    let d = e.record(KeyId(k), b);
+                    // A compaction renumbers time down to the live count
+                    // and never widens the tree; a growth only widens it.
+                    compactions += usize::from(e.time <= time);
+                    growths += usize::from(e.fenwick.len() > capacity);
+                    d
+                })
+                .collect();
+            assert_eq!(got, brute_force(&trace));
+            if crosses_rebuilds {
+                assert!(
+                    compactions >= 1 && growths >= 1,
+                    "{compactions} compactions, {growths} growths"
+                );
+            }
+        }
     }
 
     #[test]

@@ -42,48 +42,15 @@
 pub mod adaptive;
 pub mod exact;
 pub mod hrc;
-pub mod legacy;
 pub mod mimir;
 
 pub use adaptive::AdaptiveStackDistance;
 pub use exact::ExactStackDistance;
 pub use hrc::HitRateCurve;
-pub use legacy::LegacyExactStackDistance;
 pub use mimir::Mimir;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Default distinct-key count at which [`AdaptiveStackDistance`] hands
-/// off from the exact engine to MIMIR. Above every laptop-scale keyspace
+/// Distinct-key count at which [`AdaptiveStackDistance::new`] hands off
+/// from the exact engine to MIMIR. Above every laptop-scale keyspace
 /// (≤ 1.4M keys) so pinned golden traces keep their exact distances;
 /// comfortably below the paper's ~19M-key ETC population.
-pub const DEFAULT_ADAPTIVE_SWITCH_KEYS: u64 = 2_000_000;
-
-static ADAPTIVE_SWITCH_KEYS: AtomicU64 = AtomicU64::new(DEFAULT_ADAPTIVE_SWITCH_KEYS);
-
-/// The exact→MIMIR switch threshold read by [`AdaptiveStackDistance::new`].
-pub fn adaptive_switch_keys() -> u64 {
-    ADAPTIVE_SWITCH_KEYS.load(Ordering::Relaxed)
-}
-
-/// Overrides [`adaptive_switch_keys`] (benches: `u64::MAX` pins the exact
-/// engine — the pre-optimization behavior — regardless of scale).
-pub fn set_adaptive_switch_keys(keys: u64) {
-    ADAPTIVE_SWITCH_KEYS.store(keys, Ordering::Relaxed);
-}
-
-static LEGACY_EXACT: AtomicBool = AtomicBool::new(false);
-
-/// Whether [`AdaptiveStackDistance::new`] should run the preserved
-/// pre-optimization engine ([`LegacyExactStackDistance`]) instead of the
-/// packed exact engine. Benchmark-only; a legacy engine never hands off
-/// to MIMIR.
-pub fn legacy_exact() -> bool {
-    LEGACY_EXACT.load(Ordering::Relaxed)
-}
-
-/// Routes subsequently constructed adaptive engines through the preserved
-/// pre-optimization exact engine (`tab_scale`'s pre-opt column).
-pub fn set_legacy_exact(on: bool) {
-    LEGACY_EXACT.store(on, Ordering::Relaxed);
-}
+pub const ADAPTIVE_SWITCH_KEYS: u64 = 2_000_000;

@@ -36,31 +36,27 @@ thread_local! {
 /// has been set — the same knob the bench sweep harness honors.
 pub const PAR_JOBS_ENV: &str = "ELMEM_JOBS";
 
-/// Sets the worker count returned by [`par_jobs`]. `jobs = 1` forces every
-/// internal fan-out onto the serial reference path (the byte-identity
-/// baseline); `0` resets to the env-var/core-count default.
-pub fn set_par_jobs(jobs: usize) {
-    PAR_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// Runs `f` with [`par_jobs`] pinned to `jobs`, then restores the automatic
-/// count — also when `f` panics, so a failing assertion in one test cannot
-/// leave the process-wide count pinned for its siblings in the binary.
+/// Runs `f` with [`par_jobs`] pinned to `jobs`, then restores the count it
+/// found — also when `f` panics, so a failing assertion in one test cannot
+/// leave the process-wide count pinned for its siblings in the binary, and
+/// a nested call cannot un-pin its caller. `jobs = 1` forces every internal
+/// fan-out onto the serial reference path (the byte-identity baseline); `0`
+/// is the env-var/core-count default. The count is process-wide: threads
+/// that pin it side by side must serialize among themselves.
 pub fn with_par_jobs<R>(jobs: usize, f: impl FnOnce() -> R) -> R {
-    struct Reset;
-    impl Drop for Reset {
+    struct Restore(usize);
+    impl Drop for Restore {
         fn drop(&mut self) {
-            set_par_jobs(0);
+            PAR_JOBS.store(self.0, Ordering::Relaxed);
         }
     }
-    let _reset = Reset;
-    set_par_jobs(jobs);
+    let _restore = Restore(PAR_JOBS.swap(jobs, Ordering::Relaxed));
     f()
 }
 
 /// The worker count for library-internal fan-outs: 1 on a thread that is
 /// itself a [`par_map_indexed`] worker (nested fan-outs resolve inline),
-/// else the value installed by [`set_par_jobs`], else `ELMEM_JOBS`, else
+/// else the count pinned by [`with_par_jobs`], else `ELMEM_JOBS`, else
 /// the rayon pool size. Always at least 1.
 pub fn par_jobs() -> usize {
     if ON_PAR_WORKER.get() {
@@ -134,6 +130,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Serializes the tests that pin the process-wide count; cargo runs the
+    /// tests of this binary on concurrent threads.
+    static PIN: Mutex<()> = Mutex::new(());
 
     #[test]
     fn parallel_matches_serial_in_order() {
@@ -164,12 +165,30 @@ mod tests {
         // On a worker `par_jobs` is 1 whatever is pinned; on the thread
         // that called `par_map_indexed` (and on the serial path, which
         // runs there) the pinned count still applies.
+        let _pin = PIN.lock().unwrap_or_else(|e| e.into_inner());
         let seen = with_par_jobs(3, || {
             let nested = par_map_indexed(2, &[(); 4], |_, _| par_jobs());
             let serial = par_map_indexed(1, &[(); 2], |_, _| par_jobs());
             (nested, serial, par_jobs())
         });
         assert_eq!(seen, (vec![1; 4], vec![3; 2], 3));
+    }
+
+    #[test]
+    fn nested_pin_restores_its_callers_count() {
+        let _pin = PIN.lock().unwrap_or_else(|e| e.into_inner());
+        let outer = with_par_jobs(4, || {
+            assert_eq!(with_par_jobs(1, par_jobs), 1);
+            par_jobs()
+        });
+        assert_eq!(outer, 4);
+        // On the panic path too: the inner guard unwinds back to 4.
+        let outer = with_par_jobs(4, || {
+            let inner = std::panic::catch_unwind(|| with_par_jobs(1, || panic!("inner")));
+            assert!(inner.is_err());
+            par_jobs()
+        });
+        assert_eq!(outer, 4);
     }
 
     #[test]

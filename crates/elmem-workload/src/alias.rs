@@ -19,7 +19,7 @@
 //! for the coin), so a given `DetRng` stream always yields the same key
 //! sequence. The *stream differs* from the rejection sampler's — which is
 //! why the alias path only switches on above
-//! [`crate::alias_threshold`] keys, far beyond every pinned golden trace.
+//! [`crate::ALIAS_THRESHOLD`] keys, far beyond every pinned golden trace.
 
 use elmem_util::hashutil::mix64;
 use elmem_util::par::{par_jobs, par_map_indexed};

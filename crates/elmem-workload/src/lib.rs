@@ -46,25 +46,10 @@ pub use reqgen::{RequestGenerator, WebRequest, WorkloadConfig};
 pub use traces::{DemandTrace, TraceKind};
 pub use zipf::ZipfPopularity;
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Default key count above which [`RequestGenerator`] switches from
+/// Key count from which [`RequestGenerator::new`] switches from
 /// rejection-inversion Zipf sampling to a precomputed alias table.
 ///
 /// Deliberately above every laptop-scale scenario (≤ 1.4M keys): the
 /// alias sampler draws a *different* (still deterministic) RNG stream, so
 /// switching below this would invalidate pinned golden traces.
-pub const DEFAULT_ALIAS_THRESHOLD: u64 = 4_000_000;
-
-static ALIAS_THRESHOLD: AtomicU64 = AtomicU64::new(DEFAULT_ALIAS_THRESHOLD);
-
-/// Key count at which alias-table sampling kicks in.
-pub fn alias_threshold() -> u64 {
-    ALIAS_THRESHOLD.load(Ordering::Relaxed)
-}
-
-/// Overrides [`alias_threshold`] (benches: `u64::MAX` emulates the
-/// pre-optimization path; `0` forces the alias path everywhere).
-pub fn set_alias_threshold(keys: u64) {
-    ALIAS_THRESHOLD.store(keys, Ordering::Relaxed);
-}
+pub const ALIAS_THRESHOLD: u64 = 4_000_000;

@@ -60,7 +60,7 @@ pub struct WebRequest {
 pub struct RequestGenerator {
     config: WorkloadConfig,
     zipf: ZipfPopularity,
-    /// O(1) alias sampler, built above [`crate::alias_threshold`] keys
+    /// O(1) alias sampler, built above [`crate::ALIAS_THRESHOLD`] keys
     /// (or on demand via [`Self::with_alias_sampling`]). Draws a
     /// different — still deterministic — RNG stream than the rejection
     /// sampler, so it only engages far beyond the pinned golden scales.
@@ -73,14 +73,14 @@ pub struct RequestGenerator {
 
 impl RequestGenerator {
     /// Creates a generator. Keyspaces at or above
-    /// [`crate::alias_threshold`] keys automatically use alias-table
+    /// [`crate::ALIAS_THRESHOLD`] keys automatically use alias-table
     /// sampling.
     ///
     /// # Panics
     ///
     /// Panics if `items_per_request == 0` or `peak_rate <= 0`.
     pub fn new(config: WorkloadConfig, rng: DetRng) -> Self {
-        let use_alias = config.keyspace.n_keys() >= crate::alias_threshold();
+        let use_alias = config.keyspace.n_keys() >= crate::ALIAS_THRESHOLD;
         Self::with_alias_sampling(config, rng, use_alias)
     }
 
