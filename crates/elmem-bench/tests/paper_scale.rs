@@ -1,9 +1,9 @@
 //! The paper's scale end to end, under `cargo test`: a 100-node tier over
 //! the ~19 M-key ETC population at 20 k req/s peak, a compressed diurnal
 //! day (420 s) with a 10-node scale-in at the trough and the matching
-//! scale-out on the ramp. No threshold is touched: both cluster-scale fast
-//! paths (alias-table sampling, the exact→MIMIR profiler switch) engage
-//! through the real constants.
+//! scale-out on the ramp. No threshold is touched: the exact→MIMIR
+//! profiler switch engages through its real constant, and the Zipf sampler
+//! is the one every size uses.
 //!
 //! `#[ignore]`d — two minutes of wall clock and about 3 GiB resident in
 //! release; CI runs it nightly:
@@ -77,11 +77,12 @@ fn digest(r: &ExperimentResult) -> String {
 #[ignore = "paper scale: two minutes of wall clock, ~3 GiB resident; run in release"]
 fn paper_scale_run_is_worker_count_independent_and_bounded() {
     let keys = Preset::Paper.keys();
+    let table_bytes = RequestGenerator::new(experiment().workload, DetRng::seed(20))
+        .zipf()
+        .table_bytes();
     assert!(
-        RequestGenerator::new(experiment().workload, DetRng::seed(20))
-            .alias()
-            .is_some(),
-        "{keys} keys must engage the alias table through ALIAS_THRESHOLD alone"
+        table_bytes <= 16 << 10,
+        "the sampler's table is {table_bytes} bytes at {keys} keys: it must stay in L1"
     );
 
     let run = |jobs: usize| {

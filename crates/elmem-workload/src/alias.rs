@@ -1,13 +1,15 @@
-//! Walker/Vose alias table over Zipf ranks: O(1) sampling with a fixed
-//! two-draw cost per key, no rejection loop, no `powf` on the hot path.
+//! Walker/Vose alias table over Zipf ranks, one column per rank: the
+//! full-table reference for [`crate::zipf`]'s sampler, not a product path.
 //!
-//! The rejection-inversion sampler in [`crate::zipf`] is O(1) *expected*
-//! but costs ~3 `powf` calls per accepted draw (more when it rejects). At
-//! the paper's ~19M-key ETC scale, with 5 keys per request and hundreds of
-//! millions of requests, that transcendental work dominates the serving
-//! loop. The alias table trades a one-time O(n) build (parallelized over
-//! rank chunks, deterministic regardless of worker count) for samples that
-//! are two integer RNG draws plus one table load.
+//! [`ZipfPopularity`] samples from an alias table over ~1 200 *columns*
+//! (head ranks and geometric tail blocks); this module keeps the table
+//! that construction compresses — 8 bytes a key, an O(n) build
+//! (parallelized over rank chunks, deterministic regardless of worker
+//! count), two RNG draws and one table load per sample. At 19 M keys that
+//! load is a cache miss in a 152 MB table, which is why it lost. Two
+//! things still use it: `zipf.rs`'s tests compare marginals against it,
+//! and the repo benchmark's `workload.alias_sample_ns` layer times it
+//! (ROADMAP item 3 step 0 retires that metric; this file goes with it).
 //!
 //! # Determinism
 //!
@@ -17,9 +19,7 @@
 //! builds, platforms, and build-time worker counts. Sampling consumes RNG
 //! draws in a fixed pattern (one bounded draw for the column, one raw draw
 //! for the coin), so a given `DetRng` stream always yields the same key
-//! sequence. The *stream differs* from the rejection sampler's — which is
-//! why the alias path only switches on above
-//! [`crate::ALIAS_THRESHOLD`] keys, far beyond every pinned golden trace.
+//! sequence — a different one from [`ZipfPopularity::sample`]'s.
 
 use elmem_util::hashutil::mix64;
 use elmem_util::par::{par_jobs, par_map_indexed};
@@ -64,8 +64,8 @@ impl std::fmt::Debug for ZipfAlias {
 }
 
 impl ZipfAlias {
-    /// Builds the table for `zipf`'s `(n, s)`; the rank→key permutation is
-    /// shared with (and identical to) the rejection sampler's.
+    /// Builds the table for `zipf`'s `(n, s)`; the rank→key map is
+    /// `zipf`'s own.
     ///
     /// Ranks requiring `n > u32::MAX` are unsupported (the packed layout
     /// stores ranks in 32 bits); the paper's scale is ~19M.
@@ -170,8 +170,7 @@ impl ZipfAlias {
         rank0 + 1
     }
 
-    /// Draws a key (permuted rank, same permutation as the rejection
-    /// sampler).
+    /// Draws a key (the sampled rank's [`ZipfPopularity::key_for_rank`]).
     #[inline]
     pub fn sample(&self, rng: &mut DetRng) -> KeyId {
         self.zipf.key_for_rank(self.sample_rank(rng))

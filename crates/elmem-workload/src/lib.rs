@@ -45,11 +45,3 @@ pub use keyspace::Keyspace;
 pub use reqgen::{RequestGenerator, WebRequest, WorkloadConfig};
 pub use traces::{DemandTrace, TraceKind};
 pub use zipf::ZipfPopularity;
-
-/// Key count from which [`RequestGenerator::new`] switches from
-/// rejection-inversion Zipf sampling to a precomputed alias table.
-///
-/// Deliberately above every laptop-scale scenario (≤ 1.4M keys): the
-/// alias sampler draws a *different* (still deterministic) RNG stream, so
-/// switching below this would invalidate pinned golden traces.
-pub const ALIAS_THRESHOLD: u64 = 4_000_000;

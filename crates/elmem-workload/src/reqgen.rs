@@ -3,7 +3,6 @@
 
 use elmem_util::{DetRng, KeyId, SimTime};
 
-use crate::alias::ZipfAlias;
 use crate::keyspace::Keyspace;
 use crate::traces::DemandTrace;
 use crate::zipf::ZipfPopularity;
@@ -60,11 +59,6 @@ pub struct WebRequest {
 pub struct RequestGenerator {
     config: WorkloadConfig,
     zipf: ZipfPopularity,
-    /// O(1) alias sampler, built above [`crate::ALIAS_THRESHOLD`] keys
-    /// (or on demand via [`Self::with_alias_sampling`]). Draws a
-    /// different — still deterministic — RNG stream than the rejection
-    /// sampler, so it only engages far beyond the pinned golden scales.
-    alias: Option<ZipfAlias>,
     arrivals_rng: DetRng,
     keys_rng: DetRng,
     now: SimTime,
@@ -72,25 +66,12 @@ pub struct RequestGenerator {
 }
 
 impl RequestGenerator {
-    /// Creates a generator. Keyspaces at or above
-    /// [`crate::ALIAS_THRESHOLD`] keys automatically use alias-table
-    /// sampling.
+    /// Creates a generator.
     ///
     /// # Panics
     ///
     /// Panics if `items_per_request == 0` or `peak_rate <= 0`.
     pub fn new(config: WorkloadConfig, rng: DetRng) -> Self {
-        let use_alias = config.keyspace.n_keys() >= crate::ALIAS_THRESHOLD;
-        Self::with_alias_sampling(config, rng, use_alias)
-    }
-
-    /// Creates a generator with alias sampling explicitly on or off,
-    /// bypassing the key-count threshold (tests and benches).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items_per_request == 0` or `peak_rate <= 0`.
-    pub fn with_alias_sampling(config: WorkloadConfig, rng: DetRng, use_alias: bool) -> Self {
         assert!(config.items_per_request > 0, "zero items per request");
         assert!(
             config.peak_rate > 0.0 && config.peak_rate.is_finite(),
@@ -101,21 +82,14 @@ impl RequestGenerator {
             config.zipf_exponent,
             rng.split("zipf-perm").next_f64().to_bits(),
         );
-        let alias = use_alias.then(|| ZipfAlias::from_zipf(&zipf));
         RequestGenerator {
             arrivals_rng: rng.split("arrivals"),
             keys_rng: rng.split("keys"),
             zipf,
-            alias,
             config,
             now: SimTime::ZERO,
             generated: 0,
         }
-    }
-
-    /// The alias sampler, when alias sampling is active.
-    pub fn alias(&self) -> Option<&ZipfAlias> {
-        self.alias.as_ref()
     }
 
     /// The workload configuration.
@@ -178,14 +152,9 @@ impl RequestGenerator {
         }
         req.arrival = self.now;
         req.keys.clear();
-        match &self.alias {
-            Some(alias) => req.keys.extend(
-                (0..self.config.items_per_request).map(|_| alias.sample(&mut self.keys_rng)),
-            ),
-            None => req.keys.extend(
-                (0..self.config.items_per_request).map(|_| self.zipf.sample(&mut self.keys_rng)),
-            ),
-        }
+        req.keys.extend(
+            (0..self.config.items_per_request).map(|_| self.zipf.sample(&mut self.keys_rng)),
+        );
         self.generated += 1;
         true
     }
@@ -330,40 +299,6 @@ mod tests {
             }
         }
         assert_eq!(a.generated(), b.generated());
-    }
-
-    #[test]
-    fn new_below_threshold_matches_explicit_rejection_sampling() {
-        // 10k keys is far below the alias threshold, so `new` must be the
-        // rejection sampler — stream-identical, not just distributionally.
-        let cfg = config(200.0, TraceKind::Sap.demand_trace());
-        let a = RequestGenerator::new(cfg.clone(), DetRng::seed(21)).collect_all();
-        let b = RequestGenerator::with_alias_sampling(cfg, DetRng::seed(21), false).collect_all();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn alias_generator_keeps_arrival_stream() {
-        // Keys come from a different RNG sub-stream than arrivals, so
-        // switching samplers must leave the arrival process untouched.
-        let cfg = config(200.0, TraceKind::Sap.demand_trace());
-        let rej = RequestGenerator::with_alias_sampling(cfg.clone(), DetRng::seed(5), false)
-            .collect_all();
-        let ali = RequestGenerator::with_alias_sampling(cfg, DetRng::seed(5), true).collect_all();
-        assert_eq!(rej.len(), ali.len());
-        for (a, b) in rej.iter().zip(&ali) {
-            assert_eq!(a.arrival, b.arrival);
-            assert_eq!(a.keys.len(), b.keys.len());
-        }
-    }
-
-    #[test]
-    fn alias_generator_is_deterministic() {
-        let cfg = config(150.0, TraceKind::Nlanr.demand_trace());
-        let a = RequestGenerator::with_alias_sampling(cfg.clone(), DetRng::seed(13), true)
-            .collect_all();
-        let b = RequestGenerator::with_alias_sampling(cfg, DetRng::seed(13), true).collect_all();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -4,22 +4,75 @@
 //! Zipf(s) over `n` ranks, with a seeded rank→key bijection
 //! ([`ZipfPopularity::key_for_rank`]).
 //!
-//! The bijection is *not* a pseudorandom permutation: every round of its
-//! swap-or-not network maps `x` to `x` or to its mirror `n−1−x`, so rank
-//! `r` lands on key `r−1` or key `n−r` and nowhere else — the hot keys
-//! *are* the lowest and highest key ids (a unit test pins this so the
-//! docs cannot drift from the code again). Placement is spread all the
-//! same, because nothing downstream uses key ids raw: the hash ring and
-//! `Keyspace::value_size` both run them through `mix64` first. A real
-//! permutation would change every generated stream; it belongs to the
-//! one-sampler change (ROADMAP item 1), not here.
+//! # The sampler
+//!
+//! One sampler at every keyspace size: a Walker/Vose alias table over
+//! *columns*, O(1) per draw, O([`HEAD`] + log n) to build and about 12 KB
+//! at 19 M keys, so it stays in L1 where a per-rank table (`alias.rs`,
+//! 8 bytes a key) is one cache miss per draw.
+//!
+//! * The first `min(HEAD, n)` ranks are one column each, weight `r^-s`.
+//! * The ranks above them are cut into geometric blocks
+//!   `[lo, lo + max(1, lo/16))`, one column each, weight `len · lo^-s` —
+//!   an envelope of the block's true mass, since `k^-s ≤ lo^-s` on it.
+//!
+//! A draw takes one `next_u64`: its high 32 bits pick a column
+//! (multiply-shift), its low 32 bits are the alias coin. A head column
+//! returns its rank at once. A block draws a uniform offset and accepts
+//! rank `k = lo + offset` with probability `(k/lo)^-s`, otherwise the whole
+//! draw starts again; a rank is therefore returned with probability
+//! proportional to `len · lo^-s · (1/len) · (k/lo)^-s = k^-s`, which is
+//! exactly Zipf. `x ↦ x^-s` is convex, so its tangent at 1 lies below it:
+//! `v ≤ 1 − s·(k − lo)/lo` already proves `v ≤ (k/lo)^-s`, and only a
+//! draw the tangent leaves open — every rejection, and the thin gap
+//! between tangent and curve — evaluates a `powf`. Blocks are at most
+//! `lo/16` wide, so that is about `s/32` of the block attempts, nearly all
+//! of them the envelope's waste.
+//!
+//! The only inexactness is the table's 32-bit quantisation — a column is
+//! picked with a bias of at most `columns/2^32`, the coin compares against
+//! a threshold rounded to `2^-32` — the same a full Walker table has.
+//!
+//! Draws per call are part of the determinism contract: one `next_u64` for
+//! a head rank, three for every block attempt (column + coin, offset,
+//! acceptance variate).
+//!
+//! # The rank→key map
+//!
+//! The bijection is *not* a pseudorandom permutation: rank `r` lands on
+//! key `r−1` or on its mirror `n−r`, chosen by one seeded coin per
+//! unordered pair, and nowhere else — the hot keys *are* the lowest and
+//! highest key ids (a unit test pins this so the docs cannot drift from
+//! the code). Placement is spread all the same, because nothing downstream
+//! uses key ids raw: the hash ring and `Keyspace::value_size` both run
+//! them through `mix64` first. That was weighed when the sampler was
+//! replaced (ROADMAP item 6(a)) and kept: a real permutation would buy
+//! nothing any consumer can see.
 
 use elmem_util::hashutil::mix64;
 use elmem_util::{DetRng, KeyId};
+use rand::RngCore;
 
-/// Zipf sampler with O(1) sampling via rejection-inversion
-/// (Hörmann & Derflinger, as in Apache Commons' `ZipfDistribution`),
-/// plus a stable, seeded rank→key bijection.
+/// Ranks that get an alias column of their own; every rank above is
+/// reached through a block. A constant, not a knob: 256, 1024 and 4096
+/// read within ±2 ns of each other per draw, and 1024 keeps the table in
+/// L1 while the head carries most of the mass at every benchmarked size.
+const HEAD: u64 = 1024;
+
+/// A block starting at rank `lo` spans `max(1, lo >> BLOCK_SHIFT)` ranks
+/// (1/16 of `lo`; 1/8 reads the same speed and rejects twice as often).
+const BLOCK_SHIFT: u32 = 4;
+
+/// A run of consecutive tail ranks `lo..lo + len` sharing one column.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Block {
+    lo: u64,
+    len: u64,
+}
+
+/// Zipf sampler with O(1) sampling from a small alias table over head
+/// ranks and geometric tail blocks (see the module docs), plus a stable,
+/// seeded rank→key bijection.
 ///
 /// # Example
 ///
@@ -36,13 +89,14 @@ use elmem_util::{DetRng, KeyId};
 pub struct ZipfPopularity {
     n: u64,
     s: f64,
-    /// Seed of each swap-or-not round of the rank→key bijection:
-    /// `perm_seed ^ mix64(round)`.
-    round_seeds: [u64; SWAP_ROUNDS],
-    // Precomputed rejection-inversion constants.
-    h_integral_x1: f64,
-    h_integral_n: f64,
-    threshold: f64,
+    /// Seed of the per-pair coin of the rank→key bijection.
+    perm_seed: u64,
+    /// Ranks `1..=head` own columns `0..head`.
+    head: u64,
+    /// Per-column `(alias << 32) | threshold`, head columns first, then
+    /// one per block; empty for the uniform (`s ≈ 0`) case.
+    table: Vec<u64>,
+    blocks: Vec<Block>,
 }
 
 impl ZipfPopularity {
@@ -53,19 +107,42 @@ impl ZipfPopularity {
     ///
     /// Panics if `n == 0`, or `s` is negative or not finite.
     pub fn new(n: u64, s: f64, perm_seed: u64) -> Self {
+        Self::with_head(n, s, perm_seed, HEAD)
+    }
+
+    /// [`Self::new`] with the head size given, so tests can make blocks
+    /// carry the mass of a small keyspace.
+    fn with_head(n: u64, s: f64, perm_seed: u64, head: u64) -> Self {
         assert!(n > 0, "empty keyspace");
         assert!(s >= 0.0 && s.is_finite(), "invalid exponent {s}");
-        let h_integral_x1 = h_integral(1.5, s) - 1.0; // h(1) = 1
-        let h_integral_n = h_integral(n as f64 + 0.5, s);
-        let threshold = 2.0 - h_integral_inverse(h_integral(2.5, s) - h(2.0, s), s);
-        ZipfPopularity {
+        let head = head.min(n);
+        let mut zipf = ZipfPopularity {
             n,
             s,
-            round_seeds: std::array::from_fn(|round| perm_seed ^ mix64(round as u64)),
-            h_integral_x1,
-            h_integral_n,
-            threshold,
+            perm_seed,
+            head,
+            table: Vec::new(),
+            blocks: Vec::new(),
+        };
+        if s < UNIFORM_BELOW {
+            return zipf;
         }
+        let mut lo = head + 1;
+        while lo <= n {
+            let len = (lo >> BLOCK_SHIFT).max(1).min(n - lo + 1);
+            zipf.blocks.push(Block { lo, len });
+            lo += len;
+        }
+        let weights: Vec<f64> = (1..=head)
+            .map(|r| (r as f64).powf(-s))
+            .chain(
+                zipf.blocks
+                    .iter()
+                    .map(|b| b.len as f64 * (b.lo as f64).powf(-s)),
+            )
+            .collect();
+        zipf.table = alias_table(&weights);
+        zipf
     }
 
     /// Number of keys.
@@ -78,87 +155,111 @@ impl ZipfPopularity {
         self.s
     }
 
+    /// Bytes the sampler's tables occupy — a few KiB at any `n`.
+    pub fn table_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.table[..]) + std::mem::size_of_val(&self.blocks[..])
+    }
+
     /// Draws a key (the sampled rank's [`Self::key_for_rank`]).
+    #[inline]
     pub fn sample(&self, rng: &mut DetRng) -> KeyId {
         self.key_for_rank(self.sample_rank(rng))
     }
 
     /// Draws a popularity rank in `1..=n` (1 = most popular).
+    #[inline]
     pub fn sample_rank(&self, rng: &mut DetRng) -> u64 {
-        if self.s < 1e-9 {
+        if self.table.is_empty() {
             // Uniform special case.
             return 1 + rng.next_below(self.n);
         }
+        let columns = self.table.len() as u64;
         loop {
-            let u = self.h_integral_n + rng.next_f64() * (self.h_integral_x1 - self.h_integral_n);
-            let x = h_integral_inverse(u, self.s);
-            let k = x.round().clamp(1.0, self.n as f64);
-            if k - x <= self.threshold || u >= h_integral(k + 0.5, self.s) - h(k, self.s) {
-                return k as u64;
+            let x = rng.next_u64();
+            let column = ((x >> 32) * columns) >> 32;
+            let packed = self.table[column as usize];
+            let pick = if x & 0xffff_ffff < packed & 0xffff_ffff {
+                column
+            } else {
+                packed >> 32
+            };
+            if pick < self.head {
+                return pick + 1;
+            }
+            let Block { lo, len } = self.blocks[(pick - self.head) as usize];
+            let offset = ((u128::from(rng.next_u64()) * u128::from(len)) >> 64) as u64;
+            let v = rng.next_f64();
+            if squeeze_accepts(self.s, lo, offset, v)
+                || v <= ((lo + offset) as f64 / lo as f64).powf(-self.s)
+            {
+                return lo + offset;
             }
         }
     }
 
     /// The key assigned to a rank: a stable bijection of `1..=n` onto
     /// `0..n` that sends rank `r` to key `r−1` or to its mirror `n−r`,
-    /// chosen by a seeded hash of the pair (see the module docs for what
-    /// that does and does not spread).
-    ///
-    /// Eight "swap-or-not" rounds, each of which swaps `x` with its mirror
-    /// `n−1−x` when a hash of the *unordered pair* `{x, mirror}` and the
-    /// round's seed is odd — a bijection on `[0, n)` for any round count.
-    /// A swap maps the pair onto itself, so every round hashes the same
-    /// pair word and only the round seed differs; where `x` ends up
-    /// depends only on whether the number of swaps is odd. So the pair
-    /// word is computed once and the eight hashes are independent
-    /// (pipelined) rather than an eight-deep dependent chain — the same
-    /// key, bit for bit, as applying the rounds one after another.
+    /// chosen by one seeded coin per unordered pair `{r−1, n−r}` (see the
+    /// module docs for what that does and does not spread). Both members
+    /// of a pair hash the same word, so they swap together or not at all —
+    /// a bijection for any `n`.
     #[inline]
     pub fn key_for_rank(&self, rank: u64) -> KeyId {
         debug_assert!(rank >= 1 && rank <= self.n);
         let x = rank - 1;
         let mirror = self.n - 1 - x;
         let pair = x.min(mirror) ^ x.max(mirror).rotate_left(32);
-        let swaps = self
-            .round_seeds
-            .iter()
-            .fold(0, |parity, &seed| parity ^ mix64(pair ^ seed));
-        KeyId(if swaps & 1 == 1 { mirror } else { x })
+        KeyId(if mix64(pair ^ self.perm_seed) & 1 == 1 {
+            mirror
+        } else {
+            x
+        })
     }
 }
 
-/// Rounds of the rank→key swap-or-not network.
-const SWAP_ROUNDS: usize = 8;
+/// Exponents below this sample uniformly with one bounded draw.
+const UNIFORM_BELOW: f64 = 1e-9;
 
-/// `H(x) = (x^{1-s} − 1)/(1−s)` (→ `ln x` as `s → 1`).
-fn h_integral(x: f64, s: f64) -> f64 {
-    if (s - 1.0).abs() < 1e-12 {
-        x.ln()
-    } else {
-        (x.powf(1.0 - s) - 1.0) / (1.0 - s)
-    }
+/// The tangent squeeze of a block's acceptance test: whether
+/// `v ≤ 1 − s·offset/lo`, which by convexity implies
+/// `v ≤ ((lo + offset)/lo)^-s`. `false` decides nothing — the caller then
+/// evaluates the power.
+#[inline]
+fn squeeze_accepts(s: f64, lo: u64, offset: u64, v: f64) -> bool {
+    (1.0 - v) * lo as f64 >= s * offset as f64
 }
 
-/// `h(x) = x^{-s}` — the unnormalized Zipf density.
-fn h(x: f64, s: f64) -> f64 {
-    x.powf(-s)
-}
-
-/// Inverse of [`h_integral`].
-fn h_integral_inverse(u: f64, s: f64) -> f64 {
-    if (s - 1.0).abs() < 1e-12 {
-        u.exp()
-    } else {
-        // Guard the radicand against tiny negative rounding error.
-        (1.0 + u * (1.0 - s))
-            .max(f64::MIN_POSITIVE)
-            .powf(1.0 / (1.0 - s))
+/// Vose's alias construction: column `i` packs `(alias << 32) | threshold`
+/// and keeps itself when a 32-bit coin is below the threshold. Worklists
+/// are filled in index order, so the table is a pure function of the
+/// weights.
+fn alias_table(weights: &[f64]) -> Vec<u64> {
+    let scale = weights.len() as f64 / weights.iter().sum::<f64>();
+    let mut scaled: Vec<f64> = weights.iter().map(|w| w * scale).collect();
+    let (mut small, mut large): (Vec<u32>, Vec<u32>) =
+        (0..weights.len() as u32).partition(|&i| scaled[i as usize] < 1.0);
+    // Float slop leaves some columns unpaired: probability 1, alias = self.
+    let mut table: Vec<u64> = (0..weights.len() as u64)
+        .map(|i| (i << 32) | u64::from(u32::MAX))
+        .collect();
+    while let (Some(&s_i), Some(&l_i)) = (small.last(), large.last()) {
+        small.pop();
+        let p = scaled[s_i as usize];
+        let threshold = ((p * (1u64 << 32) as f64).round() as u64).min(u64::from(u32::MAX));
+        table[s_i as usize] = (u64::from(l_i) << 32) | threshold;
+        scaled[l_i as usize] = (scaled[l_i as usize] + p) - 1.0;
+        if scaled[l_i as usize] < 1.0 {
+            large.pop();
+            small.push(l_i);
+        }
     }
+    table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alias::ZipfAlias;
     use std::collections::{HashMap, HashSet};
 
     #[test]
@@ -202,6 +303,274 @@ mod tests {
         assert!((p - 0.1928).abs() < 0.01, "p(1) = {p}");
     }
 
+    /// Pearson's χ² of `draws` sampled ranks against the analytic pmf
+    /// `k^-s / Σ j^-s`, consecutive ranks pooled until a bin expects at
+    /// least 20 draws. Returns `(χ², degrees of freedom)`.
+    fn chi_square(z: &ZipfPopularity, seed: u64, draws: u64) -> (f64, f64) {
+        let n = z.n() as usize;
+        let mut observed = vec![0u64; n + 1];
+        let mut rng = DetRng::seed(seed);
+        for _ in 0..draws {
+            observed[z.sample_rank(&mut rng) as usize] += 1;
+        }
+        let weight = |k: usize| (k as f64).powf(-z.exponent());
+        let per_weight = draws as f64 / (1..=n).map(weight).sum::<f64>();
+        let mut bins: Vec<(f64, f64)> = Vec::new(); // (expected, observed)
+        let mut open = (0.0, 0.0);
+        for (k, &seen) in observed.iter().enumerate().skip(1) {
+            open.0 += weight(k) * per_weight;
+            open.1 += seen as f64;
+            if open.0 >= 20.0 {
+                bins.push(std::mem::take(&mut open));
+            }
+        }
+        let last = bins.last_mut().expect("at least one full bin");
+        *last = (last.0 + open.0, last.1 + open.1);
+        let chi2 = bins.iter().map(|(e, o)| (o - e) * (o - e) / e).sum();
+        (chi2, (bins.len() - 1) as f64)
+    }
+
+    #[test]
+    fn chi_square_against_the_analytic_pmf() {
+        // A head of 16 leaves most of the mass to the blocks: widths from
+        // one rank to a few hundred, the last one cut short by n.
+        for (i, s) in [0.5, 0.8, 1.0, 1.2, 3.0].into_iter().enumerate() {
+            let z = ZipfPopularity::with_head(5_000, s, 1, 16);
+            let (chi2, dof) = chi_square(&z, 100 + i as u64, 2_000_000);
+            let bound = dof + 5.0 * (2.0 * dof).sqrt();
+            assert!(
+                chi2 <= bound,
+                "s={s}: χ² {chi2:.0} on {dof} dof > {bound:.0}"
+            );
+        }
+        // And the shipped head size, on a keyspace that reaches past it.
+        let z = ZipfPopularity::new(5_000, 1.0, 1);
+        let (chi2, dof) = chi_square(&z, 105, 2_000_000);
+        assert!(
+            chi2 <= dof + 5.0 * (2.0 * dof).sqrt(),
+            "χ² {chi2:.0} on {dof} dof"
+        );
+    }
+
+    #[test]
+    fn marginals_match_the_full_alias_table() {
+        // `ZipfAlias` holds one column per rank: the reference this
+        // sampler's columns-and-blocks table is a compression of.
+        for head in [HEAD, 4] {
+            let zipf = ZipfPopularity::with_head(50, 0.9, 5, head);
+            let alias = ZipfAlias::from_zipf(&zipf);
+            let n = 400_000;
+            let mut rng_a = DetRng::seed(3);
+            let mut rng_b = DetRng::seed(4);
+            let mut ca = [0u64; 51];
+            let mut cb = [0u64; 51];
+            for _ in 0..n {
+                ca[alias.sample_rank(&mut rng_a) as usize] += 1;
+                cb[zipf.sample_rank(&mut rng_b) as usize] += 1;
+            }
+            for r in 1..=50usize {
+                let pa = ca[r] as f64 / n as f64;
+                let pb = cb[r] as f64 / n as f64;
+                assert!(
+                    (pa - pb).abs() < 0.005,
+                    "head {head} rank {r}: full table {pa:.4} vs blocks {pb:.4}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_tile_the_tail_at_every_edge() {
+        // (n, head, expected block count): no tail, a one-rank tail, a
+        // block cut short by n, and the sizes the benchmark and the paper
+        // run at.
+        let cases = [
+            (1, HEAD, Some(0)),
+            (HEAD, HEAD, Some(0)),
+            (HEAD + 1, HEAD, Some(1)),
+            (HEAD + 64 + 10, HEAD, Some(2)),
+            (40, 1, None),
+            (40_000, HEAD, None),
+            (19_000_000, HEAD, None),
+        ];
+        for (n, head, n_blocks) in cases {
+            let z = ZipfPopularity::with_head(n, 1.0, 9, head);
+            assert_eq!(z.head, head.min(n));
+            assert_eq!(z.table.len() as u64, z.head + z.blocks.len() as u64);
+            if let Some(expected) = n_blocks {
+                assert_eq!(z.blocks.len(), expected, "n={n}");
+            }
+            let mut next = z.head + 1;
+            for b in &z.blocks {
+                assert_eq!(b.lo, next, "n={n}: gap or overlap");
+                assert!(b.len >= 1 && b.len <= (b.lo >> BLOCK_SHIFT).max(1));
+                next += b.len;
+            }
+            assert_eq!(next, n + 1, "n={n}: blocks must end at the last rank");
+            let mut rng = DetRng::seed(n);
+            for _ in 0..20_000 {
+                assert!((1..=n).contains(&z.sample_rank(&mut rng)));
+            }
+        }
+        let cut = ZipfPopularity::new(HEAD + 64 + 10, 1.0, 9);
+        assert_eq!(
+            cut.blocks[1],
+            Block {
+                lo: HEAD + 65,
+                len: 10
+            }
+        );
+    }
+
+    #[test]
+    fn last_rank_of_a_truncated_block_is_reachable() {
+        let n = 16 + 1 + 1 + 1; // head 16, three one-rank blocks
+        let z = ZipfPopularity::with_head(n, 0.5, 2, 16);
+        let mut rng = DetRng::seed(4);
+        let seen: HashSet<u64> = (0..10_000).map(|_| z.sample_rank(&mut rng)).collect();
+        assert_eq!(seen.len() as u64, n);
+    }
+
+    #[test]
+    fn table_is_small_and_reproducible_at_paper_scale() {
+        let a = ZipfPopularity::new(19_000_000, 0.99, 1);
+        let b = ZipfPopularity::new(19_000_000, 0.99, 2);
+        assert!(a.table_bytes() <= 16 << 10, "{} bytes", a.table_bytes());
+        assert_eq!(a.table, b.table);
+        assert_eq!(a.blocks, b.blocks);
+    }
+
+    #[test]
+    fn uniform_switch_sits_at_1e_9() {
+        for (s, uniform) in [(0.0, true), (9e-10, true), (1e-9, false), (1e-8, false)] {
+            let z = ZipfPopularity::new(10, s, 3);
+            assert_eq!(z.table.is_empty(), uniform, "s={s}");
+            assert_eq!(z.table_bytes() == 0, uniform);
+            // Either side of the switch the ten keys are equally likely.
+            let mut rng = DetRng::seed(5);
+            let mut counts = [0u64; 10];
+            for _ in 0..100_000 {
+                counts[z.sample(&mut rng).0 as usize] += 1;
+            }
+            for &c in &counts {
+                assert!((9_000..11_000).contains(&c), "s={s}: count {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn squeeze_never_accepts_what_the_power_rejects() {
+        let mut rng = DetRng::seed(6);
+        for s in [1e-9, 0.5, 0.99, 1.0, 1.2, 3.0, 20.0] {
+            for lo in [17u64, 1_025, 40_000, 19_000_000] {
+                for _ in 0..20_000 {
+                    let offset = rng.next_below((lo >> BLOCK_SHIFT).max(1));
+                    let v = rng.next_f64();
+                    if squeeze_accepts(s, lo, offset, v) {
+                        let p = ((lo + offset) as f64 / lo as f64).powf(-s);
+                        assert!(v <= p, "s={s} lo={lo} offset={offset} v={v} p={p}");
+                    }
+                }
+            }
+        }
+        // s = 20: past offset/lo = 1/20 the tangent is negative, so the
+        // squeeze decides nothing and the power always does.
+        assert!(!squeeze_accepts(20.0, 1_600, 81, 0.0));
+        assert!(squeeze_accepts(20.0, 1_600, 0, 0.999));
+        let z = ZipfPopularity::with_head(100, 20.0, 0, 2);
+        let mut rng = DetRng::seed(7);
+        assert!((0..10_000).all(|_| z.sample_rank(&mut rng) == 1));
+    }
+
+    /// What decided one `sample_rank` call, replayed step by step.
+    #[derive(Default)]
+    struct Replay {
+        head_draws: u64,
+        block_attempts: u64,
+        power_evaluations: u64,
+    }
+
+    /// `sample_rank` spelled out on `rng`, counting as it goes. The tests
+    /// below hold it to the product's ranks and RNG state, so the counts
+    /// describe the product.
+    fn replay_rank(z: &ZipfPopularity, rng: &mut DetRng, tally: &mut Replay) -> u64 {
+        loop {
+            let x = rng.next_u64();
+            let column = ((x >> 32) * z.table.len() as u64) >> 32;
+            let packed = z.table[column as usize];
+            let pick = if (x as u32) < (packed as u32) {
+                column
+            } else {
+                packed >> 32
+            };
+            if pick < z.head {
+                tally.head_draws += 1;
+                return pick + 1;
+            }
+            tally.block_attempts += 1;
+            let Block { lo, len } = z.blocks[(pick - z.head) as usize];
+            let offset = ((u128::from(rng.next_u64()) * u128::from(len)) >> 64) as u64;
+            let v = rng.next_f64();
+            if squeeze_accepts(z.s, lo, offset, v) {
+                return lo + offset;
+            }
+            tally.power_evaluations += 1;
+            if v <= ((lo + offset) as f64 / lo as f64).powf(-z.s) {
+                return lo + offset;
+            }
+        }
+    }
+
+    #[test]
+    fn draw_pattern_is_one_word_for_the_head_and_three_per_block_attempt() {
+        // The draws a call consumes are the determinism contract: every
+        // pinned stream moves if this pattern does.
+        for (n, s) in [(40_000, 1.0), (350_000, 0.8), (19_000_000, 1.2)] {
+            let z = ZipfPopularity::new(n, s, 11);
+            let mut product = DetRng::seed(n);
+            let mut replayed = product.clone();
+            let mut tally = Replay::default();
+            for _ in 0..200_000 {
+                let mut counted = replayed.clone();
+                let before = (tally.head_draws, tally.block_attempts);
+                let rank = replay_rank(&z, &mut replayed, &mut tally);
+                assert_eq!(z.sample_rank(&mut product), rank);
+                let words = (tally.head_draws - before.0) + 3 * (tally.block_attempts - before.1);
+                for _ in 0..words {
+                    counted.next_u64();
+                }
+                assert_eq!(format!("{counted:?}"), format!("{product:?}"));
+            }
+            assert!(tally.head_draws > 0 && tally.block_attempts > 0);
+        }
+    }
+
+    #[test]
+    fn power_is_evaluated_only_where_the_tangent_cannot_decide() {
+        // The tangent fails with probability s·offset/lo — every rejection
+        // and the gap under the curve — and offsets average under 1/32 of
+        // `lo`, so about s/32 of block attempts pay for a `powf`.
+        for (n, s) in [
+            (40_000, 1.0),
+            (350_000, 0.8),
+            (19_000_000, 1.2),
+            (19_000_000, 0.99),
+        ] {
+            let z = ZipfPopularity::new(n, s, 11);
+            let mut rng = DetRng::seed(12);
+            let mut tally = Replay::default();
+            for _ in 0..1_000_000 {
+                replay_rank(&z, &mut rng, &mut tally);
+            }
+            assert!(tally.block_attempts > 50_000, "n={n}: blocks barely drawn");
+            let share = tally.power_evaluations as f64 / tally.block_attempts as f64;
+            assert!(
+                share > 0.0 && share < 1.05 * s / 32.0,
+                "n={n} s={s}: power on {share:.4} of block attempts"
+            );
+        }
+    }
+
     #[test]
     fn permutation_is_bijective() {
         let z = ZipfPopularity::new(1000, 0.9, 99);
@@ -229,73 +598,6 @@ mod tests {
                     let k = z.key_for_rank(r).0;
                     assert!(k == r - 1 || k == n - r, "n={n} rank {r} -> key {k}");
                 }
-            }
-        }
-    }
-
-    /// One swap-or-not round as `key_for_rank` applied it before the
-    /// parity form: x ↦ possibly its mirror in [0, n).
-    fn swap_or_not_round(x: u64, n: u64, seed: u64) -> u64 {
-        let partner = n - 1 - x;
-        let lo = x.min(partner);
-        let hi = x.max(partner);
-        if mix64(lo ^ hi.rotate_left(32) ^ seed) & 1 == 1 {
-            partner
-        } else {
-            x
-        }
-    }
-
-    /// The oracle for the parity form: the eight rounds chained, each
-    /// feeding the next, seeds derived from `perm_seed` on the spot.
-    fn chained_key_for_rank(n: u64, perm_seed: u64, rank: u64) -> KeyId {
-        let mut x = rank - 1;
-        for round in 0..8u64 {
-            x = swap_or_not_round(x, n, perm_seed ^ mix64(round));
-        }
-        KeyId(x)
-    }
-
-    const PERM_SEEDS: [u64; 4] = [0, 7, 0x9E37_79B9_7F4A_7C15, u64::MAX];
-
-    #[test]
-    fn parity_form_matches_chained_rounds_for_every_rank() {
-        // Degenerate sizes, and an even/odd pair at the benchmark's scale
-        // (odd n has a self-mirrored middle slot).
-        for n in [1u64, 2, 3, 40_000, 40_001] {
-            for seed in PERM_SEEDS {
-                let z = ZipfPopularity::new(n, 1.0, seed);
-                for r in 1..=n {
-                    assert_eq!(
-                        z.key_for_rank(r),
-                        chained_key_for_rank(n, seed, r),
-                        "n={n} seed={seed:#x} rank={r}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parity_form_matches_chained_rounds_at_paper_scale() {
-        let n = 19_000_000u64;
-        for seed in PERM_SEEDS {
-            let z = ZipfPopularity::new(n, 0.99, seed);
-            let mut rng = DetRng::seed(seed ^ 1);
-            // The ends, then ranks drawn the way the workload draws them
-            // and uniformly (Zipf alone would rarely leave the head).
-            let edges = [1, 2, n / 2, n / 2 + 1, n - 1, n];
-            let zipf_draws = (0..50_000)
-                .map(|_| z.sample_rank(&mut rng))
-                .collect::<Vec<_>>();
-            let mut rng = DetRng::seed(seed ^ 2);
-            let uniform_draws = (0..50_000).map(|_| 1 + rng.next_below(n));
-            for r in edges.into_iter().chain(zipf_draws).chain(uniform_draws) {
-                assert_eq!(
-                    z.key_for_rank(r),
-                    chained_key_for_rank(n, seed, r),
-                    "seed={seed:#x} rank={r}"
-                );
             }
         }
     }

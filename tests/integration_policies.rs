@@ -1,6 +1,7 @@
 //! Cross-crate integration: the four policies ranked end-to-end, mirroring
-//! the orderings of §V-B1 and §V-B4 (ElMem ≺ CacheScale/Naive ≺ baseline
-//! in post-scaling degradation).
+//! the orderings of §V-B1 and §V-B4 (ElMem ≺ CacheScale ≺ baseline in
+//! post-scaling degradation; ElMem against Naive is a tie at this scale,
+//! pinned as one).
 
 use elmem::cluster::ClusterConfig;
 use elmem::core::migration::MigrationCosts;
@@ -66,20 +67,6 @@ fn elmem_beats_baseline_on_miss_rate_and_tail() {
     );
 }
 
-#[test]
-fn elmem_beats_naive() {
-    let naive = run_experiment(config(MigrationPolicy::Naive, 22));
-    let elmem = run_experiment(config(MigrationPolicy::elmem(), 22));
-    let cn = naive.events[0].committed_at.as_secs();
-    let ce = elmem.events[0].committed_at.as_secs();
-    assert!(
-        post_miss_rate(&elmem.timeline, ce) <= post_miss_rate(&naive.timeline, cn),
-        "elmem {} vs naive {}",
-        post_miss_rate(&elmem.timeline, ce),
-        post_miss_rate(&naive.timeline, cn)
-    );
-}
-
 /// Mean hit rate over a window of seconds.
 fn hit_in_window(timeline: &[TimelinePoint], from_s: u64, to_s: u64) -> f64 {
     let pts: Vec<&TimelinePoint> = timeline
@@ -88,6 +75,72 @@ fn hit_in_window(timeline: &[TimelinePoint], from_s: u64, to_s: u64) -> f64 {
         .collect();
     assert!(!pts.is_empty());
     pts.iter().map(|p| p.hit_rate).sum::<f64>() / pts.len() as f64
+}
+
+/// ElMem against Naive against the baseline over a sweep of seeds, on the
+/// whole post-commit run and on the ten seconds after the commit, where
+/// §V-B4's ordering (ElMem < Naive: Naive imports with fresh stamps and
+/// evicts hotter residents) would show first.
+///
+/// What holds at `small_test` scale, and is asserted: both policies sit far
+/// below the baseline's miss rate in nearly every seed. What does not, and
+/// is pinned instead: the two are tied. Over seeds 20–43 the mean miss
+/// rates read 0.1076 / 0.1067 / 0.1195 (ElMem / Naive / baseline; ElMem
+/// ahead in 14 of 24) on the whole run and 0.1003 / 0.1011 / 0.1402 (15 of
+/// 24) on the first ten seconds — a difference of ∓0.0009 with a standard
+/// error of 0.0007, no ordering. One retired 4 MiB node of four holds too
+/// few items for import order to matter (EXPERIMENTS.md E28, DESIGN.md §4);
+/// a single-seed `elmem ≤ naive` assertion used to stand here and passed on
+/// a margin of 0.0004.
+fn assert_elmem_and_naive_tie_far_below_baseline(seeds: std::ops::Range<u64>, tie: f64) {
+    // (window length in seconds, how far below the baseline both must be)
+    const WINDOWS: [(u64, f64); 2] = [(u64::MAX, 0.004), (10, 0.02)];
+    // Per seed and window: [baseline, ElMem, Naive] miss rates.
+    let rows: Vec<[[f64; 3]; 2]> = seeds
+        .map(|seed| {
+            let runs = [
+                MigrationPolicy::Baseline,
+                MigrationPolicy::elmem(),
+                MigrationPolicy::Naive,
+            ]
+            .map(|policy| run_experiment(config(policy, seed)));
+            WINDOWS.map(|(window_s, _)| {
+                runs.each_ref().map(|r| {
+                    let commit = r.events[0].committed_at.as_secs();
+                    1.0 - hit_in_window(&r.timeline, commit, commit.saturating_add(window_s))
+                })
+            })
+        })
+        .collect();
+    let n = rows.len();
+    for (w, (window_s, margin)) in WINDOWS.into_iter().enumerate() {
+        let both_below = rows
+            .iter()
+            .filter(|row| row[w][1].max(row[w][2]) + margin < row[w][0])
+            .count();
+        assert!(
+            both_below >= n - n.div_ceil(12),
+            "window {window_s}: ElMem and Naive {margin} below baseline in only {both_below}/{n}"
+        );
+        let lead = rows.iter().map(|row| row[w][1] - row[w][2]).sum::<f64>() / n as f64;
+        assert!(
+            lead.abs() <= tie,
+            "window {window_s}: mean ElMem − Naive miss rate {lead:+.4} is outside ±{tie}: \
+             if ElMem now leads, assert the paper's ordering here instead of a tie"
+        );
+    }
+}
+
+#[test]
+fn elmem_and_naive_tie_far_below_baseline() {
+    // Eight seeds: the mean of eight differences has √3 the spread of 24.
+    assert_elmem_and_naive_tie_far_below_baseline(20..28, 0.0035);
+}
+
+#[test]
+#[ignore = "24 seeds x 3 policies: the tier-1 test three times over; CI runs it nightly"]
+fn elmem_and_naive_tie_far_below_baseline_over_24_seeds() {
+    assert_elmem_and_naive_tie_far_below_baseline(20..44, 0.002);
 }
 
 #[test]

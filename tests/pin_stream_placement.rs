@@ -10,9 +10,11 @@
 //! (PR 15, `7ab1128`), so a mismatch means today's code no longer
 //! produces that commit's stream or placement.
 //!
-//! A stream that changes on purpose (ROADMAP item 1's one-sampler PR)
-//! copies the rows the failure message prints, in the same reviewed diff
-//! that re-blesses the goldens.
+//! A stream that changes on purpose copies the rows the failure message
+//! prints, in the same reviewed diff that re-blesses the goldens. That has
+//! happened once, to the three stream rows: ROADMAP item 6(a)'s one-sampler
+//! PR (PR 22) replaced the Zipf sampler and the rank→key coin. The
+//! placement rows are still `7ab1128`'s.
 
 use elmem::hash::HashRing;
 use elmem::util::hashutil::fnv1a64;
@@ -29,7 +31,7 @@ const SEED: u64 = 7;
 const REQUESTS: usize = 20_000;
 
 /// Digest of the first [`REQUESTS`] requests (arrival, then each key).
-fn stream_digest(n: u64, s: f64, alias: bool) -> u64 {
+fn stream_digest(n: u64, s: f64) -> u64 {
     let config = WorkloadConfig {
         keyspace: Keyspace::new(n, SEED),
         zipf_exponent: s,
@@ -38,7 +40,7 @@ fn stream_digest(n: u64, s: f64, alias: bool) -> u64 {
         // A dip, so the thinning loop rejects candidates too.
         trace: DemandTrace::new(vec![1.0, 0.5, 1.0], SimTime::from_secs(30)),
     };
-    let mut gen = RequestGenerator::with_alias_sampling(config, DetRng::seed(SEED), alias);
+    let mut gen = RequestGenerator::new(config, DetRng::seed(SEED));
     let mut req = WebRequest {
         arrival: SimTime::ZERO,
         keys: Vec::new(),
@@ -66,27 +68,24 @@ fn placement_digest(nodes: u32, vnodes: u32) -> u64 {
 
 #[test]
 fn request_streams_match_their_pinned_digests() {
-    // (keys, zipf exponent, alias sampling, digest at 7ab1128)
-    const PINS: [(u64, f64, bool, u64); 6] = [
-        (40_000, 1.0, false, 0x6eed_1f2f_4cde_b27c),
-        (40_000, 1.0, true, 0x8ef7_8920_e3d4_feea),
-        (200_000, 0.8, false, 0xbeae_3735_5704_75f5),
-        (200_000, 0.8, true, 0x469e_9533_5d72_a361),
-        (100_000, 1.2, false, 0x9c5b_2fd9_90e9_3624),
-        (100_000, 1.2, true, 0x8c4c_f064_1983_4afe),
+    // (keys, zipf exponent, digest at PR 22)
+    const PINS: [(u64, f64, u64); 3] = [
+        (40_000, 1.0, 0x6eed_1f2f_4cde_b27c),
+        (200_000, 0.8, 0xbeae_3735_5704_75f5),
+        (100_000, 1.2, 0x9c5b_2fd9_90e9_3624),
     ];
     let moved: Vec<String> = PINS
         .into_iter()
-        .filter_map(|(n, s, alias, want)| {
-            let got = stream_digest(n, s, alias);
-            (got != want).then(|| format!("({n}, {s:?}, {alias}, {got:#018x}),"))
+        .filter_map(|(n, s, want)| {
+            let got = stream_digest(n, s);
+            (got != want).then(|| format!("({n}, {s:?}, {got:#018x}),"))
         })
         .collect();
     assert!(
         moved.is_empty(),
-        "request stream moved: suspect ZipfPopularity::key_for_rank (zipf's \
-         parity_form_* tests), then SimTime::from_secs_f64 (arrivals), then the \
-         samplers' RNG draw order. Rows now:\n{}",
+        "request stream moved: suspect ZipfPopularity::sample_rank's draw \
+         pattern (zipf's draw_pattern_* test), then key_for_rank's coin, then \
+         SimTime::from_secs_f64 (arrivals). Rows now:\n{}",
         moved.join("\n")
     );
 }
