@@ -1,25 +1,16 @@
 //! Walker/Vose alias table over Zipf ranks, one column per rank: the
 //! full-table reference for [`crate::zipf`]'s sampler, not a product path.
 //!
-//! [`ZipfPopularity`] samples from an alias table over ~1 200 *columns*
-//! (head ranks and geometric tail blocks); this module keeps the table
-//! that construction compresses — 8 bytes a key, an O(n) build
-//! (parallelized over rank chunks, deterministic regardless of worker
-//! count), two RNG draws and one table load per sample. At 19 M keys that
-//! load is a cache miss in a 152 MB table, which is why it lost. Two
-//! things still use it: `zipf.rs`'s tests compare marginals against it,
-//! and the repo benchmark's `workload.alias_sample_ns` layer times it
+//! [`ZipfPopularity`] samples from an alias table over ~1 200 *columns*;
+//! this is the table that construction compresses — 8 bytes a key, an O(n)
+//! build, two RNG draws and one load per sample, at 19 M keys a cache miss
+//! in 152 MB, which is why it lost. `zipf.rs`'s tests compare marginals
+//! against it and the repo benchmark's `workload.alias_sample_ns` times it
 //! (ROADMAP item 3 step 0 retires that metric; this file goes with it).
 //!
-//! # Determinism
-//!
-//! The table itself is a pure function of `(n, s)`: weights `r^{-s}` are
-//! computed per rank, and the Vose small/large pairing loop is seeded with
-//! ranks in ascending order, so the packed table is byte-identical across
-//! builds, platforms, and build-time worker counts. Sampling consumes RNG
-//! draws in a fixed pattern (one bounded draw for the column, one raw draw
-//! for the coin), so a given `DetRng` stream always yields the same key
-//! sequence — a different one from [`ZipfPopularity::sample`]'s.
+//! The table is a pure function of `(n, s)` — chunk sums reduce in chunk
+//! order and Vose's worklists fill in rank order — so it is byte-identical
+//! at any build worker count, and sampling draws in a fixed pattern.
 
 use elmem_util::hashutil::mix64;
 use elmem_util::par::{par_jobs, par_map_indexed};

@@ -1,78 +1,49 @@
-//! Zipf popularity over a keyspace.
-//!
-//! Facebook's Memcached traces are highly skewed; we model popularity as
-//! Zipf(s) over `n` ranks, with a seeded rank→key bijection
-//! ([`ZipfPopularity::key_for_rank`]).
+//! Zipf popularity: Facebook's Memcached traces are highly skewed; we model
+//! them as Zipf(s) over `n` ranks plus a seeded rank→key bijection.
 //!
 //! # The sampler
 //!
-//! One sampler at every keyspace size: a Walker/Vose alias table over
-//! *columns*, O(1) per draw, O([`HEAD`] + log n) to build and about 12 KB
-//! at 19 M keys, so it stays in L1 where a per-rank table (`alias.rs`,
-//! 8 bytes a key) is one cache miss per draw.
+//! One Walker/Vose alias table over *columns* at every keyspace size: O(1)
+//! per draw, 10–12 KB, so it stays in L1 where a table with a column per
+//! rank (`alias.rs`) is a cache miss per draw. The first `min(HEAD, n)`
+//! ranks are a column each, weight `r^-s`; the ranks above are cut into
+//! geometric blocks `[lo, lo + max(1, lo/16))`, a column each, weight
+//! `len · lo^-s` — an envelope of the block's mass, since `k^-s ≤ lo^-s`.
 //!
-//! * The first `min(HEAD, n)` ranks are one column each, weight `r^-s`.
-//! * The ranks above them are cut into geometric blocks
-//!   `[lo, lo + max(1, lo/16))`, one column each, weight `len · lo^-s` —
-//!   an envelope of the block's true mass, since `k^-s ≤ lo^-s` on it.
+//! One `next_u64` picks a column (high 32 bits, multiply-shift) and flips
+//! the alias coin (low 32 bits). A head column returns its rank. A block
+//! draws a uniform offset and accepts `k = lo + offset` with probability
+//! `(k/lo)^-s`, else the draw starts over; rank `k` therefore comes out
+//! with probability ∝ `len · lo^-s · (1/len) · (k/lo)^-s = k^-s` — exactly
+//! Zipf, up to the table's `2^-32` quantisation of column pick and coin
+//! (DESIGN.md §5). `x^-s` is convex, so `v ≤ 1 − s·offset/lo`, its tangent
+//! at 1, already proves acceptance; only the draws that leaves open (every
+//! rejection and the gap under the curve, ≈ `s/32` of block attempts)
+//! evaluate a `powf`.
 //!
-//! A draw takes one `next_u64`: its high 32 bits pick a column
-//! (multiply-shift), its low 32 bits are the alias coin. A head column
-//! returns its rank at once. A block draws a uniform offset and accepts
-//! rank `k = lo + offset` with probability `(k/lo)^-s`, otherwise the whole
-//! draw starts again; a rank is therefore returned with probability
-//! proportional to `len · lo^-s · (1/len) · (k/lo)^-s = k^-s`, which is
-//! exactly Zipf. `x ↦ x^-s` is convex, so its tangent at 1 lies below it:
-//! `v ≤ 1 − s·(k − lo)/lo` already proves `v ≤ (k/lo)^-s`, and only a
-//! draw the tangent leaves open — every rejection, and the thin gap
-//! between tangent and curve — evaluates a `powf`. Blocks are at most
-//! `lo/16` wide, so that is about `s/32` of the block attempts, nearly all
-//! of them the envelope's waste.
-//!
-//! The only inexactness is the table's 32-bit quantisation — a column is
-//! picked with a bias of at most `columns/2^32`, the coin compares against
-//! a threshold rounded to `2^-32` — the same a full Walker table has.
-//!
-//! Draws per call are part of the determinism contract: one `next_u64` for
-//! a head rank, three for every block attempt (column + coin, offset,
-//! acceptance variate).
+//! Draws per call are the determinism contract: one `next_u64` for a head
+//! rank, three per block attempt (column + coin, offset, acceptance).
 //!
 //! # The rank→key map
 //!
-//! The bijection is *not* a pseudorandom permutation: rank `r` lands on
-//! key `r−1` or on its mirror `n−r`, chosen by one seeded coin per
-//! unordered pair, and nowhere else — the hot keys *are* the lowest and
-//! highest key ids (a unit test pins this so the docs cannot drift from
-//! the code). Placement is spread all the same, because nothing downstream
-//! uses key ids raw: the hash ring and `Keyspace::value_size` both run
-//! them through `mix64` first. That was weighed when the sampler was
-//! replaced (ROADMAP item 6(a)) and kept: a real permutation would buy
-//! nothing any consumer can see.
+//! Not a pseudorandom permutation: rank `r` lands on key `r−1` or on its
+//! mirror `n−r`, by one seeded coin per unordered pair — the hot keys *are*
+//! the lowest and highest key ids (a unit test pins this). Placement is
+//! spread all the same, because nothing downstream uses key ids raw: the
+//! hash ring and `Keyspace::value_size` run them through `mix64` first.
 
 use elmem_util::hashutil::mix64;
 use elmem_util::{DetRng, KeyId};
 use rand::RngCore;
 
-/// Ranks that get an alias column of their own; every rank above is
-/// reached through a block. A constant, not a knob: 256, 1024 and 4096
-/// read within ±2 ns of each other per draw, and 1024 keeps the table in
-/// L1 while the head carries most of the mass at every benchmarked size.
+/// Ranks with an alias column of their own (DESIGN.md §5 has the readings
+/// that chose this and the block ratio; both are constants, not knobs).
 const HEAD: u64 = 1024;
-
-/// A block starting at rank `lo` spans `max(1, lo >> BLOCK_SHIFT)` ranks
-/// (1/16 of `lo`; 1/8 reads the same speed and rejects twice as often).
+/// A block starting at rank `lo` spans `max(1, lo >> BLOCK_SHIFT)` ranks.
 const BLOCK_SHIFT: u32 = 4;
 
-/// A run of consecutive tail ranks `lo..lo + len` sharing one column.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Block {
-    lo: u64,
-    len: u64,
-}
-
-/// Zipf sampler with O(1) sampling from a small alias table over head
-/// ranks and geometric tail blocks (see the module docs), plus a stable,
-/// seeded rank→key bijection.
+/// O(1) Zipf sampler (see the module docs) plus a stable, seeded rank→key
+/// bijection.
 ///
 /// # Example
 ///
@@ -96,7 +67,8 @@ pub struct ZipfPopularity {
     /// Per-column `(alias << 32) | threshold`, head columns first, then
     /// one per block; empty for the uniform (`s ≈ 0`) case.
     table: Vec<u64>,
-    blocks: Vec<Block>,
+    /// `(lo, len)`: tail ranks `lo..lo + len` share column `head + index`.
+    blocks: Vec<(u64, u64)>,
 }
 
 impl ZipfPopularity {
@@ -110,39 +82,31 @@ impl ZipfPopularity {
         Self::with_head(n, s, perm_seed, HEAD)
     }
 
-    /// [`Self::new`] with the head size given, so tests can make blocks
-    /// carry the mass of a small keyspace.
+    /// [`Self::new`] at a given head size (tests shrink it to load the blocks).
     fn with_head(n: u64, s: f64, perm_seed: u64, head: u64) -> Self {
         assert!(n > 0, "empty keyspace");
         assert!(s >= 0.0 && s.is_finite(), "invalid exponent {s}");
         let head = head.min(n);
-        let mut zipf = ZipfPopularity {
+        let (mut weights, mut blocks) = (Vec::new(), Vec::new());
+        // Below 1e-9 the draw is uniform and `sample_rank` needs no table.
+        if s >= 1e-9 {
+            weights.extend((1..=head).map(|r| (r as f64).powf(-s)));
+            let mut lo = head + 1;
+            while lo <= n {
+                let len = (lo >> BLOCK_SHIFT).max(1).min(n - lo + 1);
+                weights.push(len as f64 * (lo as f64).powf(-s));
+                blocks.push((lo, len));
+                lo += len;
+            }
+        }
+        ZipfPopularity {
             n,
             s,
             perm_seed,
             head,
-            table: Vec::new(),
-            blocks: Vec::new(),
-        };
-        if s < UNIFORM_BELOW {
-            return zipf;
+            table: alias_table(weights),
+            blocks,
         }
-        let mut lo = head + 1;
-        while lo <= n {
-            let len = (lo >> BLOCK_SHIFT).max(1).min(n - lo + 1);
-            zipf.blocks.push(Block { lo, len });
-            lo += len;
-        }
-        let weights: Vec<f64> = (1..=head)
-            .map(|r| (r as f64).powf(-s))
-            .chain(
-                zipf.blocks
-                    .iter()
-                    .map(|b| b.len as f64 * (b.lo as f64).powf(-s)),
-            )
-            .collect();
-        zipf.table = alias_table(&weights);
-        zipf
     }
 
     /// Number of keys.
@@ -170,7 +134,6 @@ impl ZipfPopularity {
     #[inline]
     pub fn sample_rank(&self, rng: &mut DetRng) -> u64 {
         if self.table.is_empty() {
-            // Uniform special case.
             return 1 + rng.next_below(self.n);
         }
         let columns = self.table.len() as u64;
@@ -178,15 +141,12 @@ impl ZipfPopularity {
             let x = rng.next_u64();
             let column = ((x >> 32) * columns) >> 32;
             let packed = self.table[column as usize];
-            let pick = if x & 0xffff_ffff < packed & 0xffff_ffff {
-                column
-            } else {
-                packed >> 32
-            };
+            let keep = x & 0xffff_ffff < packed & 0xffff_ffff;
+            let pick = if keep { column } else { packed >> 32 };
             if pick < self.head {
                 return pick + 1;
             }
-            let Block { lo, len } = self.blocks[(pick - self.head) as usize];
+            let (lo, len) = self.blocks[(pick - self.head) as usize];
             let offset = ((u128::from(rng.next_u64()) * u128::from(len)) >> 64) as u64;
             let v = rng.next_f64();
             if squeeze_accepts(self.s, lo, offset, v)
@@ -197,33 +157,23 @@ impl ZipfPopularity {
         }
     }
 
-    /// The key assigned to a rank: a stable bijection of `1..=n` onto
-    /// `0..n` that sends rank `r` to key `r−1` or to its mirror `n−r`,
-    /// chosen by one seeded coin per unordered pair `{r−1, n−r}` (see the
-    /// module docs for what that does and does not spread). Both members
-    /// of a pair hash the same word, so they swap together or not at all —
-    /// a bijection for any `n`.
+    /// The key assigned to a rank: rank `r` goes to key `r−1` or to its
+    /// mirror `n−r`, by one seeded coin per unordered pair `{r−1, n−r}`.
+    /// Both members of a pair hash the same word, so they swap together or
+    /// not at all — a bijection of `1..=n` onto `0..n` for any `n`.
     #[inline]
     pub fn key_for_rank(&self, rank: u64) -> KeyId {
         debug_assert!(rank >= 1 && rank <= self.n);
         let x = rank - 1;
         let mirror = self.n - 1 - x;
         let pair = x.min(mirror) ^ x.max(mirror).rotate_left(32);
-        KeyId(if mix64(pair ^ self.perm_seed) & 1 == 1 {
-            mirror
-        } else {
-            x
-        })
+        let swap = mix64(pair ^ self.perm_seed) & 1 == 1;
+        KeyId(if swap { mirror } else { x })
     }
 }
 
-/// Exponents below this sample uniformly with one bounded draw.
-const UNIFORM_BELOW: f64 = 1e-9;
-
-/// The tangent squeeze of a block's acceptance test: whether
-/// `v ≤ 1 − s·offset/lo`, which by convexity implies
-/// `v ≤ ((lo + offset)/lo)^-s`. `false` decides nothing — the caller then
-/// evaluates the power.
+/// The tangent squeeze: whether `v ≤ 1 − s·offset/lo`, which by convexity
+/// implies `v ≤ ((lo + offset)/lo)^-s`. `false` decides nothing.
 #[inline]
 fn squeeze_accepts(s: f64, lo: u64, offset: u64, v: f64) -> bool {
     (1.0 - v) * lo as f64 >= s * offset as f64
@@ -231,15 +181,14 @@ fn squeeze_accepts(s: f64, lo: u64, offset: u64, v: f64) -> bool {
 
 /// Vose's alias construction: column `i` packs `(alias << 32) | threshold`
 /// and keeps itself when a 32-bit coin is below the threshold. Worklists
-/// are filled in index order, so the table is a pure function of the
-/// weights.
-fn alias_table(weights: &[f64]) -> Vec<u64> {
-    let scale = weights.len() as f64 / weights.iter().sum::<f64>();
-    let mut scaled: Vec<f64> = weights.iter().map(|w| w * scale).collect();
+/// fill in index order, so the table is a pure function of the weights.
+fn alias_table(mut scaled: Vec<f64>) -> Vec<u64> {
+    let scale = scaled.len() as f64 / scaled.iter().sum::<f64>();
+    scaled.iter_mut().for_each(|w| *w *= scale);
     let (mut small, mut large): (Vec<u32>, Vec<u32>) =
-        (0..weights.len() as u32).partition(|&i| scaled[i as usize] < 1.0);
+        (0..scaled.len() as u32).partition(|&i| scaled[i as usize] < 1.0);
     // Float slop leaves some columns unpaired: probability 1, alias = self.
-    let mut table: Vec<u64> = (0..weights.len() as u64)
+    let mut table: Vec<u64> = (0..scaled.len() as u64)
         .map(|i| (i << 32) | u64::from(u32::MAX))
         .collect();
     while let (Some(&s_i), Some(&l_i)) = (small.last(), large.last()) {
@@ -401,10 +350,10 @@ mod tests {
                 assert_eq!(z.blocks.len(), expected, "n={n}");
             }
             let mut next = z.head + 1;
-            for b in &z.blocks {
-                assert_eq!(b.lo, next, "n={n}: gap or overlap");
-                assert!(b.len >= 1 && b.len <= (b.lo >> BLOCK_SHIFT).max(1));
-                next += b.len;
+            for &(lo, len) in &z.blocks {
+                assert_eq!(lo, next, "n={n}: gap or overlap");
+                assert!(len >= 1 && len <= (lo >> BLOCK_SHIFT).max(1));
+                next += len;
             }
             assert_eq!(next, n + 1, "n={n}: blocks must end at the last rank");
             let mut rng = DetRng::seed(n);
@@ -413,13 +362,7 @@ mod tests {
             }
         }
         let cut = ZipfPopularity::new(HEAD + 64 + 10, 1.0, 9);
-        assert_eq!(
-            cut.blocks[1],
-            Block {
-                lo: HEAD + 65,
-                len: 10
-            }
-        );
+        assert_eq!(cut.blocks[1], (HEAD + 65, 10));
     }
 
     #[test]
@@ -508,7 +451,7 @@ mod tests {
                 return pick + 1;
             }
             tally.block_attempts += 1;
-            let Block { lo, len } = z.blocks[(pick - z.head) as usize];
+            let (lo, len) = z.blocks[(pick - z.head) as usize];
             let offset = ((u128::from(rng.next_u64()) * u128::from(len)) >> 64) as u64;
             let v = rng.next_f64();
             if squeeze_accepts(z.s, lo, offset, v) {
