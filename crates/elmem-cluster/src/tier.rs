@@ -236,18 +236,20 @@ impl CacheTier {
             .collect()
     }
 
+    /// Members that are crashed — corpses clients still hash to — in
+    /// membership order.
+    pub fn crashed_members(&self) -> Vec<NodeId> {
+        let crashed = |id: &NodeId| self.nodes.get(*id).is_some_and(|n| n.is_crashed());
+        let members = self.membership.members().iter().copied();
+        members.filter(crashed).collect()
+    }
+
     /// Removes every crashed node from the membership (the control plane's
     /// failure response), returning the ids actually evicted. Idempotent;
     /// refuses to empty the membership — if every member has crashed, the
     /// last one is kept so clients still have a (missing) place to hash to.
     pub fn evict_crashed(&mut self) -> Vec<NodeId> {
-        let mut evictable: Vec<NodeId> = self
-            .membership
-            .members()
-            .iter()
-            .copied()
-            .filter(|&id| self.nodes.get(id).is_some_and(|n| n.is_crashed()))
-            .collect();
+        let mut evictable = self.crashed_members();
         let members = self.membership.len();
         if evictable.len() >= members {
             evictable.truncate(members.saturating_sub(1));
@@ -398,6 +400,10 @@ mod tests {
         let evicted = t.evict_crashed();
         assert_eq!(evicted.len(), 3);
         assert_eq!(t.membership().len(), 1);
+        // The kept corpse is the one crashed *member*; the rest are only
+        // crashed nodes.
+        assert_eq!(t.crashed_members(), t.membership().members());
+        assert_eq!(t.crashed_nodes().len(), 4);
     }
 
     #[test]

@@ -17,10 +17,11 @@ use elmem_workload::{RequestGenerator, WebRequest, WorkloadConfig};
 
 use crate::autoscaler::AutoScalerConfig;
 use crate::healing::{
-    ConfirmedDeath, FailureDetector, HealingConfig, NodeState, ProbeOutcome, RecoveryEvent,
+    ConfirmedDeath, FailureDetector, HealingConfig, NodeState, ProbeObservation, ProbeOutcome,
+    RecoveryEvent,
 };
 use crate::journal::{MasterPlan, MigrationJournal};
-use crate::master::{Admission, DeferredKind, JobKind, Master};
+use crate::master::{Admission, DeferredKind, JobKind, Master, Orchestration};
 use crate::migration::{MigrationCosts, MigrationReport, Supervision};
 use crate::policies::MigrationPolicy;
 use crate::predictive::PredictiveConfig;
@@ -181,109 +182,355 @@ enum ControlEvent {
     RetryScaling(ScaleAction),
 }
 
-/// Runs any recovery owed for confirmed deaths, unless the Master is mid
-/// scaling — a recovery never races an in-flight supervised migration; it
-/// waits for the next control tick after `busy_until`. (A crash *inside*
-/// such a migration is already handled by the migration's own abort path.)
-#[allow(clippy::too_many_arguments)]
-fn try_recover(
-    cluster: &mut Cluster,
-    master: &mut Master,
-    healing: &HealingConfig,
-    pending: &mut Vec<ConfirmedDeath>,
-    now: SimTime,
-    control: &mut EventQueue<ControlEvent>,
-    recoveries: &mut Vec<RecoveryEvent>,
-    injector: &mut FaultInjector,
-    bytes_migrated: &mut u64,
-) {
-    if pending.is_empty() || !master.is_idle(now) {
-        return;
-    }
-    let deaths = std::mem::take(pending);
-    let dead: Vec<NodeId> = deaths.iter().map(|d| d.node).collect();
-    let members_before = cluster.tier.membership().len() as u32;
-    let mut supervision = Supervision::with_faults(injector);
-    let orch = match master.recover_supervised(cluster, &dead, now, healing, &mut supervision) {
-        Ok(orch) => orch,
-        // Recovery could not admit replacements (e.g. nothing left to
-        // migrate from); the eviction still happened, record it as such.
-        Err(_) => crate::master::Orchestration {
-            nodes: vec![],
-            report: None,
-            deferred: vec![],
-            committed_at: now,
-        },
-    };
-    // The eviction flips the membership inline; replacements join later
-    // via deferred commits (traced when they land).
-    let members_now = cluster.tier.membership().len() as u32;
-    if members_now != members_before {
-        cluster.telemetry_mut().trace.record(
-            now,
-            None,
-            EventKind::MembershipCommitted {
-                members: members_now,
-            },
-        );
-    }
-    if let Some(report) = &orch.report {
-        *bytes_migrated += report.bytes_migrated.as_u64();
-        record_migration_events(&mut cluster.telemetry_mut().trace, report);
-    }
-    for deferred in &orch.deferred {
-        control.schedule(deferred.at, ControlEvent::Deferred(deferred.kind.clone()));
-    }
-    // One replacement per death, paired in order (empty for evict-only).
-    for (i, death) in deaths.iter().enumerate() {
-        let replacement = orch.nodes.get(i).copied();
-        let warmed = healing.warmup && replacement.is_some();
-        cluster.telemetry_mut().trace.record(
-            orch.committed_at,
-            Some(death.node),
-            EventKind::RecoveryCompleted {
-                replacement,
-                warmed,
-            },
-        );
-        recoveries.push(RecoveryEvent {
-            node: death.node,
-            crashed_at: injector.crash_time(death.node),
-            suspected_at: death.suspected_at,
-            confirmed_at: death.confirmed_at,
-            replacement,
-            recovered_at: orch.committed_at,
-            warmed,
-        });
-    }
+/// The control plane of one run: everything that changes the tier other
+/// than serving a request. The request loop only tells it how far
+/// simulated time has come ([`Driver::advance`]) and which scalings were
+/// asked for ([`Driver::trigger`]); faults, deferred commits, heartbeats,
+/// retries and recoveries are ordered and executed here (DESIGN.md §13).
+struct Driver {
+    cluster: Cluster,
+    master: Master,
+    /// Master crashes scheduled against journaled scalings.
+    master_plan: MasterPlan,
+    /// Self-healing: the recovery policy and the failure detector feeding
+    /// it. Heartbeats are only ever scheduled when this is set.
+    healing: Option<(HealingConfig, FailureDetector)>,
+    injector: FaultInjector,
+    control: EventQueue<ControlEvent>,
+    /// A heartbeat due after this instant is dropped instead of run. No
+    /// bound while requests arrive; once they stop, [`Driver::settle`]
+    /// sets the end of the settle window, which is what lets the queue
+    /// run empty.
+    heartbeats_until: SimTime,
+    /// Deaths confirmed but not yet recovered (the Master was busy).
+    pending_dead: Vec<ConfirmedDeath>,
+    recoveries: Vec<RecoveryEvent>,
+    events: Vec<ScalingEvent>,
+    bytes_migrated: u64,
+    /// The latest instant the control plane acted at.
+    clock: SimTime,
 }
 
-/// Traces one heartbeat round's observations: every non-ack probe outcome,
-/// plus the suspicion/death edges it caused.
-fn record_probe_observations(
-    cluster: &mut Cluster,
-    at: SimTime,
-    observations: &[crate::healing::ProbeObservation],
-) {
-    for obs in observations {
-        let trace = &mut cluster.telemetry_mut().trace;
-        if obs.outcome != ProbeOutcome::Ack {
-            trace.record(
-                at,
-                Some(obs.node),
-                EventKind::Probe {
-                    outcome: probe_class(obs.outcome),
-                },
+impl Driver {
+    fn new(config: &ExperimentConfig, tcfg: &TelemetryConfig, rng: &DetRng) -> Self {
+        let mut cluster = Cluster::new(
+            config.cluster.clone(),
+            config.workload.keyspace.clone(),
+            rng.split("cluster"),
+        );
+        cluster.set_telemetry_config(tcfg);
+        let mut control = EventQueue::new();
+        let healing = config.healing.map(|healing| {
+            let mut detector = FailureDetector::new(healing.detector, rng.split("heartbeat"));
+            control.schedule(
+                detector.next_round_after(SimTime::ZERO),
+                ControlEvent::Heartbeat,
             );
+            (healing, detector)
+        });
+        Driver {
+            cluster,
+            master: Master::new(config.policy, config.costs, config.seed),
+            master_plan: config.master.clone(),
+            healing,
+            injector: FaultInjector::new(config.faults.clone(), rng.split("faults")),
+            control,
+            heartbeats_until: SimTime::MAX,
+            pending_dead: Vec::new(),
+            recoveries: Vec::new(),
+            events: Vec::new(),
+            bytes_migrated: 0,
+            clock: SimTime::ZERO,
         }
-        if obs.before != obs.after {
-            match obs.after {
-                NodeState::Suspected => trace.record(at, Some(obs.node), EventKind::NodeSuspected),
-                NodeState::ConfirmedDead => {
-                    trace.record(at, Some(obs.node), EventKind::NodeConfirmedDead)
+    }
+
+    fn members(&self) -> u32 {
+        self.cluster.tier.membership().len() as u32
+    }
+
+    fn trace(&mut self, at: SimTime, node: Option<NodeId>, kind: EventKind) {
+        self.cluster.telemetry_mut().trace.record(at, node, kind);
+    }
+
+    /// Traces the membership flip since there were `before` members, if
+    /// there was one.
+    fn trace_flip(&mut self, before: u32, at: SimTime) {
+        let members = self.members();
+        if members != before {
+            self.trace(at, None, EventKind::MembershipCommitted { members });
+        }
+    }
+
+    /// Brings the control plane to `until` (`None`: until the control
+    /// queue is empty). The one place the injector's timeline and the
+    /// control queue are merged: both run in time order, and before a
+    /// control event at `t` every fault up to `t` has landed — at a tie the
+    /// fault goes first, so a crash beats the commit (or the probe) racing
+    /// it.
+    fn advance(&mut self, until: Option<SimTime>) {
+        loop {
+            let in_reach = |t: &SimTime| until.is_none_or(|u| *t <= u);
+            let control_t = self.control.peek_time().filter(in_reach);
+            // While requests drive the clock every fault up to `until`
+            // lands. After the last request the clock only moves to the
+            // control events still queued, so a fault later than the last
+            // of them lies outside the run and is never applied.
+            let horizon = until.or(control_t);
+            let landing = |t: &SimTime| horizon.is_some_and(|h| *t <= h);
+            let fault_t = self.injector.peek_time().filter(landing);
+            match (fault_t, control_t) {
+                (None, None) => break,
+                (Some(tf), tc) if tc.is_none_or(|tc| tf <= tc) => {
+                    for (at, action) in self.injector.due(tf) {
+                        self.apply_fault(at, action);
+                    }
                 }
-                NodeState::Alive => {}
+                _ => {
+                    // The peek above guarantees an event is due; an empty
+                    // queue here just ends the drain (no panic on a
+                    // driver-invariant slip).
+                    let Some((at, event)) = self.control.pop() else {
+                        break;
+                    };
+                    self.dispatch(at, event);
+                }
             }
+        }
+    }
+
+    /// Runs one control event. Every drain — while requests arrive and
+    /// after the last one — comes through here (DESIGN.md §13 has the
+    /// table of what each event may schedule and trace).
+    fn dispatch(&mut self, at: SimTime, event: ControlEvent) {
+        self.clock = self.clock.max(at);
+        match event {
+            ControlEvent::Deferred(kind) => {
+                let before = self.members();
+                Master::apply(&mut self.cluster, &kind);
+                self.trace_flip(before, at);
+            }
+            ControlEvent::RetryScaling(action) => self.trigger(action, at),
+            ControlEvent::Heartbeat => {
+                let Some((_, detector)) = self.healing.as_mut() else {
+                    return;
+                };
+                if at > self.heartbeats_until {
+                    return;
+                }
+                let (confirmed, observed) = detector.probe_round(&self.cluster, at);
+                let next_round = detector.next_round_after(at);
+                self.pending_dead.extend(confirmed);
+                self.trace_probes(at, &observed);
+                self.control.schedule(next_round, ControlEvent::Heartbeat);
+                self.try_recover(at);
+            }
+        }
+    }
+
+    /// After the last request: drains the control queue so the membership
+    /// reflects every decision. With healing, the detector keeps probing
+    /// for a bounded settle window past the last request, so a crash near
+    /// the end is still confirmed and recovered rather than left as a
+    /// corpse in the final membership.
+    fn settle(&mut self, last_request: SimTime) {
+        self.clock = self.clock.max(last_request);
+        if let Some((_, detector)) = &self.healing {
+            let d = detector.config();
+            let round = d.probe_interval + d.jitter;
+            self.heartbeats_until = last_request + round * u64::from(d.suspicion_threshold + 2);
+        }
+        self.advance(None);
+        // Deaths confirmed but still queued behind a busy Master when the
+        // run ended: finish the recovery so the final membership is clean.
+        let idle_at = self.master.busy_until().max(self.clock);
+        self.try_recover(idle_at);
+        self.advance(None);
+    }
+
+    /// Applies one fault action to the serving stack and traces it. An
+    /// action against a node the tier does not know is ignored (and not
+    /// traced).
+    fn apply_fault(&mut self, at: SimTime, action: FaultAction) {
+        let (FaultAction::Crash(n)
+        | FaultAction::SlowLink(n, _)
+        | FaultAction::RestoreLink(n)
+        | FaultAction::PartitionLink(n, _)) = action;
+        let Ok(node) = self.cluster.tier.node_mut(n) else {
+            return;
+        };
+        let kind = match action {
+            FaultAction::Crash(_) => {
+                node.crash();
+                EventKind::NodeCrashed
+            }
+            FaultAction::SlowLink(_, factor) => {
+                node.link.apply_slowdown(factor);
+                EventKind::LinkDegraded
+            }
+            FaultAction::RestoreLink(_) => {
+                node.link.restore_bandwidth();
+                EventKind::LinkRestored
+            }
+            FaultAction::PartitionLink(_, until) => {
+                node.link.partition_until(until);
+                EventKind::LinkPartitioned
+            }
+        };
+        self.trace(at, Some(n), kind);
+    }
+
+    /// Traces one heartbeat round's observations: every non-ack probe
+    /// outcome, plus the suspicion/death edges it caused.
+    fn trace_probes(&mut self, at: SimTime, observations: &[ProbeObservation]) {
+        for obs in observations {
+            if obs.outcome != ProbeOutcome::Ack {
+                let outcome = probe_class(obs.outcome);
+                self.trace(at, Some(obs.node), EventKind::Probe { outcome });
+            }
+            if obs.before != obs.after {
+                match obs.after {
+                    NodeState::Suspected => {
+                        self.trace(at, Some(obs.node), EventKind::NodeSuspected)
+                    }
+                    NodeState::ConfirmedDead => {
+                        self.trace(at, Some(obs.node), EventKind::NodeConfirmedDead)
+                    }
+                    NodeState::Alive => {}
+                }
+            }
+        }
+    }
+
+    /// What every orchestration leaves the driver to do: account and trace
+    /// the migration it ran, and queue the actions it deferred.
+    fn absorb(&mut self, orch: &Orchestration) {
+        if let Some(report) = &orch.report {
+            self.bytes_migrated += report.bytes_migrated.as_u64();
+            record_migration_events(&mut self.cluster.telemetry_mut().trace, report);
+        }
+        for deferred in &orch.deferred {
+            self.control
+                .schedule(deferred.at, ControlEvent::Deferred(deferred.kind.clone()));
+        }
+    }
+
+    /// Executes a scaling action decided at `now` (scripted, from the
+    /// AutoScaler, or a retry).
+    fn trigger(&mut self, action: ScaleAction, now: SimTime) {
+        // Per-job admission (DESIGN.md §13): a fill may overlap a drain, but a
+        // job conflicting with one still in flight is deferred — re-enqueued
+        // for when the conflicting commit window closes — not dropped.
+        let kind = match action {
+            ScaleAction::In { .. } => JobKind::ScaleIn,
+            ScaleAction::Out { .. } => JobKind::ScaleOut,
+        };
+        if let Admission::Deferred { until, .. } = self.master.admit(kind, now) {
+            self.trace(now, None, EventKind::ScalingDeferred { until });
+            self.control
+                .schedule(until, ControlEvent::RetryScaling(action));
+            return;
+        }
+        let members = self.members();
+        let mut supervision = Supervision::with_faults(&mut self.injector);
+        supervision.master = self.master_plan.clone();
+        let cluster = &mut self.cluster;
+        let orch = match action {
+            // Never the last node; what is left of the request may be
+            // nothing, which the Master refuses like any invalid count.
+            ScaleAction::In { count } => self.master.scale_in_supervised(
+                cluster,
+                count.min(members.saturating_sub(1)),
+                now,
+                &mut supervision,
+            ),
+            ScaleAction::Out { count } => {
+                self.master
+                    .scale_out_supervised(cluster, count, now, &mut supervision)
+            }
+        };
+        // A scaling the Master refuses is dropped, not retried.
+        let Ok(orch) = orch else { return };
+        // Member count after every deferred action lands. Inline policies have
+        // already flipped the membership; deferred removals/evictions only
+        // count for nodes still in it (an evicted scale-out node never joined).
+        let membership = self.cluster.tier.membership().members();
+        let delta: i64 = orch
+            .deferred
+            .iter()
+            .map(|d| match &d.kind {
+                DeferredKind::CommitRemove(v) | DeferredKind::EvictCrashed(v) => {
+                    -(v.iter().filter(|id| membership.contains(id)).count() as i64)
+                }
+                DeferredKind::CommitAdd(v) => {
+                    v.iter().filter(|id| !membership.contains(id)).count() as i64
+                }
+                DeferredKind::DiscardSecondary(_) => 0,
+            })
+            .sum();
+        let to_nodes = (membership.len() as i64 + delta).max(1) as u32;
+        let decided = EventKind::ScalingDecided {
+            from_nodes: members,
+            to_nodes,
+        };
+        self.trace(now, None, decided);
+        self.absorb(&orch);
+        // Inline policies flip membership inside the scale call itself;
+        // deferred commits are traced when they land.
+        self.trace_flip(members, orch.committed_at);
+        self.events.push(ScalingEvent {
+            decided_at: now,
+            committed_at: orch.committed_at,
+            from_nodes: members,
+            to_nodes,
+            nodes: orch.nodes,
+            report: orch.report,
+        });
+    }
+
+    /// Runs any recovery owed for confirmed deaths, unless the Master is mid
+    /// scaling — a recovery never races an in-flight supervised migration; it
+    /// waits for the next control tick after `busy_until`. (A crash *inside*
+    /// such a migration is already handled by the migration's own abort path.)
+    fn try_recover(&mut self, now: SimTime) {
+        let Some(&(healing, _)) = self.healing.as_ref() else {
+            return;
+        };
+        if self.pending_dead.is_empty() || !self.master.is_idle(now) {
+            return;
+        }
+        self.clock = self.clock.max(now);
+        let deaths = std::mem::take(&mut self.pending_dead);
+        let dead: Vec<NodeId> = deaths.iter().map(|d| d.node).collect();
+        let members_before = self.members();
+        let mut supervision = Supervision::with_faults(&mut self.injector);
+        let orch = self
+            .master
+            .recover_supervised(&mut self.cluster, &dead, now, &healing, &mut supervision)
+            // Recovery could not admit replacements (e.g. nothing left to
+            // migrate from); the eviction still happened, record it as such.
+            .unwrap_or_else(|_| Orchestration::immediate(vec![], now));
+        // The eviction flips the membership inline; replacements join later
+        // via deferred commits (traced when they land).
+        self.trace_flip(members_before, now);
+        self.absorb(&orch);
+        // One replacement per death, paired in order (empty for evict-only).
+        for (i, death) in deaths.iter().enumerate() {
+            let replacement = orch.nodes.get(i).copied();
+            let warmed = healing.warmup && replacement.is_some();
+            let completed = EventKind::RecoveryCompleted {
+                replacement,
+                warmed,
+            };
+            self.trace(orch.committed_at, Some(death.node), completed);
+            self.recoveries.push(RecoveryEvent {
+                node: death.node,
+                crashed_at: self.injector.crash_time(death.node),
+                suspected_at: death.suspected_at,
+                confirmed_at: death.confirmed_at,
+                replacement,
+                recovered_at: orch.committed_at,
+                warmed,
+            });
         }
     }
 }
@@ -313,20 +560,14 @@ pub fn run_experiment_capture(
     tcfg: TelemetryConfig,
 ) -> (ExperimentResult, Cluster) {
     let rng = DetRng::seed(config.seed);
-    let mut cluster = Cluster::new(
-        config.cluster.clone(),
-        config.workload.keyspace.clone(),
-        rng.split("cluster"),
-    );
-    cluster.set_telemetry_config(&tcfg);
+    let mut driver = Driver::new(&config, &tcfg, &rng);
     let mut gen = RequestGenerator::new(config.workload.clone(), rng.split("workload"));
-    let mut master = Master::new(config.policy, config.costs, config.seed);
 
     // Pre-fill hottest keys, coldest rank first so rank 1 ends up hottest.
     if config.prefill_top_ranks > 0 {
         let ranks = config.prefill_top_ranks.min(gen.config().keyspace.n_keys());
         let zipf = gen.zipf().clone();
-        cluster.prefill(
+        driver.cluster.prefill(
             (1..=ranks).rev().map(|r| zipf.key_for_rank(r)),
             SimTime::ZERO,
         );
@@ -337,27 +578,13 @@ pub fn run_experiment_capture(
     let mut autoscaler = config
         .autoscaler
         .as_ref()
-        .map(|c| ScalerStage::start(c, cluster.keyspace().clone()));
-    let mut injector = FaultInjector::new(config.faults.clone(), rng.split("faults"));
-    let mut control: EventQueue<ControlEvent> = EventQueue::new();
+        .map(|c| ScalerStage::start(c, driver.cluster.keyspace().clone()));
     let mut scheduled = config.scheduled.clone();
     scheduled.sort_by_key(|(t, _)| *t);
-    let mut scheduled_idx = 0usize;
-
-    let mut detector = config
-        .healing
-        .as_ref()
-        .map(|h| FailureDetector::new(h.detector, rng.split("heartbeat")));
-    if let Some(det) = detector.as_mut() {
-        control.schedule(det.next_round_after(SimTime::ZERO), ControlEvent::Heartbeat);
-    }
-    let mut pending_dead: Vec<ConfirmedDeath> = Vec::new();
-    let mut recoveries: Vec<RecoveryEvent> = Vec::new();
+    let mut scheduled = scheduled.into_iter().peekable();
 
     let mut recorder = TimelineRecorder::new();
     let mut series = SeriesRecorder::new(tcfg.sample_every);
-    let mut bytes_migrated = 0u64;
-    let mut events: Vec<ScalingEvent> = Vec::new();
     let mut lookups_since = 0u64;
     let mut rate_anchor = SimTime::ZERO;
     let mut last_now = SimTime::ZERO;
@@ -374,99 +601,25 @@ pub fn run_experiment_capture(
         let now = req.arrival;
         last_now = now;
 
-        // 1. Advance the control plane to `now`: injected faults, deferred
-        // Master actions, and heartbeat rounds interleave in time order.
-        // A fault due at the same instant as a control event lands first —
-        // a crash beats the commit (or the probe) racing it.
-        loop {
-            let fault_t = injector.peek_time().filter(|&t| t <= now);
-            let control_t = control.peek_time().filter(|&t| t <= now);
-            match (fault_t, control_t) {
-                (None, None) => break,
-                (Some(tf), tc) if tc.is_none_or(|tc| tf <= tc) => {
-                    for (_, action) in injector.due(tf) {
-                        apply_fault(&mut cluster, &action, tf);
-                    }
-                }
-                _ => {
-                    // The peek above guarantees an event is due; an empty
-                    // queue here just ends the control drain (no panic on
-                    // a driver-invariant slip).
-                    let Some((at, ev)) = control.pop() else { break };
-                    match ev {
-                        ControlEvent::Deferred(kind) => {
-                            apply_deferred(&mut cluster, &kind, at);
-                        }
-                        ControlEvent::RetryScaling(action) => {
-                            trigger(
-                                &mut cluster,
-                                &mut master,
-                                &config.master,
-                                action,
-                                at,
-                                &mut control,
-                                &mut events,
-                                &mut injector,
-                                &mut bytes_migrated,
-                            );
-                        }
-                        ControlEvent::Heartbeat => {
-                            // Heartbeats are only ever scheduled alongside a
-                            // detector + healing config; a stray one is
-                            // dropped rather than unwrapped into a panic.
-                            let (Some(det), Some(healing)) =
-                                (detector.as_mut(), config.healing.as_ref())
-                            else {
-                                continue;
-                            };
-                            let (confirmed, observed) = det.probe_round_observed(&cluster, at);
-                            pending_dead.extend(confirmed);
-                            record_probe_observations(&mut cluster, at, &observed);
-                            control.schedule(det.next_round_after(at), ControlEvent::Heartbeat);
-                            try_recover(
-                                &mut cluster,
-                                &mut master,
-                                healing,
-                                &mut pending_dead,
-                                at,
-                                &mut control,
-                                &mut recoveries,
-                                &mut injector,
-                                &mut bytes_migrated,
-                            );
-                        }
-                    }
-                }
-            }
-        }
+        // 1. The control plane catches up: injected faults, deferred
+        // Master actions, retries and heartbeat rounds, in time order.
+        driver.advance(Some(now));
 
         // 2. Scripted actions.
-        while scheduled_idx < scheduled.len() && scheduled[scheduled_idx].0 <= now {
-            let (at, action) = scheduled[scheduled_idx];
-            scheduled_idx += 1;
-            trigger(
-                &mut cluster,
-                &mut master,
-                &config.master,
-                action,
-                at.max(now),
-                &mut control,
-                &mut events,
-                &mut injector,
-                &mut bytes_migrated,
-            );
+        while let Some((at, action)) = scheduled.next_if(|(at, _)| *at <= now) {
+            driver.trigger(action, at.max(now));
         }
 
         // 3. AutoScaler decision (when idle and an epoch has elapsed).
         if let Some(scaler) = autoscaler.as_mut() {
-            if scaler.epoch_elapsed(now) && master.is_idle(now) {
+            if scaler.epoch_elapsed(now) && driver.master.is_idle(now) {
                 let elapsed = now.saturating_sub(rate_anchor).as_secs_f64();
                 let rate = if elapsed > 0.0 {
                     lookups_since as f64 / elapsed
                 } else {
                     0.0
                 };
-                let members = cluster.tier.membership().len() as u32;
+                let members = driver.members();
                 if let Some(hint) = scaler.decide(now, rate, members) {
                     let action = if hint.target_nodes < members {
                         ScaleAction::In {
@@ -477,17 +630,7 @@ pub fn run_experiment_capture(
                             count: hint.scale_out_count(),
                         }
                     };
-                    trigger(
-                        &mut cluster,
-                        &mut master,
-                        &config.master,
-                        action,
-                        now,
-                        &mut control,
-                        &mut events,
-                        &mut injector,
-                        &mut bytes_migrated,
-                    );
+                    driver.trigger(action, now);
                 }
                 lookups_since = 0;
                 rate_anchor = now;
@@ -495,9 +638,9 @@ pub fn run_experiment_capture(
         }
 
         // 4. Serve the request.
-        let snap = TierSnapshot::take(&cluster, bytes_migrated);
+        let snap = TierSnapshot::take(&driver.cluster, driver.bytes_migrated);
         series.advance(now, &snap);
-        let outcome = cluster.handle(&req);
+        let outcome = driver.cluster.handle(&req);
         series.record_request(outcome.hits, outcome.lookups);
         if let Some(scaler) = autoscaler.as_mut() {
             scaler.observe(&req.keys);
@@ -510,287 +653,40 @@ pub fn run_experiment_capture(
             outcome.lookups,
         );
     }
+    driver.settle(last_now);
 
-    // Drain remaining control events so membership reflects every decision
-    // (faults scheduled before the last commit must land first). With
-    // healing, the detector keeps probing for a bounded settle window past
-    // the last request, so a crash near the end is still confirmed and
-    // recovered rather than left as a corpse in the final membership.
-    let settle_until = match &detector {
-        Some(det) => {
-            let d = det.config();
-            last_now + (d.probe_interval + d.jitter) * u64::from(d.suspicion_threshold + 2)
-        }
-        None => last_now,
-    };
-    let mut drain_end = last_now;
-    while let Some((at, ev)) = control.pop() {
-        drain_end = drain_end.max(at);
-        for (_, action) in injector.due(at) {
-            apply_fault(&mut cluster, &action, at);
-        }
-        match ev {
-            ControlEvent::Deferred(kind) => apply_deferred(&mut cluster, &kind, at),
-            ControlEvent::RetryScaling(action) => trigger(
-                &mut cluster,
-                &mut master,
-                &config.master,
-                action,
-                at,
-                &mut control,
-                &mut events,
-                &mut injector,
-                &mut bytes_migrated,
-            ),
-            ControlEvent::Heartbeat if at <= settle_until => {
-                let (Some(det), Some(healing)) = (detector.as_mut(), config.healing.as_ref())
-                else {
-                    continue;
-                };
-                let (confirmed, observed) = det.probe_round_observed(&cluster, at);
-                pending_dead.extend(confirmed);
-                record_probe_observations(&mut cluster, at, &observed);
-                control.schedule(det.next_round_after(at), ControlEvent::Heartbeat);
-                try_recover(
-                    &mut cluster,
-                    &mut master,
-                    healing,
-                    &mut pending_dead,
-                    at,
-                    &mut control,
-                    &mut recoveries,
-                    &mut injector,
-                    &mut bytes_migrated,
-                );
-            }
-            ControlEvent::Heartbeat => {}
-        }
-    }
-    if let Some(healing) = config.healing.as_ref() {
-        // Deaths confirmed but still queued behind a busy Master when the
-        // run ended: finish the recovery so the final membership is clean.
-        let at = master.busy_until().max(drain_end);
-        drain_end = drain_end.max(at);
-        try_recover(
-            &mut cluster,
-            &mut master,
-            healing,
-            &mut pending_dead,
-            at,
-            &mut control,
-            &mut recoveries,
-            &mut injector,
-            &mut bytes_migrated,
-        );
-        while let Some((at, ev)) = control.pop() {
-            if let ControlEvent::Deferred(kind) = ev {
-                drain_end = drain_end.max(at);
-                apply_deferred(&mut cluster, &kind, at);
-            }
-        }
-    }
-
-    let final_crashed_members = cluster
-        .tier
-        .membership()
-        .members()
-        .iter()
-        .filter(|&&id| {
-            cluster
-                .tier
-                .node(id)
-                .map(|n| n.is_crashed())
-                .unwrap_or(false)
-        })
-        .count() as u32;
-
+    let Driver {
+        cluster,
+        master,
+        healing,
+        recoveries,
+        events,
+        bytes_migrated,
+        clock,
+        ..
+    } = driver;
     let final_snap = TierSnapshot::take(&cluster, bytes_migrated);
-    let series = series.finish(drain_end.max(last_now), &final_snap);
+    let series = series.finish(clock, &final_snap);
     let telemetry = TelemetryDump::assemble(config.seed, &tcfg, &cluster, series);
+    let detector = healing.as_ref().map(|(_, detector)| detector);
 
     let result = ExperimentResult {
         timeline: recorder.finish(),
         events,
         final_members: cluster.tier.membership().len() as u32,
-        final_crashed_members,
+        final_crashed_members: cluster.tier.crashed_members().len() as u32,
         total_requests: gen.generated(),
         recoveries,
         client_timeouts: cluster.client_timeouts(),
         fast_failovers: cluster.fast_failovers(),
         breaker_transitions: cluster.breaker_transitions(),
-        probes_sent: detector.as_ref().map_or(0, |d| d.probes_sent()),
-        detector_transitions: detector.as_ref().map_or(0, |d| d.transitions()),
+        probes_sent: detector.map_or(0, |d| d.probes_sent()),
+        detector_transitions: detector.map_or(0, |d| d.transitions()),
         profiler_tracked_keys: autoscaler.map_or(0, ScalerStage::finish),
         telemetry,
         journal: master.journal().clone(),
     };
     (result, cluster)
-}
-
-/// Applies one deferred Master action and traces the membership flip it
-/// causes (if any).
-fn apply_deferred(cluster: &mut Cluster, kind: &DeferredKind, at: SimTime) {
-    let before = cluster.tier.membership().len() as u32;
-    Master::apply(cluster, kind);
-    let after = cluster.tier.membership().len() as u32;
-    if after != before {
-        cluster.telemetry_mut().trace.record(
-            at,
-            None,
-            EventKind::MembershipCommitted { members: after },
-        );
-    }
-}
-
-/// Applies one fault action to the serving stack, tracing faults that
-/// landed. Actions against a node that has already left the tier are
-/// ignored (and not traced).
-fn apply_fault(cluster: &mut Cluster, action: &FaultAction, at: SimTime) {
-    match *action {
-        FaultAction::Crash(n) => {
-            if cluster.tier.crash(n).is_ok() {
-                cluster
-                    .telemetry_mut()
-                    .trace
-                    .record(at, Some(n), EventKind::NodeCrashed);
-            }
-        }
-        FaultAction::SlowLink(n, factor) => {
-            if let Ok(node) = cluster.tier.node_mut(n) {
-                node.link.apply_slowdown(factor);
-                cluster
-                    .telemetry_mut()
-                    .trace
-                    .record(at, Some(n), EventKind::LinkDegraded);
-            }
-        }
-        FaultAction::RestoreLink(n) => {
-            if let Ok(node) = cluster.tier.node_mut(n) {
-                node.link.restore_bandwidth();
-                cluster
-                    .telemetry_mut()
-                    .trace
-                    .record(at, Some(n), EventKind::LinkRestored);
-            }
-        }
-        FaultAction::PartitionLink(n, until) => {
-            if let Ok(node) = cluster.tier.node_mut(n) {
-                node.link.partition_until(until);
-                cluster
-                    .telemetry_mut()
-                    .trace
-                    .record(at, Some(n), EventKind::LinkPartitioned);
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn trigger(
-    cluster: &mut Cluster,
-    master: &mut Master,
-    master_plan: &MasterPlan,
-    action: ScaleAction,
-    now: SimTime,
-    control: &mut EventQueue<ControlEvent>,
-    events: &mut Vec<ScalingEvent>,
-    injector: &mut FaultInjector,
-    bytes_migrated: &mut u64,
-) {
-    // Per-job admission (DESIGN.md §13): a fill may overlap a drain, but a
-    // job conflicting with one still in flight is deferred — re-enqueued
-    // for when the conflicting commit window closes — not dropped.
-    let kind = match action {
-        ScaleAction::In { .. } => JobKind::ScaleIn,
-        ScaleAction::Out { .. } => JobKind::ScaleOut,
-    };
-    if let Admission::Deferred { until, .. } = master.admit(kind, now) {
-        cluster
-            .telemetry_mut()
-            .trace
-            .record(now, None, EventKind::ScalingDeferred { until });
-        control.schedule(until, ControlEvent::RetryScaling(action));
-        return;
-    }
-    let members = cluster.tier.membership().len() as u32;
-    let mut supervision = Supervision::with_faults(injector);
-    supervision.master = master_plan.clone();
-    let orch = match action {
-        ScaleAction::In { count } => {
-            let count = count.min(members.saturating_sub(1));
-            if count == 0 {
-                return;
-            }
-            match master.scale_in_supervised(cluster, count, now, &mut supervision) {
-                Ok(orch) => orch,
-                Err(_) => return,
-            }
-        }
-        ScaleAction::Out { count } => {
-            if count == 0 {
-                return;
-            }
-            match master.scale_out_supervised(cluster, count, now, &mut supervision) {
-                Ok(orch) => orch,
-                Err(_) => return,
-            }
-        }
-    };
-    for deferred in &orch.deferred {
-        control.schedule(deferred.at, ControlEvent::Deferred(deferred.kind.clone()));
-    }
-    // Member count after every deferred action lands. Inline policies have
-    // already flipped the membership; deferred removals/evictions only
-    // count for nodes still in it (an evicted scale-out node never joined).
-    let membership = cluster.tier.membership().members().to_vec();
-    let delta: i64 = orch
-        .deferred
-        .iter()
-        .map(|d| match &d.kind {
-            DeferredKind::CommitRemove(v) | DeferredKind::EvictCrashed(v) => {
-                -(v.iter().filter(|id| membership.contains(id)).count() as i64)
-            }
-            DeferredKind::CommitAdd(v) => {
-                v.iter().filter(|id| !membership.contains(id)).count() as i64
-            }
-            DeferredKind::DiscardSecondary(_) => 0,
-        })
-        .sum();
-    let to_nodes = (membership.len() as i64 + delta).max(1) as u32;
-    {
-        let trace = &mut cluster.telemetry_mut().trace;
-        trace.record(
-            now,
-            None,
-            EventKind::ScalingDecided {
-                from_nodes: members,
-                to_nodes,
-            },
-        );
-        if let Some(report) = &orch.report {
-            *bytes_migrated += report.bytes_migrated.as_u64();
-            record_migration_events(trace, report);
-        }
-        // Inline policies flip membership inside the scale call itself;
-        // deferred commits are traced when they land.
-        if delta == 0 && membership.len() as u32 != members {
-            trace.record(
-                orch.committed_at,
-                None,
-                EventKind::MembershipCommitted {
-                    members: membership.len() as u32,
-                },
-            );
-        }
-    }
-    events.push(ScalingEvent {
-        decided_at: now,
-        committed_at: orch.committed_at,
-        from_nodes: members,
-        to_nodes,
-        nodes: orch.nodes,
-        report: orch.report,
-    });
 }
 
 #[cfg(test)]

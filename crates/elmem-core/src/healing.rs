@@ -202,14 +202,10 @@ impl FailureDetector {
     }
 
     /// Probes every current member at `now` and returns the deaths this
-    /// round confirmed. Tracks for departed members are dropped.
-    pub fn probe_round(&mut self, cluster: &Cluster, now: SimTime) -> Vec<ConfirmedDeath> {
-        self.probe_round_observed(cluster, now).0
-    }
-
-    /// [`Self::probe_round`], additionally reporting what every probe saw
-    /// and how it moved the detector's opinion (for the event trace).
-    pub fn probe_round_observed(
+    /// round confirmed, beside what every probe saw and how it moved the
+    /// detector's opinion (for the event trace). Tracks for departed
+    /// members are dropped.
+    pub fn probe_round(
         &mut self,
         cluster: &Cluster,
         now: SimTime,
@@ -397,7 +393,7 @@ mod tests {
         let c = cluster();
         let mut d = detector();
         for s in 0..10 {
-            let confirmed = d.probe_round(&c, SimTime::from_secs(s));
+            let confirmed = d.probe_round(&c, SimTime::from_secs(s)).0;
             assert!(confirmed.is_empty());
         }
         for &m in c.tier.membership().members() {
@@ -414,7 +410,7 @@ mod tests {
         c.tier.crash(NodeId(1)).unwrap();
         let mut confirmed_at = None;
         for s in 1..=5 {
-            let confirmed = d.probe_round(&c, SimTime::from_secs(s));
+            let confirmed = d.probe_round(&c, SimTime::from_secs(s)).0;
             if let Some(death) = confirmed.first() {
                 assert_eq!(death.node, NodeId(1));
                 confirmed_at = Some(death.confirmed_at);
@@ -424,7 +420,7 @@ mod tests {
         assert_eq!(confirmed_at, Some(SimTime::from_secs(3)));
         assert_eq!(d.state(NodeId(1)), Some(NodeState::ConfirmedDead));
         // Confirmed once, not re-reported every round.
-        assert!(d.probe_round(&c, SimTime::from_secs(6)).is_empty());
+        assert!(d.probe_round(&c, SimTime::from_secs(6)).0.is_empty());
     }
 
     #[test]
@@ -437,7 +433,7 @@ mod tests {
             .link
             .partition_until(SimTime::from_secs(100));
         for s in 0..50 {
-            let confirmed = d.probe_round(&c, SimTime::from_secs(s));
+            let confirmed = d.probe_round(&c, SimTime::from_secs(s)).0;
             assert!(confirmed.is_empty(), "a partition must never confirm death");
         }
         assert_eq!(d.state(NodeId(2)), Some(NodeState::Suspected));
@@ -462,7 +458,7 @@ mod tests {
             .link
             .apply_slowdown(1000.0);
         for s in 2..10 {
-            assert!(d.probe_round(&c, SimTime::from_secs(s)).is_empty());
+            assert!(d.probe_round(&c, SimTime::from_secs(s)).0.is_empty());
         }
         assert_eq!(d.state(NodeId(0)), Some(NodeState::Suspected));
     }
@@ -478,16 +474,16 @@ mod tests {
             .link
             .partition_until(SimTime::from_secs(100));
         for s in 0..10 {
-            assert!(d.probe_round(&c, SimTime::from_secs(s)).is_empty());
+            assert!(d.probe_round(&c, SimTime::from_secs(s)).0.is_empty());
         }
         assert_eq!(d.state(NodeId(3)), Some(NodeState::Suspected));
         // ...but when the node then actually dies, confirmation still
         // takes a full threshold of *lost* probes: degraded probes never
         // pre-paid the death streak.
         c.tier.crash(NodeId(3)).unwrap();
-        assert!(d.probe_round(&c, SimTime::from_secs(10)).is_empty());
-        assert!(d.probe_round(&c, SimTime::from_secs(11)).is_empty());
-        let confirmed = d.probe_round(&c, SimTime::from_secs(12));
+        assert!(d.probe_round(&c, SimTime::from_secs(10)).0.is_empty());
+        assert!(d.probe_round(&c, SimTime::from_secs(11)).0.is_empty());
+        let confirmed = d.probe_round(&c, SimTime::from_secs(12)).0;
         assert_eq!(confirmed.len(), 1);
         assert_eq!(confirmed[0].node, NodeId(3));
     }
@@ -497,7 +493,7 @@ mod tests {
         let mut c = cluster();
         let mut d = detector();
         c.tier.crash(NodeId(1)).unwrap();
-        let (confirmed, obs) = d.probe_round_observed(&c, SimTime::from_secs(1));
+        let (confirmed, obs) = d.probe_round(&c, SimTime::from_secs(1));
         assert!(confirmed.is_empty());
         assert_eq!(obs.len(), c.tier.membership().len());
         let dead = obs.iter().find(|o| o.node == NodeId(1)).unwrap();
@@ -506,7 +502,7 @@ mod tests {
         d.probe_round(&c, SimTime::from_secs(2));
         // The third lost probe crosses the threshold: the edge is visible
         // in the observation, not just in the confirmation list.
-        let (confirmed, obs) = d.probe_round_observed(&c, SimTime::from_secs(3));
+        let (confirmed, obs) = d.probe_round(&c, SimTime::from_secs(3));
         assert_eq!(confirmed.len(), 1);
         let dead = obs.iter().find(|o| o.node == NodeId(1)).unwrap();
         assert_ne!(dead.before, NodeState::ConfirmedDead);

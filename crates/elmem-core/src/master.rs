@@ -14,9 +14,7 @@ use elmem_util::{DetRng, ElmemError, NodeId, SimTime};
 
 use crate::healing::{HealingConfig, ReplacementPolicy};
 use crate::journal::MigrationJournal;
-use crate::migration::{
-    migrate, MigrateJob, MigrationCosts, MigrationOutcome, MigrationReport, Supervision,
-};
+use crate::migration::{migrate, MigrateJob, MigrationCosts, MigrationReport, Supervision};
 use crate::policies::MigrationPolicy;
 use crate::scoring::choose_retiring;
 
@@ -69,6 +67,14 @@ impl JobKind {
     fn is_drain(self) -> bool {
         matches!(self, JobKind::ScaleIn)
     }
+
+    /// Healing runs its fill unjournaled: a warm replacement is already
+    /// the recovery action for a failure, and stacking a Master-crash
+    /// resume inside it buys nothing — a crashed-out warmup just re-runs
+    /// (DESIGN.md §13). Scalings write the journal.
+    fn is_journaled(self) -> bool {
+        !matches!(self, JobKind::Recovery)
+    }
 }
 
 /// One in-flight migration's state, tracked per job rather than as a
@@ -113,6 +119,20 @@ pub struct Orchestration {
     pub deferred: Vec<DeferredAction>,
     /// When the scaling is fully committed (now, for immediate policies).
     pub committed_at: SimTime,
+}
+
+impl Orchestration {
+    /// An orchestration that was over the instant it was asked for: the
+    /// membership (if it changed at all) flipped inline at `now`, nothing
+    /// migrated and nothing is left for the driver to apply.
+    pub fn immediate(nodes: Vec<NodeId>, now: SimTime) -> Self {
+        Orchestration {
+            nodes,
+            report: None,
+            deferred: vec![],
+            committed_at: now,
+        }
+    }
 }
 
 /// The Master controller.
@@ -282,6 +302,8 @@ impl Master {
     /// surviving victims go through the usual
     /// [`DeferredKind::CommitRemove`], which never targets a crashed node.
     ///
+    /// [`MigrationOutcome::Aborted`]: crate::migration::MigrationOutcome::Aborted
+    ///
     /// # Errors
     ///
     /// Same as [`Master::scale_in`].
@@ -302,12 +324,7 @@ impl Master {
             MigrationPolicy::Baseline => {
                 let (victims, _) = choose_retiring(&cluster.tier, count as usize)?;
                 cluster.tier.commit_remove(&victims)?;
-                Orchestration {
-                    nodes: victims,
-                    report: None,
-                    deferred: vec![],
-                    committed_at: now,
-                }
+                Orchestration::immediate(victims, now)
             }
             MigrationPolicy::ElMem { import } => {
                 let (victims, _) = choose_retiring(&cluster.tier, count as usize)?;
@@ -325,39 +342,22 @@ impl Master {
                 )?;
                 let committed_at = report.completed;
                 self.track_job(id, JobKind::ScaleIn, &victims, now, committed_at);
-                let mut deferred = Vec::new();
-                match report.outcome {
-                    MigrationOutcome::Completed => deferred.push(DeferredAction {
-                        at: committed_at,
-                        kind: DeferredKind::CommitRemove(victims.clone()),
-                    }),
-                    MigrationOutcome::Aborted { .. } => {
-                        // Fallback: commit the scaling without further
-                        // migration. The crashed node (source or
-                        // destination) leaves via eviction, never via
-                        // CommitRemove.
-                        let crashed = report.outcome.crashed_node();
-                        if let Some(x) = crashed {
-                            deferred.push(DeferredAction {
-                                at: committed_at,
-                                kind: DeferredKind::EvictCrashed(vec![x]),
-                            });
-                        }
-                        let survivors: Vec<NodeId> = victims
-                            .iter()
-                            .copied()
-                            .filter(|v| Some(*v) != crashed)
-                            .collect();
-                        if !survivors.is_empty() {
-                            deferred.push(DeferredAction {
-                                at: committed_at,
-                                kind: DeferredKind::CommitRemove(survivors),
-                            });
-                        }
-                    }
-                }
+                // An abort falls back to committing the scaling without
+                // further migration. The node whose crash caused it (source
+                // or destination) leaves via eviction, never via
+                // CommitRemove; a completed run has no such node and
+                // removes every victim.
+                let crashed = report.outcome.crashed_node();
+                let survivors: Vec<NodeId> = victims
+                    .iter()
+                    .copied()
+                    .filter(|v| Some(*v) != crashed)
+                    .collect();
+                let evict = crashed.map(|x| DeferredKind::EvictCrashed(vec![x]));
+                let remove =
+                    (!survivors.is_empty()).then_some(DeferredKind::CommitRemove(survivors));
                 Orchestration {
-                    deferred,
+                    deferred: plan_at(committed_at, evict.into_iter().chain(remove)),
                     nodes: victims,
                     report: Some(report),
                     committed_at,
@@ -385,10 +385,7 @@ impl Master {
                 )?;
                 let committed_at = report.completed;
                 Orchestration {
-                    deferred: vec![DeferredAction {
-                        at: committed_at,
-                        kind: DeferredKind::CommitRemove(victims.clone()),
-                    }],
+                    deferred: plan_at(committed_at, [DeferredKind::CommitRemove(victims.clone())]),
                     nodes: victims,
                     report: Some(report),
                     committed_at,
@@ -400,24 +397,15 @@ impl Master {
                 cluster.tier.membership_remove_keep_online(&victims)?;
                 cluster.arm_secondary(old_ring);
                 Orchestration {
-                    deferred: vec![DeferredAction {
-                        at: now + window,
-                        kind: DeferredKind::DiscardSecondary(victims.clone()),
-                    }],
-                    nodes: victims,
-                    report: None,
-                    committed_at: now,
+                    deferred: plan_at(
+                        now + window,
+                        [DeferredKind::DiscardSecondary(victims.clone())],
+                    ),
+                    ..Orchestration::immediate(victims, now)
                 }
             }
         };
-        self.busy_until = orch
-            .deferred
-            .iter()
-            .map(|d| d.at)
-            .max()
-            .unwrap_or(now)
-            .max(self.busy_until);
-        Ok(orch)
+        Ok(self.occupied_by(orch))
     }
 
     /// Orchestrates a scale-out of `count` new nodes at `now`.
@@ -456,58 +444,68 @@ impl Master {
         let ids = cluster.tier.provision_nodes(count as usize);
         let orch = match self.policy {
             MigrationPolicy::ElMem { .. } => {
-                let id = self.next_id();
-                // A fill is not fault-supervised yet: of the caller's
-                // supervision only the Master-crash plan carries over.
-                let mut master_only = Supervision::none();
-                master_only.master = supervision.master.clone();
-                let report = migrate(
-                    &mut cluster.tier,
-                    &MigrateJob::ScaleOut { new_nodes: &ids },
-                    now,
-                    &self.costs,
-                    &mut master_only,
-                    Some((&mut self.journal, id)),
-                )?;
-                let committed_at = report.completed;
-                self.track_job(id, JobKind::ScaleOut, &ids, now, committed_at);
-                let (dead, alive): (Vec<NodeId>, Vec<NodeId>) = ids
-                    .iter()
-                    .copied()
-                    .partition(|&id| supervision.crash_before(id, committed_at).is_some());
-                let mut deferred = Vec::new();
-                if !dead.is_empty() {
-                    deferred.push(DeferredAction {
-                        at: committed_at,
-                        kind: DeferredKind::EvictCrashed(dead),
-                    });
-                }
-                if !alive.is_empty() {
-                    deferred.push(DeferredAction {
-                        at: committed_at,
-                        kind: DeferredKind::CommitAdd(alive),
-                    });
-                }
-                Orchestration {
-                    deferred,
-                    nodes: ids,
-                    report: Some(report),
-                    committed_at,
-                }
+                self.fill(cluster, JobKind::ScaleOut, ids, now, supervision, vec![])?
             }
             // The comparators add cold nodes immediately.
             _ => {
                 cluster.tier.commit_add(&ids)?;
-                Orchestration {
-                    nodes: ids,
-                    report: None,
-                    deferred: vec![],
-                    committed_at: now,
-                }
+                Orchestration::immediate(ids, now)
             }
         };
-        self.busy_until = orch.committed_at.max(self.busy_until);
-        Ok(orch)
+        Ok(self.occupied_by(orch))
+    }
+
+    /// The one fill arm, shared by ElMem scale-out and warm recovery: every
+    /// member ships what hashes to the not-yet-member `new_nodes`, the job
+    /// is tracked, and the membership flip is deferred to the instant the
+    /// fill completes. A new node that crashes before that instant is
+    /// evicted instead of committed — the cluster never commits a dead node
+    /// into the ring. `corpses` (crashed members recovery had to keep) leave
+    /// once a live new node has joined, not before.
+    ///
+    /// A fill is not fault-supervised yet: of the caller's supervision only
+    /// the Master-crash plan carries over (read by a journaled fill only),
+    /// and its fault timeline is consulted after the fill, for the split.
+    fn fill(
+        &mut self,
+        cluster: &mut Cluster,
+        kind: JobKind,
+        new_nodes: Vec<NodeId>,
+        now: SimTime,
+        supervision: &Supervision<'_>,
+        corpses: Vec<NodeId>,
+    ) -> Result<Orchestration, ElmemError> {
+        let id = self.next_id();
+        let mut master_only = Supervision::none();
+        master_only.master = supervision.master.clone();
+        let report = migrate(
+            &mut cluster.tier,
+            &MigrateJob::ScaleOut {
+                new_nodes: &new_nodes,
+            },
+            now,
+            &self.costs,
+            &mut master_only,
+            kind.is_journaled().then_some((&mut self.journal, id)),
+        )?;
+        let committed_at = report.completed;
+        self.track_job(id, kind, &new_nodes, now, committed_at);
+        let (crashed, alive): (Vec<NodeId>, Vec<NodeId>) = new_nodes
+            .iter()
+            .copied()
+            .partition(|&n| supervision.crash_before(n, committed_at).is_some());
+        let joined = !alive.is_empty();
+        let steps = [
+            (!crashed.is_empty()).then_some(DeferredKind::EvictCrashed(crashed)),
+            joined.then_some(DeferredKind::CommitAdd(alive)),
+            (joined && !corpses.is_empty()).then_some(DeferredKind::EvictCrashed(corpses)),
+        ];
+        Ok(Orchestration {
+            deferred: plan_at(committed_at, steps.into_iter().flatten()),
+            nodes: new_nodes,
+            report: Some(report),
+            committed_at,
+        })
     }
 
     /// Recovers from confirmed node deaths (the self-healing loop's action
@@ -549,90 +547,32 @@ impl Master {
         // If *every* member was dead, eviction keeps one corpse so clients
         // still have somewhere to hash to; it can only leave once the
         // replacements are in.
-        let leftover: Vec<NodeId> = cluster
-            .tier
-            .membership()
-            .members()
-            .iter()
-            .copied()
-            .filter(|&id| {
-                cluster
-                    .tier
-                    .node(id)
-                    .map(|n| n.is_crashed())
-                    .unwrap_or(false)
-            })
-            .collect();
-        if healing.replacement == ReplacementPolicy::None || dead.is_empty() {
-            self.busy_until = now.max(self.busy_until);
-            return Ok(Orchestration {
-                nodes: vec![],
-                report: None,
-                deferred: vec![],
-                committed_at: now,
-            });
-        }
-        let ids = cluster.tier.provision_nodes(dead.len());
-        let orch = if healing.warmup {
-            // Healing runs the fill unjournaled: a warm replacement is
-            // already the recovery action for a failure, and stacking a
-            // Master-crash resume inside it buys nothing — a crashed-out
-            // warmup just re-runs (DESIGN.md §13).
-            let report = migrate(
-                &mut cluster.tier,
-                &MigrateJob::ScaleOut { new_nodes: &ids },
-                now,
-                &self.costs,
-                &mut Supervision::none(),
-                None,
-            )?;
-            let committed_at = report.completed;
-            let recovery_id = self.next_id();
-            self.track_job(recovery_id, JobKind::Recovery, &ids, now, committed_at);
-            let (crashed, alive): (Vec<NodeId>, Vec<NodeId>) = ids
-                .iter()
-                .copied()
-                .partition(|&id| supervision.crash_before(id, committed_at).is_some());
-            let mut deferred = Vec::new();
-            if !crashed.is_empty() {
-                deferred.push(DeferredAction {
-                    at: committed_at,
-                    kind: DeferredKind::EvictCrashed(crashed),
-                });
-            }
-            if !alive.is_empty() {
-                deferred.push(DeferredAction {
-                    at: committed_at,
-                    kind: DeferredKind::CommitAdd(alive),
-                });
-                // After the replacements join, the kept corpse can go.
-                if !leftover.is_empty() {
-                    deferred.push(DeferredAction {
-                        at: committed_at,
-                        kind: DeferredKind::EvictCrashed(leftover.clone()),
-                    });
-                }
-            }
-            Orchestration {
-                deferred,
-                nodes: ids,
-                report: Some(report),
-                committed_at,
-            }
+        let leftover = cluster.tier.crashed_members();
+        let orch = if healing.replacement == ReplacementPolicy::None || dead.is_empty() {
+            Orchestration::immediate(vec![], now)
         } else {
-            cluster.tier.commit_add(&ids)?;
-            if !leftover.is_empty() {
-                let _ = cluster.tier.evict_crashed();
-            }
-            Orchestration {
-                nodes: ids,
-                report: None,
-                deferred: vec![],
-                committed_at: now,
+            let ids = cluster.tier.provision_nodes(dead.len());
+            if healing.warmup {
+                self.fill(cluster, JobKind::Recovery, ids, now, supervision, leftover)?
+            } else {
+                cluster.tier.commit_add(&ids)?;
+                if !leftover.is_empty() {
+                    let _ = cluster.tier.evict_crashed();
+                }
+                Orchestration::immediate(ids, now)
             }
         };
-        self.busy_until = orch.committed_at.max(self.busy_until);
-        Ok(orch)
+        Ok(self.occupied_by(orch))
+    }
+
+    /// The one `busy_until` update: the Master stays occupied until the
+    /// orchestration's last action lands (CacheScale's discard lands a
+    /// whole window after its commit).
+    fn occupied_by(&mut self, orch: Orchestration) -> Orchestration {
+        let ends = orch.deferred.iter().map(|d| d.at);
+        let last = ends.fold(orch.committed_at, SimTime::max);
+        self.busy_until = self.busy_until.max(last);
+        orch
     }
 
     /// Applies a deferred action (the driver calls this when simulated time
@@ -644,24 +584,20 @@ impl Master {
                 // (or is no longer a member) cannot be removed cleanly —
                 // the evict path owns crashed nodes. CommitRemove never
                 // targets them.
-                let (live, crashed): (Vec<NodeId>, Vec<NodeId>) = victims
+                let crashed = cluster.tier.crashed_members();
+                let members = cluster.tier.membership().members();
+                let live: Vec<NodeId> = victims
                     .iter()
                     .copied()
-                    .filter(|&v| cluster.tier.membership().members().contains(&v))
-                    .partition(|&v| {
-                        cluster
-                            .tier
-                            .node(v)
-                            .map(|n| !n.is_crashed())
-                            .unwrap_or(false)
-                    });
+                    .filter(|v| members.contains(v) && !crashed.contains(v))
+                    .collect();
                 if !live.is_empty() {
                     let _ = cluster.tier.commit_remove(&live);
                 }
                 // A victim that crashed after migration finished (no abort)
                 // still has to leave the membership — via eviction, since
                 // the power-off directive cannot reach it.
-                if !crashed.is_empty() {
+                if victims.iter().any(|v| crashed.contains(v)) {
                     let _ = cluster.tier.evict_crashed();
                 }
             }
@@ -683,9 +619,16 @@ impl Master {
     }
 }
 
+/// One commit plan: every step lands at the same instant, in this order.
+fn plan_at(at: SimTime, steps: impl IntoIterator<Item = DeferredKind>) -> Vec<DeferredAction> {
+    let defer = |kind| DeferredAction { at, kind };
+    steps.into_iter().map(defer).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::migration::MigrationOutcome;
     use elmem_cluster::ClusterConfig;
     use elmem_util::KeyId;
     use elmem_workload::{GeneralizedPareto, Keyspace};
@@ -907,6 +850,88 @@ mod tests {
         }
         assert_eq!(c.tier.membership().len(), 4, "capacity restored");
         assert!(c.tier.membership().members().contains(&replacement));
+    }
+
+    #[test]
+    fn fill_arm_splits_new_nodes_by_crash_before_commit() {
+        use crate::healing::HealingConfig;
+        use elmem_sim::fault::{FaultInjector, FaultPlan};
+
+        let now = SimTime::from_secs(10_000);
+        // The one provisioned node is always the next free id. In the
+        // recovery rows every member has crashed (one death is confirmed,
+        // so one replacement): eviction has to keep a corpse — the last
+        // member — for the replacement to displace.
+        let new = NodeId(4);
+        let corpse = NodeId(3);
+        let original: Vec<NodeId> = (0..4).map(NodeId).collect();
+        for (kind, new_crashes) in [
+            (JobKind::ScaleOut, false),
+            (JobKind::ScaleOut, true),
+            (JobKind::Recovery, false),
+            (JobKind::Recovery, true),
+        ] {
+            let mut c = warmed_cluster();
+            let mut m = Master::new(MigrationPolicy::elmem(), MigrationCosts::default(), 1);
+            // An all-dead tier has nothing to ship, so the recovery rows'
+            // fill commits the instant it starts: the one "before the
+            // commit" all rows share is just before `now`.
+            let plan = match new_crashes {
+                true => FaultPlan::new().crash(now - SimTime::from_nanos(1), new),
+                false => FaultPlan::new(),
+            };
+            let mut inj = FaultInjector::new(plan, DetRng::seed(3).split("faults"));
+            let mut sup = Supervision::with_faults(&mut inj);
+            let orch = if kind == JobKind::Recovery {
+                for &id in &original {
+                    c.tier.crash(id).unwrap();
+                }
+                let healing = HealingConfig::warm_replacement();
+                m.recover_supervised(&mut c, &[corpse], now, &healing, &mut sup)
+            } else {
+                m.scale_out_supervised(&mut c, 1, now, &mut sup)
+            }
+            .unwrap();
+            assert_eq!(orch.nodes, vec![new], "{kind:?}");
+            assert!(orch.report.is_some());
+            assert_eq!(orch.committed_at > now, kind == JobKind::ScaleOut);
+
+            let steps: Vec<&DeferredKind> = orch.deferred.iter().map(|d| &d.kind).collect();
+            let expected = match (kind, new_crashes) {
+                (_, true) => vec![DeferredKind::EvictCrashed(vec![new])],
+                (JobKind::Recovery, false) => vec![
+                    DeferredKind::CommitAdd(vec![new]),
+                    DeferredKind::EvictCrashed(vec![corpse]),
+                ],
+                (_, false) => vec![DeferredKind::CommitAdd(vec![new])],
+            };
+            assert_eq!(steps, expected.iter().collect::<Vec<_>>(), "{kind:?}");
+            assert!(orch.deferred.iter().all(|d| d.at == orch.committed_at));
+
+            // Same tracking for both callers; only scalings journal.
+            let job = m.jobs_in_flight(SimTime::ZERO).next().expect("tracked");
+            assert_eq!((job.kind, job.window_end), (kind, orch.committed_at));
+            assert_eq!(m.busy_until(), orch.committed_at);
+            assert_eq!(m.journal().entries().is_empty(), kind == JobKind::Recovery);
+
+            // The plan applies to a consistent membership: the dead new
+            // node never joins, and the corpse only leaves when a live
+            // replacement took its place.
+            if new_crashes {
+                c.tier.crash(new).unwrap();
+            }
+            for d in &orch.deferred {
+                Master::apply(&mut c, &d.kind);
+            }
+            let members = c.tier.membership().members();
+            let want: Vec<NodeId> = match (kind, new_crashes) {
+                (JobKind::Recovery, true) => vec![corpse],
+                (JobKind::Recovery, false) => vec![new],
+                (_, true) => original.clone(),
+                (_, false) => original.iter().copied().chain([new]).collect(),
+            };
+            assert_eq!(members, want, "{kind:?} crashes={new_crashes}");
+        }
     }
 
     #[test]

@@ -28,10 +28,8 @@
 //! assert_ne!(ring2.node_for(KeyId(42)), Some(node));
 //! ```
 
-pub mod analysis;
 pub mod membership;
 pub mod ring;
 
-pub use analysis::LoadStats;
 pub use membership::{Membership, RemapStats};
 pub use ring::HashRing;

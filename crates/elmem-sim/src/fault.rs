@@ -91,6 +91,14 @@ pub struct FaultPlan {
     pub transfer_drop_prob: f64,
 }
 
+/// A slowdown divides bandwidth: only a finite factor ≥ 1 means anything.
+/// One predicate for every way a factor enters — the fluent builder,
+/// [`FaultPlan::from_parts`], [`FaultPlan::from_json`] — so a bad one is
+/// refused where the plan is built, not later inside a running experiment.
+fn valid_slowdown(factor: f64) -> bool {
+    factor >= 1.0 && factor.is_finite()
+}
+
 impl FaultPlan {
     /// An empty plan.
     pub fn new() -> Self {
@@ -119,7 +127,12 @@ impl FaultPlan {
     }
 
     /// Schedules a NIC slowdown (`factor` ≥ 1 divides the bandwidth).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor` is below 1, NaN or infinite.
     pub fn slow_link(mut self, at: SimTime, node: NodeId, factor: f64, duration: SimTime) -> Self {
+        assert!(valid_slowdown(factor), "invalid slowdown factor {factor}");
         self.scheduled.push(ScheduledFault {
             at,
             kind: FaultKind::LinkSlowdown {
@@ -159,7 +172,8 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics if either probability is outside `[0, 1]`.
+    /// Panics if either probability is outside `[0, 1]` or a scheduled
+    /// slowdown's factor is below 1, NaN or infinite.
     pub fn from_parts(
         scheduled: Vec<ScheduledFault>,
         metadata_drop_prob: f64,
@@ -173,6 +187,11 @@ impl FaultPlan {
             (0.0..=1.0).contains(&transfer_drop_prob),
             "probability out of range"
         );
+        for fault in &scheduled {
+            if let FaultKind::LinkSlowdown { factor, .. } = fault.kind {
+                assert!(valid_slowdown(factor), "invalid slowdown factor {factor}");
+            }
+        }
         FaultPlan {
             scheduled,
             metadata_drop_prob,
@@ -275,7 +294,7 @@ impl FaultPlan {
                         .get("factor")
                         .and_then(JsonValue::as_f64)
                         .ok_or("scheduled fault missing 'factor'")?;
-                    if !(factor >= 1.0 && factor.is_finite()) {
+                    if !valid_slowdown(factor) {
                         return Err(format!("invalid slowdown factor {factor}"));
                     }
                     FaultKind::LinkSlowdown {
@@ -344,10 +363,7 @@ impl FaultInjector {
                     factor,
                     duration,
                 } => {
-                    assert!(
-                        factor >= 1.0 && factor.is_finite(),
-                        "invalid slowdown factor"
-                    );
+                    assert!(valid_slowdown(factor), "invalid slowdown factor");
                     actions.push((fault.at, FaultAction::SlowLink(node, factor)));
                     actions.push((fault.at + duration, FaultAction::RestoreLink(node)));
                 }
@@ -397,11 +413,6 @@ impl FaultInjector {
         self.actions.get(self.cursor).map(|(at, _)| *at)
     }
 
-    /// Whether any fault remains to be applied.
-    pub fn exhausted(&self) -> bool {
-        self.cursor >= self.actions.len()
-    }
-
     /// Samples whether one phase-1 metadata shipment is dropped.
     pub fn sample_metadata_drop(&mut self) -> bool {
         self.metadata_drop_prob > 0.0 && self.rng.next_f64() < self.metadata_drop_prob
@@ -427,7 +438,7 @@ mod tests {
         assert!(plan.is_empty());
         let mut inj = FaultInjector::new(plan, DetRng::seed(1));
         assert!(inj.due(secs(1_000_000)).is_empty());
-        assert!(inj.exhausted());
+        assert_eq!(inj.peek_time(), None);
         assert!(!inj.sample_metadata_drop());
         assert!(!inj.sample_transfer_drop());
     }
@@ -443,7 +454,7 @@ mod tests {
         assert!(inj.due(secs(15)).is_empty(), "not re-delivered");
         let second = inj.due(secs(100));
         assert_eq!(second, vec![(secs(20), FaultAction::Crash(NodeId(3)))]);
-        assert!(inj.exhausted());
+        assert_eq!(inj.peek_time(), None);
     }
 
     #[test]
@@ -492,10 +503,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "invalid slowdown factor")]
     fn slowdown_factor_below_one_rejected() {
-        let plan = FaultPlan::new().slow_link(secs(1), NodeId(0), 0.5, secs(1));
-        let _ = FaultInjector::new(plan, DetRng::seed(1));
+        let _ = FaultPlan::new().slow_link(secs(1), NodeId(0), 0.5, secs(1));
+    }
+
+    #[test]
+    fn from_parts_rejects_what_slow_link_rejects() {
+        for factor in [0.5, 0.0, -2.0, f64::NAN, f64::INFINITY] {
+            let fault = ScheduledFault {
+                at: secs(1),
+                kind: FaultKind::LinkSlowdown {
+                    node: NodeId(0),
+                    factor,
+                    duration: secs(1),
+                },
+            };
+            let built = std::panic::catch_unwind(|| FaultPlan::from_parts(vec![fault], 0.0, 0.0));
+            assert!(built.is_err(), "factor {factor} must be refused");
+        }
     }
 
     #[test]

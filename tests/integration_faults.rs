@@ -1,14 +1,17 @@
 //! End-to-end fault injection: crashes landing in specific migration
 //! phases must abort cleanly — no panic, a correct
 //! `MigrationOutcome::Aborted`, and a consistent committed membership.
+//! Also pinned here: the order in which the driver lets faults and control
+//! events land when they share an instant, and where a run's clock ends.
 
 use elmem::cluster::ClusterConfig;
 use elmem::core::migration::MigrationCosts;
 use elmem::core::{
-    run_experiment, AbortCause, ExperimentConfig, ExperimentResult, FaultPlan, MigrationOutcome,
-    MigrationPhase, MigrationPolicy, ScaleAction,
+    run_experiment, run_experiment_capture, AbortCause, ExperimentConfig, ExperimentResult,
+    FaultPlan, MigrationOutcome, MigrationPhase, MigrationPolicy, ScaleAction,
 };
-use elmem::util::{NodeId, SimTime};
+use elmem::util::telemetry::EventKind;
+use elmem::util::{NodeId, SimTime, TelemetryConfig};
 use elmem::workload::{DemandTrace, Keyspace, WorkloadConfig};
 
 fn config(faults: FaultPlan) -> ExperimentConfig {
@@ -177,4 +180,100 @@ fn link_slowdown_stretches_migration() {
     );
     assert!(slow_ev.report.as_ref().unwrap().outcome.is_completed());
     assert_eq!(slow.final_members, 3);
+}
+
+/// Schedules the scale-in at `scale_at`, learns its victim and commit
+/// instant from a fault-free run, then crashes the victim at *exactly* that
+/// instant. The driver promises that a fault due at the same instant as a
+/// control event lands first, so the crash must beat the commit: the trace
+/// shows `NodeCrashed` before `MembershipCommitted` at the same `at`, and
+/// the victim leaves by eviction (crashed, never cleanly powered off).
+/// Returns the commit instant and the second of the last served request.
+fn crash_at_the_commit_instant_lands_first(scale_at: SimTime) -> (SimTime, u64) {
+    let scaled = |faults| {
+        let mut cfg = config(faults);
+        cfg.scheduled = vec![(scale_at, ScaleAction::In { count: 1 })];
+        cfg
+    };
+    let clean = run_experiment(scaled(FaultPlan::new()));
+    let (victim, commit) = (clean.events[0].nodes[0], clean.events[0].committed_at);
+
+    let (result, cluster) = run_experiment_capture(
+        scaled(FaultPlan::new().crash(commit, victim)),
+        TelemetryConfig::default(),
+    );
+    let ev = &result.events[0];
+    // The supervisor only sees crashes strictly before the commit: this
+    // one is the driver's to order, and the migration completes.
+    assert!(ev.report.as_ref().unwrap().outcome.is_completed());
+    assert_eq!((ev.nodes[0], ev.committed_at), (victim, commit));
+
+    let seq_of = |want: fn(&EventKind) -> bool| {
+        let hit = result.telemetry.events.iter().find(|e| want(&e.kind));
+        let hit = hit.expect("event traced");
+        assert_eq!(hit.at, commit);
+        hit.seq
+    };
+    let crashed = seq_of(|k| matches!(k, EventKind::NodeCrashed));
+    let committed = seq_of(|k| matches!(k, EventKind::MembershipCommitted { .. }));
+    assert!(crashed < committed, "the crash must land before the commit");
+
+    assert!(cluster.tier.node(victim).unwrap().is_crashed());
+    assert!(!cluster.tier.membership().members().contains(&victim));
+    assert_eq!((result.final_members, result.final_crashed_members), (3, 0));
+    (commit, result.timeline.last().unwrap().second)
+}
+
+#[test]
+fn crash_at_the_commit_instant_lands_first_when_a_request_drives_the_drain() {
+    let (commit, last_second) = crash_at_the_commit_instant_lands_first(SimTime::from_secs(40));
+    assert!(commit.as_secs() < last_second, "requests follow the commit");
+}
+
+#[test]
+fn crash_at_the_commit_instant_lands_first_in_the_post_run_drain() {
+    // The last request arrives just before 120 s; the migration takes a
+    // third of a second, so its commit is left to the post-run drain.
+    let (commit, last_second) =
+        crash_at_the_commit_instant_lands_first(SimTime::from_millis(119_900));
+    assert!(commit.as_secs() > last_second, "the run ended first");
+}
+
+#[test]
+fn fault_after_the_last_control_event_is_never_applied() {
+    // Simulated time is driven by requests and, once they stop, by the
+    // control events still queued: the run's clock ends at the last of
+    // them. A fault scheduled later lies outside the simulated span — the
+    // post-run drain must not reach forward and apply it.
+    let late = SimTime::from_secs(10_000);
+    let (result, cluster) = run_experiment_capture(
+        config(FaultPlan::new().crash(late, NodeId(0))),
+        TelemetryConfig::default(),
+    );
+    assert_eq!(result.events.len(), 1, "the scale-in still commits");
+    assert!(!cluster.tier.node(NodeId(0)).unwrap().is_crashed());
+    assert_eq!(result.final_crashed_members, 0);
+    let traced = |k: &EventKind| matches!(k, EventKind::NodeCrashed);
+    assert!(!result.telemetry.events.iter().any(|e| traced(&e.kind)));
+}
+
+#[test]
+fn a_slowdown_the_plan_accepts_never_panics_the_driver() {
+    let (at, span) = (SimTime::from_secs(35), SimTime::from_secs(20));
+    for factor in [0.5, -1.0, f64::NAN, f64::INFINITY, 1.0, 8.0, 1e9, f64::MAX] {
+        let fluent =
+            std::panic::catch_unwind(|| FaultPlan::new().slow_link(at, NodeId(1), factor, span));
+        // A bad factor is refused where the plan is built (`from_parts`
+        // refuses the same set: `fault.rs`'s unit test), not inside the run.
+        let Ok(plan) = fluent else {
+            assert!(!(factor >= 1.0 && factor.is_finite()), "{factor} refused");
+            continue;
+        };
+        assert_eq!(
+            FaultPlan::from_parts(plan.scheduled().to_vec(), 0.0, 0.0),
+            plan
+        );
+        let result = run_experiment(config(plan));
+        assert_eq!(result.final_members, 3, "factor {factor}");
+    }
 }
