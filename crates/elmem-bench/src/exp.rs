@@ -228,24 +228,6 @@ pub fn laptop_workload(trace: TraceKind, seed: u64) -> WorkloadConfig {
     workload_preset(Preset::Laptop, trace, seed)
 }
 
-/// A full experiment config with scripted scaling actions.
-pub fn laptop_experiment(
-    trace: TraceKind,
-    initial_nodes: u32,
-    policy: MigrationPolicy,
-    scheduled: Vec<(SimTime, ScaleAction)>,
-    seed: u64,
-) -> ExperimentConfig {
-    experiment_preset(
-        Preset::Laptop,
-        trace,
-        initial_nodes,
-        policy,
-        scheduled,
-        seed,
-    )
-}
-
 /// Restoration threshold used in degradation summaries: "stable" means the
 /// per-second p95 is back under this many milliseconds.
 pub const RESTORE_THRESHOLD_MS: f64 = 25.0;

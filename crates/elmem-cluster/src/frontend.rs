@@ -1,7 +1,7 @@
 //! The web tier's serving path: multi-get, miss handling, response times.
 
 use elmem_hash::HashRing;
-use elmem_store::SlabStore;
+use elmem_store::Fill;
 use elmem_util::{DetRng, KeyId, NodeId, NodeMap, SimTime};
 use elmem_workload::{Keyspace, WebRequest};
 
@@ -402,7 +402,9 @@ impl Cluster {
     /// The keys are streamed a block (32 Ki) at a time, never collected.
     /// When the iterator promises at least [`PREFILL_FANOUT_MIN`] of them
     /// the blocks are filled by up to `par_jobs()` workers, otherwise by
-    /// this thread alone; every store ends byte-identical either way.
+    /// this thread alone; every store ends byte-identical either way, and
+    /// byte-identical to setting the keys one by one. Extra memory: the
+    /// block, and one bit per keyspace key per worker.
     pub fn prefill(&mut self, keys: impl Iterator<Item = KeyId>, start: SimTime) {
         // Every caller passes a rank range, whose lower bound is exact; an
         // iterator that cannot say how long it is fills on one thread.
@@ -423,32 +425,45 @@ impl Cluster {
     /// online (an offline owner consumes its timestamps and skips the
     /// sets); each store sees its keys in stream order with those
     /// timestamps, and stores share nothing, so the result does not depend
-    /// on the worker count. Extra memory is the one block.
+    /// on the worker count.
+    ///
+    /// Each store is set through a [`Fill`]. A worker keeps one bit per
+    /// keyspace key it has set: a repeated key, or one past the bits,
+    /// finishes its owner's fill first, so a fill only sees new keys.
     fn prefill_blocks(
         &mut self,
         mut keys: impl Iterator<Item = KeyId>,
         start: SimTime,
         jobs: usize,
     ) {
+        type Hand<'a> = (NodeMap<Fill<'a>>, Vec<u64>);
         let keyspace = &self.keyspace;
+        let words = keyspace.n_keys().div_ceil(64) as usize;
         let (membership, nodes) = self.tier.membership_and_nodes_mut();
         let ring = membership.ring();
-        let mut hands: Vec<NodeMap<&mut SlabStore>> = (0..jobs).map(|_| NodeMap::new()).collect();
+        let mut hands: Vec<Hand> = (0..jobs)
+            .map(|_| (NodeMap::new(), vec![0; words]))
+            .collect();
         let fillable = nodes.filter(|n| n.is_online() && membership.members().contains(&n.id()));
         for (dealt, node) in fillable.enumerate() {
-            hands[dealt % jobs].insert(node.id(), &mut node.store);
+            hands[dealt % jobs].0.insert(node.id(), node.store.fill());
         }
-        hands.retain(|hand| !hand.is_empty());
+        hands.retain(|(fills, _)| !fills.is_empty());
         let Some((mine, others)) = hands.split_first_mut() else {
             return; // no member can take a set
         };
 
-        let fill = |hand: &mut NodeMap<&mut SlabStore>, base: u64, block: &[KeyId]| {
+        let fill = |(fills, seen): &mut Hand, base: u64, block: &[KeyId]| {
             for (i, &key) in block.iter().enumerate() {
                 let owner = ring
                     .node_for(key)
                     .expect("a ring with members owns every key");
-                if let Some(store) = hand.get_mut(owner) {
+                if let Some(store) = fills.get_mut(owner) {
+                    let bit = 1u64 << (key.0 % 64);
+                    match seen.get_mut((key.0 / 64) as usize) {
+                        Some(word) if *word & bit == 0 => *word |= bit,
+                        _ => store.finish(),
+                    }
                     let at = start + SimTime::from_nanos(base + i as u64);
                     let _ = store.set(key, keyspace.value_size(key), at);
                 }
@@ -472,6 +487,7 @@ impl Cluster {
             });
             base += block.len() as u64;
         }
+        // Dropping the hands finishes every fill still open.
     }
 
     fn mc_latency(&mut self) -> SimTime {
@@ -573,31 +589,60 @@ mod tests {
 
     #[test]
     fn prefill_fanout_is_byte_identical_to_serial() {
-        // Same key stream through the reference loop and the block fill
-        // (worker count forced, key counts on both sides of the public
-        // floor), with one node offline to exercise the
-        // timestamp-consumed-but-set-skipped rule.
-        // The large count spans several blocks with a ragged tail and
-        // overflows the 4 MiB nodes, so evictions must line up too; 8 jobs
-        // exceed the stores to deal, 3 deal them unevenly.
+        // The same key stream through the reference loop, the block fill
+        // (worker count forced) and the public entry, in three regimes on
+        // the 4 x 4 MiB tier: the fill itself evicts none of its keys,
+        // about 30 % and about 65 % (three blocks, a ragged tail, a fanned
+        // public fill). Streams: plain; a key set twice (its store
+        // finishes its fill early and takes the rest one key at a time);
+        // a key past the keyspace and every worker's bits, twice (release
+        // builds only: `value_size` debug-asserts the range); plain with
+        // node 1 offline (its keys' timestamps consumed, their sets
+        // skipped). 3 jobs deal the stores unevenly.
         let start = SimTime::from_millis(3);
-        let large = PREFILL_FANOUT_MIN + 2 * PREFILL_BLOCK + 1234;
-        for nodes in [4u32, 5] {
-            let build = || {
-                let config = ClusterConfig {
-                    initial_nodes: nodes,
-                    ..ClusterConfig::small_test()
-                };
-                let mut c = Cluster::new(config, Keyspace::new(large as u64, 0), DetRng::seed(1));
-                c.tier.power_off(&[NodeId(1)]);
-                c
+        for (count, evicted) in [
+            (4_000, 0.0..0.001),
+            (25_000, 0.25..0.35),
+            (80_000, 0.6..0.7),
+        ] {
+            let plain: Vec<KeyId> = (0..count).rev().map(KeyId).collect();
+            // `key` once more at each position of `at`, latest first.
+            let with = |key: u64, at: &[u64]| {
+                let mut keys = plain.clone();
+                at.iter().for_each(|&i| keys.insert(i as usize, KeyId(key)));
+                keys
             };
-            for count in [4000, large] {
-                let keys = || (0..count as u64).rev().map(KeyId);
+            let mut streams = vec![
+                ("plain", plain.clone(), false),
+                ("repeat", with(count - 1, &[count / 2]), false),
+                ("offline", plain.clone(), true),
+            ];
+            if !cfg!(debug_assertions) {
+                let beyond = with(count + 1_000, &[2 * count / 3, count / 3]);
+                streams.push(("beyond", beyond, false));
+            }
+            for (name, stream, offline) in streams {
+                let build = || {
+                    let mut c = Cluster::new(
+                        ClusterConfig::small_test(),
+                        Keyspace::new(count, 0),
+                        DetRng::seed(1),
+                    );
+                    if offline {
+                        c.tier.power_off(&[NodeId(1)]);
+                    }
+                    c
+                };
+                let keys = || stream.iter().copied();
                 let mut serial = build();
                 prefill_reference(&mut serial, keys(), start);
-                for jobs in [1, 2, 3, 8] {
-                    let what = format!("{nodes} nodes, {count} keys, {jobs} jobs");
+                if name == "plain" {
+                    let stores = serial.tier.iter_nodes().map(|n| n.store.stats());
+                    let share = stores.map(|s| s.evictions).sum::<u64>() as f64 / count as f64;
+                    assert!(evicted.contains(&share), "{count} keys evict {share}");
+                }
+                for jobs in [1, 2, 3, 4] {
+                    let what = format!("{count} keys, {name} stream, {jobs} jobs");
                     let mut fanout = build();
                     fanout.prefill_blocks(keys(), start, jobs);
                     assert_same_stores(&serial, &fanout, &what);

@@ -2,7 +2,7 @@
 
 use elmem_hash::Membership;
 use elmem_store::StoreConfig;
-use elmem_util::{ByteSize, ElmemError, NodeId, NodeMap, SimTime};
+use elmem_util::{ElmemError, NodeId, NodeMap};
 
 use crate::config::ClusterConfig;
 use crate::node::CacheNode;
@@ -67,11 +67,6 @@ impl CacheTier {
             .filter(|n| n.is_online())
             .map(|n| n.id())
             .collect()
-    }
-
-    /// Total memory across member nodes.
-    pub fn member_memory(&self) -> ByteSize {
-        self.config.node_memory * self.membership.len() as u64
     }
 
     /// Immutable node access.
@@ -294,15 +289,10 @@ impl CacheTier {
     }
 }
 
-/// Convenience: drive a store set with the tier's timestamp domain.
-pub fn warm_node(node: &mut CacheNode, key: elmem_util::KeyId, size: u32, now: SimTime) {
-    let _ = node.store.set(key, size, now);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elmem_util::KeyId;
+    use elmem_util::{KeyId, SimTime};
 
     fn tier() -> CacheTier {
         CacheTier::new(ClusterConfig::small_test())

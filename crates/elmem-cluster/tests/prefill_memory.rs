@@ -1,8 +1,8 @@
 //! `Cluster::prefill` streams its keys: it holds one block of them at a
-//! time, on one worker or several, so a paper-scale fill (19 M keys, 152 MB
-//! as a `Vec`) costs no more memory than a laptop one. Checked on
-//! the process's peak RSS, with keys from a counter — an iterator that
-//! itself holds nothing.
+//! time, on one worker or several, and one bit per keyspace key per worker,
+//! so a paper-scale fill (19 M keys, 152 MB as a `Vec`) costs 2.4 MB per
+//! worker beyond its stores. Checked on the process's peak RSS, with keys
+//! from a counter — an iterator that itself holds nothing.
 //!
 //! Alone in its binary on purpose: the high-water mark is per process.
 #![cfg(target_os = "linux")]
@@ -32,31 +32,41 @@ fn prefill_buffers_a_block_not_the_key_stream() {
     // The stores' own churn reads about 3 MiB here, whatever the key count.
     const ALLOWED_KIB: u64 = 8 * 1024;
     for jobs in [1, 2] {
-        let mut c = Cluster::new(
-            ClusterConfig::small_test(),
-            Keyspace::new(KEYS, 0),
-            DetRng::seed(1),
-        );
-        // Fill every page first: from here on a set evicts, and the stores
-        // (4 x 4 MiB) stop growing.
-        c.prefill((0..200_000).map(KeyId), SimTime::ZERO);
+        // An empty tier fills through lanes-only `Fill`s, one bit per key
+        // per worker beside the block; a full one through plain `set`s.
+        for warm in [false, true] {
+            let mut c = Cluster::new(
+                ClusterConfig::small_test(),
+                Keyspace::new(KEYS, 0),
+                DetRng::seed(1),
+            );
+            if warm {
+                // Fill every page first: from here on a set evicts, and
+                // the stores (4 x 4 MiB) stop growing.
+                c.prefill((0..200_000).map(KeyId), SimTime::ZERO);
+            }
 
-        let before = peak_rss_kib();
-        let pulled = Cell::new(0u64);
-        let keys = (0..KEYS).map(|k| {
-            pulled.set(pulled.get() + 1);
-            KeyId(k)
-        });
-        with_par_jobs(jobs, || c.prefill(keys, SimTime::from_secs(1)));
-        let grew = peak_rss_kib() - before;
+            let before = peak_rss_kib();
+            let pulled = Cell::new(0u64);
+            let keys = (0..KEYS).map(|k| {
+                pulled.set(pulled.get() + 1);
+                KeyId(k)
+            });
+            with_par_jobs(jobs, || c.prefill(keys, SimTime::from_secs(1)));
+            let grew = peak_rss_kib() - before;
 
-        assert_eq!(pulled.get(), KEYS, "every key is pulled exactly once");
-        assert!(c.tier.total_items() > 0);
-        assert!(
-            grew <= ALLOWED_KIB,
-            "prefilling {KEYS} keys with {jobs} worker(s) raised peak RSS by {grew} KiB \
-             (a collected key stream alone is {} KiB)",
-            KEYS * 8 / 1024
-        );
+            assert_eq!(pulled.get(), KEYS, "every key is pulled exactly once");
+            assert!(c.tier.total_items() > 0);
+            for node in c.tier.iter_nodes() {
+                assert_eq!(node.store.audit(), Ok(()));
+            }
+            assert!(
+                grew <= ALLOWED_KIB,
+                "prefilling {KEYS} keys into {} tier with {jobs} worker(s) raised peak \
+                 RSS by {grew} KiB (a collected key stream alone is {} KiB)",
+                if warm { "a full" } else { "an empty" },
+                KEYS * 8 / 1024
+            );
+        }
     }
 }

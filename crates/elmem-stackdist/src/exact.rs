@@ -120,6 +120,10 @@ pub struct ExactStackDistance {
     /// keeps near the live-key count.
     slots: FastIntMap<KeyId, u64>,
     time: usize,
+    /// Sum of every tracked key's footprint — the tree's total, kept here
+    /// so a warm access walks the tree three times, not four. Exact, so
+    /// compaction and growth leave it unchanged.
+    total: u64,
     /// Reusable compaction scratch (position, key), kept across
     /// compactions so steady-state recording never allocates.
     scratch: Vec<(u32, KeyId)>,
@@ -138,6 +142,7 @@ impl ExactStackDistance {
             fenwick: Fenwick::with_capacity(1024),
             slots: FastIntMap::default(),
             time: 0,
+            total: 0,
             scratch: Vec::new(),
         }
     }
@@ -173,13 +178,15 @@ impl ExactStackDistance {
                 // in the cache for the access to hit.
                 let prev = (old & 0xffff_ffff) as usize;
                 let own = old >> 32;
-                let others = self.total() - self.fenwick.prefix(prev);
+                let others = self.total - self.fenwick.prefix(prev);
                 self.fenwick.add(prev, -(own as i128));
+                self.total -= own;
                 Some(others + bytes)
             }
             None => None,
         };
         self.fenwick.add(pos, bytes as i128);
+        self.total += bytes;
         self.time += 1;
         result
     }
@@ -195,14 +202,6 @@ impl ExactStackDistance {
             .collect();
         order.sort_unstable_by_key(|&(pos, _, _)| pos);
         order.into_iter().map(|(_, k, b)| (k, b)).collect()
-    }
-
-    fn total(&self) -> u64 {
-        if self.fenwick.len() == 0 {
-            0
-        } else {
-            self.fenwick.prefix(self.fenwick.len() - 1)
-        }
     }
 
     /// When positions run out: if many positions are dead (keys re-accessed),

@@ -44,6 +44,6 @@ pub use dump::{ClassDump, MetadataDump};
 pub use item::{Hotness, ItemMeta, ITEM_OVERHEAD_BYTES, KEY_BYTES, TIMESTAMP_BYTES};
 pub use rebalance::RebalanceHint;
 pub use store::{
-    default_shard_count, ImportMode, SlabStore, StoreConfig, StoreStats, ELMEM_SHARDS_ENV,
+    default_shard_count, Fill, ImportMode, SlabStore, StoreConfig, StoreStats, ELMEM_SHARDS_ENV,
     MAX_SHARDS,
 };

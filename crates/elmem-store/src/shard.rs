@@ -138,7 +138,7 @@ impl ShardList {
         }
     }
 
-    fn push_front(&mut self, idx: u32, seq: u64) {
+    pub fn push_front(&mut self, idx: u32, seq: u64) {
         let next = self.head;
         self.links[idx as usize] = Link {
             seq,
@@ -173,8 +173,8 @@ impl ShardList {
     /// Stores a new item in a slot — a previously freed one if one exists,
     /// else a fresh virtual chunk — and counts it; the caller links it. The
     /// *capacity* decision (is the class allowed another chunk?) is the
-    /// caller's too.
-    fn occupy(&mut self, item: ItemMeta) -> u32 {
+    /// caller's too, and so is the key index.
+    pub fn occupy(&mut self, item: ItemMeta) -> u32 {
         self.len += 1;
         self.bytes_used += item.footprint();
         if let Some(idx) = self.free.pop() {
@@ -189,6 +189,18 @@ impl ShardList {
         });
         self.items.push(item);
         idx
+    }
+
+    /// Unlinks an occupied slot, frees it and uncounts its item, which it
+    /// returns; the key index is the caller's.
+    pub fn vacate(&mut self, idx: u32) -> ItemMeta {
+        self.unlink(idx);
+        self.links[idx as usize].seq = 0;
+        let item = self.items[idx as usize];
+        self.free.push(idx);
+        self.len -= 1;
+        self.bytes_used -= item.footprint();
+        item
     }
 }
 
@@ -252,14 +264,7 @@ impl Shard {
     /// Removes a key from this shard; returns its class and metadata.
     pub fn remove(&mut self, key: KeyId) -> Option<(u16, ItemMeta)> {
         let (class, idx) = self.index.remove(&key)?;
-        let list = &mut self.lists[class as usize];
-        list.unlink(idx);
-        list.links[idx as usize].seq = 0;
-        let item = list.items[idx as usize];
-        list.free.push(idx);
-        list.len -= 1;
-        list.bytes_used -= item.footprint();
-        Some((class, item))
+        Some((class, self.lists[class as usize].vacate(idx)))
     }
 
     /// Moves an already-resident slot to the MRU head with a fresh stamp,

@@ -462,7 +462,7 @@ impl SlabStore {
     /// * [`ElmemError::OutOfMemory`] if no free chunk, free page, or
     ///   evictable item exists in the needed class.
     pub fn set(&mut self, key: KeyId, value_size: u32, now: SimTime) -> Result<(), ElmemError> {
-        self.set_item(ItemMeta::new(key, value_size, now))
+        self.set_item(ItemMeta::new(key, value_size, now), true)
     }
 
     /// Inserts or updates a key with a time-to-live (Memcached `exptime`).
@@ -477,7 +477,7 @@ impl SlabStore {
         now: SimTime,
         ttl: SimTime,
     ) -> Result<(), ElmemError> {
-        self.set_item(ItemMeta::with_ttl(key, value_size, now, ttl))
+        self.set_item(ItemMeta::with_ttl(key, value_size, now, ttl), true)
     }
 
     /// Memcached's `add`: stores only if the key is absent (or expired).
@@ -543,7 +543,10 @@ impl SlabStore {
         self.peek(key).filter(|item| !item.is_expired(now))
     }
 
-    fn set_item(&mut self, new_item: ItemMeta) -> Result<(), ElmemError> {
+    /// `set` of an item. Unless `indexed` — inside a [`Fill`], whose keys
+    /// are new — the key index is neither read nor written, and a victim is
+    /// unlinked by its slot.
+    fn set_item(&mut self, new_item: ItemMeta, indexed: bool) -> Result<(), ElmemError> {
         let key = new_item.key;
         let footprint = new_item.footprint();
         let class = self
@@ -553,9 +556,11 @@ impl SlabStore {
                 item_bytes: footprint,
                 max_chunk_bytes: self.classes.max_chunk(),
             })?;
+        let ci = class.0 as usize;
 
         let si = shard_of(key, self.n_shards);
-        if let Some((old_class, idx)) = self.shards[si].index.get(&key).copied() {
+        let resident = indexed.then(|| self.shards[si].index.get(&key).copied());
+        if let Some((old_class, idx)) = resident.flatten() {
             if old_class == class.0 {
                 // Update in place.
                 let seq = self.next_seq();
@@ -572,14 +577,34 @@ impl SlabStore {
             self.remove_entry(key);
         }
 
-        self.secure_chunk_or_evict(class)?;
+        // A free chunk or page, else the class's LRU victim's chunk
+        // (Memcached semantics: eviction never crosses classes).
+        if !self.secure_chunk(class) && self.evict_tail(class, indexed).is_none() {
+            self.class_meta[ci].pressure += 1;
+            return Err(ElmemError::OutOfMemory);
+        }
         let seq = self.next_seq();
-        let meta = &mut self.class_meta[class.0 as usize];
+        let meta = &mut self.class_meta[ci];
         meta.len += 1;
         meta.version += 1;
-        self.shards[si].insert_front(class.0, new_item, seq);
+        let sh = &mut self.shards[si];
+        let list = &mut sh.lists[ci];
+        let idx = list.occupy(new_item);
+        list.push_front(idx, seq);
+        if indexed {
+            sh.index.insert(key, (class.0, idx));
+        }
         self.stats.sets += 1;
         Ok(())
+    }
+
+    /// A [`Fill`] of this store: lanes only if the store is empty now.
+    pub fn fill(&mut self) -> Fill<'_> {
+        let lanes_only = self.is_empty();
+        Fill {
+            store: self,
+            lanes_only,
+        }
     }
 
     /// Refreshes a key's TTL and MRU position without rewriting the value
@@ -662,20 +687,28 @@ impl SlabStore {
     /// the minimum stamp across the shard tails. Returns the evicted item,
     /// or `None` if the class is empty.
     pub fn evict_lru(&mut self, class: ClassId) -> Option<ItemMeta> {
+        self.evict_tail(class, true)
+    }
+
+    /// [`evict_lru`](Self::evict_lru), unlinking the victim by its slot;
+    /// only if `indexed` is its key also dropped from the index.
+    fn evict_tail(&mut self, class: ClassId, indexed: bool) -> Option<ItemMeta> {
         let ci = class.0 as usize;
-        let mut coldest: Option<(KeyId, u64)> = None;
-        for sh in &self.shards {
-            if let Some((key, seq)) = sh.tail_entry(class.0) {
-                if coldest.is_none_or(|(_, s)| seq < s) {
-                    coldest = Some((key, seq));
-                }
-            }
+        let shard_tails = self.shards.iter().enumerate();
+        let tails = shard_tails.filter_map(|(si, sh)| Some((sh.tail_entry(class.0)?.1, si)));
+        let (_, si) = tails.min()?;
+        let sh = &mut self.shards[si];
+        let list = &mut sh.lists[ci];
+        let item = list.vacate(list.tail);
+        if indexed {
+            sh.index.remove(&item.key);
         }
-        let (key, _) = coldest?;
-        let item = self.remove_entry(key);
+        let meta = &mut self.class_meta[ci];
+        meta.len -= 1;
+        meta.version += 1;
+        meta.pressure += 1;
         self.stats.evictions += 1;
-        self.class_meta[ci].pressure += 1;
-        item
+        Some(item)
     }
 
     /// Secures capacity for one more chunk in `class` without evicting:
@@ -692,20 +725,6 @@ impl SlabStore {
             return true;
         }
         false
-    }
-
-    /// [`secure_chunk`](Self::secure_chunk), falling back to evicting the
-    /// class's LRU item (Memcached semantics: eviction never crosses
-    /// classes).
-    fn secure_chunk_or_evict(&mut self, class: ClassId) -> Result<(), ElmemError> {
-        if self.secure_chunk(class) {
-            return Ok(());
-        }
-        if self.evict_lru(class).is_some() {
-            return Ok(());
-        }
-        self.class_meta[class.0 as usize].pressure += 1;
-        Err(ElmemError::OutOfMemory)
     }
 
     /// Free chunks currently available in a class (capacity not yet
@@ -1221,6 +1240,55 @@ impl SlabStore {
     #[doc(hidden)]
     pub fn corrupt_lane_length_for_tests(&mut self) {
         self.corrupt(|list| list.items.push(list.items[list.head as usize]));
+    }
+}
+
+/// A bulk load of keys new to the store, from [`SlabStore::fill`].
+///
+/// On a store that was empty when the fill began, [`set`](Self::set) does
+/// what [`SlabStore::set`] does for a new key — the same class, page grant,
+/// victim, LRU stamp, counters and result — on the link and item lanes
+/// alone; [`finish`](Self::finish), which a drop runs too, then indexes the
+/// survivors once. A key may be set once before `finish`, again only
+/// after it. On a store that was not empty, `set` is [`SlabStore::set`].
+/// See DESIGN.md §14.
+#[derive(Debug)]
+pub struct Fill<'a> {
+    store: &'a mut SlabStore,
+    /// The index is still to be built.
+    lanes_only: bool,
+}
+
+impl Fill<'_> {
+    /// [`SlabStore::set`], errors included, of a key not yet set in this fill.
+    pub fn set(&mut self, key: KeyId, value_size: u32, now: SimTime) -> Result<(), ElmemError> {
+        let item = ItemMeta::new(key, value_size, now);
+        self.store.set_item(item, !self.lanes_only)
+    }
+
+    /// Indexes every shard's occupied slots, into an index sized once for
+    /// them; from here on `set` is [`SlabStore::set`]. Idempotent.
+    pub fn finish(&mut self) {
+        if !std::mem::take(&mut self.lanes_only) {
+            return;
+        }
+        for sh in &mut self.store.shards {
+            let survivors = sh.lists.iter().map(|l| l.len as usize).sum();
+            sh.index.reserve(survivors);
+            for (class, list) in sh.lists.iter().enumerate() {
+                let slots = list.links.iter().zip(&list.items).enumerate();
+                for (idx, (_, item)) in slots.filter(|(_, (link, _))| link.seq != 0) {
+                    sh.index.insert(item.key, (class as u16, idx as u32));
+                }
+            }
+            debug_assert_eq!(sh.index.len(), survivors, "a key set twice in one fill");
+        }
+    }
+}
+
+impl Drop for Fill<'_> {
+    fn drop(&mut self) {
+        self.finish();
     }
 }
 

@@ -176,36 +176,31 @@ impl TimelineRecorder {
     ///   request's multi-get batch.
     pub fn record_request(&mut self, at: SimTime, rt_ms: f64, hits: u64, lookups: u64) {
         let second = at.as_secs();
-        match self.buckets.last_mut() {
-            Some(b) if b.second == second => {
-                b.rts_ms.push(rt_ms);
-                b.hits += hits;
-                b.lookups += lookups;
-            }
-            Some(b) if b.second > second => {
-                // Out-of-order completion into an earlier bucket: find it.
-                if let Some(b) = self.buckets.iter_mut().rev().find(|b| b.second == second) {
-                    b.rts_ms.push(rt_ms);
-                    b.hits += hits;
-                    b.lookups += lookups;
-                }
-            }
-            _ => {
-                self.buckets.push(Bucket {
-                    second,
-                    rts_ms: vec![rt_ms],
-                    hits,
-                    lookups,
-                });
-            }
+        // Buckets stay in second order. Completions arrive almost in order,
+        // so the newest bucket is the usual one; an out-of-order completion
+        // lands in its second's bucket, inserted if that second has none.
+        let i = match self.buckets.last() {
+            Some(b) if b.second == second => self.buckets.len() - 1,
+            Some(b) if b.second > second => self.buckets.partition_point(|b| b.second < second),
+            _ => self.buckets.len(),
+        };
+        if self.buckets.get(i).is_none_or(|b| b.second != second) {
+            let bucket = Bucket {
+                second,
+                ..Bucket::default()
+            };
+            self.buckets.insert(i, bucket);
         }
+        let b = &mut self.buckets[i];
+        b.rts_ms.push(rt_ms);
+        b.hits += hits;
+        b.lookups += lookups;
     }
 
     /// Finalizes into a dense timeline (one point per bucket that saw
     /// traffic, in time order).
     pub fn finish(self) -> Vec<TimelinePoint> {
-        let mut points: Vec<TimelinePoint> = self
-            .buckets
+        self.buckets
             .into_iter()
             .map(|b| {
                 let p95 = quantile(&b.rts_ms, 0.95).unwrap_or(0.0);
@@ -226,9 +221,7 @@ impl TimelineRecorder {
                     requests: b.rts_ms.len() as u64,
                 }
             })
-            .collect();
-        points.sort_by_key(|p| p.second);
-        points
+            .collect()
     }
 }
 
@@ -456,6 +449,25 @@ mod tests {
         let tl = rec.finish();
         assert_eq!(tl.len(), 2);
         assert_eq!(tl[0].requests, 2);
+    }
+
+    #[test]
+    fn timeline_keeps_a_late_completion_in_a_second_without_a_bucket() {
+        // Second 9 completes after second 11, with nothing yet in 9–10:
+        // its request, hits and lookups get a bucket of their own, in
+        // second order, between the ones around it.
+        let mut rec = TimelineRecorder::new();
+        rec.record_request(SimTime::from_secs(8), 1.0, 1, 1);
+        rec.record_request(SimTime::from_secs(11), 2.0, 1, 1);
+        rec.record_request(SimTime::from_millis(9_500), 7.0, 0, 4);
+        rec.record_request(SimTime::from_millis(9_900), 3.0, 2, 4);
+        let tl = rec.finish();
+        let seconds: Vec<u64> = tl.iter().map(|p| p.second).collect();
+        assert_eq!(seconds, vec![8, 9, 11]);
+        assert_eq!(tl.iter().map(|p| p.requests).sum::<u64>(), 4);
+        assert_eq!(tl[1].requests, 2);
+        assert_eq!(tl[1].hit_rate, 0.25);
+        assert_eq!(tl[1].mean_ms, 5.0);
     }
 
     #[test]
