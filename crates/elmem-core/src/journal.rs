@@ -88,7 +88,8 @@ fn phase_rank(phase: MigrationPhase) -> u8 {
 /// One sealed shipment, as the journal records it: enough to reconstruct
 /// the shipment from a fresh source dump (the `take`-prefix of what the
 /// source routes to `(target, class)`) and to verify the reconstruction
-/// byte-for-byte against the FNV-1a content checksum sealed at plan time.
+/// against the per-field FNV-1a checksum sealed at plan time, which any one
+/// changed item field moves ([`crate::migration::shipment_checksum`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShipmentManifest {
     /// Monotone sequence number within the migration.
@@ -101,7 +102,7 @@ pub struct ShipmentManifest {
     pub class: ClassId,
     /// How many items of the routed (hotness-ordered) list are shipped.
     pub take: usize,
-    /// FNV-1a content checksum over the chosen prefix.
+    /// Per-field FNV-1a checksum of the chosen prefix (one change moves it).
     pub checksum: u64,
 }
 
@@ -115,18 +116,18 @@ impl ShipmentManifest {
     }
 
     fn from_json(v: &JsonValue) -> Result<Self, String> {
-        let field = |k: &str| -> Result<u64, String> {
+        fn field<T: TryFrom<u64>>(v: &JsonValue, k: &str) -> Result<T, String> {
             v.get(k)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("manifest entry missing {k:?}"))
-        };
+                .and_then(JsonValue::as_uint)
+                .ok_or_else(|| format!("manifest entry {k:?} missing or out of range"))
+        }
         Ok(ShipmentManifest {
-            seq: field("seq")?,
-            source: NodeId(field("source")? as u32),
-            target: NodeId(field("target")? as u32),
-            class: ClassId(field("class")? as u16),
-            take: field("take")? as usize,
-            checksum: field("checksum")?,
+            seq: field(v, "seq")?,
+            source: NodeId(field(v, "source")?),
+            target: NodeId(field(v, "target")?),
+            class: ClassId(field(v, "class")?),
+            take: field(v, "take")?,
+            checksum: field(v, "checksum")?,
         })
     }
 }
@@ -455,9 +456,9 @@ impl MigrationJournal {
                         .ok_or("started record missing nodes")?
                         .iter()
                         .map(|n| {
-                            n.as_u64()
-                                .map(|v| NodeId(v as u32))
-                                .ok_or_else(|| "non-numeric node id".to_string())
+                            n.as_uint().map(NodeId).ok_or_else(|| {
+                                "started record: 'nodes' entry not a u32".to_string()
+                            })
                         })
                         .collect::<Result<Vec<_>, _>>()?;
                     JournalRecord::Started {
@@ -604,6 +605,21 @@ mod tests {
         let back = MigrationJournal::parse_json(&json).expect("parses");
         assert_eq!(back, j);
         assert_eq!(back.to_json(), json);
+    }
+
+    #[test]
+    fn out_of_range_ids_are_refused_not_truncated() {
+        let json = sample_journal().to_json();
+        for (from, to, field) in [
+            ("\"source\":3", "\"source\":4294967299", "source"),
+            ("\"target\":1", "\"target\":4294967297", "target"),
+            ("\"class\":2", "\"class\":65538", "class"),
+            ("\"nodes\":[3]", "\"nodes\":[4294967299]", "nodes"),
+        ] {
+            assert!(json.contains(from), "{from}");
+            let err = MigrationJournal::parse_json(&json.replace(from, to)).unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
     }
 
     #[test]

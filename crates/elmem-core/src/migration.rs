@@ -764,24 +764,24 @@ impl Shipment {
     }
 }
 
-/// FNV-1a over every field of every item, in shipment order. Pure content
-/// hash: two shipments with the same items in the same order collide by
-/// construction.
+/// The FNV-1a step applied once per 64-bit field: from the FNV offset
+/// basis, `h = (h ^ w) * 0x100000001b3` (wrapping) for each field `w` of
+/// `[key, value_size, last_access ns, expires ns]` of each item, in
+/// shipment order. For a fixed `w` each step is a bijection of `h` (the
+/// prime is odd), so changing any one field of any one item always changes
+/// the checksum. Pure content hash: two shipments with the same items in
+/// the same order collide by construction.
 pub fn shipment_checksum(items: &[ItemMeta]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    for item in items {
-        mix(item.key.0);
-        mix(u64::from(item.value_size));
-        mix(item.last_access.as_nanos());
-        mix(item.expires.as_nanos());
-    }
-    h
+    items.iter().fold(0xcbf29ce484222325, |h, item| {
+        [
+            item.key.0,
+            u64::from(item.value_size),
+            item.last_access.as_nanos(),
+            item.expires.as_nanos(),
+        ]
+        .into_iter()
+        .fold(h, |h, w| (h ^ w).wrapping_mul(0x100000001b3))
+    })
 }
 
 /// Statistics from a [`plan_scale_in_shipments`] planning pass.
@@ -1684,6 +1684,7 @@ mod tests {
     use elmem_cluster::ClusterConfig;
     use elmem_sim::fault::FaultPlan;
     use elmem_util::{DetRng, KeyId};
+    use proptest::prelude::*;
 
     const NOW: SimTime = SimTime::from_secs(200_000);
 
@@ -2005,6 +2006,69 @@ mod tests {
             tier.node(new[0]).unwrap().store.is_empty(),
             "a corrupt shipment must not reach the destination store"
         );
+    }
+
+    // ---- the shipment checksum ----------------------------------------------
+
+    fn item_of((key, value_size, last_access, expires): (u64, u32, u64, u64)) -> ItemMeta {
+        ItemMeta {
+            key: KeyId(key),
+            value_size,
+            last_access: SimTime::from_nanos(last_access),
+            expires: SimTime::from_nanos(expires),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn shipment_checksum_sees_any_one_field_change_and_any_swap(
+            raw in prop::collection::vec(
+                (any::<u64>(), any::<u32>(), any::<u64>(), any::<u64>()),
+                1..=64,
+            ),
+            pick in any::<u64>(),
+            field in 0usize..4,
+            delta in 1u64..=u64::MAX,
+        ) {
+            let items: Vec<ItemMeta> = raw.into_iter().map(item_of).collect();
+            let sealed = shipment_checksum(&items);
+            let len = items.len();
+            let i = (pick % len as u64) as usize;
+
+            // Xor a nonzero value into one field of one item.
+            let mut changed = items.clone();
+            let item = &mut changed[i];
+            match field {
+                0 => item.key.0 ^= delta,
+                // Fold the high half in so the 32-bit delta stays nonzero.
+                1 => item.value_size ^= (delta | delta >> 32) as u32,
+                2 => item.last_access = SimTime::from_nanos(item.last_access.as_nanos() ^ delta),
+                _ => item.expires = SimTime::from_nanos(item.expires.as_nanos() ^ delta),
+            }
+            prop_assert_ne!(shipment_checksum(&changed), sealed);
+
+            // Swap two distinct items: the order is part of the content.
+            if len > 1 {
+                let j = (i + 1 + (pick >> 32) as usize % (len - 1)) % len;
+                prop_assume!(items[i] != items[j]);
+                let mut swapped = items.clone();
+                swapped.swap(i, j);
+                prop_assert_ne!(shipment_checksum(&swapped), sealed);
+            }
+        }
+    }
+
+    #[test]
+    fn shipment_checksum_known_answers() {
+        // The journal records this value: a change here is a format change.
+        assert_eq!(shipment_checksum(&[]), 0xcbf29ce484222325);
+        let items = [
+            (7, 64, 1_000, u64::MAX),
+            (42, 1_024, 2_000_000, 9_000_000_000),
+            (u64::MAX, 10_000, 3, u64::MAX),
+        ]
+        .map(item_of);
+        assert_eq!(shipment_checksum(&items), 0x01c4_e5dc_d766_b120);
     }
 
     // ---- supervision -----------------------------------------------------

@@ -284,12 +284,11 @@ impl ChaosPlan {
     ///
     /// A message naming the missing or malformed field.
     pub fn from_json(value: &JsonValue) -> Result<ChaosPlan, String> {
-        let field_u64 = |key: &str| -> Result<u64, String> {
-            value
-                .get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("chaos plan missing '{key}'"))
-        };
+        fn field<T: TryFrom<u64>>(obj: &JsonValue, key: &str) -> Result<T, String> {
+            obj.get(key)
+                .and_then(JsonValue::as_uint)
+                .ok_or_else(|| format!("chaos plan '{key}' missing or out of range"))
+        }
         let field_bool = |key: &str| -> Result<bool, String> {
             value
                 .get(key)
@@ -304,14 +303,8 @@ impl ChaosPlan {
             .ok_or("chaos plan missing 'actions'")?;
         let mut actions = Vec::with_capacity(entries.len());
         for entry in entries {
-            let sub_u64 = |key: &str| -> Result<u64, String> {
-                entry
-                    .get(key)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("chaos action missing '{key}'"))
-            };
-            let at = SimTime::from_nanos(sub_u64("at_ns")?);
-            let count = sub_u64("count")? as u32;
+            let at = SimTime::from_nanos(field(entry, "at_ns")?);
+            let count = field(entry, "count")?;
             let action = match entry.get("kind").and_then(JsonValue::as_str) {
                 Some("scale_in") => ChaosAction::ScaleIn { count },
                 Some("scale_out") => ChaosAction::ScaleOut { count },
@@ -334,10 +327,10 @@ impl ChaosPlan {
             None => Vec::new(),
         };
         Ok(ChaosPlan {
-            seed: field_u64("seed")?,
-            nodes: field_u64("nodes")? as u32,
-            keys: field_u64("keys")?,
-            duration_secs: field_u64("duration_secs")?,
+            seed: field(value, "seed")?,
+            nodes: field(value, "nodes")?,
+            keys: field(value, "keys")?,
+            duration_secs: field(value, "duration_secs")?,
             healing: field_bool("healing")?,
             autoscaler: field_bool("autoscaler")?,
             faults,
@@ -555,6 +548,22 @@ mod tests {
             let back = ChaosPlan::parse_json(&json).unwrap();
             assert_eq!(back, plan, "seed {seed}");
             assert_eq!(back.to_json(), json, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn json_refuses_counts_past_u32() {
+        let plan = ChaosPlan::generate(1);
+        let (ChaosAction::ScaleIn { count } | ChaosAction::ScaleOut { count }) =
+            plan.actions[0].action;
+        let json = plan.to_json();
+        for (field, n) in [("nodes", plan.nodes), ("count", count)] {
+            // Truncated, the wide value would read back as `n`.
+            let narrow = format!("\"{field}\":{n}");
+            let wide = format!("\"{field}\":{}", u64::from(n) + (1 << 32));
+            assert!(json.contains(&narrow), "{narrow}");
+            let err = ChaosPlan::parse_json(&json.replacen(&narrow, &wide, 1)).unwrap_err();
+            assert!(err.contains(&format!("'{field}'")), "{err}");
         }
     }
 

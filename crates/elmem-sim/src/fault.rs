@@ -34,6 +34,7 @@
 //! assert!(matches!(due[1].1, FaultAction::RestoreLink(NodeId(1))));
 //! ```
 
+use crate::network::valid_slowdown;
 use elmem_util::json::JsonValue;
 use elmem_util::{DetRng, NodeId, SimTime};
 
@@ -89,14 +90,6 @@ pub struct FaultPlan {
     /// Probability that one source's data shipment (migration phase 3) is
     /// dropped in transit and must be retried.
     pub transfer_drop_prob: f64,
-}
-
-/// A slowdown divides bandwidth: only a finite factor ≥ 1 means anything.
-/// One predicate for every way a factor enters — the fluent builder,
-/// [`FaultPlan::from_parts`], [`FaultPlan::from_json`] — so a bad one is
-/// refused where the plan is built, not later inside a running experiment.
-fn valid_slowdown(factor: f64) -> bool {
-    factor >= 1.0 && factor.is_finite()
 }
 
 impl FaultPlan {
@@ -277,16 +270,16 @@ impl FaultPlan {
             .get("scheduled")
             .and_then(JsonValue::as_array)
             .ok_or("fault plan missing 'scheduled'")?;
+        fn field<T: TryFrom<u64>>(entry: &JsonValue, key: &str) -> Result<T, String> {
+            entry
+                .get(key)
+                .and_then(JsonValue::as_uint)
+                .ok_or_else(|| format!("scheduled fault '{key}' missing or out of range"))
+        }
         let mut scheduled = Vec::with_capacity(entries.len());
         for entry in entries {
-            let field_u64 = |key: &str| -> Result<u64, String> {
-                entry
-                    .get(key)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("scheduled fault missing '{key}'"))
-            };
-            let at = SimTime::from_nanos(field_u64("at_ns")?);
-            let node = NodeId(field_u64("node")? as u32);
+            let at = SimTime::from_nanos(field(entry, "at_ns")?);
+            let node = NodeId(field(entry, "node")?);
             let kind = match entry.get("kind").and_then(JsonValue::as_str) {
                 Some("crash") => FaultKind::NodeCrash { node },
                 Some("slow_link") => {
@@ -300,12 +293,12 @@ impl FaultPlan {
                     FaultKind::LinkSlowdown {
                         node,
                         factor,
-                        duration: SimTime::from_nanos(field_u64("duration_ns")?),
+                        duration: SimTime::from_nanos(field(entry, "duration_ns")?),
                     }
                 }
                 Some("partition") => FaultKind::LinkPartition {
                     node,
-                    duration: SimTime::from_nanos(field_u64("duration_ns")?),
+                    duration: SimTime::from_nanos(field(entry, "duration_ns")?),
                 },
                 other => return Err(format!("unknown fault kind {other:?}")),
             };
@@ -559,5 +552,16 @@ mod tests {
             "{\"metadata_drop_prob\":0,\"transfer_drop_prob\":0,\"scheduled\":",
             "[{\"at_ns\":1,\"kind\":\"slow_link\",\"node\":0,\"factor\":0.5,\"duration_ns\":1}]}"
         )));
+    }
+
+    #[test]
+    fn json_refuses_a_node_id_past_u32() {
+        // Truncated, this would be node 1.
+        let wide = concat!(
+            "{\"metadata_drop_prob\":0,\"transfer_drop_prob\":0,",
+            "\"scheduled\":[{\"at_ns\":1,\"kind\":\"crash\",\"node\":4294967297}]}"
+        );
+        let err = FaultPlan::from_json(&JsonValue::parse(wide).unwrap()).unwrap_err();
+        assert!(err.contains("'node'"), "{err}");
     }
 }

@@ -8,6 +8,14 @@
 
 use elmem_util::{ByteSize, SimTime};
 
+/// A slowdown divides bandwidth: only a finite factor ≥ 1 means anything.
+/// [`Link::apply_slowdown`] and every way a factor enters a `FaultPlan`
+/// check this one predicate, so a plan refuses a bad factor where it is
+/// built, not later inside a running experiment.
+pub fn valid_slowdown(factor: f64) -> bool {
+    factor >= 1.0 && factor.is_finite()
+}
+
 /// A serialized network link (one per node NIC, or one per flow as needed).
 ///
 /// # Example
@@ -126,12 +134,9 @@ impl Link {
     ///
     /// # Panics
     ///
-    /// Panics if `factor` is not ≥ 1 and finite.
+    /// Panics unless [`valid_slowdown`] accepts `factor`.
     pub fn apply_slowdown(&mut self, factor: f64) {
-        assert!(
-            factor >= 1.0 && factor.is_finite(),
-            "invalid slowdown factor"
-        );
+        assert!(valid_slowdown(factor), "invalid slowdown factor {factor}");
         self.bandwidth = self.base_bandwidth / factor;
     }
 

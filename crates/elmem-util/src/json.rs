@@ -81,6 +81,13 @@ impl JsonValue {
         }
     }
 
+    /// The number narrowed to `T` (`u32`, `u16`, ...) through `try_from`,
+    /// if it is a non-negative integer that fits: an out-of-range value is
+    /// refused, never truncated.
+    pub fn as_uint<T: TryFrom<u64>>(&self) -> Option<T> {
+        self.as_u64().and_then(|v| T::try_from(v).ok())
+    }
+
     /// The number parsed as `f64`, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -296,6 +303,17 @@ mod tests {
         let big = u64::MAX;
         let v = JsonValue::parse(&big.to_string()).unwrap();
         assert_eq!(v.as_u64(), Some(big));
+    }
+
+    #[test]
+    fn narrowing_refuses_what_would_truncate() {
+        let n = |s: &str| JsonValue::parse(s).unwrap();
+        assert_eq!(n("4294967295").as_uint::<u32>(), Some(u32::MAX));
+        assert_eq!(n("4294967297").as_uint::<u32>(), None);
+        assert_eq!(n("65535").as_uint::<u16>(), Some(u16::MAX));
+        assert_eq!(n("65536").as_uint::<u16>(), None);
+        assert_eq!(n("-1").as_uint::<u16>(), None);
+        assert_eq!(n("\"7\"").as_uint::<u32>(), None);
     }
 
     #[test]
