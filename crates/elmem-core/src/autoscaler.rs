@@ -228,11 +228,6 @@ impl AutoScaler {
         self.engine.tracked_keys()
     }
 
-    /// Whether the stack-distance engine is still in an exact phase.
-    pub fn profiler_is_exact(&self) -> bool {
-        self.engine.is_exact()
-    }
-
     /// Eq. (1): the minimum hit rate so that at most r_DB req/s miss.
     pub fn p_min(&self, arrival_rate: f64) -> f64 {
         (1.0 - self.config.r_db / arrival_rate).max(0.0)

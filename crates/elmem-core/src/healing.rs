@@ -360,11 +360,6 @@ impl RecoveryEvent {
     pub fn detection_latency(&self) -> Option<SimTime> {
         self.crashed_at.map(|t| self.confirmed_at.saturating_sub(t))
     }
-
-    /// Confirmation-to-recovered latency.
-    pub fn recovery_latency(&self) -> SimTime {
-        self.recovered_at.saturating_sub(self.confirmed_at)
-    }
 }
 
 #[cfg(test)]

@@ -98,11 +98,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample, or `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)

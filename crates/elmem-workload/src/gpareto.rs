@@ -5,8 +5,6 @@
 //! reported by Facebook \[12\]", with values ranging from 1 byte up to
 //! ~1 MB (the slab cap).
 
-use serde::{Deserialize, Serialize};
-
 /// Generalized Pareto distribution (location 0) sampled by inverse CDF.
 ///
 /// `F⁻¹(u) = σ/κ · ((1-u)^{-κ} − 1)` for shape `κ ≠ 0`.
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let size = gp.quantile(0.5);
 /// assert!(size > 0.0 && size < 1000.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneralizedPareto {
     /// Scale parameter σ > 0.
     pub scale: f64,
@@ -70,9 +68,14 @@ impl GeneralizedPareto {
 
     /// Draws a value-size in bytes, clamped to `[1, max_bytes]`.
     pub fn sample_bytes(&self, u: f64, max_bytes: u32) -> u32 {
-        let v = self.quantile(u);
-        (v.round() as u32).clamp(1, max_bytes)
+        to_bytes(self.quantile(u), max_bytes)
     }
+}
+
+/// `(v.round() as u32).clamp(1, max_bytes)` without a libm call: for `v ≥ ½`
+/// rounding `v + ½` never crosses an integer, and below ½ both give 1.
+pub(crate) fn to_bytes(v: f64, max_bytes: u32) -> u32 {
+    ((v + 0.5) as u32).clamp(1, max_bytes)
 }
 
 #[cfg(test)]
@@ -135,6 +138,30 @@ mod tests {
         let gp = GeneralizedPareto::facebook_etc();
         assert_eq!(gp.sample_bytes(0.0, 10_000), 1);
         assert_eq!(gp.sample_bytes(0.999999, 500), 500);
+    }
+
+    #[test]
+    fn to_bytes_is_round_then_clamp() {
+        let bits = |v: f64, d: i64| f64::from_bits(v.to_bits().wrapping_add_signed(d));
+        let mut rng = DetRng::seed(5);
+        let mut values = vec![
+            f64::NAN,
+            f64::INFINITY,
+            -f64::INFINITY,
+            0.0,
+            -0.5,
+            2f64.powi(52),
+        ];
+        values.extend((0..5_000).flat_map(|n| {
+            let half = f64::from(n) + 0.5;
+            [bits(half, -1), half, bits(half, 1), -half]
+        }));
+        values.extend((0..100_000).map(|_| rng.next_f64() * 1e6));
+        for v in values {
+            for max in [1, 4_000, u32::MAX] {
+                assert_eq!(to_bytes(v, max), (v.round() as u32).clamp(1, max), "{v}");
+            }
+        }
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //! * **Microsoft**: bursty decline — 10→9 then 9→8.
 
 use elmem_util::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Which published trace shape to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceKind {
     /// Facebook SYS \[12\].
     FacebookSys,
@@ -121,7 +120,7 @@ impl std::fmt::Display for TraceKind {
 /// assert_eq!(tr.normalized_at(SimTime::from_secs(30)), 0.75);
 /// assert_eq!(tr.duration(), SimTime::from_secs(60));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemandTrace {
     samples: Vec<f64>,
     /// Time between consecutive samples.
@@ -184,8 +183,8 @@ impl DemandTrace {
     ///
     /// # Errors
     ///
-    /// Returns a message when no samples are present, a line fails to
-    /// parse, or a value is negative/non-finite.
+    /// Returns a message when `step` is zero, no samples are present, a
+    /// line fails to parse, or a value is negative/non-finite.
     ///
     /// # Example
     ///
@@ -200,6 +199,9 @@ impl DemandTrace {
     /// assert_eq!(trace.samples(), &[1.0, 0.5, 0.25]);
     /// ```
     pub fn parse(text: &str, step: SimTime) -> Result<DemandTrace, String> {
+        if step == SimTime::ZERO {
+            return Err("zero step between samples".to_string());
+        }
         let mut raw = Vec::new();
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
@@ -326,6 +328,12 @@ mod tests {
         assert!(DemandTrace::parse("-1", SimTime::from_secs(1)).is_err());
         let err = DemandTrace::parse("1\nxyz", SimTime::from_secs(1)).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_a_zero_step() {
+        let err = DemandTrace::parse("1\n", SimTime::ZERO).unwrap_err();
+        assert!(err.contains("step"), "{err}");
     }
 
     #[test]
