@@ -65,6 +65,9 @@ impl DbFetch {
 pub struct DbModel {
     pool: ServerPool,
     mean_service: SimTime,
+    /// `1 / mean_service` in fetches per second: the exponential's rate,
+    /// divided once here rather than on every fetch.
+    service_rate: f64,
     shed_delay: SimTime,
     rng: DetRng,
     fetches: u64,
@@ -79,6 +82,7 @@ impl DbModel {
         DbModel {
             pool: ServerPool::new(servers),
             mean_service,
+            service_rate: 1.0 / mean_service.as_secs_f64(),
             shed_delay,
             rng,
             fetches: 0,
@@ -98,8 +102,7 @@ impl DbModel {
             self.shed += 1;
             return DbFetch::Shed(now + self.shed_delay);
         }
-        let service =
-            SimTime::from_secs_f64(self.rng.next_exp(1.0 / self.mean_service.as_secs_f64()));
+        let service = SimTime::from_secs_f64(self.rng.next_exp(self.service_rate));
         DbFetch::Served(self.pool.submit(now, service))
     }
 

@@ -11,22 +11,14 @@
 //! key stream as a per-lookup call would have shown it — and every hint,
 //! and with it every output of the run, is bit-identical by construction.
 //!
-//! One [`Observer::apply`] body serves two transports. With
-//! `elmem_util::par::par_jobs() > 1` the stage is a thread behind a bounded
-//! channel, fed from a fixed pool of batch buffers that come back emptied
-//! (no allocation in steady state; an exhausted pool is the back-pressure).
-//! With `par_jobs() == 1` — the workspace's serial reference — `apply` is
-//! called directly on the driver's thread, with the same batching; that
-//! costs what the per-lookup call did (EXPERIMENTS.md E24: pinned to one
-//! core, `elastic_day` reads the same before and after). The gain is the
-//! overlap: profiling a lookup costs about as much as serving it, and now
-//! happens on a core the serving loop was not using.
-
-use std::panic::resume_unwind;
-use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::thread::JoinHandle;
+//! [`Observer::apply`] runs on the shared [`Stage`]: a thread fed from a
+//! fixed pool of batch buffers that come back emptied, or, at
+//! `par_jobs() == 1`, a direct call with the same batching, which costs
+//! what the per-lookup call did (EXPERIMENTS.md E24). The gain is the
+//! overlap: profiling a lookup costs about as much as serving it.
 
 use elmem_store::item::item_footprint;
+use elmem_util::stage::Stage;
 use elmem_util::{KeyId, SimTime};
 use elmem_workload::Keyspace;
 
@@ -107,115 +99,13 @@ impl Observer {
     }
 }
 
-/// How messages reach `apply`.
-enum Lane {
-    /// Called where it is posted; the reply is immediate.
-    Inline(Box<dyn FnMut(Msg) -> Reply>),
-    Thread(ThreadLane),
-}
-
-struct ThreadLane {
-    /// `None` once closed.
-    tx: Option<SyncSender<Msg>>,
-    rx: Receiver<Reply>,
-    /// `None` once joined.
-    worker: Option<JoinHandle<()>>,
-}
-
-impl ThreadLane {
-    /// Closes the channel (the worker's loop ends when it sees that) and
-    /// waits for the worker; `Err` carries the panic it died of.
-    fn close(&mut self) -> std::thread::Result<()> {
-        self.tx = None;
-        self.worker.take().map_or(Ok(()), JoinHandle::join)
-    }
-
-    /// [`Self::close`]; a panic the worker died of continues on this
-    /// thread, with its own payload.
-    fn join(&mut self) {
-        if let Err(panic) = self.close() {
-            resume_unwind(panic);
-        }
-    }
-
-    /// The worker hung up while the channel was open. Its loop only ever
-    /// ends by panicking or by seeing the channel closed, so this is the
-    /// worker's panic arriving on the driver.
-    fn hung_up(&mut self) -> ! {
-        self.join();
-        unreachable!("the scaler stage hung up without panicking");
-    }
-}
-
-impl Drop for ThreadLane {
-    /// Reached with a live worker only when the driver itself unwinds:
-    /// stop the worker and wait for it, so no thread outlives the run. Its
-    /// result is dropped — a second panic while unwinding would abort.
-    fn drop(&mut self) {
-        let _ = self.close();
-    }
-}
-
-impl Lane {
-    fn new(threaded: bool, mut apply: impl FnMut(Msg) -> Reply + Send + 'static) -> Self {
-        if !threaded {
-            return Lane::Inline(Box::new(apply));
-        }
-        // At most POOL messages are ever queued — every buffer but the open
-        // one, plus a query — so `send` never blocks; the pool running dry
-        // does.
-        let (tx, msgs) = mpsc::sync_channel::<Msg>(POOL);
-        let (replies, rx) = mpsc::channel::<Reply>();
-        let worker = std::thread::Builder::new()
-            .name("elmem-scaler".into())
-            .spawn(move || {
-                for msg in msgs {
-                    if replies.send(apply(msg)).is_err() {
-                        break; // the driver is gone (it unwound)
-                    }
-                }
-            })
-            .expect("spawn the scaler stage's thread");
-        Lane::Thread(ThreadLane {
-            tx: Some(tx),
-            rx,
-            worker: Some(worker),
-        })
-    }
-
-    /// Hands `msg` to the stage; the inline lane answers on the spot.
-    fn post(&mut self, msg: Msg) -> Option<Reply> {
-        match self {
-            Lane::Inline(apply) => Some(apply(msg)),
-            Lane::Thread(lane) => {
-                let tx = lane.tx.as_ref().expect("open until joined");
-                if tx.send(msg).is_err() {
-                    lane.hung_up();
-                }
-                None
-            }
-        }
-    }
-
-    /// Blocks for the next reply.
-    fn wait(&mut self) -> Reply {
-        match self {
-            Lane::Inline(_) => unreachable!("an inline reply is returned by `post`"),
-            Lane::Thread(lane) => match lane.rx.recv() {
-                Ok(reply) => reply,
-                Err(_) => lane.hung_up(),
-            },
-        }
-    }
-}
-
 /// The driver's handle on the stage.
 pub(crate) struct ScalerStage {
     /// Keys served since the last flush.
     open: Vec<KeyId>,
     /// Emptied buffers ready to become the open batch.
     spare: Vec<Vec<KeyId>>,
-    lane: Lane,
+    stage: Stage<Msg, Reply>,
     epoch: SimTime,
     last_decision: Option<SimTime>,
 }
@@ -235,22 +125,18 @@ impl ScalerStage {
             ),
         };
         let mut observer = Observer { scaler, keyspace };
+        // At most POOL messages are ever unanswered — every buffer but the
+        // open one, plus a query — as the stage requires; the pool running
+        // dry is the back-pressure. The whole pool is allocated here.
         let threaded = elmem_util::par::par_jobs() > 1;
-        Self::over(threaded, epoch, move |msg| observer.apply(msg))
-    }
-
-    /// A stage over any `apply` (tests substitute one that panics).
-    fn over(
-        threaded: bool,
-        epoch: SimTime,
-        apply: impl FnMut(Msg) -> Reply + Send + 'static,
-    ) -> Self {
-        // The whole pool is allocated here, on the driver.
+        let stage = Stage::new(threaded, "elmem-scaler", POOL, move |msg| {
+            observer.apply(msg)
+        });
         let mut pool = (0..POOL).map(|_| Vec::with_capacity(BATCH_KEYS));
         ScalerStage {
             open: pool.next().expect("POOL >= 1"),
             spare: pool.collect(),
-            lane: Lane::new(threaded, apply),
+            stage,
             epoch,
             last_decision: None,
         }
@@ -288,9 +174,7 @@ impl ScalerStage {
             Reply::TrackedKeys(n) => n,
             other => unreachable!("replies arrive in message order, got {other:?}"),
         };
-        if let Lane::Thread(lane) = &mut self.lane {
-            lane.join();
-        }
+        self.stage.join();
         tracked
     }
 
@@ -301,9 +185,9 @@ impl ScalerStage {
             return;
         }
         let batch = std::mem::take(&mut self.open);
-        let mut reply = self.lane.post(Msg::Observe(batch));
+        let mut reply = self.stage.post(Msg::Observe(batch));
         while reply.is_some() || self.spare.is_empty() {
-            match reply.take().unwrap_or_else(|| self.lane.wait()) {
+            match reply.take().unwrap_or_else(|| self.stage.wait()) {
                 Reply::Observed(buffer) => self.spare.push(buffer),
                 other => unreachable!("no query is outstanding, got {other:?}"),
             }
@@ -315,9 +199,9 @@ impl ScalerStage {
     /// that come back first rejoin the pool.
     fn ask(&mut self, query: Msg) -> Reply {
         self.flush();
-        let mut reply = self.lane.post(query);
+        let mut reply = self.stage.post(query);
         loop {
-            match reply.take().unwrap_or_else(|| self.lane.wait()) {
+            match reply.take().unwrap_or_else(|| self.stage.wait()) {
                 Reply::Observed(buffer) => self.spare.push(buffer),
                 answer => return answer,
             }
@@ -330,7 +214,6 @@ mod tests {
     use super::*;
     use crate::autoscaler::AutoScalerConfig;
     use elmem_util::ByteSize;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn config() -> ScalerConfig {
         let mut c = AutoScalerConfig::new(100.0, ByteSize::from_kib(64));
@@ -380,7 +263,7 @@ mod tests {
         let jobs = if threaded { 2 } else { 1 };
         let mut stage =
             elmem_util::par::with_par_jobs(jobs, || ScalerStage::start(&config(), keyspace));
-        assert_eq!(matches!(stage.lane, Lane::Thread(_)), threaded);
+        assert_eq!(stage.stage.is_threaded(), threaded);
         let mut hints = Vec::new();
         for (i, keys) in requests().iter().enumerate() {
             if i > 0 && i % decide_every == 0 {
@@ -404,110 +287,5 @@ mod tests {
             assert_eq!(staged(false, decide_every), expected, "inline");
             assert_eq!(staged(true, decide_every), expected, "threaded");
         }
-    }
-
-    #[test]
-    fn steady_state_reuses_the_pool() {
-        for threaded in [false, true] {
-            let mut stage = ScalerStage::over(threaded, SimTime::from_secs(1), |msg| match msg {
-                Msg::Observe(mut keys) => {
-                    keys.clear();
-                    Reply::Observed(keys)
-                }
-                Msg::Decide { .. } => Reply::Decided(None),
-                Msg::TrackedKeys => Reply::TrackedKeys(0),
-            });
-            let keys = [KeyId(1); 5];
-            for _ in 0..50 * BATCH_KEYS {
-                stage.observe(&keys);
-            }
-            assert_eq!(stage.decide(SimTime::from_secs(1), 1.0, 1), None);
-            // Every buffer is home again and none was replaced by a fresh
-            // (smaller or larger) allocation.
-            assert_eq!(stage.spare.len(), POOL - 1, "threaded={threaded}");
-            let roomy =
-                |b: &Vec<KeyId>| b.capacity() >= BATCH_KEYS && b.capacity() < 2 * BATCH_KEYS;
-            assert!(stage.spare.iter().all(roomy) && roomy(&stage.open));
-            assert_eq!(stage.finish(), 0);
-        }
-    }
-
-    /// The panic message `f` dies with.
-    fn panic_message(f: impl FnOnce()) -> String {
-        let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("must panic");
-        payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("a message payload")
-    }
-
-    fn exploding_stage(threaded: bool) -> ScalerStage {
-        let mut batches = 0;
-        ScalerStage::over(threaded, SimTime::from_secs(1), move |msg| match msg {
-            Msg::Observe(mut keys) => {
-                batches += 1;
-                assert!(batches < 3, "profiler exploded on batch {batches}");
-                keys.clear();
-                Reply::Observed(keys)
-            }
-            Msg::Decide { .. } => Reply::Decided(None),
-            Msg::TrackedKeys => Reply::TrackedKeys(0),
-        })
-    }
-
-    #[test]
-    fn a_panicking_stage_fails_the_driver_with_its_own_message() {
-        let keys = [KeyId(1); 5];
-        for threaded in [false, true] {
-            // The driver only ever observes: the pool runs dry and the
-            // blocked flush must resurface the panic, not hang.
-            let message = panic_message(|| {
-                let mut stage = exploding_stage(threaded);
-                for _ in 0..20 * BATCH_KEYS {
-                    stage.observe(&keys);
-                }
-            });
-            assert_eq!(
-                message, "profiler exploded on batch 3",
-                "observe, {threaded}"
-            );
-
-            // The panic lands while the driver waits for a decision (or
-            // just before it posts one).
-            let message = panic_message(|| {
-                let mut stage = exploding_stage(threaded);
-                for _ in 0..BATCH_KEYS / 2 {
-                    stage.observe(&keys);
-                }
-                let _ = stage.decide(SimTime::from_secs(1), 1.0, 1);
-            });
-            assert_eq!(
-                message, "profiler exploded on batch 3",
-                "decide, {threaded}"
-            );
-
-            // ... and at the end of a run.
-            let message = panic_message(|| {
-                let mut stage = exploding_stage(threaded);
-                for _ in 0..BATCH_KEYS / 2 {
-                    stage.observe(&keys);
-                }
-                let _ = stage.finish();
-            });
-            assert_eq!(
-                message, "profiler exploded on batch 3",
-                "finish, {threaded}"
-            );
-        }
-    }
-
-    #[test]
-    fn dropping_a_stage_mid_run_stops_its_thread() {
-        // A driver that unwinds drops the stage without `finish`; the drop
-        // must close the channel and join rather than hang or detach.
-        let mut stage = exploding_stage(true);
-        stage.observe(&[KeyId(1); 5]);
-        drop(stage);
     }
 }

@@ -64,10 +64,12 @@ impl ServerPool {
     /// Submits a job arriving at `now` needing `service` time; returns its
     /// completion instant (FIFO, earliest-free-server dispatch).
     pub fn submit(&mut self, now: SimTime, service: SimTime) -> SimTime {
-        let Reverse(free) = self.free_at.pop().expect("pool nonempty");
-        let start = free.max(now);
-        let done = start + service;
-        self.free_at.push(Reverse(done));
+        // The earliest-free server takes the job in place: one sift down
+        // where a pop and a push took two, over the same multiset.
+        let mut free = self.free_at.peek_mut().expect("pool nonempty");
+        let done = free.0.max(now) + service;
+        *free = Reverse(done);
+        drop(free);
         self.completed += 1;
         self.busy_time += service;
         done
@@ -96,6 +98,49 @@ impl ServerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The pop/push form of [`ServerPool::submit`], kept as its reference.
+    fn submit_by_pop_push(pool: &mut ServerPool, now: SimTime, service: SimTime) -> SimTime {
+        let Reverse(free) = pool.free_at.pop().expect("pool nonempty");
+        let done = free.max(now) + service;
+        pool.free_at.push(Reverse(done));
+        pool.completed += 1;
+        pool.busy_time += service;
+        done
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn submit_matches_pop_and_push(
+            servers in 1usize..64,
+            ops in proptest::collection::vec((0u64..4, 0u64..5_000, 0u64..20_000), 0..400),
+        ) {
+            let (mut fast, mut reference) = (ServerPool::new(servers), ServerPool::new(servers));
+            let mut now = SimTime::ZERO;
+            for (kind, step_us, service_us) in ops {
+                // Mostly forward in time, sometimes a late arrival.
+                now = if kind == 3 {
+                    now.saturating_sub(SimTime::from_micros(step_us))
+                } else {
+                    now + SimTime::from_micros(step_us)
+                };
+                if kind == 0 {
+                    prop_assert_eq!(fast.queue_delay(now), reference.queue_delay(now));
+                } else {
+                    let service = SimTime::from_micros(service_us);
+                    prop_assert_eq!(
+                        fast.submit(now, service),
+                        submit_by_pop_push(&mut reference, now, service)
+                    );
+                }
+            }
+            prop_assert_eq!(fast.completed(), reference.completed());
+            prop_assert_eq!(fast.busy_time(), reference.busy_time());
+            prop_assert_eq!(fast.free_at.into_sorted_vec(), reference.free_at.into_sorted_vec());
+        }
+    }
 
     #[test]
     fn parallel_servers_run_concurrently() {

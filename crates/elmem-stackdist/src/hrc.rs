@@ -91,34 +91,6 @@ impl HitRateCurve {
             .map(|pct| self.memory_for_hit_rate(f64::from(pct) / 100.0))
             .collect()
     }
-
-    /// The smallest capacity at which a fraction `p` of the *warm*
-    /// (re-accessed) requests hit.
-    ///
-    /// A finite observation window caps the overall hit rate at
-    /// `1 − cold/total`, but cold (compulsory) misses cannot be fixed by
-    /// memory — a window shorter than the workload's reuse horizon would
-    /// make [`memory_for_hit_rate`](Self::memory_for_hit_rate) wildly
-    /// underestimate the needed capacity. Sizing against the warm reuse
-    /// distribution is robust to the window length.
-    ///
-    /// Returns `None` only when no request in the window was warm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `[0, 1]`.
-    pub fn memory_for_warm_hit_rate(&self, p: f64) -> Option<ByteSize> {
-        assert!((0.0..=1.0).contains(&p), "hit rate out of range: {p}");
-        if self.distances.is_empty() {
-            return None;
-        }
-        if p <= 0.0 {
-            return Some(ByteSize::ZERO);
-        }
-        let needed =
-            smallest_sufficient_rank(p, self.distances.len() as u64).clamp(1, self.distances.len());
-        Some(ByteSize(self.distances[needed - 1]))
-    }
 }
 
 /// The smallest `h` with `h / total >= p`, robust to floating-point noise

@@ -27,6 +27,7 @@ pub mod json;
 pub mod nodemap;
 pub mod par;
 pub mod rng;
+pub mod stage;
 pub mod stats;
 pub mod telemetry;
 pub mod time;

@@ -15,9 +15,14 @@
 //! happened once, to the three stream rows: ROADMAP item 6(a)'s one-sampler
 //! PR (PR 22) replaced the Zipf sampler and the rank→key coin. The
 //! placement rows are still `7ab1128`'s.
+//!
+//! The stream is checked on both of the generator's transports in the
+//! same run: called directly (`par_jobs() == 1`) and as a stage on its own
+//! thread (`par_jobs() == 2`).
 
 use elmem::hash::HashRing;
 use elmem::util::hashutil::fnv1a64;
+use elmem::util::par::with_par_jobs;
 use elmem::util::{DetRng, KeyId, NodeId, SimTime};
 use elmem::workload::{DemandTrace, Keyspace, RequestGenerator, WebRequest, WorkloadConfig};
 
@@ -74,16 +79,18 @@ fn request_streams_match_their_pinned_digests() {
         (200_000, 0.8, 0x9c56_03e9_5efa_73f4),
         (100_000, 1.2, 0x23bf_6327_f13e_9d58),
     ];
-    let moved: Vec<String> = PINS
+    let moved: Vec<String> = [1, 2]
         .into_iter()
-        .filter_map(|(n, s, want)| {
-            let got = stream_digest(n, s);
-            (got != want).then(|| format!("({n}, {s:?}, {got:#018x}),"))
+        .flat_map(|jobs| PINS.into_iter().map(move |pin| (jobs, pin)))
+        .filter_map(|(jobs, (n, s, want))| {
+            let got = with_par_jobs(jobs, || stream_digest(n, s));
+            (got != want).then(|| format!("({n}, {s:?}, {got:#018x}), // par_jobs {jobs}"))
         })
         .collect();
     assert!(
         moved.is_empty(),
-        "request stream moved: suspect ZipfPopularity::sample_rank's draw \
+        "request stream moved: if only one par_jobs count moved, suspect the \
+         generator's stage (reqgen's transports test); else suspect ZipfPopularity::sample_rank's draw \
          pattern (zipf's draw_pattern_* test), then key_for_rank's coin, then \
          SimTime::from_secs_f64 (arrivals). Rows now:\n{}",
         moved.join("\n")
