@@ -7,53 +7,28 @@
 //! and restoration takes about the migration overhead (~2 min at paper
 //! scale).
 
-use elmem_bench::exp::{
-    degradation_reduction, experiment_preset, print_summary_row, print_timeline, Preset,
-};
-use elmem_bench::sweep;
-use elmem_core::{run_experiment, MigrationPolicy, ScaleAction};
-use elmem_util::SimTime;
-use elmem_workload::TraceKind;
+use elmem_bench::exp::{degradation_reduction, print_summary_row, print_timeline, Preset};
+use elmem_bench::figures::fig2;
 
 fn main() {
     let preset = Preset::from_cli();
     let nodes = preset.scale_nodes(10);
-    let seed = 42;
-    // The ETC dip drives a 10 → 9 scale-in at the 25-minute mark; when
-    // demand recovers, a 9 → 10 scale-out follows (the paper's Fig. 6(b)
-    // trajectory, from which Fig. 2 is drawn).
-    let scheduled = vec![
-        (SimTime::from_secs(25 * 60), ScaleAction::In { count: 1 }),
-        (SimTime::from_secs(45 * 60), ScaleAction::Out { count: 1 }),
-    ];
-
     println!(
         "== Fig. 2: post-scaling degradation (ETC, {nodes} -> {} nodes) ==\n",
         nodes - 1
     );
-    let cells = [MigrationPolicy::Baseline, MigrationPolicy::elmem()];
-    let mut results = sweep::run_cells(sweep::jobs_from_cli(), &cells, |_, policy| {
-        run_experiment(experiment_preset(
-            preset,
-            TraceKind::FacebookEtc,
-            nodes,
-            *policy,
-            scheduled.clone(),
-            seed,
-        ))
-    });
-    let elmem = results.pop().expect("elmem cell ran");
-    let baseline = results.pop().expect("baseline cell ran");
+    let fig = fig2(preset, 42);
+    let (baseline, elmem) = (&fig.baseline, &fig.elmem);
 
     print_timeline("baseline", &baseline.timeline, 30);
     println!();
     print_timeline("elmem", &elmem.timeline, 30);
     println!();
-    print_summary_row("baseline", &baseline);
-    print_summary_row("elmem", &elmem);
+    print_summary_row("baseline", baseline);
+    print_summary_row("elmem", elmem);
     println!(
         "\npost-scaling degradation reduction (mean p95): {:.1}%  (paper: ~88-96%)",
-        degradation_reduction(&baseline, &elmem)
+        degradation_reduction(baseline, elmem)
     );
     if let Some(ev) = elmem.events.first() {
         println!(

@@ -4,14 +4,11 @@
 //! Prints one column per trace, one row per minute, matching the shapes of
 //! the paper's Fig. 5 panels.
 
-use elmem_bench::sweep;
-use elmem_workload::TraceKind;
+use elmem_bench::figures::fig5;
 
 fn main() {
     println!("== Fig. 5: normalized request-rate traces ==\n");
-    let traces = sweep::run_cells(sweep::jobs_from_cli(), &TraceKind::ALL, |_, k| {
-        (k.name(), k.demand_trace())
-    });
+    let traces = fig5();
     print!("{:>4}", "min");
     for (name, _) in &traces {
         print!(" {name:>10}");

@@ -10,112 +10,33 @@
 //! Expected shape: ElMem reduces the average post-scaling p95 degradation
 //! by ~88–97% on scale-in and ~81% on scale-out.
 
-use elmem_bench::exp::{
-    degradation_reduction, experiment_preset, post_event_window_p95, print_summary_row, Preset,
-};
-use elmem_bench::sweep;
-use elmem_core::{run_experiment, MigrationPolicy, ScaleAction};
-use elmem_util::SimTime;
-use elmem_workload::TraceKind;
-
-fn minutes(m: u64) -> SimTime {
-    SimTime::from_secs(m * 60)
-}
+use elmem_bench::exp::{degradation_reduction, post_event_window_p95, print_summary_row, Preset};
+use elmem_bench::figures::fig6;
+use elmem_core::ExperimentResult;
+use elmem_util::stats::window_mean;
 
 fn main() {
     let preset = Preset::from_cli();
-    type Case = (TraceKind, u32, Vec<(SimTime, ScaleAction)>, &'static str);
-    let cases: Vec<Case> = vec![
-        (
-            TraceKind::FacebookSys,
-            10,
-            vec![(minutes(30), ScaleAction::In { count: 3 })],
-            "(a) SYS: 10 -> 7",
-        ),
-        (
-            TraceKind::FacebookEtc,
-            10,
-            vec![
-                (minutes(25), ScaleAction::In { count: 1 }),
-                (minutes(45), ScaleAction::Out { count: 1 }),
-            ],
-            "(b) ETC: 10 -> 9 -> 10",
-        ),
-        (
-            TraceKind::Sap,
-            10,
-            vec![
-                (minutes(18), ScaleAction::In { count: 1 }),
-                (minutes(35), ScaleAction::In { count: 1 }),
-            ],
-            "(c) SAP: 10 -> 9 -> 8",
-        ),
-        (
-            TraceKind::Nlanr,
-            8,
-            vec![
-                (minutes(12), ScaleAction::Out { count: 1 }),
-                (minutes(38), ScaleAction::In { count: 1 }),
-            ],
-            "(d) NLANR: 8 -> 9 -> 8",
-        ),
-        (
-            TraceKind::Microsoft,
-            10,
-            vec![
-                (minutes(20), ScaleAction::In { count: 1 }),
-                (minutes(40), ScaleAction::In { count: 1 }),
-            ],
-            "(e) Microsoft: 10 -> 9 -> 8",
-        ),
-    ];
-
     println!("== Fig. 6: ElMem vs baseline across all traces ==");
-    // 10 independent cells (5 cases × 2 policies): run them all through the
-    // sweep harness, then format per case in order.
-    let cells: Vec<(&Case, MigrationPolicy)> = cases
-        .iter()
-        .flat_map(|case| {
-            [
-                (case, MigrationPolicy::Baseline),
-                (case, MigrationPolicy::elmem()),
-            ]
-        })
-        .collect();
-    let mut results = sweep::run_cells(sweep::jobs_from_cli(), &cells, |_, (case, policy)| {
-        let (trace, nodes, scheduled, _) = case;
-        let seed = 1000 + trace.name().len() as u64;
-        run_experiment(experiment_preset(
-            preset,
-            *trace,
-            preset.scale_nodes(*nodes),
-            *policy,
-            scheduled.clone(),
-            seed,
-        ))
-    })
-    .into_iter();
-    for (_, _, _, label) in &cases {
+    for (label, panel) in fig6(preset, 1000) {
+        let (baseline, elmem) = (&panel.baseline, &panel.elmem);
         println!("\n-- {label} --");
-        let baseline = results.next().expect("baseline cell ran");
-        let elmem = results.next().expect("elmem cell ran");
-        print_summary_row("baseline", &baseline);
-        print_summary_row("elmem", &elmem);
-        let mean_hit = |tl: &[elmem_util::stats::TimelinePoint]| -> f64 {
-            let pts: Vec<_> = tl.iter().filter(|p| p.requests > 0).collect();
-            pts.iter().map(|p| p.hit_rate).sum::<f64>() / pts.len().max(1) as f64
+        print_summary_row("baseline", baseline);
+        print_summary_row("elmem", elmem);
+        let mean_hit = |r: &ExperimentResult| {
+            window_mean(&r.timeline, &[(0, u64::MAX)], |p| p.hit_rate).unwrap_or(0.0)
         };
         println!(
             "mean hit rate: baseline {:.3}, elmem {:.3}",
-            mean_hit(&baseline.timeline),
-            mean_hit(&elmem.timeline)
+            mean_hit(baseline),
+            mean_hit(elmem)
         );
         println!(
             "post-scaling degradation reduction: {:.1}%",
-            degradation_reduction(&baseline, &elmem)
+            degradation_reduction(baseline, elmem)
         );
-        let wb = post_event_window_p95(&baseline, 600);
-        let we = post_event_window_p95(&elmem, 600);
+        let wb = post_event_window_p95(baseline, 600);
+        let we = post_event_window_p95(elmem, 600);
         println!(
             "10-min post-event windows: baseline {wb:.2} ms, elmem {we:.2} ms ({:.1}% reduction)",
             (wb - we) / wb.max(1e-9) * 100.0

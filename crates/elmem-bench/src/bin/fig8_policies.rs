@@ -5,13 +5,10 @@
 //! Naive and CacheScale keep degrading well past the scaling event. Paper:
 //! ~70% tail-RT reduction vs Naive and ~64% vs CacheScale.
 
-use elmem_bench::exp::{
-    degradation_reduction, experiment_preset, print_summary_row, print_timeline, Preset,
-};
-use elmem_bench::sweep;
-use elmem_core::{run_experiment, MigrationPolicy, ScaleAction};
-use elmem_util::SimTime;
-use elmem_workload::TraceKind;
+use elmem_bench::exp::{degradation_reduction, print_summary_row, print_timeline, Preset};
+use elmem_bench::figures::fig8;
+use elmem_core::ExperimentResult;
+use elmem_util::stats::window_mean;
 
 fn main() {
     let preset = Preset::from_cli();
@@ -20,76 +17,38 @@ fn main() {
         "== Fig. 8: ElMem vs Naive vs CacheScale (SYS, {nodes} -> {}) ==\n",
         nodes - 3
     );
-    let seed = 88;
-    let scheduled = vec![(SimTime::from_secs(30 * 60), ScaleAction::In { count: 3 })];
+    let fig = fig8(preset, 88);
+    let (elmem, naive, cachescale) = (&fig.elmem, &fig.naive, &fig.cachescale);
 
-    let cells = [
-        MigrationPolicy::elmem(),
-        MigrationPolicy::Naive,
-        MigrationPolicy::cachescale(),
-        MigrationPolicy::Baseline,
-    ];
-    let mut results = sweep::run_cells(sweep::jobs_from_cli(), &cells, |_, policy| {
-        let mut cfg = experiment_preset(
-            preset,
-            TraceKind::FacebookSys,
-            nodes,
-            *policy,
-            scheduled.clone(),
-            seed,
-        );
-        // A slightly flatter popularity (Zipf 0.95) puts real mass in the
-        // mid-tail, where the policies' data-placement quality differs,
-        // while keeping the post-scaling steady state inside the database's
-        // capacity (the paper's regime).
-        cfg.workload.zipf_exponent = 0.95;
-        // Few virtual nodes per server → realistic ketama imbalance: nodes
-        // differ in both key count and popularity. This is where global
-        // hotness comparison (FuseCache) beats Naive's per-node fraction:
-        // with symmetric nodes the two keep literally the same item set.
-        cfg.cluster.vnodes = 8;
-        run_experiment(cfg)
-    })
-    .into_iter();
-    let elmem = results.next().expect("elmem cell ran");
-    let naive = results.next().expect("naive cell ran");
-    let cachescale = results.next().expect("cachescale cell ran");
-    let baseline = results.next().expect("baseline cell ran");
-
-    print_summary_row("elmem", &elmem);
-    print_summary_row("naive", &naive);
-    print_summary_row("cachescale", &cachescale);
-    print_summary_row("baseline", &baseline);
+    print_summary_row("elmem", elmem);
+    print_summary_row("naive", naive);
+    print_summary_row("cachescale", cachescale);
+    print_summary_row("baseline", &fig.baseline);
 
     println!(
         "\nelmem tail-RT reduction vs naive:      {:.1}%  (paper ~70%)",
-        degradation_reduction(&naive, &elmem)
+        degradation_reduction(naive, elmem)
     );
     println!(
         "elmem tail-RT reduction vs cachescale: {:.1}%  (paper ~64%)",
-        degradation_reduction(&cachescale, &elmem)
+        degradation_reduction(cachescale, elmem)
     );
     println!(
         "elmem tail-RT reduction vs baseline:   {:.1}%",
-        degradation_reduction(&baseline, &elmem)
+        degradation_reduction(&fig.baseline, elmem)
     );
 
     // The paper's Fig. 8 zooms into the minutes right after the scaling
     // decision; report the mean p95 over that window too.
-    let focus = |r: &elmem_core::ExperimentResult| -> f64 {
+    let focus = |r: &ExperimentResult| {
         let s0 = r.events[0].decided_at.as_secs();
-        let pts: Vec<_> = r
-            .timeline
-            .iter()
-            .filter(|p| p.second >= s0 && p.second < s0 + 300 && p.requests > 0)
-            .collect();
-        pts.iter().map(|p| p.p95_ms).sum::<f64>() / pts.len().max(1) as f64
+        window_mean(&r.timeline, &[(s0, s0 + 300)], |p| p.p95_ms).unwrap_or(0.0)
     };
     println!("\nmean p95 over the first 5 post-scaling minutes:");
-    println!("  elmem      {:>9.2} ms", focus(&elmem));
-    println!("  naive      {:>9.2} ms", focus(&naive));
-    println!("  cachescale {:>9.2} ms", focus(&cachescale));
-    println!("  baseline   {:>9.2} ms", focus(&baseline));
+    println!("  elmem      {:>9.2} ms", focus(elmem));
+    println!("  naive      {:>9.2} ms", focus(naive));
+    println!("  cachescale {:>9.2} ms", focus(cachescale));
+    println!("  baseline   {:>9.2} ms", focus(&fig.baseline));
 
     println!();
     print_timeline("elmem", &elmem.timeline, 60);

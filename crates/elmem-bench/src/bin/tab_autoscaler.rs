@@ -8,37 +8,25 @@
 //! the post-scaling hit rate stays at or above `p_min` from Eq. (1) — i.e.
 //! the database never sees more than `r_DB` misses per second for long.
 
-use elmem_bench::exp::{cluster_preset, workload_preset, Preset};
-use elmem_bench::sweep;
-use elmem_core::migration::MigrationCosts;
-use elmem_core::{
-    run_experiment, AutoScaler, AutoScalerConfig, ExperimentConfig, FaultPlan, MigrationPolicy,
-};
-use elmem_store::item::item_footprint;
-use elmem_util::{ByteSize, DetRng, SimTime};
-use elmem_workload::{DemandTrace, TraceKind, ZipfPopularity};
+use elmem_bench::exp::Preset;
+use elmem_bench::figures::{autoscaler_sizing, tab_autoscaler};
+use elmem_util::ByteSize;
 
 fn main() {
+    let preset = Preset::from_cli();
     println!("== Tab (SS III-B): AutoScaler sizing ==\n");
 
     // Part 1 — memory-for-hit-rate table from a sampled window.
-    let keyspace = elmem_workload::Keyspace::new(100_000, 5);
-    let zipf = ZipfPopularity::new(keyspace.n_keys(), 1.0, 5);
-    let mut rng = DetRng::seed(5);
-    let mut scaler = AutoScaler::new(AutoScalerConfig::new(125.0, ByteSize::from_mib(64)));
-    for _ in 0..500_000 {
-        let key = zipf.sample(&mut rng);
-        scaler.observe(key, item_footprint(keyspace.value_size(key)));
-    }
+    let sizing = autoscaler_sizing(5);
     println!(
         "observed {} lookups, {} warm ({:.1}%)",
-        scaler.observed(),
-        scaler.warm(),
-        scaler.warm() as f64 / scaler.observed() as f64 * 100.0
+        sizing.observed,
+        sizing.warm,
+        sizing.warm as f64 / sizing.observed as f64 * 100.0
     );
     println!("target WARM hit rate -> required memory (nodes of 64 MiB)");
-    for pct in [50u32, 70, 80, 90, 95, 97, 99] {
-        match scaler.memory_for(f64::from(pct) / 100.0) {
+    for (pct, memory) in sizing.memory {
+        match memory {
             Some(mem) => println!(
                 "{pct:>3}% -> {:>12} ({} nodes)",
                 mem.to_string(),
@@ -47,92 +35,35 @@ fn main() {
             None => println!("{pct:>3}% -> no warm accesses observed"),
         }
     }
+    let [r200, r500, r4000] = sizing.p_min;
     println!(
-        "\nEq. (1) p_min examples (r_DB = 125/s): r=200 -> {:.2}, r=500 -> {:.2}, r=4000 -> {:.3}",
-        scaler.p_min(200.0),
-        scaler.p_min(500.0),
-        scaler.p_min(4000.0)
+        "\nEq. (1) p_min examples (r_DB = 125/s): r=200 -> {r200:.2}, r=500 -> {r500:.2}, r=4000 -> {r4000:.3}"
     );
 
     // Part 2 — end-to-end: demand drops 1.0 -> 0.3; the AutoScaler should
     // scale in while keeping misses under r_DB.
-    //
-    // This run uses a larger database (r_DB = 500/s) than the figure
-    // experiments: Eq. (1) then asks for p_min ≈ 0.88 at peak, a quantile
-    // the stack-distance estimator resolves from minutes of history. The
-    // figure experiments' r_DB = 167/s implies p_min ≈ 0.96 — sizing that
-    // far into the reuse tail needs hours of observation, which is why the
-    // paper (and we) treat the autoscaling policy as a pluggable module
-    // and drive the degradation experiments with scripted actions.
     println!("\n== end-to-end autoscaled run (demand 1.0 -> 0.3) ==\n");
-    let preset = Preset::from_cli();
-    let mut cluster = cluster_preset(preset, preset.scale_nodes(10));
-    cluster.db_servers *= 3; // laptop: r_DB = 500/s
-    let mut scaler_cfg = AutoScalerConfig::new(cluster.r_db(), cluster.node_memory);
-    scaler_cfg.epoch = SimTime::from_secs(60);
-    scaler_cfg.max_nodes = preset.scale_nodes(12);
-    scaler_cfg.min_observations = 2_000_000;
-    let mut workload = workload_preset(preset, TraceKind::FacebookEtc, 5);
-    workload.trace = DemandTrace::new(
-        vec![
-            1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3,
-        ],
-        SimTime::from_secs(120),
-    );
-    let r_db = cluster.r_db();
-    // One end-to-end cell, run through the sweep harness like every other
-    // fig/tab binary.
-    let cells = [ExperimentConfig {
-        cluster,
-        workload,
-        policy: MigrationPolicy::elmem(),
-        autoscaler: Some(scaler_cfg.into()),
-        scheduled: vec![],
-        prefill_top_ranks: preset.prefill_ranks(),
-        costs: MigrationCosts::default(),
-        faults: FaultPlan::new(),
-        healing: None,
-        master: Default::default(),
-        seed: 5,
-    }];
-    let result = sweep::run_cells(sweep::jobs_from_cli(), &cells, |_, cfg| {
-        run_experiment(cfg.clone())
-    })
-    .pop()
-    .expect("autoscaler cell ran");
-
+    let run = tab_autoscaler(preset, 5);
     println!("scaling events:");
-    for ev in &result.events {
+    for ev in &run.result.events {
         println!(
             "  t={} {} -> {} nodes (committed t={})",
             ev.decided_at, ev.from_nodes, ev.to_nodes, ev.committed_at
         );
     }
-    println!("final members: {}", result.final_members);
+    println!("final members: {}", run.result.final_members);
 
-    // Post-settling miss throughput vs r_DB.
-    if let Some(last) = result.events.last() {
-        let settle = last.committed_at.as_secs() + 120;
-        let late: Vec<_> = result
-            .timeline
-            .iter()
-            .filter(|p| p.second >= settle && p.requests > 0)
-            .collect();
-        if !late.is_empty() {
-            let lookups_per_sec =
-                late.iter().map(|p| p.requests * 5).sum::<u64>() as f64 / late.len() as f64;
-            let miss = 1.0 - late.iter().map(|p| p.hit_rate).sum::<f64>() / late.len() as f64;
-            let misses_per_sec = miss * lookups_per_sec;
-            println!(
-                "steady-state misses/s after scaling: {misses_per_sec:.0} (r_DB = {r_db:.0}/s) -> {}",
-                if misses_per_sec <= r_db {
-                    "within capacity"
-                } else if misses_per_sec <= r_db * 1.25 {
-                    "at the Eq. (1) knee (by design)"
-                } else {
-                    "OVER capacity"
-                }
-            );
-        }
+    if let Some(misses_per_sec) = run.steady_misses_per_sec {
+        let r_db = run.r_db;
+        println!(
+            "steady-state misses/s after scaling: {misses_per_sec:.0} (r_DB = {r_db:.0}/s) -> {}",
+            if misses_per_sec <= r_db {
+                "within capacity"
+            } else if misses_per_sec <= r_db * 1.25 {
+                "at the Eq. (1) knee (by design)"
+            } else {
+                "OVER capacity"
+            }
+        );
     }
 }

@@ -21,10 +21,10 @@
 //! `--replay <path>` re-runs one committed reproduction (a
 //! `chaos_failing_<seed>.json`) directly instead of sweeping.
 //! `--smoke` sweeps 64 seeds (the CI gate); the full run sweeps 256.
-//! `--jobs N` bounds the worker threads; results are byte-identical at
+//! `ELMEM_JOBS` bounds the worker threads; results are byte-identical at
 //! any worker count.
 
-use elmem_bench::sweep;
+use elmem_bench::figures::tab_chaos;
 use elmem_core::chaos::run_chaos;
 use elmem_sim::chaos::ChaosPlan;
 use elmem_sim::fault::FaultKind;
@@ -94,11 +94,7 @@ fn main() {
         if smoke { " [smoke]" } else { "" }
     );
 
-    let reports = sweep::run_cells(sweep::jobs_from_cli(), &seeds, |_, &seed| {
-        let plan = ChaosPlan::generate(seed);
-        let report = run_chaos(&plan);
-        (plan, report)
-    });
+    let reports = tab_chaos(&seeds);
 
     let mut failing: Vec<(u64, ChaosPlan)> = Vec::new();
     let mut fault_counts = std::collections::BTreeMap::new();

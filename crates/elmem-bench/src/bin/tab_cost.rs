@@ -6,14 +6,13 @@
 //! ~66% more per hour on EC2; and the paper's §II-C estimate that a
 //! perfectly elastic tier saves 30–70% of cache node-hours on real traces.
 
-use elmem_bench::sweep;
-use elmem_util::costmodel::{app_tier_spec, compare, elastic_savings, memcached_spec, PowerModel};
-use elmem_workload::TraceKind;
+use elmem_bench::figures::tab_cost;
+use elmem_util::costmodel::{app_tier_spec, memcached_spec};
 
 fn main() {
     println!("== Tab (SS II-B): cost/energy analysis ==\n");
-    let model = PowerModel::paper_calibrated();
-    let c = compare(&model);
+    let tab = tab_cost();
+    let c = tab.comparison;
     let app = app_tier_spec();
     let mc = memcached_spec();
     println!(
@@ -35,41 +34,14 @@ fn main() {
         "{:<12} {:>14} {:>12}",
         "trace", "node-hours saved", "peak nodes"
     );
-    let rows = sweep::run_cells(sweep::jobs_from_cli(), &TraceKind::ALL, |_, kind| {
-        let t = kind.demand_trace();
-        // A perfectly elastic tier sized each minute to ceil(demand * 10).
-        let demand: Vec<u32> = t
-            .samples()
-            .iter()
-            .map(|&d| (d * 10.0).ceil().max(1.0) as u32)
-            .collect();
-        let peak = demand.iter().copied().max().unwrap();
-        (kind.name(), elastic_savings(&demand), peak)
-    });
-    for (name, savings, peak) in rows {
+    for (name, savings, peak) in tab.traces {
         println!("{name:<12} {:>13.1}% {peak:>12}", savings * 100.0);
     }
     println!("\n(the one-hour Fig. 5 snippets understate what full diurnal traces allow)");
 
-    // §II-C's headline numbers come from *full-day* Facebook traces with
-    // ~2x diurnal swing plus 2-3x spikes; reconstruct that shape over 24h.
     println!("\n== SS II-C: full diurnal day (2x swing + spikes) ==\n");
-    let day: Vec<u32> = (0..24 * 60)
-        .map(|m| {
-            let hour = m as f64 / 60.0;
-            // Diurnal sinusoid between 0.33 and 1.0 of peak...
-            let base = 0.665 - 0.335 * ((hour - 4.0) / 24.0 * std::f64::consts::TAU).cos();
-            // ...with a brief 1.5x lunchtime spike.
-            let spike = if (12.0..12.5).contains(&hour) {
-                1.5
-            } else {
-                1.0
-            };
-            ((base * spike).min(1.0) * 10.0).ceil().max(1.0) as u32
-        })
-        .collect();
     println!(
         "diurnal day: node-hours saved {:.1}% (paper: 30-70%)",
-        elastic_savings(&day) * 100.0
+        tab.diurnal_savings * 100.0
     );
 }

@@ -8,38 +8,11 @@
 //! crash landed in, and commit a consistent membership; the table compares
 //! the post-scaling p95 against the fault-free run.
 
-use elmem_bench::exp::{experiment_preset, post_event_window_p95, Preset};
-use elmem_bench::sweep;
-use elmem_core::{
-    run_experiment, ExperimentConfig, ExperimentResult, FaultPlan, MigrationOutcome,
-    MigrationPolicy, ScaleAction,
-};
-use elmem_util::{NodeId, SimTime};
-use elmem_workload::{DemandTrace, TraceKind};
+use elmem_bench::exp::{post_event_window_p95, Preset};
+use elmem_bench::figures::tab_faults;
+use elmem_core::{ExperimentResult, MigrationOutcome};
 
-const SEED: u64 = 17;
-const SCALE_AT: SimTime = SimTime::from_secs(120);
 const P95_WINDOW_S: u64 = 120;
-
-fn experiment(faults: FaultPlan) -> ExperimentConfig {
-    let preset = Preset::from_cli();
-    let mut cfg = experiment_preset(
-        preset,
-        TraceKind::FacebookEtc,
-        preset.scale_nodes(10),
-        MigrationPolicy::elmem(),
-        vec![(SCALE_AT, ScaleAction::In { count: 1 })],
-        SEED,
-    );
-    // A compact demand shape: steady, a dip justifying the scale-in, a
-    // recovery tail long enough to watch the post-scaling episode.
-    cfg.workload.trace = DemandTrace::new(
-        vec![1.0, 1.0, 0.6, 0.6, 0.7, 0.9, 0.9],
-        SimTime::from_secs(60),
-    );
-    cfg.faults = faults;
-    cfg
-}
 
 fn outcome_label(result: &ExperimentResult) -> String {
     match result.events.first().and_then(|e| e.report.as_ref()) {
@@ -70,52 +43,21 @@ fn row(label: &str, result: &ExperimentResult) {
 }
 
 fn main() {
+    let preset = Preset::from_cli();
     println!("== Tab (robustness): faults during the 3-phase migration ==\n");
 
-    let clean = run_experiment(experiment(FaultPlan::new()));
-    let ev = clean.events.first().expect("scale-in ran");
-    let report = ev.report.as_ref().expect("elmem migrates");
-    assert!(report.outcome.is_completed());
-    let victim = ev.nodes[0];
-    let phase1_end = ev.decided_at
-        + report.phases.scoring
-        + report.phases.dump
-        + report.phases.metadata_transfer;
-    let phase2_end = phase1_end + report.phases.fusecache;
-    let dest = (0..10u32).rev().map(NodeId).find(|&n| n != victim).unwrap();
+    let tab = tab_faults(preset, 17);
     println!(
-        "fault-free probe: victim={victim}, phase1 ends {phase1_end}, data phase \
-         [{phase2_end}, {}]\n",
-        report.completed
+        "fault-free probe: victim={}, phase1 ends {}, data phase \
+         [{}, {}]\n",
+        tab.victim, tab.phase1_end, tab.phase2_end, tab.completed
     );
 
-    // The four faulty replays only depend on the fault-free probe above, so
-    // they are independent cells for the sweep harness.
-    let cells = [
-        FaultPlan::new().crash(
-            ev.decided_at + (phase1_end - ev.decided_at).mul_f64(0.5),
-            victim,
-        ),
-        FaultPlan::new().crash(phase2_end + SimTime::from_millis(1), dest),
-        FaultPlan::new()
-            .drop_metadata_with_prob(0.3)
-            .drop_transfers_with_prob(0.15),
-        FaultPlan::new().slow_link(SCALE_AT, victim, 8.0, SimTime::from_secs(300)),
-    ];
-    let mut results = sweep::run_cells(sweep::jobs_from_cli(), &cells, |_, faults| {
-        run_experiment(experiment(faults.clone()))
-    })
-    .into_iter();
-    let src_crash = results.next().expect("src-crash cell ran");
-    let dst_crash = results.next().expect("dst-crash cell ran");
-    let drops = results.next().expect("drops cell ran");
-    let slow = results.next().expect("slow-NIC cell ran");
-
-    row("fault-free", &clean);
-    row("src crash (P1)", &src_crash);
-    row("dst crash (P3)", &dst_crash);
-    row("30%/15% drops", &drops);
-    row("8x slow NIC", &slow);
+    row("fault-free", &tab.clean);
+    row("src crash (P1)", &tab.src_crash);
+    row("dst crash (P3)", &tab.dst_crash);
+    row("30%/15% drops", &tab.drops);
+    row("8x slow NIC", &tab.slow_nic);
 
     println!(
         "\nInterpretation: crash aborts keep the run alive — the Master \
@@ -126,6 +68,6 @@ fn main() {
          of the victim's, though the partial phase-3 imports already \
          applied to healthy nodes are kept. Drops cost retries/backoff and \
          a slow NIC stretches the migration; both still complete.",
-        dst_crash.final_members
+        tab.dst_crash.final_members
     );
 }

@@ -6,61 +6,14 @@
 //! ≈20 s, hash+dump ≈50 s, metadata transfer ≈70 s, FuseCache <2 s, data
 //! migration ≈45 s, import ≈80 s — about 2 minutes end to end.
 
-use elmem_bench::exp::{cluster_preset, workload_preset, Preset};
-use elmem_bench::sweep;
-use elmem_cluster::Cluster;
-use elmem_core::migration::{migrate, MigrateJob, MigrationCosts, Supervision};
-use elmem_core::scoring::choose_retiring;
-use elmem_store::ImportMode;
-use elmem_util::{DetRng, SimTime};
-use elmem_workload::{RequestGenerator, TraceKind};
+use elmem_bench::exp::Preset;
+use elmem_bench::figures::tab_overhead;
+use elmem_util::SimTime;
 
 fn main() {
-    println!("== Tab (SS V-B2): migration overhead breakdown ==\n");
-    // One cell — the warmup feeds the single migration it measures — run
-    // through the sweep harness like every other fig/tab binary.
     let preset = Preset::from_cli();
-    let mut cells = sweep::run_cells(sweep::jobs_from_cli(), &[99u64], |_, &seed| {
-        let workload = workload_preset(preset, TraceKind::FacebookEtc, seed);
-        let rng = DetRng::seed(seed);
-        let mut cluster = Cluster::new(
-            cluster_preset(preset, preset.scale_nodes(10)),
-            workload.keyspace.clone(),
-            rng.split("c"),
-        );
-        let mut gen = RequestGenerator::new(workload, rng.split("w"));
-        let zipf = gen.zipf().clone();
-        cluster.prefill(
-            (1..=preset.prefill_ranks())
-                .rev()
-                .map(|r| zipf.key_for_rank(r)),
-            SimTime::ZERO,
-        );
-        while let Some(req) = gen.next_request() {
-            if req.arrival > SimTime::from_secs(120) {
-                break;
-            }
-            cluster.handle(&req);
-        }
-
-        let costs = MigrationCosts::default();
-        let (victims, _) = choose_retiring(&cluster.tier, 1).unwrap();
-        let wall_start = std::time::Instant::now();
-        let report = migrate(
-            &mut cluster.tier,
-            &MigrateJob::ScaleIn {
-                retiring: &victims,
-                import_mode: ImportMode::Merge,
-            },
-            SimTime::from_secs(200),
-            &costs,
-            &mut Supervision::none(),
-            None,
-        )
-        .expect("migration succeeds");
-        (report, wall_start.elapsed())
-    });
-    let (report, host_elapsed) = cells.pop().expect("overhead cell ran");
+    println!("== Tab (SS V-B2): migration overhead breakdown ==\n");
+    let (report, host_elapsed) = tab_overhead(preset, 99);
 
     let p = &report.phases;
     println!("phase                 modeled time   (paper @10x scale)");

@@ -26,17 +26,10 @@
 //! hit-rate ordering warm > evict > none, resume beating abort) hold in
 //! both modes.
 
-use elmem_bench::exp::{experiment_preset, Preset};
-use elmem_bench::sweep;
-use elmem_cluster::ClusterConfig;
-use elmem_core::migration::MigrationCosts;
-use elmem_core::{
-    run_experiment, ExperimentConfig, ExperimentResult, FaultPlan, HealingConfig, MasterRecovery,
-    MigrationPolicy, ScaleAction,
-};
-use elmem_util::stats::hit_rate_recovery_secs;
-use elmem_util::{NodeId, SimTime};
-use elmem_workload::{DemandTrace, Keyspace, TraceKind, WorkloadConfig};
+use elmem_bench::exp::Preset;
+use elmem_bench::figures::{tab_recovery, TabRecovery};
+use elmem_core::{ExperimentResult, HealingConfig};
+use elmem_util::stats::{hit_rate_recovery_secs, window_mean};
 
 const SEED: u64 = 7;
 
@@ -46,76 +39,12 @@ const SUSTAIN_SECS: usize = 20;
 /// Recovered = back to this fraction of the pre-crash hit rate.
 const RECOVERY_FRACTION: f64 = 0.97;
 
-/// One crash scenario: where the crash lands and how the run is sliced.
-struct Scenario {
-    crash_s: u64,
-    /// Tail window `[from, to)` for the steady-state comparison, chosen
-    /// after every recovery mode has settled.
-    tail_from: u64,
-    tail_to: u64,
+/// Mean per-second hit rate over `window`, `(from, to)` seconds.
+fn mean_hit_rate(r: &ExperimentResult, window: (u64, u64)) -> f64 {
+    window_mean(&r.timeline, &[window], |p| p.hit_rate).unwrap_or(0.0)
 }
 
-fn full_experiment(healing: Option<HealingConfig>) -> (ExperimentConfig, Scenario) {
-    let scenario = Scenario {
-        crash_s: 120,
-        tail_from: 240,
-        tail_to: 420,
-    };
-    let preset = Preset::from_cli();
-    let mut cfg = experiment_preset(
-        preset,
-        TraceKind::FacebookEtc,
-        preset.scale_nodes(10),
-        MigrationPolicy::elmem(),
-        vec![],
-        SEED,
-    );
-    // Steady demand: the only event in the run is the crash.
-    cfg.workload.trace = DemandTrace::new(vec![1.0; 7], SimTime::from_secs(60));
-    cfg.faults = FaultPlan::new().crash(SimTime::from_secs(scenario.crash_s), NodeId(3));
-    cfg.healing = healing;
-    (cfg, scenario)
-}
-
-fn smoke_experiment(healing: Option<HealingConfig>) -> (ExperimentConfig, Scenario) {
-    let scenario = Scenario {
-        crash_s: 30,
-        tail_from: 70,
-        tail_to: 130,
-    };
-    let cfg = ExperimentConfig {
-        cluster: ClusterConfig::small_test(),
-        workload: WorkloadConfig {
-            keyspace: Keyspace::new(30_000, 2),
-            zipf_exponent: 1.0,
-            items_per_request: 3,
-            peak_rate: 250.0,
-            trace: DemandTrace::new(vec![1.0; 13], SimTime::from_secs(10)),
-        },
-        policy: MigrationPolicy::elmem(),
-        autoscaler: None,
-        scheduled: vec![],
-        prefill_top_ranks: 15_000,
-        costs: MigrationCosts::default(),
-        faults: FaultPlan::new().crash(SimTime::from_secs(scenario.crash_s), NodeId(1)),
-        healing,
-        master: Default::default(),
-        seed: 2,
-    };
-    (cfg, scenario)
-}
-
-/// Mean per-second hit rate over `[from, to)`.
-fn mean_hit_rate(r: &ExperimentResult, from: u64, to: u64) -> f64 {
-    let pts: Vec<_> = r
-        .timeline
-        .iter()
-        .filter(|p| p.second >= from && p.second < to && p.requests > 0)
-        .collect();
-    pts.iter().map(|p| p.hit_rate).sum::<f64>() / pts.len().max(1) as f64
-}
-
-fn row(label: &str, r: &ExperimentResult, s: &Scenario) {
+fn row(label: &str, r: &ExperimentResult, t: &TabRecovery) {
     let (detect, recovered) = match r.recoveries.first() {
         Some(rec) => (
             rec.detection_latency()
@@ -125,10 +54,10 @@ fn row(label: &str, r: &ExperimentResult, s: &Scenario) {
         ),
         None => ("-".to_string(), "-".to_string()),
     };
-    let pre = mean_hit_rate(r, s.crash_s / 2, s.crash_s);
+    let pre = mean_hit_rate(r, (t.crash_s / 2, t.crash_s));
     let recovery = hit_rate_recovery_secs(
         &r.timeline,
-        s.crash_s,
+        t.crash_s,
         pre * RECOVERY_FRACTION,
         SUSTAIN_SECS,
     )
@@ -142,44 +71,15 @@ fn row(label: &str, r: &ExperimentResult, s: &Scenario) {
         r.client_timeouts,
         r.fast_failovers,
         r.breaker_transitions,
-        mean_hit_rate(r, s.tail_from, s.tail_to),
+        mean_hit_rate(r, t.tail),
     );
 }
 
 /// E18: the same scheduled scale-in, same seed, with the Master crashing
 /// 200 ms into the migration — once resuming from the journal, once
-/// aborting (the scaling commits cold). Returns `(resume, abort, scale_s)`.
-fn resume_vs_abort_experiments(smoke: bool) -> (ExperimentConfig, ExperimentConfig, Scenario) {
-    let (mut cfg, scenario) = if smoke {
-        smoke_experiment(None)
-    } else {
-        full_experiment(None)
-    };
-    let scale_s = scenario.crash_s;
-    // The only event is the scale-in; the Master crash interrupts its
-    // migration rather than any cache node failing. The laptop tier
-    // retires three of ten nodes (ElMem picks the *least valuable*
-    // victims, so a single-node cold commit barely dents the hit rate);
-    // the four-node smoke tier can only spare one.
-    let count = if smoke { 1 } else { 3 };
-    cfg.faults = FaultPlan::new();
-    cfg.scheduled = vec![(SimTime::from_secs(scale_s), ScaleAction::In { count })];
-    cfg.master.crashes = vec![SimTime::from_secs(scale_s) + SimTime::from_millis(200)];
-    let mut abort = cfg.clone();
-    abort.master.recovery = MasterRecovery::Abort;
-    (cfg, abort, scenario)
-}
-
-fn resume_vs_abort(smoke: bool) {
-    let (resume_cfg, abort_cfg, scenario) = resume_vs_abort_experiments(smoke);
-    let scale_s = scenario.crash_s;
-    let cells = [resume_cfg, abort_cfg];
-    let mut results = sweep::run_cells(sweep::jobs_from_cli(), &cells, |_, cfg| {
-        run_experiment(cfg.clone())
-    })
-    .into_iter();
-    let resume = results.next().expect("resume cell ran");
-    let abort = results.next().expect("abort cell ran");
+/// aborting (the scaling commits cold).
+fn resume_vs_abort(t: &TabRecovery) {
+    let (resume, abort, scale_s) = (&t.resume, &t.abort, t.crash_s);
 
     // The two runs are byte-identical up to the crash, so the resume run's
     // pre-scaling hit rate is the shared baseline. "Recovered" is measured
@@ -187,8 +87,8 @@ fn resume_vs_abort(smoke: bool) {
     // smaller tier cannot reach the pre-scale hit rate at all, and the
     // question E18 asks is how long each policy takes to get back to what
     // the shrunk tier can sustain.
-    let pre = mean_hit_rate(&resume, scale_s / 2, scale_s);
-    let steady = mean_hit_rate(&resume, scenario.tail_from, scenario.tail_to);
+    let pre = mean_hit_rate(resume, (scale_s / 2, scale_s));
+    let steady = mean_hit_rate(resume, t.tail);
     let restore = |r: &ExperimentResult| {
         hit_rate_recovery_secs(
             &r.timeline,
@@ -203,7 +103,7 @@ fn resume_vs_abort(smoke: bool) {
     };
 
     println!("\n== E18: Master crash mid-migration — journal resume vs abort-and-restart ==\n");
-    for (label, r) in [("resume", &resume), ("abort", &abort)] {
+    for (label, r) in [("resume", resume), ("abort", abort)] {
         let replay = r.journal.replay(0);
         println!(
             "{label:<8} members={}  resumes={}  committed={}  aborted={}  pre_hit={pre:>6.4}  \
@@ -227,7 +127,7 @@ fn resume_vs_abort(smoke: bool) {
     let ar = abort.journal.replay(0);
     assert!(ar.aborted, "abort run must abandon the journal");
     assert_eq!(resume.final_members, abort.final_members);
-    let (r_restore, a_restore) = (restore(&resume), restore(&abort));
+    let (r_restore, a_restore) = (restore(resume), restore(abort));
     let r = r_restore.expect("resumed migration restores the hit rate");
     assert!(
         a_restore.is_none_or(|a| r < a),
@@ -251,40 +151,24 @@ fn resume_vs_abort(smoke: bool) {
 }
 
 fn main() {
+    let preset = Preset::from_cli();
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let make = if smoke {
-        smoke_experiment
-    } else {
-        full_experiment
-    };
     println!(
         "== Tab (self-healing): crash detection, eviction, warmed replacement{} ==\n",
         if smoke { " [smoke]" } else { "" }
     );
 
-    let scenario = make(None).1;
-    let cells = [
-        None,
-        Some(HealingConfig::evict_only()),
-        Some(HealingConfig::warm_replacement()),
-    ];
-    let mut results = sweep::run_cells(sweep::jobs_from_cli(), &cells, |_, healing| {
-        run_experiment(make(*healing).0)
-    })
-    .into_iter();
-    let none = results.next().expect("no-detector cell ran");
-    let evict = results.next().expect("evict cell ran");
-    let warm = results.next().expect("warm cell ran");
-
-    row("no detector", &none, &scenario);
-    row("detect+evict", &evict, &scenario);
-    row("detect+warm", &warm, &scenario);
+    let t = tab_recovery(preset, smoke, SEED);
+    let (none, evict, warm) = (&t.none, &t.evict, &t.warm);
+    row("no detector", none, &t);
+    row("detect+evict", evict, &t);
+    row("detect+warm", warm, &t);
 
     // The claims the table is built on, checked on every run (CI runs the
     // smoke version): detection lands inside the suspicion window and the
     // tail hit rates order warm > evict > none.
     assert!(none.recoveries.is_empty() && none.probes_sent == 0);
-    for r in [&evict, &warm] {
+    for r in [evict, warm] {
         let rec = r.recoveries.first().expect("crash detected");
         let d = HealingConfig::evict_only().detector;
         let window = (d.probe_interval + d.jitter) * u64::from(d.suspicion_threshold + 1);
@@ -294,13 +178,13 @@ fn main() {
             "detection took {latency}, suspicion window is {window}"
         );
     }
-    let tail = |r: &ExperimentResult| mean_hit_rate(r, scenario.tail_from, scenario.tail_to);
+    let tail = |r: &ExperimentResult| mean_hit_rate(r, t.tail);
     assert!(
-        tail(&warm) > tail(&evict) && tail(&evict) > tail(&none),
+        tail(warm) > tail(evict) && tail(evict) > tail(none),
         "tail hit rates must order warm > evict > none ({:.4} / {:.4} / {:.4})",
-        tail(&warm),
-        tail(&evict),
-        tail(&none)
+        tail(warm),
+        tail(evict),
+        tail(none)
     );
 
     println!(
@@ -323,5 +207,5 @@ fn main() {
             .expect("crash time known"),
     );
 
-    resume_vs_abort(smoke);
+    resume_vs_abort(&t);
 }

@@ -11,87 +11,11 @@
 //! dips at the scaling commit and recovers afterwards, and two runs with
 //! the same seed produce byte-identical telemetry dumps.
 
-use elmem_bench::exp::{experiment_preset, Preset};
-use elmem_bench::sweep;
-use elmem_cluster::ClusterConfig;
-use elmem_core::migration::MigrationCosts;
-use elmem_core::{
-    run_experiment_with_telemetry, ExperimentConfig, ExperimentResult, FaultPlan, MigrationPolicy,
-    ScaleAction, SeriesPoint,
-};
+use elmem_bench::exp::Preset;
+use elmem_bench::figures::tab_timeseries;
+use elmem_core::{ExperimentResult, SeriesPoint};
 use elmem_util::{SimTime, TelemetryConfig};
-use elmem_workload::{DemandTrace, Keyspace, TraceKind, WorkloadConfig};
 use std::fmt::Write as _;
-
-const SEED: u64 = 42;
-
-/// One scale-in scenario: where the decision lands and how the run is
-/// sliced for the dip/recovery assertions.
-struct Scenario {
-    scale_s: u64,
-    /// Tail window `[from, to)` over which recovery is measured.
-    tail_from: u64,
-    tail_to: u64,
-}
-
-fn full_experiment(policy: MigrationPolicy) -> (ExperimentConfig, Scenario) {
-    let scenario = Scenario {
-        scale_s: 120,
-        tail_from: 300,
-        tail_to: 420,
-    };
-    let preset = Preset::from_cli();
-    let mut cfg = experiment_preset(
-        preset,
-        TraceKind::FacebookEtc,
-        preset.scale_nodes(10),
-        policy,
-        vec![(
-            SimTime::from_secs(scenario.scale_s),
-            ScaleAction::In { count: 1 },
-        )],
-        SEED,
-    );
-    // Steady demand: the only event in the run is the scale-in, so the
-    // curve isolates the scaling dip from the trace shape.
-    cfg.workload.trace = DemandTrace::new(vec![1.0; 7], SimTime::from_secs(60));
-    (cfg, scenario)
-}
-
-fn smoke_experiment(policy: MigrationPolicy) -> (ExperimentConfig, Scenario) {
-    let scenario = Scenario {
-        scale_s: 30,
-        tail_from: 90,
-        tail_to: 130,
-    };
-    let cfg = ExperimentConfig {
-        cluster: ClusterConfig::small_test(),
-        workload: WorkloadConfig {
-            keyspace: Keyspace::new(30_000, 2),
-            zipf_exponent: 1.0,
-            items_per_request: 3,
-            peak_rate: 250.0,
-            trace: DemandTrace::new(vec![1.0; 13], SimTime::from_secs(10)),
-        },
-        policy,
-        autoscaler: None,
-        scheduled: vec![(
-            SimTime::from_secs(scenario.scale_s),
-            ScaleAction::In { count: 1 },
-        )],
-        prefill_top_ranks: 15_000,
-        costs: MigrationCosts::default(),
-        faults: FaultPlan::new(),
-        healing: None,
-        master: Default::default(),
-        seed: 2,
-    };
-    (cfg, scenario)
-}
-
-fn run(cfg: ExperimentConfig) -> ExperimentResult {
-    run_experiment_with_telemetry(cfg, TelemetryConfig::default())
-}
 
 /// Mean hit rate over series windows starting in `[from, to)` seconds,
 /// counting only windows that saw lookups.
@@ -151,40 +75,21 @@ fn curve_json(label: &str, r: &ExperimentResult) -> String {
 }
 
 fn main() {
+    let preset = Preset::from_cli();
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let make = if smoke {
-        smoke_experiment
-    } else {
-        full_experiment
-    };
     println!(
         "== Fig. 2 time series: scale-in recovery curves{} ==\n",
         if smoke { " [smoke]" } else { "" }
     );
 
-    let scenario = make(MigrationPolicy::Baseline).1;
-    let seed = make(MigrationPolicy::Baseline).0.seed;
+    let t = tab_timeseries(preset, smoke, 42);
+    let (baseline, elmem, seed) = (&t.baseline, &t.elmem, t.seed);
+    let (scale_s, tail_from, tail_to) = (t.scale_s, t.tail.0, t.tail.1);
     let window_ns = TelemetryConfig::default().sample_every.as_nanos();
-    // Three independent cells: baseline, elmem, and a same-seed baseline
-    // rerun for the byte-identity check.
-    let cells = [
-        MigrationPolicy::Baseline,
-        MigrationPolicy::elmem(),
-        MigrationPolicy::Baseline,
-    ];
-    let mut results = sweep::run_cells(sweep::jobs_from_cli(), &cells, |_, policy| {
-        run(make(*policy).0)
-    })
-    .into_iter();
-    let baseline = results.next().expect("baseline cell ran");
-    let elmem = results.next().expect("elmem cell ran");
-
-    // Determinism: the identical config must reproduce the identical
+    // Determinism: a same-seed rerun of the baseline reproduced its
     // telemetry dump, byte for byte.
-    let rerun = results.next().expect("rerun cell ran");
-    assert_eq!(
-        baseline.telemetry.to_json(),
-        rerun.telemetry.to_json(),
+    assert!(
+        t.rerun_identical,
         "same-seed runs must produce byte-identical telemetry dumps"
     );
 
@@ -194,9 +99,9 @@ fn main() {
         "{{\"scenario\":\"scale_in\",\"mode\":\"{}\",\"seed\":{seed},\
          \"scale_tick_ns\":{},\"window_ns\":{window_ns},\"curves\":[{},{}]}}",
         if smoke { "smoke" } else { "full" },
-        SimTime::from_secs(scenario.scale_s).as_nanos(),
-        curve_json("baseline", &baseline),
-        curve_json("elmem", &elmem),
+        SimTime::from_secs(scale_s).as_nanos(),
+        curve_json("baseline", baseline),
+        curve_json("elmem", elmem),
     );
     std::fs::create_dir_all("results").expect("create results/");
     let curve_path = if smoke {
@@ -212,11 +117,11 @@ fn main() {
     };
     std::fs::write(dump_path, elmem.telemetry.to_json()).expect("write telemetry dump");
 
-    for (label, r) in [("baseline", &baseline), ("elmem", &elmem)] {
+    for (label, r) in [("baseline", baseline), ("elmem", elmem)] {
         let commit = r.events.first().expect("scale-in ran").committed_at;
-        let pre = mean_hit(&r.telemetry.series, scenario.scale_s / 2, scenario.scale_s);
-        let dip = min_hit(&r.telemetry.series, commit.as_secs(), scenario.tail_to);
-        let tail = mean_hit(&r.telemetry.series, scenario.tail_from, scenario.tail_to);
+        let pre = mean_hit(&r.telemetry.series, scale_s / 2, scale_s);
+        let dip = min_hit(&r.telemetry.series, commit.as_secs(), tail_to);
+        let tail = mean_hit(&r.telemetry.series, tail_from, tail_to);
         println!(
             "{label:<9} commit={commit:<9}  pre_hit={pre:>6.4}  dip_hit={dip:>6.4}  \
              tail_hit={tail:>6.4}  events={}  bytes_migrated={}",
@@ -236,9 +141,9 @@ fn main() {
     // the scaling decision in its event stream.
     let series = &baseline.telemetry.series;
     let commit = baseline.events.first().expect("scale-in ran").committed_at;
-    let pre = mean_hit(series, scenario.scale_s / 2, scenario.scale_s);
-    let dip = min_hit(series, commit.as_secs(), scenario.tail_from);
-    let tail = mean_hit(series, scenario.tail_from, scenario.tail_to);
+    let pre = mean_hit(series, scale_s / 2, scale_s);
+    let dip = min_hit(series, commit.as_secs(), tail_from);
+    let tail = mean_hit(series, tail_from, tail_to);
     assert!(
         dip < pre - 0.03,
         "baseline hit rate must dip at the scaling tick (pre {pre:.4}, dip {dip:.4})"
@@ -247,7 +152,7 @@ fn main() {
         tail > dip + 0.5 * (pre - dip),
         "baseline hit rate must recover from the dip (pre {pre:.4}, dip {dip:.4}, tail {tail:.4})"
     );
-    for r in [&baseline, &elmem] {
+    for r in [baseline, elmem] {
         assert!(
             r.telemetry
                 .events
@@ -259,11 +164,7 @@ fn main() {
     // ElMem migrates the retiring node's hot items before the flip, so its
     // worst post-scaling window stays above the baseline's.
     let elmem_commit = elmem.events.first().expect("scale-in ran").committed_at;
-    let elmem_dip = min_hit(
-        &elmem.telemetry.series,
-        elmem_commit.as_secs(),
-        scenario.tail_from,
-    );
+    let elmem_dip = min_hit(&elmem.telemetry.series, elmem_commit.as_secs(), tail_from);
     assert!(
         elmem_dip >= dip,
         "elmem's post-scaling dip ({elmem_dip:.4}) must not undercut the baseline's ({dip:.4})"

@@ -6,9 +6,9 @@ use elmem_cluster::{BreakerConfig, ClusterConfig};
 use elmem_core::migration::MigrationCosts;
 use elmem_core::{ExperimentConfig, ExperimentResult, FaultPlan, MigrationPolicy, ScaleAction};
 use elmem_store::SizeClasses;
-use elmem_util::stats::{degradation_summary, DegradationSummary, TimelinePoint};
+use elmem_util::stats::{degradation_summary, window_mean, DegradationSummary, TimelinePoint};
 use elmem_util::{ByteSize, SimTime};
-use elmem_workload::{Keyspace, TraceKind, WorkloadConfig};
+use elmem_workload::{DemandTrace, Keyspace, TraceKind, WorkloadConfig};
 
 /// Keys in the laptop-scale keyspace. Chosen so the 10-node tier
 /// (10 × 64 MB ≈ 1.15 M chunked items) holds ~97% of the popularity mass
@@ -38,10 +38,6 @@ pub const PAPER_PEAK_RATE: f64 = 20_000.0;
 /// Zipf popularity exponent.
 pub const ZIPF: f64 = 1.0;
 
-/// Hottest ranks prefilled before each run (the whole keyspace: the tier
-/// starts warm, like the paper's steady state).
-pub const PREFILL_RANKS: u64 = LAPTOP_KEYS;
-
 /// Deployment scale for the `fig*`/`tab*` binaries.
 ///
 /// Every experiment constructor in this module takes (or defaults) a
@@ -50,7 +46,8 @@ pub const PREFILL_RANKS: u64 = LAPTOP_KEYS;
 /// — the full ~19 M-key ETC population at 20 k req/s on a tier ten times
 /// as wide — while preserving the capacity and Eq. (1) ratios that drive
 /// the dynamics. Resolution order: `--preset NAME` on the command line,
-/// then the `ELMEM_PRESET` environment variable, then [`Preset::Laptop`].
+/// then the `ELMEM_PRESET` environment variable, then [`Preset::Laptop`];
+/// an unknown name in either place is an error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Preset {
     /// Laptop-scale shrink (1.4 M keys, 833 req/s peak, 64 MiB nodes).
@@ -73,32 +70,36 @@ impl Preset {
         }
     }
 
-    /// Resolves `--preset NAME` / `--preset=NAME` from explicit arguments.
-    pub fn from_args<S: AsRef<str>>(args: &[S]) -> Option<Preset> {
+    /// Resolves `--preset NAME` / `--preset=NAME` from `args`, else the
+    /// value of [`PRESET_ENV`] passed as `env`, else [`Preset::Laptop`]. A
+    /// name that is given but unknown is an error, never the default.
+    pub fn resolve<S: AsRef<str>>(args: &[S], env: Option<&str>) -> Result<Preset, String> {
+        let named = |name: &str, source: &str| {
+            Preset::from_name(name)
+                .ok_or_else(|| format!("unknown preset {name:?} in {source}: use laptop or paper"))
+        };
         let mut it = args.iter().map(AsRef::as_ref);
         while let Some(arg) = it.next() {
             if arg == "--preset" {
-                return it.next().and_then(Preset::from_name);
+                return named(it.next().unwrap_or_default(), "--preset");
             }
             if let Some(v) = arg.strip_prefix("--preset=") {
-                return Preset::from_name(v);
+                return named(v, "--preset");
             }
         }
-        None
+        env.map_or(Ok(Preset::Laptop), |v| named(v, PRESET_ENV))
     }
 
-    /// Resolves the preset for this process: `--preset` from the process
-    /// arguments, else [`PRESET_ENV`], else [`Preset::Laptop`].
+    /// Resolves the preset for this process from its arguments and
+    /// environment ([`Preset::resolve`]). An unknown name is reported on
+    /// stderr and exits with status 2.
     pub fn from_cli() -> Preset {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Preset::from_args(&args)
-            .or_else(|| {
-                std::env::var(PRESET_ENV)
-                    .ok()
-                    .as_deref()
-                    .and_then(Preset::from_name)
-            })
-            .unwrap_or_default()
+        let env = std::env::var(PRESET_ENV).ok();
+        Preset::resolve(&args, env.as_deref()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
     }
 
     /// The preset's display name (what `--preset` accepts).
@@ -218,14 +219,29 @@ pub fn experiment_preset(
     }
 }
 
-/// The laptop-scale deployment: 10 × 64 MB nodes, r_DB ≈ 167 req/s.
-pub fn laptop_cluster(initial_nodes: u32) -> ClusterConfig {
-    cluster_preset(Preset::Laptop, initial_nodes)
-}
-
-/// The laptop-scale workload over a published trace shape.
-pub fn laptop_workload(trace: TraceKind, seed: u64) -> WorkloadConfig {
-    workload_preset(Preset::Laptop, trace, seed)
+/// The seconds-long deployment the `--smoke` runs share: the four-node
+/// `small_test` tier over 30 000 keys at a steady 250 req/s for 130 s,
+/// half the keyspace prefilled. No scaling, fault or healing is scheduled.
+pub fn smoke_experiment(policy: MigrationPolicy) -> ExperimentConfig {
+    ExperimentConfig {
+        cluster: ClusterConfig::small_test(),
+        workload: WorkloadConfig {
+            keyspace: Keyspace::new(30_000, 2),
+            zipf_exponent: 1.0,
+            items_per_request: 3,
+            peak_rate: 250.0,
+            trace: DemandTrace::new(vec![1.0; 13], SimTime::from_secs(10)),
+        },
+        policy,
+        autoscaler: None,
+        scheduled: vec![],
+        prefill_top_ranks: 15_000,
+        costs: MigrationCosts::default(),
+        faults: FaultPlan::new(),
+        healing: None,
+        master: Default::default(),
+        seed: 2,
+    }
 }
 
 /// Restoration threshold used in degradation summaries: "stable" means the
@@ -278,20 +294,9 @@ pub fn post_event_window_p95(result: &ExperimentResult, window: u64) -> f64 {
     let windows: Vec<(u64, u64)> = result
         .events
         .iter()
-        .map(|e| {
-            let s = e.committed_at.as_secs();
-            (s, s + window)
-        })
+        .map(|e| (e.committed_at.as_secs(), e.committed_at.as_secs() + window))
         .collect();
-    let pts: Vec<&TimelinePoint> = result
-        .timeline
-        .iter()
-        .filter(|p| p.requests > 0 && windows.iter().any(|&(a, b)| p.second >= a && p.second < b))
-        .collect();
-    if pts.is_empty() {
-        return 0.0;
-    }
-    pts.iter().map(|p| p.p95_ms).sum::<f64>() / pts.len() as f64
+    window_mean(&result.timeline, &windows, |p| p.p95_ms).unwrap_or(0.0)
 }
 
 /// Percentage reduction of mean post-scaling p95 vs a baseline run.
@@ -311,7 +316,7 @@ mod tests {
 
     #[test]
     fn laptop_cluster_ratios() {
-        let c = laptop_cluster(10);
+        let c = cluster_preset(Preset::Laptop, 10);
         assert!((c.r_db() - 166.67).abs() < 0.01);
         assert_eq!(c.initial_nodes, 10);
     }
@@ -334,32 +339,38 @@ mod tests {
         assert_eq!(Preset::from_name("Paper"), Some(Preset::Paper));
         assert_eq!(Preset::from_name("laptop"), Some(Preset::Laptop));
         assert_eq!(Preset::from_name("desk"), None);
+        let resolve = |args: &[&str], env| Preset::resolve(args, env);
+        assert_eq!(resolve(&["--preset", "paper"], None), Ok(Preset::Paper));
         assert_eq!(
-            Preset::from_args(&["--preset", "paper"]),
-            Some(Preset::Paper)
+            resolve(&["--preset=paper"], Some("laptop")),
+            Ok(Preset::Paper)
         );
-        assert_eq!(Preset::from_args(&["--preset=paper"]), Some(Preset::Paper));
-        assert_eq!(Preset::from_args(&["--smoke"]), None);
+        assert_eq!(resolve(&["--smoke"], Some("paper")), Ok(Preset::Paper));
+        assert_eq!(resolve(&["--smoke"], None), Ok(Preset::Laptop));
         assert_eq!(Preset::default(), Preset::Laptop);
     }
 
     #[test]
-    fn laptop_helpers_are_the_laptop_preset() {
-        assert_eq!(laptop_cluster(10), cluster_preset(Preset::Laptop, 10));
-        let a = laptop_workload(TraceKind::FacebookEtc, 7);
-        let b = workload_preset(Preset::Laptop, TraceKind::FacebookEtc, 7);
-        assert_eq!(a.keyspace, b.keyspace);
-        assert_eq!(a.peak_rate, b.peak_rate);
-        assert_eq!(a.items_per_request, b.items_per_request);
-        assert_eq!(Preset::Laptop.prefill_ranks(), PREFILL_RANKS);
-        assert_eq!(Preset::Paper.keys(), PAPER_KEYS);
+    fn an_unknown_preset_is_an_error_and_an_absent_one_the_default() {
+        let resolve = |args: &[&str], env| Preset::resolve(args, env);
+        assert_eq!(resolve(&[], None), Ok(Preset::Laptop));
+        for (args, env) in [
+            (&["--preset", "papr"][..], None),
+            (&["--preset=papr"], Some("paper")),
+            (&["--preset"], None),
+            (&[], Some("papr")),
+        ] {
+            let err = resolve(args, env).expect_err("an unknown name must not run laptop");
+            assert!(err.contains("unknown preset"), "{args:?} {env:?}: {err}");
+        }
     }
 
     #[test]
     fn workload_uses_trace_shape() {
-        let w = laptop_workload(TraceKind::FacebookSys, 1);
+        let w = workload_preset(Preset::Laptop, TraceKind::FacebookSys, 1);
         assert_eq!(w.trace.samples().len(), 60);
         assert_eq!(w.items_per_request, ITEMS_PER_REQUEST);
+        assert_eq!(Preset::Paper.keys(), PAPER_KEYS);
     }
 
     fn fake_result(event_second: u64, p95: impl Fn(u64) -> f64) -> ExperimentResult {

@@ -1,15 +1,15 @@
-//! Property test for the sweep harness: for *any* small grid of experiment
-//! cells and *any* worker count, the parallel run must produce results —
-//! including the golden telemetry dumps — byte-identical to the serial
-//! run, in cell order.
+//! Property test for the figures' sweeps: for *any* small grid of
+//! experiment cells and *any* worker count, running them through
+//! `par_map_indexed` must produce results — including the golden telemetry
+//! dumps — byte-identical to the serial run, in cell order.
 
-use elmem_bench::sweep;
 use elmem_cluster::ClusterConfig;
 use elmem_core::migration::MigrationCosts;
 use elmem_core::{
     run_experiment_with_telemetry, ExperimentConfig, ExperimentResult, FaultPlan, MigrationPolicy,
     ScaleAction,
 };
+use elmem_util::par::par_map_indexed;
 use elmem_util::{SimTime, TelemetryConfig};
 use elmem_workload::{DemandTrace, Keyspace, WorkloadConfig};
 use proptest::prelude::*;
@@ -77,7 +77,7 @@ proptest! {
     ) {
         let cells: Vec<ExperimentConfig> = raws.iter().map(cell_config).collect();
         let run = |jobs: usize| -> Vec<String> {
-            sweep::run_cells(jobs, &cells, |_, cfg| {
+            par_map_indexed(jobs, &cells, |_, cfg| {
                 digest(&run_experiment_with_telemetry(
                     cfg.clone(),
                     TelemetryConfig::default(),

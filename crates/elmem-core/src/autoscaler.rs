@@ -29,10 +29,9 @@
 
 use elmem_stackdist::AdaptiveStackDistance;
 use elmem_util::{ByteSize, KeyId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// AutoScaler parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AutoScalerConfig {
     /// Database capacity r_DB, req/s (obtained by profiling, §III-B).
     pub r_db: f64,
@@ -95,7 +94,7 @@ pub(crate) fn epoch_elapsed(last_decision: Option<SimTime>, epoch: SimTime, now:
 }
 
 /// A scaling hint relayed to the Master.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScalingHint {
     /// Desired member count after scaling.
     pub target_nodes: u32,

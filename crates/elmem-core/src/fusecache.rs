@@ -20,11 +20,10 @@
 use std::collections::BinaryHeap;
 
 use elmem_store::Hotness;
-use serde::{Deserialize, Serialize};
 
 /// Instrumentation counters from a FuseCache run (for the complexity
 /// experiment E7).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SelectionStats {
     /// Median-of-medians rounds executed.
     pub rounds: u64,

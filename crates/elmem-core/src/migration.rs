@@ -34,7 +34,6 @@ use elmem_store::{ClassId, Hotness, ImportMode, ItemMeta, SlabStore, KEY_BYTES, 
 use elmem_util::nodemap::NodeMap;
 use elmem_util::par::{par_jobs, par_map_indexed};
 use elmem_util::{ByteSize, ElmemError, NodeId, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::fusecache::fusecache_instrumented;
 use crate::journal::{
@@ -49,7 +48,7 @@ type InboundMap = HashMap<(NodeId, ClassId), Vec<(NodeId, Vec<ItemMeta>)>>;
 /// paper-scale deployment (≈4 M items migrated) lands on the §V-B2
 /// breakdown: score ≈20 s, hash+dump ≈50 s, metadata transfer ≈70 s,
 /// FuseCache <2 s, data transfer ≈45 s, import ≈80 s.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationCosts {
     /// Nanoseconds to score one slab (median probe + message), per node.
     pub score_ns_per_slab: u64,
@@ -86,7 +85,7 @@ impl Default for MigrationCosts {
 }
 
 /// Wall-clock breakdown of one migration, mirroring §V-B2.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Scoring the nodes from their slab medians (§III-C).
     pub scoring: SimTime,
@@ -115,7 +114,7 @@ impl PhaseBreakdown {
 }
 
 /// Outcome of a migration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigrationReport {
     /// When the migration started.
     pub started: SimTime,
@@ -149,7 +148,7 @@ pub struct MigrationReport {
 
 /// One Master crash the migration survived: when the Master died, when its
 /// replacement took over, and the phase the crash interrupted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResumePoint {
     /// When the Master crashed.
     pub crashed_at: SimTime,
@@ -163,7 +162,7 @@ pub struct ResumePoint {
 /// The three migration phases of §III-D, as the supervisor attributes
 /// faults to them. The preliminary scoring + dump work is folded into
 /// [`MigrationPhase::MetadataTransfer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationPhase {
     /// §III-D1: dumping `(key, timestamp)` metadata and shipping it.
     MetadataTransfer,
@@ -174,7 +173,7 @@ pub enum MigrationPhase {
 }
 
 /// Why the supervisor aborted a migration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbortCause {
     /// A retiring source died mid-flight.
     SourceCrashed(NodeId),
@@ -212,7 +211,7 @@ impl AbortCause {
 /// (they are strictly-hotter data already in place on healthy nodes), and
 /// the Master falls back to committing the scaling without further
 /// migration — excluding any crashed node from the retained membership.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MigrationOutcome {
     /// All three phases ran to the end.
     Completed,
@@ -242,7 +241,7 @@ impl MigrationOutcome {
 
 /// Per-phase wall-clock budgets. `None` disables the check for that
 /// phase; [`PhaseDeadlines::none`] (the default) supervises nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseDeadlines {
     /// Budget for the metadata-transfer duration (excluding scoring+dump).
     pub metadata: Option<SimTime>,
@@ -260,7 +259,7 @@ impl PhaseDeadlines {
 }
 
 /// Bounded-exponential-backoff retry budget for dropped shipments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Retries allowed per shipment before aborting (beyond the first
     /// attempt).

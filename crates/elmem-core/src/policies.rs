@@ -15,10 +15,9 @@
 
 use elmem_store::ImportMode;
 use elmem_util::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// How a scaling decision is executed (Q3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MigrationPolicy {
     /// Scale immediately with no data movement.
     Baseline,

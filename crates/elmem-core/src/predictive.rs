@@ -13,12 +13,11 @@
 //! predicted)`) — scaling down on a forecast risks SLOs for pennies.
 
 use elmem_util::{KeyId, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::autoscaler::{AutoScaler, AutoScalerConfig, ScalingHint};
 
 /// Configuration of the predictive wrapper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredictiveConfig {
     /// The underlying reactive sizing.
     pub reactive: AutoScalerConfig,

@@ -1,7 +1,6 @@
 //! Hit-rate curves: from stack distances to "memory needed for hit rate p".
 
 use elmem_util::ByteSize;
-use serde::{Deserialize, Serialize};
 
 /// A monotone hit-rate-vs-capacity curve built from observed stack
 /// distances (§III-B: ElMem "uses the stack distance measure to derive the
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(curve.hit_rate_at(300), 0.5);
 /// assert_eq!(curve.max_hit_rate(), 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HitRateCurve {
     /// Sorted finite distances, bytes.
     distances: Vec<u64>,

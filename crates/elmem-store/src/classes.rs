@@ -5,7 +5,6 @@
 //! minimum (default 96 bytes, growth factor 1.25) up to the page size.
 
 use elmem_util::ByteSize;
-use serde::{Deserialize, Serialize};
 
 /// Index of a slab size class within a store.
 ///
@@ -13,9 +12,7 @@ use serde::{Deserialize, Serialize};
 /// use elmem_store::ClassId;
 /// assert_eq!(ClassId(3).0, 3);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClassId(pub u16);
 
 impl std::fmt::Display for ClassId {
@@ -38,7 +35,7 @@ impl std::fmt::Display for ClassId {
 /// // Items larger than the largest chunk are rejected.
 /// assert!(classes.class_for(2 * 1024 * 1024).is_none());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SizeClasses {
     /// Chunk size of each class, strictly increasing.
     chunk_sizes: Vec<u64>,

@@ -2,13 +2,12 @@
 //! Memcached (§V-A1), used in migration phase 1 (§III-D1).
 
 use elmem_util::ByteSize;
-use serde::{Deserialize, Serialize};
 
 use crate::classes::ClassId;
 use crate::item::{Hotness, ItemMeta, KEY_BYTES, TIMESTAMP_BYTES};
 
 /// MRU-ordered metadata of one slab class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassDump {
     /// Which class this dump describes.
     pub class: ClassId,
@@ -67,7 +66,7 @@ pub(crate) fn canonicalize<T>(items: &mut [T], hotness: impl Fn(&T) -> Hotness) 
 }
 
 /// Metadata dump of a whole store (all non-empty classes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetadataDump {
     /// Per-class dumps.
     pub classes: Vec<ClassDump>,

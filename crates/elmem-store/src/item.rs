@@ -2,7 +2,6 @@
 
 use elmem_util::hashutil::mix64;
 use elmem_util::{KeyId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Fixed key size on the wire, bytes. The paper's workload fixes keys at
 /// 11 bytes (§V-A2); Facebook's keys are "usually small, about 10s of bytes".
@@ -33,9 +32,7 @@ pub const TIMESTAMP_BYTES: u64 = 10;
 /// let newer = Hotness::new(SimTime::from_secs(2), KeyId(3));
 /// assert!(newer > older);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Hotness {
     /// Last-access time (nanoseconds of simulated time).
     pub ts: u64,
@@ -68,7 +65,7 @@ impl Hotness {
 }
 
 /// Metadata for one cached item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ItemMeta {
     /// The item's key.
     pub key: KeyId,

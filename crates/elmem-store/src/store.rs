@@ -20,7 +20,6 @@
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
 use elmem_util::{ByteSize, ElmemError, KeyId, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::classes::{ClassId, SizeClasses};
 use crate::dump::{canonicalize, ClassDump, MetadataDump};
@@ -66,7 +65,7 @@ pub fn default_shard_count() -> usize {
 /// let cfg = StoreConfig::with_memory(ByteSize::from_gib(4));
 /// assert_eq!(cfg.memory, ByteSize::from_gib(4));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoreConfig {
     /// Total memory dedicated to item storage.
     pub memory: ByteSize,
@@ -92,7 +91,7 @@ impl StoreConfig {
 
 /// How [`SlabStore::batch_import`] merges migrated items into the local
 /// MRU list (§III-D3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ImportMode {
     /// Merge by hotness so the class list stays globally MRU-sorted.
     /// This is the mode ElMem uses: it preserves the sortedness invariant
@@ -105,7 +104,7 @@ pub enum ImportMode {
 }
 
 /// Cumulative operation counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// `get` calls that found the key.
     pub hits: u64,

@@ -1,6 +1,5 @@
 //! Byte quantities.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -18,9 +17,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// let cap = ByteSize::from_gib(4);
 /// assert_eq!(cap / ByteSize::PAGE, 4 * 1024);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(pub u64);
 
 impl ByteSize {

@@ -8,10 +8,8 @@
 //! 66% more. This module reproduces that arithmetic so the `tab_cost`
 //! experiment can regenerate the table.
 
-use serde::{Deserialize, Serialize};
-
 /// Hardware description of one server class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerSpec {
     /// Number of CPU sockets.
     pub cpu_sockets: u32,
@@ -23,7 +21,7 @@ pub struct ServerSpec {
 
 /// Per-component peak power constants, normalized from Fan et al. \[28\]
 /// as the paper describes: per-GB DRAM power and per-socket CPU power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Peak watts per CPU socket.
     pub watts_per_socket: f64,
@@ -78,7 +76,7 @@ pub fn memcached_spec() -> ServerSpec {
 }
 
 /// Summary row of the cost/energy comparison (E8).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostComparison {
     /// Memcached node peak watts.
     pub cache_watts: f64,

@@ -39,8 +39,6 @@ pub use rng::DetRng;
 pub use telemetry::{EventTrace, LatencyHistogram, TelemetryConfig};
 pub use time::SimTime;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a key in the keyspace.
 ///
 /// The paper's workload uses 11-byte string keys; in the simulation we
@@ -53,7 +51,7 @@ use serde::{Deserialize, Serialize};
 /// let k = KeyId(7);
 /// assert_eq!(k.0, 7);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KeyId(pub u64);
 
 impl std::fmt::Display for KeyId {
@@ -68,7 +66,7 @@ impl std::fmt::Display for KeyId {
 /// use elmem_util::NodeId;
 /// assert!(NodeId(1) < NodeId(2));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl std::fmt::Display for NodeId {

@@ -11,8 +11,8 @@
 //! path with no threads at all: the reference the determinism tests
 //! compare against.
 //!
-//! Both the experiment sweep harness (`elmem-bench::sweep`) and the
-//! migration planner (`elmem-core::migration`) are built on this, and
+//! Both the paper's figures (`elmem-bench::figures`) and the migration
+//! planner (`elmem-core::migration`) are built on this, and
 //! [`par_jobs`] is the one worker-count knob every library-internal
 //! fan-out — the planner's included — resolves through.
 
@@ -33,7 +33,7 @@ thread_local! {
 }
 
 /// Environment variable consulted by [`par_jobs`] when no explicit count
-/// has been set — the same knob the bench sweep harness honors.
+/// has been set. It is read nowhere else.
 pub const PAR_JOBS_ENV: &str = "ELMEM_JOBS";
 
 /// Runs `f` with [`par_jobs`] pinned to `jobs`, then restores the count it
@@ -57,7 +57,7 @@ pub fn with_par_jobs<R>(jobs: usize, f: impl FnOnce() -> R) -> R {
 /// The worker count for library-internal fan-outs: 1 on a thread that is
 /// itself a [`par_map_indexed`] worker (nested fan-outs resolve inline),
 /// else the count pinned by [`with_par_jobs`], else `ELMEM_JOBS`, else
-/// the rayon pool size. Always at least 1.
+/// the machine's available parallelism. Always at least 1.
 pub fn par_jobs() -> usize {
     if ON_PAR_WORKER.get() {
         return 1;
@@ -73,7 +73,7 @@ pub fn par_jobs() -> usize {
             }
         }
     }
-    rayon::current_num_threads().max(1)
+    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 /// Runs `f` over every item, on up to `jobs` worker threads, returning
@@ -95,17 +95,17 @@ where
     if jobs <= 1 || items.len() <= 1 {
         return items.iter().enumerate().map(|(i, c)| f(i, c)).collect();
     }
-    let next = std::sync::atomic::AtomicUsize::new(0);
+    let next = AtomicUsize::new(0);
     let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
-    rayon::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..jobs.min(items.len()) {
             let tx = tx.clone();
             let next = &next;
             let f = &f;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 ON_PAR_WORKER.set(true); // a fresh thread: nothing to restore
                 loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= items.len() {
                         break;
                     }

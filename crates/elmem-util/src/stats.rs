@@ -1,8 +1,6 @@
 //! Statistics utilities: percentiles, online moments, and per-second
 //! timelines of tail response times (how the paper reports Fig. 2/6/8).
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// Computes the `q`-quantile (0.0–1.0) of a set of samples using the
@@ -44,7 +42,7 @@ pub fn quantile(samples: &[f64], q: f64) -> Option<f64> {
 /// assert_eq!(s.mean(), 4.0);
 /// assert_eq!(s.count(), 3);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -111,7 +109,7 @@ impl OnlineStats {
 
 /// One point of a reported timeline: a one-second bucket with its hit rate
 /// and tail response time, matching the per-second plots of Figs. 2, 6, 8.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimelinePoint {
     /// Bucket start, whole seconds since simulation start.
     pub second: u64,
@@ -223,7 +221,7 @@ impl TimelineRecorder {
 /// Summary of post-scaling degradation for a timeline, relative to a scaling
 /// instant: the two quantities the paper headlines (peak RT and restoration
 /// time) plus the average post-scaling p95.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradationSummary {
     /// Highest per-second p95 at/after the scaling action, ms.
     pub peak_p95_ms: f64,
@@ -300,6 +298,27 @@ pub fn degradation_summary(
             pre.iter().sum::<f64>() / pre.len() as f64
         },
     }
+}
+
+/// Mean of `field` over the timeline points with traffic whose second lies
+/// in any of `windows` (each `(from, to)`, half-open), summed in timeline
+/// order; `None` when no point does. The one windowed mean every figure and test reads a timeline with.
+pub fn window_mean(
+    timeline: &[TimelinePoint],
+    windows: &[(u64, u64)],
+    field: impl Fn(&TimelinePoint) -> f64,
+) -> Option<f64> {
+    let values: Vec<f64> = timeline
+        .iter()
+        .filter(|p| {
+            p.requests > 0
+                && windows
+                    .iter()
+                    .any(|&(from, to)| p.second >= from && p.second < to)
+        })
+        .map(field)
+        .collect();
+    (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
 }
 
 /// Seconds from `crash_second` until the per-second hit rate climbs back to
@@ -414,6 +433,21 @@ mod tests {
     fn hit_rate_recovery_none_when_never_restored() {
         let t = tl(|s| if s < 20 { 0.95 } else { 0.5 });
         assert_eq!(hit_rate_recovery_secs(&t, 20, 0.9, 5), None);
+    }
+
+    #[test]
+    fn window_mean_reads_seconds_with_traffic_inside_the_windows() {
+        let mut t = tl(|s| s as f64 / 100.0);
+        t[12].requests = 0;
+        let hit = |windows: &[(u64, u64)]| window_mean(&t, windows, |p| p.hit_rate);
+        assert_eq!(hit(&[(10, 14)]), Some((0.10 + 0.11 + 0.13) / 3.0));
+        // A union of windows, each second counted once.
+        assert_eq!(
+            hit(&[(10, 12), (11, 12), (98, 500)]),
+            Some((0.10 + 0.11 + 0.98 + 0.99) / 4.0)
+        );
+        assert_eq!(hit(&[(12, 13)]), None);
+        assert_eq!(hit(&[(100, 200)]), None);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! `std::time::Duration`) keeps arithmetic explicit, `Copy`, and trivially
 //! serializable, and prevents accidental mixing with wall-clock time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -24,9 +23,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(t.as_secs_f64(), 1.5);
 /// assert_eq!(t + SimTime::from_millis(500), SimTime::from_secs(2));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

@@ -6,7 +6,7 @@
 use elmem::cluster::ClusterConfig;
 use elmem::core::migration::MigrationCosts;
 use elmem::core::{run_experiment, ExperimentConfig, FaultPlan, MigrationPolicy, ScaleAction};
-use elmem::util::stats::TimelinePoint;
+use elmem::util::stats::{window_mean, TimelinePoint};
 use elmem::util::SimTime;
 use elmem::workload::{DemandTrace, Keyspace, WorkloadConfig};
 
@@ -34,21 +34,12 @@ fn config(policy: MigrationPolicy, seed: u64) -> ExperimentConfig {
 
 /// Mean post-commit miss rate over seconds with traffic.
 fn post_miss_rate(timeline: &[TimelinePoint], commit_s: u64) -> f64 {
-    let pts: Vec<&TimelinePoint> = timeline
-        .iter()
-        .filter(|p| p.second >= commit_s && p.requests > 0)
-        .collect();
-    assert!(!pts.is_empty());
-    1.0 - pts.iter().map(|p| p.hit_rate).sum::<f64>() / pts.len() as f64
+    1.0 - hit_in_window(timeline, commit_s, u64::MAX)
 }
 
 /// Mean post-commit p95 RT.
 fn post_p95(timeline: &[TimelinePoint], commit_s: u64) -> f64 {
-    let pts: Vec<&TimelinePoint> = timeline
-        .iter()
-        .filter(|p| p.second >= commit_s && p.requests > 0)
-        .collect();
-    pts.iter().map(|p| p.p95_ms).sum::<f64>() / pts.len().max(1) as f64
+    window_mean(timeline, &[(commit_s, u64::MAX)], |p| p.p95_ms).unwrap_or(0.0)
 }
 
 #[test]
@@ -67,14 +58,9 @@ fn elmem_beats_baseline_on_miss_rate_and_tail() {
     );
 }
 
-/// Mean hit rate over a window of seconds.
+/// Mean hit rate over a window of seconds with traffic.
 fn hit_in_window(timeline: &[TimelinePoint], from_s: u64, to_s: u64) -> f64 {
-    let pts: Vec<&TimelinePoint> = timeline
-        .iter()
-        .filter(|p| p.second >= from_s && p.second < to_s && p.requests > 0)
-        .collect();
-    assert!(!pts.is_empty());
-    pts.iter().map(|p| p.hit_rate).sum::<f64>() / pts.len() as f64
+    window_mean(timeline, &[(from_s, to_s)], |p| p.hit_rate).expect("traffic in the window")
 }
 
 /// ElMem against Naive against the baseline over a sweep of seeds, on the
