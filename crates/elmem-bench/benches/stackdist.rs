@@ -19,7 +19,7 @@ fn bench_engines(c: &mut Criterion) {
     for &len in &[10_000usize, 100_000] {
         let trace = zipf_trace(len, 50_000, 3);
         group.throughput(Throughput::Elements(len as u64));
-        group.bench_with_input(BenchmarkId::new("exact_fenwick", len), &len, |b, _| {
+        group.bench_with_input(BenchmarkId::new("exact", len), &len, |b, _| {
             b.iter(|| {
                 let mut e = ExactStackDistance::new();
                 for &k in &trace {

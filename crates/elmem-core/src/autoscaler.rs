@@ -18,7 +18,7 @@
 //!   slower re-references as compulsory misses, wildly under-sizing the
 //!   tier. We therefore run a stack-distance engine *continuously* over
 //!   the sampled stream (the paper uses MIMIR for this; we run the
-//!   [`AdaptiveStackDistance`] engine — exact Fenwick distances while the
+//!   [`AdaptiveStackDistance`] engine — exact distances while the
 //!   sampled population is small (laptop scale, where the pinned golden
 //!   traces live), handing off to MIMIR's O(1) buckets past the
 //!   cluster-scale key threshold);

@@ -1,7 +1,7 @@
 //! Adaptive stack-distance profiling: exact until the tracked population
 //! gets expensive, then MIMIR.
 //!
-//! The exact engine costs a Fenwick tree plus a per-key map entry —
+//! The exact engine costs an id-indexed array plus a few positions per key —
 //! perfectly affordable at laptop scale, where its distances also underpin
 //! the pinned golden traces. At the paper's ~19M-key ETC scale the per-key
 //! state and `O(log n)` tree walks dominate the autoscaler's observation

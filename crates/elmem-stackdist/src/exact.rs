@@ -1,35 +1,41 @@
-//! Exact byte-weighted stack distances via a Fenwick (binary indexed) tree.
+//! Exact byte-weighted stack distances over flat arrays.
 //!
 //! Classic single-pass algorithm: keep, for every key, the position of its
-//! last access; a Fenwick tree over positions holds the byte footprint of
-//! each key *at its most recent access only*. The stack distance of a new
-//! access to key `k` is then the sum of footprints at positions after `k`'s
-//! previous access — i.e. the unique bytes touched in between.
+//! last access, and at every position the footprint of the key last accessed
+//! there (zero once that key moved on). The stack distance of an access to
+//! key `k` is the sum of footprints after `k`'s previous position — the
+//! unique bytes touched in between.
+//!
+//! Key ids are dense (a keyspace's `0..n_keys`), so a key's last position is
+//! one load from an array indexed by its id, not a hash probe. A Fenwick tree
+//! holds one sum per sealed block of [`BLOCK`] positions, and a partial block
+//! is summed directly: the tree is four levels shorter than one over
+//! positions and stays in cache. The open block at the head of time enters
+//! it once, when its last position is written.
 
-use elmem_util::hashutil::FastIntMap;
 use elmem_util::KeyId;
 
-/// Fenwick tree over u64 weights.
-#[derive(Debug, Clone, Default)]
+/// Positions per block of the position array.
+const BLOCK: usize = 16;
+
+/// `last` entry of a key never seen.
+const NONE: u32 = u32::MAX;
+
+/// Fewest positions the engine holds, a multiple of [`BLOCK`].
+const MIN_CAPACITY: usize = 1024;
+
+/// Fenwick tree over u64 block sums.
+#[derive(Debug, Clone)]
 struct Fenwick {
     tree: Vec<u64>,
 }
 
 impl Fenwick {
-    fn with_capacity(n: usize) -> Self {
-        Fenwick {
-            tree: vec![0; n + 1],
-        }
-    }
-
-    /// Builds a tree of capacity `n` whose first positions hold `weights`,
-    /// in O(n) (the in-place construction), instead of `weights.len()`
-    /// O(log n) point inserts.
-    fn from_weights(n: usize, weights: impl Iterator<Item = u64>) -> Self {
-        let mut tree = vec![0u64; n + 1];
-        for (slot, w) in tree[1..].iter_mut().zip(weights) {
-            *slot = w;
-        }
+    /// Builds a tree over `n` entries whose first ones are `sums`, in O(n)
+    /// (the in-place construction), instead of O(log n) point inserts.
+    fn from_sums(n: usize, sums: impl Iterator<Item = u64>) -> Self {
+        let padded = sums.chain(std::iter::repeat(0));
+        let mut tree: Vec<u64> = std::iter::once(0).chain(padded).take(n + 1).collect();
         for i in 1..=n {
             let parent = i + (i & i.wrapping_neg());
             if parent <= n {
@@ -39,56 +45,28 @@ impl Fenwick {
         Fenwick { tree }
     }
 
-    fn len(&self) -> usize {
-        self.tree.len() - 1
-    }
-
-    /// Adds `delta` at 0-based position `i` (delta may be "negative" via
-    /// wrapping — callers only ever remove what they added).
-    fn add(&mut self, i: usize, delta: i128) {
+    /// Adds `delta` (wrapping: a removal passes its negation) at entry `i`.
+    fn add(&mut self, i: usize, delta: u64) {
         let mut i = i + 1;
         while i < self.tree.len() {
-            self.tree[i] = (self.tree[i] as i128 + delta) as u64;
+            self.tree[i] = self.tree[i].wrapping_add(delta);
             i += i & i.wrapping_neg();
         }
     }
 
-    /// Sum of positions `0..=i` (0-based, inclusive).
-    fn prefix(&self, i: usize) -> u64 {
-        let mut i = i + 1;
+    /// Sum of entries `0..i`.
+    fn prefix(&self, mut i: usize) -> u64 {
         let mut s = 0u64;
         while i > 0 {
-            s += self.tree[i];
-            i -= i & i.wrapping_neg();
+            s = s.wrapping_add(self.tree[i]);
+            i &= i - 1;
         }
         s
     }
+}
 
-    fn grow(&mut self) {
-        // Rebuild at double capacity, preserving point values, in O(n):
-        // run the classic in-place Fenwick construction *backwards* to
-        // recover point values (descending: `tree[i]` is final when its
-        // parent's contribution is removed), resize, then re-run it
-        // forwards over the widened array. The old approach recovered each
-        // value via two prefix sums and re-inserted with `add` — O(n log n)
-        // on every doubling.
-        let old_n = self.len();
-        for i in (1..=old_n).rev() {
-            let parent = i + (i & i.wrapping_neg());
-            if parent <= old_n {
-                self.tree[parent] -= self.tree[i];
-            }
-        }
-        // tree[1..=old_n] now holds point values; positions past old_n are 0.
-        let new_n = (old_n * 2).max(1024);
-        self.tree.resize(new_n + 1, 0);
-        for i in 1..=new_n {
-            let parent = i + (i & i.wrapping_neg());
-            if parent <= new_n {
-                self.tree[parent] += self.tree[i];
-            }
-        }
-    }
+fn sum(weights: &[u32]) -> u64 {
+    weights.iter().map(|&w| u64::from(w)).sum()
 }
 
 /// Exact stack-distance engine (byte-weighted).
@@ -97,6 +75,9 @@ impl Fenwick {
 /// `None` for a cold (first-ever) access, otherwise the number of unique
 /// bytes accessed since the key's previous access — the smallest LRU cache
 /// size (in bytes of item footprint) at which this access would hit.
+///
+/// Key ids index an array, so the engine holds four bytes for every id up
+/// to the largest it has recorded: feed it a keyspace's dense ids.
 ///
 /// # Example
 ///
@@ -112,21 +93,21 @@ impl Fenwick {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ExactStackDistance {
-    fenwick: Fenwick,
-    /// key → `(footprint << 32) | last_position`, one deterministic-hash
-    /// probe per record instead of two `HashMap` lookups. Footprints and
-    /// positions both fit u32: item footprints are capped far below 4 GB,
-    /// and positions are bounded by the tree capacity, which compaction
-    /// keeps near the live-key count.
-    slots: FastIntMap<KeyId, u64>,
+    /// Key id → position of its last access, [`NONE`] for a key never seen.
+    last: Vec<u32>,
+    /// Position → footprint of the key last accessed there, zero once that
+    /// key moved on. Its length, a multiple of [`BLOCK`], is the capacity
+    /// in positions; compaction keeps it near twice the live-key count.
+    weights: Vec<u32>,
+    /// One sum per block of `weights`; the open block, `time / BLOCK`, and
+    /// those after it are held as zero.
+    blocks: Fenwick,
     time: usize,
-    /// Sum of every tracked key's footprint — the tree's total, kept here
-    /// so a warm access walks the tree three times, not four. Exact, so
-    /// compaction and growth leave it unchanged.
+    /// Distinct keys seen.
+    live: usize,
+    /// Sum of every tracked key's footprint, so a warm access walks the
+    /// tree for the bytes *before* its previous position only.
     total: u64,
-    /// Reusable compaction scratch (position, key), kept across
-    /// compactions so steady-state recording never allocates.
-    scratch: Vec<(u32, KeyId)>,
 }
 
 impl Default for ExactStackDistance {
@@ -139,11 +120,12 @@ impl ExactStackDistance {
     /// Creates an empty engine.
     pub fn new() -> Self {
         ExactStackDistance {
-            fenwick: Fenwick::with_capacity(1024),
-            slots: FastIntMap::default(),
+            last: Vec::new(),
+            weights: vec![0; MIN_CAPACITY],
+            blocks: Fenwick::from_sums(MIN_CAPACITY / BLOCK, std::iter::empty()),
             time: 0,
+            live: 0,
             total: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -154,7 +136,7 @@ impl ExactStackDistance {
 
     /// Number of distinct keys seen.
     pub fn unique_keys(&self) -> usize {
-        self.slots.len()
+        self.live
     }
 
     /// Records an access to `key` whose item footprint is `bytes`; returns
@@ -162,32 +144,46 @@ impl ExactStackDistance {
     ///
     /// The distance *includes* the key's own footprint, so a distance `d`
     /// means the access hits in any LRU cache of capacity `>= d` bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key's id is `u32::MAX` or more.
     pub fn record(&mut self, key: KeyId, bytes: u64) -> Option<u64> {
         debug_assert!(bytes <= u64::from(u32::MAX), "footprint exceeds u32");
-        if self.time >= self.fenwick.len() {
+        assert!(key.0 < u64::from(NONE), "key id {} is not dense", key.0);
+        let id = key.0 as usize;
+        if id >= self.last.len() {
+            self.last.resize(id + 1, NONE);
+        }
+        if self.time == self.weights.len() {
             self.compact_or_grow();
         }
         let pos = self.time;
-        debug_assert!(pos <= u32::MAX as usize, "position exceeds u32");
-        let result = match self.slots.insert(key, (bytes << 32) | pos as u64) {
-            Some(old) => {
-                // Unique bytes of *other* keys accessed strictly after
-                // `prev`: the prefix through `prev` includes this key's own
-                // weight, so the suffix beyond it is exactly the others.
-                // Add the item's own (new) footprint — it must itself fit
-                // in the cache for the access to hit.
-                let prev = (old & 0xffff_ffff) as usize;
-                let own = old >> 32;
-                let others = self.total - self.fenwick.prefix(prev);
-                self.fenwick.add(prev, -(own as i128));
-                self.total -= own;
-                Some(others + bytes)
+        let prev = std::mem::replace(&mut self.last[id], pos as u32);
+        let result = if prev == NONE {
+            self.live += 1;
+            None
+        } else {
+            let prev = prev as usize;
+            let own = u64::from(std::mem::take(&mut self.weights[prev]));
+            let block = prev / BLOCK;
+            if block < pos / BLOCK {
+                self.blocks.add(block, own.wrapping_neg());
             }
-            None => None,
+            self.total -= own;
+            // Bytes of other keys accessed after `prev` (all tracked minus
+            // those before it), plus the item's own new footprint.
+            let before = self.blocks.prefix(block) + sum(&self.weights[block * BLOCK..prev]);
+            Some(self.total - before + bytes)
         };
-        self.fenwick.add(pos, bytes as i128);
+        self.weights[pos] = bytes as u32;
         self.total += bytes;
-        self.time += 1;
+        self.time = pos + 1;
+        if self.time.is_multiple_of(BLOCK) {
+            let block = pos / BLOCK;
+            let sealed = sum(&self.weights[block * BLOCK..self.time]);
+            self.blocks.add(block, sealed);
+        }
         result
     }
 
@@ -195,44 +191,43 @@ impl ExactStackDistance {
     /// their footprints — the hand-off order when an adaptive profile
     /// replays its exact history into a MIMIR estimator.
     pub fn entries_by_recency(&self) -> Vec<(KeyId, u64)> {
-        let mut order: Vec<(u32, KeyId, u64)> = self
-            .slots
-            .iter()
-            .map(|(k, &packed)| ((packed & 0xffff_ffff) as u32, *k, packed >> 32))
-            .collect();
-        order.sort_unstable_by_key(|&(pos, _, _)| pos);
-        order.into_iter().map(|(_, k, b)| (k, b)).collect()
+        self.live_positions()
+            .map(|(pos, id)| (KeyId(u64::from(id)), u64::from(self.weights[pos])))
+            .collect()
+    }
+
+    /// The live positions in time order, each with its key's id: one pass
+    /// over the keys, no sort.
+    fn live_positions(&self) -> impl Iterator<Item = (usize, u32)> {
+        let mut owners = vec![NONE; self.time];
+        for (id, &pos) in self.last.iter().enumerate() {
+            if pos != NONE {
+                owners[pos as usize] = id as u32;
+            }
+        }
+        owners.into_iter().enumerate().filter(|&(_, id)| id != NONE)
     }
 
     /// When positions run out: if many positions are dead (keys re-accessed),
-    /// compact live positions to the front; otherwise grow the tree.
+    /// compact live positions to the front; otherwise double the capacity.
     fn compact_or_grow(&mut self) {
-        let live = self.slots.len();
-        if live * 2 <= self.time {
-            // Compact: renumber live keys by their current position order.
-            // The rebuilt tree is sized to the live population (plus
-            // doubling headroom), *not* the old capacity — the previous
-            // full-capacity preallocation meant one burst of unique keys
-            // pinned the high-water tree size forever.
-            self.scratch.clear();
-            self.scratch.extend(
-                self.slots
-                    .iter()
-                    .map(|(k, &packed)| ((packed & 0xffff_ffff) as u32, *k)),
-            );
-            self.scratch.sort_unstable();
-            let cap = (live * 2).max(1024);
-            for (new_pos, &(_, key)) in self.scratch.iter().enumerate() {
-                let packed = self.slots.get_mut(&key).expect("scratch key is live");
-                *packed = (*packed & !0xffff_ffffu64) | new_pos as u64;
+        if self.live * 2 <= self.time {
+            // Renumber live keys in their position order. The array is
+            // sized to the live population (plus doubling headroom), not
+            // the old capacity, so one burst of unique keys does not pin
+            // the high-water size forever.
+            let mut compacted = vec![0; (self.live * 2).max(MIN_CAPACITY).next_multiple_of(BLOCK)];
+            for (next, (pos, id)) in self.live_positions().enumerate() {
+                self.last[id as usize] = next as u32;
+                compacted[next] = self.weights[pos];
             }
-            let slots = &self.slots;
-            self.fenwick =
-                Fenwick::from_weights(cap, self.scratch.iter().map(|(_, key)| slots[key] >> 32));
-            self.time = live;
+            self.weights = compacted;
+            self.time = self.live;
         } else {
-            self.fenwick.grow();
+            self.weights.resize(self.weights.len() * 2, 0);
         }
+        let sealed = self.weights[..self.time - self.time % BLOCK].chunks_exact(BLOCK);
+        self.blocks = Fenwick::from_sums(self.weights.len() / BLOCK, sealed.map(sum));
     }
 }
 
@@ -380,12 +375,12 @@ mod tests {
             let got: Vec<Option<u64>> = trace
                 .iter()
                 .map(|&(k, b)| {
-                    let (capacity, time) = (e.fenwick.len(), e.time);
+                    let (capacity, time) = (e.weights.len(), e.time);
                     let d = e.record(KeyId(k), b);
                     // A compaction renumbers time down to the live count
-                    // and never widens the tree; a growth only widens it.
+                    // and never widens the array; a growth only widens it.
                     compactions += usize::from(e.time <= time);
-                    growths += usize::from(e.fenwick.len() > capacity);
+                    growths += usize::from(e.weights.len() > capacity);
                     d
                 })
                 .collect();
@@ -405,20 +400,20 @@ mod tests {
         for k in 0..5000u64 {
             e.record(KeyId(k), 1);
         }
-        let grown = e.fenwick.len();
-        assert!(grown >= 8192, "unique burst should have doubled the tree");
+        let grown = e.weights.len();
+        assert!(grown >= 8192, "unique burst should have doubled the array");
         // Cycle the same keys: positions die, compaction fires, and the
-        // rebuilt tree must be sized to the live population — not the old
-        // capacity (the pre-fix code pinned the high-water size forever).
+        // rebuilt array must be sized to the live population, not the old
+        // capacity, or one burst pins the high-water size forever.
         for _round in 0..10 {
             for k in 0..5000u64 {
                 e.record(KeyId(k), 1);
             }
         }
         assert!(
-            e.fenwick.len() <= 2 * 5000,
-            "tree kept high-water capacity {}",
-            e.fenwick.len()
+            e.weights.len() <= 2 * 5000,
+            "array kept high-water capacity {}",
+            e.weights.len()
         );
         assert_eq!(e.record(KeyId(0), 1), Some(5000));
     }
@@ -444,5 +439,51 @@ mod tests {
         // Distance counts key2 (5) + the *new* footprint (99).
         assert_eq!(got[2], Some(104));
         assert_eq!(got, brute_force(&trace));
+    }
+
+    #[test]
+    fn ids_index_the_array_directly() {
+        // Ids far apart and out of order: the array grows to the largest,
+        // and a never-seen id below it reads as cold.
+        let trace = vec![(900_000, 8), (3, 5), (70_000, 2), (3, 5), (900_000, 8)];
+        let mut e = ExactStackDistance::new();
+        let got: Vec<Option<u64>> = trace.iter().map(|&(k, b)| e.record(KeyId(k), b)).collect();
+        assert_eq!(got, brute_force(&trace));
+        assert_eq!(e.last.len(), 900_001);
+        assert_eq!(e.record(KeyId(4), 1), None);
+        assert_eq!(e.unique_keys(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "not dense")]
+    fn an_id_past_the_position_width_is_refused() {
+        ExactStackDistance::new().record(KeyId(u64::from(u32::MAX)), 1);
+    }
+
+    #[test]
+    fn a_tracked_key_costs_at_most_18_bytes_of_positions() {
+        use elmem_util::DetRng;
+        // A hot core over a dense tail, as a keyspace's Zipf stream reads.
+        // The position array holds at most four positions per live key
+        // (4 B each) and the block tree one u64 per 16 positions; the id
+        // array is 4 B per id up to the largest seen, tracked or not.
+        let mut rng = DetRng::seed(5);
+        let mut e = ExactStackDistance::new();
+        let mut largest = 0;
+        for i in 0..400_000u64 {
+            let key = if i % 2 == 0 {
+                rng.next_below(2_000)
+            } else {
+                rng.next_below(60_000)
+            };
+            largest = largest.max(key);
+            e.record(KeyId(key), 64 + rng.next_below(1_000));
+            assert_eq!(e.last.len() as u64, largest + 1);
+            if e.unique_keys() >= 10_000 {
+                let bytes = 4 * e.weights.capacity() + 8 * e.blocks.tree.capacity();
+                let per_key = bytes as f64 / e.unique_keys() as f64;
+                assert!(per_key <= 18.0, "{per_key:.1} B a key at access {i}");
+            }
+        }
     }
 }

@@ -11,8 +11,9 @@
 //!
 //! Two engines are provided:
 //!
-//! * [`exact::ExactStackDistance`] — exact distances via a Fenwick tree,
-//!   `O(log W)` per request over a window of `W` requests;
+//! * [`exact::ExactStackDistance`] — exact distances over arrays indexed by
+//!   key id and position, `O(log W)` per request over a window of `W`
+//!   requests (a Fenwick tree over 16-position blocks);
 //! * [`mimir::Mimir`] — the MIMIR bucket approximation the paper uses,
 //!   `O(1)` amortized per request with bounded relative error.
 //!

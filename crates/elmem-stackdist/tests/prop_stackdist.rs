@@ -1,5 +1,5 @@
-//! Property tests: the Fenwick engine matches a brute-force reference, and
-//! hit-rate curves are sane.
+//! Property tests: the exact engine matches a brute-force reference and a
+//! literal LRU stack, and hit-rate curves are sane.
 
 use std::collections::HashSet;
 
@@ -25,6 +25,50 @@ fn brute_force(trace: &[(u64, u64)]) -> Vec<Option<u64>> {
         }
     }
     out
+}
+
+/// Mattson's LRU stack, literally: keys most recent last, a re-access's
+/// distance the bytes above it plus its new size. Returns the distances and
+/// the final stack, which is the recency hand-off order.
+fn lru_stack(trace: &[(u64, u64)]) -> (Vec<Option<u64>>, Vec<(KeyId, u64)>) {
+    let mut stack: Vec<(KeyId, u64)> = Vec::new();
+    let distances = trace
+        .iter()
+        .map(|&(key, bytes)| {
+            let key = KeyId(key);
+            let d = stack.iter().rposition(|&(k, _)| k == key).map(|i| {
+                stack.remove(i);
+                stack[i..].iter().map(|&(_, b)| b).sum::<u64>() + bytes
+            });
+            stack.push((key, bytes));
+            d
+        })
+        .collect();
+    (distances, stack)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    /// Traces long enough to compact and grow the position array, over a
+    /// hot core and a tail of sparse ids: every distance and the recency
+    /// hand-off equal the LRU stack's.
+    #[test]
+    fn exact_matches_the_lru_stack_across_rebuilds(
+        trace in prop::collection::vec((any::<bool>(), 0u64..1_500, 1u64..5_000), 1_500..4_000),
+        stride in 1u64..1_000,
+    ) {
+        let trace: Vec<(u64, u64)> = trace
+            .into_iter()
+            .map(|(hot, k, b)| (if hot { k % 40 } else { k } * stride, b))
+            .collect();
+        let (distances, stack) = lru_stack(&trace);
+        let mut e = ExactStackDistance::new();
+        let got: Vec<Option<u64>> =
+            trace.iter().map(|&(k, b)| e.record(KeyId(k), b)).collect();
+        prop_assert_eq!(got, distances);
+        prop_assert_eq!(e.unique_keys(), stack.len());
+        prop_assert_eq!(e.entries_by_recency(), stack);
+    }
 }
 
 proptest! {
