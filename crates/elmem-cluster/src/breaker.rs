@@ -13,6 +13,7 @@
 //! ([`crate::Cluster`]), one per cache node, and are advanced purely by
 //! the deterministic simulated clock — no wall-clock, no randomness.
 
+pub use elmem_util::telemetry::BreakerState;
 use elmem_util::SimTime;
 
 /// Circuit-breaker parameters.
@@ -31,17 +32,6 @@ impl Default for BreakerConfig {
             cooldown: SimTime::from_secs(5),
         }
     }
-}
-
-/// The breaker automaton's state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Requests flow to the node normally.
-    Closed,
-    /// Requests fail over to the database without contacting the node.
-    Open,
-    /// The cooldown elapsed: the next request is a probe.
-    HalfOpen,
 }
 
 /// One node's circuit breaker.

@@ -64,7 +64,6 @@ impl DbFetch {
 #[derive(Debug, Clone)]
 pub struct DbModel {
     pool: ServerPool,
-    mean_service: SimTime,
     /// `1 / mean_service` in fetches per second: the exponential's rate,
     /// divided once here rather than on every fetch.
     service_rate: f64,
@@ -81,18 +80,12 @@ impl DbModel {
     pub fn new(servers: usize, mean_service: SimTime, shed_delay: SimTime, rng: DetRng) -> Self {
         DbModel {
             pool: ServerPool::new(servers),
-            mean_service,
             service_rate: 1.0 / mean_service.as_secs_f64(),
             shed_delay,
             rng,
             fetches: 0,
             shed: 0,
         }
-    }
-
-    /// Capacity r_DB in fetches per second.
-    pub fn capacity_rps(&self) -> f64 {
-        self.pool.servers() as f64 / self.mean_service.as_secs_f64()
     }
 
     /// Submits a fetch arriving at `now`.
@@ -127,12 +120,6 @@ mod tests {
     use super::*;
 
     const SHED: SimTime = SimTime::from_secs(2);
-
-    #[test]
-    fn capacity_formula() {
-        let db = DbModel::new(8, SimTime::from_millis(2), SHED, DetRng::seed(0));
-        assert!((db.capacity_rps() - 4000.0).abs() < 1e-9);
-    }
 
     #[test]
     fn light_load_is_fast() {

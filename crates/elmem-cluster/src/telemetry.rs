@@ -15,10 +15,8 @@
 //! events respect [`TelemetryConfig::trace_capacity`], with capacity 0 —
 //! the default for a bare `Cluster::new` — tracing nothing.
 
-use elmem_util::telemetry::{BreakerPhase, EventKind, EventTrace};
+use elmem_util::telemetry::{BreakerState, EventKind, EventTrace};
 use elmem_util::{LatencyHistogram, NodeId, NodeMap, SimTime, TelemetryConfig};
-
-use crate::breaker::BreakerState;
 
 /// Where one cache lookup ended up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,24 +131,9 @@ impl ClusterTelemetry {
     /// Records a breaker state change as an event (no-op when unchanged).
     pub fn on_breaker(&mut self, at: SimTime, node: NodeId, from: BreakerState, to: BreakerState) {
         if from != to {
-            self.trace.record(
-                at,
-                Some(node),
-                EventKind::BreakerTransition {
-                    from: phase(from),
-                    to: phase(to),
-                },
-            );
+            self.trace
+                .record(at, Some(node), EventKind::BreakerTransition { from, to });
         }
-    }
-}
-
-/// Maps the breaker automaton's state onto the trace vocabulary.
-pub fn phase(state: BreakerState) -> BreakerPhase {
-    match state {
-        BreakerState::Closed => BreakerPhase::Closed,
-        BreakerState::Open => BreakerPhase::Open,
-        BreakerState::HalfOpen => BreakerPhase::HalfOpen,
     }
 }
 

@@ -89,34 +89,6 @@ impl CacheTier {
         self.nodes.get_mut(id).ok_or(ElmemError::UnknownNode(id.0))
     }
 
-    /// Two nodes mutably at once (migration source and destination).
-    ///
-    /// # Errors
-    ///
-    /// [`ElmemError::UnknownNode`] if either id is unknown;
-    /// [`ElmemError::InvalidConfig`] if `a == b`.
-    pub fn node_pair_mut(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-    ) -> Result<(&mut CacheNode, &mut CacheNode), ElmemError> {
-        if a == b {
-            return Err(ElmemError::InvalidConfig(format!(
-                "node pair must be distinct, got {a} twice"
-            )));
-        }
-        if !self.nodes.contains(a) {
-            return Err(ElmemError::UnknownNode(a.0));
-        }
-        if !self.nodes.contains(b) {
-            return Err(ElmemError::UnknownNode(b.0));
-        }
-        Ok(self
-            .nodes
-            .get_pair_mut(a, b)
-            .expect("checked membership above"))
-    }
-
     /// Provisions `count` fresh nodes *outside* the membership (scale-out
     /// step 1); returns their ids.
     pub fn provision_nodes(&mut self, count: usize) -> Vec<NodeId> {
@@ -222,15 +194,6 @@ impl CacheTier {
         Ok(())
     }
 
-    /// Ids of crashed nodes (member or not), ascending.
-    pub fn crashed_nodes(&self) -> Vec<NodeId> {
-        self.nodes
-            .values()
-            .filter(|n| n.is_crashed())
-            .map(|n| n.id())
-            .collect()
-    }
-
     /// Members that are crashed — corpses clients still hash to — in
     /// membership order.
     pub fn crashed_members(&self) -> Vec<NodeId> {
@@ -331,28 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn node_pair_mut_distinct() {
-        let mut t = tier();
-        let (a, b) = t.node_pair_mut(NodeId(0), NodeId(1)).unwrap();
-        assert_ne!(a.id(), b.id());
-    }
-
-    #[test]
-    fn node_pair_mut_same_id_rejected() {
-        let mut t = tier();
-        assert!(t.node_pair_mut(NodeId(0), NodeId(0)).is_err());
-    }
-
-    #[test]
-    fn node_pair_mut_unknown_rejected() {
-        let mut t = tier();
-        assert!(matches!(
-            t.node_pair_mut(NodeId(0), NodeId(99)),
-            Err(ElmemError::UnknownNode(99))
-        ));
-    }
-
-    #[test]
     fn key_routing_stays_in_membership() {
         let t = tier();
         for k in 0..100 {
@@ -373,7 +314,7 @@ mod tests {
         t.crash(NodeId(1)).unwrap();
         assert!(t.node(NodeId(1)).unwrap().is_crashed());
         assert_eq!(t.membership().len(), 4, "crash does not flip membership");
-        assert_eq!(t.crashed_nodes(), vec![NodeId(1)]);
+        assert_eq!(t.crashed_members(), vec![NodeId(1)]);
         let evicted = t.evict_crashed();
         assert_eq!(evicted, vec![NodeId(1)]);
         assert_eq!(t.membership().len(), 3);
@@ -393,7 +334,7 @@ mod tests {
         // The kept corpse is the one crashed *member*; the rest are only
         // crashed nodes.
         assert_eq!(t.crashed_members(), t.membership().members());
-        assert_eq!(t.crashed_nodes().len(), 4);
+        assert_eq!(t.iter_nodes().filter(|n| n.is_crashed()).count(), 4);
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::migration::MigrationCosts;
 use crate::policies::MigrationPolicy;
 use elmem_cluster::{Cluster, ClusterConfig};
 use elmem_sim::chaos::{ChaosAction, ChaosPlan};
-use elmem_util::telemetry::{BreakerPhase, EventKind, MigrationPhaseKind, ProbeClass};
+use elmem_util::telemetry::{BreakerState, EventKind, MigrationPhase, ProbeOutcome};
 use elmem_util::{KeyId, NodeId, SimTime, TelemetryConfig};
 use elmem_workload::{DemandTrace, Keyspace, WorkloadConfig};
 
@@ -287,7 +287,7 @@ fn check_no_stale_serves(result: &ExperimentResult, cluster: &Cluster, v: &mut V
 /// Invariant 4: breaker state machines only take legal edges.
 fn check_breaker_edges(result: &ExperimentResult, v: &mut Vec<String>) {
     use std::collections::BTreeMap;
-    let mut phase: BTreeMap<NodeId, BreakerPhase> = BTreeMap::new();
+    let mut phase: BTreeMap<NodeId, BreakerState> = BTreeMap::new();
     for e in &result.telemetry.events {
         let EventKind::BreakerTransition { from, to } = e.kind else {
             continue;
@@ -299,7 +299,7 @@ fn check_breaker_edges(result: &ExperimentResult, v: &mut Vec<String>) {
             ));
             continue;
         };
-        let current = *phase.entry(node).or_insert(BreakerPhase::Closed);
+        let current = *phase.entry(node).or_insert(BreakerState::Closed);
         if from != current {
             v.push(format!(
                 "node {}: breaker claims {} -> {} but tracked state was {} (seq {})",
@@ -312,10 +312,10 @@ fn check_breaker_edges(result: &ExperimentResult, v: &mut Vec<String>) {
         }
         let legal = matches!(
             (from, to),
-            (BreakerPhase::Closed, BreakerPhase::Open)
-                | (BreakerPhase::Open, BreakerPhase::HalfOpen)
-                | (BreakerPhase::HalfOpen, BreakerPhase::Closed)
-                | (BreakerPhase::HalfOpen, BreakerPhase::Open)
+            (BreakerState::Closed, BreakerState::Open)
+                | (BreakerState::Open, BreakerState::HalfOpen)
+                | (BreakerState::HalfOpen, BreakerState::Closed)
+                | (BreakerState::HalfOpen, BreakerState::Open)
         );
         if !legal {
             v.push(format!(
@@ -341,7 +341,7 @@ fn check_detector_legality(result: &ExperimentResult, v: &mut Vec<String>) {
     for e in &result.telemetry.events {
         match e.kind {
             EventKind::Probe {
-                outcome: ProbeClass::Lost,
+                outcome: ProbeOutcome::Lost,
             } => {
                 if let Some(n) = e.node {
                     lost_probed.insert(n);
@@ -414,9 +414,9 @@ fn check_trace_order(result: &ExperimentResult, v: &mut Vec<String>) {
 /// ended or was aborted inside it.
 fn check_migration_pairing(result: &ExperimentResult, v: &mut Vec<String>) {
     let kinds = [
-        MigrationPhaseKind::MetadataTransfer,
-        MigrationPhaseKind::HotnessComparison,
-        MigrationPhaseKind::DataMigration,
+        MigrationPhase::MetadataTransfer,
+        MigrationPhase::HotnessComparison,
+        MigrationPhase::DataMigration,
     ];
     for kind in kinds {
         let mut starts = 0u64;

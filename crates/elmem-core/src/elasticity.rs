@@ -26,9 +26,7 @@ use crate::migration::{MigrationCosts, MigrationReport, Supervision};
 use crate::policies::MigrationPolicy;
 use crate::predictive::PredictiveConfig;
 use crate::scaler_stage::ScalerStage;
-use crate::telemetry::{
-    probe_class, record_migration_events, SeriesRecorder, TelemetryDump, TierSnapshot,
-};
+use crate::telemetry::{record_migration_events, SeriesRecorder, TelemetryDump, TierSnapshot};
 
 /// A scripted scaling action (used when experiments pin the scaling moment
 /// instead of running the AutoScaler).
@@ -382,18 +380,21 @@ impl Driver {
     /// Traces one heartbeat round's observations: every non-ack probe
     /// outcome, plus the suspicion/death edges it caused.
     fn trace_probes(&mut self, at: SimTime, observations: &[ProbeObservation]) {
-        for obs in observations {
-            if obs.outcome != ProbeOutcome::Ack {
-                let outcome = probe_class(obs.outcome);
-                self.trace(at, Some(obs.node), EventKind::Probe { outcome });
+        for &ProbeObservation {
+            node,
+            outcome,
+            before,
+            after,
+        } in observations
+        {
+            if outcome != ProbeOutcome::Ack {
+                self.trace(at, Some(node), EventKind::Probe { outcome });
             }
-            if obs.before != obs.after {
-                match obs.after {
-                    NodeState::Suspected => {
-                        self.trace(at, Some(obs.node), EventKind::NodeSuspected)
-                    }
+            if before != after {
+                match after {
+                    NodeState::Suspected => self.trace(at, Some(node), EventKind::NodeSuspected),
                     NodeState::ConfirmedDead => {
-                        self.trace(at, Some(obs.node), EventKind::NodeConfirmedDead)
+                        self.trace(at, Some(node), EventKind::NodeConfirmedDead)
                     }
                     NodeState::Alive => {}
                 }

@@ -29,6 +29,7 @@
 use std::collections::BTreeMap;
 
 use elmem_cluster::Cluster;
+pub use elmem_util::telemetry::ProbeOutcome;
 use elmem_util::{DetRng, NodeId, SimTime};
 
 /// Heartbeat failure-detector parameters.
@@ -56,19 +57,6 @@ impl Default for DetectorConfig {
             jitter: SimTime::from_millis(50),
         }
     }
-}
-
-/// What one heartbeat probe observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeOutcome {
-    /// The node answered within the probe budget.
-    Ack,
-    /// The node is reachable in principle but the ack blew the budget
-    /// (partitioned NIC queueing the probe, or a heavy slowdown). Counts
-    /// toward suspicion, never toward death.
-    Degraded,
-    /// Nothing came back at all: the node is crashed or powered off.
-    Lost,
 }
 
 /// The detector's opinion of one member.

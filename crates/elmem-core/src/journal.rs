@@ -57,34 +57,6 @@ impl MigrationKind {
     }
 }
 
-/// Stable lowercase label for a migration phase in journal dumps (matches
-/// the trace vocabulary's `MigrationPhaseKind` labels).
-pub fn phase_label(phase: MigrationPhase) -> &'static str {
-    match phase {
-        MigrationPhase::MetadataTransfer => "metadata_transfer",
-        MigrationPhase::HotnessComparison => "hotness_comparison",
-        MigrationPhase::DataMigration => "data_migration",
-    }
-}
-
-fn parse_phase(s: &str) -> Result<MigrationPhase, String> {
-    match s {
-        "metadata_transfer" => Ok(MigrationPhase::MetadataTransfer),
-        "hotness_comparison" => Ok(MigrationPhase::HotnessComparison),
-        "data_migration" => Ok(MigrationPhase::DataMigration),
-        other => Err(format!("unknown migration phase {other:?}")),
-    }
-}
-
-/// Phase progress order, for replay ("the furthest phase completed").
-fn phase_rank(phase: MigrationPhase) -> u8 {
-    match phase {
-        MigrationPhase::MetadataTransfer => 0,
-        MigrationPhase::HotnessComparison => 1,
-        MigrationPhase::DataMigration => 2,
-    }
-}
-
 /// One sealed shipment, as the journal records it: enough to reconstruct
 /// the shipment from a fresh source dump (the `take`-prefix of what the
 /// source routes to `(target, class)`) and to verify the reconstruction
@@ -310,10 +282,7 @@ impl MigrationJournal {
                     st.kind = Some(*kind);
                 }
                 JournalRecord::PhaseDone { id: i, phase, .. }
-                    if *i == id
-                        && st
-                            .last_phase
-                            .is_none_or(|p| phase_rank(*phase) > phase_rank(p)) =>
+                    if *i == id && st.last_phase.is_none_or(|p| *phase > p) =>
                 {
                     st.last_phase = Some(*phase);
                 }
@@ -372,7 +341,7 @@ impl MigrationJournal {
                     let _ = write!(
                         out,
                         ",\"phase\":\"{}\",\"at_ns\":{}",
-                        phase_label(*phase),
+                        phase.label(),
                         at.as_nanos()
                     );
                 }
@@ -394,7 +363,7 @@ impl MigrationJournal {
                         out,
                         ",\"at_ns\":{},\"phase\":\"{}\"",
                         at.as_nanos(),
-                        phase_label(*phase)
+                        phase.label()
                     );
                 }
                 JournalRecord::Committed { at, .. } | JournalRecord::Aborted { at, .. } => {
@@ -470,7 +439,7 @@ impl MigrationJournal {
                 }
                 "phase_done" => JournalRecord::PhaseDone {
                     id,
-                    phase: parse_phase(str_field("phase")?)?,
+                    phase: MigrationPhase::parse(str_field("phase")?)?,
                     at,
                 },
                 "plan_sealed" => {
@@ -491,7 +460,7 @@ impl MigrationJournal {
                 "resumed" => JournalRecord::Resumed {
                     id,
                     at,
-                    phase: parse_phase(str_field("phase")?)?,
+                    phase: MigrationPhase::parse(str_field("phase")?)?,
                 },
                 "committed" => JournalRecord::Committed { id, at },
                 "aborted" => JournalRecord::Aborted { id, at },

@@ -33,6 +33,7 @@ use elmem_sim::Link;
 use elmem_store::{ClassId, Hotness, ImportMode, ItemMeta, SlabStore, KEY_BYTES, TIMESTAMP_BYTES};
 use elmem_util::nodemap::NodeMap;
 use elmem_util::par::{par_jobs, par_map_indexed};
+pub use elmem_util::telemetry::MigrationPhase;
 use elmem_util::{ByteSize, ElmemError, NodeId, SimTime};
 
 use crate::fusecache::fusecache_instrumented;
@@ -157,19 +158,6 @@ pub struct ResumePoint {
     pub resumed_at: SimTime,
     /// The phase the crash landed in.
     pub phase: MigrationPhase,
-}
-
-/// The three migration phases of §III-D, as the supervisor attributes
-/// faults to them. The preliminary scoring + dump work is folded into
-/// [`MigrationPhase::MetadataTransfer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationPhase {
-    /// §III-D1: dumping `(key, timestamp)` metadata and shipping it.
-    MetadataTransfer,
-    /// §III-D2: FuseCache on the destinations.
-    HotnessComparison,
-    /// §III-D3: shipping and importing the chosen KV pairs.
-    DataMigration,
 }
 
 /// Why the supervisor aborted a migration.
@@ -2434,7 +2422,7 @@ mod tests {
             for e in journal.entries() {
                 let label = match e.record {
                     JournalRecord::PhaseDone { phase, .. } => {
-                        format!("done:{}", crate::journal::phase_label(phase))
+                        format!("done:{}", phase.label())
                     }
                     ref other => other.label().to_string(),
                 };

@@ -25,12 +25,11 @@ use elmem_cluster::telemetry::NodeCounters;
 use elmem_cluster::Cluster;
 use elmem_store::StoreStats;
 use elmem_util::telemetry::{
-    write_events_json, AbortClass, Event, EventKind, EventTrace, MigrationPhaseKind, ProbeClass,
+    write_events_json, AbortClass, Event, EventKind, EventTrace, MigrationPhase,
 };
 use elmem_util::{LatencyHistogram, NodeId, SimTime, TelemetryConfig};
 
-use crate::healing::ProbeOutcome;
-use crate::migration::{AbortCause, MigrationOutcome, MigrationPhase, MigrationReport};
+use crate::migration::{AbortCause, MigrationOutcome, MigrationReport};
 
 /// One window of the tier-wide counter time series. Counters are *deltas*
 /// over the window (except `members` and `bytes_migrated`, which are the
@@ -206,17 +205,8 @@ impl SeriesRecorder {
     }
 }
 
-/// Maps the migration module's phase onto the trace vocabulary.
-pub fn phase_kind(phase: MigrationPhase) -> MigrationPhaseKind {
-    match phase {
-        MigrationPhase::MetadataTransfer => MigrationPhaseKind::MetadataTransfer,
-        MigrationPhase::HotnessComparison => MigrationPhaseKind::HotnessComparison,
-        MigrationPhase::DataMigration => MigrationPhaseKind::DataMigration,
-    }
-}
-
-/// Maps an abort cause onto the trace vocabulary (the node involved, if
-/// any, travels in [`Event::node`]).
+/// Projects an abort cause onto the trace vocabulary without its payload:
+/// the node involved, if any, travels in [`Event::node`].
 pub fn abort_class(cause: &AbortCause) -> AbortClass {
     match cause {
         AbortCause::SourceCrashed(_) => AbortClass::SourceCrashed,
@@ -224,15 +214,6 @@ pub fn abort_class(cause: &AbortCause) -> AbortClass {
         AbortCause::DeadlineExceeded => AbortClass::DeadlineExceeded,
         AbortCause::TransferRetriesExhausted { .. } => AbortClass::RetriesExhausted,
         AbortCause::MasterCrashed => AbortClass::MasterCrashed,
-    }
-}
-
-/// Maps a probe outcome onto the trace vocabulary.
-pub fn probe_class(outcome: ProbeOutcome) -> ProbeClass {
-    match outcome {
-        ProbeOutcome::Ack => ProbeClass::Ack,
-        ProbeOutcome::Degraded => ProbeClass::Degraded,
-        ProbeOutcome::Lost => ProbeClass::Lost,
     }
 }
 
@@ -246,21 +227,18 @@ pub fn record_migration_events(trace: &mut EventTrace, report: &MigrationReport)
     // the metadata phase, as the supervisor attributes them.
     let spans = [
         (
-            MigrationPhaseKind::MetadataTransfer,
+            MigrationPhase::MetadataTransfer,
             report.phases.scoring + report.phases.dump + report.phases.metadata_transfer,
         ),
+        (MigrationPhase::HotnessComparison, report.phases.fusecache),
         (
-            MigrationPhaseKind::HotnessComparison,
-            report.phases.fusecache,
-        ),
-        (
-            MigrationPhaseKind::DataMigration,
+            MigrationPhase::DataMigration,
             report.phases.data_transfer + report.phases.import,
         ),
     ];
     let aborted = match report.outcome {
         MigrationOutcome::Completed => None,
-        MigrationOutcome::Aborted { phase, cause } => Some((phase_kind(phase), cause)),
+        MigrationOutcome::Aborted { phase, cause } => Some((phase, cause)),
     };
     // A journaled migration the Master crashed out of and resumed: one
     // `MasterCrashed` per crash, one `MigrationResumed` per restart that
@@ -279,9 +257,7 @@ pub fn record_migration_events(trace: &mut EventTrace, report: &MigrationReport)
             trace.record(
                 r.resumed_at,
                 None,
-                EventKind::MigrationResumed {
-                    phase: phase_kind(r.phase),
-                },
+                EventKind::MigrationResumed { phase: r.phase },
             );
         }
     }

@@ -31,7 +31,6 @@ use elmem_util::SimTime;
 pub struct ServerPool {
     /// Earliest-free times, one per server (min-heap).
     free_at: BinaryHeap<Reverse<SimTime>>,
-    servers: usize,
     completed: u64,
     busy_time: SimTime,
 }
@@ -50,15 +49,9 @@ impl ServerPool {
         }
         ServerPool {
             free_at,
-            servers,
             completed: 0,
             busy_time: SimTime::ZERO,
         }
-    }
-
-    /// Number of servers.
-    pub fn servers(&self) -> usize {
-        self.servers
     }
 
     /// Submits a job arriving at `now` needing `service` time; returns its

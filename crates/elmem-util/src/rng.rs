@@ -6,28 +6,26 @@
 //! streams. Splitting gives each component its own stream so that adding a
 //! new consumer of randomness does not perturb the draws seen by existing
 //! components — a standard trick for reproducible discrete-event simulation.
-
-use rand::{Error, RngCore, SeedableRng};
+//!
+//! `DetRng` is the workspace's only random-number API: its inherent methods
+//! (`next_u64`, `next_f64`, `next_below`, `next_exp`) are every draw any
+//! crate makes.
 
 /// Deterministic, splittable PRNG (xoshiro256** core, SplitMix64 seeding).
-///
-/// Implements [`rand::RngCore`] so it composes with `rand`/`rand_distr`
-/// distributions.
 ///
 /// # Example
 ///
 /// ```
 /// use elmem_util::DetRng;
-/// use rand::Rng;
 ///
 /// let mut a = DetRng::seed(42);
 /// let mut b = DetRng::seed(42);
-/// assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+/// assert_eq!(a.next_u64(), b.next_u64());
 ///
 /// // Named sub-streams are independent of the parent's future draws.
 /// let mut arrivals = a.split("arrivals");
 /// let mut sizes = a.split("sizes");
-/// assert_ne!(arrivals.gen::<u64>(), sizes.gen::<u64>());
+/// assert_ne!(arrivals.next_u64(), sizes.next_u64());
 /// ```
 #[derive(Debug, Clone)]
 pub struct DetRng {
@@ -93,8 +91,9 @@ impl DetRng {
         DetRng { s }
     }
 
+    /// The next 64 uniformly random bits (one xoshiro256** step).
     #[inline]
-    fn next(&mut self) -> u64 {
+    pub fn next_u64(&mut self) -> u64 {
         // xoshiro256**
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -111,7 +110,7 @@ impl DetRng {
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
         // 53 random mantissa bits.
-        (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform integer in `[0, bound)` using Lemire's method.
@@ -124,7 +123,7 @@ impl DetRng {
         assert!(bound > 0, "bound must be positive");
         // Multiply-shift with rejection for exact uniformity.
         loop {
-            let x = self.next();
+            let x = self.next_u64();
             let m = (x as u128) * (bound as u128);
             let l = m as u64;
             if l >= bound || l >= l.wrapping_neg() % bound {
@@ -146,45 +145,9 @@ impl DetRng {
     }
 }
 
-impl RngCore for DetRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for DetRng {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        DetRng::seed(u64::from_le_bytes(seed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn same_seed_same_sequence() {
@@ -272,21 +235,5 @@ mod tests {
         let sum: f64 = (0..n).map(|_| r.next_exp(rate)).sum();
         let mean = sum / n as f64;
         assert!((mean - 1.0 / rate).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn rng_core_fill_bytes_fills_everything() {
-        let mut r = DetRng::seed(23);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        // With 13 random bytes, all-zero is essentially impossible.
-        assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn works_with_rand_traits() {
-        let mut r = DetRng::seed(29);
-        let x: f64 = r.gen_range(0.0..10.0);
-        assert!((0.0..10.0).contains(&x));
     }
 }

@@ -284,79 +284,94 @@ impl LatencyHistogram {
     }
 }
 
-/// Circuit-breaker phases, as the event stream names them (mirrors
-/// `elmem_cluster::BreakerState`, which cannot be used here without
-/// inverting the crate dependency).
+/// The circuit-breaker automaton's state (`elmem_cluster::breaker`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerPhase {
-    /// Requests flow to the node.
+pub enum BreakerState {
+    /// Requests flow to the node normally.
     Closed,
-    /// Requests fail over immediately.
+    /// Requests fail over to the database without contacting the node.
     Open,
-    /// The next request is a probe.
+    /// The cooldown elapsed: the next request is a probe.
     HalfOpen,
 }
 
-impl BreakerPhase {
+impl BreakerState {
     /// Stable lowercase label used in JSON dumps.
     pub fn label(self) -> &'static str {
         match self {
-            BreakerPhase::Closed => "closed",
-            BreakerPhase::Open => "open",
-            BreakerPhase::HalfOpen => "half_open",
+            BreakerState::Closed => "closed",
+            BreakerState::Open => "open",
+            BreakerState::HalfOpen => "half_open",
         }
     }
 }
 
-/// Heartbeat probe outcomes, as the event stream names them (mirrors
-/// `elmem_core::healing::ProbeOutcome`).
+/// What one heartbeat probe observed (`elmem_core::healing`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeClass {
-    /// Answered within the probe budget.
+pub enum ProbeOutcome {
+    /// The node answered within the probe budget.
     Ack,
-    /// Reachable but past the budget (partition/slow link).
+    /// The node is reachable in principle but the ack blew the budget
+    /// (partitioned NIC queueing the probe, or a heavy slowdown). Counts
+    /// toward suspicion, never toward death.
     Degraded,
-    /// Nothing came back: crashed or powered off.
+    /// Nothing came back at all: the node is crashed or powered off.
     Lost,
 }
 
-impl ProbeClass {
+impl ProbeOutcome {
     /// Stable lowercase label used in JSON dumps.
     pub fn label(self) -> &'static str {
         match self {
-            ProbeClass::Ack => "ack",
-            ProbeClass::Degraded => "degraded",
-            ProbeClass::Lost => "lost",
+            ProbeOutcome::Ack => "ack",
+            ProbeOutcome::Degraded => "degraded",
+            ProbeOutcome::Lost => "lost",
         }
     }
 }
 
-/// The three §III-D migration phases, as the event stream names them
-/// (mirrors `elmem_core::migration::MigrationPhase`).
+/// The three migration phases of §III-D, as the supervisor attributes
+/// faults to them (`elmem_core::migration`). The preliminary scoring + dump
+/// work is folded into [`MigrationPhase::MetadataTransfer`]. The order is
+/// §III-D's, so the furthest phase a journal reached is a `max`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum MigrationPhaseKind {
-    /// §III-D1: metadata dump + transfer.
+pub enum MigrationPhase {
+    /// §III-D1: dumping `(key, timestamp)` metadata and shipping it.
     MetadataTransfer,
     /// §III-D2: FuseCache on the destinations.
     HotnessComparison,
-    /// §III-D3: shipping and importing the chosen pairs.
+    /// §III-D3: shipping and importing the chosen KV pairs.
     DataMigration,
 }
 
-impl MigrationPhaseKind {
-    /// Stable lowercase label used in JSON dumps.
+impl MigrationPhase {
+    /// Stable lowercase label used in JSON dumps and the journal.
     pub fn label(self) -> &'static str {
         match self {
-            MigrationPhaseKind::MetadataTransfer => "metadata_transfer",
-            MigrationPhaseKind::HotnessComparison => "hotness_comparison",
-            MigrationPhaseKind::DataMigration => "data_migration",
+            MigrationPhase::MetadataTransfer => "metadata_transfer",
+            MigrationPhase::HotnessComparison => "hotness_comparison",
+            MigrationPhase::DataMigration => "data_migration",
+        }
+    }
+
+    /// The phase a [`label`](Self::label) names.
+    ///
+    /// # Errors
+    ///
+    /// Any other string.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "metadata_transfer" => Ok(MigrationPhase::MetadataTransfer),
+            "hotness_comparison" => Ok(MigrationPhase::HotnessComparison),
+            "data_migration" => Ok(MigrationPhase::DataMigration),
+            other => Err(format!("unknown migration phase {other:?}")),
         }
     }
 }
 
-/// Why a migration aborted, as the event stream names it (mirrors
-/// `elmem_core::migration::AbortCause`; the involved node travels in
-/// [`Event::node`]).
+/// Why a migration aborted, as the event stream names it: the payload-free
+/// projection of `elmem_core::migration::AbortCause`, because the involved
+/// node travels in [`Event::node`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbortClass {
     /// A retiring source died mid-flight.
@@ -410,16 +425,16 @@ pub enum EventKind {
     /// A circuit breaker changed state.
     BreakerTransition {
         /// State before.
-        from: BreakerPhase,
+        from: BreakerState,
         /// State after.
-        to: BreakerPhase,
+        to: BreakerState,
     },
     /// A heartbeat probe observed something other than a timely ack
     /// (timely acks are elided to keep the stream proportional to
     /// *trouble*, not to uptime).
     Probe {
         /// What the probe saw.
-        outcome: ProbeClass,
+        outcome: ProbeOutcome,
     },
     /// The failure detector moved a node to `Suspected`.
     NodeSuspected,
@@ -448,17 +463,17 @@ pub enum EventKind {
     /// A migration phase began.
     MigrationPhaseStart {
         /// Which phase.
-        phase: MigrationPhaseKind,
+        phase: MigrationPhase,
     },
     /// A migration phase finished.
     MigrationPhaseEnd {
         /// Which phase.
-        phase: MigrationPhaseKind,
+        phase: MigrationPhase,
     },
     /// The supervisor aborted the migration inside a phase.
     MigrationAborted {
         /// The phase the abort landed in.
-        phase: MigrationPhaseKind,
+        phase: MigrationPhase,
         /// Why.
         cause: AbortClass,
     },
@@ -477,7 +492,7 @@ pub enum EventKind {
     /// migration inside `phase` (DESIGN.md §13).
     MigrationResumed {
         /// The phase the interrupting crash landed in.
-        phase: MigrationPhaseKind,
+        phase: MigrationPhase,
     },
     /// The Master deferred a conflicting scaling request until the job it
     /// conflicts with drains.
@@ -862,8 +877,8 @@ mod tests {
             at: SimTime::from_millis(1500),
             node: Some(NodeId(3)),
             kind: EventKind::BreakerTransition {
-                from: BreakerPhase::Closed,
-                to: BreakerPhase::Open,
+                from: BreakerState::Closed,
+                to: BreakerState::Open,
             },
         };
         let mut s = String::new();
@@ -873,6 +888,43 @@ mod tests {
             "{\"seq\":7,\"t_ns\":1500000000,\"node\":3,\
              \"kind\":\"breaker_transition\",\"from\":\"closed\",\"to\":\"open\"}"
         );
+    }
+
+    #[test]
+    fn state_labels_are_pinned_and_phases_parse_in_paper_order() {
+        // Every label a dump or the journal writes: changing one breaks
+        // the goldens and every journal written before.
+        let labels = [
+            (BreakerState::Closed.label(), "closed"),
+            (BreakerState::Open.label(), "open"),
+            (BreakerState::HalfOpen.label(), "half_open"),
+            (ProbeOutcome::Ack.label(), "ack"),
+            (ProbeOutcome::Degraded.label(), "degraded"),
+            (ProbeOutcome::Lost.label(), "lost"),
+            (
+                MigrationPhase::MetadataTransfer.label(),
+                "metadata_transfer",
+            ),
+            (
+                MigrationPhase::HotnessComparison.label(),
+                "hotness_comparison",
+            ),
+            (MigrationPhase::DataMigration.label(), "data_migration"),
+        ];
+        for (got, want) in labels {
+            assert_eq!(got, want);
+        }
+        let phases = [
+            MigrationPhase::MetadataTransfer,
+            MigrationPhase::HotnessComparison,
+            MigrationPhase::DataMigration,
+        ];
+        for p in phases {
+            assert_eq!(MigrationPhase::parse(p.label()), Ok(p));
+        }
+        assert!(MigrationPhase::parse("import").is_err());
+        // §III-D order: a journal's furthest phase is the maximum.
+        assert!(phases.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -904,7 +956,7 @@ mod tests {
                 at: SimTime::from_secs(1),
                 node: Some(NodeId(1)),
                 kind: EventKind::Probe {
-                    outcome: ProbeClass::Lost,
+                    outcome: ProbeOutcome::Lost,
                 },
             },
         ];

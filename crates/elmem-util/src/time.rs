@@ -68,11 +68,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole microseconds (truncated).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Whole milliseconds (truncated).
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
@@ -201,7 +196,7 @@ mod tests {
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_secs(3).as_secs(), 3);
         assert_eq!(SimTime::from_millis(250).as_millis(), 250);
-        assert_eq!(SimTime::from_micros(9).as_micros(), 9);
+        assert_eq!(SimTime::from_micros(9).as_nanos(), 9_000);
         assert_eq!(SimTime::from_nanos(17).as_nanos(), 17);
     }
 

@@ -15,7 +15,6 @@
 use elmem_util::hashutil::mix64;
 use elmem_util::par::{par_jobs, par_map_indexed};
 use elmem_util::{DetRng, KeyId};
-use rand::RngCore;
 
 use crate::zipf::ZipfPopularity;
 

@@ -170,11 +170,6 @@ impl DemandTrace {
         self.samples[idx] * (1.0 - frac) + self.samples[idx + 1] * frac
     }
 
-    /// Request rate at `t` for a given peak rate (req/s).
-    pub fn rate_at(&self, t: SimTime, peak_rate: f64) -> f64 {
-        self.normalized_at(t) * peak_rate
-    }
-
     /// Parses a trace from newline-separated numbers (comments start with
     /// `#`; blank lines are skipped). Values are normalized by the maximum,
     /// so raw request-per-interval counts — the form real traces like the
@@ -299,12 +294,6 @@ mod tests {
     fn holds_last_sample_beyond_end() {
         let t = DemandTrace::new(vec![0.2, 0.8], SimTime::from_secs(10));
         assert_eq!(t.normalized_at(SimTime::from_secs(1000)), 0.8);
-    }
-
-    #[test]
-    fn rate_scales_by_peak() {
-        let t = DemandTrace::new(vec![0.5], SimTime::from_secs(1));
-        assert_eq!(t.rate_at(SimTime::ZERO, 2000.0), 1000.0);
     }
 
     #[test]

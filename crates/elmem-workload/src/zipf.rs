@@ -34,7 +34,6 @@
 
 use elmem_util::hashutil::mix64;
 use elmem_util::{DetRng, KeyId};
-use rand::RngCore;
 
 /// Ranks with an alias column of their own (DESIGN.md §5 has the readings
 /// that chose this and the block ratio; both are constants, not knobs).

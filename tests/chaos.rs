@@ -7,7 +7,7 @@ use elmem_core::chaos::run_chaos;
 use elmem_sim::chaos::{shrink, ChaosPlan};
 use elmem_sim::FaultPlan;
 use elmem_util::par::with_par_jobs;
-use elmem_util::telemetry::{BreakerPhase, EventKind};
+use elmem_util::telemetry::{BreakerState, EventKind};
 use elmem_util::{DetRng, KeyId, NodeId, SimTime};
 use elmem_workload::Keyspace;
 
@@ -132,7 +132,7 @@ fn breaker_survives_flapping_link_through_legal_edges() {
     // succeeds and the breaker closes.
     c.lookup_and_fill(key, SimTime::from_secs(14));
 
-    let edges: Vec<(BreakerPhase, BreakerPhase)> = c
+    let edges: Vec<(BreakerState, BreakerState)> = c
         .telemetry()
         .trace
         .events()
@@ -145,11 +145,11 @@ fn breaker_survives_flapping_link_through_legal_edges() {
     assert_eq!(
         edges,
         vec![
-            (BreakerPhase::Closed, BreakerPhase::Open),
-            (BreakerPhase::Open, BreakerPhase::HalfOpen),
-            (BreakerPhase::HalfOpen, BreakerPhase::Open),
-            (BreakerPhase::Open, BreakerPhase::HalfOpen),
-            (BreakerPhase::HalfOpen, BreakerPhase::Closed),
+            (BreakerState::Closed, BreakerState::Open),
+            (BreakerState::Open, BreakerState::HalfOpen),
+            (BreakerState::HalfOpen, BreakerState::Open),
+            (BreakerState::Open, BreakerState::HalfOpen),
+            (BreakerState::HalfOpen, BreakerState::Closed),
         ],
         "flapping link must walk exactly the legal breaker edges"
     );

@@ -12,7 +12,7 @@ use elmem::core::{
     run_experiment_with_telemetry, ExperimentConfig, ExperimentResult, FaultPlan, HealingConfig,
     MigrationPolicy, ScaleAction,
 };
-use elmem::util::telemetry::{BreakerPhase, Event, EventKind, MigrationPhaseKind};
+use elmem::util::telemetry::{BreakerState, Event, EventKind, MigrationPhase};
 use elmem::util::{NodeId, SimTime, TelemetryConfig};
 use elmem::workload::{DemandTrace, Keyspace, WorkloadConfig};
 use std::collections::BTreeMap;
@@ -63,7 +63,7 @@ fn assert_stream_well_formed(events: &[Event]) {
 /// Every `MigrationPhaseEnd` / `MigrationAborted` must follow a still-open
 /// matching `MigrationPhaseStart`, and phases of one kind never nest.
 fn assert_phases_bracketed(events: &[Event]) -> usize {
-    let mut open: BTreeMap<MigrationPhaseKind, u64> = BTreeMap::new();
+    let mut open: BTreeMap<MigrationPhase, u64> = BTreeMap::new();
     let mut pairs = 0;
     for e in events {
         match e.kind {
@@ -96,21 +96,21 @@ fn assert_phases_bracketed(events: &[Event]) -> usize {
 /// Breaker transitions must chain per node (each `from` equals the node's
 /// previous `to`, starting closed) and walk only legal automaton edges.
 fn assert_breaker_edges_legal(events: &[Event]) -> usize {
-    let legal = |from: BreakerPhase, to: BreakerPhase| {
+    let legal = |from: BreakerState, to: BreakerState| {
         matches!(
             (from, to),
-            (BreakerPhase::Closed, BreakerPhase::Open)
-                | (BreakerPhase::Open, BreakerPhase::HalfOpen)
-                | (BreakerPhase::HalfOpen, BreakerPhase::Closed)
-                | (BreakerPhase::HalfOpen, BreakerPhase::Open)
+            (BreakerState::Closed, BreakerState::Open)
+                | (BreakerState::Open, BreakerState::HalfOpen)
+                | (BreakerState::HalfOpen, BreakerState::Closed)
+                | (BreakerState::HalfOpen, BreakerState::Open)
         )
     };
-    let mut state: BTreeMap<NodeId, BreakerPhase> = BTreeMap::new();
+    let mut state: BTreeMap<NodeId, BreakerState> = BTreeMap::new();
     let mut seen = 0;
     for e in events {
         if let EventKind::BreakerTransition { from, to } = e.kind {
             let node = e.node.expect("breaker events carry their node");
-            let prev = *state.entry(node).or_insert(BreakerPhase::Closed);
+            let prev = *state.entry(node).or_insert(BreakerState::Closed);
             assert_eq!(
                 prev, from,
                 "breaker chain broken on {node}: {prev:?} then {e:?}"
