@@ -1,7 +1,7 @@
 //! The database tier model.
 
 use elmem_sim::ServerPool;
-use elmem_util::{DetRng, SimTime};
+use elmem_util::{DetRng, ExpDraws, SimTime};
 
 /// Outcome of one database fetch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,11 +64,9 @@ impl DbFetch {
 #[derive(Debug, Clone)]
 pub struct DbModel {
     pool: ServerPool,
-    /// `1 / mean_service` in fetches per second: the exponential's rate,
-    /// divided once here rather than on every fetch.
-    service_rate: f64,
+    /// Service times at `1 / mean_service` fetches per second.
+    service: ExpDraws,
     shed_delay: SimTime,
-    rng: DetRng,
     fetches: u64,
     shed: u64,
 }
@@ -80,9 +78,8 @@ impl DbModel {
     pub fn new(servers: usize, mean_service: SimTime, shed_delay: SimTime, rng: DetRng) -> Self {
         DbModel {
             pool: ServerPool::new(servers),
-            service_rate: 1.0 / mean_service.as_secs_f64(),
+            service: ExpDraws::new(rng, 1.0 / mean_service.as_secs_f64()),
             shed_delay,
-            rng,
             fetches: 0,
             shed: 0,
         }
@@ -95,7 +92,7 @@ impl DbModel {
             self.shed += 1;
             return DbFetch::Shed(now + self.shed_delay);
         }
-        let service = SimTime::from_secs_f64(self.rng.next_exp(self.service_rate));
+        let service = self.service.draw();
         DbFetch::Served(self.pool.submit(now, service))
     }
 
@@ -210,5 +207,36 @@ mod tests {
             let t = SimTime::from_millis(i);
             assert_eq!(a.fetch(t), b.fetch(t));
         }
+    }
+
+    #[test]
+    fn service_times_are_the_streams_exponential_draws() {
+        // One server, fetches a minute apart: each sojourn is its service,
+        // the inverse-CDF exponential of the stream's next uniform.
+        let mut db = DbModel::new(1, SimTime::from_millis(6), SHED, DetRng::seed(8));
+        let mut rng = DetRng::seed(8);
+        let rate = 1.0 / SimTime::from_millis(6).as_secs_f64();
+        for i in 0..1_000u64 {
+            let at = SimTime::from_secs(60 * i);
+            let u = 1.0 - rng.next_f64();
+            let want = SimTime::from_secs_f64(-u.ln() / rate);
+            assert_eq!(db.fetch(at), DbFetch::Served(at + want), "fetch {i}");
+        }
+    }
+
+    #[test]
+    fn clone_mid_batch_serves_the_same_fetches() {
+        // Clones copy the buffered draws with the stream, so a copy taken
+        // between refills continues exactly as the original does.
+        let mut db = DbModel::new(4, SimTime::from_millis(2), SHED, DetRng::seed(9));
+        for i in 0..37u64 {
+            db.fetch(SimTime::from_millis(10 * i));
+        }
+        let mut copy = db.clone();
+        for i in 37..10_037u64 {
+            let t = SimTime::from_micros(300 * i);
+            assert_eq!(copy.fetch(t), db.fetch(t), "fetch {i}");
+        }
+        assert_eq!((copy.fetches(), copy.shed()), (db.fetches(), db.shed()));
     }
 }

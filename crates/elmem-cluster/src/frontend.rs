@@ -2,7 +2,7 @@
 
 use elmem_hash::HashRing;
 use elmem_store::Fill;
-use elmem_util::{DetRng, KeyId, NodeId, NodeMap, SimTime};
+use elmem_util::{DetRng, ExpDraws, KeyId, NodeId, NodeMap, SimTime};
 use elmem_workload::{Keyspace, WebRequest};
 
 use crate::breaker::{BreakerState, CircuitBreaker};
@@ -75,7 +75,8 @@ pub struct Cluster {
     /// The database model.
     pub db: DbModel,
     keyspace: Keyspace,
-    latency_rng: DetRng,
+    /// Exponential get latencies around `mc_latency`, one per lookup.
+    mc_latency: ExpDraws,
     secondary: Option<HashRing>,
     promoted: u64,
     secondary_hits: u64,
@@ -84,10 +85,6 @@ pub struct Cluster {
     client_timeouts: u64,
     fast_failovers: u64,
     telemetry: ClusterTelemetry,
-    // 1 / mc_latency, cached at construction: the exponential-jitter rate
-    // is re-derived on every single lookup otherwise, and the config mean
-    // never changes after the tier is built.
-    mc_rate: f64,
 }
 
 impl Cluster {
@@ -99,12 +96,15 @@ impl Cluster {
             config.db_shed_delay,
             rng.split("db"),
         );
-        let mc_rate = 1.0 / config.mc_latency.as_secs_f64();
+        let mc_latency = ExpDraws::new(
+            rng.split("mc-latency"),
+            1.0 / config.mc_latency.as_secs_f64(),
+        );
         Cluster {
             tier: CacheTier::new(config),
             db,
             keyspace,
-            latency_rng: rng.split("mc-latency"),
+            mc_latency,
             secondary: None,
             promoted: 0,
             secondary_hits: 0,
@@ -112,7 +112,6 @@ impl Cluster {
             client_timeouts: 0,
             fast_failovers: 0,
             telemetry: ClusterTelemetry::default(),
-            mc_rate,
         }
     }
 
@@ -184,8 +183,8 @@ impl Cluster {
             return (latency, false);
         };
         // One jitter draw per lookup, taken before the reachability
-        // decision: `latency_rng`'s draw order is part of every pinned run.
-        let jittered = self.mc_latency();
+        // decision: the jitter stream's order is part of every pinned run.
+        let jittered = self.mc_latency.draw();
         let config = self.tier.config();
         let (timeout, breaker_config) = (config.client_timeout, config.breaker);
         // Invariant: every ring member resolves. The tier never drops a
@@ -343,7 +342,7 @@ impl Cluster {
             }
         }
         // Two cache hops: primary miss + secondary hit.
-        Some(self.mc_latency() + self.mc_latency())
+        Some(self.mc_latency.draw() + self.mc_latency.draw())
     }
 
     /// Arms the CacheScale secondary ring (the pre-scaling membership whose
@@ -488,12 +487,6 @@ impl Cluster {
             base += block.len() as u64;
         }
         // Dropping the hands finishes every fill still open.
-    }
-
-    fn mc_latency(&mut self) -> SimTime {
-        // Exponential jitter around the configured mean (rate cached in
-        // `mc_rate`).
-        SimTime::from_secs_f64(self.latency_rng.next_exp(self.mc_rate))
     }
 }
 
@@ -796,7 +789,7 @@ mod tests {
                 let node = self.tier.node(node_id).expect("member node exists");
                 (node.is_reachable(now), node.link.slowdown_factor())
             };
-            let cache_latency = self.mc_latency().mul_f64(slowdown);
+            let cache_latency = self.mc_latency.draw().mul_f64(slowdown);
             if !reachable || cache_latency >= timeout {
                 let latency = self.failover(node_id, now);
                 self.telemetry
@@ -995,5 +988,36 @@ mod tests {
             slow > fast * 5,
             "50x slowdown must be visible in hit latency ({fast:?} -> {slow:?})"
         );
+    }
+
+    #[test]
+    fn new_draws_nothing() {
+        // Both exponential streams fill their buffers at the first draw.
+        let c = cluster();
+        let debug = format!("{:?} {:?}", c.mc_latency, c.db);
+        assert_eq!(debug.matches("pos: 64 }").count(), 2, "{debug}");
+    }
+
+    #[test]
+    fn clone_mid_batch_serves_the_same_lookups() {
+        // The benchmark clones its deployment for every repetition; a copy
+        // taken 37 lookups in (mid-batch for both streams) must continue
+        // exactly as the original, hits, misses and latencies alike.
+        let mut c = cluster();
+        c.prefill((0..3_000).map(KeyId), SimTime::ZERO);
+        let key = |i: u64| KeyId(i * 7_919 % 10_000);
+        for i in 0..37 {
+            c.lookup_and_fill(key(i), SimTime::from_millis(i));
+        }
+        let mut copy = c.clone();
+        for i in 37..10_037 {
+            let now = SimTime::from_millis(i);
+            assert_eq!(
+                copy.lookup_and_fill(key(i), now),
+                c.lookup_and_fill(key(i), now),
+                "lookup {i}"
+            );
+        }
+        assert_eq!(copy.db.fetches(), c.db.fetches());
     }
 }

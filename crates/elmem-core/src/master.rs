@@ -218,11 +218,6 @@ impl Master {
         &self.journal
     }
 
-    /// The in-flight migration jobs whose commit windows reach past `now`.
-    pub fn jobs_in_flight(&self, now: SimTime) -> impl Iterator<Item = &MigrationJob> {
-        self.jobs.iter().filter(move |j| j.window_end > now)
-    }
-
     /// Answers whether a `kind` scaling may start at `now`, per the
     /// overlap rules (DESIGN.md §13): a drain may overlap a fill (they
     /// move disjoint ownership ranges), but two drains — or two fills —
@@ -908,9 +903,15 @@ mod tests {
             assert_eq!(steps, expected.iter().collect::<Vec<_>>(), "{kind:?}");
             assert!(orch.deferred.iter().all(|d| d.at == orch.committed_at));
 
-            // Same tracking for both callers; only scalings journal.
-            let job = m.jobs_in_flight(SimTime::ZERO).next().expect("tracked");
-            assert_eq!((job.kind, job.window_end), (kind, orch.committed_at));
+            // Same tracking for both callers: the job defers a second
+            // fill until its commit window closes. Only scalings journal.
+            assert_eq!(
+                m.admit(kind, SimTime::ZERO),
+                Admission::Deferred {
+                    until: orch.committed_at,
+                    reason: "concurrent fill in flight"
+                }
+            );
             assert_eq!(m.busy_until(), orch.committed_at);
             assert_eq!(m.journal().entries().is_empty(), kind == JobKind::Recovery);
 

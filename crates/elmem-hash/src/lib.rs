@@ -31,5 +31,5 @@
 pub mod membership;
 pub mod ring;
 
-pub use membership::{Membership, RemapStats};
+pub use membership::Membership;
 pub use ring::HashRing;

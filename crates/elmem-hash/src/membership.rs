@@ -1,10 +1,7 @@
-//! Tier membership and remap analysis.
-//!
-//! [`Membership`] tracks the evolving set of cache nodes and builds rings on
-//! demand; [`RemapStats`] quantifies how many keys a membership change moves
-//! (used in tests and in the scale-out sizing argument of §III-D4).
+//! Tier membership: [`Membership`] tracks the evolving set of cache nodes
+//! and builds rings on demand.
 
-use elmem_util::{ElmemError, KeyId, NodeId};
+use elmem_util::{ElmemError, NodeId};
 
 use crate::ring::HashRing;
 
@@ -23,15 +20,14 @@ use crate::ring::HashRing;
 #[derive(Debug, Clone)]
 pub struct Membership {
     ring: HashRing,
-    next_id: u32,
 }
 
 impl Membership {
     /// Creates a membership over initial nodes.
     pub fn new(members: impl Iterator<Item = NodeId>, vnodes: u32) -> Self {
-        let ring = HashRing::new(members, vnodes);
-        let next_id = ring.members().iter().map(|n| n.0 + 1).max().unwrap_or(0);
-        Membership { ring, next_id }
+        Membership {
+            ring: HashRing::new(members, vnodes),
+        }
     }
 
     /// The current ring.
@@ -75,16 +71,6 @@ impl Membership {
         Ok(())
     }
 
-    /// Adds `count` fresh nodes (scale-out commit); returns their ids.
-    pub fn add_new(&mut self, count: usize) -> Vec<NodeId> {
-        let ids: Vec<NodeId> = (0..count)
-            .map(|i| NodeId(self.next_id + i as u32))
-            .collect();
-        self.next_id += count as u32;
-        self.ring = self.ring.with(&ids);
-        ids
-    }
-
     /// Adds specific nodes back (e.g. re-adding a kept node).
     ///
     /// # Errors
@@ -99,42 +85,7 @@ impl Membership {
             }
         }
         self.ring = self.ring.with(nodes);
-        self.next_id = self
-            .next_id
-            .max(nodes.iter().map(|n| n.0 + 1).max().unwrap_or(0));
         Ok(())
-    }
-}
-
-/// How a membership change remaps a sample of keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RemapStats {
-    /// Keys whose owner changed.
-    pub moved: u64,
-    /// Keys sampled.
-    pub total: u64,
-}
-
-impl RemapStats {
-    /// Fraction of keys that moved.
-    pub fn moved_fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.moved as f64 / self.total as f64
-        }
-    }
-
-    /// Compares placements of `keys` under two rings.
-    pub fn compare(before: &HashRing, after: &HashRing, keys: impl Iterator<Item = KeyId>) -> Self {
-        let mut stats = RemapStats::default();
-        for k in keys {
-            stats.total += 1;
-            if before.node_for(k) != after.node_for(k) {
-                stats.moved += 1;
-            }
-        }
-        stats
     }
 }
 
@@ -162,49 +113,8 @@ mod tests {
     }
 
     #[test]
-    fn add_new_assigns_fresh_ids() {
-        let mut m = members(3);
-        let ids = m.add_new(2);
-        assert_eq!(ids, vec![NodeId(3), NodeId(4)]);
-        assert_eq!(m.len(), 5);
-        let more = m.add_new(1);
-        assert_eq!(more, vec![NodeId(5)]);
-    }
-
-    #[test]
     fn add_existing_fails() {
         let mut m = members(3);
         assert!(m.add(&[NodeId(1)]).is_err());
-    }
-
-    #[test]
-    fn add_after_remove_reuses_nothing() {
-        let mut m = members(3);
-        m.remove(&[NodeId(2)]).unwrap();
-        // next_id stays past the removed node: no id reuse.
-        assert_eq!(m.add_new(1), vec![NodeId(3)]);
-    }
-
-    #[test]
-    fn remap_stats_zero_when_unchanged() {
-        let m = members(5);
-        let stats = RemapStats::compare(m.ring(), m.ring(), (0..1000).map(KeyId));
-        assert_eq!(stats.moved, 0);
-        assert_eq!(stats.moved_fraction(), 0.0);
-    }
-
-    #[test]
-    fn remap_stats_scale_out_fraction() {
-        let before = members(9);
-        let mut after = before.clone();
-        after.add_new(1);
-        let stats = RemapStats::compare(before.ring(), after.ring(), (0..20_000).map(KeyId));
-        let f = stats.moved_fraction();
-        assert!((f - 0.1).abs() < 0.05, "fraction {f}");
-    }
-
-    #[test]
-    fn empty_remap_fraction_is_zero() {
-        assert_eq!(RemapStats::default().moved_fraction(), 0.0);
     }
 }

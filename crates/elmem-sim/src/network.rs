@@ -69,12 +69,6 @@ impl Link {
         }
     }
 
-    /// A 1 Gbit/s link with 0.1 ms latency (a typical cloud-VM NIC, matching
-    /// the paper's OpenStack setup scale).
-    pub fn gigabit() -> Self {
-        Link::new(125_000_000.0, SimTime::from_micros(100))
-    }
-
     /// Schedules a FIFO transfer starting no earlier than `now`; returns its
     /// completion time and advances the link's busy horizon.
     pub fn schedule_transfer(&mut self, now: SimTime, bytes: ByteSize) -> SimTime {
@@ -83,11 +77,6 @@ impl Link {
         self.busy_until = start + duration;
         self.bytes_sent += bytes.as_u64();
         self.busy_until
-    }
-
-    /// Pure query: transfer duration for `bytes` on an idle link.
-    pub fn transfer_time(&self, bytes: ByteSize) -> SimTime {
-        SimTime::from_secs_f64(bytes.as_f64() / self.bandwidth) + self.latency
     }
 
     /// When the link next becomes idle.
@@ -158,11 +147,18 @@ impl Link {
 mod tests {
     use super::*;
 
+    /// A 1 Gbit/s link with 0.1 ms latency (a typical cloud-VM NIC).
+    fn gigabit() -> Link {
+        Link::new(125_000_000.0, SimTime::from_micros(100))
+    }
+
     #[test]
     fn transfer_time_scales_with_bytes() {
-        let link = Link::new(1000.0, SimTime::ZERO);
-        assert_eq!(link.transfer_time(ByteSize(500)), SimTime::from_millis(500));
-        assert_eq!(link.transfer_time(ByteSize(2000)), SimTime::from_secs(2));
+        let mut link = Link::new(1000.0, SimTime::ZERO);
+        let done = link.schedule_transfer(SimTime::ZERO, ByteSize(500));
+        assert_eq!(done, SimTime::from_millis(500));
+        let done = link.schedule_transfer(SimTime::from_secs(10), ByteSize(2000));
+        assert_eq!(done, SimTime::from_secs(12));
     }
 
     #[test]
@@ -193,7 +189,7 @@ mod tests {
 
     #[test]
     fn accounting_tracks_bytes() {
-        let mut link = Link::gigabit();
+        let mut link = gigabit();
         link.schedule_transfer(SimTime::ZERO, ByteSize(123));
         link.schedule_transfer(SimTime::ZERO, ByteSize(877));
         assert_eq!(link.bytes_sent(), ByteSize(1000));
@@ -207,14 +203,20 @@ mod tests {
 
     #[test]
     fn slowdown_scales_transfer_time_and_heals() {
+        // Each transfer starts on an idle link, so its duration is the
+        // completion minus the link's previous busy horizon.
         let mut link = Link::new(1000.0, SimTime::ZERO);
+        let duration = |link: &mut Link| {
+            let start = link.busy_until();
+            link.schedule_transfer(start, ByteSize(1000)) - start
+        };
         link.apply_slowdown(4.0);
-        assert_eq!(link.transfer_time(ByteSize(1000)), SimTime::from_secs(4));
+        assert_eq!(duration(&mut link), SimTime::from_secs(4));
         // A second slowdown replaces (not compounds) the first.
         link.apply_slowdown(2.0);
-        assert_eq!(link.transfer_time(ByteSize(1000)), SimTime::from_secs(2));
+        assert_eq!(duration(&mut link), SimTime::from_secs(2));
         link.restore_bandwidth();
-        assert_eq!(link.transfer_time(ByteSize(1000)), SimTime::from_secs(1));
+        assert_eq!(duration(&mut link), SimTime::from_secs(1));
     }
 
     #[test]
@@ -231,7 +233,7 @@ mod tests {
 
     #[test]
     fn partition_window_is_visible_to_the_serving_path() {
-        let mut link = Link::gigabit();
+        let mut link = gigabit();
         assert!(!link.is_partitioned(SimTime::ZERO));
         link.partition_until(SimTime::from_secs(10));
         assert!(link.is_partitioned(SimTime::from_secs(5)));
@@ -241,7 +243,7 @@ mod tests {
 
     #[test]
     fn slowdown_factor_tracks_degradation() {
-        let mut link = Link::gigabit();
+        let mut link = gigabit();
         assert_eq!(link.slowdown_factor(), 1.0);
         link.apply_slowdown(8.0);
         assert_eq!(link.slowdown_factor(), 8.0);
@@ -252,7 +254,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn slowdown_below_one_rejected() {
-        let mut link = Link::gigabit();
+        let mut link = gigabit();
         link.apply_slowdown(0.9);
     }
 }

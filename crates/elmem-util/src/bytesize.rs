@@ -60,17 +60,6 @@ impl ByteSize {
     pub fn saturating_sub(self, rhs: ByteSize) -> ByteSize {
         ByteSize(self.0.saturating_sub(rhs.0))
     }
-
-    /// Number of whole 1 MB pages needed to hold this many bytes (rounds up).
-    ///
-    /// ```
-    /// use elmem_util::ByteSize;
-    /// assert_eq!(ByteSize::from_bytes(1).pages_ceil(), 1);
-    /// assert_eq!(ByteSize::from_mib(2).pages_ceil(), 2);
-    /// ```
-    pub fn pages_ceil(self) -> u64 {
-        self.0.div_ceil(Self::PAGE.0)
-    }
 }
 
 impl Add for ByteSize {
@@ -151,14 +140,6 @@ mod tests {
     #[test]
     fn page_is_one_mib() {
         assert_eq!(ByteSize::PAGE, ByteSize::from_mib(1));
-    }
-
-    #[test]
-    fn pages_ceil_rounds_up() {
-        assert_eq!(ByteSize::ZERO.pages_ceil(), 0);
-        assert_eq!(ByteSize(1).pages_ceil(), 1);
-        assert_eq!(ByteSize::PAGE.pages_ceil(), 1);
-        assert_eq!((ByteSize::PAGE + ByteSize(1)).pages_ceil(), 2);
     }
 
     #[test]

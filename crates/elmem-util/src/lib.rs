@@ -35,7 +35,7 @@ pub mod time;
 pub use bytesize::ByteSize;
 pub use error::ElmemError;
 pub use nodemap::NodeMap;
-pub use rng::DetRng;
+pub use rng::{DetRng, ExpDraws};
 pub use telemetry::{EventTrace, LatencyHistogram, TelemetryConfig};
 pub use time::SimTime;
 

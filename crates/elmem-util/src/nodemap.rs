@@ -135,23 +135,6 @@ impl<T> NodeMap<T> {
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|v| (NodeId(i as u32), v)))
     }
-
-    /// Two distinct values mutably at once (e.g. a migration's source and
-    /// destination nodes). `None` if either id is absent or `a == b`.
-    pub fn get_pair_mut(&mut self, a: NodeId, b: NodeId) -> Option<(&mut T, &mut T)> {
-        if a == b || !self.contains(a) || !self.contains(b) {
-            return None;
-        }
-        let (lo, hi) = (a.0.min(b.0) as usize, a.0.max(b.0) as usize);
-        let (left, right) = self.slots.split_at_mut(hi);
-        let lo_ref = left[lo].as_mut().expect("checked above");
-        let hi_ref = right[0].as_mut().expect("checked above");
-        if a.0 < b.0 {
-            Some((lo_ref, hi_ref))
-        } else {
-            Some((hi_ref, lo_ref))
-        }
-    }
 }
 
 impl<T> FromIterator<(NodeId, T)> for NodeMap<T> {
@@ -204,30 +187,12 @@ mod tests {
     }
 
     #[test]
-    fn pair_mut_returns_in_argument_order() {
-        let mut m: NodeMap<u32> = [(NodeId(2), 20), (NodeId(7), 70)].into_iter().collect();
-        let (a, b) = m.get_pair_mut(NodeId(7), NodeId(2)).unwrap();
-        assert_eq!((*a, *b), (70, 20));
-        *a += 1;
-        *b += 2;
-        assert_eq!(m.get(NodeId(7)), Some(&71));
-        assert_eq!(m.get(NodeId(2)), Some(&22));
-    }
-
-    #[test]
     fn values_mut_visits_present_slots_in_id_order() {
         let mut m: NodeMap<u32> = [(NodeId(7), 70), (NodeId(2), 20)].into_iter().collect();
         for (i, v) in m.values_mut().enumerate() {
             *v += i as u32;
         }
         assert_eq!(m.values().copied().collect::<Vec<_>>(), vec![20, 71]);
-    }
-
-    #[test]
-    fn pair_mut_rejects_same_or_missing() {
-        let mut m: NodeMap<u32> = [(NodeId(2), 20)].into_iter().collect();
-        assert!(m.get_pair_mut(NodeId(2), NodeId(2)).is_none());
-        assert!(m.get_pair_mut(NodeId(2), NodeId(9)).is_none());
     }
 
     #[test]

@@ -114,6 +114,9 @@ impl Core {
         let peak = self.config.peak_rate;
         let end = self.config.trace.duration();
         loop {
+            // Not an `ExpDraws` batch: the thinning coin below draws from
+            // this same stream between gaps, and a batch would take 64 gaps'
+            // uniforms first, reordering every pinned stream.
             let dt = self.arrivals_rng.next_exp(peak);
             self.now = self
                 .now
@@ -294,21 +297,15 @@ impl RequestGenerator {
         self.generated += 1;
         true
     }
-
-    /// Drains the generator into a vector (convenience for offline
-    /// analyses; experiments stream instead).
-    pub fn collect_all(mut self) -> Vec<WebRequest> {
-        let mut out = Vec::new();
-        while let Some(r) = self.next_request() {
-            out.push(r);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn collect_all(mut g: RequestGenerator) -> Vec<WebRequest> {
+        std::iter::from_fn(|| g.next_request()).collect()
+    }
     use crate::traces::{DemandTrace, TraceKind};
 
     fn config(peak: f64, trace: DemandTrace) -> WorkloadConfig {
@@ -347,12 +344,8 @@ mod tests {
             500.0,
             DemandTrace::new(vec![0.5; 11], SimTime::from_secs(30)),
         );
-        let n_full = RequestGenerator::new(full, DetRng::seed(3))
-            .collect_all()
-            .len() as f64;
-        let n_half = RequestGenerator::new(half, DetRng::seed(3))
-            .collect_all()
-            .len() as f64;
+        let n_full = collect_all(RequestGenerator::new(full, DetRng::seed(3))).len() as f64;
+        let n_half = collect_all(RequestGenerator::new(half, DetRng::seed(3))).len() as f64;
         let ratio = n_half / n_full;
         assert!((ratio - 0.5).abs() < 0.05, "ratio {ratio}");
     }
@@ -363,7 +356,7 @@ mod tests {
             1000.0,
             DemandTrace::new(vec![1.0; 11], SimTime::from_secs(10)),
         );
-        let reqs = RequestGenerator::new(cfg, DetRng::seed(4)).collect_all();
+        let reqs = collect_all(RequestGenerator::new(cfg, DetRng::seed(4)));
         // 100 seconds at 1000 req/s ≈ 100k arrivals.
         let rate = reqs.len() as f64 / 100.0;
         assert!((rate - 1000.0).abs() < 50.0, "rate {rate}");
@@ -371,16 +364,14 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = RequestGenerator::new(
+        let a = collect_all(RequestGenerator::new(
             config(100.0, TraceKind::Nlanr.demand_trace()),
             DetRng::seed(9),
-        )
-        .collect_all();
-        let b = RequestGenerator::new(
+        ));
+        let b = collect_all(RequestGenerator::new(
             config(100.0, TraceKind::Nlanr.demand_trace()),
             DetRng::seed(9),
-        )
-        .collect_all();
+        ));
         assert_eq!(a.len(), b.len());
         assert_eq!(a.first(), b.first());
         assert_eq!(a.last(), b.last());
@@ -392,7 +383,7 @@ mod tests {
             500.0,
             DemandTrace::new(vec![1.0; 3], SimTime::from_secs(30)),
         );
-        let reqs = RequestGenerator::new(cfg, DetRng::seed(5)).collect_all();
+        let reqs = collect_all(RequestGenerator::new(cfg, DetRng::seed(5)));
         let mut counts: std::collections::HashMap<KeyId, u64> = Default::default();
         for r in &reqs {
             for k in &r.keys {
