@@ -667,7 +667,7 @@ mod tests {
             .filter(|&k| c.tier.node_for_key(KeyId(k)) == Some(NodeId(0)))
             .collect();
         assert!(!owned.is_empty());
-        c.tier.immediate_scale_in(&[NodeId(0)]).unwrap();
+        c.tier.commit_remove(&[NodeId(0)]).unwrap();
         let out = c.handle(&req(1, &owned[..3.min(owned.len())]));
         assert_eq!(out.hits, 0, "keys formerly on node0 must now miss");
     }

@@ -60,15 +60,6 @@ impl CacheTier {
         &self.membership
     }
 
-    /// Ids of all *online* nodes (member or not).
-    pub fn online_nodes(&self) -> Vec<NodeId> {
-        self.nodes
-            .values()
-            .filter(|n| n.is_online())
-            .map(|n| n.id())
-            .collect()
-    }
-
     /// Immutable node access.
     ///
     /// # Errors
@@ -148,16 +139,6 @@ impl CacheTier {
             }
         }
         Ok(())
-    }
-
-    /// Baseline-style *immediate* scale-in: drop from membership and power
-    /// off with no migration (the paper's `baseline` comparator).
-    ///
-    /// # Errors
-    ///
-    /// Propagates membership errors.
-    pub fn immediate_scale_in(&mut self, ids: &[NodeId]) -> Result<(), ElmemError> {
-        self.commit_remove(ids)
     }
 
     /// Removes nodes from the membership but keeps them powered on —
@@ -265,7 +246,7 @@ mod tests {
     fn boots_initial_membership() {
         let t = tier();
         assert_eq!(t.membership().len(), 4);
-        assert_eq!(t.online_nodes().len(), 4);
+        assert_eq!(t.iter_nodes().filter(|n| n.is_online()).count(), 4);
     }
 
     #[test]
@@ -274,7 +255,7 @@ mod tests {
         let ids = t.provision_nodes(2);
         assert_eq!(ids, vec![NodeId(4), NodeId(5)]);
         assert_eq!(t.membership().len(), 4); // unchanged until commit
-        assert_eq!(t.online_nodes().len(), 6);
+        assert_eq!(t.iter_nodes().filter(|n| n.is_online()).count(), 6);
         t.commit_add(&ids).unwrap();
         assert_eq!(t.membership().len(), 6);
     }

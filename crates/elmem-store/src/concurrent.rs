@@ -41,8 +41,8 @@ use std::sync::Mutex;
 use elmem_util::{ElmemError, KeyId, SimTime};
 
 use crate::classes::{ClassId, SizeClasses};
-use crate::item::{item_footprint, ItemMeta};
-use crate::shard::{shard_of, Shard};
+use crate::item::ItemMeta;
+use crate::shard::{shard_of, storable, Access, Resident, Shard};
 use crate::store::{ClassMeta, MedianCache, SlabStore, StoreConfig, StoreStats};
 
 /// Bound on secure-capacity retries in the slow path: under contention a
@@ -236,44 +236,39 @@ impl ConcurrentSlabStore {
     /// expired items are lazily reclaimed as misses, exactly like
     /// [`SlabStore::get`].
     pub fn get(&self, key: KeyId, now: SimTime) -> Option<ItemMeta> {
-        let si = shard_of(key, self.n_shards);
-        let mut sh = self.lock_shard(si);
-        match sh.index.get(&key).copied() {
-            Some((class, idx)) => {
-                if sh.item(class, idx).is_expired(now) {
-                    self.remove_locked(&mut sh, key);
-                    self.stats.expired.fetch_add(1, SeqCst);
-                    self.stats.misses.fetch_add(1, SeqCst);
-                    return None;
-                }
+        self.access(key, now, None)
+    }
+
+    /// [`get`](Self::get), and with `ttl` a [`touch`](Self::touch).
+    fn access(&self, key: KeyId, now: SimTime, ttl: Option<SimTime>) -> Option<ItemMeta> {
+        let mut sh = self.lock_shard(shard_of(key, self.n_shards));
+        match sh.access(key, now, ttl, || self.next_seq()) {
+            Access::Hit(class, item) => {
                 self.stats.hits.fetch_add(1, SeqCst);
-                let seq = self.next_seq();
-                self.class_state[class as usize]
-                    .version
-                    .fetch_add(1, SeqCst);
-                let item = sh.relink_front(class, idx, seq);
-                item.last_access = now;
-                Some(*item)
+                self.class(class).version.fetch_add(1, SeqCst);
+                return Some(item);
             }
-            None => {
-                self.stats.misses.fetch_add(1, SeqCst);
-                None
+            Access::Expired(class) => {
+                self.uncount(class);
+                self.stats.expired.fetch_add(1, SeqCst);
             }
+            Access::Miss => {}
         }
+        self.stats.misses.fetch_add(1, SeqCst);
+        None
     }
 
     /// Looks up a key without disturbing MRU order or counters.
     pub fn peek(&self, key: KeyId) -> Option<ItemMeta> {
-        let si = shard_of(key, self.n_shards);
-        let sh = self.lock_shard(si);
-        let (class, idx) = sh.index.get(&key).copied()?;
-        Some(*sh.item(class, idx))
+        let sh = self.lock_shard(shard_of(key, self.n_shards));
+        let (class, idx) = sh.locate(key)?;
+        Some(sh.item(class, idx))
     }
 
     /// Whether a key is resident.
     pub fn contains(&self, key: KeyId) -> bool {
         let si = shard_of(key, self.n_shards);
-        self.lock_shard(si).index.contains_key(&key)
+        self.lock_shard(si).locate(key).is_some()
     }
 
     /// Inserts or updates a key, moving it to the MRU head.
@@ -303,53 +298,29 @@ impl ConcurrentSlabStore {
     /// Refreshes a key's TTL and MRU position (Memcached `touch`),
     /// mirroring [`SlabStore::touch`]'s counters exactly.
     pub fn touch(&self, key: KeyId, now: SimTime, ttl: SimTime) -> Option<ItemMeta> {
-        let si = shard_of(key, self.n_shards);
-        let mut sh = self.lock_shard(si);
-        match sh.index.get(&key).copied() {
-            Some((class, idx)) => {
-                if sh.item(class, idx).is_expired(now) {
-                    self.remove_locked(&mut sh, key);
-                    self.stats.expired.fetch_add(1, SeqCst);
-                    self.stats.misses.fetch_add(1, SeqCst);
-                    return None;
-                }
-                self.stats.hits.fetch_add(1, SeqCst);
-                let seq = self.next_seq();
-                self.class_state[class as usize]
-                    .version
-                    .fetch_add(1, SeqCst);
-                let item = sh.relink_front(class, idx, seq);
-                item.last_access = now;
-                item.expires = now.checked_add(ttl).unwrap_or(SimTime::MAX);
-                Some(*item)
-            }
-            None => {
-                self.stats.misses.fetch_add(1, SeqCst);
-                None
-            }
-        }
+        self.access(key, now, Some(ttl))
     }
 
     /// Removes a key; returns whether it was present.
     pub fn delete(&self, key: KeyId) -> bool {
-        let si = shard_of(key, self.n_shards);
-        let mut sh = self.lock_shard(si);
-        let removed = self.remove_locked(&mut sh, key).is_some();
-        if removed {
-            self.stats.deletes.fetch_add(1, SeqCst);
-        }
-        removed
+        let mut sh = self.lock_shard(shard_of(key, self.n_shards));
+        let Some((class, idx)) = sh.locate(key) else {
+            return false;
+        };
+        sh.vacate(class, idx, true);
+        self.uncount(class);
+        self.stats.deletes.fetch_add(1, SeqCst);
+        true
     }
 
-    /// Removes `key` from the already-locked shard, maintaining the class
-    /// counters.
-    fn remove_locked(&self, sh: &mut Shard, key: KeyId) -> Option<ItemMeta> {
-        let (class, item) = sh.remove(key)?;
-        self.class_state[class as usize].len.fetch_sub(1, SeqCst);
-        self.class_state[class as usize]
-            .version
-            .fetch_add(1, SeqCst);
-        Some(item)
+    fn class(&self, class: u16) -> &ClassAtomics {
+        &self.class_state[class as usize]
+    }
+
+    /// Counts one item out of `class`.
+    fn uncount(&self, class: u16) {
+        self.class(class).len.fetch_sub(1, SeqCst);
+        self.class(class).version.fetch_add(1, SeqCst);
     }
 
     /// Optimistically claims one chunk of `class`'s capacity: increments
@@ -364,7 +335,8 @@ impl ConcurrentSlabStore {
     }
 
     fn set_item(&self, new_item: ItemMeta) -> Result<(), ElmemError> {
-        let footprint = item_footprint(new_item.value_size);
+        let id = storable(new_item.key)?;
+        let footprint = new_item.footprint();
         let class = self
             .classes
             .class_for(footprint)
@@ -376,11 +348,11 @@ impl ConcurrentSlabStore {
         // Fast path: one shard lock, no global coordination.
         {
             let mut sh = self.lock_shard(si);
-            if self.try_update_in_place(&mut sh, class, new_item, footprint) {
+            if self.try_update(&mut sh, class, id, &new_item) {
                 return Ok(());
             }
             if self.try_claim_chunk(class.0 as usize) {
-                self.insert_claimed(&mut sh, class, new_item);
+                self.insert_claimed(&mut sh, class, id, &new_item);
                 return Ok(());
             }
         }
@@ -390,11 +362,11 @@ impl ConcurrentSlabStore {
         // Guards no data; poisoned only by a panic that poisoned a shard too.
         let _alloc = self.alloc.lock().expect("alloc lock");
         let mut sh = self.lock_shard(si);
-        if self.try_update_in_place(&mut sh, class, new_item, footprint) {
+        if self.try_update(&mut sh, class, id, &new_item) {
             return Ok(());
         }
         self.secure_chunk_locked(class, si, &mut sh)?;
-        self.insert_claimed(&mut sh, class, new_item);
+        self.insert_claimed(&mut sh, class, id, &new_item);
         Ok(())
     }
 
@@ -402,39 +374,24 @@ impl ConcurrentSlabStore {
     /// completed (same-class in-place update); on a size-class change the
     /// old entry is removed (exactly the serial facade's order) and `false`
     /// is returned so the caller inserts fresh.
-    fn try_update_in_place(
-        &self,
-        sh: &mut Shard,
-        class: ClassId,
-        new_item: ItemMeta,
-        footprint: u64,
-    ) -> bool {
-        let Some((old_class, idx)) = sh.index.get(&new_item.key).copied() else {
-            return false;
-        };
-        if old_class != class.0 {
-            self.remove_locked(sh, new_item.key);
-            return false;
+    fn try_update(&self, sh: &mut Shard, class: ClassId, id: u32, item: &ItemMeta) -> bool {
+        let resident = sh.update(class.0, id, item, || self.next_seq());
+        match resident {
+            Resident::Updated => {
+                self.class(class.0).version.fetch_add(1, SeqCst);
+                self.stats.sets.fetch_add(1, SeqCst);
+            }
+            Resident::Removed(old) => self.uncount(old),
+            Resident::Absent => {}
         }
-        let seq = self.next_seq();
-        self.class_state[class.0 as usize]
-            .version
-            .fetch_add(1, SeqCst);
-        let old_footprint = sh.item(old_class, idx).footprint();
-        *sh.relink_front(old_class, idx, seq) = new_item;
-        let list = &mut sh.lists[old_class as usize];
-        list.bytes_used = list.bytes_used - old_footprint + footprint;
-        self.stats.sets.fetch_add(1, SeqCst);
-        true
+        matches!(resident, Resident::Updated)
     }
 
     /// Inserts a new item whose chunk has already been claimed.
-    fn insert_claimed(&self, sh: &mut Shard, class: ClassId, item: ItemMeta) {
+    fn insert_claimed(&self, sh: &mut Shard, class: ClassId, id: u32, item: &ItemMeta) {
         let seq = self.next_seq();
-        self.class_state[class.0 as usize]
-            .version
-            .fetch_add(1, SeqCst);
-        sh.insert_front(class.0, item, seq);
+        self.class(class.0).version.fetch_add(1, SeqCst);
+        sh.insert::<true>(class.0, id, item, seq, true);
         self.stats.sets.fetch_add(1, SeqCst);
     }
 
@@ -468,11 +425,11 @@ impl ConcurrentSlabStore {
             let mut coldest: Option<(usize, u64)> = None;
             for sj in 0..self.shards.len() {
                 let tail = if sj == si {
-                    own.tail_entry(class.0)
+                    own.tail_stamp(class.0)
                 } else {
-                    self.lock_shard(sj).tail_entry(class.0)
+                    self.lock_shard(sj).tail_stamp(class.0)
                 };
-                if let Some((_, seq)) = tail {
+                if let Some(seq) = tail {
                     if coldest.is_none_or(|(_, s)| seq < s) {
                         coldest = Some((sj, seq));
                     }
@@ -483,26 +440,18 @@ impl ConcurrentSlabStore {
                 return Err(ElmemError::OutOfMemory);
             };
             let evicted = if sj == si {
-                Self::evict_tail(own, class)
+                own.evict_tail(class.0, true)
             } else {
-                Self::evict_tail(&mut self.lock_shard(sj), class)
+                self.lock_shard(sj).evict_tail(class.0, true)
             };
             if evicted.is_some() {
-                self.class_state[ci].len.fetch_sub(1, SeqCst);
-                self.class_state[ci].version.fetch_add(1, SeqCst);
+                self.uncount(class.0);
                 self.class_state[ci].pressure.fetch_add(1, SeqCst);
                 self.stats.evictions.fetch_add(1, SeqCst);
             }
         }
         self.class_state[ci].pressure.fetch_add(1, SeqCst);
         Err(ElmemError::OutOfMemory)
-    }
-
-    /// Evicts the current tail of `class` in one shard (the victim decided
-    /// by the caller's tail scan).
-    fn evict_tail(sh: &mut Shard, class: ClassId) -> Option<ItemMeta> {
-        let (key, _) = sh.tail_entry(class.0)?;
-        sh.remove(key).map(|(_, item)| item)
     }
 }
 

@@ -1,17 +1,21 @@
 //! One shard of a [`SlabStore`](crate::SlabStore): the slot arena, free
-//! lists, per-class MRU lists, and key index for the subset of keys that
+//! lists, per-class MRU lists, key index and expiry table for the keys that
 //! route here — by default all of them: a store has one shard unless its
 //! config names more, and then a class's MRU list *is* its one shard list.
+//! Only this module knows a slot's layout: both facades read and write
+//! items through [`Shard`]'s methods, as [`ItemMeta`]s.
 //!
 //! # Two lanes per arena
 //!
-//! A slot id indexes two parallel vectors: a 16-byte [`Link`] (stamp,
-//! prev, next) and the 32-byte [`ItemMeta`] the slot holds. Whatever only
-//! reorders a list — `unlink`, `push_front`, `push_back`, `detach_list`,
+//! A slot id indexes two parallel 16-byte vectors: a [`Link`] (stamp,
+//! prev, next) and a [`Slot`] (32-bit key id, value size, last access).
+//! Whatever only reorders a list — `unlink`, `push`, `detach_list`,
 //! `relink_back`, an ordered walk's hops — stays on the link lane; the
 //! item lane is read when an item is asked for and written when one is
-//! set. A slot is free exactly when its stamp is 0 (`remove` zeroes it,
-//! linking writes a live one), so no `Option` wraps the item, and
+//! set. Finite expiries live in the shard's `expires` table, empty unless
+//! TTLs are in use, so a hit's expiry test is one `is_empty` branch. A key
+//! id wider than 32 bits is refused ([`storable`]), never resident. A slot
+//! is free exactly when its stamp is 0, so no `Option` wraps the item, and
 //! [`SlabStore::audit`](crate::SlabStore::audit) checks "on the free list
 //! ⇔ stamp 0". See DESIGN.md §14.
 //!
@@ -39,9 +43,9 @@
 //! lane and merges nothing. See DESIGN.md §14.
 
 use elmem_util::hashutil::{mix64, FastIntMap};
-use elmem_util::KeyId;
+use elmem_util::{ElmemError, KeyId, SimTime};
 
-use crate::item::ItemMeta;
+use crate::item::{item_footprint, ItemMeta};
 
 /// Sentinel for "no slot" in the intrusive MRU lists.
 pub(crate) const NIL: u32 = u32::MAX;
@@ -55,10 +59,17 @@ pub(crate) fn shard_of(key: KeyId, n_shards: u32) -> usize {
     ((u64::from(h) * u64::from(n_shards)) >> 32) as usize
 }
 
+/// The 32-bit id a slot holds for a key about to be stored: a wider key id
+/// is refused, never truncated.
+pub(crate) fn storable(key: KeyId) -> Result<u32, ElmemError> {
+    let wide = |_| ElmemError::InvalidConfig(format!("{key} is wider than 32 bits"));
+    u32::try_from(key.0).map_err(wide)
+}
+
 /// The hot half of one chunk: its LRU-clock stamp and its intrusive MRU
 /// links within the owning (shard, class) list. 16 bytes, four to a cache
 /// line, so a walk or a relink that needs no item never fetches one.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Link {
     /// LRU-clock stamp assigned when the slot was last linked; 0 exactly
     /// when the slot is free (the clock hands stamps out from 1).
@@ -67,20 +78,66 @@ pub(crate) struct Link {
     pub next: u32,
 }
 
-// Four links or two items to a cache line, neither ever straddling one.
-const _: () = assert!(size_of::<Link>() == 16 && size_of::<ItemMeta>() == 32);
+/// What a chunk holds, but its expiry: 16 bytes, four to a cache line.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    pub key: u32,
+    pub value_size: u32,
+    pub last_access: SimTime,
+}
+
+/// Resident key id → expiry, for the finite expiries only.
+pub(crate) type Expiries = FastIntMap<u32, SimTime>;
+
+// Four links or four slots to a cache line, and a 12-byte index entry.
+const _: () = assert!(
+    size_of::<Link>() == 16 && size_of::<Slot>() == 16 && size_of::<(u32, (u16, u32))>() == 12
+);
+
+impl Slot {
+    fn new(id: u32, item: &ItemMeta) -> Slot {
+        Slot {
+            key: id,
+            value_size: item.value_size,
+            last_access: item.last_access,
+        }
+    }
+
+    /// The exchange type of this slot's item, its expiry from `expires`.
+    #[inline]
+    pub fn meta(self, expires: &Expiries) -> ItemMeta {
+        ItemMeta {
+            key: KeyId(u64::from(self.key)),
+            value_size: self.value_size,
+            last_access: self.last_access,
+            expires: if expires.is_empty() {
+                SimTime::MAX
+            } else {
+                expiry(expires, self.key)
+            },
+        }
+    }
+}
+
+/// `id`'s expiry in a non-empty table — out of line: inlined, the probe
+/// loop slowed every walk, though none took it (E38).
+#[cold]
+#[inline(never)]
+fn expiry(table: &Expiries, id: u32) -> SimTime {
+    table.get(&id).copied().unwrap_or(SimTime::MAX)
+}
 
 /// One class's slots within one shard, as two lanes indexed by the same
-/// slot id: `links` for list surgery and ordered walks, `items` for what a
+/// slot id: `links` for list surgery and ordered walks, `slots` for what a
 /// slot holds (stale while the slot is free). Slots are *virtual chunks*:
 /// the lanes grow lazily as the facade grants capacity, so the sum of slot
 /// counts across shards never exceeds the class's page capacity — but
 /// which physical page a given shard's chunk lives on is not modeled
 /// (a documented non-goal, DESIGN.md §14).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct ShardList {
     pub links: Vec<Link>,
-    pub items: Vec<ItemMeta>,
+    pub slots: Vec<Slot>,
     pub free: Vec<u32>,
     pub head: u32,
     pub tail: u32,
@@ -102,7 +159,7 @@ impl Clone for ShardList {
         }
         ShardList {
             links: with_capacity_of(&self.links),
-            items: with_capacity_of(&self.items),
+            slots: with_capacity_of(&self.slots),
             free: with_capacity_of(&self.free),
             ..*self
         }
@@ -111,14 +168,11 @@ impl Clone for ShardList {
 
 impl ShardList {
     fn new() -> Self {
+        let (head, tail) = (NIL, NIL);
         ShardList {
-            links: Vec::new(),
-            items: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            len: 0,
-            bytes_used: 0,
+            head,
+            tail,
+            ..Self::default()
         }
     }
 
@@ -126,93 +180,129 @@ impl ShardList {
     /// the caller to overwrite or zero.
     fn unlink(&mut self, idx: u32) {
         let Link { prev, next, .. } = self.links[idx as usize];
-        if prev != NIL {
-            self.links[prev as usize].next = next;
+        match prev {
+            NIL => self.head = next,
+            _ => self.links[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            _ => self.links[next as usize].prev = prev,
+        }
+    }
+
+    /// Links a slot at the MRU head (`FRONT`) or tail with stamp `seq`.
+    #[inline]
+    fn push<const FRONT: bool>(&mut self, idx: u32, seq: u64) {
+        let (prev, next) = if FRONT {
+            (NIL, self.head)
         } else {
-            self.head = next;
+            (self.tail, NIL)
+        };
+        self.links[idx as usize] = Link { seq, prev, next };
+        match next {
+            NIL => self.tail = idx,
+            _ => self.links[next as usize].prev = idx,
         }
-        if next != NIL {
-            self.links[next as usize].prev = prev;
+        match prev {
+            NIL => self.head = idx,
+            _ => self.links[prev as usize].next = idx,
+        }
+    }
+
+    /// Checks this list's lanes, free list, MRU links and counters.
+    fn audit(&self, lru_clock: u64) -> Result<(), String> {
+        let (links, slots) = (self.links.len(), self.slots.len());
+        if links != slots {
+            return Err(format!("{links} links but {slots} slots"));
+        }
+        // On the free list ⇒ stamp 0; the two counts below make it ⇔.
+        let mut freed = vec![false; links];
+        for &idx in &self.free {
+            let problem = match self.links.get(idx as usize) {
+                None => "out of range".into(),
+                Some(l) if l.seq != 0 => format!("is occupied (stamp {})", l.seq),
+                // Marks the slot freed, and tells whether it already was.
+                _ if std::mem::replace(&mut freed[idx as usize], true) => "listed twice".into(),
+                _ => continue,
+            };
+            return Err(format!("free slot {idx} {problem}"));
+        }
+        // Forward MRU walk: every linked slot occupied (stamp ≠ 0), prev
+        // pointers mirror next pointers, stamps strictly descending, and
+        // the walk covers exactly `len` items.
+        let (mut walked, mut prev, mut prev_seq, mut at) = (0u64, NIL, u64::MAX, self.head);
+        while at != NIL {
+            let Some(&link) = self.links.get(at as usize) else {
+                return Err(format!("MRU cursor {at} out of range"));
+            };
+            let (seq, back, next) = (link.seq, link.prev, link.next);
+            walked += 1;
+            let problem = if seq == 0 {
+                format!("MRU-linked slot {at} is free (stamp 0)")
+            } else if back != prev {
+                format!("slot {at} prev {back} != expected {prev}")
+            } else if seq >= prev_seq {
+                format!("slot {at} stamp {seq} not below predecessor's {prev_seq}")
+            } else if seq > lru_clock {
+                format!("slot {at} stamp {seq} ahead of the LRU clock {lru_clock}")
+            } else if walked > self.len {
+                "MRU list longer than len (cycle?)".into()
+            } else {
+                (prev, prev_seq, at) = (at, seq, next);
+                continue;
+            };
+            return Err(problem);
+        }
+        // A slot is occupied exactly when its stamp is live.
+        let occupied = || self.links.iter().zip(&self.slots).filter(|s| s.0.seq != 0);
+        let (len, n_occupied, free) = (self.len, occupied().count() as u64, self.free.len());
+        let bytes: u64 = occupied().map(|(_, s)| item_footprint(s.value_size)).sum();
+        Err(if walked != len {
+            format!("MRU walk covered {walked} of {len} items")
+        } else if self.tail != prev {
+            format!("tail {} but MRU walk ended at {prev}", self.tail)
+        } else if n_occupied != len {
+            format!("len counter {len} but {n_occupied} occupied slots")
+        } else if free + n_occupied as usize != links {
+            format!("{free} free + {n_occupied} occupied != {links} slots")
+        } else if bytes != self.bytes_used {
+            format!(
+                "bytes_used {} but item footprints sum to {bytes}",
+                self.bytes_used
+            )
         } else {
-            self.tail = prev;
-        }
-    }
-
-    pub fn push_front(&mut self, idx: u32, seq: u64) {
-        let next = self.head;
-        self.links[idx as usize] = Link {
-            seq,
-            prev: NIL,
-            next,
-        };
-        if next != NIL {
-            self.links[next as usize].prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
-    }
-
-    fn push_back(&mut self, idx: u32, seq: u64) {
-        let prev = self.tail;
-        self.links[idx as usize] = Link {
-            seq,
-            prev,
-            next: NIL,
-        };
-        if prev != NIL {
-            self.links[prev as usize].next = idx;
-        }
-        self.tail = idx;
-        if self.head == NIL {
-            self.head = idx;
-        }
-    }
-
-    /// Stores a new item in a slot — a previously freed one if one exists,
-    /// else a fresh virtual chunk — and counts it; the caller links it. The
-    /// *capacity* decision (is the class allowed another chunk?) is the
-    /// caller's too, and so is the key index.
-    pub fn occupy(&mut self, item: ItemMeta) -> u32 {
-        self.len += 1;
-        self.bytes_used += item.footprint();
-        if let Some(idx) = self.free.pop() {
-            self.items[idx as usize] = item;
-            return idx;
-        }
-        let idx = self.links.len() as u32;
-        self.links.push(Link {
-            seq: 0,
-            prev: NIL,
-            next: NIL,
-        });
-        self.items.push(item);
-        idx
-    }
-
-    /// Unlinks an occupied slot, frees it and uncounts its item, which it
-    /// returns; the key index is the caller's.
-    pub fn vacate(&mut self, idx: u32) -> ItemMeta {
-        self.unlink(idx);
-        self.links[idx as usize].seq = 0;
-        let item = self.items[idx as usize];
-        self.free.push(idx);
-        self.len -= 1;
-        self.bytes_used -= item.footprint();
-        item
+            return Ok(());
+        })
     }
 }
 
-/// One independent shard: per-class lists plus the key index for the keys
-/// that route here.
+/// What [`Shard::access`] found: nothing, an expired item now gone from
+/// its class, or a live one as it reads after the access.
+pub(crate) enum Access {
+    Miss,
+    Expired(u16),
+    Hit(u16, ItemMeta),
+}
+
+/// What [`Shard::update`] did: no such key, rewrote it in place, or
+/// removed it from its old class.
+pub(crate) enum Resident {
+    Absent,
+    Updated,
+    Removed(u16),
+}
+
+/// One independent shard: per-class lists plus the key index and the
+/// expiry table for the keys that route here.
 #[derive(Debug, Clone)]
 pub(crate) struct Shard {
     pub lists: Vec<ShardList>,
-    /// key → (class, slot) for this shard's resident keys. The
+    /// key id → (class, slot) for this shard's resident keys. The
     /// deterministic integer hasher keeps placement identical across runs
-    /// and platforms.
-    pub index: FastIntMap<KeyId, (u16, u32)>,
+    /// and platforms, and hashes a `u32` id as it hashes the same `u64`.
+    pub index: FastIntMap<u32, (u16, u32)>,
+    /// The finite expiries of this shard's resident keys.
+    pub expires: Expiries,
 }
 
 impl Shard {
@@ -220,27 +310,133 @@ impl Shard {
         Shard {
             lists: (0..n_classes).map(|_| ShardList::new()).collect(),
             index: FastIntMap::default(),
+            expires: Expiries::default(),
         }
     }
 
-    /// Inserts `item` into class `class` at the MRU head with stamp `seq`.
-    /// The caller has already secured capacity for one chunk.
-    pub fn insert_front(&mut self, class: u16, item: ItemMeta, seq: u64) {
-        let list = &mut self.lists[class as usize];
-        let idx = list.occupy(item);
-        list.push_front(idx, seq);
-        self.index.insert(item.key, (class, idx));
+    /// Where a resident key lives, as (class, slot).
+    #[inline]
+    pub fn locate(&self, key: KeyId) -> Option<(u16, u32)> {
+        self.index.get(&u32::try_from(key.0).ok()?).copied()
     }
 
-    /// Inserts `item` at the MRU *tail* with stamp `seq` — how
-    /// `batch_import` lands an incoming item while it appends a merged
-    /// list hottest first. The caller guarantees `seq` is below the
-    /// current tail stamp.
-    pub fn insert_back(&mut self, class: u16, item: ItemMeta, seq: u64) {
+    /// The item in an occupied slot.
+    #[inline]
+    pub fn item(&self, class: u16, idx: u32) -> ItemMeta {
+        self.lists[class as usize].slots[idx as usize].meta(&self.expires)
+    }
+
+    fn set_expiry(&mut self, id: u32, expires: SimTime) {
+        if expires != SimTime::MAX {
+            self.expires.insert(id, expires);
+        } else if !self.expires.is_empty() {
+            self.expires.remove(&id);
+        }
+    }
+
+    /// A `get` of `key` at `now` — with `ttl`, a `touch`: a live item
+    /// moves to the MRU head with the stamp `stamp` draws, is accessed at
+    /// `now` and, with `ttl`, expires that long after it; an expired one
+    /// is removed (Memcached's lazy expiry).
+    #[inline]
+    pub fn access(
+        &mut self,
+        key: KeyId,
+        now: SimTime,
+        ttl: Option<SimTime>,
+        stamp: impl FnOnce() -> u64,
+    ) -> Access {
+        let Some((class, idx)) = self.locate(key) else {
+            return Access::Miss;
+        };
+        if self.item(class, idx).is_expired(now) {
+            self.vacate(class, idx, true);
+            return Access::Expired(class);
+        }
         let list = &mut self.lists[class as usize];
-        let idx = list.occupy(item);
-        list.push_back(idx, seq);
-        self.index.insert(item.key, (class, idx));
+        list.unlink(idx);
+        list.push::<true>(idx, stamp());
+        let slot = &mut list.slots[idx as usize];
+        slot.last_access = now;
+        if let Some(ttl) = ttl {
+            let id = slot.key;
+            self.set_expiry(id, now.checked_add(ttl).unwrap_or(SimTime::MAX));
+        }
+        Access::Hit(class, self.item(class, idx))
+    }
+
+    /// `set`'s handling of a key already resident: in `class` its slot is
+    /// rewritten in place and moved to the MRU head with the stamp `stamp`
+    /// draws; in another class it is removed, for the caller to insert.
+    pub fn update(
+        &mut self,
+        class: u16,
+        id: u32,
+        item: &ItemMeta,
+        stamp: impl FnOnce() -> u64,
+    ) -> Resident {
+        let Some(&(old, idx)) = self.index.get(&id) else {
+            return Resident::Absent;
+        };
+        if old != class {
+            self.vacate(old, idx, true);
+            return Resident::Removed(old);
+        }
+        let list = &mut self.lists[class as usize];
+        let slot = &mut list.slots[idx as usize];
+        list.bytes_used = list.bytes_used - item_footprint(slot.value_size) + item.footprint();
+        *slot = Slot::new(id, item);
+        list.unlink(idx);
+        list.push::<true>(idx, stamp());
+        self.set_expiry(id, item.expires);
+        Resident::Updated
+    }
+
+    /// Stores `item`, whose key has slot id `id`, in a free slot of `class`
+    /// or else a fresh virtual chunk, linked at the MRU head (`FRONT`) or
+    /// tail with stamp `seq` and indexed unless `indexed` is false (inside
+    /// a [`Fill`](crate::Fill)). Whether the class may take a chunk is the
+    /// caller's decision, and at the tail `seq` is below the tail's stamp —
+    /// how `batch_import` appends a merged list hottest first.
+    pub fn insert<const FRONT: bool>(
+        &mut self,
+        class: u16,
+        id: u32,
+        item: &ItemMeta,
+        seq: u64,
+        indexed: bool,
+    ) {
+        if item.expires != SimTime::MAX {
+            self.expires.insert(id, item.expires);
+        }
+        let list = &mut self.lists[class as usize];
+        list.len += 1;
+        list.bytes_used += item.footprint();
+        let slot = Slot::new(id, item);
+        let idx = list.free.pop().unwrap_or_else(|| {
+            list.links.push(Link::default());
+            list.slots.push(slot);
+            (list.links.len() - 1) as u32
+        });
+        list.slots[idx as usize] = slot;
+        list.push::<FRONT>(idx, seq);
+        if indexed {
+            self.index.insert(id, (class, idx));
+        }
+    }
+
+    /// Indexes every occupied slot, into an index sized once for them — how
+    /// a [`Fill`](crate::Fill) finishes.
+    pub fn index_occupied(&mut self) {
+        let survivors = self.lists.iter().map(|l| l.len as usize).sum();
+        self.index.reserve(survivors);
+        for (class, list) in self.lists.iter().enumerate() {
+            let slots = list.links.iter().zip(&list.slots).enumerate();
+            for (idx, (_, slot)) in slots.filter(|(_, (link, _))| link.seq != 0) {
+                self.index.insert(slot.key, (class as u16, idx as u32));
+            }
+        }
+        debug_assert_eq!(self.index.len(), survivors, "a key set twice in one fill");
     }
 
     /// Empties a class's MRU list without touching its slots: every
@@ -258,34 +454,81 @@ impl Shard {
     /// at the MRU tail with stamp `seq` — link lane only. The caller
     /// guarantees `seq` is below the current tail stamp.
     pub fn relink_back(&mut self, class: u16, idx: u32, seq: u64) {
-        self.lists[class as usize].push_back(idx, seq);
+        self.lists[class as usize].push::<false>(idx, seq);
     }
 
-    /// Removes a key from this shard; returns its class and metadata.
-    pub fn remove(&mut self, key: KeyId) -> Option<(u16, ItemMeta)> {
-        let (class, idx) = self.index.remove(&key)?;
-        Some((class, self.lists[class as usize].vacate(idx)))
-    }
-
-    /// Moves an already-resident slot to the MRU head with a fresh stamp,
-    /// returning a mutable handle to its item.
-    pub fn relink_front(&mut self, class: u16, idx: u32, seq: u64) -> &mut ItemMeta {
+    /// Unlinks and frees an occupied slot, uncounts its item and forgets
+    /// its expiry and, if `indexed`, its index entry; returns the item.
+    pub fn vacate(&mut self, class: u16, idx: u32, indexed: bool) -> ItemMeta {
+        let item = self.item(class, idx);
         let list = &mut self.lists[class as usize];
         list.unlink(idx);
-        list.push_front(idx, seq);
-        &mut list.items[idx as usize]
+        list.links[idx as usize].seq = 0;
+        list.free.push(idx);
+        list.len -= 1;
+        list.bytes_used -= item.footprint();
+        let id = list.slots[idx as usize].key;
+        if indexed {
+            self.index.remove(&id);
+        }
+        self.set_expiry(id, SimTime::MAX);
+        item
     }
 
-    /// The item in an occupied slot, by reference.
-    pub fn item(&self, class: u16, idx: u32) -> &ItemMeta {
-        &self.lists[class as usize].items[idx as usize]
+    /// Checks every list of this shard, the `si`th of `n_shards`, then its
+    /// index (slot agreement, key → shard routing) and its expiry table
+    /// (indexed keys' finite expiries only). Tables iterate in hash order,
+    /// so the smallest offending key is the one reported.
+    pub fn audit(&self, si: usize, n_shards: u32, lru_clock: u64) -> Result<(), String> {
+        for (ci, list) in self.lists.iter().enumerate() {
+            list.audit(lru_clock)
+                .map_err(|e| format!("class {ci} shard {si}: {e}"))?;
+        }
+        let misindexed = self.index.iter().filter_map(|(&id, &(class, idx))| {
+            let key = KeyId(u64::from(id));
+            let routed = shard_of(key, n_shards);
+            let list = self.lists.get(class as usize);
+            let at =
+                list.and_then(|l| Some((l.links.get(idx as usize)?, l.slots.get(idx as usize)?)));
+            let problem = match at {
+                _ if routed != si => format!("routes to shard {routed}, not {si}"),
+                None => format!("maps to out-of-range slot {class}/{idx}"),
+                Some((link, _)) if link.seq == 0 => format!("maps to free slot {class}/{idx}"),
+                Some((_, slot)) if slot.key != id => format!("maps to slot holding k{}", slot.key),
+                Some(_) => return None,
+            };
+            Some((id, format!("shard {si} index: {key} {problem}")))
+        });
+        let stray = self.expires.iter().filter_map(|(&id, &at)| {
+            let why = match at {
+                SimTime::MAX => "infinite",
+                _ if !self.index.contains_key(&id) => "not indexed",
+                _ => return None,
+            };
+            Some((
+                id,
+                format!("shard {si} expiry table: k{id} expires at {at} but is {why}"),
+            ))
+        });
+        match misindexed
+            .min_by_key(|m| m.0)
+            .or_else(|| stray.min_by_key(|s| s.0))
+        {
+            Some((_, msg)) => Err(msg),
+            None => Ok(()),
+        }
     }
 
-    /// The key of the coldest (tail) item of a class, with its stamp.
-    pub fn tail_entry(&self, class: u16) -> Option<(KeyId, u64)> {
+    /// The stamp of the coldest (tail) item of a class.
+    pub fn tail_stamp(&self, class: u16) -> Option<u64> {
         let list = &self.lists[class as usize];
-        let tail = list.tail as usize;
-        (list.tail != NIL).then(|| (list.items[tail].key, list.links[tail].seq))
+        (list.tail != NIL).then(|| list.links[list.tail as usize].seq)
+    }
+
+    /// Evicts the coldest item of a class, as [`vacate`](Self::vacate).
+    pub fn evict_tail(&mut self, class: u16, indexed: bool) -> Option<ItemMeta> {
+        let tail = self.lists[class as usize].tail;
+        (tail != NIL).then(|| self.vacate(class, tail, indexed))
     }
 }
 
@@ -326,31 +569,47 @@ mod tests {
     fn insert_remove_roundtrip_keeps_accounting() {
         let mut sh = Shard::new(2);
         let a = ItemMeta::new(KeyId(1), 100, SimTime::from_secs(1));
-        let b = ItemMeta::new(KeyId(2), 50, SimTime::from_secs(2));
-        sh.insert_front(0, a, 1);
-        sh.insert_front(0, b, 2);
+        let b = ItemMeta::with_ttl(KeyId(2), 50, SimTime::from_secs(2), SimTime::from_secs(9));
+        sh.insert::<true>(0, 1, &a, 1, true);
+        sh.insert::<true>(0, 2, &b, 2, true);
         assert_eq!(sh.lists[0].len, 2);
         assert_eq!(sh.lists[0].bytes_used, a.footprint() + b.footprint());
-        assert_eq!(sh.tail_entry(0), Some((KeyId(1), 1)));
-        let (class, removed) = sh.remove(KeyId(1)).unwrap();
-        assert_eq!(class, 0);
-        assert_eq!(removed.key, KeyId(1));
+        assert_eq!(sh.tail_stamp(0), Some(1));
+        // Only the finite expiry takes a side-table entry.
+        assert_eq!(sh.expires.len(), 1);
+        let (class, idx) = sh.locate(KeyId(2)).unwrap();
+        assert_eq!(sh.item(class, idx), b);
+        let (class, idx) = sh.locate(KeyId(1)).unwrap();
+        assert_eq!((class, sh.vacate(class, idx, true)), (0, a));
         assert_eq!(sh.lists[0].len, 1);
         assert_eq!(sh.lists[0].bytes_used, b.footprint());
         assert_eq!(sh.lists[0].free.len(), 1);
-        assert!(sh.remove(KeyId(1)).is_none());
+        assert!(sh.locate(KeyId(1)).is_none());
+        assert_eq!(sh.evict_tail(0, true), Some(b));
+        assert!(sh.expires.is_empty() && sh.index.is_empty());
+        assert_eq!(sh.tail_stamp(0), None);
     }
 
     #[test]
-    fn relink_front_restamps() {
+    fn access_restamps_and_touch_sets_the_expiry() {
         let mut sh = Shard::new(1);
-        sh.insert_front(0, ItemMeta::new(KeyId(1), 10, SimTime::from_secs(1)), 1);
-        sh.insert_front(0, ItemMeta::new(KeyId(2), 10, SimTime::from_secs(2)), 2);
-        // Key 1 is the tail; relink it to the head with stamp 3.
-        let (_, idx) = *sh.index.get(&KeyId(1)).unwrap();
-        sh.relink_front(0, idx, 3);
-        assert_eq!(sh.tail_entry(0), Some((KeyId(2), 2)));
+        let at = SimTime::from_secs;
+        sh.insert::<true>(0, 1, &ItemMeta::new(KeyId(1), 10, at(1)), 1, true);
+        sh.insert::<true>(0, 2, &ItemMeta::new(KeyId(2), 10, at(2)), 2, true);
+        // Key 1 is the tail; touching it relinks it to the head with stamp 3.
+        let Access::Hit(0, item) = sh.access(KeyId(1), at(5), Some(at(10)), || 3) else {
+            panic!("key 1 is resident");
+        };
+        assert_eq!((item.last_access, item.expires), (at(5), at(15)));
+        assert_eq!(sh.tail_stamp(0), Some(2));
         let head = sh.lists[0].head;
         assert_eq!(sh.lists[0].links[head as usize].seq, 3);
+        assert!(matches!(
+            sh.access(KeyId(1), at(15), None, || 4),
+            Access::Expired(0)
+        ));
+        assert!(sh.expires.is_empty());
+        let wide = KeyId(u64::from(u32::MAX) + 2);
+        assert!(matches!(sh.access(wide, at(16), None, || 5), Access::Miss));
     }
 }

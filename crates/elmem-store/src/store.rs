@@ -10,10 +10,11 @@
 //! stamp — at one shard, the list itself. Every ordered walk (dump, median,
 //! FuseCache's resident list, `batch_import`, the TTL crawler) is one
 //! kernel, [`ClassMruIter`], which can be taken from either end and hops
-//! along the slot arenas' 16-byte link lane, apart from the items; see
-//! `shard.rs` and DESIGN.md §14. More than one shard serves only the
-//! [`ConcurrentSlabStore`] facade in `concurrent.rs`, which drives the same
-//! shards from real threads and has no product caller.
+//! along the slot arenas' 16-byte link lane, apart from the items. Only
+//! `shard.rs` knows a slot's layout; see DESIGN.md §14. More than one
+//! shard serves only the [`ConcurrentSlabStore`] facade in `concurrent.rs`,
+//! which drives the same shards from real threads and has no product
+//! caller.
 //!
 //! [`ConcurrentSlabStore`]: crate::ConcurrentSlabStore
 
@@ -24,7 +25,7 @@ use elmem_util::{ByteSize, ElmemError, KeyId, SimTime};
 use crate::classes::{ClassId, SizeClasses};
 use crate::dump::{canonicalize, ClassDump, MetadataDump};
 use crate::item::{Hotness, ItemMeta};
-use crate::shard::{shard_of, Link, Shard, ShardList, NIL};
+use crate::shard::{shard_of, storable, Access, Expiries, Link, Resident, Shard, ShardList, Slot};
 
 /// Environment variable overriding the default shard count
 /// ([`default_shard_count`]). The main CI job runs the suite at the default
@@ -404,58 +405,51 @@ impl SlabStore {
             .collect()
     }
 
-    /// The next LRU-clock stamp (strictly increasing).
-    fn next_seq(&mut self) -> u64 {
-        self.lru_clock += 1;
-        self.lru_clock
-    }
-
     /// Looks up a key, refreshing its MRU position and timestamp on hit.
     ///
     /// An item whose TTL has elapsed is reclaimed lazily here and reported
     /// as a miss (Memcached's lazy-expiry semantics).
     pub fn get(&mut self, key: KeyId, now: SimTime) -> Option<ItemMeta> {
-        let si = shard_of(key, self.n_shards);
-        match self.shards[si].index.get(&key).copied() {
-            Some((class, idx)) => {
-                if self.shards[si].item(class, idx).is_expired(now) {
-                    self.remove_entry(key);
-                    self.stats.expired += 1;
-                    self.stats.misses += 1;
-                    return None;
-                }
+        self.access(key, now, None)
+    }
+
+    /// [`get`](Self::get), and with `ttl` a [`touch`](Self::touch).
+    fn access(&mut self, key: KeyId, now: SimTime, ttl: Option<SimTime>) -> Option<ItemMeta> {
+        let stamp = || tick(&mut self.lru_clock);
+        match self.shards[shard_of(key, self.n_shards)].access(key, now, ttl, stamp) {
+            Access::Hit(class, item) => {
                 self.stats.hits += 1;
-                let seq = self.next_seq();
                 self.class_meta[class as usize].version += 1;
-                let item = self.shards[si].relink_front(class, idx, seq);
-                item.last_access = now;
-                Some(*item)
+                return Some(item);
             }
-            None => {
-                self.stats.misses += 1;
-                None
+            Access::Expired(class) => {
+                self.uncount(class);
+                self.stats.expired += 1;
             }
+            Access::Miss => {}
         }
+        self.stats.misses += 1;
+        None
     }
 
     /// Looks up a key without disturbing MRU order or counters.
     pub fn peek(&self, key: KeyId) -> Option<ItemMeta> {
         let sh = &self.shards[shard_of(key, self.n_shards)];
-        let (class, idx) = sh.index.get(&key).copied()?;
-        Some(*sh.item(class, idx))
+        let (class, idx) = sh.locate(key)?;
+        Some(sh.item(class, idx))
     }
 
     /// Whether a key is resident.
     pub fn contains(&self, key: KeyId) -> bool {
-        self.shards[shard_of(key, self.n_shards)]
-            .index
-            .contains_key(&key)
+        let sh = &self.shards[shard_of(key, self.n_shards)];
+        sh.locate(key).is_some()
     }
 
     /// Inserts or updates a key, moving it to the MRU head.
     ///
     /// # Errors
     ///
+    /// * [`ElmemError::InvalidConfig`] for a key id wider than 32 bits;
     /// * [`ElmemError::ItemTooLarge`] if the footprint exceeds the largest
     ///   chunk;
     /// * [`ElmemError::OutOfMemory`] if no free chunk, free page, or
@@ -505,6 +499,7 @@ impl SlabStore {
         value_size: u32,
         now: SimTime,
     ) -> Result<bool, ElmemError> {
+        storable(key)?;
         if self.peek_live(key, now).is_none() {
             return Ok(false);
         }
@@ -527,6 +522,7 @@ impl SlabStore {
         now: SimTime,
         expected_last_access: SimTime,
     ) -> Result<bool, ElmemError> {
+        storable(key)?;
         match self.peek_live(key, now) {
             Some(item) if item.last_access == expected_last_access => {
                 self.set(key, value_size, now)?;
@@ -546,7 +542,7 @@ impl SlabStore {
     /// are new — the key index is neither read nor written, and a victim is
     /// unlinked by its slot.
     fn set_item(&mut self, new_item: ItemMeta, indexed: bool) -> Result<(), ElmemError> {
-        let key = new_item.key;
+        let id = storable(new_item.key)?;
         let footprint = new_item.footprint();
         let class = self
             .classes
@@ -557,23 +553,19 @@ impl SlabStore {
             })?;
         let ci = class.0 as usize;
 
-        let si = shard_of(key, self.n_shards);
-        let resident = indexed.then(|| self.shards[si].index.get(&key).copied());
-        if let Some((old_class, idx)) = resident.flatten() {
-            if old_class == class.0 {
-                // Update in place.
-                let seq = self.next_seq();
-                self.class_meta[old_class as usize].version += 1;
-                let sh = &mut self.shards[si];
-                let old_footprint = sh.item(old_class, idx).footprint();
-                *sh.relink_front(old_class, idx, seq) = new_item;
-                let list = &mut sh.lists[old_class as usize];
-                list.bytes_used = list.bytes_used - old_footprint + footprint;
-                self.stats.sets += 1;
-                return Ok(());
+        let si = shard_of(new_item.key, self.n_shards);
+        if indexed {
+            let stamp = || tick(&mut self.lru_clock);
+            // A class change removed the old copy; the new one lands below.
+            match self.shards[si].update(class.0, id, &new_item, stamp) {
+                Resident::Updated => {
+                    self.class_meta[ci].version += 1;
+                    self.stats.sets += 1;
+                    return Ok(());
+                }
+                Resident::Removed(old) => self.uncount(old),
+                Resident::Absent => {}
             }
-            // Size-class change: remove, then insert fresh below.
-            self.remove_entry(key);
         }
 
         // A free chunk or page, else the class's LRU victim's chunk
@@ -582,17 +574,11 @@ impl SlabStore {
             self.class_meta[ci].pressure += 1;
             return Err(ElmemError::OutOfMemory);
         }
-        let seq = self.next_seq();
+        let seq = tick(&mut self.lru_clock);
         let meta = &mut self.class_meta[ci];
         meta.len += 1;
         meta.version += 1;
-        let sh = &mut self.shards[si];
-        let list = &mut sh.lists[ci];
-        let idx = list.occupy(new_item);
-        list.push_front(idx, seq);
-        if indexed {
-            sh.index.insert(key, (class.0, idx));
-        }
+        self.shards[si].insert::<true>(class.0, id, &new_item, seq, indexed);
         self.stats.sets += 1;
         Ok(())
     }
@@ -610,12 +596,7 @@ impl SlabStore {
     /// (Memcached's `touch` command). Returns the refreshed metadata, or
     /// `None` if the key is absent or already expired.
     pub fn touch(&mut self, key: KeyId, now: SimTime, ttl: SimTime) -> Option<ItemMeta> {
-        self.get(key, now)?;
-        let si = shard_of(key, self.n_shards);
-        let (class, idx) = self.shards[si].index.get(&key).copied()?;
-        let item = &mut self.shards[si].lists[class as usize].items[idx as usize];
-        item.expires = now.checked_add(ttl).unwrap_or(SimTime::MAX);
-        Some(*item)
+        self.access(key, now, Some(ttl))
     }
 
     /// Drops every item (Memcached's `flush_all`), keeping page
@@ -624,7 +605,7 @@ impl SlabStore {
         let keys: Vec<KeyId> = self
             .shards
             .iter()
-            .flat_map(|sh| sh.index.keys().copied())
+            .flat_map(|sh| sh.index.keys().map(|&id| KeyId(u64::from(id))))
             .collect();
         for key in keys {
             self.remove_entry(key);
@@ -648,10 +629,11 @@ impl SlabStore {
             }
             let mut walk = self.iter_class_mru(class);
             while unvisited > 0 {
-                let Some((_, _, item)) = walk.step::<false>() else {
+                let Some((si, idx)) = walk.step::<false>() else {
                     break;
                 };
                 unvisited -= 1;
+                let item = walk.item(si, idx);
                 if item.is_expired(now) {
                     expired.push(item.key);
                 }
@@ -674,12 +656,18 @@ impl SlabStore {
     }
 
     fn remove_entry(&mut self, key: KeyId) -> Option<ItemMeta> {
-        let si = shard_of(key, self.n_shards);
-        let (class, item) = self.shards[si].remove(key)?;
+        let sh = &mut self.shards[shard_of(key, self.n_shards)];
+        let (class, idx) = sh.locate(key)?;
+        let item = sh.vacate(class, idx, true);
+        self.uncount(class);
+        Some(item)
+    }
+
+    /// Counts one item out of `class`.
+    fn uncount(&mut self, class: u16) {
         let meta = &mut self.class_meta[class as usize];
         meta.len -= 1;
         meta.version += 1;
-        Some(item)
     }
 
     /// Evicts the LRU tail of `class` — the globally coldest item, i.e.
@@ -694,14 +682,9 @@ impl SlabStore {
     fn evict_tail(&mut self, class: ClassId, indexed: bool) -> Option<ItemMeta> {
         let ci = class.0 as usize;
         let shard_tails = self.shards.iter().enumerate();
-        let tails = shard_tails.filter_map(|(si, sh)| Some((sh.tail_entry(class.0)?.1, si)));
+        let tails = shard_tails.filter_map(|(si, sh)| Some((sh.tail_stamp(class.0)?, si)));
         let (_, si) = tails.min()?;
-        let sh = &mut self.shards[si];
-        let list = &mut sh.lists[ci];
-        let item = list.vacate(list.tail);
-        if indexed {
-            sh.index.remove(&item.key);
-        }
+        let item = self.shards[si].evict_tail(class.0, indexed)?;
         let meta = &mut self.class_meta[ci];
         meta.len -= 1;
         meta.version += 1;
@@ -795,7 +778,7 @@ impl SlabStore {
             lanes: self
                 .shards
                 .iter()
-                .map(|sh| Lane::new(&sh.lists[ci]))
+                .map(|sh| Lane::new(&sh.lists[ci], &sh.expires))
                 .collect(),
             remaining: self.class_meta[ci].len as usize,
         }
@@ -803,17 +786,15 @@ impl SlabStore {
 
     /// Iterates all resident items (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = ItemMeta> + '_ {
-        self.shards.iter().flat_map(|sh| {
-            sh.index
-                .iter()
-                .map(|(_, &(class, idx))| *sh.item(class, idx))
-        })
+        self.shards
+            .iter()
+            .flat_map(|sh| sh.index.values().map(|&(class, idx)| sh.item(class, idx)))
     }
 
     /// The MRU timestamps of a class in MRU order — the paper's
     /// "timestamp dump" Memcached modification (§V-A1).
     pub fn dump_class(&self, class: ClassId) -> ClassDump {
-        let items = self.iter_class_mru(class).collect_with(|_, _, item| *item);
+        let items = self.iter_class_mru(class).collect_with(|_, _, item| item);
         ClassDump::new(class, items)
     }
 
@@ -871,13 +852,14 @@ impl SlabStore {
     /// # Errors
     ///
     /// [`ElmemError::InvalidConfig`] if any incoming item does not belong to
-    /// `class` under this store's ladder.
+    /// `class` under this store's ladder or has a key id past 32 bits.
     pub fn batch_import(
         &mut self,
         class: ClassId,
         incoming: &[ItemMeta],
         mode: ImportMode,
     ) -> Result<u64, ElmemError> {
+        let mut ids = Vec::with_capacity(incoming.len());
         for item in incoming {
             if self.classes.class_for(item.footprint()) != Some(class) {
                 return Err(ElmemError::InvalidConfig(format!(
@@ -886,21 +868,22 @@ impl SlabStore {
                     item.footprint()
                 )));
             }
+            ids.push(storable(item.key)?);
         }
 
         let ci = class.0 as usize;
 
         // Resolve key collisions: drop incoming copies that are colder than
         // a resident copy; remove resident copies that are colder.
-        let mut accepted: Vec<ItemMeta> = Vec::with_capacity(incoming.len());
-        for item in incoming {
+        let mut accepted: Vec<(u32, ItemMeta)> = Vec::with_capacity(incoming.len());
+        for (&id, item) in ids.iter().zip(incoming) {
             match self.peek(item.key) {
                 Some(resident) if resident.hotness() >= item.hotness() => continue,
                 Some(_) => {
                     self.remove_entry(item.key);
-                    accepted.push(*item);
+                    accepted.push((id, *item));
                 }
-                None => accepted.push(*item),
+                None => accepted.push((id, *item)),
             }
         }
 
@@ -920,10 +903,10 @@ impl SlabStore {
         match mode {
             ImportMode::Merge => {
                 // Both inputs are hottest-first; standard 2-way merge.
-                canonicalize(&mut accepted, ItemMeta::hotness);
+                canonicalize(&mut accepted, |a| a.1.hotness());
                 let (mut i, mut j) = (0usize, 0usize);
                 while i < resident.len() && j < accepted.len() {
-                    if resident[i].0 >= accepted[j].hotness() {
+                    if resident[i].0 >= accepted[j].1.hotness() {
                         merged.push(resident[i].1);
                         i += 1;
                     } else {
@@ -952,9 +935,7 @@ impl SlabStore {
         let keep = (n as u64).min(self.class_meta[ci].capacity()) as usize;
         for origin in &merged[keep..] {
             if let Origin::Resident { shard, slot } = *origin {
-                let sh = &mut self.shards[shard as usize];
-                let key = sh.item(class.0, slot).key;
-                sh.remove(key);
+                self.shards[shard as usize].vacate(class.0, slot, true);
             }
         }
 
@@ -975,9 +956,9 @@ impl SlabStore {
                     self.shards[shard as usize].relink_back(class.0, slot, seq);
                 }
                 Origin::Incoming(j) => {
-                    let item = accepted[j];
+                    let (id, item) = &accepted[j];
                     let si = shard_of(item.key, self.n_shards);
-                    self.shards[si].insert_back(class.0, item, seq);
+                    self.shards[si].insert::<false>(class.0, *id, item, seq, true);
                     kept_incoming += 1;
                 }
             }
@@ -995,7 +976,8 @@ impl SlabStore {
     /// accounting (every chunk is exactly occupied or free), MRU-list
     /// structure (forward walks agree with prev pointers, length counters,
     /// and strictly descending LRU stamps), byte/page/capacity
-    /// conservation, index ↔ slot agreement, and key → shard routing.
+    /// conservation, index ↔ slot agreement, key → shard routing, and
+    /// expiry tables that hold indexed keys' finite expiries only.
     ///
     /// This is the slab/byte-conservation leg of the chaos engine's
     /// invariant checker (DESIGN.md §12); it is O(items) and intended for
@@ -1007,126 +989,14 @@ impl SlabStore {
     /// (checked in a deterministic order).
     pub fn audit(&self) -> Result<(), ElmemError> {
         let fail = |msg: String| Err(ElmemError::InvariantViolation(msg));
-        let mut total_len = 0u64;
-        let mut total_pages = 0u64;
+        for (si, shard) in self.shards.iter().enumerate() {
+            shard
+                .audit(si, self.n_shards, self.lru_clock)
+                .or_else(fail)?;
+        }
+        let (mut total_len, mut total_pages) = (0u64, 0u64);
         for (ci, meta) in self.class_meta.iter().enumerate() {
-            let mut class_len = 0u64;
-            for (si, shard) in self.shards.iter().enumerate() {
-                let list = &shard.lists[ci];
-                if list.links.len() != list.items.len() {
-                    return fail(format!(
-                        "class {ci} shard {si}: {} links but {} items",
-                        list.links.len(),
-                        list.items.len()
-                    ));
-                }
-                let mut free_sorted: Vec<u32> = list.free.clone();
-                free_sorted.sort_unstable();
-                free_sorted.dedup();
-                if free_sorted.len() != list.free.len() {
-                    return fail(format!(
-                        "class {ci} shard {si}: duplicate entries in free list"
-                    ));
-                }
-                // On the free list ⇒ stamp 0; the two counts below make it ⇔.
-                for &idx in &free_sorted {
-                    let Some(link) = list.links.get(idx as usize) else {
-                        return fail(format!(
-                            "class {ci} shard {si}: free slot {idx} out of range"
-                        ));
-                    };
-                    if link.seq != 0 {
-                        return fail(format!(
-                            "class {ci} shard {si}: free slot {idx} is occupied (stamp {})",
-                            link.seq
-                        ));
-                    }
-                }
-                // Forward MRU walk: every linked slot occupied (stamp ≠ 0),
-                // prev pointers mirror next pointers, stamps strictly
-                // descending, and the walk covers exactly `len` items.
-                let mut walked = 0u64;
-                let mut prev = NIL;
-                let mut prev_seq = u64::MAX;
-                let mut cursor = list.head;
-                while cursor != NIL {
-                    let Some(slot) = list.links.get(cursor as usize) else {
-                        return fail(format!(
-                            "class {ci} shard {si}: MRU cursor {cursor} out of range"
-                        ));
-                    };
-                    if slot.seq == 0 {
-                        return fail(format!(
-                            "class {ci} shard {si}: MRU-linked slot {cursor} is free (stamp 0)"
-                        ));
-                    }
-                    if slot.prev != prev {
-                        return fail(format!(
-                            "class {ci} shard {si}: slot {cursor} prev {} != expected {prev}",
-                            slot.prev
-                        ));
-                    }
-                    if slot.seq >= prev_seq {
-                        return fail(format!(
-                            "class {ci} shard {si}: slot {cursor} stamp {} not below \
-                             predecessor's {prev_seq}",
-                            slot.seq
-                        ));
-                    }
-                    if slot.seq > self.lru_clock {
-                        return fail(format!(
-                            "class {ci} shard {si}: slot {cursor} stamp {} ahead of the \
-                             LRU clock {}",
-                            slot.seq, self.lru_clock
-                        ));
-                    }
-                    walked += 1;
-                    if walked > list.len {
-                        return fail(format!(
-                            "class {ci} shard {si}: MRU list longer than len (cycle?)"
-                        ));
-                    }
-                    prev = cursor;
-                    prev_seq = slot.seq;
-                    cursor = slot.next;
-                }
-                if walked != list.len {
-                    return fail(format!(
-                        "class {ci} shard {si}: MRU walk covered {walked} of {} items",
-                        list.len
-                    ));
-                }
-                if list.tail != prev {
-                    return fail(format!(
-                        "class {ci} shard {si}: tail {} but MRU walk ended at {prev}",
-                        list.tail
-                    ));
-                }
-                // A slot is occupied exactly when its stamp is live.
-                let occupied = || list.links.iter().zip(&list.items).filter(|s| s.0.seq != 0);
-                let n_occupied = occupied().count() as u64;
-                if n_occupied != list.len {
-                    return fail(format!(
-                        "class {ci} shard {si}: len counter {} but {n_occupied} occupied slots",
-                        list.len
-                    ));
-                }
-                if list.free.len() as u64 + n_occupied != list.links.len() as u64 {
-                    return fail(format!(
-                        "class {ci} shard {si}: {} free + {n_occupied} occupied != {} slots",
-                        list.free.len(),
-                        list.links.len()
-                    ));
-                }
-                let bytes: u64 = occupied().map(|(_, item)| item.footprint()).sum();
-                if bytes != list.bytes_used {
-                    return fail(format!(
-                        "class {ci} shard {si}: bytes_used {} but item footprints sum to {bytes}",
-                        list.bytes_used
-                    ));
-                }
-                class_len += list.len;
-            }
+            let class_len: u64 = self.shards.iter().map(|sh| sh.lists[ci].len).sum();
             if class_len != meta.len {
                 return fail(format!(
                     "class {ci}: len counter {} but shards hold {class_len} items",
@@ -1163,43 +1033,6 @@ impl SlabStore {
                 "index holds {indexed} keys but classes hold {total_len} items"
             ));
         }
-        // Index → slot agreement and key → shard routing. The index
-        // iterates in hash order, so violations are collected and the
-        // smallest key reported to keep the message deterministic.
-        for (si, shard) in self.shards.iter().enumerate() {
-            let mut bad_key: Option<(KeyId, String)> = None;
-            for (&key, &(class, idx)) in shard.index.iter() {
-                let routed = shard_of(key, self.n_shards);
-                let problem = if routed != si {
-                    Some(format!(
-                        "{key} routes to shard {routed} but is indexed in shard {si}"
-                    ))
-                } else {
-                    let slot = shard
-                        .lists
-                        .get(class as usize)
-                        .and_then(|l| l.links.get(idx as usize).zip(l.items.get(idx as usize)));
-                    match slot {
-                        None => Some(format!("{key} maps to out-of-range slot {class}/{idx}")),
-                        Some((link, _)) if link.seq == 0 => {
-                            Some(format!("{key} maps to free slot {class}/{idx}"))
-                        }
-                        Some((_, item)) if item.key != key => {
-                            Some(format!("{key} maps to slot holding {}", item.key))
-                        }
-                        Some(_) => None,
-                    }
-                };
-                if let Some(msg) = problem {
-                    if bad_key.as_ref().is_none_or(|(k, _)| key < *k) {
-                        bad_key = Some((key, msg));
-                    }
-                }
-            }
-            if let Some((_, msg)) = bad_key {
-                return fail(format!("shard {si} index: {msg}"));
-            }
-        }
         Ok(())
     }
 
@@ -1225,7 +1058,7 @@ impl SlabStore {
         self.corrupt(|list| {
             list.free.push(list.links.len() as u32);
             list.links.push(list.links[list.head as usize]);
-            list.items.push(list.items[list.head as usize]);
+            list.slots.push(list.slots[list.head as usize]);
         });
     }
 
@@ -1238,7 +1071,7 @@ impl SlabStore {
     /// Leaves the link lane one entry short of the item lane.
     #[doc(hidden)]
     pub fn corrupt_lane_length_for_tests(&mut self) {
-        self.corrupt(|list| list.items.push(list.items[list.head as usize]));
+        self.corrupt(|list| list.slots.push(list.slots[list.head as usize]));
     }
 }
 
@@ -1272,15 +1105,7 @@ impl Fill<'_> {
             return;
         }
         for sh in &mut self.store.shards {
-            let survivors = sh.lists.iter().map(|l| l.len as usize).sum();
-            sh.index.reserve(survivors);
-            for (class, list) in sh.lists.iter().enumerate() {
-                let slots = list.links.iter().zip(&list.items).enumerate();
-                for (idx, (_, item)) in slots.filter(|(_, (link, _))| link.seq != 0) {
-                    sh.index.insert(item.key, (class as u16, idx as u32));
-                }
-            }
-            debug_assert_eq!(sh.index.len(), survivors, "a key set twice in one fill");
+            sh.index_occupied();
         }
     }
 }
@@ -1291,16 +1116,23 @@ impl Drop for Fill<'_> {
     }
 }
 
+/// The next stamp of an LRU clock (strictly increasing).
+fn tick(clock: &mut u64) -> u64 {
+    *clock += 1;
+    *clock
+}
+
 /// One shard's lane of a [`ClassMruIter`]: the class's two slot lanes in
-/// that shard, resolved once, and a cursor at each end of what is left of
-/// the shard's list. Invariant: while `left > 0`, `head` and `tail` are
-/// linked slots of the list with `left - 1` links between them and
-/// `head_seq` / `tail_seq` are their stamps; at `left == 0` the stamps are
-/// the two sentinels and the cursors are dead.
+/// that shard and its expiry table, resolved once, and a cursor at each end
+/// of what is left of the shard's list. Invariant: while `left > 0`, `head`
+/// and `tail` are linked slots of the list with `left - 1` links between
+/// them and `head_seq` / `tail_seq` are their stamps; at `left == 0` the
+/// stamps are the two sentinels and the cursors are dead.
 #[derive(Debug)]
 struct Lane<'a> {
     links: &'a [Link],
-    items: &'a [ItemMeta],
+    slots: &'a [Slot],
+    expires: &'a Expiries,
     /// Items of the lane not yet yielded from either end.
     left: u64,
     /// The hottest slot left and its stamp; once nothing is left the stamp
@@ -1313,10 +1145,11 @@ struct Lane<'a> {
 }
 
 impl<'a> Lane<'a> {
-    fn new(list: &'a ShardList) -> Self {
+    fn new(list: &'a ShardList, expires: &'a Expiries) -> Self {
         let mut lane = Lane {
             links: &list.links,
-            items: &list.items,
+            slots: &list.slots,
+            expires,
             left: list.len,
             head: list.head,
             head_seq: 0,
@@ -1332,8 +1165,8 @@ impl<'a> Lane<'a> {
 
     /// Yields the slot at the hot (`HOT`) or the cold end and moves that
     /// end's cursor one link inwards, loading the one stamp that changed —
-    /// on the link lane alone; the item is handed back unread.
-    fn take<const HOT: bool>(&mut self) -> (u32, &'a ItemMeta) {
+    /// on the link lane alone; the item is not read.
+    fn take<const HOT: bool>(&mut self) -> u32 {
         let idx = if HOT { self.head } else { self.tail };
         let link = self.links[idx as usize];
         self.left -= 1;
@@ -1346,7 +1179,7 @@ impl<'a> Lane<'a> {
             self.tail = link.prev;
             self.tail_seq = self.links[link.prev as usize].seq;
         }
-        (idx, &self.items[idx as usize])
+        idx
     }
 }
 
@@ -1369,8 +1202,8 @@ pub struct ClassMruIter<'a> {
 impl<'a> ClassMruIter<'a> {
     /// Advances one item from the hot end (`HOT`: the next in MRU order)
     /// or from the cold end (the last), returning its position as (shard,
-    /// slot) and the item.
-    fn step<const HOT: bool>(&mut self) -> Option<(usize, u32, &'a ItemMeta)> {
+    /// slot); [`item`](Self::item) reads it.
+    fn step<const HOT: bool>(&mut self) -> Option<(usize, u32)> {
         let exhausted = if HOT { 0 } else { u64::MAX };
         let (mut si, mut best) = (0, exhausted);
         for (i, lane) in self.lanes.iter().enumerate() {
@@ -1382,22 +1215,28 @@ impl<'a> ClassMruIter<'a> {
         if best == exhausted {
             return None;
         }
-        let (idx, item) = self.lanes[si].take::<HOT>();
+        let idx = self.lanes[si].take::<HOT>();
         self.remaining -= 1;
-        Some((si, idx, item))
+        Some((si, idx))
+    }
+
+    /// The item at a position [`step`](Self::step) yielded.
+    fn item(&self, si: usize, idx: u32) -> ItemMeta {
+        let lane = &self.lanes[si];
+        lane.slots[idx as usize].meta(lane.expires)
     }
 
     /// Drains the walk into a vector in MRU order, one item from the hot
     /// end and one from the cold end in turn. A list walk is a chain of
     /// dependent loads, each a likely cache miss; the two ends are two
     /// independent chains, so their misses overlap.
-    fn collect_with<T>(mut self, f: impl Fn(usize, u32, &ItemMeta) -> T) -> Vec<T> {
+    fn collect_with<T>(mut self, f: impl Fn(usize, u32, ItemMeta) -> T) -> Vec<T> {
         let mut hot = Vec::with_capacity(self.remaining);
         let mut cold = Vec::with_capacity(self.remaining / 2);
-        while let Some((si, idx, item)) = self.step::<true>() {
-            hot.push(f(si, idx, item));
-            if let Some((si, idx, item)) = self.step::<false>() {
-                cold.push(f(si, idx, item));
+        while let Some((si, idx)) = self.step::<true>() {
+            hot.push(f(si, idx, self.item(si, idx)));
+            if let Some((si, idx)) = self.step::<false>() {
+                cold.push(f(si, idx, self.item(si, idx)));
             }
         }
         hot.extend(cold.into_iter().rev());
@@ -1409,7 +1248,8 @@ impl Iterator for ClassMruIter<'_> {
     type Item = ItemMeta;
 
     fn next(&mut self) -> Option<ItemMeta> {
-        self.step::<true>().map(|(_, _, item)| *item)
+        let (si, idx) = self.step::<true>()?;
+        Some(self.item(si, idx))
     }
 
     /// Skips on links alone: no item is read before the one asked for.
@@ -2053,6 +1893,40 @@ mod tests {
     }
 
     #[test]
+    fn audit_holds_the_expiry_table_to_resident_finite_expiries() {
+        // The table must name indexed keys only, with finite expiries; an
+        // entry an eviction left behind would hand its TTL to the key's
+        // next copy.
+        type Hook = fn(&mut Shard, u32);
+        let cases: [(Hook, &str); 3] = [
+            (|sh, _| _ = sh.expires.insert(7_777, t(5)), "k7777 expires"),
+            (
+                |sh, id| _ = sh.expires.insert(id, SimTime::MAX),
+                "but is infinite",
+            ),
+            (|sh, id| _ = sh.index.remove(&id), "but is not indexed"),
+        ];
+        for shards in [1, 4] {
+            for (corrupt, what) in cases {
+                let mut s = one_page_store(shards);
+                for k in 0..20 {
+                    s.set_with_ttl(KeyId(k), 50, t(k), t(100)).unwrap();
+                }
+                s.set(KeyId(3), 50, t(30)).unwrap(); // a plain re-set drops the TTL
+                s.evict_lru(ClassId(0)).unwrap();
+                assert_eq!(s.peek(KeyId(3)).unwrap().expires, SimTime::MAX);
+                assert_eq!(s.peek(KeyId(4)).unwrap().expires, t(104));
+                s.audit().unwrap();
+                let si = shard_of(KeyId(4), s.n_shards);
+                corrupt(&mut s.shards[si], 4);
+                let msg = s.audit().unwrap_err().to_string();
+                assert!(msg.contains(&format!("shard {si} expiry table: ")), "{msg}");
+                assert!(msg.contains(what), "{msg}");
+            }
+        }
+    }
+
+    #[test]
     fn clone_keeps_lane_capacity() {
         // A derived `Clone` trims every `Vec` to its length, so the first
         // insert into a cloned store moved (reallocated and copied) both
@@ -2069,15 +1943,15 @@ mod tests {
             for (copy, orig) in clone.shards.iter().zip(&s.shards) {
                 let (copy, orig) = (&copy.lists[0], &orig.lists[0]);
                 assert!(copy.links.capacity() >= orig.links.capacity());
-                assert!(copy.items.capacity() >= orig.items.capacity());
+                assert!(copy.slots.capacity() >= orig.slots.capacity());
                 assert!(copy.free.capacity() >= orig.free.capacity());
                 assert!(orig.links.len() < orig.links.capacity(), "no room to test");
             }
             // While every lane has room, no set moves one.
-            let lanes = |s: &SlabStore| -> Vec<(*const Link, *const ItemMeta)> {
+            let lanes = |s: &SlabStore| -> Vec<(*const Link, *const Slot)> {
                 let lists = s.shards.iter().map(|sh| &sh.lists[0]);
                 lists
-                    .map(|l| (l.links.as_ptr(), l.items.as_ptr()))
+                    .map(|l| (l.links.as_ptr(), l.slots.as_ptr()))
                     .collect()
             };
             let has_room = |s: &SlabStore| {

@@ -2,7 +2,7 @@
 //!
 //! The reference is the implementation `batch_import` replaced: tear the
 //! whole destination class down (`remove_entry` per resident) and rebuild
-//! it (`insert_back` per member of the merged population). It is slow —
+//! it (an `insert` at the tail per member of the merged population). It is slow —
 //! two index operations, a slot free and a slot allocation for every
 //! resident, however few items arrive — but obviously right, so it stays
 //! here, unchanged, as the executable specification of what an import
@@ -104,7 +104,8 @@ impl SlabStore {
             meta.len += 1;
             meta.version += 1;
             let si = shard_of(item.key, self.n_shards);
-            self.shards[si].insert_back(class.0, *item, seq);
+            let id = crate::shard::storable(item.key)?;
+            self.shards[si].insert::<false>(class.0, id, item, seq, true);
             inserted += 1;
             if incoming_keys.binary_search(&item.key).is_ok() {
                 kept_incoming += 1;
@@ -138,13 +139,20 @@ type Batch = (Vec<(u64, u64)>, bool);
 /// Resident keys are 0..120 and incoming keys 0..200, so batches collide
 /// with residents (of any class) and bring fresh keys; timestamps share a
 /// range of a few milliseconds, so colliding copies are hotter, colder and
-/// same-instant, and whole runs of the list tie on the timestamp.
+/// same-instant, and whole runs of the list tie on the timestamp. Every
+/// third key carries a finite expiry a few milliseconds on.
 pub(super) fn batch_items(pairs: &[(u64, u64)]) -> Vec<ItemMeta> {
     let mut seen = std::collections::BTreeSet::new();
     pairs
         .iter()
         .filter(|(key, _)| seen.insert(*key))
-        .map(|&(key, ms)| ItemMeta::new(KeyId(key), SMALL, SimTime::from_millis(ms)))
+        .map(|&(key, ms)| {
+            let at = SimTime::from_millis(ms);
+            match key % 3 {
+                0 => ItemMeta::with_ttl(KeyId(key), SMALL, at, SimTime::from_millis(4)),
+                _ => ItemMeta::new(KeyId(key), SMALL, at),
+            }
+        })
         .collect()
 }
 

@@ -10,7 +10,11 @@
 //! interleaving it must close in on the stamp order from either side; it
 //! must report how many items are left before every step, and leave
 //! `dump_class`, `median_hotness`, `crawl_expired` and `audit` in agreement
-//! — at any shard count, after anything that relinks a list.
+//! — at any shard count, after anything that relinks a list. Every item
+//! any of them reports carries the expiry a model of the history's TTLs
+//! gives it, which the shards keep apart from the slots.
+
+use std::collections::HashMap;
 
 use elmem_util::{KeyId, SimTime};
 use proptest::prelude::*;
@@ -60,15 +64,29 @@ impl CursorWalk<'_> {
     }
 }
 
+/// The expiry the history gave each key when it last landed: absent is
+/// never.
+type Ttls = HashMap<u64, SimTime>;
+
 /// Every occupied slot of the class as (shard, slot, item), hottest stamp
-/// first. Stamps are unique store-wide, so the order is total.
-fn by_stamp(s: &SlabStore, class: ClassId) -> Vec<(usize, u32, ItemMeta)> {
+/// first, each item's expiry from `ttls`. Stamps are unique store-wide, so
+/// the order is total.
+fn by_stamp(s: &SlabStore, class: ClassId, ttls: &Ttls) -> Vec<(usize, u32, ItemMeta)> {
     let mut all: Vec<(u64, usize, u32, ItemMeta)> = Vec::new();
     for (si, sh) in s.shards.iter().enumerate() {
         let list = &sh.lists[class.0 as usize];
-        for (idx, (link, item)) in list.links.iter().zip(&list.items).enumerate() {
+        for (idx, (link, slot)) in list.links.iter().zip(&list.slots).enumerate() {
             if link.seq != 0 {
-                all.push((link.seq, si, idx as u32, *item));
+                let key = KeyId(u64::from(slot.key));
+                let expires = ttls.get(&key.0).copied().unwrap_or(SimTime::MAX);
+                let (value_size, last_access) = (slot.value_size, slot.last_access);
+                let item = ItemMeta {
+                    key,
+                    value_size,
+                    last_access,
+                    expires,
+                };
+                all.push((link.seq, si, idx as u32, item));
             }
         }
     }
@@ -81,11 +99,14 @@ fn by_stamp(s: &SlabStore, class: ClassId) -> Vec<(usize, u32, ItemMeta)> {
 /// Checks the kernel against both references on every class of `s`.
 /// `ends` says, step by step and cyclically, which end a mixed walk takes
 /// from (`true`: the hot one).
-fn check(s: &SlabStore, ends: &[bool], when: &str) {
+fn check(s: &SlabStore, ends: &[bool], ttls: &Ttls, when: &str) {
     s.audit().unwrap();
     for class in s.classes.ids() {
-        let want = by_stamp(s, class);
+        let want = by_stamp(s, class, ttls);
         assert_eq!(want.len() as u64, s.len_of_class(class), "{when} {class}");
+        for &(_, _, item) in &want {
+            assert_eq!(s.peek(item.key), Some(item), "{when} {class}");
+        }
 
         // Hot end only: the cursor walk's order, counted down exactly.
         let mut old = CursorWalk::new(s, class);
@@ -93,7 +114,8 @@ fn check(s: &SlabStore, ends: &[bool], when: &str) {
         for (left, &(si, idx, item)) in (1..=want.len()).rev().zip(&want) {
             assert_eq!(new.size_hint(), (left, Some(left)), "{when} {class}");
             assert_eq!(old.next_slot(), Some((si, idx)), "{when} {class}");
-            assert_eq!(new.step::<true>(), Some((si, idx, &item)), "{when} {class}");
+            assert_eq!(new.step::<true>(), Some((si, idx)), "{when} {class}");
+            assert_eq!(new.item(si, idx), item, "{when} {class}");
         }
         assert_eq!(new.size_hint(), (0, Some(0)), "{when} {class}");
         assert_eq!(old.next_slot(), None, "{when} {class}");
@@ -117,7 +139,8 @@ fn check(s: &SlabStore, ends: &[bool], when: &str) {
                 cold -= 1;
                 (new.step::<false>(), want[cold])
             };
-            assert_eq!(got, Some((si, idx, &item)), "{when} {class}");
+            assert_eq!(got, Some((si, idx)), "{when} {class}");
+            assert_eq!(new.item(si, idx), item, "{when} {class}");
         }
         assert_eq!(hot, cold, "{when} {class}");
         assert_eq!(new.step::<true>(), None, "{when} {class}");
@@ -147,7 +170,7 @@ fn check(s: &SlabStore, ends: &[bool], when: &str) {
         }
         let drained = s
             .iter_class_mru(class)
-            .collect_with(|si, idx, item| (si, idx, *item));
+            .collect_with(|si, idx, item| (si, idx, item));
         assert_eq!(drained, want, "{when} {class}");
         assert_eq!(
             s.median_hotness(class),
@@ -178,6 +201,11 @@ enum Op {
     Get {
         key: u64,
         ms: u64,
+    },
+    Touch {
+        key: u64,
+        ms: u64,
+        ttl: u64,
     },
     Delete {
         key: u64,
@@ -221,6 +249,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         get(),
         get(),
         get(),
+        (0u64..160, 0u64..12, 1u64..8).prop_map(|(key, ms, ttl)| Op::Touch { key, ms, ttl }),
         (0u64..160).prop_map(|key| Op::Delete { key }),
         (0u16..3).prop_map(|class| Op::Evict { class }),
         (0u16..3, 0u16..3).prop_map(|(from, to)| Op::Reassign { from, to }),
@@ -233,7 +262,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn apply(s: &mut SlabStore, op: &Op) {
+/// Applies `op`, recording in `ttls` the expiry of every item it lands.
+fn apply(s: &mut SlabStore, op: &Op, ttls: &mut Ttls) {
+    let expiry = |now: SimTime, ttl| match ttl {
+        0 => None,
+        _ => Some(now + SimTime::from_millis(ttl)),
+    };
     match op {
         Op::Set {
             key,
@@ -241,14 +275,24 @@ fn apply(s: &mut SlabStore, op: &Op) {
             ms,
             ttl,
         } => {
-            let (key, size, now) = (KeyId(*key), SIZES[*class], SimTime::from_millis(*ms));
-            let _ = match ttl {
-                0 => s.set(key, size, now),
-                _ => s.set_with_ttl(key, size, now, SimTime::from_millis(*ttl)),
+            let (id, size, now) = (KeyId(*key), SIZES[*class], SimTime::from_millis(*ms));
+            let set = match ttl {
+                0 => s.set(id, size, now),
+                _ => s.set_with_ttl(id, size, now, SimTime::from_millis(*ttl)),
             };
+            if set.is_ok() {
+                land(ttls, *key, expiry(now, *ttl));
+            }
         }
         Op::Get { key, ms } => {
             let _ = s.get(KeyId(*key), SimTime::from_millis(*ms));
+        }
+        Op::Touch { key, ms, ttl } => {
+            let now = SimTime::from_millis(*ms);
+            if let Some(item) = s.touch(KeyId(*key), now, SimTime::from_millis(*ttl)) {
+                land(ttls, *key, expiry(now, *ttl));
+                assert_eq!(item.expires, now + SimTime::from_millis(*ttl));
+            }
         }
         Op::Delete { key } => {
             s.delete(KeyId(*key));
@@ -265,8 +309,21 @@ fn apply(s: &mut SlabStore, op: &Op) {
             } else {
                 ImportMode::Merge
             };
-            s.batch_import(ClassId(0), &batch_items(pairs), mode)
-                .unwrap();
+            let items = batch_items(pairs);
+            // An incoming copy lands unless a resident one is as hot.
+            let landing: Vec<ItemMeta> = items
+                .iter()
+                .filter(|i| s.peek(i.key).is_none_or(|r| r.hotness() < i.hotness()))
+                .copied()
+                .collect();
+            s.batch_import(ClassId(0), &items, mode).unwrap();
+            for i in landing {
+                land(
+                    ttls,
+                    i.key.0,
+                    (i.expires != SimTime::MAX).then_some(i.expires),
+                );
+            }
         }
         Op::Crawl { ms, budget } => {
             // The crawler is the walk from its cold end, class by class,
@@ -275,7 +332,7 @@ fn apply(s: &mut SlabStore, op: &Op) {
             let coldest_first = s
                 .classes
                 .ids()
-                .flat_map(|c| by_stamp(s, c).into_iter().rev());
+                .flat_map(|c| by_stamp(s, c, ttls).into_iter().rev());
             let doomed: Vec<KeyId> = coldest_first
                 .take(*budget as usize)
                 .filter(|(_, _, item)| item.is_expired(now))
@@ -290,6 +347,13 @@ fn apply(s: &mut SlabStore, op: &Op) {
     }
 }
 
+fn land(ttls: &mut Ttls, key: u64, expires: Option<SimTime>) {
+    match expires {
+        Some(at) => ttls.insert(key, at),
+        None => ttls.remove(&key),
+    };
+}
+
 proptest! {
     /// The kernel walks what the cursor form walked and what sorting the
     /// slots by stamp yields — midway through a history, at its end, with
@@ -301,31 +365,38 @@ proptest! {
     ) {
         for shards in [1usize, 2, 3, 8] {
             let mut s = store(shards);
+            let mut ttls = Ttls::new();
             for (i, op) in ops.iter().enumerate() {
-                apply(&mut s, op);
+                apply(&mut s, op, &mut ttls);
                 if i == ops.len() / 2 {
-                    check(&s, &ends, "midway");
+                    check(&s, &ends, &ttls, "midway");
                 }
             }
-            check(&s, &ends, "after the history");
+            check(&s, &ends, &ttls, "after the history");
 
             // Empty the last shard's lane of every class; the others keep
             // theirs (at one shard that is every item).
-            let lane: Vec<KeyId> = s.shards[shards - 1].index.keys().copied().collect();
-            for key in lane {
-                s.delete(key);
+            let lane: Vec<u32> = s.shards[shards - 1].index.keys().copied().collect();
+            for id in lane {
+                s.delete(KeyId(u64::from(id)));
             }
-            check(&s, &ends, "with one lane emptied");
+            check(&s, &ends, &ttls, "with one lane emptied");
 
-            // Refill, then empty one class outright.
+            // Refill — plain sets over keys that held TTLs among them —
+            // then empty one class outright.
             for k in 0..40 {
-                let _ = s.set(KeyId(500 + k), SIZES[(k % 3) as usize], SimTime::from_millis(k % 5));
+                let key = if k % 2 == 0 { k * 3 } else { 500 + k };
+                let size = SIZES[(k % 3) as usize];
+                if s.set(KeyId(key), size, SimTime::from_millis(k % 5)).is_ok() {
+                    land(&mut ttls, key, None);
+                }
             }
+            check(&s, &ends, &ttls, "after plain sets");
             let small = ClassId(0);
             while s.evict_lru(small).is_some() {}
             prop_assert_eq!(s.len_of_class(small), 0);
             prop_assert!(s.iter_class_mru(small).next().is_none());
-            check(&s, &ends, "with one class emptied");
+            check(&s, &ends, &ttls, "with one class emptied");
         }
     }
 }

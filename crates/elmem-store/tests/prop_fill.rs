@@ -2,7 +2,11 @@
 //! touches only the slot lanes and indexes the survivors once at its end,
 //! so the reference is not the fill itself at another shard count but the
 //! plain command loop: after the fill, and after any tail of commands,
-//! the two stores must be indistinguishable through the public surface.
+//! the two stores must be indistinguishable through the public surface,
+//! and every item either reports must carry the expiry a model of the
+//! commands gives it.
+
+use std::collections::HashMap;
 
 use elmem_store::{ClassId, ImportMode, ItemMeta, SizeClasses, SlabStore, StoreConfig};
 use elmem_util::{ByteSize, ElmemError, KeyId, SimTime};
@@ -30,7 +34,8 @@ enum Op {
     Add(u64, u32),
     EvictLru(u16),
     ReassignPage(u16, u16),
-    /// Items as (key id, size draw, age in ms against now).
+    /// Items as (key id, size draw, age in ms against now); every third
+    /// key carries a TTL.
     BatchImport(Vec<(u64, u32, u64)>),
     CrawlExpired(u64),
 }
@@ -55,8 +60,27 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Everything a caller can read of a store, compared; both must audit.
-fn assert_same(a: &SlabStore, b: &SlabStore) {
+/// The expiry each key last landed with; absent is never. Only resident
+/// keys are read, and a key that lands again overwrites its entry.
+type Ttls = HashMap<KeyId, SimTime>;
+
+fn expected(ttls: &Ttls, key: KeyId) -> SimTime {
+    ttls.get(&key).copied().unwrap_or(SimTime::MAX)
+}
+
+fn land(ttls: &mut Ttls, key: KeyId, expires: SimTime) {
+    match expires {
+        SimTime::MAX => ttls.remove(&key),
+        at => ttls.insert(key, at),
+    };
+}
+
+/// Everything a caller can read of a store, compared; both must audit, and
+/// every item reports its modeled expiry.
+fn assert_same(a: &SlabStore, b: &SlabStore, ttls: &Ttls) {
+    for item in a.dump_metadata().classes.iter().flat_map(|c| &c.items) {
+        assert_eq!(item.expires, expected(ttls, item.key), "{}", item.key);
+    }
     assert_eq!(a.dump_metadata(), b.dump_metadata());
     assert_eq!(a.stats(), b.stats());
     assert_eq!((a.len(), a.bytes_used()), (b.len(), b.bytes_used()));
@@ -76,25 +100,45 @@ fn assert_same(a: &SlabStore, b: &SlabStore) {
 }
 
 /// Applies one command to both stores and checks they answer alike.
-fn apply(a: &mut SlabStore, b: &mut SlabStore, op: &Op, now: SimTime) {
+fn apply(a: &mut SlabStore, b: &mut SlabStore, op: &Op, now: SimTime, ttls: &mut Ttls) {
     let classes = a.classes().clone();
     let class = |c: u16| ClassId(c % classes.len() as u16);
     let ms = SimTime::from_millis;
     match *op {
-        Op::Get(k) => assert_eq!(a.get(key(k), now), b.get(key(k), now)),
+        Op::Get(k) => {
+            let got = a.get(key(k), now);
+            assert_eq!(got, b.get(key(k), now));
+            if let Some(item) = got {
+                assert_eq!(item.expires, expected(ttls, item.key));
+            }
+        }
         Op::Set(k, s, ttl) => {
             let v = value_size(&classes, s);
             let set = |st: &mut SlabStore| match ttl {
                 Some(t) => st.set_with_ttl(key(k), v, now, ms(t)),
                 None => st.set(key(k), v, now),
             };
-            assert_eq!(set(a), set(b));
+            let done = set(a);
+            assert_eq!(done, set(b));
+            if done.is_ok() {
+                land(ttls, key(k), ttl.map_or(SimTime::MAX, |t| now + ms(t)));
+            }
         }
         Op::Delete(k) => assert_eq!(a.delete(key(k)), b.delete(key(k))),
-        Op::Touch(k, t) => assert_eq!(a.touch(key(k), now, ms(t)), b.touch(key(k), now, ms(t))),
+        Op::Touch(k, t) => {
+            let touched = a.touch(key(k), now, ms(t));
+            assert_eq!(touched, b.touch(key(k), now, ms(t)));
+            if touched.is_some() {
+                land(ttls, key(k), now + ms(t));
+            }
+        }
         Op::Add(k, s) => {
             let v = value_size(&classes, s);
-            assert_eq!(a.add(key(k), v, now), b.add(key(k), v, now));
+            let added = a.add(key(k), v, now);
+            assert_eq!(added, b.add(key(k), v, now));
+            if added == Ok(true) {
+                land(ttls, key(k), SimTime::MAX);
+            }
         }
         Op::EvictLru(c) => assert_eq!(a.evict_lru(class(c)), b.evict_lru(class(c))),
         Op::ReassignPage(f, t) => assert_eq!(
@@ -107,8 +151,11 @@ fn apply(a: &mut SlabStore, b: &mut SlabStore, op: &Op, now: SimTime) {
             let mut items: Vec<ItemMeta> = raw
                 .iter()
                 .map(|&(k, s, age)| {
-                    let at = now.saturating_sub(ms(age));
-                    ItemMeta::new(key(k), value_size(&classes, s), at)
+                    let (at, v) = (now.saturating_sub(ms(age)), value_size(&classes, s));
+                    match k % 3 {
+                        0 => ItemMeta::with_ttl(key(k), v, at, ms(1 + age % 50)),
+                        _ => ItemMeta::new(key(k), v, at),
+                    }
                 })
                 .filter(|i| classes.class_for(i.footprint()).is_some())
                 .collect();
@@ -121,10 +168,19 @@ fn apply(a: &mut SlabStore, b: &mut SlabStore, op: &Op, now: SimTime) {
             items.dedup_by_key(|i| i.key);
             items.sort_by_key(|i| std::cmp::Reverse(i.hotness()));
             let mode = ImportMode::Merge;
+            // An incoming copy lands unless a resident one is as hot.
+            let landing: Vec<ItemMeta> = items
+                .iter()
+                .filter(|i| a.peek(i.key).is_none_or(|r| r.hotness() < i.hotness()))
+                .copied()
+                .collect();
             assert_eq!(
                 a.batch_import(target, &items, mode),
                 b.batch_import(target, &items, mode)
             );
+            for item in landing {
+                land(ttls, item.key, item.expires);
+            }
         }
         Op::CrawlExpired(budget) => {
             assert_eq!(a.crawl_expired(now, budget), b.crawl_expired(now, budget));
@@ -159,6 +215,8 @@ proptest! {
         let (mut a, mut b) = (SlabStore::new(config.clone()), SlabStore::new(config));
         let classes = a.classes().clone();
         let at = |i: usize| SimTime::from_nanos(1_000 + i as u64);
+        // Nothing this fill sets carries a TTL.
+        let mut ttls = Ttls::new();
         // A warm store fills through plain `set`.
         for i in 0..warm {
             let v = value_size(&classes, 100 + 50 * i as u32);
@@ -182,13 +240,13 @@ proptest! {
                 assert_eq!(a.set(k, v, t), fill.set(k, v, t), "set {i} of the fill");
             }
         }
-        assert_same(&a, &b);
+        assert_same(&a, &b, &ttls);
         let mut now = SimTime::from_millis(1);
         for op in &tail {
-            apply(&mut a, &mut b, op, now);
+            apply(&mut a, &mut b, op, now, &mut ttls);
             now += SimTime::from_millis(1);
         }
-        assert_same(&a, &b);
+        assert_same(&a, &b, &ttls);
     }
 }
 
@@ -210,12 +268,12 @@ fn dropped_fill_leaves_a_complete_index() {
         }
         drop(fill);
         assert_eq!(b.stats().evictions, 1_808);
-        assert_same(&a, &b);
+        assert_same(&a, &b, &Ttls::new());
         let now = SimTime::from_secs(1);
         for i in (0..10_000).rev() {
             assert_eq!(a.get(key(i), now), b.get(key(i), now), "key {i}");
         }
-        assert_same(&a, &b);
+        assert_same(&a, &b, &Ttls::new());
         // A second fill of a store that is not empty is plain `set`,
         // repeats included.
         let mut fill = b.fill();
@@ -224,7 +282,7 @@ fn dropped_fill_leaves_a_complete_index() {
             assert_eq!(a.set(key(i), 10, t), fill.set(key(i), 10, t));
         }
         drop(fill);
-        assert_same(&a, &b);
+        assert_same(&a, &b, &Ttls::new());
     }
 }
 

@@ -1,5 +1,6 @@
 //! Property-based tests for the slab store: memory accounting, LRU
-//! invariants, and agreement with a naive model cache.
+//! invariants, and agreement with a naive model cache — of sizes, and of
+//! the expiries a shard keeps apart from its slots.
 
 use std::collections::HashMap;
 
@@ -140,6 +141,154 @@ proptest! {
         let hot: Vec<_> = s.iter_class_mru(class).map(|i| i.hotness()).collect();
         for w in hot.windows(2) {
             prop_assert!(w[0] >= w[1]);
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum TtlOp {
+    Set {
+        key: u64,
+        size: u32,
+        ttl: Option<u64>,
+    },
+    Get {
+        key: u64,
+    },
+    Touch {
+        key: u64,
+        ttl: u64,
+    },
+    Delete {
+        key: u64,
+    },
+    Evict {
+        size: u32,
+    },
+    Crawl {
+        budget: u64,
+    },
+    /// Keys with a last access `age` ms back and, if given, a TTL.
+    Import {
+        items: Vec<(u64, u64, Option<u64>)>,
+    },
+}
+
+fn ttl_op_strategy() -> impl Strategy<Value = TtlOp> {
+    let ttl = || prop_oneof![Just(None), (1u64..60).prop_map(Some)];
+    prop_oneof![
+        (0u64..120, 1u32..900, ttl()).prop_map(|(key, size, ttl)| TtlOp::Set { key, size, ttl }),
+        (0u64..120, 1u32..900, ttl()).prop_map(|(key, size, ttl)| TtlOp::Set { key, size, ttl }),
+        (0u64..120).prop_map(|key| TtlOp::Get { key }),
+        (0u64..120, 1u64..60).prop_map(|(key, ttl)| TtlOp::Touch { key, ttl }),
+        (0u64..120).prop_map(|key| TtlOp::Delete { key }),
+        (1u32..900).prop_map(|size| TtlOp::Evict { size }),
+        (1u64..80).prop_map(|budget| TtlOp::Crawl { budget }),
+        prop::collection::vec((0u64..160, 0u64..40, ttl()), 1..30)
+            .prop_map(|items| TtlOp::Import { items }),
+    ]
+}
+
+/// The expiry a key's resident copy must report: the last one it landed
+/// with. Entries of keys since gone are never read — only resident keys
+/// are checked — and a key that lands again overwrites its entry.
+fn expected(model: &HashMap<u64, SimTime>, key: KeyId) -> SimTime {
+    model.get(&key.0).copied().unwrap_or(SimTime::MAX)
+}
+
+fn check_expiries(s: &SlabStore, model: &HashMap<u64, SimTime>) {
+    s.audit().unwrap();
+    for item in s.iter() {
+        assert_eq!(item.expires, expected(model, item.key), "iter {}", item.key);
+        assert_eq!(s.peek(item.key), Some(item));
+    }
+    for class in s.classes().ids() {
+        for item in s.iter_class_mru(class).chain(s.dump_class(class).items) {
+            assert_eq!(item.expires, expected(model, item.key), "walk {}", item.key);
+        }
+    }
+}
+
+proptest! {
+    /// TTL'd sets, plain re-sets (which drop the TTL), touches, the
+    /// crawler, eviction, deletes and imports of items with a finite expiry:
+    /// every get, peek, walk and dump reports the expiry a model gives, and
+    /// the audit holds the side table to the resident keys.
+    #[test]
+    fn expiries_match_model(ops in prop::collection::vec(ttl_op_strategy(), 1..300)) {
+        let mut s = store();
+        let mut model: HashMap<u64, SimTime> = HashMap::new();
+        let ms = SimTime::from_millis;
+        for (i, op) in ops.iter().enumerate() {
+            let now = ms(10 * i as u64 + 100);
+            let mut land = |key: u64, expires: SimTime| match expires {
+                SimTime::MAX => model.remove(&key),
+                at => model.insert(key, at),
+            };
+            match op {
+                TtlOp::Set { key, size, ttl } => {
+                    let set = match ttl {
+                        Some(ttl) => s.set_with_ttl(KeyId(*key), *size, now, ms(*ttl)),
+                        None => s.set(KeyId(*key), *size, now),
+                    };
+                    if set.is_ok() {
+                        land(*key, ttl.map_or(SimTime::MAX, |ttl| now + ms(ttl)));
+                    }
+                }
+                TtlOp::Get { key } => {
+                    if let Some(item) = s.get(KeyId(*key), now) {
+                        prop_assert_eq!(item.expires, expected(&model, item.key));
+                        prop_assert!(!item.is_expired(now));
+                    }
+                }
+                TtlOp::Touch { key, ttl } => {
+                    if let Some(item) = s.touch(KeyId(*key), now, ms(*ttl)) {
+                        land(*key, now + ms(*ttl));
+                        prop_assert_eq!(item.expires, now + ms(*ttl));
+                    }
+                }
+                TtlOp::Delete { key } => {
+                    s.delete(KeyId(*key));
+                }
+                TtlOp::Evict { size } => {
+                    let class = s.classes().class_for(elmem_store::ItemMeta::new(KeyId(0), *size, now).footprint());
+                    if let Some(class) = class {
+                        if let Some(victim) = s.evict_lru(class) {
+                            prop_assert_eq!(victim.expires, expected(&model, victim.key));
+                        }
+                    }
+                }
+                TtlOp::Crawl { budget } => {
+                    s.crawl_expired(now, *budget);
+                }
+                TtlOp::Import { items } => {
+                    let mut batch: Vec<ItemMeta> = items
+                        .iter()
+                        .map(|&(key, age, ttl)| {
+                            let at = now - ms(age);
+                            match ttl {
+                                Some(ttl) => ItemMeta::with_ttl(KeyId(key), 10, at, ms(ttl)),
+                                None => ItemMeta::new(KeyId(key), 10, at),
+                            }
+                        })
+                        .collect();
+                    batch.sort_by_key(|i| i.key);
+                    batch.dedup_by_key(|i| i.key);
+                    batch.sort_by_key(|i| std::cmp::Reverse(i.hotness()));
+                    // An incoming copy lands unless a resident one is as hot.
+                    let landing: Vec<ItemMeta> = batch
+                        .iter()
+                        .filter(|i| s.peek(i.key).is_none_or(|r| r.hotness() < i.hotness()))
+                        .copied()
+                        .collect();
+                    let class = s.classes().class_for(batch[0].footprint()).unwrap();
+                    s.batch_import(class, &batch, ImportMode::Merge).unwrap();
+                    for item in landing {
+                        land(item.key.0, item.expires);
+                    }
+                }
+            }
+            check_expiries(&s, &model);
         }
     }
 }

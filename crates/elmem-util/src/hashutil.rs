@@ -225,4 +225,22 @@ mod tests {
         b.write(b"abd");
         assert_ne!(a.finish(), b.finish());
     }
+
+    #[test]
+    fn a_u32_id_hashes_and_iterates_as_the_same_u64_id() {
+        // The store indexes 32-bit key ids: a map keyed by them must place,
+        // and so iterate, its keys as a map keyed by the same ids as u64.
+        use std::hash::BuildHasher;
+        for id in [0u32, 1, 7, 1 << 20, u32::MAX] {
+            let (narrow, wide) = (
+                FastIntBuildHasher.hash_one(id),
+                FastIntBuildHasher.hash_one(u64::from(id)),
+            );
+            assert_eq!(narrow, wide, "{id}");
+        }
+        let narrow: FastIntMap<u32, u32> = (0..1_000u32).map(|i| (i * 7, i)).collect();
+        let wide: FastIntMap<u64, u32> = (0..1_000u32).map(|i| (u64::from(i * 7), i)).collect();
+        let narrow = narrow.iter().map(|(&k, &v)| (u64::from(k), v));
+        assert!(narrow.eq(wide.iter().map(|(&k, &v)| (k, v))));
+    }
 }

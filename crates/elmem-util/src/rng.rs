@@ -78,21 +78,6 @@ impl DetRng {
         DetRng { s }
     }
 
-    /// Derives an independent sub-stream identified by an integer (e.g. a
-    /// node id), for when streams are created in a loop.
-    pub fn split_index(&self, index: u64) -> DetRng {
-        let mut sm = index.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(31)
-            ^ self.s[1]
-            ^ self.s[3].rotate_left(13);
-        let s = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
-        DetRng { s }
-    }
-
     /// The next 64 uniformly random bits (one xoshiro256** step).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -280,14 +265,6 @@ mod tests {
         assert_eq!(s1.next_u64(), s2.next_u64());
         let mut other = parent.split("sizes");
         assert_ne!(s1.next_u64(), other.next_u64());
-    }
-
-    #[test]
-    fn split_index_streams_differ() {
-        let parent = DetRng::seed(5);
-        let mut a = parent.split_index(0);
-        let mut b = parent.split_index(1);
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 
     #[test]

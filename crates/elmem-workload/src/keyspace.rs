@@ -57,7 +57,7 @@ impl Keyspace {
     ///
     /// # Panics
     ///
-    /// Panics if `n_keys == 0`.
+    /// Panics if `n_keys == 0` or `n_keys > u32::MAX`.
     pub fn new(n_keys: u64, seed: u64) -> Self {
         Self::with_distribution(
             n_keys,
@@ -71,8 +71,9 @@ impl Keyspace {
     ///
     /// # Panics
     ///
-    /// Panics if `n_keys == 0`, `max_value == 0`, or `GeneralizedPareto::new`
-    /// would refuse `dist`.
+    /// Panics if `n_keys == 0`, `n_keys > u32::MAX` (a store slot and the
+    /// exact profiler hold a key id in 32 bits), `max_value == 0`, or
+    /// `GeneralizedPareto::new` would refuse `dist`.
     pub fn with_distribution(
         n_keys: u64,
         seed: u64,
@@ -80,6 +81,7 @@ impl Keyspace {
         max_value: u32,
     ) -> Self {
         assert!(n_keys > 0, "empty keyspace");
+        assert!(n_keys <= u64::from(u32::MAX), "key ids past 32 bits");
         assert!(max_value > 0, "zero max value");
         let dist = GeneralizedPareto::new(dist.scale, dist.shape);
         Keyspace {
@@ -199,6 +201,27 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A keyspace of 2⁴⁰ ids, past the 32 bits `with_distribution` admits,
+    /// so that no range of the size table is too small to certify.
+    fn certify_all(dist: GeneralizedPareto, max_value: u32) -> Keyspace {
+        let n_keys = 1 << 40;
+        let dist = GeneralizedPareto::new(dist.scale, dist.shape);
+        let sizes = Arc::new(SizeTable::new(&dist, max_value, n_keys));
+        Keyspace {
+            n_keys,
+            seed: 0,
+            dist,
+            max_value,
+            sizes,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "key ids past 32 bits")]
+    fn ids_past_32_bits_are_refused() {
+        let _ = Keyspace::new(u64::from(u32::MAX) + 1, 0);
+    }
+
     #[test]
     fn sizes_are_stable_and_positive() {
         let ks = Keyspace::new(1000, 1);
@@ -281,12 +304,7 @@ mod tests {
         // past the last bucket, and every size is still `powf`'s.
         let cases = [(1e-4, 1e-9), (1.0, -0.5), (3.0, -1.0), (50.0, -0.3)];
         for (scale, shape) in cases {
-            let ks = Keyspace::with_distribution(
-                1 << 40,
-                0,
-                GeneralizedPareto::new(scale, shape),
-                1 << 20,
-            );
+            let ks = certify_all(GeneralizedPareto::new(scale, shape), 1 << 20);
             for h in (0..1 << 16).map(|i| mix64(i) >> 11).chain([0, TOP - 1]) {
                 assert_eq!(
                     ks.size_of_hash(h),
@@ -394,8 +412,7 @@ mod tests {
             seed in any::<u64>(),
         ) {
             let dist = GeneralizedPareto::new(10f64.powf(log_scale), shape);
-            // Enough keys that no range is too small to certify.
-            let ks = Keyspace::with_distribution(1 << 40, 0, dist, 10f64.powf(log_max) as u32);
+            let ks = certify_all(dist, 10f64.powf(log_max) as u32);
             for i in 0..2_000 {
                 let h = mix64(seed ^ i) >> 11;
                 prop_assert_eq!(ks.size_of_hash(h), reference(&ks, h), "at {}", h);

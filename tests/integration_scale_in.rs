@@ -169,7 +169,7 @@ fn baseline_scale_in_loses_victim_data() {
         .map(KeyId)
         .filter(|&k| cluster.tier.node_for_key(k) == Some(victims[0]))
         .collect();
-    cluster.tier.immediate_scale_in(&victims).unwrap();
+    cluster.tier.commit_remove(&victims).unwrap();
     let mut hits = 0;
     for &k in &victim_keys {
         let (_, hit) = cluster.lookup_and_fill(k, SimTime::from_secs(200_000));

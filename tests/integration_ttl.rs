@@ -140,7 +140,8 @@ fn crawler_runs_tier_wide() {
             .unwrap();
     }
     let mut reclaimed = 0;
-    let ids: Vec<_> = c.tier.online_nodes();
+    let online = c.tier.iter_nodes().filter(|n| n.is_online());
+    let ids: Vec<_> = online.map(|n| n.id()).collect();
     for id in ids {
         reclaimed += c
             .tier

@@ -5,7 +5,10 @@
 //! thread interleaving, matches the serial facade exactly.
 //!
 //! Op sequences cover set / get / delete / TTL-expiry / eviction (the
-//! stores are sized so hot classes overflow their pages) / batch_import.
+//! stores are sized so hot classes overflow their pages) / batch_import,
+//! and every store reports the expiries a model of the ops gives.
+
+use std::collections::HashMap;
 
 use elmem_store::{ConcurrentSlabStore, ImportMode, ItemMeta, SizeClasses, SlabStore, StoreConfig};
 use elmem_util::{ByteSize, DetRng, KeyId, SimTime};
@@ -49,32 +52,60 @@ fn store(shards: usize) -> SlabStore {
 }
 
 /// The batch an `Import` op carries: fresh hot keys (disjoint from the
-/// set/get key range), hottest first, all in the smallest class. Derived
-/// purely from the op and the clock so every store sees the same batch.
+/// set/get key range), hottest first, all in the smallest class, every
+/// third with a TTL. Derived purely from the op and the clock so every
+/// store sees the same batch.
 fn import_batch(base: u64, n: u64, now: SimTime) -> Vec<ItemMeta> {
     (0..n)
         .map(|i| ItemMeta {
             key: KeyId(10_000 + base * 100 + i),
             value_size: 10,
             last_access: now.checked_add(SimTime::from_millis(n - i)).unwrap(),
-            expires: SimTime::MAX,
+            expires: match i % 3 {
+                0 => now + SimTime::from_millis(50 + i),
+                _ => SimTime::MAX,
+            },
         })
         .collect()
 }
 
-fn apply(s: &mut SlabStore, op: &Op, now: SimTime) {
+/// The expiry each key last landed with; absent is never. Only resident
+/// keys are read, and a key that lands again overwrites its entry.
+type Ttls = HashMap<KeyId, SimTime>;
+
+fn land(ttls: &mut Ttls, key: KeyId, expires: SimTime) {
+    match expires {
+        SimTime::MAX => ttls.remove(&key),
+        at => ttls.insert(key, at),
+    };
+}
+
+/// Whether `item` reports the expiry `ttls` gives its key.
+fn modeled(ttls: &Ttls, item: &ItemMeta) -> bool {
+    item.expires == ttls.get(&item.key).copied().unwrap_or(SimTime::MAX)
+}
+
+fn apply(s: &mut SlabStore, op: &Op, now: SimTime, ttls: &mut Ttls) {
+    let ms = SimTime::from_millis;
     match *op {
         Op::Set { key, size } => {
-            let _ = s.set(KeyId(key), size, now);
+            if s.set(KeyId(key), size, now).is_ok() {
+                land(ttls, KeyId(key), SimTime::MAX);
+            }
         }
         Op::SetTtl { key, size, ttl } => {
-            let _ = s.set_with_ttl(KeyId(key), size, now, SimTime::from_millis(ttl));
+            if s.set_with_ttl(KeyId(key), size, now, ms(ttl)).is_ok() {
+                land(ttls, KeyId(key), now + ms(ttl));
+            }
         }
         Op::Get { key } => {
-            let _ = s.get(KeyId(key), now);
+            let got = s.get(KeyId(key), now);
+            assert!(got.is_none_or(|item| modeled(ttls, &item)), "{got:?}");
         }
         Op::Touch { key, ttl } => {
-            let _ = s.touch(KeyId(key), now, SimTime::from_millis(ttl));
+            if s.touch(KeyId(key), now, ms(ttl)).is_some() {
+                land(ttls, KeyId(key), now + ms(ttl));
+            }
         }
         Op::Delete { key } => {
             let _ = s.delete(KeyId(key));
@@ -85,8 +116,28 @@ fn apply(s: &mut SlabStore, op: &Op, now: SimTime) {
         Op::Import { base, n } => {
             let batch = import_batch(base, n, now);
             let class = s.classes().class_for(batch[0].footprint()).unwrap();
+            // An incoming copy lands unless a resident one is as hot.
+            let landing: Vec<ItemMeta> = batch
+                .iter()
+                .filter(|i| s.peek(i.key).is_none_or(|r| r.hotness() < i.hotness()))
+                .copied()
+                .collect();
             let _ = s.batch_import(class, &batch, ImportMode::Merge);
+            for item in landing {
+                land(ttls, item.key, item.expires);
+            }
         }
+    }
+}
+
+/// Every item the store reports — iterated, peeked, walked, dumped —
+/// carries its modeled expiry.
+fn check_expiries(s: &SlabStore, ttls: &Ttls) {
+    let dumped = s.dump_metadata().classes.into_iter().flat_map(|c| c.items);
+    let walked = s.classes().ids().flat_map(|c| s.iter_class_mru(c));
+    for item in s.iter().chain(dumped).chain(walked) {
+        assert!(modeled(ttls, &item), "{item:?}");
+        assert_eq!(s.peek(item.key), Some(item));
     }
 }
 
@@ -129,17 +180,21 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..300),
     ) {
         let mut reference = store(1);
+        let mut ttls = Ttls::new();
         for (i, op) in ops.iter().enumerate() {
-            apply(&mut reference, op, SimTime::from_millis(7 * (i as u64 + 1)));
+            apply(&mut reference, op, SimTime::from_millis(7 * (i as u64 + 1)), &mut ttls);
         }
         reference.audit().unwrap();
+        check_expiries(&reference, &ttls);
         let want = fingerprint(&reference);
         for shards in [2usize, 4, 8] {
             let mut s = store(shards);
+            let mut ttls = Ttls::new();
             for (i, op) in ops.iter().enumerate() {
-                apply(&mut s, op, SimTime::from_millis(7 * (i as u64 + 1)));
+                apply(&mut s, op, SimTime::from_millis(7 * (i as u64 + 1)), &mut ttls);
             }
             s.audit().unwrap();
+            check_expiries(&s, &ttls);
             prop_assert_eq!(
                 &fingerprint(&s),
                 &want,
@@ -162,6 +217,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut serial = store(4);
+        let mut ttls = Ttls::new();
         let conc = ConcurrentSlabStore::from_serial(store(4));
         let mut rng = DetRng::seed(seed);
         let mut cursors = vec![0usize; streams.len()];
@@ -184,6 +240,9 @@ proptest! {
                         serial.set(KeyId(key), size, now).is_ok(),
                         conc.set(KeyId(key), size, now).is_ok()
                     );
+                    if serial.contains(KeyId(key)) {
+                        land(&mut ttls, KeyId(key), SimTime::MAX);
+                    }
                 }
                 Op::SetTtl { key, size, ttl } => {
                     let ttl = SimTime::from_millis(ttl);
@@ -191,16 +250,22 @@ proptest! {
                         serial.set_with_ttl(KeyId(key), size, now, ttl).is_ok(),
                         conc.set_with_ttl(KeyId(key), size, now, ttl).is_ok()
                     );
+                    if serial.contains(KeyId(key)) {
+                        land(&mut ttls, KeyId(key), now + ttl);
+                    }
                 }
                 Op::Get { key } => {
-                    prop_assert_eq!(serial.get(KeyId(key), now), conc.get(KeyId(key), now));
+                    let got = serial.get(KeyId(key), now);
+                    prop_assert_eq!(got, conc.get(KeyId(key), now));
+                    prop_assert!(got.is_none_or(|item| modeled(&ttls, &item)));
                 }
                 Op::Touch { key, ttl } => {
                     let ttl = SimTime::from_millis(ttl);
-                    prop_assert_eq!(
-                        serial.touch(KeyId(key), now, ttl),
-                        conc.touch(KeyId(key), now, ttl)
-                    );
+                    let touched = serial.touch(KeyId(key), now, ttl);
+                    prop_assert_eq!(touched, conc.touch(KeyId(key), now, ttl));
+                    if touched.is_some() {
+                        land(&mut ttls, KeyId(key), now + ttl);
+                    }
                 }
                 Op::Delete { key } => {
                     prop_assert_eq!(serial.delete(KeyId(key)), conc.delete(KeyId(key)));
@@ -213,6 +278,7 @@ proptest! {
         let conc = conc.into_serial();
         serial.audit().unwrap();
         conc.audit().unwrap();
+        check_expiries(&conc, &ttls);
         prop_assert_eq!(serial.stats(), conc.stats());
         prop_assert_eq!(&fingerprint(&conc), &fingerprint(&serial));
     }

@@ -32,7 +32,7 @@ fn hammer(store: &Arc<ConcurrentSlabStore>, threads: u64, ops_per_thread: u64) -
     for t in 0..threads {
         let store = Arc::clone(store);
         handles.push(thread::spawn(move || {
-            let mut rng = DetRng::seed(0xE1_5E_ED).split_index(t);
+            let mut rng = DetRng::seed(0xE1_5E_ED).split(&format!("worker {t}"));
             let mut tally = WorkerTally::default();
             let own_base = 1_000_000 * (t + 1);
             // Small enough that the CI store conserves everything, large
