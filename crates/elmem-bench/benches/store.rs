@@ -82,7 +82,6 @@ fn bench_dump_and_import(c: &mut Criterion) {
                 key: KeyId(10_000_000 + i),
                 value_size: 100,
                 last_access: SimTime::from_secs(100_000 - i),
-                expires: SimTime::MAX,
             })
             .collect();
         group.bench_with_input(BenchmarkId::new("batch_import_merge", n), &n, |b, _| {

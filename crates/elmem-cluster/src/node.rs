@@ -273,7 +273,6 @@ mod tests {
             key: KeyId(11),
             value_size: 100,
             last_access: SimTime::from_secs(1),
-            expires: SimTime::MAX,
         }];
         let class = n.store.classes().class_for(items[0].footprint()).unwrap();
         assert!(n
@@ -310,7 +309,6 @@ mod tests {
             key: KeyId(3),
             value_size: 64,
             last_access: SimTime::from_secs(1),
-            expires: SimTime::MAX,
         }];
         let class = n.store.classes().class_for(items[0].footprint()).unwrap();
         n.import_shipment(1, 0, 1, class, &items, ImportMode::Merge)

@@ -408,8 +408,7 @@ impl TelemetryDump {
                 out,
                 "{{\"node\":{},\"lookups\":{},\"hits\":{},\"timeouts\":{},\
                  \"fast_failovers\":{},\"store\":{{\"hits\":{},\"misses\":{},\
-                 \"sets\":{},\"evictions\":{},\"deletes\":{},\"imported\":{},\
-                 \"expired\":{}}}}}",
+                 \"sets\":{},\"evictions\":{},\"deletes\":{},\"imported\":{}}}}}",
                 row.node.0,
                 row.counters.lookups,
                 row.counters.hits,
@@ -420,8 +419,7 @@ impl TelemetryDump {
                 row.stats.sets,
                 row.stats.evictions,
                 row.stats.deletes,
-                row.stats.imported,
-                row.stats.expired
+                row.stats.imported
             );
         }
         out.push_str("]}");

@@ -42,7 +42,7 @@ use elmem_util::{ElmemError, KeyId, SimTime};
 
 use crate::classes::{ClassId, SizeClasses};
 use crate::item::ItemMeta;
-use crate::shard::{shard_of, storable, Access, Resident, Shard};
+use crate::shard::{shard_of, storable, Resident, Shard};
 use crate::store::{ClassMeta, MedianCache, SlabStore, StoreConfig, StoreStats};
 
 /// Bound on secure-capacity retries in the slow path: under contention a
@@ -72,7 +72,6 @@ struct StatsAtomics {
     evictions: AtomicU64,
     deletes: AtomicU64,
     imported: AtomicU64,
-    expired: AtomicU64,
 }
 
 impl StatsAtomics {
@@ -84,7 +83,6 @@ impl StatsAtomics {
             evictions: AtomicU64::new(s.evictions),
             deletes: AtomicU64::new(s.deletes),
             imported: AtomicU64::new(s.imported),
-            expired: AtomicU64::new(s.expired),
         }
     }
 
@@ -96,7 +94,6 @@ impl StatsAtomics {
             evictions: self.evictions.load(SeqCst),
             deletes: self.deletes.load(SeqCst),
             imported: self.imported.load(SeqCst),
-            expired: self.expired.load(SeqCst),
         }
     }
 }
@@ -232,30 +229,17 @@ impl ConcurrentSlabStore {
         self.shards[si].lock().expect("shard lock")
     }
 
-    /// Looks up a key, refreshing its MRU position and timestamp on hit;
-    /// expired items are lazily reclaimed as misses, exactly like
-    /// [`SlabStore::get`].
+    /// Looks up a key, refreshing its MRU position and timestamp on hit,
+    /// exactly like [`SlabStore::get`].
     pub fn get(&self, key: KeyId, now: SimTime) -> Option<ItemMeta> {
-        self.access(key, now, None)
-    }
-
-    /// [`get`](Self::get), and with `ttl` a [`touch`](Self::touch).
-    fn access(&self, key: KeyId, now: SimTime, ttl: Option<SimTime>) -> Option<ItemMeta> {
         let mut sh = self.lock_shard(shard_of(key, self.n_shards));
-        match sh.access(key, now, ttl, || self.next_seq()) {
-            Access::Hit(class, item) => {
-                self.stats.hits.fetch_add(1, SeqCst);
-                self.class(class).version.fetch_add(1, SeqCst);
-                return Some(item);
-            }
-            Access::Expired(class) => {
-                self.uncount(class);
-                self.stats.expired.fetch_add(1, SeqCst);
-            }
-            Access::Miss => {}
-        }
-        self.stats.misses.fetch_add(1, SeqCst);
-        None
+        let Some((class, item)) = sh.access(key, now, || self.next_seq()) else {
+            self.stats.misses.fetch_add(1, SeqCst);
+            return None;
+        };
+        self.stats.hits.fetch_add(1, SeqCst);
+        self.class(class).version.fetch_add(1, SeqCst);
+        Some(item)
     }
 
     /// Looks up a key without disturbing MRU order or counters.
@@ -278,27 +262,6 @@ impl ConcurrentSlabStore {
     /// Same as [`SlabStore::set`].
     pub fn set(&self, key: KeyId, value_size: u32, now: SimTime) -> Result<(), ElmemError> {
         self.set_item(ItemMeta::new(key, value_size, now))
-    }
-
-    /// Inserts or updates a key with a time-to-live.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SlabStore::set`].
-    pub fn set_with_ttl(
-        &self,
-        key: KeyId,
-        value_size: u32,
-        now: SimTime,
-        ttl: SimTime,
-    ) -> Result<(), ElmemError> {
-        self.set_item(ItemMeta::with_ttl(key, value_size, now, ttl))
-    }
-
-    /// Refreshes a key's TTL and MRU position (Memcached `touch`),
-    /// mirroring [`SlabStore::touch`]'s counters exactly.
-    pub fn touch(&self, key: KeyId, now: SimTime, ttl: SimTime) -> Option<ItemMeta> {
-        self.access(key, now, Some(ttl))
     }
 
     /// Removes a key; returns whether it was present.
@@ -477,16 +440,16 @@ mod tests {
     fn serving_ops_roundtrip() {
         let s = ConcurrentSlabStore::new(config());
         s.set(KeyId(1), 10, t(1)).unwrap();
-        s.set_with_ttl(KeyId(2), 10, t(1), t(5)).unwrap();
+        s.set(KeyId(2), 10, t(1)).unwrap();
         assert_eq!(s.len(), 2);
         assert!(s.contains(KeyId(1)));
         let item = s.get(KeyId(1), t(2)).unwrap();
         assert_eq!(item.last_access, t(2));
-        // Key 2 expires at t=6.
-        assert!(s.get(KeyId(2), t(10)).is_none());
-        assert_eq!(s.stats().expired, 1);
+        assert!(s.get(KeyId(3), t(3)).is_none());
+        assert_eq!((s.stats().hits, s.stats().misses), (1, 1));
         assert!(s.delete(KeyId(1)));
         assert!(!s.delete(KeyId(1)));
+        assert!(s.delete(KeyId(2)));
         assert!(s.is_empty());
         s.into_serial().audit().unwrap();
     }

@@ -99,7 +99,6 @@ mod tests {
             key: KeyId(k),
             value_size: 10,
             last_access: SimTime::from_secs(ts),
-            expires: SimTime::MAX,
         }
     }
 

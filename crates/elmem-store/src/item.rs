@@ -8,7 +8,7 @@ use elmem_util::{KeyId, SimTime};
 pub const KEY_BYTES: u64 = 11;
 
 /// Per-item metadata overhead modeled after Memcached's item header
-/// (pointers, flags, CAS, expiry), bytes.
+/// (LRU pointers, flags, CAS and the other header words), bytes.
 pub const ITEM_OVERHEAD_BYTES: u64 = 48;
 
 /// Size of a serialized MRU timestamp in the metadata-transfer phase, bytes
@@ -74,36 +74,19 @@ pub struct ItemMeta {
     pub value_size: u32,
     /// Last access (MRU) timestamp.
     pub last_access: SimTime,
-    /// Expiry instant (Memcached `exptime`); [`SimTime::MAX`] = never.
-    /// Carried through migrations so destinations honor the original TTL.
-    pub expires: SimTime,
 }
 
+// Every dump, FuseCache list and shipment carries one per item.
+const _: () = assert!(size_of::<ItemMeta>() == 24);
+
 impl ItemMeta {
-    /// A never-expiring item last accessed at `now`.
+    /// An item last accessed at `now`.
     pub fn new(key: KeyId, value_size: u32, now: SimTime) -> Self {
         ItemMeta {
             key,
             value_size,
             last_access: now,
-            expires: SimTime::MAX,
         }
-    }
-
-    /// An item with a time-to-live relative to `now`.
-    pub fn with_ttl(key: KeyId, value_size: u32, now: SimTime, ttl: SimTime) -> Self {
-        ItemMeta {
-            key,
-            value_size,
-            last_access: now,
-            expires: now.checked_add(ttl).unwrap_or(SimTime::MAX),
-        }
-    }
-
-    /// Whether the item is expired at `now` (Memcached semantics: an item
-    /// is dead once `now` reaches `exptime`).
-    pub fn is_expired(&self, now: SimTime) -> bool {
-        self.expires != SimTime::MAX && now >= self.expires
     }
 
     /// Total memory footprint this item needs in a chunk:

@@ -18,6 +18,11 @@
 //! accounting is still byte-accurate (chunk sizes, page assignment, item
 //! overhead).
 //!
+//! Of Memcached's commands it models only those the paper's path issues:
+//! `get`, `set` and `delete` from the web tier (§II-A), plus the two patches
+//! the migration drives (§III-D). Items never lapse on their own; a command
+//! or a lifetime comes back only with a caller that needs it (DESIGN.md §2).
+//!
 //! # Example
 //!
 //! ```

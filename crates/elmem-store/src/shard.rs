@@ -1,7 +1,7 @@
 //! One shard of a [`SlabStore`](crate::SlabStore): the slot arena, free
-//! lists, per-class MRU lists, key index and expiry table for the keys that
-//! route here — by default all of them: a store has one shard unless its
-//! config names more, and then a class's MRU list *is* its one shard list.
+//! lists, per-class MRU lists and key index for the keys that route here —
+//! by default all of them: a store has one shard unless its config names
+//! more, and then a class's MRU list *is* its one shard list.
 //! Only this module knows a slot's layout: both facades read and write
 //! items through [`Shard`]'s methods, as [`ItemMeta`]s.
 //!
@@ -12,12 +12,10 @@
 //! Whatever only reorders a list — `unlink`, `push`, `detach_list`,
 //! `relink_back`, an ordered walk's hops — stays on the link lane; the
 //! item lane is read when an item is asked for and written when one is
-//! set. Finite expiries live in the shard's `expires` table, empty unless
-//! TTLs are in use, so a hit's expiry test is one `is_empty` branch. A key
-//! id wider than 32 bits is refused ([`storable`]), never resident. A slot
-//! is free exactly when its stamp is 0, so no `Option` wraps the item, and
-//! [`SlabStore::audit`](crate::SlabStore::audit) checks "on the free list
-//! ⇔ stamp 0". See DESIGN.md §14.
+//! set. A key id wider than 32 bits is refused ([`storable`]), never
+//! resident. A slot is free exactly when its stamp is 0, so no `Option`
+//! wraps the item, and [`SlabStore::audit`](crate::SlabStore::audit) checks
+//! "on the free list ⇔ stamp 0". See DESIGN.md §14.
 //!
 //! A shard is deliberately *dumb*: it owns list surgery and byte/len
 //! accounting for its own slots, but every policy decision — whether a
@@ -36,9 +34,9 @@
 //! strictly descend from head to tail*. Under that invariant the global
 //! MRU order of a class is exactly the k-way merge of its shard lists by
 //! descending stamp — so the unsharded store's observable behavior
-//! (eviction victims, crawler visit order, the median position, dump
-//! contents) is recoverable at any shard count, byte for byte. One kernel
-//! performs that merge for every ordered walk, from either end
+//! (eviction victims, the median position, dump contents) is recoverable
+//! at any shard count, byte for byte. One kernel performs that merge for
+//! every ordered walk, from either end
 //! ([`ClassMruIter`](crate::store::ClassMruIter)); with one shard it has one
 //! lane and merges nothing. See DESIGN.md §14.
 
@@ -78,16 +76,13 @@ pub(crate) struct Link {
     pub next: u32,
 }
 
-/// What a chunk holds, but its expiry: 16 bytes, four to a cache line.
+/// What a chunk holds: 16 bytes, four to a cache line.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Slot {
     pub key: u32,
     pub value_size: u32,
     pub last_access: SimTime,
 }
-
-/// Resident key id → expiry, for the finite expiries only.
-pub(crate) type Expiries = FastIntMap<u32, SimTime>;
 
 // Four links or four slots to a cache line, and a 12-byte index entry.
 const _: () = assert!(
@@ -103,28 +98,15 @@ impl Slot {
         }
     }
 
-    /// The exchange type of this slot's item, its expiry from `expires`.
+    /// The exchange type of this slot's item.
     #[inline]
-    pub fn meta(self, expires: &Expiries) -> ItemMeta {
-        ItemMeta {
-            key: KeyId(u64::from(self.key)),
-            value_size: self.value_size,
-            last_access: self.last_access,
-            expires: if expires.is_empty() {
-                SimTime::MAX
-            } else {
-                expiry(expires, self.key)
-            },
-        }
+    pub fn meta(self) -> ItemMeta {
+        ItemMeta::new(
+            KeyId(u64::from(self.key)),
+            self.value_size,
+            self.last_access,
+        )
     }
-}
-
-/// `id`'s expiry in a non-empty table — out of line: inlined, the probe
-/// loop slowed every walk, though none took it (E38).
-#[cold]
-#[inline(never)]
-fn expiry(table: &Expiries, id: u32) -> SimTime {
-    table.get(&id).copied().unwrap_or(SimTime::MAX)
 }
 
 /// One class's slots within one shard, as two lanes indexed by the same
@@ -276,14 +258,6 @@ impl ShardList {
     }
 }
 
-/// What [`Shard::access`] found: nothing, an expired item now gone from
-/// its class, or a live one as it reads after the access.
-pub(crate) enum Access {
-    Miss,
-    Expired(u16),
-    Hit(u16, ItemMeta),
-}
-
 /// What [`Shard::update`] did: no such key, rewrote it in place, or
 /// removed it from its old class.
 pub(crate) enum Resident {
@@ -292,8 +266,8 @@ pub(crate) enum Resident {
     Removed(u16),
 }
 
-/// One independent shard: per-class lists plus the key index and the
-/// expiry table for the keys that route here.
+/// One independent shard: per-class lists plus the key index for the keys
+/// that route here.
 #[derive(Debug, Clone)]
 pub(crate) struct Shard {
     pub lists: Vec<ShardList>,
@@ -301,8 +275,6 @@ pub(crate) struct Shard {
     /// deterministic integer hasher keeps placement identical across runs
     /// and platforms, and hashes a `u32` id as it hashes the same `u64`.
     pub index: FastIntMap<u32, (u16, u32)>,
-    /// The finite expiries of this shard's resident keys.
-    pub expires: Expiries,
 }
 
 impl Shard {
@@ -310,7 +282,6 @@ impl Shard {
         Shard {
             lists: (0..n_classes).map(|_| ShardList::new()).collect(),
             index: FastIntMap::default(),
-            expires: Expiries::default(),
         }
     }
 
@@ -323,46 +294,26 @@ impl Shard {
     /// The item in an occupied slot.
     #[inline]
     pub fn item(&self, class: u16, idx: u32) -> ItemMeta {
-        self.lists[class as usize].slots[idx as usize].meta(&self.expires)
+        self.lists[class as usize].slots[idx as usize].meta()
     }
 
-    fn set_expiry(&mut self, id: u32, expires: SimTime) {
-        if expires != SimTime::MAX {
-            self.expires.insert(id, expires);
-        } else if !self.expires.is_empty() {
-            self.expires.remove(&id);
-        }
-    }
-
-    /// A `get` of `key` at `now` — with `ttl`, a `touch`: a live item
-    /// moves to the MRU head with the stamp `stamp` draws, is accessed at
-    /// `now` and, with `ttl`, expires that long after it; an expired one
-    /// is removed (Memcached's lazy expiry).
+    /// A `get` of `key` at `now`: a resident item moves to the MRU head
+    /// with the stamp `stamp` draws and is accessed at `now`; returns its
+    /// class and the item as it reads after the access.
     #[inline]
     pub fn access(
         &mut self,
         key: KeyId,
         now: SimTime,
-        ttl: Option<SimTime>,
         stamp: impl FnOnce() -> u64,
-    ) -> Access {
-        let Some((class, idx)) = self.locate(key) else {
-            return Access::Miss;
-        };
-        if self.item(class, idx).is_expired(now) {
-            self.vacate(class, idx, true);
-            return Access::Expired(class);
-        }
+    ) -> Option<(u16, ItemMeta)> {
+        let (class, idx) = self.locate(key)?;
         let list = &mut self.lists[class as usize];
         list.unlink(idx);
         list.push::<true>(idx, stamp());
         let slot = &mut list.slots[idx as usize];
         slot.last_access = now;
-        if let Some(ttl) = ttl {
-            let id = slot.key;
-            self.set_expiry(id, now.checked_add(ttl).unwrap_or(SimTime::MAX));
-        }
-        Access::Hit(class, self.item(class, idx))
+        Some((class, slot.meta()))
     }
 
     /// `set`'s handling of a key already resident: in `class` its slot is
@@ -388,7 +339,6 @@ impl Shard {
         *slot = Slot::new(id, item);
         list.unlink(idx);
         list.push::<true>(idx, stamp());
-        self.set_expiry(id, item.expires);
         Resident::Updated
     }
 
@@ -406,9 +356,6 @@ impl Shard {
         seq: u64,
         indexed: bool,
     ) {
-        if item.expires != SimTime::MAX {
-            self.expires.insert(id, item.expires);
-        }
         let list = &mut self.lists[class as usize];
         list.len += 1;
         list.bytes_used += item.footprint();
@@ -457,8 +404,8 @@ impl Shard {
         self.lists[class as usize].push::<false>(idx, seq);
     }
 
-    /// Unlinks and frees an occupied slot, uncounts its item and forgets
-    /// its expiry and, if `indexed`, its index entry; returns the item.
+    /// Unlinks and frees an occupied slot, uncounts its item and, if
+    /// `indexed`, forgets its index entry; returns the item.
     pub fn vacate(&mut self, class: u16, idx: u32, indexed: bool) -> ItemMeta {
         let item = self.item(class, idx);
         let list = &mut self.lists[class as usize];
@@ -467,18 +414,15 @@ impl Shard {
         list.free.push(idx);
         list.len -= 1;
         list.bytes_used -= item.footprint();
-        let id = list.slots[idx as usize].key;
         if indexed {
-            self.index.remove(&id);
+            self.index.remove(&list.slots[idx as usize].key);
         }
-        self.set_expiry(id, SimTime::MAX);
         item
     }
 
     /// Checks every list of this shard, the `si`th of `n_shards`, then its
-    /// index (slot agreement, key → shard routing) and its expiry table
-    /// (indexed keys' finite expiries only). Tables iterate in hash order,
-    /// so the smallest offending key is the one reported.
+    /// index (slot agreement, key → shard routing). The index iterates in
+    /// hash order, so the smallest offending key is the one reported.
     pub fn audit(&self, si: usize, n_shards: u32, lru_clock: u64) -> Result<(), String> {
         for (ci, list) in self.lists.iter().enumerate() {
             list.audit(lru_clock)
@@ -499,21 +443,7 @@ impl Shard {
             };
             Some((id, format!("shard {si} index: {key} {problem}")))
         });
-        let stray = self.expires.iter().filter_map(|(&id, &at)| {
-            let why = match at {
-                SimTime::MAX => "infinite",
-                _ if !self.index.contains_key(&id) => "not indexed",
-                _ => return None,
-            };
-            Some((
-                id,
-                format!("shard {si} expiry table: k{id} expires at {at} but is {why}"),
-            ))
-        });
-        match misindexed
-            .min_by_key(|m| m.0)
-            .or_else(|| stray.min_by_key(|s| s.0))
-        {
+        match misindexed.min_by_key(|m| m.0) {
             Some((_, msg)) => Err(msg),
             None => Ok(()),
         }
@@ -569,14 +499,12 @@ mod tests {
     fn insert_remove_roundtrip_keeps_accounting() {
         let mut sh = Shard::new(2);
         let a = ItemMeta::new(KeyId(1), 100, SimTime::from_secs(1));
-        let b = ItemMeta::with_ttl(KeyId(2), 50, SimTime::from_secs(2), SimTime::from_secs(9));
+        let b = ItemMeta::new(KeyId(2), 50, SimTime::from_secs(2));
         sh.insert::<true>(0, 1, &a, 1, true);
         sh.insert::<true>(0, 2, &b, 2, true);
         assert_eq!(sh.lists[0].len, 2);
         assert_eq!(sh.lists[0].bytes_used, a.footprint() + b.footprint());
         assert_eq!(sh.tail_stamp(0), Some(1));
-        // Only the finite expiry takes a side-table entry.
-        assert_eq!(sh.expires.len(), 1);
         let (class, idx) = sh.locate(KeyId(2)).unwrap();
         assert_eq!(sh.item(class, idx), b);
         let (class, idx) = sh.locate(KeyId(1)).unwrap();
@@ -586,30 +514,24 @@ mod tests {
         assert_eq!(sh.lists[0].free.len(), 1);
         assert!(sh.locate(KeyId(1)).is_none());
         assert_eq!(sh.evict_tail(0, true), Some(b));
-        assert!(sh.expires.is_empty() && sh.index.is_empty());
+        assert!(sh.index.is_empty());
         assert_eq!(sh.tail_stamp(0), None);
     }
 
     #[test]
-    fn access_restamps_and_touch_sets_the_expiry() {
+    fn access_restamps_a_hit_and_misses_the_rest() {
         let mut sh = Shard::new(1);
         let at = SimTime::from_secs;
         sh.insert::<true>(0, 1, &ItemMeta::new(KeyId(1), 10, at(1)), 1, true);
         sh.insert::<true>(0, 2, &ItemMeta::new(KeyId(2), 10, at(2)), 2, true);
-        // Key 1 is the tail; touching it relinks it to the head with stamp 3.
-        let Access::Hit(0, item) = sh.access(KeyId(1), at(5), Some(at(10)), || 3) else {
-            panic!("key 1 is resident");
-        };
-        assert_eq!((item.last_access, item.expires), (at(5), at(15)));
+        // Key 1 is the tail; a hit relinks it to the head with stamp 3.
+        let hit = sh.access(KeyId(1), at(5), || 3);
+        assert_eq!(hit, Some((0, ItemMeta::new(KeyId(1), 10, at(5)))));
         assert_eq!(sh.tail_stamp(0), Some(2));
         let head = sh.lists[0].head;
         assert_eq!(sh.lists[0].links[head as usize].seq, 3);
-        assert!(matches!(
-            sh.access(KeyId(1), at(15), None, || 4),
-            Access::Expired(0)
-        ));
-        assert!(sh.expires.is_empty());
+        assert_eq!(sh.access(KeyId(3), at(6), || 4), None);
         let wide = KeyId(u64::from(u32::MAX) + 2);
-        assert!(matches!(sh.access(wide, at(16), None, || 5), Access::Miss));
+        assert_eq!(sh.access(wide, at(7), || 5), None);
     }
 }

@@ -1,4 +1,6 @@
-//! The slab store: pages, chunks, MRU lists, LRU eviction.
+//! The slab store: pages, chunks, MRU lists, LRU eviction, and the
+//! commands the paper's path issues — `get`, `set`, `delete`, the bulk
+//! [`Fill`], the timestamp dump and `batch_import` — and no others.
 //!
 //! The store body is N independent [`Shard`]s (key → shard via the same
 //! SplitMix64 finalizer the index hashes with), and N is **1 unless a
@@ -8,10 +10,10 @@
 //! carries a stamp from a global monotone LRU clock, so the global MRU
 //! order of a class is the k-way merge of its shard lists by descending
 //! stamp — at one shard, the list itself. Every ordered walk (dump, median,
-//! FuseCache's resident list, `batch_import`, the TTL crawler) is one
-//! kernel, [`ClassMruIter`], which can be taken from either end and hops
-//! along the slot arenas' 16-byte link lane, apart from the items. Only
-//! `shard.rs` knows a slot's layout; see DESIGN.md §14. More than one
+//! FuseCache's resident list, `batch_import`) is one kernel,
+//! [`ClassMruIter`], which can be taken from either end and hops along the
+//! slot arenas' 16-byte link lane, apart from the items. Only `shard.rs`
+//! knows a slot's layout; see DESIGN.md §14. More than one
 //! shard serves only the [`ConcurrentSlabStore`] facade in `concurrent.rs`,
 //! which drives the same shards from real threads and has no product
 //! caller.
@@ -25,7 +27,7 @@ use elmem_util::{ByteSize, ElmemError, KeyId, SimTime};
 use crate::classes::{ClassId, SizeClasses};
 use crate::dump::{canonicalize, ClassDump, MetadataDump};
 use crate::item::{Hotness, ItemMeta};
-use crate::shard::{shard_of, storable, Access, Expiries, Link, Resident, Shard, ShardList, Slot};
+use crate::shard::{shard_of, storable, Link, Resident, Shard, ShardList, Slot};
 
 /// Environment variable overriding the default shard count
 /// ([`default_shard_count`]). The main CI job runs the suite at the default
@@ -119,9 +121,6 @@ pub struct StoreStats {
     pub deletes: u64,
     /// Items accepted by `batch_import`.
     pub imported: u64,
-    /// Items reclaimed because their TTL elapsed (lazily on access or by
-    /// the LRU crawler).
-    pub expired: u64,
 }
 
 impl StoreStats {
@@ -150,7 +149,6 @@ impl StoreStats {
         self.evictions += other.evictions;
         self.deletes += other.deletes;
         self.imported += other.imported;
-        self.expired += other.expired;
     }
 }
 
@@ -406,30 +404,16 @@ impl SlabStore {
     }
 
     /// Looks up a key, refreshing its MRU position and timestamp on hit.
-    ///
-    /// An item whose TTL has elapsed is reclaimed lazily here and reported
-    /// as a miss (Memcached's lazy-expiry semantics).
     pub fn get(&mut self, key: KeyId, now: SimTime) -> Option<ItemMeta> {
-        self.access(key, now, None)
-    }
-
-    /// [`get`](Self::get), and with `ttl` a [`touch`](Self::touch).
-    fn access(&mut self, key: KeyId, now: SimTime, ttl: Option<SimTime>) -> Option<ItemMeta> {
+        let si = shard_of(key, self.n_shards);
         let stamp = || tick(&mut self.lru_clock);
-        match self.shards[shard_of(key, self.n_shards)].access(key, now, ttl, stamp) {
-            Access::Hit(class, item) => {
-                self.stats.hits += 1;
-                self.class_meta[class as usize].version += 1;
-                return Some(item);
-            }
-            Access::Expired(class) => {
-                self.uncount(class);
-                self.stats.expired += 1;
-            }
-            Access::Miss => {}
-        }
-        self.stats.misses += 1;
-        None
+        let Some((class, item)) = self.shards[si].access(key, now, stamp) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        self.class_meta[class as usize].version += 1;
+        Some(item)
     }
 
     /// Looks up a key without disturbing MRU order or counters.
@@ -456,86 +440,6 @@ impl SlabStore {
     ///   evictable item exists in the needed class.
     pub fn set(&mut self, key: KeyId, value_size: u32, now: SimTime) -> Result<(), ElmemError> {
         self.set_item(ItemMeta::new(key, value_size, now), true)
-    }
-
-    /// Inserts or updates a key with a time-to-live (Memcached `exptime`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`set`](Self::set).
-    pub fn set_with_ttl(
-        &mut self,
-        key: KeyId,
-        value_size: u32,
-        now: SimTime,
-        ttl: SimTime,
-    ) -> Result<(), ElmemError> {
-        self.set_item(ItemMeta::with_ttl(key, value_size, now, ttl), true)
-    }
-
-    /// Memcached's `add`: stores only if the key is absent (or expired).
-    /// Returns whether the value was stored.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`set`](Self::set).
-    pub fn add(&mut self, key: KeyId, value_size: u32, now: SimTime) -> Result<bool, ElmemError> {
-        if self.peek_live(key, now).is_some() {
-            return Ok(false);
-        }
-        self.set(key, value_size, now)?;
-        Ok(true)
-    }
-
-    /// Memcached's `replace`: stores only if the key is present (and not
-    /// expired). Returns whether the value was stored.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`set`](Self::set).
-    pub fn replace(
-        &mut self,
-        key: KeyId,
-        value_size: u32,
-        now: SimTime,
-    ) -> Result<bool, ElmemError> {
-        storable(key)?;
-        if self.peek_live(key, now).is_none() {
-            return Ok(false);
-        }
-        self.set(key, value_size, now)?;
-        Ok(true)
-    }
-
-    /// Memcached's `cas` (check-and-set): stores only if the item's current
-    /// MRU timestamp equals `expected_last_access` — the store's analogue of
-    /// the CAS token, which changes on every write or touch. Returns whether
-    /// the value was stored.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`set`](Self::set).
-    pub fn cas(
-        &mut self,
-        key: KeyId,
-        value_size: u32,
-        now: SimTime,
-        expected_last_access: SimTime,
-    ) -> Result<bool, ElmemError> {
-        storable(key)?;
-        match self.peek_live(key, now) {
-            Some(item) if item.last_access == expected_last_access => {
-                self.set(key, value_size, now)?;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
-    /// Like [`peek`](Self::peek) but treating an expired item as absent
-    /// (without reclaiming it).
-    pub fn peek_live(&self, key: KeyId, now: SimTime) -> Option<ItemMeta> {
-        self.peek(key).filter(|item| !item.is_expired(now))
     }
 
     /// `set` of an item. Unless `indexed` — inside a [`Fill`], whose keys
@@ -590,60 +494,6 @@ impl SlabStore {
             store: self,
             lanes_only,
         }
-    }
-
-    /// Refreshes a key's TTL and MRU position without rewriting the value
-    /// (Memcached's `touch` command). Returns the refreshed metadata, or
-    /// `None` if the key is absent or already expired.
-    pub fn touch(&mut self, key: KeyId, now: SimTime, ttl: SimTime) -> Option<ItemMeta> {
-        self.access(key, now, Some(ttl))
-    }
-
-    /// Drops every item (Memcached's `flush_all`), keeping page
-    /// assignments (real Memcached never returns pages either).
-    pub fn flush_all(&mut self) {
-        let keys: Vec<KeyId> = self
-            .shards
-            .iter()
-            .flat_map(|sh| sh.index.keys().map(|&id| KeyId(u64::from(id))))
-            .collect();
-        for key in keys {
-            self.remove_entry(key);
-            self.stats.deletes += 1;
-        }
-    }
-
-    /// One bounded pass of the LRU crawler (the mechanism behind the
-    /// paper's timestamp-dump patch, §V-A1): walks each class from the
-    /// cold end reclaiming expired items, visiting at most `budget` items
-    /// in total. Returns the number reclaimed.
-    ///
-    /// The cold-to-hot order is the ordered walk taken from its cold end:
-    /// the ascending-stamp merge of the shard lists.
-    pub fn crawl_expired(&mut self, now: SimTime, budget: u64) -> u64 {
-        let mut unvisited = budget;
-        let mut expired: Vec<KeyId> = Vec::new();
-        for class in self.classes.ids() {
-            if unvisited == 0 {
-                break;
-            }
-            let mut walk = self.iter_class_mru(class);
-            while unvisited > 0 {
-                let Some((si, idx)) = walk.step::<false>() else {
-                    break;
-                };
-                unvisited -= 1;
-                let item = walk.item(si, idx);
-                if item.is_expired(now) {
-                    expired.push(item.key);
-                }
-            }
-        }
-        for &key in &expired {
-            self.remove_entry(key);
-        }
-        self.stats.expired += expired.len() as u64;
-        expired.len() as u64
     }
 
     /// Removes a key; returns whether it was present.
@@ -778,7 +628,7 @@ impl SlabStore {
             lanes: self
                 .shards
                 .iter()
-                .map(|sh| Lane::new(&sh.lists[ci], &sh.expires))
+                .map(|sh| Lane::new(&sh.lists[ci]))
                 .collect(),
             remaining: self.class_meta[ci].len as usize,
         }
@@ -976,8 +826,7 @@ impl SlabStore {
     /// accounting (every chunk is exactly occupied or free), MRU-list
     /// structure (forward walks agree with prev pointers, length counters,
     /// and strictly descending LRU stamps), byte/page/capacity
-    /// conservation, index ↔ slot agreement, key → shard routing, and
-    /// expiry tables that hold indexed keys' finite expiries only.
+    /// conservation, index ↔ slot agreement, and key → shard routing.
     ///
     /// This is the slab/byte-conservation leg of the chaos engine's
     /// invariant checker (DESIGN.md §12); it is O(items) and intended for
@@ -1123,7 +972,7 @@ fn tick(clock: &mut u64) -> u64 {
 }
 
 /// One shard's lane of a [`ClassMruIter`]: the class's two slot lanes in
-/// that shard and its expiry table, resolved once, and a cursor at each end
+/// that shard, resolved once, and a cursor at each end
 /// of what is left of the shard's list. Invariant: while `left > 0`, `head`
 /// and `tail` are linked slots of the list with `left - 1` links between
 /// them and `head_seq` / `tail_seq` are their stamps; at `left == 0` the
@@ -1132,7 +981,6 @@ fn tick(clock: &mut u64) -> u64 {
 struct Lane<'a> {
     links: &'a [Link],
     slots: &'a [Slot],
-    expires: &'a Expiries,
     /// Items of the lane not yet yielded from either end.
     left: u64,
     /// The hottest slot left and its stamp; once nothing is left the stamp
@@ -1145,11 +993,10 @@ struct Lane<'a> {
 }
 
 impl<'a> Lane<'a> {
-    fn new(list: &'a ShardList, expires: &'a Expiries) -> Self {
+    fn new(list: &'a ShardList) -> Self {
         let mut lane = Lane {
             links: &list.links,
             slots: &list.slots,
-            expires,
             left: list.len,
             head: list.head,
             head_seq: 0,
@@ -1185,7 +1032,7 @@ impl<'a> Lane<'a> {
 
 /// Iterator over a class's items in MRU order — the descending-stamp merge
 /// of the shard lists, and the one ordered-walk kernel under the dump, the
-/// median, FuseCache's resident list, `batch_import` and the crawler. A
+/// median, FuseCache's resident list and `batch_import`. A
 /// step compares the lanes' cached stamps and touches only the lane that
 /// advances, and of that only its links: the chain of dependent loads runs
 /// through the 16-byte link lane, and the items it passes are independent
@@ -1222,8 +1069,7 @@ impl<'a> ClassMruIter<'a> {
 
     /// The item at a position [`step`](Self::step) yielded.
     fn item(&self, si: usize, idx: u32) -> ItemMeta {
-        let lane = &self.lanes[si];
-        lane.slots[idx as usize].meta(lane.expires)
+        self.lanes[si].slots[idx as usize].meta()
     }
 
     /// Drains the walk into a vector in MRU order, one item from the hot
@@ -1297,7 +1143,6 @@ mod tests {
             evictions: 4,
             deletes: 5,
             imported: 6,
-            expired: 7,
         };
         let b = StoreStats {
             hits: 10,
@@ -1306,7 +1151,6 @@ mod tests {
             evictions: 40,
             deletes: 50,
             imported: 60,
-            expired: 70,
         };
         let mut ab = a;
         ab.merge(&b);
@@ -1314,7 +1158,7 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba, "merge is commutative");
         assert_eq!(ab.hits, 11);
-        assert_eq!(ab.expired, 77);
+        assert_eq!(ab.imported, 66);
         assert_eq!(ab.lookups(), 33);
     }
 
@@ -1350,7 +1194,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_touch() {
+    fn peek_leaves_order_and_counters_alone() {
         let mut s = small_store();
         s.set(KeyId(1), 10, t(1)).unwrap();
         let before = s.peek(KeyId(1)).unwrap();
@@ -1633,7 +1477,6 @@ mod tests {
                 key: KeyId(100 + i),
                 value_size: 10,
                 last_access: t(2 * (9 - i) + 1), // odd, interleaving
-                expires: SimTime::MAX,
             })
             .collect();
         let kept = s.batch_import(class, &incoming, ImportMode::Merge).unwrap();
@@ -1656,7 +1499,6 @@ mod tests {
             key: KeyId(50),
             value_size: 10,
             last_access: t(1), // colder, but prepend puts it first anyway
-            expires: SimTime::MAX,
         }];
         s.batch_import(class, &incoming, ImportMode::Prepend)
             .unwrap();
@@ -1679,7 +1521,6 @@ mod tests {
                     key: KeyId(1_000_000 + i),
                     value_size: 10,
                     last_access: t(10_000 + i),
-                    expires: SimTime::MAX,
                 })
                 .collect();
             let kept = s.batch_import(class, &incoming, ImportMode::Merge).unwrap();
@@ -1702,13 +1543,11 @@ mod tests {
                 key: KeyId(1),
                 value_size: 10,
                 last_access: t(50), // colder than resident copy
-                expires: SimTime::MAX,
             },
             ItemMeta {
                 key: KeyId(2),
                 value_size: 10,
                 last_access: t(200), // hotter than resident copy
-                expires: SimTime::MAX,
             },
         ];
         s.batch_import(class, &incoming, ImportMode::Merge).unwrap();
@@ -1725,7 +1564,6 @@ mod tests {
             key: KeyId(1),
             value_size: 900, // belongs to a larger class
             last_access: t(1),
-            expires: SimTime::MAX,
         }];
         assert!(s.batch_import(class, &incoming, ImportMode::Merge).is_err());
     }
@@ -1832,7 +1670,7 @@ mod tests {
             }
         }
         s.audit().unwrap();
-        // Imports, rebalancing, eviction, flush: still consistent.
+        // Imports, eviction, deletes: still consistent.
         let class = s.classes().class_for(item_footprint(100)).unwrap();
         let batch: Vec<ItemMeta> = (1000..1020)
             .map(|k| ItemMeta::new(KeyId(k), 100, t(600)))
@@ -1841,7 +1679,10 @@ mod tests {
         s.audit().unwrap();
         s.evict_lru(class);
         s.audit().unwrap();
-        s.flush_all();
+        for k in 0..1020 {
+            s.delete(KeyId(k));
+        }
+        assert!(s.is_empty());
         s.audit().unwrap();
     }
 
@@ -1887,40 +1728,6 @@ mod tests {
                 assert!(matches!(err, ElmemError::InvariantViolation(_)), "{err}");
                 let msg = err.to_string();
                 assert!(msg.contains("class 0 shard 0: "), "{msg}");
-                assert!(msg.contains(what), "{msg}");
-            }
-        }
-    }
-
-    #[test]
-    fn audit_holds_the_expiry_table_to_resident_finite_expiries() {
-        // The table must name indexed keys only, with finite expiries; an
-        // entry an eviction left behind would hand its TTL to the key's
-        // next copy.
-        type Hook = fn(&mut Shard, u32);
-        let cases: [(Hook, &str); 3] = [
-            (|sh, _| _ = sh.expires.insert(7_777, t(5)), "k7777 expires"),
-            (
-                |sh, id| _ = sh.expires.insert(id, SimTime::MAX),
-                "but is infinite",
-            ),
-            (|sh, id| _ = sh.index.remove(&id), "but is not indexed"),
-        ];
-        for shards in [1, 4] {
-            for (corrupt, what) in cases {
-                let mut s = one_page_store(shards);
-                for k in 0..20 {
-                    s.set_with_ttl(KeyId(k), 50, t(k), t(100)).unwrap();
-                }
-                s.set(KeyId(3), 50, t(30)).unwrap(); // a plain re-set drops the TTL
-                s.evict_lru(ClassId(0)).unwrap();
-                assert_eq!(s.peek(KeyId(3)).unwrap().expires, SimTime::MAX);
-                assert_eq!(s.peek(KeyId(4)).unwrap().expires, t(104));
-                s.audit().unwrap();
-                let si = shard_of(KeyId(4), s.n_shards);
-                corrupt(&mut s.shards[si], 4);
-                let msg = s.audit().unwrap_err().to_string();
-                assert!(msg.contains(&format!("shard {si} expiry table: ")), "{msg}");
                 assert!(msg.contains(what), "{msg}");
             }
         }

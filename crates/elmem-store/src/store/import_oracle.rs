@@ -139,20 +139,13 @@ type Batch = (Vec<(u64, u64)>, bool);
 /// Resident keys are 0..120 and incoming keys 0..200, so batches collide
 /// with residents (of any class) and bring fresh keys; timestamps share a
 /// range of a few milliseconds, so colliding copies are hotter, colder and
-/// same-instant, and whole runs of the list tie on the timestamp. Every
-/// third key carries a finite expiry a few milliseconds on.
+/// same-instant, and whole runs of the list tie on the timestamp.
 pub(super) fn batch_items(pairs: &[(u64, u64)]) -> Vec<ItemMeta> {
     let mut seen = std::collections::BTreeSet::new();
     pairs
         .iter()
         .filter(|(key, _)| seen.insert(*key))
-        .map(|&(key, ms)| {
-            let at = SimTime::from_millis(ms);
-            match key % 3 {
-                0 => ItemMeta::with_ttl(KeyId(key), SMALL, at, SimTime::from_millis(4)),
-                _ => ItemMeta::new(KeyId(key), SMALL, at),
-            }
-        })
+        .map(|&(key, ms)| ItemMeta::new(KeyId(key), SMALL, SimTime::from_millis(ms)))
         .collect()
 }
 

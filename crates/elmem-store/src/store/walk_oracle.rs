@@ -9,12 +9,8 @@
 //! slot) positions in the same order as both; taking from both ends in any
 //! interleaving it must close in on the stamp order from either side; it
 //! must report how many items are left before every step, and leave
-//! `dump_class`, `median_hotness`, `crawl_expired` and `audit` in agreement
-//! — at any shard count, after anything that relinks a list. Every item
-//! any of them reports carries the expiry a model of the history's TTLs
-//! gives it, which the shards keep apart from the slots.
-
-use std::collections::HashMap;
+//! `dump_class`, `median_hotness` and `audit` in agreement — at any shard
+//! count, after anything that relinks a list.
 
 use elmem_util::{KeyId, SimTime};
 use proptest::prelude::*;
@@ -64,28 +60,16 @@ impl CursorWalk<'_> {
     }
 }
 
-/// The expiry the history gave each key when it last landed: absent is
-/// never.
-type Ttls = HashMap<u64, SimTime>;
-
 /// Every occupied slot of the class as (shard, slot, item), hottest stamp
-/// first, each item's expiry from `ttls`. Stamps are unique store-wide, so
-/// the order is total.
-fn by_stamp(s: &SlabStore, class: ClassId, ttls: &Ttls) -> Vec<(usize, u32, ItemMeta)> {
+/// first. Stamps are unique store-wide, so the order is total.
+fn by_stamp(s: &SlabStore, class: ClassId) -> Vec<(usize, u32, ItemMeta)> {
     let mut all: Vec<(u64, usize, u32, ItemMeta)> = Vec::new();
     for (si, sh) in s.shards.iter().enumerate() {
         let list = &sh.lists[class.0 as usize];
         for (idx, (link, slot)) in list.links.iter().zip(&list.slots).enumerate() {
             if link.seq != 0 {
                 let key = KeyId(u64::from(slot.key));
-                let expires = ttls.get(&key.0).copied().unwrap_or(SimTime::MAX);
-                let (value_size, last_access) = (slot.value_size, slot.last_access);
-                let item = ItemMeta {
-                    key,
-                    value_size,
-                    last_access,
-                    expires,
-                };
+                let item = ItemMeta::new(key, slot.value_size, slot.last_access);
                 all.push((link.seq, si, idx as u32, item));
             }
         }
@@ -99,10 +83,10 @@ fn by_stamp(s: &SlabStore, class: ClassId, ttls: &Ttls) -> Vec<(usize, u32, Item
 /// Checks the kernel against both references on every class of `s`.
 /// `ends` says, step by step and cyclically, which end a mixed walk takes
 /// from (`true`: the hot one).
-fn check(s: &SlabStore, ends: &[bool], ttls: &Ttls, when: &str) {
+fn check(s: &SlabStore, ends: &[bool], when: &str) {
     s.audit().unwrap();
     for class in s.classes.ids() {
-        let want = by_stamp(s, class, ttls);
+        let want = by_stamp(s, class);
         assert_eq!(want.len() as u64, s.len_of_class(class), "{when} {class}");
         for &(_, _, item) in &want {
             assert_eq!(s.peek(item.key), Some(item), "{when} {class}");
@@ -191,21 +175,14 @@ const SIZES: [u32; 3] = [100, 20_000, 40_000];
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// `ttl` 0 sets without one.
     Set {
         key: u64,
         class: usize,
         ms: u64,
-        ttl: u64,
     },
     Get {
         key: u64,
         ms: u64,
-    },
-    Touch {
-        key: u64,
-        ms: u64,
-        ttl: u64,
     },
     Delete {
         key: u64,
@@ -221,24 +198,14 @@ enum Op {
         pairs: Vec<(u64, u64)>,
         prepend: bool,
     },
-    Crawl {
-        ms: u64,
-        budget: u64,
-    },
 }
 
 /// Keys 0..160 over three classes and a clock that runs backwards as often
 /// as forwards within a few milliseconds: lists fill and evict, and whole
 /// runs tie on the timestamp, so MRU order and hotness order disagree.
 fn op_strategy() -> impl Strategy<Value = Op> {
-    let set = || {
-        (0u64..160, 0usize..3, 0u64..12, 0u64..8).prop_map(|(key, class, ms, ttl)| Op::Set {
-            key,
-            class,
-            ms,
-            ttl,
-        })
-    };
+    let set =
+        || (0u64..160, 0usize..3, 0u64..12).prop_map(|(key, class, ms)| Op::Set { key, class, ms });
     let get = || (0u64..160, 0u64..12).prop_map(|(key, ms)| Op::Get { key, ms });
     // The shim's `prop_oneof!` is uniform: repeat an arm to weight it.
     prop_oneof![
@@ -249,11 +216,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         get(),
         get(),
         get(),
-        (0u64..160, 0u64..12, 1u64..8).prop_map(|(key, ms, ttl)| Op::Touch { key, ms, ttl }),
         (0u64..160).prop_map(|key| Op::Delete { key }),
         (0u16..3).prop_map(|class| Op::Evict { class }),
         (0u16..3, 0u16..3).prop_map(|(from, to)| Op::Reassign { from, to }),
-        (0u64..20, 0u64..120).prop_map(|(ms, budget)| Op::Crawl { ms, budget }),
         (
             prop::collection::vec((0u64..240, 0u64..16), 0..90),
             any::<bool>()
@@ -262,37 +227,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Applies `op`, recording in `ttls` the expiry of every item it lands.
-fn apply(s: &mut SlabStore, op: &Op, ttls: &mut Ttls) {
-    let expiry = |now: SimTime, ttl| match ttl {
-        0 => None,
-        _ => Some(now + SimTime::from_millis(ttl)),
-    };
+/// Applies `op`.
+fn apply(s: &mut SlabStore, op: &Op) {
     match op {
-        Op::Set {
-            key,
-            class,
-            ms,
-            ttl,
-        } => {
-            let (id, size, now) = (KeyId(*key), SIZES[*class], SimTime::from_millis(*ms));
-            let set = match ttl {
-                0 => s.set(id, size, now),
-                _ => s.set_with_ttl(id, size, now, SimTime::from_millis(*ttl)),
-            };
-            if set.is_ok() {
-                land(ttls, *key, expiry(now, *ttl));
-            }
+        Op::Set { key, class, ms } => {
+            let _ = s.set(KeyId(*key), SIZES[*class], SimTime::from_millis(*ms));
         }
         Op::Get { key, ms } => {
             let _ = s.get(KeyId(*key), SimTime::from_millis(*ms));
-        }
-        Op::Touch { key, ms, ttl } => {
-            let now = SimTime::from_millis(*ms);
-            if let Some(item) = s.touch(KeyId(*key), now, SimTime::from_millis(*ttl)) {
-                land(ttls, *key, expiry(now, *ttl));
-                assert_eq!(item.expires, now + SimTime::from_millis(*ttl));
-            }
         }
         Op::Delete { key } => {
             s.delete(KeyId(*key));
@@ -309,49 +251,10 @@ fn apply(s: &mut SlabStore, op: &Op, ttls: &mut Ttls) {
             } else {
                 ImportMode::Merge
             };
-            let items = batch_items(pairs);
-            // An incoming copy lands unless a resident one is as hot.
-            let landing: Vec<ItemMeta> = items
-                .iter()
-                .filter(|i| s.peek(i.key).is_none_or(|r| r.hotness() < i.hotness()))
-                .copied()
-                .collect();
-            s.batch_import(ClassId(0), &items, mode).unwrap();
-            for i in landing {
-                land(
-                    ttls,
-                    i.key.0,
-                    (i.expires != SimTime::MAX).then_some(i.expires),
-                );
-            }
-        }
-        Op::Crawl { ms, budget } => {
-            // The crawler is the walk from its cold end, class by class,
-            // until the budget is spent.
-            let now = SimTime::from_millis(*ms);
-            let coldest_first = s
-                .classes
-                .ids()
-                .flat_map(|c| by_stamp(s, c, ttls).into_iter().rev());
-            let doomed: Vec<KeyId> = coldest_first
-                .take(*budget as usize)
-                .filter(|(_, _, item)| item.is_expired(now))
-                .map(|(_, _, item)| item.key)
-                .collect();
-            let (len, expired) = (s.len(), s.stats().expired);
-            assert_eq!(s.crawl_expired(now, *budget), doomed.len() as u64);
-            assert!(doomed.iter().all(|&key| !s.contains(key)));
-            assert_eq!(s.len(), len - doomed.len() as u64);
-            assert_eq!(s.stats().expired, expired + doomed.len() as u64);
+            s.batch_import(ClassId(0), &batch_items(pairs), mode)
+                .unwrap();
         }
     }
-}
-
-fn land(ttls: &mut Ttls, key: u64, expires: Option<SimTime>) {
-    match expires {
-        Some(at) => ttls.insert(key, at),
-        None => ttls.remove(&key),
-    };
 }
 
 proptest! {
@@ -365,14 +268,13 @@ proptest! {
     ) {
         for shards in [1usize, 2, 3, 8] {
             let mut s = store(shards);
-            let mut ttls = Ttls::new();
             for (i, op) in ops.iter().enumerate() {
-                apply(&mut s, op, &mut ttls);
+                apply(&mut s, op);
                 if i == ops.len() / 2 {
-                    check(&s, &ends, &ttls, "midway");
+                    check(&s, &ends, "midway");
                 }
             }
-            check(&s, &ends, &ttls, "after the history");
+            check(&s, &ends, "after the history");
 
             // Empty the last shard's lane of every class; the others keep
             // theirs (at one shard that is every item).
@@ -380,23 +282,20 @@ proptest! {
             for id in lane {
                 s.delete(KeyId(u64::from(id)));
             }
-            check(&s, &ends, &ttls, "with one lane emptied");
+            check(&s, &ends, "with one lane emptied");
 
-            // Refill — plain sets over keys that held TTLs among them —
-            // then empty one class outright.
+            // Refill, then empty one class outright.
             for k in 0..40 {
                 let key = if k % 2 == 0 { k * 3 } else { 500 + k };
                 let size = SIZES[(k % 3) as usize];
-                if s.set(KeyId(key), size, SimTime::from_millis(k % 5)).is_ok() {
-                    land(&mut ttls, key, None);
-                }
+                let _ = s.set(KeyId(key), size, SimTime::from_millis(k % 5));
             }
-            check(&s, &ends, &ttls, "after plain sets");
+            check(&s, &ends, "after plain sets");
             let small = ClassId(0);
             while s.evict_lru(small).is_some() {}
             prop_assert_eq!(s.len_of_class(small), 0);
             prop_assert!(s.iter_class_mru(small).next().is_none());
-            check(&s, &ends, &ttls, "with one class emptied");
+            check(&s, &ends, "with one class emptied");
         }
     }
 }

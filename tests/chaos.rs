@@ -128,7 +128,7 @@ fn breaker_survives_flapping_link_through_legal_edges() {
         .link
         .partition_until(SimTime::from_secs(12));
     c.lookup_and_fill(key, SimTime::from_secs(8));
-    // The link has healed when the next cooldown expires: the probe
+    // The link has healed when the next cooldown is over: the probe
     // succeeds and the breaker closes.
     c.lookup_and_fill(key, SimTime::from_secs(14));
 

@@ -1,6 +1,6 @@
 //! Edge cases and failure injection across the scaling control plane:
-//! empty victims, expired-only victims, minimum-size tiers, saturated
-//! destinations, and repeated scalings down to one node and back.
+//! empty victims, minimum-size tiers, saturated destinations, and
+//! repeated scalings down to one node and back.
 
 use elmem::cluster::{Cluster, ClusterConfig};
 use elmem::core::master::Master;
@@ -57,53 +57,6 @@ fn migrating_an_empty_victim_is_a_clean_noop() {
     assert_eq!(report.metadata_bytes, ByteSize::ZERO);
     c.tier.commit_remove(&[NodeId(0)]).unwrap();
     assert_eq!(c.tier.total_items(), before, "nothing lost, nothing moved");
-}
-
-#[test]
-fn expired_only_victim_migrates_then_expires_everywhere() {
-    let mut c = cluster();
-    // Node contents that are all already past their TTL at migration time.
-    for k in 0..500u64 {
-        let key = KeyId(k);
-        let owner = c.tier.node_for_key(key).unwrap();
-        let size = c.keyspace().value_size(key);
-        c.tier
-            .node_mut(owner)
-            .unwrap()
-            .store
-            .set_with_ttl(key, size, t(1 + k), SimTime::from_secs(10))
-            .unwrap();
-    }
-    // Migrate long after everything expired. The dump still carries the
-    // items (lazy expiry), but once anything touches them they die.
-    migrate(
-        &mut c.tier,
-        &MigrateJob::ScaleIn {
-            retiring: &[NodeId(0)],
-            import_mode: ImportMode::Merge,
-        },
-        t(100_000),
-        &MigrationCosts::default(),
-        &mut Supervision::none(),
-        None,
-    )
-    .unwrap();
-    c.tier.commit_remove(&[NodeId(0)]).unwrap();
-    // Every key is a miss (lazy reclamation at lookup).
-    let mut hits = 0;
-    for k in 0..500u64 {
-        let owner = c.tier.node_for_key(KeyId(k)).unwrap();
-        if c.tier
-            .node_mut(owner)
-            .unwrap()
-            .store
-            .get(KeyId(k), t(100_010))
-            .is_some()
-        {
-            hits += 1;
-        }
-    }
-    assert_eq!(hits, 0, "expired items must not resurrect via migration");
 }
 
 #[test]

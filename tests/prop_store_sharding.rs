@@ -4,11 +4,8 @@
 //! [`ConcurrentSlabStore`] facade, driven one op at a time under a seeded
 //! thread interleaving, matches the serial facade exactly.
 //!
-//! Op sequences cover set / get / delete / TTL-expiry / eviction (the
-//! stores are sized so hot classes overflow their pages) / batch_import,
-//! and every store reports the expiries a model of the ops gives.
-
-use std::collections::HashMap;
+//! Op sequences cover set / get / delete / eviction (the stores are sized
+//! so hot classes overflow their pages) / batch_import.
 
 use elmem_store::{ConcurrentSlabStore, ImportMode, ItemMeta, SizeClasses, SlabStore, StoreConfig};
 use elmem_util::{ByteSize, DetRng, KeyId, SimTime};
@@ -17,11 +14,8 @@ use proptest::prelude::*;
 #[derive(Debug, Clone)]
 enum Op {
     Set { key: u64, size: u32 },
-    SetTtl { key: u64, size: u32, ttl: u64 },
     Get { key: u64 },
-    Touch { key: u64, ttl: u64 },
     Delete { key: u64 },
-    Crawl { budget: u64 },
     Import { base: u64, n: u64 },
 }
 
@@ -30,15 +24,8 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u64..150, 1u32..6000).prop_map(|(key, size)| Op::Set { key, size }),
-        (0u64..150, 1u32..6000, 1u64..400).prop_map(|(key, size, ttl)| Op::SetTtl {
-            key,
-            size,
-            ttl
-        }),
         (0u64..150).prop_map(|key| Op::Get { key }),
-        (0u64..150, 1u64..400).prop_map(|(key, ttl)| Op::Touch { key, ttl }),
         (0u64..150).prop_map(|key| Op::Delete { key }),
-        (1u64..40).prop_map(|budget| Op::Crawl { budget }),
         (0u64..20, 1u64..30).prop_map(|(base, n)| Op::Import { base, n }),
     ]
 }
@@ -52,91 +39,42 @@ fn store(shards: usize) -> SlabStore {
 }
 
 /// The batch an `Import` op carries: fresh hot keys (disjoint from the
-/// set/get key range), hottest first, all in the smallest class, every
-/// third with a TTL. Derived purely from the op and the clock so every
-/// store sees the same batch.
+/// set/get key range), hottest first, all in the smallest class. Derived
+/// purely from the op and the clock so every store sees the same batch.
 fn import_batch(base: u64, n: u64, now: SimTime) -> Vec<ItemMeta> {
     (0..n)
-        .map(|i| ItemMeta {
-            key: KeyId(10_000 + base * 100 + i),
-            value_size: 10,
-            last_access: now.checked_add(SimTime::from_millis(n - i)).unwrap(),
-            expires: match i % 3 {
-                0 => now + SimTime::from_millis(50 + i),
-                _ => SimTime::MAX,
-            },
+        .map(|i| {
+            let at = now.checked_add(SimTime::from_millis(n - i)).unwrap();
+            ItemMeta::new(KeyId(10_000 + base * 100 + i), 10, at)
         })
         .collect()
 }
 
-/// The expiry each key last landed with; absent is never. Only resident
-/// keys are read, and a key that lands again overwrites its entry.
-type Ttls = HashMap<KeyId, SimTime>;
-
-fn land(ttls: &mut Ttls, key: KeyId, expires: SimTime) {
-    match expires {
-        SimTime::MAX => ttls.remove(&key),
-        at => ttls.insert(key, at),
-    };
-}
-
-/// Whether `item` reports the expiry `ttls` gives its key.
-fn modeled(ttls: &Ttls, item: &ItemMeta) -> bool {
-    item.expires == ttls.get(&item.key).copied().unwrap_or(SimTime::MAX)
-}
-
-fn apply(s: &mut SlabStore, op: &Op, now: SimTime, ttls: &mut Ttls) {
-    let ms = SimTime::from_millis;
+fn apply(s: &mut SlabStore, op: &Op, now: SimTime) {
     match *op {
         Op::Set { key, size } => {
-            if s.set(KeyId(key), size, now).is_ok() {
-                land(ttls, KeyId(key), SimTime::MAX);
-            }
-        }
-        Op::SetTtl { key, size, ttl } => {
-            if s.set_with_ttl(KeyId(key), size, now, ms(ttl)).is_ok() {
-                land(ttls, KeyId(key), now + ms(ttl));
-            }
+            let _ = s.set(KeyId(key), size, now);
         }
         Op::Get { key } => {
-            let got = s.get(KeyId(key), now);
-            assert!(got.is_none_or(|item| modeled(ttls, &item)), "{got:?}");
-        }
-        Op::Touch { key, ttl } => {
-            if s.touch(KeyId(key), now, ms(ttl)).is_some() {
-                land(ttls, KeyId(key), now + ms(ttl));
-            }
+            let _ = s.get(KeyId(key), now);
         }
         Op::Delete { key } => {
             let _ = s.delete(KeyId(key));
         }
-        Op::Crawl { budget } => {
-            let _ = s.crawl_expired(now, budget);
-        }
         Op::Import { base, n } => {
             let batch = import_batch(base, n, now);
             let class = s.classes().class_for(batch[0].footprint()).unwrap();
-            // An incoming copy lands unless a resident one is as hot.
-            let landing: Vec<ItemMeta> = batch
-                .iter()
-                .filter(|i| s.peek(i.key).is_none_or(|r| r.hotness() < i.hotness()))
-                .copied()
-                .collect();
             let _ = s.batch_import(class, &batch, ImportMode::Merge);
-            for item in landing {
-                land(ttls, item.key, item.expires);
-            }
         }
     }
 }
 
-/// Every item the store reports — iterated, peeked, walked, dumped —
-/// carries its modeled expiry.
-fn check_expiries(s: &SlabStore, ttls: &Ttls) {
+/// Every item the store reports — iterated, walked, dumped — is what a
+/// peek of its key reads.
+fn check_reads(s: &SlabStore) {
     let dumped = s.dump_metadata().classes.into_iter().flat_map(|c| c.items);
     let walked = s.classes().ids().flat_map(|c| s.iter_class_mru(c));
     for item in s.iter().chain(dumped).chain(walked) {
-        assert!(modeled(ttls, &item), "{item:?}");
         assert_eq!(s.peek(item.key), Some(item));
     }
 }
@@ -180,21 +118,19 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..300),
     ) {
         let mut reference = store(1);
-        let mut ttls = Ttls::new();
         for (i, op) in ops.iter().enumerate() {
-            apply(&mut reference, op, SimTime::from_millis(7 * (i as u64 + 1)), &mut ttls);
+            apply(&mut reference, op, SimTime::from_millis(7 * (i as u64 + 1)));
         }
         reference.audit().unwrap();
-        check_expiries(&reference, &ttls);
+        check_reads(&reference);
         let want = fingerprint(&reference);
         for shards in [2usize, 4, 8] {
             let mut s = store(shards);
-            let mut ttls = Ttls::new();
             for (i, op) in ops.iter().enumerate() {
-                apply(&mut s, op, SimTime::from_millis(7 * (i as u64 + 1)), &mut ttls);
+                apply(&mut s, op, SimTime::from_millis(7 * (i as u64 + 1)));
             }
             s.audit().unwrap();
-            check_expiries(&s, &ttls);
+            check_reads(&s);
             prop_assert_eq!(
                 &fingerprint(&s),
                 &want,
@@ -217,7 +153,6 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut serial = store(4);
-        let mut ttls = Ttls::new();
         let conc = ConcurrentSlabStore::from_serial(store(4));
         let mut rng = DetRng::seed(seed);
         let mut cursors = vec![0usize; streams.len()];
@@ -240,45 +175,22 @@ proptest! {
                         serial.set(KeyId(key), size, now).is_ok(),
                         conc.set(KeyId(key), size, now).is_ok()
                     );
-                    if serial.contains(KeyId(key)) {
-                        land(&mut ttls, KeyId(key), SimTime::MAX);
-                    }
-                }
-                Op::SetTtl { key, size, ttl } => {
-                    let ttl = SimTime::from_millis(ttl);
-                    prop_assert_eq!(
-                        serial.set_with_ttl(KeyId(key), size, now, ttl).is_ok(),
-                        conc.set_with_ttl(KeyId(key), size, now, ttl).is_ok()
-                    );
-                    if serial.contains(KeyId(key)) {
-                        land(&mut ttls, KeyId(key), now + ttl);
-                    }
                 }
                 Op::Get { key } => {
-                    let got = serial.get(KeyId(key), now);
-                    prop_assert_eq!(got, conc.get(KeyId(key), now));
-                    prop_assert!(got.is_none_or(|item| modeled(&ttls, &item)));
-                }
-                Op::Touch { key, ttl } => {
-                    let ttl = SimTime::from_millis(ttl);
-                    let touched = serial.touch(KeyId(key), now, ttl);
-                    prop_assert_eq!(touched, conc.touch(KeyId(key), now, ttl));
-                    if touched.is_some() {
-                        land(&mut ttls, KeyId(key), now + ttl);
-                    }
+                    prop_assert_eq!(serial.get(KeyId(key), now), conc.get(KeyId(key), now));
                 }
                 Op::Delete { key } => {
                     prop_assert_eq!(serial.delete(KeyId(key)), conc.delete(KeyId(key)));
                 }
-                // Crawl and batch-import are serial-only surface
-                // (quiesce-point ops, DESIGN.md §14): no-ops here.
-                Op::Crawl { .. } | Op::Import { .. } => {}
+                // Batch-import is serial-only surface (a quiesce-point op,
+                // DESIGN.md §14): a no-op here.
+                Op::Import { .. } => {}
             }
         }
         let conc = conc.into_serial();
         serial.audit().unwrap();
         conc.audit().unwrap();
-        check_expiries(&conc, &ttls);
+        check_reads(&conc);
         prop_assert_eq!(serial.stats(), conc.stats());
         prop_assert_eq!(&fingerprint(&conc), &fingerprint(&serial));
     }
