@@ -12,24 +12,16 @@ use crate::telemetry::{ClusterTelemetry, LookupClass};
 use crate::tier::CacheTier;
 use elmem_util::TelemetryConfig;
 
-/// Key count from which [`Cluster::prefill`] fans out (two blocks).
-///
-/// Set from measurement (EXPERIMENTS.md E24; 2 workers on the 2-vCPU
-/// reference box, 41 alternating serial/fanned fills per size, median ms):
-/// 40 k keys 6.4 → 4.7, 60 k 10.1 → 7.4, 100 k 18.1 → 13.0, 200 k 37.3 →
-/// 26.8 — 1.36–1.39× at every size, fanned ahead in 34–40 of 41 pairs. It
-/// would still win down to 8 k keys (1.25–1.47×; 0.91–0.96 at 4 k), but only
-/// while both vCPUs are really free: whenever the box time-slices them onto
-/// one core the fan-out *loses* 7–10 % at every size from 16 k to 100 k.
-/// Under two blocks the whole saving is under 3 ms, not worth that risk — and
-/// it keeps the benchmark's 40 k-key `serve_hot` build on one thread, so one
-/// workload sits on each side of this choice.
+/// Key count from which [`Cluster::prefill`] fans out (two blocks). Fanned
+/// fills won 1.36–1.39× from 40 k keys up on two free vCPUs, but lose 7–10 %
+/// whenever the box time-slices them onto one core (EXPERIMENTS.md E24); the
+/// benchmark's 40 k-key `serve_hot` build stays on one thread (E39).
 pub const PREFILL_FANOUT_MIN: usize = 2 * PREFILL_BLOCK;
 
-/// Keys a fanned prefill buffers per fork-join — 256 KiB, its only memory
-/// beyond the stores themselves. The one thread a block spawns per extra
-/// worker (≈ 60 µs) is under 2 % of the ≈ 4.5 ms of sets the block carries.
+/// Keys a prefill pulls per fork-join (256 KiB; it holds two blocks): the
+/// thread a join spawns per extra worker (≈ 60 µs) is under 2 % of its sets.
 const PREFILL_BLOCK: usize = 1 << 15;
+const _: () = assert!(PREFILL_BLOCK <= 1 << 16, "a block position is a u16");
 
 /// Result of serving one web request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -393,17 +385,12 @@ impl Cluster {
         self.breakers.get(node_id).map(|b| b.state())
     }
 
-    /// Pre-fills caches by directly setting keys on their current owners
-    /// (used to start experiments warm, like the paper's steady state).
-    /// The `i`-th key is set at `start + i ns`, so later keys end up
-    /// hotter.
-    ///
-    /// The keys are streamed a block (32 Ki) at a time, never collected.
-    /// When the iterator promises at least [`PREFILL_FANOUT_MIN`] of them
-    /// the blocks are filled by up to `par_jobs()` workers, otherwise by
-    /// this thread alone; every store ends byte-identical either way, and
-    /// byte-identical to setting the keys one by one. Extra memory: the
-    /// block, and one bit per keyspace key per worker.
+    /// Pre-fills caches by setting keys directly on their current owners,
+    /// the `i`-th at `start + i ns` (later keys end up hotter), to start an
+    /// experiment warm like the paper's steady state. Keys are streamed 32 Ki
+    /// at a time; from [`PREFILL_FANOUT_MIN`] promised keys on, up to
+    /// `par_jobs()` workers route and set them. Every store ends
+    /// byte-identical to setting the keys one by one (DESIGN.md §10).
     pub fn prefill(&mut self, keys: impl Iterator<Item = KeyId>, start: SimTime) {
         // Every caller passes a rank range, whose lower bound is exact; an
         // iterator that cannot say how long it is fills on one thread.
@@ -415,78 +402,112 @@ impl Cluster {
         self.prefill_blocks(keys, start, jobs);
     }
 
-    /// [`Self::prefill`] over `jobs` workers. The online members' stores
-    /// are dealt round-robin onto the workers; every worker scans each
-    /// block, routes each key on the ring and sets the ones its own stores
-    /// own (with one worker: all of them, on this thread, in stream
-    /// order). A ring with members owns every key, so a key's timestamp is
-    /// `start` plus its position in the stream whether or not its owner is
-    /// online (an offline owner consumes its timestamps and skips the
-    /// sets); each store sees its keys in stream order with those
-    /// timestamps, and stores share nothing, so the result does not depend
-    /// on the worker count.
-    ///
-    /// Each store is set through a [`Fill`]. A worker keeps one bit per
-    /// keyspace key it has set: a repeated key, or one past the bits,
-    /// finishes its owner's fill first, so a fill only sees new keys.
+    /// [`Self::prefill`] over `jobs` workers (DESIGN.md §10): the join that
+    /// pulls block `b` sets each worker's stores from block `b − 1`'s routed
+    /// positions, in stream order, then routes a share of block `b`; the last
+    /// join finishes every [`Fill`]. A key the caller's bitset has seen, or
+    /// one past it, finishes its owner's fill before its block is set.
     fn prefill_blocks(
         &mut self,
         mut keys: impl Iterator<Item = KeyId>,
         start: SimTime,
         jobs: usize,
     ) {
-        type Hand<'a> = (NodeMap<Fill<'a>>, Vec<u64>);
+        /// Stream positions `base..` routed per share, per store, into
+        /// `keys`; and the stores to finish before they take them.
+        struct Block {
+            base: u64,
+            keys: Vec<KeyId>,
+            routed: Vec<Vec<Vec<u16>>>,
+            finish_first: Vec<bool>,
+        }
         let keyspace = &self.keyspace;
-        let words = keyspace.n_keys().div_ceil(64) as usize;
         let (membership, nodes) = self.tier.membership_and_nodes_mut();
         let ring = membership.ring();
-        let mut hands: Vec<Hand> = (0..jobs)
-            .map(|_| (NodeMap::new(), vec![0; words]))
-            .collect();
-        let fillable = nodes.filter(|n| n.is_online() && membership.members().contains(&n.id()));
-        for (dealt, node) in fillable.enumerate() {
-            hands[dealt % jobs].0.insert(node.id(), node.store.fill());
+        let mut store_of = NodeMap::new();
+        let mut fills = Vec::new();
+        for node in nodes.filter(|n| n.is_online() && membership.members().contains(&n.id())) {
+            store_of.insert(node.id(), fills.len());
+            fills.push(node.store.fill());
         }
-        hands.retain(|(fills, _)| !fills.is_empty());
-        let Some((mine, others)) = hands.split_first_mut() else {
+        let stores = fills.len();
+        if stores == 0 {
             return; // no member can take a set
-        };
+        }
+        let jobs = jobs.clamp(1, stores);
+        // Worker `s % jobs` holds store `s`, as `(s, its fill)`.
+        let mut hands: Vec<Vec<(usize, Fill)>> = (0..jobs).map(|_| Vec::new()).collect();
+        for (s, fill) in fills.into_iter().enumerate() {
+            hands[s % jobs].push((s, fill));
+        }
+        let store = |key| store_of.get(ring.node_for(key)?).copied();
 
-        let fill = |(fills, seen): &mut Hand, base: u64, block: &[KeyId]| {
-            for (i, &key) in block.iter().enumerate() {
-                let owner = ring
-                    .node_for(key)
-                    .expect("a ring with members owns every key");
-                if let Some(store) = fills.get_mut(owner) {
-                    let bit = 1u64 << (key.0 % 64);
-                    match seen.get_mut((key.0 / 64) as usize) {
-                        Some(word) if *word & bit == 0 => *word |= bit,
-                        _ => store.finish(),
-                    }
-                    let at = start + SimTime::from_nanos(base + i as u64);
-                    let _ = store.set(key, keyspace.value_size(key), at);
+        // Worker `w`'s part of a join: set its stores from `prev`, then
+        // route its share of `next`; after the empty block, finish them.
+        let step = |w: usize,
+                    hand: &mut Vec<(usize, Fill)>,
+                    prev: &Block,
+                    next: &[KeyId],
+                    routed: &mut Vec<Vec<u16>>| {
+            for (s, fill) in hand.iter_mut() {
+                if prev.finish_first[*s] {
+                    fill.finish();
+                }
+                for &i in prev.routed.iter().flat_map(|share| &share[*s]) {
+                    let key = prev.keys[usize::from(i)];
+                    let at = start + SimTime::from_nanos(prev.base + u64::from(i));
+                    let _ = fill.set(key, keyspace.value_size(key), at);
+                }
+                if next.is_empty() {
+                    fill.finish();
+                }
+            }
+            routed.iter_mut().for_each(Vec::clear);
+            let share = next.len().div_ceil(jobs);
+            for (&key, i) in next.iter().zip(0..).skip(w * share).take(share) {
+                if let Some(s) = store(key) {
+                    routed[s].push(i);
                 }
             }
         };
-        let mut block: Vec<KeyId> = Vec::new(); // sized by the first `extend`
-        let mut base = 0u64;
+        let block = || Block {
+            base: 0,
+            keys: Vec::new(),
+            routed: vec![vec![Vec::new(); stores]; jobs],
+            finish_first: vec![false; stores],
+        };
+        let (mut prev, mut cur) = (block(), block());
+        let mut seen = vec![0u64; keyspace.n_keys().div_ceil(64) as usize];
         loop {
-            block.clear();
-            block.extend(keys.by_ref().take(PREFILL_BLOCK));
-            if block.is_empty() {
-                break;
+            cur.base = prev.base + prev.keys.len() as u64;
+            cur.keys.clear();
+            cur.finish_first.fill(false);
+            for key in keys.by_ref().take(PREFILL_BLOCK) {
+                let bit = 1u64 << (key.0 % 64);
+                match seen.get_mut((key.0 / 64) as usize) {
+                    Some(word) if *word & bit == 0 => *word |= bit,
+                    _ => store(key)
+                        .into_iter()
+                        .for_each(|s| cur.finish_first[s] = true),
+                }
+                cur.keys.push(key);
             }
+            let (ready, next) = (&prev, &cur.keys[..]);
+            let mut work = (0..).zip(hands.iter_mut().zip(&mut cur.routed));
             // This thread is the first worker; the scope joins the others
             // and re-raises a panic from any of them.
+            let (_, (mine, my_routed)) = work.next().expect("one worker");
             std::thread::scope(|s| {
-                for hand in others.iter_mut() {
-                    s.spawn(|| fill(hand, base, &block));
+                for (w, (hand, routed)) in work {
+                    s.spawn(move || step(w, hand, ready, next, routed));
                 }
-                fill(mine, base, &block);
+                step(0, mine, ready, next, my_routed);
             });
-            base += block.len() as u64;
+            if cur.keys.is_empty() {
+                break;
+            }
+            std::mem::swap(&mut prev, &mut cur);
         }
-        // Dropping the hands finishes every fill still open.
     }
 }
 
@@ -586,12 +607,15 @@ mod tests {
         // (worker count forced) and the public entry, in three regimes on
         // the 4 x 4 MiB tier: the fill itself evicts none of its keys,
         // about 30 % and about 65 % (three blocks, a ragged tail, a fanned
-        // public fill). Streams: plain; a key set twice (its store
-        // finishes its fill early and takes the rest one key at a time);
-        // a key past the keyspace and every worker's bits, twice (release
-        // builds only: `value_size` debug-asserts the range); plain with
-        // node 1 offline (its keys' timestamps consumed, their sets
-        // skipped). 3 jobs deal the stores unevenly.
+        // public fill). Streams: plain; a key set twice, in the next block
+        // at 80 k keys (its store finishes its fill early and takes the
+        // rest one key at a time); the same key again in another routing
+        // share than its first set at every job count above 1; a key past
+        // the keyspace and the bits, twice (release builds only:
+        // `value_size` debug-asserts the range); plain with node 1 offline
+        // (its keys' timestamps consumed, their sets skipped), with nodes
+        // 1 and 2 offline (4 jobs, 2 stores), and on 5 members. 3 jobs
+        // deal 4 stores unevenly, 2 and 3 jobs 5 stores.
         let start = SimTime::from_millis(3);
         for (count, evicted) in [
             (4_000, 0.0..0.001),
@@ -605,25 +629,28 @@ mod tests {
                 at.iter().for_each(|&i| keys.insert(i as usize, KeyId(key)));
                 keys
             };
+            // (name, stream, members, offline members)
             let mut streams = vec![
-                ("plain", plain.clone(), false),
-                ("repeat", with(count - 1, &[count / 2]), false),
-                ("offline", plain.clone(), true),
+                ("plain", plain.clone(), 4, &[][..]),
+                ("repeat", with(count - 1, &[count / 2]), 4, &[]),
+                ("other share", with(count - 1, &[5 * count / 8]), 4, &[]),
+                ("offline", plain.clone(), 4, &[1]),
+                ("two online", plain.clone(), 4, &[1, 2]),
+                ("five members", plain.clone(), 5, &[]),
             ];
             if !cfg!(debug_assertions) {
                 let beyond = with(count + 1_000, &[2 * count / 3, count / 3]);
-                streams.push(("beyond", beyond, false));
+                streams.push(("beyond", beyond, 4, &[]));
             }
-            for (name, stream, offline) in streams {
+            for (name, stream, members, offline) in streams {
                 let build = || {
-                    let mut c = Cluster::new(
-                        ClusterConfig::small_test(),
-                        Keyspace::new(count, 0),
-                        DetRng::seed(1),
-                    );
-                    if offline {
-                        c.tier.power_off(&[NodeId(1)]);
-                    }
+                    let config = ClusterConfig {
+                        initial_nodes: members,
+                        ..ClusterConfig::small_test()
+                    };
+                    let mut c = Cluster::new(config, Keyspace::new(count, 0), DetRng::seed(1));
+                    c.tier
+                        .power_off(&offline.iter().map(|&n| NodeId(n)).collect::<Vec<_>>());
                     c
                 };
                 let keys = || stream.iter().copied();

@@ -1,8 +1,9 @@
-//! `Cluster::prefill` streams its keys: it holds one block of them at a
-//! time, on one worker or several, and one bit per keyspace key per worker,
-//! so a paper-scale fill (19 M keys, 152 MB as a `Vec`) costs 2.4 MB per
-//! worker beyond its stores. Checked on the process's peak RSS, with keys
-//! from a counter — an iterator that itself holds nothing.
+//! `Cluster::prefill` streams its keys: it holds two blocks of them at a
+//! time with their routed positions, on one worker or several, and one
+//! bit per keyspace key, so a paper-scale fill (19 M keys, 152 MB as a
+//! `Vec`) costs about 3 MB beyond its stores at any worker count. Checked
+//! on the process's peak RSS, with keys from a counter — an iterator that
+//! itself holds nothing.
 //!
 //! Alone in its binary on purpose: the high-water mark is per process.
 #![cfg(target_os = "linux")]
@@ -31,9 +32,9 @@ fn prefill_buffers_a_block_not_the_key_stream() {
     const KEYS: u64 = 3_000_000;
     // The stores' own churn reads about 3 MiB here, whatever the key count.
     const ALLOWED_KIB: u64 = 8 * 1024;
-    for jobs in [1, 2] {
+    for jobs in [1, 2, 4] {
         // An empty tier fills through lanes-only `Fill`s, one bit per key
-        // per worker beside the block; a full one through plain `set`s.
+        // beside the blocks; a full one through plain `set`s.
         for warm in [false, true] {
             let mut c = Cluster::new(
                 ClusterConfig::small_test(),

@@ -142,9 +142,9 @@ pub struct AutoScaler {
     engine: AdaptiveStackDistance,
     /// Ring buffer of recent warm-access distances (bytes).
     distances: Vec<u64>,
-    /// Where [`Self::memory_for`] selects its order statistic, kept so an
-    /// epoch's decision allocates nothing once the ring is full.
-    select_scratch: Vec<u64>,
+    /// How many of `distances` fall in each [`bucket`]: the first digit of
+    /// [`Self::memory_for`]'s radix select, kept as the ring turns.
+    bucket_counts: Vec<usize>,
     pos: usize,
     observed: u64,
     warm: u64,
@@ -171,7 +171,7 @@ impl AutoScaler {
         AutoScaler {
             engine: AdaptiveStackDistance::new(),
             distances: Vec::with_capacity(config.distance_samples.min(1 << 20)),
-            select_scratch: Vec::with_capacity(config.distance_samples.min(1 << 20)),
+            bucket_counts: vec![0; BUCKETS],
             pos: 0,
             observed: 0,
             warm: 0,
@@ -202,10 +202,12 @@ impl AutoScaler {
         if let Some(d) = self.engine.record(key, footprint) {
             self.warm += 1;
             let scaled = (d as f64 / rate) as u64;
+            self.bucket_counts[bucket(scaled)] += 1;
             if self.distances.len() < self.config.distance_samples {
                 self.distances.push(scaled);
             } else {
-                self.distances[self.pos] = scaled;
+                let old = std::mem::replace(&mut self.distances[self.pos], scaled);
+                self.bucket_counts[bucket(old)] -= 1;
                 self.pos = (self.pos + 1) % self.config.distance_samples;
             }
         }
@@ -247,19 +249,33 @@ impl AutoScaler {
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 1]`.
-    pub fn memory_for(&mut self, p: f64) -> Option<ByteSize> {
+    pub fn memory_for(&self, p: f64) -> Option<ByteSize> {
         assert!((0.0..=1.0).contains(&p), "hit rate out of range: {p}");
-        if self.distances.is_empty() {
+        let n = self.distances.len();
+        if n == 0 {
             return None;
         }
-        // One order statistic: an O(n) selection on a copy of the ring,
-        // not a full sort of it (the value at an index of the sorted
-        // order does not depend on how the rest is arranged).
-        let samples = &mut self.select_scratch;
-        samples.clear();
-        samples.extend_from_slice(&self.distances);
-        let idx = ((p * samples.len() as f64).ceil() as usize).clamp(1, samples.len()) - 1;
-        Some(ByteSize(*samples.select_nth_unstable(idx).1))
+        // One order statistic, read in place: the bucket counts name the
+        // bucket that holds it and its rank there, and a selection over
+        // that bucket's samples alone finds it.
+        let mut rank = ((p * n as f64).ceil() as usize).clamp(1, n) - 1;
+        let mut b = 0;
+        while rank >= self.bucket_counts[b] {
+            rank -= self.bucket_counts[b];
+            b += 1;
+        }
+        // `d` is in the bucket iff `d − floor` wraps below its width: one
+        // compare, where a two-sided test mispredicts on every sample.
+        let floor = bucket_floor(b);
+        let width = bucket_floor(b + 1).wrapping_sub(floor);
+        let mut kept = Vec::with_capacity(self.bucket_counts[b]);
+        kept.extend(
+            self.distances
+                .iter()
+                .copied()
+                .filter(|d| d.wrapping_sub(floor) < width),
+        );
+        Some(ByteSize(*kept.select_nth_unstable(rank).1))
     }
 
     /// Runs the §III-B sizing at `now` for the observed `arrival_rate`
@@ -302,6 +318,29 @@ impl AutoScaler {
             current_nodes,
             at: now,
         })
+    }
+}
+
+/// Buckets of [`bucket`]: 16 exact values, then 16 an octave up to 2⁶⁴.
+const BUCKETS: usize = 16 * 61;
+
+/// A distance's bucket, in value order: the value itself below 16, else
+/// its leading bit's position and the four bits after that bit.
+fn bucket(d: u64) -> usize {
+    let lead = 63 - (d | 1).leading_zeros() as usize;
+    match lead {
+        0..4 => d as usize,
+        _ => ((lead - 3) << 4) | ((d >> (lead - 4)) & 15) as usize,
+    }
+}
+
+/// The least distance in bucket `b`; 0 past the last one.
+fn bucket_floor(b: usize) -> u64 {
+    let b = b as u64;
+    if b < 16 {
+        b
+    } else {
+        (16 | (b & 15)) << ((b >> 4) - 1)
     }
 }
 
@@ -437,6 +476,19 @@ mod tests {
     }
 
     #[test]
+    fn buckets_tile_the_values_in_order() {
+        // Bucket `b` is exactly [floor(b), floor(b + 1)): both ends map to
+        // it, the floors ascend, and the last bucket ends at u64::MAX.
+        for b in 0..BUCKETS {
+            let (floor, next) = (bucket_floor(b), bucket_floor(b + 1));
+            assert_eq!(bucket(floor), b);
+            assert_eq!(bucket(next.wrapping_sub(1)), b);
+            assert!(b == BUCKETS - 1 || floor < next);
+        }
+        assert_eq!(bucket_floor(BUCKETS).wrapping_sub(1), u64::MAX);
+    }
+
+    #[test]
     fn no_hint_when_size_already_right() {
         let mut a = scaler(1000.0);
         for k in 0..100u64 {
@@ -529,7 +581,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn memory_for_out_of_range_panics() {
-        let mut a = scaler(100.0);
+        let a = scaler(100.0);
         let _ = a.memory_for(1.5);
     }
 }

@@ -1,39 +1,13 @@
-//! The `Sync` serving facade over the sharded store: lock-per-shard
-//! gets/sets for real threads.
-//!
-//! [`ConcurrentSlabStore`] wraps the same [`Shard`]s the serial
-//! [`SlabStore`] drives, each behind its own `Mutex`, with the facade-level
-//! accounting (LRU clock, per-class page/len budgets, op counters) held in
-//! atomics. Operations on keys that route to distinct shards never touch
-//! the same lock — the contended case is two threads hitting one shard, and
-//! the uncontended fast path is one lock, one hash probe, one list splice.
-//!
-//! # Lock discipline (deadlock freedom)
-//!
-//! * The **fast path** (get / update / insert-with-free-capacity) holds
-//!   exactly one shard lock and never blocks on anything else while
-//!   holding it.
-//! * The **slow path** (page grant or eviction) first *drops* its shard
-//!   lock, then takes the global `alloc` lock, then re-locks its shard and
-//!   re-runs the op. Only the unique alloc holder ever holds more than one
-//!   shard lock at a time, so no lock cycle can form.
-//!
-//! # Equivalence to the serial facade
-//!
-//! Stamps are drawn from the shared LRU clock *inside* the shard lock, so
-//! each shard list stays strictly stamp-descending even under real
-//! threads — `into_serial().audit()` holds at any interleaving, which is
-//! what the stress harness pins. Under a serialized driver (one op at a
-//! time, any thread order) every op takes exactly the serial facade's
-//! branches, so dumps, stats, and audits are byte-identical to
-//! [`SlabStore`] — the property `tests/prop_store_sharding.rs` checks.
-//! Under true concurrency the *eviction victim* is approximate (the tail
-//! observed under the victim shard's lock), which is Memcached-faithful:
-//! real memcached's LRU under contention is approximate too.
-//!
-//! Dump/import/rebalance/planning stay serial-only (convert with
-//! [`into_serial`](ConcurrentSlabStore::into_serial) at a quiesce point) —
-//! a documented non-goal of this facade, see DESIGN.md §14.
+//! The `Sync` serving facade over the sharded store: the same [`Shard`]s the
+//! serial [`SlabStore`] drives, each behind its own `Mutex`, with the facade's
+//! accounting (LRU clock, per-class budgets, counters) in atomics. The fast
+//! path holds one shard lock; the slow path (page grant or eviction) drops it,
+//! takes the global `alloc` lock and re-runs, so no lock cycle can form. Under
+//! a serialized driver it is op-for-op identical to [`SlabStore`]
+//! (`tests/prop_store_sharding.rs`); under real threads the eviction victim is
+//! approximate, as in memcached. Dump, import and planning stay serial
+//! ([`into_serial`](ConcurrentSlabStore::into_serial) at a quiesce point;
+//! DESIGN.md §14).
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Mutex;

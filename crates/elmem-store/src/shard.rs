@@ -1,44 +1,14 @@
 //! One shard of a [`SlabStore`](crate::SlabStore): the slot arena, free
-//! lists, per-class MRU lists and key index for the keys that route here —
-//! by default all of them: a store has one shard unless its config names
-//! more, and then a class's MRU list *is* its one shard list.
-//! Only this module knows a slot's layout: both facades read and write
-//! items through [`Shard`]'s methods, as [`ItemMeta`]s.
-//!
-//! # Two lanes per arena
-//!
-//! A slot id indexes two parallel 16-byte vectors: a [`Link`] (stamp,
-//! prev, next) and a [`Slot`] (32-bit key id, value size, last access).
-//! Whatever only reorders a list — `unlink`, `push`, `detach_list`,
-//! `relink_back`, an ordered walk's hops — stays on the link lane; the
-//! item lane is read when an item is asked for and written when one is
-//! set. A key id wider than 32 bits is refused ([`storable`]), never
-//! resident. A slot is free exactly when its stamp is 0, so no `Option`
-//! wraps the item, and [`SlabStore::audit`](crate::SlabStore::audit) checks
-//! "on the free list ⇔ stamp 0". See DESIGN.md §14.
-//!
-//! A shard is deliberately *dumb*: it owns list surgery and byte/len
-//! accounting for its own slots, but every policy decision — whether a
-//! chunk may be allocated, which class gets a page, which item is the
-//! global LRU victim — lives in the facade that drives it (the serial
-//! [`SlabStore`](crate::SlabStore) or the concurrent
-//! [`ConcurrentSlabStore`](crate::ConcurrentSlabStore)). Both facades
-//! funnel through the same methods here, which is what makes the
-//! serialized-interleaving equivalence between them testable at all.
-//!
-//! # The `lru_seq` linchpin
-//!
-//! Every time an item is (re)linked into an MRU list it is stamped with a
-//! value drawn from the store's global monotone **LRU clock**. The facade
-//! maintains one invariant: *within each (shard, class) list, stamps
-//! strictly descend from head to tail*. Under that invariant the global
-//! MRU order of a class is exactly the k-way merge of its shard lists by
-//! descending stamp — so the unsharded store's observable behavior
-//! (eviction victims, the median position, dump contents) is recoverable
-//! at any shard count, byte for byte. One kernel performs that merge for
-//! every ordered walk, from either end
-//! ([`ClassMruIter`](crate::store::ClassMruIter)); with one shard it has one
-//! lane and merges nothing. See DESIGN.md §14.
+//! lists, per-class MRU lists and key index for the keys that route here
+//! (all of them unless the config names more shards). Only this module
+//! knows a slot's layout: two 16-byte lanes per arena, a [`Link`] (stamp,
+//! prev, next) for list surgery and walks and a [`Slot`] (32-bit key id,
+//! value size, last access) for the item; a slot is free exactly when its
+//! stamp is 0. A shard is deliberately *dumb*: every policy decision (chunk
+//! grants, pages, the LRU victim) lives in the facade driving it, and the
+//! facade keeps stamps strictly descending within each (shard, class) list,
+//! so a class's MRU order is the merge of its shard lists by stamp
+//! ([`ClassMruIter`](crate::store::ClassMruIter)). See DESIGN.md §14.
 
 use elmem_util::hashutil::{mix64, FastIntMap};
 use elmem_util::{ElmemError, KeyId, SimTime};
@@ -50,9 +20,12 @@ pub(crate) const NIL: u32 = u32::MAX;
 
 /// Which shard a key routes to: the high 32 bits of the same SplitMix64
 /// finalizer the key index hashes with, range-reduced without division.
-/// One shard means shard 0 — the degenerate case is the unsharded store.
+/// One shard means shard 0, unhashed — the unsharded store.
 #[inline]
 pub(crate) fn shard_of(key: KeyId, n_shards: u32) -> usize {
+    if n_shards == 1 {
+        return 0;
+    }
     let h = (mix64(key.0) >> 32) as u32;
     ((u64::from(h) * u64::from(n_shards)) >> 32) as usize
 }
@@ -360,12 +333,17 @@ impl Shard {
         list.len += 1;
         list.bytes_used += item.footprint();
         let slot = Slot::new(id, item);
-        let idx = list.free.pop().unwrap_or_else(|| {
-            list.links.push(Link::default());
-            list.slots.push(slot);
-            (list.links.len() - 1) as u32
-        });
-        list.slots[idx as usize] = slot;
+        let idx = match list.free.pop() {
+            Some(idx) => {
+                list.slots[idx as usize] = slot;
+                idx
+            }
+            None => {
+                list.links.push(Link::default());
+                list.slots.push(slot);
+                (list.links.len() - 1) as u32
+            }
+        };
         list.push::<FRONT>(idx, seq);
         if indexed {
             self.index.insert(id, (class, idx));

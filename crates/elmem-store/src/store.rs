@@ -1,24 +1,9 @@
 //! The slab store: pages, chunks, MRU lists, LRU eviction, and the
 //! commands the paper's path issues — `get`, `set`, `delete`, the bulk
-//! [`Fill`], the timestamp dump and `batch_import` — and no others.
-//!
-//! The store body is N independent [`Shard`]s (key → shard via the same
-//! SplitMix64 finalizer the index hashes with), and N is **1 unless a
-//! config says otherwise**: one MRU list per slab class, as in the
-//! memcached the paper patches. This serial facade drives the shards one op
-//! at a time and is **byte-identical at any shard count**: every MRU link
-//! carries a stamp from a global monotone LRU clock, so the global MRU
-//! order of a class is the k-way merge of its shard lists by descending
-//! stamp — at one shard, the list itself. Every ordered walk (dump, median,
-//! FuseCache's resident list, `batch_import`) is one kernel,
-//! [`ClassMruIter`], which can be taken from either end and hops along the
-//! slot arenas' 16-byte link lane, apart from the items. Only `shard.rs`
-//! knows a slot's layout; see DESIGN.md §14. More than one
-//! shard serves only the [`ConcurrentSlabStore`] facade in `concurrent.rs`,
-//! which drives the same shards from real threads and has no product
-//! caller.
-//!
-//! [`ConcurrentSlabStore`]: crate::ConcurrentSlabStore
+//! [`Fill`], the timestamp dump and `batch_import` — and no others. Its
+//! body is N [`Shard`]s, one unless a config says otherwise, and it is
+//! byte-identical at any N; every ordered walk is one kernel,
+//! [`ClassMruIter`]. See DESIGN.md §14.
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
@@ -30,10 +15,7 @@ use crate::item::{Hotness, ItemMeta};
 use crate::shard::{shard_of, storable, Link, Resident, Shard, ShardList, Slot};
 
 /// Environment variable overriding the default shard count
-/// ([`default_shard_count`]). The main CI job runs the suite at the default
-/// (one shard); the shard matrix reruns it with `ELMEM_SHARDS=4` (the count
-/// every golden and the chaos fixture were blessed under) and
-/// `ELMEM_SHARDS=8` to prove shard-count invariance end to end.
+/// ([`default_shard_count`]); CI reruns the suite at 4 and 8 (DESIGN.md §14).
 pub const ELMEM_SHARDS_ENV: &str = "ELMEM_SHARDS";
 
 /// Upper bound on the shard count (configs clamp to it).
@@ -924,15 +906,10 @@ impl SlabStore {
     }
 }
 
-/// A bulk load of keys new to the store, from [`SlabStore::fill`].
-///
-/// On a store that was empty when the fill began, [`set`](Self::set) does
-/// what [`SlabStore::set`] does for a new key — the same class, page grant,
-/// victim, LRU stamp, counters and result — on the link and item lanes
-/// alone; [`finish`](Self::finish), which a drop runs too, then indexes the
-/// survivors once. A key may be set once before `finish`, again only
-/// after it. On a store that was not empty, `set` is [`SlabStore::set`].
-/// See DESIGN.md §14.
+/// A bulk load of keys new to the store, from [`SlabStore::fill`]: on a
+/// store empty when it began, [`set`](Self::set) is [`SlabStore::set`] on the
+/// lanes alone and [`finish`](Self::finish) (or a drop) indexes the survivors
+/// once; a key may be set again only after `finish` (DESIGN.md §14).
 #[derive(Debug)]
 pub struct Fill<'a> {
     store: &'a mut SlabStore,
