@@ -18,7 +18,7 @@ use elmem_util::TelemetryConfig;
 /// benchmark's 40 k-key `serve_hot` build stays on one thread (E39).
 pub const PREFILL_FANOUT_MIN: usize = 2 * PREFILL_BLOCK;
 
-/// Keys a prefill pulls per fork-join (256 KiB; it holds two blocks): the
+/// Keys a prefill pulls per fork-join (256 KiB; a fanned one holds two): the
 /// thread a join spawns per extra worker (≈ 60 µs) is under 2 % of its sets.
 const PREFILL_BLOCK: usize = 1 << 15;
 const _: () = assert!(PREFILL_BLOCK <= 1 << 16, "a block position is a u16");
@@ -404,9 +404,9 @@ impl Cluster {
 
     /// [`Self::prefill`] over `jobs` workers (DESIGN.md §10): the join that
     /// pulls block `b` sets each worker's stores from block `b − 1`'s routed
-    /// positions, in stream order, then routes a share of block `b`; the last
-    /// join finishes every [`Fill`]. A key the caller's bitset has seen, or
-    /// one past it, finishes its owner's fill before its block is set.
+    /// positions, in stream order, then routes a share of block `b`; one
+    /// worker routes block `b`, then sets it. The empty last block finishes
+    /// every [`Fill`]; a repeated key, or one past the bits, its owner's first.
     fn prefill_blocks(
         &mut self,
         mut keys: impl Iterator<Item = KeyId>,
@@ -442,29 +442,28 @@ impl Cluster {
         }
         let store = |key| store_of.get(ring.node_for(key)?).copied();
 
-        // Worker `w`'s part of a join: set its stores from `prev`, then
-        // route its share of `next`; after the empty block, finish them.
-        let step = |w: usize,
-                    hand: &mut Vec<(usize, Fill)>,
-                    prev: &Block,
-                    next: &[KeyId],
-                    routed: &mut Vec<Vec<u16>>| {
+        // A worker's two halves of a join: set its stores from a routed
+        // block, finishing them if it is the `last`; route share `w` of a
+        // block's keys.
+        let set = |hand: &mut Vec<(usize, Fill)>, block: &Block, last: bool| {
             for (s, fill) in hand.iter_mut() {
-                if prev.finish_first[*s] {
+                if block.finish_first[*s] {
                     fill.finish();
                 }
-                for &i in prev.routed.iter().flat_map(|share| &share[*s]) {
-                    let key = prev.keys[usize::from(i)];
-                    let at = start + SimTime::from_nanos(prev.base + u64::from(i));
+                for &i in block.routed.iter().flat_map(|share| &share[*s]) {
+                    let key = block.keys[usize::from(i)];
+                    let at = start + SimTime::from_nanos(block.base + u64::from(i));
                     let _ = fill.set(key, keyspace.value_size(key), at);
                 }
-                if next.is_empty() {
+                if last {
                     fill.finish();
                 }
             }
+        };
+        let route = |w: usize, keys: &[KeyId], routed: &mut Vec<Vec<u16>>| {
             routed.iter_mut().for_each(Vec::clear);
-            let share = next.len().div_ceil(jobs);
-            for (&key, i) in next.iter().zip(0..).skip(w * share).take(share) {
+            let share = keys.len().div_ceil(jobs);
+            for (&key, i) in keys.iter().zip(0..).skip(w * share).take(share) {
                 if let Some(s) = store(key) {
                     routed[s].push(i);
                 }
@@ -477,9 +476,9 @@ impl Cluster {
             finish_first: vec![false; stores],
         };
         let (mut prev, mut cur) = (block(), block());
-        let mut seen = vec![0u64; keyspace.n_keys().div_ceil(64) as usize];
+        let (mut seen, mut pulled) = (vec![0u64; keyspace.n_keys().div_ceil(64) as usize], 0);
         loop {
-            cur.base = prev.base + prev.keys.len() as u64;
+            cur.base = pulled;
             cur.keys.clear();
             cur.finish_first.fill(false);
             for key in keys.by_ref().take(PREFILL_BLOCK) {
@@ -492,21 +491,33 @@ impl Cluster {
                 }
                 cur.keys.push(key);
             }
-            let (ready, next) = (&prev, &cur.keys[..]);
-            let mut work = (0..).zip(hands.iter_mut().zip(&mut cur.routed));
-            // This thread is the first worker; the scope joins the others
-            // and re-raises a panic from any of them.
-            let (_, (mine, my_routed)) = work.next().expect("one worker");
-            std::thread::scope(|s| {
-                for (w, (hand, routed)) in work {
-                    s.spawn(move || step(w, hand, ready, next, routed));
-                }
-                step(0, mine, ready, next, my_routed);
-            });
-            if cur.keys.is_empty() {
+            pulled += cur.keys.len() as u64;
+            let last = cur.keys.is_empty();
+            if jobs == 1 {
+                // Nothing to overlap: route a block, then set it.
+                route(0, &cur.keys, &mut cur.routed[0]);
+                set(&mut hands[0], &cur, last);
+            } else {
+                // Each worker sets `prev`, then routes its share of `cur`;
+                // this thread is the first, and the scope re-raises a panic.
+                let (ready, next) = (&prev, &cur.keys[..]);
+                let mut work = (0..).zip(hands.iter_mut().zip(&mut cur.routed));
+                let (_, (mine, my_routed)) = work.next().expect("one worker");
+                std::thread::scope(|s| {
+                    for (w, (hand, routed)) in work {
+                        s.spawn(move || {
+                            set(hand, ready, last);
+                            route(w, next, routed);
+                        });
+                    }
+                    set(mine, ready, last);
+                    route(0, next, my_routed);
+                });
+                std::mem::swap(&mut prev, &mut cur);
+            }
+            if last {
                 break;
             }
-            std::mem::swap(&mut prev, &mut cur);
         }
     }
 }

@@ -4,7 +4,7 @@
 //! `chunk_size(i)` bytes, where chunk sizes grow geometrically from a
 //! minimum (default 96 bytes, growth factor 1.25) up to the page size.
 
-use elmem_util::ByteSize;
+use elmem_util::{ByteSize, ElmemError};
 
 /// Index of a slab size class within a store.
 ///
@@ -91,6 +91,15 @@ impl SizeClasses {
     pub fn class_for(&self, footprint: u64) -> Option<ClassId> {
         let idx = self.chunk_sizes.partition_point(|&c| c < footprint);
         (idx < self.chunk_sizes.len()).then_some(ClassId(idx as u16))
+    }
+
+    /// [`class_for`](Self::class_for) an item about to be stored, or
+    /// [`ElmemError::ItemTooLarge`] past the largest chunk.
+    pub(crate) fn class_to_store(&self, footprint: u64) -> Result<ClassId, ElmemError> {
+        self.class_for(footprint).ok_or(ElmemError::ItemTooLarge {
+            item_bytes: footprint,
+            max_chunk_bytes: self.max_chunk(),
+        })
     }
 
     /// Chunk size of a class, in bytes.

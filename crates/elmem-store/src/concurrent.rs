@@ -235,7 +235,33 @@ impl ConcurrentSlabStore {
     ///
     /// Same as [`SlabStore::set`].
     pub fn set(&self, key: KeyId, value_size: u32, now: SimTime) -> Result<(), ElmemError> {
-        self.set_item(ItemMeta::new(key, value_size, now))
+        let new_item = ItemMeta::new(key, value_size, now);
+        let id = storable(key)?;
+        let class = self.classes.class_to_store(new_item.footprint())?;
+        let si = shard_of(key, self.n_shards);
+        // Fast path: one shard lock, no global coordination.
+        {
+            let mut sh = self.lock_shard(si);
+            if self.try_update(&mut sh, class, id, &new_item) {
+                return Ok(());
+            }
+            if self.try_claim_chunk(class.0 as usize) {
+                self.insert_claimed(&mut sh, class, id, &new_item);
+                return Ok(());
+            }
+        }
+        // Slow path: drop the shard lock (see module docs), serialize on
+        // the alloc lock, re-lock, and re-run — the key may have been
+        // inserted or capacity freed in the window.
+        // Guards no data; poisoned only by a panic that poisoned a shard too.
+        let _alloc = self.alloc.lock().expect("alloc lock");
+        let mut sh = self.lock_shard(si);
+        if self.try_update(&mut sh, class, id, &new_item) {
+            return Ok(());
+        }
+        self.secure_chunk_locked(class, si, &mut sh)?;
+        self.insert_claimed(&mut sh, class, id, &new_item);
+        Ok(())
     }
 
     /// Removes a key; returns whether it was present.
@@ -269,42 +295,6 @@ impl ConcurrentSlabStore {
         cs.len
             .fetch_update(SeqCst, SeqCst, |l| (l < capacity).then_some(l + 1))
             .is_ok()
-    }
-
-    fn set_item(&self, new_item: ItemMeta) -> Result<(), ElmemError> {
-        let id = storable(new_item.key)?;
-        let footprint = new_item.footprint();
-        let class = self
-            .classes
-            .class_for(footprint)
-            .ok_or(ElmemError::ItemTooLarge {
-                item_bytes: footprint,
-                max_chunk_bytes: self.classes.max_chunk(),
-            })?;
-        let si = shard_of(new_item.key, self.n_shards);
-        // Fast path: one shard lock, no global coordination.
-        {
-            let mut sh = self.lock_shard(si);
-            if self.try_update(&mut sh, class, id, &new_item) {
-                return Ok(());
-            }
-            if self.try_claim_chunk(class.0 as usize) {
-                self.insert_claimed(&mut sh, class, id, &new_item);
-                return Ok(());
-            }
-        }
-        // Slow path: drop the shard lock (see module docs), serialize on
-        // the alloc lock, re-lock, and re-run — the key may have been
-        // inserted or capacity freed in the window.
-        // Guards no data; poisoned only by a panic that poisoned a shard too.
-        let _alloc = self.alloc.lock().expect("alloc lock");
-        let mut sh = self.lock_shard(si);
-        if self.try_update(&mut sh, class, id, &new_item) {
-            return Ok(());
-        }
-        self.secure_chunk_locked(class, si, &mut sh)?;
-        self.insert_claimed(&mut sh, class, id, &new_item);
-        Ok(())
     }
 
     /// Handles the key-already-resident cases. Returns `true` if the set
@@ -359,20 +349,12 @@ impl ConcurrentSlabStore {
             // tails (locking peers one at a time), then evict the victim
             // shard's current tail. Exact when ops are serialized;
             // approximate under contention (Memcached's LRU is too).
-            let mut coldest: Option<(usize, u64)> = None;
-            for sj in 0..self.shards.len() {
-                let tail = if sj == si {
-                    own.tail_stamp(class.0)
-                } else {
-                    self.lock_shard(sj).tail_stamp(class.0)
-                };
-                if let Some(seq) = tail {
-                    if coldest.is_none_or(|(_, s)| seq < s) {
-                        coldest = Some((sj, seq));
-                    }
-                }
-            }
-            let Some((sj, _)) = coldest else {
+            // Stamps are unique, so the minimum names one shard.
+            let tails = (0..self.shards.len()).filter_map(|sj| match sj == si {
+                true => Some((own.tail_stamp(class.0)?, sj)),
+                false => Some((self.lock_shard(sj).tail_stamp(class.0)?, sj)),
+            });
+            let Some((_, sj)) = tails.min() else {
                 self.class_state[ci].pressure.fetch_add(1, SeqCst);
                 return Err(ElmemError::OutOfMemory);
             };

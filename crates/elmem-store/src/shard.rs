@@ -49,6 +49,28 @@ pub(crate) struct Link {
     pub next: u32,
 }
 
+/// How a key's index entry, one `u32` handle, splits: its class in the
+/// high bits, as many as the ladder's top class id needs (at least one),
+/// and its slot in the low `.0` bits, which `SlabStore::new` checks address
+/// every chunk of the smallest class (DESIGN.md §14).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Handles(pub u32);
+
+impl Handles {
+    pub fn for_classes(n_classes: usize) -> Handles {
+        Handles(31 - (n_classes.saturating_sub(1).max(1) as u32).ilog2())
+    }
+
+    pub fn encode(self, class: u16, slot: u32) -> u32 {
+        debug_assert!(slot >> self.0 == 0, "slot {slot} past {} bits", self.0);
+        u32::from(class) << self.0 | slot
+    }
+
+    pub fn decode(self, handle: u32) -> (u16, u32) {
+        ((handle >> self.0) as u16, handle & ((1 << self.0) - 1))
+    }
+}
+
 /// What a chunk holds: 16 bytes, four to a cache line.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Slot {
@@ -57,10 +79,8 @@ pub(crate) struct Slot {
     pub last_access: SimTime,
 }
 
-// Four links or four slots to a cache line, and a 12-byte index entry.
-const _: () = assert!(
-    size_of::<Link>() == 16 && size_of::<Slot>() == 16 && size_of::<(u32, (u16, u32))>() == 12
-);
+// Four links or four slots to a cache line.
+const _: () = assert!(size_of::<Link>() == 16 && size_of::<Slot>() == 16);
 
 impl Slot {
     fn new(id: u32, item: &ItemMeta) -> Slot {
@@ -122,15 +142,6 @@ impl Clone for ShardList {
 }
 
 impl ShardList {
-    fn new() -> Self {
-        let (head, tail) = (NIL, NIL);
-        ShardList {
-            head,
-            tail,
-            ..Self::default()
-        }
-    }
-
     /// Takes a linked slot out of the list; its own link is left stale for
     /// the caller to overwrite or zero.
     fn unlink(&mut self, idx: u32) {
@@ -244,24 +255,30 @@ pub(crate) enum Resident {
 #[derive(Debug, Clone)]
 pub(crate) struct Shard {
     pub lists: Vec<ShardList>,
-    /// key id → (class, slot) for this shard's resident keys. The
+    /// key id → (class, slot) handle for this shard's resident keys. The
     /// deterministic integer hasher keeps placement identical across runs
     /// and platforms, and hashes a `u32` id as it hashes the same `u64`.
-    pub index: FastIntMap<u32, (u16, u32)>,
+    pub index: FastIntMap<u32, u32>,
+    pub handles: Handles,
 }
 
 impl Shard {
     pub fn new(n_classes: usize) -> Self {
+        let mut empty = ShardList::default();
+        (empty.head, empty.tail) = (NIL, NIL);
         Shard {
-            lists: (0..n_classes).map(|_| ShardList::new()).collect(),
+            lists: vec![empty; n_classes],
             index: FastIntMap::default(),
+            handles: Handles::for_classes(n_classes),
         }
     }
 
     /// Where a resident key lives, as (class, slot).
     #[inline]
     pub fn locate(&self, key: KeyId) -> Option<(u16, u32)> {
-        self.index.get(&u32::try_from(key.0).ok()?).copied()
+        self.index
+            .get(&u32::try_from(key.0).ok()?)
+            .map(|&h| self.handles.decode(h))
     }
 
     /// The item in an occupied slot.
@@ -299,7 +316,7 @@ impl Shard {
         item: &ItemMeta,
         stamp: impl FnOnce() -> u64,
     ) -> Resident {
-        let Some(&(old, idx)) = self.index.get(&id) else {
+        let Some((old, idx)) = self.index.get(&id).map(|&h| self.handles.decode(h)) else {
             return Resident::Absent;
         };
         if old != class {
@@ -346,7 +363,7 @@ impl Shard {
         };
         list.push::<FRONT>(idx, seq);
         if indexed {
-            self.index.insert(id, (class, idx));
+            self.index.insert(id, self.handles.encode(class, idx));
         }
     }
 
@@ -358,7 +375,8 @@ impl Shard {
         for (class, list) in self.lists.iter().enumerate() {
             let slots = list.links.iter().zip(&list.slots).enumerate();
             for (idx, (_, slot)) in slots.filter(|(_, (link, _))| link.seq != 0) {
-                self.index.insert(slot.key, (class as u16, idx as u32));
+                self.index
+                    .insert(slot.key, self.handles.encode(class as u16, idx as u32));
             }
         }
         debug_assert_eq!(self.index.len(), survivors, "a key set twice in one fill");
@@ -406,7 +424,8 @@ impl Shard {
             list.audit(lru_clock)
                 .map_err(|e| format!("class {ci} shard {si}: {e}"))?;
         }
-        let misindexed = self.index.iter().filter_map(|(&id, &(class, idx))| {
+        let misindexed = self.index.iter().filter_map(|(&id, &handle)| {
+            let (class, idx) = self.handles.decode(handle);
             let key = KeyId(u64::from(id));
             let routed = shard_of(key, n_shards);
             let list = self.lists.get(class as usize);
@@ -470,6 +489,39 @@ mod tests {
                 (500..1500).contains(&c),
                 "shard {s} got {c} of 8000 keys — routing badly skewed"
             );
+        }
+    }
+
+    #[test]
+    fn handles_round_trip_at_the_split_edges() {
+        // (classes in the ladder, slot bits the split leaves): the first
+        // and last class, at the first and the last slot each split
+        // addresses, come back as they went in.
+        let splits = [
+            (1, 31),
+            (2, 31),
+            (3, 30),
+            (4, 30),
+            (5, 29),
+            (43, 26),
+            (64, 26),
+            (65, 25),
+            (1 << 16, 16),
+        ];
+        for (n_classes, slot_bits) in splits {
+            let handles = Handles::for_classes(n_classes);
+            assert_eq!(handles.0, slot_bits, "{n_classes} classes");
+            let (last_class, last_slot) = ((n_classes - 1) as u16, (1u32 << slot_bits) - 1);
+            for (class, slot) in [
+                (0, 0),
+                (0, last_slot),
+                (last_class, 0),
+                (last_class, last_slot),
+            ] {
+                let handle = handles.encode(class, slot);
+                let back = handles.decode(handle);
+                assert_eq!(back, (class, slot), "{n_classes} classes, {handle:#010x}");
+            }
         }
     }
 

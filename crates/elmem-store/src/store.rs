@@ -12,7 +12,7 @@ use elmem_util::{ByteSize, ElmemError, KeyId, SimTime};
 use crate::classes::{ClassId, SizeClasses};
 use crate::dump::{canonicalize, ClassDump, MetadataDump};
 use crate::item::{Hotness, ItemMeta};
-use crate::shard::{shard_of, storable, Link, Resident, Shard, ShardList, Slot};
+use crate::shard::{shard_of, storable, Handles, Link, Resident, Shard, ShardList, Slot};
 
 /// Environment variable overriding the default shard count
 /// ([`default_shard_count`]); CI reruns the suite at 4 and 8 (DESIGN.md §14).
@@ -113,12 +113,7 @@ impl StoreStats {
 
     /// Fraction of `get` calls that hit (0.0 when no lookups yet).
     pub fn hit_rate(&self) -> f64 {
-        let lookups = self.lookups();
-        if lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / lookups as f64
-        }
+        self.hits as f64 / self.lookups().max(1) as f64
     }
 
     /// Adds another node's counters into this one, for tier-wide roll-ups
@@ -202,22 +197,10 @@ impl Clone for MedianCache {
     /// afterwards never disturbs the other's memo). A torn read degrades
     /// to a fresh empty cache.
     fn clone(&self) -> Self {
-        let fresh = MedianCache::default();
-        let s1 = self.seq.load(SeqCst);
-        if s1 & 1 != 0 {
-            return fresh;
+        let (fresh, version) = (MedianCache::default(), self.version.load(SeqCst));
+        if let Some(median) = self.get(version) {
+            fresh.put(version, median);
         }
-        let version = self.version.load(SeqCst);
-        let ts = self.ts.load(SeqCst);
-        let tiebreak = self.tiebreak.load(SeqCst);
-        let state = self.state.load(SeqCst);
-        if self.seq.load(SeqCst) != s1 {
-            return fresh;
-        }
-        fresh.version.store(version, SeqCst);
-        fresh.ts.store(ts, SeqCst);
-        fresh.tiebreak.store(tiebreak, SeqCst);
-        fresh.state.store(state, SeqCst);
         fresh
     }
 }
@@ -296,12 +279,17 @@ impl SlabStore {
     ///
     /// # Panics
     ///
-    /// Panics if the configured memory is smaller than one page.
+    /// Panics if the configured memory is smaller than one page, or if its
+    /// smallest chunk class could hold more chunks than the slot bits of
+    /// a key's index handle address (DESIGN.md §14).
     pub fn new(config: StoreConfig) -> Self {
         let pages_total = config.memory.as_u64() / ByteSize::PAGE.as_u64();
         assert!(pages_total > 0, "store memory below one 1MB page");
         let n_shards = config.shards.clamp(1, MAX_SHARDS) as u32;
         let n_classes = config.classes.len();
+        let slots = 1 << Handles::for_classes(n_classes).0;
+        let chunks = pages_total.saturating_mul(config.classes.chunks_per_page(ClassId(0)));
+        assert!(chunks <= slots, "{chunks} chunks, {slots} handle slots");
         let class_meta = config
             .classes
             .ids()
@@ -361,13 +349,8 @@ impl SlabStore {
 
     /// Bytes of item payload currently resident (footprints, not chunks).
     pub fn bytes_used(&self) -> ByteSize {
-        ByteSize(
-            self.shards
-                .iter()
-                .flat_map(|sh| sh.lists.iter())
-                .map(|l| l.bytes_used)
-                .sum(),
-        )
+        let lists = self.shards.iter().flat_map(|sh| &sh.lists);
+        ByteSize(lists.map(|l| l.bytes_used).sum())
     }
 
     /// Operation counters.
@@ -429,14 +412,7 @@ impl SlabStore {
     /// unlinked by its slot.
     fn set_item(&mut self, new_item: ItemMeta, indexed: bool) -> Result<(), ElmemError> {
         let id = storable(new_item.key)?;
-        let footprint = new_item.footprint();
-        let class = self
-            .classes
-            .class_for(footprint)
-            .ok_or(ElmemError::ItemTooLarge {
-                item_bytes: footprint,
-                max_chunk_bytes: self.classes.max_chunk(),
-            })?;
+        let class = self.classes.class_to_store(new_item.footprint())?;
         let ci = class.0 as usize;
 
         let si = shard_of(new_item.key, self.n_shards);
@@ -529,16 +505,12 @@ impl SlabStore {
     /// true if the class is under its capacity (a freed chunk exists
     /// somewhere) or a fresh page could be granted.
     fn secure_chunk(&mut self, class: ClassId) -> bool {
-        let meta = &self.class_meta[class.0 as usize];
-        if meta.len < meta.capacity() {
-            return true;
-        }
-        if self.pages_used < self.pages_total {
-            self.class_meta[class.0 as usize].pages += 1;
+        let meta = &mut self.class_meta[class.0 as usize];
+        if meta.len >= meta.capacity() && self.pages_used < self.pages_total {
+            meta.pages += 1;
             self.pages_used += 1;
-            return true;
         }
-        false
+        meta.len < meta.capacity()
     }
 
     /// Free chunks currently available in a class (capacity not yet
@@ -618,9 +590,10 @@ impl SlabStore {
 
     /// Iterates all resident items (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = ItemMeta> + '_ {
-        self.shards
-            .iter()
-            .flat_map(|sh| sh.index.values().map(|&(class, idx)| sh.item(class, idx)))
+        self.shards.iter().flat_map(|sh| {
+            let slots = sh.index.values().map(|&h| sh.handles.decode(h));
+            slots.map(|(class, idx)| sh.item(class, idx))
+        })
     }
 
     /// The MRU timestamps of a class in MRU order — the paper's
@@ -1137,6 +1110,32 @@ mod tests {
         assert_eq!(ab.hits, 11);
         assert_eq!(ab.imported, 66);
         assert_eq!(ab.lookups(), 33);
+    }
+
+    #[test]
+    fn new_refuses_a_store_its_slot_bits_cannot_address() {
+        // The default ladder's 43 classes leave 26 slot bits and its 96 B
+        // class takes 10 922 chunks a page: 6 144 pages address, 6 145 do
+        // not. Eight classes of 8 B to 1 KiB leave 29 bits over 131 072.
+        let default = SizeClasses::memcached_default;
+        let small = || SizeClasses::new(8, 2.0, 1024);
+        assert_eq!(Handles::for_classes(default().len()).0, 26);
+        let stores = [
+            (6_144, default(), false),
+            (6_145, default(), true),
+            (4_096, small(), false),
+            (4_097, small(), true),
+        ];
+        for (mib, classes, refused) in stores {
+            let memory = ByteSize::from_mib(mib);
+            let config = StoreConfig {
+                memory,
+                classes,
+                shards: 1,
+            };
+            let built = std::panic::catch_unwind(|| SlabStore::new(config));
+            assert_eq!(built.is_err(), refused, "{mib} MiB");
+        }
     }
 
     fn small_store() -> SlabStore {

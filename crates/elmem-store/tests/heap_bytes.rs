@@ -1,6 +1,6 @@
 //! What a resident item costs in heap bytes: a 20 000-item store, filled by
 //! plain `set`s under a counting allocator. An item is its two 16-byte slot
-//! lanes, its share of the key index's 12-byte entries and control bytes,
+//! lanes, its share of the key index's 8-byte entries and control bytes,
 //! and the lanes' and index's spare capacity; nothing else in the store
 //! grows with it. The pin moves only when one of those does.
 //!
@@ -55,11 +55,13 @@ fn a_resident_item_costs_its_pinned_heap_bytes() {
     }
     let bytes = HEAP.live.load(SeqCst) - before;
     assert_eq!((store.len(), store.stats().evictions), (ITEMS, 0));
-    // 64.31 B an item. The 32-byte item slot and 16-byte index entries
-    // this layout replaced held 1 843 160 bytes here, 92.16 B an item.
+    // 57.75 B an item. The 12-byte (key, class, slot) index entries the
+    // one-handle entries replaced held 1 286 104 bytes here, 64.31 B an
+    // item; the 32-byte item slot and 16-byte entries before them held
+    // 1 843 160, 92.16 B an item.
     assert_eq!(
         bytes,
-        1_286_104,
+        1_155_040,
         "{:.2} B an item",
         bytes as f64 / ITEMS as f64
     );
