@@ -25,7 +25,7 @@ fn bench_engines(c: &mut Criterion) {
                 for &k in &trace {
                     let _ = e.record(k, 100);
                 }
-                e.accesses()
+                e.unique_keys()
             })
         });
         group.bench_with_input(BenchmarkId::new("mimir", len), &len, |b, _| {

@@ -53,9 +53,9 @@ pub struct ClusterConfig {
     /// classes, or most classes can never obtain a page ("slab
     /// calcification") and sets fail.
     pub slab_classes: SizeClasses,
-    /// Shard count for every node's store (the `ELMEM_SHARDS` knob).
-    /// Observable behavior is shard-count-invariant — see DESIGN.md §14 —
-    /// so this only affects real-thread serving parallelism.
+    /// [`StoreConfig::shards`](elmem_store::StoreConfig::shards) of every
+    /// node's store: must be 1. Kept because `benchmark/src/workloads.rs:163`
+    /// sets it.
     pub store_shards: usize,
 }
 

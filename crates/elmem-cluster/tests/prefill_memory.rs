@@ -1,7 +1,8 @@
-//! `Cluster::prefill` streams its keys: it holds two blocks of them at a
-//! time with their routed positions, on one worker or several, and one
-//! bit per keyspace key, so a paper-scale fill (19 M keys, 152 MB as a
-//! `Vec`) costs about 3 MB beyond its stores at any worker count. Checked
+//! `Cluster::prefill` streams its keys: it holds one block of them at a
+//! time with their routed positions on one worker, two when it fans out to
+//! several (one routed while the other is set), and one bit per keyspace
+//! key, so a paper-scale fill (19 M keys, 152 MB as a `Vec`) costs about
+//! 3 MB beyond its stores at any worker count. Checked
 //! on the process's peak RSS, with keys from a counter — an iterator that
 //! itself holds nothing.
 //!

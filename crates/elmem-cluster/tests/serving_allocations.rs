@@ -79,11 +79,6 @@ fn serve(keys: u64, value_scale: f64, min_chunk: u64, prefill: u64) -> Served {
         db_servers: 64,
         db_service: SimTime::from_millis(6),
         slab_classes: SizeClasses::new(min_chunk, 2.0, ByteSize::PAGE.as_u64()),
-        // One list per class, the default, whatever `ELMEM_SHARDS` says: a
-        // sharded store frees a victim's slot in one shard's lane and may
-        // set the new key in another's, so its lanes keep growing (14
-        // reallocations in the cold run at 4 shards).
-        store_shards: 1,
         ..ClusterConfig::small_test()
     };
     let workload = WorkloadConfig {

@@ -681,7 +681,7 @@ mod tests {
             assert!(
                 violations
                     .iter()
-                    .any(|m| m.contains("store audit failed") && m.contains(" shard ")),
+                    .any(|m| m.contains("store audit failed") && m.contains(": class ")),
                 "violations: {violations:?}"
             );
         }

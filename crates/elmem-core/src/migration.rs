@@ -579,7 +579,7 @@ const PAR_MIN_ITEMS: u64 = 32_768;
 /// runs. An explicit `requested` count is honoured as is; `0` resolves to
 /// [`par_jobs`], staying serial unless some source holds at least
 /// [`PAR_MIN_ITEMS`] items: sources are routed one at a time, each over
-/// its own shards and classes, so one large source saturates every job
+/// its own classes, so one large source saturates every job
 /// and many small ones would only pay for the threads.
 fn fanout_jobs(tier: &CacheTier, sources: &[NodeId], requested: usize) -> usize {
     if requested != 0 {
@@ -615,9 +615,8 @@ struct RoutedSource {
 /// Naive's trim, routes the items into one bucket per target node and
 /// drops the dump before it takes the next cell. Peak memory is `jobs`
 /// class dumps beside the routed lists, the fan-out is as wide as sources ×
-/// classes whatever the shard count, and the cells reassemble in (source,
-/// class, target) order, so the plan is invariant in both the shard count
-/// and the job count.
+/// classes, and the cells reassemble in (source, class, target) order, so
+/// the plan is invariant in the job count.
 fn route_sources(
     tier: &CacheTier,
     sources: &[NodeId],

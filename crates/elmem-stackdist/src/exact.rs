@@ -129,11 +129,6 @@ impl ExactStackDistance {
         }
     }
 
-    /// Number of accesses recorded.
-    pub fn accesses(&self) -> usize {
-        self.time
-    }
-
     /// Number of distinct keys seen.
     pub fn unique_keys(&self) -> usize {
         self.live
@@ -301,7 +296,6 @@ mod tests {
             assert_eq!(e.record(KeyId(k), 8), None);
         }
         assert_eq!(e.unique_keys(), 100);
-        assert_eq!(e.accesses(), 100);
     }
 
     #[test]

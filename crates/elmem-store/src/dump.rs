@@ -164,7 +164,7 @@ mod tests {
     }
 
     /// `runs` descending runs over one key range, item `k` in run `k % runs`
-    /// — what concatenating a class's per-shard dumps looks like.
+    /// — a few long sorted runs, far apart.
     fn concatenated_runs(n: u64, runs: u64, ts: impl Fn(u64) -> u64) -> Vec<ItemMeta> {
         (0..runs)
             .flat_map(|r| (0..n).filter(move |k| k % runs == r))

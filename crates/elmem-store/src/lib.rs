@@ -39,8 +39,8 @@ pub mod classes;
 pub mod concurrent;
 pub mod dump;
 pub mod item;
+mod list;
 pub mod rebalance;
-mod shard;
 pub mod store;
 
 pub use classes::{ClassId, SizeClasses};
@@ -48,7 +48,4 @@ pub use concurrent::ConcurrentSlabStore;
 pub use dump::{ClassDump, MetadataDump};
 pub use item::{Hotness, ItemMeta, ITEM_OVERHEAD_BYTES, KEY_BYTES, TIMESTAMP_BYTES};
 pub use rebalance::RebalanceHint;
-pub use store::{
-    default_shard_count, Fill, ImportMode, SlabStore, StoreConfig, StoreStats, ELMEM_SHARDS_ENV,
-    MAX_SHARDS,
-};
+pub use store::{default_shard_count, Fill, ImportMode, SlabStore, StoreConfig, StoreStats};

@@ -78,9 +78,8 @@ mod tests {
     fn store() -> SlabStore {
         // 2 pages total; ladder 128 / 1024 chunks.
         SlabStore::new(StoreConfig {
-            memory: ByteSize::from_mib(2),
             classes: SizeClasses::new(128, 8.0, 1024),
-            shards: crate::store::default_shard_count(),
+            ..StoreConfig::with_memory(ByteSize::from_mib(2))
         })
     }
 

@@ -1,42 +1,24 @@
-//! The slab store: pages, chunks, MRU lists, LRU eviction, and the
-//! commands the paper's path issues — `get`, `set`, `delete`, the bulk
-//! [`Fill`], the timestamp dump and `batch_import` — and no others. Its
-//! body is N [`Shard`]s, one unless a config says otherwise, and it is
-//! byte-identical at any N; every ordered walk is one kernel,
-//! [`ClassMruIter`]. See DESIGN.md §14.
+//! The slab store: pages, chunks, one MRU list per slab class, LRU
+//! eviction, and the commands the paper's path issues — `get`, `set`,
+//! `delete`, the bulk [`Fill`], the timestamp dump and `batch_import` — and
+//! no others. Every ordered walk is one kernel, [`ClassMruIter`]. See
+//! DESIGN.md §14.
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
+use elmem_util::hashutil::FastIntMap;
 use elmem_util::{ByteSize, ElmemError, KeyId, SimTime};
 
 use crate::classes::{ClassId, SizeClasses};
 use crate::dump::{canonicalize, ClassDump, MetadataDump};
 use crate::item::{Hotness, ItemMeta};
-use crate::shard::{shard_of, storable, Handles, Link, Resident, Shard, ShardList, Slot};
+use crate::list::{storable, ClassList, Handles, Link, Slot, FREE, NIL};
 
-/// Environment variable overriding the default shard count
-/// ([`default_shard_count`]); CI reruns the suite at 4 and 8 (DESIGN.md §14).
-pub const ELMEM_SHARDS_ENV: &str = "ELMEM_SHARDS";
-
-/// Upper bound on the shard count (configs clamp to it).
-pub const MAX_SHARDS: usize = 64;
-
-/// One MRU list per slab class. Measured, not assumed (EXPERIMENTS.md E25):
-/// with no product caller on the concurrent facade, four shards bought a
-/// 4-way merge under every ordered walk, four tails per eviction and
-/// sixteen small arenas per node, and nothing else.
-const DEFAULT_SHARDS: usize = 1;
-
-/// The shard count configs use unless told otherwise: the
-/// [`ELMEM_SHARDS_ENV`] variable if set (clamped to `1..=`[`MAX_SHARDS`]),
-/// else 1. Every observable output is shard-count-invariant, so the knob
-/// trades nothing but memory layout and concurrent-facade parallelism.
-pub fn default_shard_count() -> usize {
-    std::env::var(ELMEM_SHARDS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|n| n.clamp(1, MAX_SHARDS))
-        .unwrap_or(DEFAULT_SHARDS)
+/// The one list per class a store keeps, as a count: 1. Kept, `const`,
+/// because `benchmark/src/workloads.rs:163` names it; it goes with
+/// [`StoreConfig::shards`].
+pub const fn default_shard_count() -> usize {
+    1
 }
 
 /// Configuration for a [`SlabStore`].
@@ -56,15 +38,13 @@ pub struct StoreConfig {
     pub memory: ByteSize,
     /// The slab size-class ladder.
     pub classes: SizeClasses,
-    /// Number of independent shards (clamped to `1..=`[`MAX_SHARDS`]).
-    /// Purely a layout/concurrency knob: all observable output is
-    /// byte-identical at any value.
+    /// Must be 1 ([`default_shard_count`]): a store keeps one MRU list
+    /// per class. Kept because `benchmark/src/layers.rs:295` sets it.
     pub shards: usize,
 }
 
 impl StoreConfig {
-    /// Config with the given memory, Memcached's default class ladder, and
-    /// the [`default_shard_count`].
+    /// Config with the given memory and Memcached's default class ladder.
     pub fn with_memory(memory: ByteSize) -> Self {
         StoreConfig {
             memory,
@@ -141,7 +121,7 @@ impl StoreStats {
 /// loses the (never-in-practice) CAS race simply skips the memo — the
 /// cache is an optimization, never an authority.
 #[derive(Debug, Default)]
-pub(crate) struct MedianCache {
+struct MedianCache {
     /// Seqlock word: odd = write in progress, readers retry-as-miss.
     seq: AtomicU64,
     /// The class version the payload was computed at.
@@ -208,33 +188,31 @@ impl Clone for MedianCache {
 /// Where one member of a [`SlabStore::batch_import`] merge comes from.
 #[derive(Debug, Clone, Copy)]
 enum Origin {
-    /// An item already resident in the class, by position.
-    Resident { shard: u32, slot: u32 },
+    /// An item already resident in the class, by slot.
+    Resident(u32),
     /// An accepted incoming item, by index into the accepted batch.
     Incoming(usize),
 }
 
-/// Facade-level accounting for one size class, spanning all shards.
+/// The store's accounting for one size class beside its list.
 ///
-/// Capacity is *virtual*: the facade grants pages to a class as a budget
-/// (`capacity = pages × chunks_per_page`) and shard slot arenas grow
+/// Capacity is *virtual*: the store grants pages to a class as a budget
+/// (`capacity = pages × chunks_per_page`) and the class's slot lanes grow
 /// lazily against it — which physical page a chunk lives on is not
 /// modeled (DESIGN.md §14, non-goals).
 #[derive(Debug, Clone)]
-pub(crate) struct ClassMeta {
-    pub chunks_per_page: u64,
+struct ClassMeta {
+    chunks_per_page: u64,
     /// Pages granted to this class.
-    pub pages: u64,
-    /// Resident items across all shards of this class.
-    pub len: u64,
+    pages: u64,
     /// Evictions + allocation failures since the pressure counter was last
     /// read (drives the slab rebalancer's recipient choice).
-    pub pressure: u64,
-    /// Bumped on every MRU-list mutation in any shard of this class; a
-    /// stale version is proof the class — and its median — is unchanged.
-    pub version: u64,
+    pressure: u64,
+    /// Bumped on every MRU-list mutation of this class; a stale version is
+    /// proof the class — and its median — is unchanged.
+    version: u64,
     /// Version-stamped memo of the class's median hotness.
-    pub median: MedianCache,
+    median: MedianCache,
 }
 
 impl ClassMeta {
@@ -242,7 +220,6 @@ impl ClassMeta {
         ClassMeta {
             chunks_per_page,
             pages: 0,
-            len: 0,
             pressure: 0,
             version: 0,
             median: MedianCache::default(),
@@ -250,7 +227,7 @@ impl ClassMeta {
     }
 
     /// Chunks this class may hold under its current page grant.
-    pub fn capacity(&self) -> u64 {
+    fn capacity(&self) -> u64 {
         self.pages * self.chunks_per_page
     }
 }
@@ -259,19 +236,21 @@ impl ClassMeta {
 ///
 /// See the [crate-level documentation](crate) for the model. All operations
 /// take the current simulated time explicitly; the store has no internal
-/// clock. This is the deterministic *serial* facade over the shards; for
-/// real-thread serving see [`ConcurrentSlabStore`](crate::ConcurrentSlabStore).
+/// clock.
 #[derive(Debug, Clone)]
 pub struct SlabStore {
-    pub(crate) classes: SizeClasses,
-    pub(crate) n_shards: u32,
-    pub(crate) shards: Vec<Shard>,
-    pub(crate) class_meta: Vec<ClassMeta>,
-    pub(crate) pages_total: u64,
-    pub(crate) pages_used: u64,
-    /// Global monotone LRU clock; every MRU link is stamped from it.
-    pub(crate) lru_clock: u64,
-    pub(crate) stats: StoreStats,
+    classes: SizeClasses,
+    /// One MRU list per class, in class order.
+    lists: Vec<ClassList>,
+    /// key id → (class, slot) handle for every resident key. The
+    /// deterministic integer hasher keeps placement identical across runs
+    /// and platforms, and hashes a `u32` id as it hashes the same `u64`.
+    index: FastIntMap<u32, u32>,
+    handles: Handles,
+    class_meta: Vec<ClassMeta>,
+    pages_total: u64,
+    pages_used: u64,
+    stats: StoreStats,
 }
 
 impl SlabStore {
@@ -279,17 +258,22 @@ impl SlabStore {
     ///
     /// # Panics
     ///
-    /// Panics if the configured memory is smaller than one page, or if its
-    /// smallest chunk class could hold more chunks than the slot bits of
-    /// a key's index handle address (DESIGN.md §14).
+    /// Panics if the configured memory is smaller than one page, if
+    /// `config.shards` is not 1, or if its smallest chunk class could hold
+    /// more chunks than the slot bits of a key's index handle address
+    /// (DESIGN.md §14).
     pub fn new(config: StoreConfig) -> Self {
         let pages_total = config.memory.as_u64() / ByteSize::PAGE.as_u64();
         assert!(pages_total > 0, "store memory below one 1MB page");
-        let n_shards = config.shards.clamp(1, MAX_SHARDS) as u32;
+        assert_eq!(config.shards, 1, "a store keeps one MRU list per class");
         let n_classes = config.classes.len();
-        let slots = 1 << Handles::for_classes(n_classes).0;
+        let handles = Handles::for_classes(n_classes);
         let chunks = pages_total.saturating_mul(config.classes.chunks_per_page(ClassId(0)));
-        assert!(chunks <= slots, "{chunks} chunks, {slots} handle slots");
+        assert!(
+            chunks <= 1 << handles.0,
+            "{chunks} chunks, {} slot bits",
+            handles.0
+        );
         let class_meta = config
             .classes
             .ids()
@@ -297,12 +281,12 @@ impl SlabStore {
             .collect();
         SlabStore {
             classes: config.classes,
-            n_shards,
-            shards: (0..n_shards).map(|_| Shard::new(n_classes)).collect(),
+            lists: vec![ClassList::default(); n_classes],
+            index: FastIntMap::default(),
+            handles,
             class_meta,
             pages_total,
             pages_used: 0,
-            lru_clock: 0,
             stats: StoreStats::default(),
         }
     }
@@ -310,11 +294,6 @@ impl SlabStore {
     /// The size-class ladder in use.
     pub fn classes(&self) -> &SizeClasses {
         &self.classes
-    }
-
-    /// Number of shards the store body is split into.
-    pub fn shard_count(&self) -> usize {
-        self.n_shards as usize
     }
 
     /// Total pages of memory this store may use.
@@ -334,12 +313,12 @@ impl SlabStore {
 
     /// Number of items resident in one class.
     pub fn len_of_class(&self, id: ClassId) -> u64 {
-        self.class_meta[id.0 as usize].len
+        self.lists[id.0 as usize].len
     }
 
     /// Total resident items.
     pub fn len(&self) -> u64 {
-        self.class_meta.iter().map(|m| m.len).sum()
+        self.lists.iter().map(|l| l.len).sum()
     }
 
     /// Whether the store holds no items.
@@ -349,8 +328,7 @@ impl SlabStore {
 
     /// Bytes of item payload currently resident (footprints, not chunks).
     pub fn bytes_used(&self) -> ByteSize {
-        let lists = self.shards.iter().flat_map(|sh| &sh.lists);
-        ByteSize(lists.map(|l| l.bytes_used).sum())
+        ByteSize(self.lists.iter().map(|l| l.bytes_used).sum())
     }
 
     /// Operation counters.
@@ -368,30 +346,37 @@ impl SlabStore {
             .collect()
     }
 
+    /// Where a resident key lives, as (class, slot).
+    #[inline]
+    fn locate(&self, key: KeyId) -> Option<(u16, u32)> {
+        let id = u32::try_from(key.0).ok()?;
+        self.index.get(&id).map(|&h| self.handles.decode(h))
+    }
+
     /// Looks up a key, refreshing its MRU position and timestamp on hit.
     pub fn get(&mut self, key: KeyId, now: SimTime) -> Option<ItemMeta> {
-        let si = shard_of(key, self.n_shards);
-        let stamp = || tick(&mut self.lru_clock);
-        let Some((class, item)) = self.shards[si].access(key, now, stamp) else {
+        let Some((class, idx)) = self.locate(key) else {
             self.stats.misses += 1;
             return None;
         };
+        let list = &mut self.lists[class as usize];
+        list.touch(idx);
+        let slot = &mut list.slots[idx as usize];
+        slot.last_access = now;
         self.stats.hits += 1;
         self.class_meta[class as usize].version += 1;
-        Some(item)
+        Some(slot.meta())
     }
 
     /// Looks up a key without disturbing MRU order or counters.
     pub fn peek(&self, key: KeyId) -> Option<ItemMeta> {
-        let sh = &self.shards[shard_of(key, self.n_shards)];
-        let (class, idx) = sh.locate(key)?;
-        Some(sh.item(class, idx))
+        let (class, idx) = self.locate(key)?;
+        Some(self.lists[class as usize].item(idx))
     }
 
     /// Whether a key is resident.
     pub fn contains(&self, key: KeyId) -> bool {
-        let sh = &self.shards[shard_of(key, self.n_shards)];
-        sh.locate(key).is_some()
+        self.locate(key).is_some()
     }
 
     /// Inserts or updates a key, moving it to the MRU head.
@@ -414,20 +399,17 @@ impl SlabStore {
         let id = storable(new_item.key)?;
         let class = self.classes.class_to_store(new_item.footprint())?;
         let ci = class.0 as usize;
-
-        let si = shard_of(new_item.key, self.n_shards);
-        if indexed {
-            let stamp = || tick(&mut self.lru_clock);
-            // A class change removed the old copy; the new one lands below.
-            match self.shards[si].update(class.0, id, &new_item, stamp) {
-                Resident::Updated => {
-                    self.class_meta[ci].version += 1;
-                    self.stats.sets += 1;
-                    return Ok(());
-                }
-                Resident::Removed(old) => self.uncount(old),
-                Resident::Absent => {}
+        let resident = indexed.then(|| self.index.get(&id)).flatten();
+        if let Some(&handle) = resident {
+            let (old, idx) = self.handles.decode(handle);
+            if old == class.0 {
+                self.lists[ci].rewrite(idx, id, &new_item);
+                self.class_meta[ci].version += 1;
+                self.stats.sets += 1;
+                return Ok(());
             }
+            // A class change removes the old copy; the new one lands below.
+            self.vacate(old, idx, true);
         }
 
         // A free chunk or page, else the class's LRU victim's chunk
@@ -436,11 +418,11 @@ impl SlabStore {
             self.class_meta[ci].pressure += 1;
             return Err(ElmemError::OutOfMemory);
         }
-        let seq = tick(&mut self.lru_clock);
-        let meta = &mut self.class_meta[ci];
-        meta.len += 1;
-        meta.version += 1;
-        self.shards[si].insert::<true>(class.0, id, &new_item, seq, indexed);
+        self.class_meta[ci].version += 1;
+        let idx = self.lists[ci].insert::<true>(id, &new_item);
+        if indexed {
+            self.index.insert(id, self.handles.encode(class.0, idx));
+        }
         self.stats.sets += 1;
         Ok(())
     }
@@ -464,23 +446,23 @@ impl SlabStore {
     }
 
     fn remove_entry(&mut self, key: KeyId) -> Option<ItemMeta> {
-        let sh = &mut self.shards[shard_of(key, self.n_shards)];
-        let (class, idx) = sh.locate(key)?;
-        let item = sh.vacate(class, idx, true);
-        self.uncount(class);
-        Some(item)
+        let (class, idx) = self.locate(key)?;
+        Some(self.vacate(class, idx, true))
     }
 
-    /// Counts one item out of `class`.
-    fn uncount(&mut self, class: u16) {
-        let meta = &mut self.class_meta[class as usize];
-        meta.len -= 1;
-        meta.version += 1;
+    /// Unlinks and frees an occupied slot and, if `indexed`, forgets its
+    /// index entry; returns the item.
+    fn vacate(&mut self, class: u16, idx: u32, indexed: bool) -> ItemMeta {
+        let item = self.lists[class as usize].vacate(idx);
+        if indexed {
+            self.index.remove(&(item.key.0 as u32));
+        }
+        self.class_meta[class as usize].version += 1;
+        item
     }
 
-    /// Evicts the LRU tail of `class` — the globally coldest item, i.e.
-    /// the minimum stamp across the shard tails. Returns the evicted item,
-    /// or `None` if the class is empty.
+    /// Evicts the LRU tail of `class`. Returns the evicted item, or `None`
+    /// if the class is empty.
     pub fn evict_lru(&mut self, class: ClassId) -> Option<ItemMeta> {
         self.evict_tail(class, true)
     }
@@ -488,15 +470,12 @@ impl SlabStore {
     /// [`evict_lru`](Self::evict_lru), unlinking the victim by its slot;
     /// only if `indexed` is its key also dropped from the index.
     fn evict_tail(&mut self, class: ClassId, indexed: bool) -> Option<ItemMeta> {
-        let ci = class.0 as usize;
-        let shard_tails = self.shards.iter().enumerate();
-        let tails = shard_tails.filter_map(|(si, sh)| Some((sh.tail_stamp(class.0)?, si)));
-        let (_, si) = tails.min()?;
-        let item = self.shards[si].evict_tail(class.0, indexed)?;
-        let meta = &mut self.class_meta[ci];
-        meta.len -= 1;
-        meta.version += 1;
-        meta.pressure += 1;
+        let tail = self.lists[class.0 as usize].tail;
+        if tail == NIL {
+            return None;
+        }
+        let item = self.vacate(class.0, tail, indexed);
+        self.class_meta[class.0 as usize].pressure += 1;
         self.stats.evictions += 1;
         Some(item)
     }
@@ -505,19 +484,21 @@ impl SlabStore {
     /// true if the class is under its capacity (a freed chunk exists
     /// somewhere) or a fresh page could be granted.
     fn secure_chunk(&mut self, class: ClassId) -> bool {
-        let meta = &mut self.class_meta[class.0 as usize];
-        if meta.len >= meta.capacity() && self.pages_used < self.pages_total {
+        let (len, meta) = (
+            self.len_of_class(class),
+            &mut self.class_meta[class.0 as usize],
+        );
+        if len >= meta.capacity() && self.pages_used < self.pages_total {
             meta.pages += 1;
             self.pages_used += 1;
         }
-        meta.len < meta.capacity()
+        len < meta.capacity()
     }
 
     /// Free chunks currently available in a class (capacity not yet
     /// occupied).
     pub fn free_chunks_of_class(&self, id: ClassId) -> u64 {
-        let meta = &self.class_meta[id.0 as usize];
-        meta.capacity() - meta.len
+        self.class_meta[id.0 as usize].capacity() - self.len_of_class(id)
     }
 
     /// Eviction/allocation-failure pressure accumulated by a class since
@@ -561,7 +542,7 @@ impl SlabStore {
         // capacity is unoccupied.
         let target = (self.class_meta[fi].pages - 1) * self.class_meta[fi].chunks_per_page;
         let mut evicted = 0u64;
-        while self.class_meta[fi].len > target {
+        while self.len_of_class(from) > target {
             if self.evict_lru(from).is_none() {
                 break;
             }
@@ -574,32 +555,28 @@ impl SlabStore {
         Ok(evicted)
     }
 
-    /// Iterates a class's items in MRU (hottest-first) order: the
-    /// descending-stamp merge of the shard lists.
+    /// Iterates a class's items in MRU (hottest-first) order.
     pub fn iter_class_mru(&self, class: ClassId) -> ClassMruIter<'_> {
-        let ci = class.0 as usize;
+        let list = &self.lists[class.0 as usize];
         ClassMruIter {
-            lanes: self
-                .shards
-                .iter()
-                .map(|sh| Lane::new(&sh.lists[ci]))
-                .collect(),
-            remaining: self.class_meta[ci].len as usize,
+            links: &list.links,
+            slots: &list.slots,
+            head: list.head,
+            tail: list.tail,
+            remaining: list.len as usize,
         }
     }
 
     /// Iterates all resident items (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = ItemMeta> + '_ {
-        self.shards.iter().flat_map(|sh| {
-            let slots = sh.index.values().map(|&h| sh.handles.decode(h));
-            slots.map(|(class, idx)| sh.item(class, idx))
-        })
+        let slots = self.index.values().map(|&h| self.handles.decode(h));
+        slots.map(|(class, idx)| self.lists[class as usize].item(idx))
     }
 
     /// The MRU timestamps of a class in MRU order — the paper's
     /// "timestamp dump" Memcached modification (§V-A1).
     pub fn dump_class(&self, class: ClassId) -> ClassDump {
-        let items = self.iter_class_mru(class).collect_with(|_, _, item| item);
+        let items = self.iter_class_mru(class).collect_with(|_, item| item);
         ClassDump::new(class, items)
     }
 
@@ -619,19 +596,19 @@ impl SlabStore {
     ///
     /// Returns `None` for an empty class.
     ///
-    /// The O(n/2) merged walk is memoized against the class's mutation
-    /// version: repeated probes of an unchanged class (the Master scores
-    /// every node's every class per decision round) return the cached
-    /// median without walking — or locking — anything.
+    /// The O(n/2) walk is memoized against the class's mutation version:
+    /// repeated probes of an unchanged class (the Master scores every
+    /// node's every class per decision round) return the cached median
+    /// without walking — or locking — anything.
     pub fn median_hotness(&self, class: ClassId) -> Option<Hotness> {
-        let meta = &self.class_meta[class.0 as usize];
-        if meta.len == 0 {
+        let (len, meta) = (self.len_of_class(class), &self.class_meta[class.0 as usize]);
+        if len == 0 {
             return None;
         }
         if let Some(median) = meta.median.get(meta.version) {
             return median;
         }
-        let target = (meta.len / 2) as usize;
+        let target = (len / 2) as usize;
         let median = self.iter_class_mru(class).nth(target).map(|i| i.hotness());
         meta.median.put(meta.version, median);
         median
@@ -695,11 +672,9 @@ impl SlabStore {
         // Residents keep their slots and their index entries; only the
         // class's order is rebuilt, in strict hotness order (the MRU list
         // may order same-instant accesses either way; see `ClassDump::new`).
-        let mut resident: Vec<(Hotness, Origin)> =
-            self.iter_class_mru(class).collect_with(|si, slot, item| {
-                let shard = si as u32;
-                (item.hotness(), Origin::Resident { shard, slot })
-            });
+        let mut resident: Vec<(Hotness, Origin)> = self
+            .iter_class_mru(class)
+            .collect_with(|slot, item| (item.hotness(), Origin::Resident(slot)));
         canonicalize(&mut resident, |r| r.0);
 
         // The merged population in its final MRU order.
@@ -731,57 +706,48 @@ impl SlabStore {
         // Grow the class page by page while the merged population needs
         // it and free pages remain; whatever still does not fit is the
         // overflow — the coldest tail of `merged`. Evict its residents
-        // while the lists are still intact; its incoming items simply
-        // never land.
+        // while the list is still intact; its incoming items simply never
+        // land.
         while self.class_meta[ci].capacity() < n as u64 && self.pages_used < self.pages_total {
             self.class_meta[ci].pages += 1;
             self.pages_used += 1;
         }
         let keep = (n as u64).min(self.class_meta[ci].capacity()) as usize;
         for origin in &merged[keep..] {
-            if let Origin::Resident { shard, slot } = *origin {
-                self.shards[shard as usize].vacate(class.0, slot, true);
+            if let Origin::Resident(slot) = *origin {
+                self.vacate(class.0, slot, true);
             }
         }
 
-        // Relink: detach every shard's list of the class, then append the
-        // survivors hottest first — residents by pointer writes alone,
-        // incoming items into fresh slots — with descending stamps from a
-        // block reserved off the LRU clock.
-        for sh in &mut self.shards {
-            sh.detach_list(class.0);
-        }
-        let base = self.lru_clock;
-        self.lru_clock += n as u64;
+        // Relink: empty the class's list without touching its slots, then
+        // append the survivors hottest first — residents by pointer writes
+        // alone, incoming items into fresh slots.
+        let list = &mut self.lists[ci];
+        (list.head, list.tail) = (NIL, NIL);
         let mut kept_incoming = 0u64;
-        for (i, origin) in merged[..keep].iter().enumerate() {
-            let seq = base + (n - i) as u64;
+        for origin in &merged[..keep] {
             match *origin {
-                Origin::Resident { shard, slot } => {
-                    self.shards[shard as usize].relink_back(class.0, slot, seq);
-                }
+                Origin::Resident(slot) => list.push::<false>(slot),
                 Origin::Incoming(j) => {
                     let (id, item) = &accepted[j];
-                    let si = shard_of(item.key, self.n_shards);
-                    self.shards[si].insert::<false>(class.0, *id, item, seq, true);
+                    let slot = list.insert::<false>(*id, item);
+                    self.index.insert(*id, self.handles.encode(class.0, slot));
                     kept_incoming += 1;
                 }
             }
         }
-        let meta = &mut self.class_meta[ci];
-        meta.len = keep as u64;
-        meta.version += 1;
+        self.class_meta[ci].version += 1;
         self.stats.imported += kept_incoming;
         // Count the dropped overflow as evictions.
         self.stats.evictions += (n - keep) as u64;
         Ok(kept_incoming)
     }
 
-    /// Exhaustively checks the store's internal invariants: per-shard slot
+    /// Exhaustively checks the store's internal invariants: per-class slot
     /// accounting (every chunk is exactly occupied or free), MRU-list
-    /// structure (forward walks agree with prev pointers, length counters,
-    /// and strictly descending LRU stamps), byte/page/capacity
-    /// conservation, index ↔ slot agreement, and key → shard routing.
+    /// structure (forward walks agree with prev pointers and length
+    /// counters), byte/page/capacity conservation, and index ↔ slot
+    /// agreement.
     ///
     /// This is the slab/byte-conservation leg of the chaos engine's
     /// invariant checker (DESIGN.md §12); it is O(items) and intended for
@@ -793,30 +759,39 @@ impl SlabStore {
     /// (checked in a deterministic order).
     pub fn audit(&self) -> Result<(), ElmemError> {
         let fail = |msg: String| Err(ElmemError::InvariantViolation(msg));
-        for (si, shard) in self.shards.iter().enumerate() {
-            shard
-                .audit(si, self.n_shards, self.lru_clock)
-                .or_else(fail)?;
+        for (ci, list) in self.lists.iter().enumerate() {
+            list.audit().or_else(|e| fail(format!("class {ci}: {e}")))?;
+        }
+        // The index iterates in hash order, so the smallest offending key
+        // is the one reported.
+        let misindexed = self.index.iter().filter_map(|(&id, &handle)| {
+            let (class, idx) = self.handles.decode(handle);
+            let list = self.lists.get(class as usize);
+            let at =
+                list.and_then(|l| Some((l.links.get(idx as usize)?, l.slots.get(idx as usize)?)));
+            let problem = match at {
+                None => format!("maps to out-of-range slot {class}/{idx}"),
+                Some((link, _)) if link.prev == FREE => format!("maps to free slot {class}/{idx}"),
+                Some((_, slot)) if slot.key != id => format!("maps to slot holding k{}", slot.key),
+                Some(_) => return None,
+            };
+            Some((id, format!("index: k{id} {problem}")))
+        });
+        if let Some((_, msg)) = misindexed.min_by_key(|m| m.0) {
+            return fail(msg);
         }
         let (mut total_len, mut total_pages) = (0u64, 0u64);
-        for (ci, meta) in self.class_meta.iter().enumerate() {
-            let class_len: u64 = self.shards.iter().map(|sh| sh.lists[ci].len).sum();
-            if class_len != meta.len {
-                return fail(format!(
-                    "class {ci}: len counter {} but shards hold {class_len} items",
-                    meta.len
-                ));
-            }
-            if meta.len > meta.capacity() {
+        for (ci, (meta, list)) in self.class_meta.iter().zip(&self.lists).enumerate() {
+            if list.len > meta.capacity() {
                 return fail(format!(
                     "class {ci}: {} items over capacity {} ({} pages of {} chunks)",
-                    meta.len,
+                    list.len,
                     meta.capacity(),
                     meta.pages,
                     meta.chunks_per_page
                 ));
             }
-            total_len += meta.len;
+            total_len += list.len;
             total_pages += meta.pages;
         }
         if total_pages != self.pages_used {
@@ -831,7 +806,7 @@ impl SlabStore {
                 self.pages_used, self.pages_total
             ));
         }
-        let indexed: u64 = self.shards.iter().map(|sh| sh.index.len() as u64).sum();
+        let indexed = self.index.len() as u64;
         if indexed != total_len {
             return fail(format!(
                 "index holds {indexed} keys but classes hold {total_len} items"
@@ -840,12 +815,11 @@ impl SlabStore {
         Ok(())
     }
 
-    /// Applies `damage` to the first non-empty shard list. The hooks below
+    /// Applies `damage` to the first non-empty class list. The hooks below
     /// exist so cross-crate tests can prove [`SlabStore::audit`] catches
     /// corruption; never call them outside tests.
-    fn corrupt(&mut self, damage: impl FnOnce(&mut ShardList)) {
-        let mut lists = self.shards.iter_mut().flat_map(|sh| sh.lists.iter_mut());
-        if let Some(list) = lists.find(|l| l.len > 0) {
+    fn corrupt(&mut self, damage: impl FnOnce(&mut ClassList)) {
+        if let Some(list) = self.lists.iter_mut().find(|l| l.len > 0) {
             damage(list);
         }
     }
@@ -856,20 +830,16 @@ impl SlabStore {
         self.corrupt(|list| list.bytes_used += 1);
     }
 
-    /// Adds a copy of the MRU head's slot — live stamp — to the free list.
+    /// Puts a live slot, the MRU head, on the free list.
     #[doc(hidden)]
     pub fn corrupt_free_stamp_for_tests(&mut self) {
-        self.corrupt(|list| {
-            list.free.push(list.links.len() as u32);
-            list.links.push(list.links[list.head as usize]);
-            list.slots.push(list.slots[list.head as usize]);
-        });
+        self.corrupt(|list| list.free.push(list.head));
     }
 
-    /// Zeroes the stamp of a linked slot (the MRU head).
+    /// Marks a linked slot, the MRU head, free.
     #[doc(hidden)]
     pub fn corrupt_linked_stamp_for_tests(&mut self) {
-        self.corrupt(|list| list.links[list.head as usize].seq = 0);
+        self.corrupt(|list| list.links[list.head as usize].prev = FREE);
     }
 
     /// Leaves the link lane one entry short of the item lane.
@@ -897,15 +867,26 @@ impl Fill<'_> {
         self.store.set_item(item, !self.lanes_only)
     }
 
-    /// Indexes every shard's occupied slots, into an index sized once for
-    /// them; from here on `set` is [`SlabStore::set`]. Idempotent.
+    /// Indexes every occupied slot, into an index sized once for them; from
+    /// here on `set` is [`SlabStore::set`]. Idempotent.
     pub fn finish(&mut self) {
         if !std::mem::take(&mut self.lanes_only) {
             return;
         }
-        for sh in &mut self.store.shards {
-            sh.index_occupied();
+        let SlabStore {
+            lists,
+            index,
+            handles,
+            ..
+        } = &mut *self.store;
+        let survivors = lists.iter().map(|l| l.len as usize).sum();
+        index.reserve(survivors);
+        for (class, list) in lists.iter().enumerate() {
+            for (idx, slot) in list.occupied() {
+                index.insert(slot.key, handles.encode(class as u16, idx));
+            }
         }
+        debug_assert_eq!(index.len(), survivors, "a key set twice in one fill");
     }
 }
 
@@ -915,124 +896,61 @@ impl Drop for Fill<'_> {
     }
 }
 
-/// The next stamp of an LRU clock (strictly increasing).
-fn tick(clock: &mut u64) -> u64 {
-    *clock += 1;
-    *clock
-}
-
-/// One shard's lane of a [`ClassMruIter`]: the class's two slot lanes in
-/// that shard, resolved once, and a cursor at each end
-/// of what is left of the shard's list. Invariant: while `left > 0`, `head`
-/// and `tail` are linked slots of the list with `left - 1` links between
-/// them and `head_seq` / `tail_seq` are their stamps; at `left == 0` the
-/// stamps are the two sentinels and the cursors are dead.
-#[derive(Debug)]
-struct Lane<'a> {
-    links: &'a [Link],
-    slots: &'a [Slot],
-    /// Items of the lane not yet yielded from either end.
-    left: u64,
-    /// The hottest slot left and its stamp; once nothing is left the stamp
-    /// is 0, below every live stamp (the LRU clock hands them out from 1).
-    head: u32,
-    head_seq: u64,
-    /// The coldest slot left and its stamp; `u64::MAX` once nothing is.
-    tail: u32,
-    tail_seq: u64,
-}
-
-impl<'a> Lane<'a> {
-    fn new(list: &'a ShardList) -> Self {
-        let mut lane = Lane {
-            links: &list.links,
-            slots: &list.slots,
-            left: list.len,
-            head: list.head,
-            head_seq: 0,
-            tail: list.tail,
-            tail_seq: u64::MAX,
-        };
-        if lane.left > 0 {
-            lane.head_seq = lane.links[lane.head as usize].seq;
-            lane.tail_seq = lane.links[lane.tail as usize].seq;
-        }
-        lane
-    }
-
-    /// Yields the slot at the hot (`HOT`) or the cold end and moves that
-    /// end's cursor one link inwards, loading the one stamp that changed —
-    /// on the link lane alone; the item is not read.
-    fn take<const HOT: bool>(&mut self) -> u32 {
-        let idx = if HOT { self.head } else { self.tail };
-        let link = self.links[idx as usize];
-        self.left -= 1;
-        if self.left == 0 {
-            (self.head_seq, self.tail_seq) = (0, u64::MAX);
-        } else if HOT {
-            self.head = link.next;
-            self.head_seq = self.links[link.next as usize].seq;
-        } else {
-            self.tail = link.prev;
-            self.tail_seq = self.links[link.prev as usize].seq;
-        }
-        idx
-    }
-}
-
-/// Iterator over a class's items in MRU order — the descending-stamp merge
-/// of the shard lists, and the one ordered-walk kernel under the dump, the
-/// median, FuseCache's resident list and `batch_import`. A
-/// step compares the lanes' cached stamps and touches only the lane that
-/// advances, and of that only its links: the chain of dependent loads runs
-/// through the 16-byte link lane, and the items it passes are independent
-/// loads the caller may overlap or skip ([`nth`](Iterator::nth) does). The
-/// walk can be taken from its cold end too. Created by
-/// [`SlabStore::iter_class_mru`].
+/// Iterator over a class's items in MRU order — the one ordered-walk kernel
+/// under the dump, the median, FuseCache's resident list and
+/// `batch_import`. A step loads one 8-byte link and nothing else: the chain
+/// of dependent loads runs through the link lane, and the items it passes
+/// are independent loads the caller may overlap or skip
+/// ([`nth`](Iterator::nth) does). The walk can be taken from its cold end
+/// too. Created by [`SlabStore::iter_class_mru`].
 #[derive(Debug)]
 pub struct ClassMruIter<'a> {
-    lanes: Vec<Lane<'a>>,
-    /// Items not yet yielded: the class length, counted down.
+    links: &'a [Link],
+    slots: &'a [Slot],
+    /// The hottest and the coldest slot not yet yielded; dead once
+    /// `remaining` is 0.
+    head: u32,
+    tail: u32,
+    /// Items not yet yielded from either end: the class length, counted
+    /// down.
     remaining: usize,
 }
 
-impl<'a> ClassMruIter<'a> {
+impl ClassMruIter<'_> {
     /// Advances one item from the hot end (`HOT`: the next in MRU order)
-    /// or from the cold end (the last), returning its position as (shard,
-    /// slot); [`item`](Self::item) reads it.
-    fn step<const HOT: bool>(&mut self) -> Option<(usize, u32)> {
-        let exhausted = if HOT { 0 } else { u64::MAX };
-        let (mut si, mut best) = (0, exhausted);
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let seq = if HOT { lane.head_seq } else { lane.tail_seq };
-            if (HOT && seq > best) || (!HOT && seq < best) {
-                (si, best) = (i, seq);
-            }
-        }
-        if best == exhausted {
+    /// or from the cold end (the last), returning its slot;
+    /// [`item`](Self::item) reads it.
+    fn step<const HOT: bool>(&mut self) -> Option<u32> {
+        if self.remaining == 0 {
             return None;
         }
-        let idx = self.lanes[si].take::<HOT>();
         self.remaining -= 1;
-        Some((si, idx))
+        let idx = if HOT { self.head } else { self.tail };
+        let link = self.links[idx as usize];
+        if HOT {
+            self.head = link.next;
+        } else {
+            self.tail = link.prev;
+        }
+        Some(idx)
     }
 
-    /// The item at a position [`step`](Self::step) yielded.
-    fn item(&self, si: usize, idx: u32) -> ItemMeta {
-        self.lanes[si].slots[idx as usize].meta()
+    /// The item in a slot [`step`](Self::step) yielded.
+    fn item(&self, idx: u32) -> ItemMeta {
+        self.slots[idx as usize].meta()
     }
 
     /// Drains the walk into a vector in MRU order, one item from the hot
     /// end and one from the cold end in turn. A list walk is a chain of
     /// dependent loads, each a likely cache miss; the two ends are two
     /// independent chains, so their misses overlap.
-    fn collect_with<T>(mut self, f: impl Fn(usize, u32, ItemMeta) -> T) -> Vec<T> {
+    fn collect_with<T>(mut self, f: impl Fn(u32, ItemMeta) -> T) -> Vec<T> {
         let mut hot = Vec::with_capacity(self.remaining);
         let mut cold = Vec::with_capacity(self.remaining / 2);
-        while let Some((si, idx)) = self.step::<true>() {
-            hot.push(f(si, idx, self.item(si, idx)));
-            if let Some((si, idx)) = self.step::<false>() {
-                cold.push(f(si, idx, self.item(si, idx)));
+        while let Some(idx) = self.step::<true>() {
+            hot.push(f(idx, self.item(idx)));
+            if let Some(idx) = self.step::<false>() {
+                cold.push(f(idx, self.item(idx)));
             }
         }
         hot.extend(cold.into_iter().rev());
@@ -1044,8 +962,8 @@ impl Iterator for ClassMruIter<'_> {
     type Item = ItemMeta;
 
     fn next(&mut self) -> Option<ItemMeta> {
-        let (si, idx) = self.step::<true>()?;
-        Some(self.item(si, idx))
+        let idx = self.step::<true>()?;
+        Some(self.item(idx))
     }
 
     /// Skips on links alone: no item is read before the one asked for.
@@ -1127,23 +1045,37 @@ mod tests {
             (4_097, small(), true),
         ];
         for (mib, classes, refused) in stores {
-            let memory = ByteSize::from_mib(mib);
             let config = StoreConfig {
-                memory,
                 classes,
-                shards: 1,
+                ..StoreConfig::with_memory(ByteSize::from_mib(mib))
             };
             let built = std::panic::catch_unwind(|| SlabStore::new(config));
             assert_eq!(built.is_err(), refused, "{mib} MiB");
         }
     }
 
-    fn small_store() -> SlabStore {
+    #[test]
+    fn new_refuses_a_second_list_per_class() {
+        for n in [0, 2, 4] {
+            let config = StoreConfig {
+                shards: n,
+                ..StoreConfig::with_memory(ByteSize::from_mib(1))
+            };
+            let built = std::panic::catch_unwind(|| SlabStore::new(config));
+            assert!(built.is_err(), "{n} lists a class");
+        }
+    }
+
+    /// A store of `mib` MiB over 128 B to 1 KiB chunks.
+    fn store_of(mib: u64) -> SlabStore {
         SlabStore::new(StoreConfig {
-            memory: ByteSize::from_mib(2),
             classes: SizeClasses::new(128, 2.0, 1024),
-            shards: default_shard_count(),
+            ..StoreConfig::with_memory(ByteSize::from_mib(mib))
         })
+    }
+
+    fn small_store() -> SlabStore {
+        store_of(2)
     }
 
     fn t(s: u64) -> SimTime {
@@ -1251,49 +1183,39 @@ mod tests {
         assert!(matches!(err, ElmemError::ItemTooLarge { .. }));
     }
 
-    /// A one-page store (1 MiB / 128 B = 8192 chunks in the smallest
-    /// class) at an explicit shard count: the victim of an eviction is the
-    /// class's coldest item whichever shard tail holds it.
-    fn one_page_store(shards: usize) -> SlabStore {
-        SlabStore::new(StoreConfig {
-            memory: ByteSize::from_mib(1),
-            classes: SizeClasses::new(128, 2.0, 1024),
-            shards,
-        })
+    /// A one-page store: 1 MiB / 128 B = 8192 chunks in the smallest class.
+    fn one_page_store() -> SlabStore {
+        store_of(1)
     }
 
     #[test]
     fn lru_eviction_within_class() {
-        for shards in [1, 4] {
-            let mut s = one_page_store(shards);
-            let cap = ByteSize::PAGE.as_u64() / 128;
-            for k in 0..cap + 10 {
-                s.set(KeyId(k), 10, t(k)).unwrap();
-            }
-            assert_eq!(s.len(), cap);
-            assert_eq!(s.stats().evictions, 10);
-            // The 10 oldest were evicted.
-            for k in 0..10 {
-                assert!(!s.contains(KeyId(k)), "key {k} should be evicted");
-            }
-            assert!(s.contains(KeyId(10)));
+        let mut s = one_page_store();
+        let cap = ByteSize::PAGE.as_u64() / 128;
+        for k in 0..cap + 10 {
+            s.set(KeyId(k), 10, t(k)).unwrap();
         }
+        assert_eq!(s.len(), cap);
+        assert_eq!(s.stats().evictions, 10);
+        // The 10 oldest were evicted.
+        for k in 0..10 {
+            assert!(!s.contains(KeyId(k)), "key {k} should be evicted");
+        }
+        assert!(s.contains(KeyId(10)));
     }
 
     #[test]
     fn eviction_victim_is_lru_not_insertion_order() {
-        for shards in [1, 4] {
-            let mut s = one_page_store(shards);
-            let cap = ByteSize::PAGE.as_u64() / 128;
-            for k in 0..cap {
-                s.set(KeyId(k), 10, t(k)).unwrap();
-            }
-            // Touch key 0 so key 1 becomes LRU.
-            s.get(KeyId(0), t(10_000)).unwrap();
-            s.set(KeyId(999_999), 10, t(10_001)).unwrap();
-            assert!(s.contains(KeyId(0)));
-            assert!(!s.contains(KeyId(1)));
+        let mut s = one_page_store();
+        let cap = ByteSize::PAGE.as_u64() / 128;
+        for k in 0..cap {
+            s.set(KeyId(k), 10, t(k)).unwrap();
         }
+        // Touch key 0 so key 1 becomes LRU.
+        s.get(KeyId(0), t(10_000)).unwrap();
+        s.set(KeyId(999_999), 10, t(10_001)).unwrap();
+        assert!(s.contains(KeyId(0)));
+        assert!(!s.contains(KeyId(1)));
     }
 
     #[test]
@@ -1312,7 +1234,7 @@ mod tests {
     #[test]
     fn out_of_memory_when_class_empty_and_no_pages() {
         // 1 page total, used by the small class; large class cannot allocate.
-        let mut s = one_page_store(default_shard_count());
+        let mut s = one_page_store();
         s.set(KeyId(1), 10, t(1)).unwrap();
         let err = s.set(KeyId(2), 900, t(2)).unwrap_err();
         assert_eq!(err, ElmemError::OutOfMemory);
@@ -1416,28 +1338,24 @@ mod tests {
     }
 
     #[test]
-    fn shard_dump_reassembly_is_not_quadratic() {
-        // One 200k-item class over 8 shard lanes: the walk reassembles it
-        // by stamp, and a bulk load that shares one instant leaves that
-        // order far from the canonical one, so the dump sorts all of it.
-        // Anything quadratic in either step takes minutes here; both the
-        // spread a serving node has and the all-one-instant pattern must
-        // take milliseconds and read the same as the single list.
+    fn one_instant_dump_is_not_quadratic() {
+        // One 200k-item class: a bulk load that shares one instant leaves
+        // the list far from the canonical order, so the dump sorts all of
+        // it. Anything quadratic takes minutes here; both the spread a
+        // serving node has and the all-one-instant pattern must take
+        // milliseconds and read as the full sort.
         for spread in [true, false] {
-            let [one, eight] = [1, 8].map(|shards| {
-                let mut s = SlabStore::new(StoreConfig {
-                    memory: ByteSize::from_mib(32),
-                    classes: SizeClasses::new(128, 2.0, 1024),
-                    shards,
-                });
-                for k in 0..200_000 {
-                    s.set(KeyId(k), 10, if spread { t(k) } else { t(7) })
-                        .unwrap();
-                }
-                s.dump_metadata()
-            });
-            assert_eq!(eight.total_items(), 200_000);
-            assert_eq!(eight, one);
+            let mut s = store_of(32);
+            for k in 0..200_000 {
+                s.set(KeyId(k), 10, if spread { t(k) } else { t(7) })
+                    .unwrap();
+            }
+            let class = s.classes().class_for(item_footprint(10)).unwrap();
+            let mut want: Vec<ItemMeta> = s.iter_class_mru(class).collect();
+            want.sort_by_key(|i| std::cmp::Reverse(i.hotness()));
+            let dump = s.dump_metadata();
+            assert_eq!(dump.total_items(), 200_000);
+            assert_eq!(dump.classes[0].items, want);
         }
     }
 
@@ -1484,28 +1402,27 @@ mod tests {
 
     #[test]
     fn batch_import_evicts_overflow_coldest() {
-        for shards in [1, 4] {
-            let mut s = one_page_store(shards);
-            let cap = ByteSize::PAGE.as_u64() / 128;
-            for k in 0..cap {
-                s.set(KeyId(k), 10, t(k + 1)).unwrap();
-            }
-            let class = s.classes().class_for(item_footprint(10)).unwrap();
-            // Import `cap/2` items hotter than everything resident.
-            let incoming: Vec<ItemMeta> = (0..cap / 2)
-                .map(|i| ItemMeta {
-                    key: KeyId(1_000_000 + i),
-                    value_size: 10,
-                    last_access: t(10_000 + i),
-                })
-                .collect();
-            let kept = s.batch_import(class, &incoming, ImportMode::Merge).unwrap();
-            assert_eq!(kept, cap / 2);
-            assert_eq!(s.len(), cap);
-            // The coldest resident half is gone; hottest resident half remains.
-            assert!(!s.contains(KeyId(0)));
-            assert!(s.contains(KeyId(cap - 1)));
+        let mut s = one_page_store();
+        let cap = ByteSize::PAGE.as_u64() / 128;
+        for k in 0..cap {
+            s.set(KeyId(k), 10, t(k + 1)).unwrap();
         }
+        let class = s.classes().class_for(item_footprint(10)).unwrap();
+        // Import `cap/2` items hotter than everything resident.
+        let incoming: Vec<ItemMeta> = (0..cap / 2)
+            .map(|i| ItemMeta {
+                key: KeyId(1_000_000 + i),
+                value_size: 10,
+                last_access: t(10_000 + i),
+            })
+            .collect();
+        let kept = s.batch_import(class, &incoming, ImportMode::Merge).unwrap();
+        assert_eq!(kept, cap / 2);
+        assert_eq!(s.len(), cap);
+        // The coldest resident half is gone; hottest resident half remains.
+        assert!(!s.contains(KeyId(0)));
+        assert!(s.contains(KeyId(cap - 1)));
+        s.audit().unwrap();
     }
 
     #[test]
@@ -1593,43 +1510,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_env_var_is_the_count_under_test() {
-        // `default_shard_count` forgives a value it cannot parse, so a CI
-        // leg with a mistyped `ELMEM_SHARDS` would re-run the main job
-        // under another leg's name and pass. Whenever the variable is set,
-        // it must parse and be the count in force.
-        match std::env::var(ELMEM_SHARDS_ENV) {
-            Ok(v) => {
-                let n: usize = v
-                    .trim()
-                    .parse()
-                    .unwrap_or_else(|e| panic!("{ELMEM_SHARDS_ENV}={v:?} is no shard count: {e}"));
-                assert_eq!(default_shard_count(), n.clamp(1, MAX_SHARDS));
-            }
-            Err(std::env::VarError::NotPresent) => {
-                assert_eq!(default_shard_count(), DEFAULT_SHARDS);
-            }
-            Err(e) => panic!("{ELMEM_SHARDS_ENV} is unreadable: {e}"),
-        }
-    }
-
-    #[test]
-    fn shard_count_is_clamped() {
-        let s = SlabStore::new(StoreConfig {
-            memory: ByteSize::from_mib(1),
-            classes: SizeClasses::new(128, 2.0, 1024),
-            shards: 0,
-        });
-        assert_eq!(s.shard_count(), 1);
-        let s = SlabStore::new(StoreConfig {
-            memory: ByteSize::from_mib(1),
-            classes: SizeClasses::new(128, 2.0, 1024),
-            shards: 10_000,
-        });
-        assert_eq!(s.shard_count(), MAX_SHARDS);
-    }
-
-    #[test]
     fn audit_passes_through_store_lifecycle() {
         let mut s = small_store();
         s.audit().unwrap();
@@ -1678,34 +1558,26 @@ mod tests {
     #[test]
     fn audit_detects_lane_corruption() {
         // Each way the two lanes can disagree about a slot is caught, and
-        // the report names the class and shard list it found it in.
+        // the report names the class it found it in.
         type Hook = fn(&mut SlabStore);
         let cases: [(Hook, &str); 3] = [
-            (
-                SlabStore::corrupt_free_stamp_for_tests,
-                "is occupied (stamp",
-            ),
-            (
-                SlabStore::corrupt_linked_stamp_for_tests,
-                "is free (stamp 0)",
-            ),
+            (SlabStore::corrupt_free_stamp_for_tests, "is occupied (prev"),
+            (SlabStore::corrupt_linked_stamp_for_tests, "is marked free"),
             (SlabStore::corrupt_lane_length_for_tests, "links but"),
         ];
-        for shards in [1, 4] {
-            for (corrupt, what) in cases {
-                let mut s = one_page_store(shards);
-                for k in 0..20 {
-                    s.set(KeyId(k), 50, t(k)).unwrap();
-                }
-                s.delete(KeyId(3));
-                s.audit().unwrap();
-                corrupt(&mut s);
-                let err = s.audit().unwrap_err();
-                assert!(matches!(err, ElmemError::InvariantViolation(_)), "{err}");
-                let msg = err.to_string();
-                assert!(msg.contains("class 0 shard 0: "), "{msg}");
-                assert!(msg.contains(what), "{msg}");
+        for (corrupt, what) in cases {
+            let mut s = one_page_store();
+            for k in 0..20 {
+                s.set(KeyId(k), 50, t(k)).unwrap();
             }
+            s.delete(KeyId(3));
+            s.audit().unwrap();
+            corrupt(&mut s);
+            let err = s.audit().unwrap_err();
+            assert!(matches!(err, ElmemError::InvariantViolation(_)), "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains("class 0: "), "{msg}");
+            assert!(msg.contains(what), "{msg}");
         }
     }
 
@@ -1714,42 +1586,29 @@ mod tests {
         // A derived `Clone` trims every `Vec` to its length, so the first
         // insert into a cloned store moved (reallocated and copied) both
         // lanes of the class it landed in.
-        for shards in [1, 4] {
-            let mut s = one_page_store(shards);
-            for k in 0..100 {
-                s.set(KeyId(k), 10, t(k)).unwrap();
-            }
-            s.delete(KeyId(5));
-            let mut clone = s.clone();
-            clone.audit().unwrap();
-            assert_eq!(clone.dump_metadata(), s.dump_metadata());
-            for (copy, orig) in clone.shards.iter().zip(&s.shards) {
-                let (copy, orig) = (&copy.lists[0], &orig.lists[0]);
-                assert!(copy.links.capacity() >= orig.links.capacity());
-                assert!(copy.slots.capacity() >= orig.slots.capacity());
-                assert!(copy.free.capacity() >= orig.free.capacity());
-                assert!(orig.links.len() < orig.links.capacity(), "no room to test");
-            }
-            // While every lane has room, no set moves one.
-            let lanes = |s: &SlabStore| -> Vec<(*const Link, *const Slot)> {
-                let lists = s.shards.iter().map(|sh| &sh.lists[0]);
-                lists
-                    .map(|l| (l.links.as_ptr(), l.slots.as_ptr()))
-                    .collect()
-            };
-            let has_room = |s: &SlabStore| {
-                let mut lists = s.shards.iter().map(|sh| &sh.lists[0]);
-                lists.all(|l| l.links.len() < l.links.capacity())
-            };
-            let before = lanes(&clone);
-            let mut key = 1_000;
-            while has_room(&clone) {
-                clone.set(KeyId(key), 10, t(key)).unwrap();
-                assert_eq!(lanes(&clone), before, "set {key} moved a lane");
-                key += 1;
-            }
-            assert!(key > 1_001, "only the freed slot was ever filled");
-            clone.audit().unwrap();
+        let mut s = one_page_store();
+        for k in 0..100 {
+            s.set(KeyId(k), 10, t(k)).unwrap();
         }
+        s.delete(KeyId(5));
+        let mut clone = s.clone();
+        clone.audit().unwrap();
+        assert_eq!(clone.dump_metadata(), s.dump_metadata());
+        let (copy, orig) = (&clone.lists[0], &s.lists[0]);
+        assert!(copy.links.capacity() >= orig.links.capacity());
+        assert!(copy.slots.capacity() >= orig.slots.capacity());
+        assert!(copy.free.capacity() >= orig.free.capacity());
+        assert!(orig.links.len() < orig.links.capacity(), "no room to test");
+        // While the lanes have room, no set moves one.
+        let lanes = |s: &SlabStore| (s.lists[0].links.as_ptr(), s.lists[0].slots.as_ptr());
+        let before = lanes(&clone);
+        let mut key = 1_000;
+        while clone.lists[0].links.len() < clone.lists[0].links.capacity() {
+            clone.set(KeyId(key), 10, t(key)).unwrap();
+            assert_eq!(lanes(&clone), before, "set {key} moved a lane");
+            key += 1;
+        }
+        assert!(key > 1_001, "only the freed slot was ever filled");
+        clone.audit().unwrap();
     }
 }

@@ -5,9 +5,9 @@
 //! it (an `insert` at the tail per member of the merged population). It is slow —
 //! two index operations, a slot free and a slot allocation for every
 //! resident, however few items arrive — but obviously right, so it stays
-//! here, unchanged, as the executable specification of what an import
-//! must leave behind: same dump, counters, pages, stamps and list order
-//! at every shard count.
+//! here as the executable specification of what an import must leave
+//! behind: the same dump, counters and pages, and the class list in
+//! exactly the merged order the rebuild inserts, both pointer directions.
 
 use elmem_util::{ByteSize, ElmemError, KeyId, SimTime};
 use proptest::prelude::*;
@@ -15,16 +15,17 @@ use proptest::prelude::*;
 use super::{ImportMode, SlabStore, StoreConfig};
 use crate::classes::{ClassId, SizeClasses};
 use crate::item::ItemMeta;
-use crate::shard::shard_of;
+use crate::list::{storable, NIL};
 
 impl SlabStore {
-    /// The tear-down-and-rebuild `batch_import`, verbatim.
+    /// The tear-down-and-rebuild `batch_import`: the kept count, and the
+    /// keys it landed in list order, hottest first.
     fn batch_import_rebuild(
         &mut self,
         class: ClassId,
         incoming: &[ItemMeta],
         mode: ImportMode,
-    ) -> Result<u64, ElmemError> {
+    ) -> Result<(u64, Vec<KeyId>), ElmemError> {
         for item in incoming {
             if self.classes.class_for(item.footprint()) != Some(class) {
                 return Err(ElmemError::InvalidConfig(format!(
@@ -85,47 +86,39 @@ impl SlabStore {
         };
 
         // Rebuild the class list: clear it, then grow capacity and insert
-        // in order (hottest first, descending stamps from a block reserved
-        // off the LRU clock), evicting the overflow (the tail of `merged`).
+        // at the tail in order (hottest first), evicting the overflow (the
+        // tail of `merged`).
         for item in &resident {
             self.remove_entry(item.key);
         }
-        let n = merged.len() as u64;
-        let base = self.lru_clock;
-        self.lru_clock += n;
         let mut kept_incoming = 0u64;
-        let mut inserted = 0u64;
-        for (i, item) in merged.iter().enumerate() {
+        let mut landed = Vec::new();
+        for item in &merged {
             if !self.secure_chunk(class) {
                 break; // class cannot grow further; rest is overflow
             }
-            let seq = base + (n - i as u64);
-            let meta = &mut self.class_meta[class.0 as usize];
-            meta.len += 1;
-            meta.version += 1;
-            let si = shard_of(item.key, self.n_shards);
-            let id = crate::shard::storable(item.key)?;
-            self.shards[si].insert::<false>(class.0, id, item, seq, true);
-            inserted += 1;
+            let id = storable(item.key)?;
+            let slot = self.lists[class.0 as usize].insert::<false>(id, item);
+            self.index.insert(id, self.handles.encode(class.0, slot));
+            landed.push(item.key);
             if incoming_keys.binary_search(&item.key).is_ok() {
                 kept_incoming += 1;
                 self.stats.imported += 1;
             }
         }
         // Count the dropped overflow as evictions.
-        self.stats.evictions += merged.len() as u64 - inserted;
-        Ok(kept_incoming)
+        self.stats.evictions += (merged.len() - landed.len()) as u64;
+        Ok((kept_incoming, landed))
     }
 }
 
 /// 16/32/64 KiB chunks — 64/32/16 to a page — under 4 pages: a few hundred
 /// items overflow a class, and whether a free page is left for it depends
 /// on what the other two classes hold.
-pub(super) fn store(shards: usize) -> SlabStore {
+pub(super) fn store() -> SlabStore {
     SlabStore::new(StoreConfig {
-        memory: ByteSize::from_mib(4),
         classes: SizeClasses::new(16_384, 2.0, 65_536),
-        shards,
+        ..StoreConfig::with_memory(ByteSize::from_mib(4))
     })
 }
 
@@ -149,54 +142,61 @@ pub(super) fn batch_items(pairs: &[(u64, u64)]) -> Vec<ItemMeta> {
         .collect()
 }
 
+/// A class list's keys by a raw pointer walk: from the head along `next`
+/// and, reversed, from the tail along `prev` — the two must agree.
+fn list_keys(s: &SlabStore, class: ClassId) -> Vec<KeyId> {
+    let list = &s.lists[class.0 as usize];
+    let walk = |mut at: u32, hot: bool| {
+        let mut keys = Vec::new();
+        while at != NIL {
+            keys.push(KeyId(u64::from(list.slots[at as usize].key)));
+            let link = list.links[at as usize];
+            at = if hot { link.next } else { link.prev };
+        }
+        keys
+    };
+    let forward = walk(list.head, true);
+    let mut backward = walk(list.tail, false);
+    backward.reverse();
+    assert_eq!(
+        forward, backward,
+        "{class}: next and prev pointers disagree"
+    );
+    forward
+}
+
 /// Everything an import can change, the unobservable included: the
-/// canonical dump, counters, page and byte accounting, the LRU clock, and
-/// every list's true order with its stamps.
+/// canonical dump, counters, page and byte accounting, and every list's
+/// true order.
 fn observe(s: &SlabStore) -> String {
     let per_class: Vec<_> = s
         .classes
         .ids()
         .map(|c| {
-            let order: Vec<KeyId> = s.iter_class_mru(c).map(|i| i.key).collect();
-            let stamps: Vec<Vec<u64>> = s
-                .shards
-                .iter()
-                .map(|sh| {
-                    let list = &sh.lists[c.0 as usize];
-                    let mut stamps = Vec::new();
-                    let mut cursor = list.head;
-                    while cursor != crate::shard::NIL {
-                        stamps.push(list.links[cursor as usize].seq);
-                        cursor = list.links[cursor as usize].next;
-                    }
-                    stamps
-                })
-                .collect();
             (
                 s.len_of_class(c),
                 s.pages_of_class(c),
                 s.eviction_pressure(c),
-                order,
-                stamps,
+                list_keys(s, c),
             )
         })
         .collect();
     format!(
-        "{:?}|{:?}|{:?}|{}|{}|{}",
+        "{:?}|{:?}|{:?}|{}|{}",
         s.dump_metadata(),
         s.stats(),
         per_class,
         s.pages_used(),
         s.bytes_used(),
-        s.lru_clock,
     )
 }
 
 proptest! {
     /// `batch_import` leaves exactly what the rebuild leaves — on an empty
     /// destination and a crowded one, with free pages and without, in both
-    /// modes, batch after batch, at every shard count — and a burst of
-    /// `set`s afterwards evicts the same victims in the same order.
+    /// modes, batch after batch — the class list reads the merge the
+    /// rebuild landed, and a burst of `set`s afterwards evicts the same
+    /// victims in the same order.
     #[test]
     fn in_place_import_matches_rebuild(
         residents in prop::collection::vec((0u64..120, 0u32..6, 0u64..12), 0..300),
@@ -206,33 +206,34 @@ proptest! {
         ),
     ) {
         let batches: Vec<Batch> = batches;
-        for shards in [1usize, 2, 4, 8] {
-            let mut new = store(shards);
-            for &(key, sel, ms) in &residents {
-                // Four in six land in the batches' class; `now` is not
-                // monotone, so MRU order and hotness order disagree.
-                let size = [SMALL, SMALL, SMALL, SMALL, 20_000, 40_000][sel as usize];
-                let _ = new.set(KeyId(key), size, SimTime::from_millis(ms));
-            }
-            let mut old = new.clone();
-            for (pairs, prepend) in &batches {
-                let items = batch_items(pairs);
-                let mode = if *prepend { ImportMode::Prepend } else { ImportMode::Merge };
-                let got = new.batch_import(CLASS, &items, mode);
-                let want = old.batch_import_rebuild(CLASS, &items, mode);
-                prop_assert_eq!(got, want, "kept count at {} shards", shards);
-                new.audit().unwrap();
-                prop_assert_eq!(&observe(&new), &observe(&old), "after import at {} shards", shards);
-            }
-            for k in 0..40u64 {
-                let now = SimTime::from_secs(1 + k);
-                prop_assert_eq!(
-                    new.set(KeyId(1_000 + k), SMALL, now),
-                    old.set(KeyId(1_000 + k), SMALL, now)
-                );
-            }
-            new.audit().unwrap();
-            prop_assert_eq!(&observe(&new), &observe(&old), "after the burst at {} shards", shards);
+        let mut new = store();
+        for &(key, sel, ms) in &residents {
+            // Four in six land in the batches' class; `now` is not
+            // monotone, so MRU order and hotness order disagree.
+            let size = [SMALL, SMALL, SMALL, SMALL, 20_000, 40_000][sel as usize];
+            let _ = new.set(KeyId(key), size, SimTime::from_millis(ms));
         }
+        let mut old = new.clone();
+        for (pairs, prepend) in &batches {
+            let items = batch_items(pairs);
+            let mode = if *prepend { ImportMode::Prepend } else { ImportMode::Merge };
+            let got = new.batch_import(CLASS, &items, mode);
+            let want = old.batch_import_rebuild(CLASS, &items, mode);
+            prop_assert_eq!(got, want.map(|(kept, landed)| {
+                assert_eq!(list_keys(&new, CLASS), landed, "the relinked list");
+                kept
+            }));
+            new.audit().unwrap();
+            prop_assert_eq!(&observe(&new), &observe(&old), "after import");
+        }
+        for k in 0..40u64 {
+            let now = SimTime::from_secs(1 + k);
+            prop_assert_eq!(
+                new.set(KeyId(1_000 + k), SMALL, now),
+                old.set(KeyId(1_000 + k), SMALL, now)
+            );
+        }
+        new.audit().unwrap();
+        prop_assert_eq!(&observe(&new), &observe(&old), "after the burst");
     }
 }

@@ -1,16 +1,14 @@
 //! Differential test for [`ClassMruIter`], the ordered-walk kernel.
 //!
-//! Two references. The first is the form the kernel replaced, verbatim: a
-//! cursor per shard and, at every step, a fresh read of every live
-//! cursor's stamp through `shards[si].lists[class].links[cur]`. The second
-//! knows nothing about lists at all: every slot of the class with a live
-//! stamp, paired with the item lane's entry at the same id and sorted by
-//! stamp. From the hot end the kernel must visit the same (shard,
-//! slot) positions in the same order as both; taking from both ends in any
-//! interleaving it must close in on the stamp order from either side; it
-//! must report how many items are left before every step, and leave
-//! `dump_class`, `median_hotness` and `audit` in agreement — at any shard
-//! count, after anything that relinks a list.
+//! The reference is the list itself, read by raw pointers: from the head
+//! along `next`, and from the tail along `prev`, reversed — the two must
+//! agree — with the item lane's entry at each slot. From the hot end the
+//! kernel must visit the same slots in the same order; taking from both
+//! ends in any interleaving it must close in on that order from either
+//! side; its two-ended drain and `nth(k)` for every k ≤ len + 1 must read
+//! it too; it must report how many items are left before every step, and
+//! leave `dump_class`, `median_hotness` and `audit` in agreement — after
+//! anything that relinks a list.
 
 use elmem_util::{KeyId, SimTime};
 use proptest::prelude::*;
@@ -19,90 +17,51 @@ use super::import_oracle::{batch_items, store};
 use super::{ImportMode, SlabStore};
 use crate::classes::ClassId;
 use crate::item::ItemMeta;
-use crate::shard::{Shard, NIL};
+use crate::list::NIL;
 
-/// The walk the kernel replaced.
-struct CursorWalk<'a> {
-    shards: &'a [Shard],
-    class: u16,
-    /// Per-shard cursor into the class's list ([`NIL`] = exhausted).
-    cursors: Vec<u32>,
+/// Every linked slot of the class as (slot, item), head first: the `next`
+/// walk, checked against the reversed `prev` walk.
+fn by_pointers(s: &SlabStore, class: ClassId) -> Vec<(u32, ItemMeta)> {
+    let list = &s.lists[class.0 as usize];
+    let walk = |mut at: u32, hot: bool| {
+        let mut slots = Vec::new();
+        while at != NIL {
+            slots.push((at, list.slots[at as usize].meta()));
+            let link = list.links[at as usize];
+            at = if hot { link.next } else { link.prev };
+        }
+        slots
+    };
+    let forward = walk(list.head, true);
+    let mut backward = walk(list.tail, false);
+    backward.reverse();
+    assert_eq!(
+        forward, backward,
+        "{class}: next and prev pointers disagree"
+    );
+    forward
 }
 
-impl CursorWalk<'_> {
-    fn new(s: &SlabStore, class: ClassId) -> CursorWalk<'_> {
-        CursorWalk {
-            shards: &s.shards,
-            class: class.0,
-            cursors: s
-                .shards
-                .iter()
-                .map(|sh| sh.lists[class.0 as usize].head)
-                .collect(),
-        }
-    }
-
-    fn next_slot(&mut self) -> Option<(usize, u32)> {
-        let mut hottest: Option<(usize, u64)> = None;
-        for (si, &cur) in self.cursors.iter().enumerate() {
-            if cur == NIL {
-                continue;
-            }
-            let seq = self.shards[si].lists[self.class as usize].links[cur as usize].seq;
-            if hottest.is_none_or(|(_, s)| seq > s) {
-                hottest = Some((si, seq));
-            }
-        }
-        let (si, _) = hottest?;
-        let idx = self.cursors[si];
-        self.cursors[si] = self.shards[si].lists[self.class as usize].links[idx as usize].next;
-        Some((si, idx))
-    }
-}
-
-/// Every occupied slot of the class as (shard, slot, item), hottest stamp
-/// first. Stamps are unique store-wide, so the order is total.
-fn by_stamp(s: &SlabStore, class: ClassId) -> Vec<(usize, u32, ItemMeta)> {
-    let mut all: Vec<(u64, usize, u32, ItemMeta)> = Vec::new();
-    for (si, sh) in s.shards.iter().enumerate() {
-        let list = &sh.lists[class.0 as usize];
-        for (idx, (link, slot)) in list.links.iter().zip(&list.slots).enumerate() {
-            if link.seq != 0 {
-                let key = KeyId(u64::from(slot.key));
-                let item = ItemMeta::new(key, slot.value_size, slot.last_access);
-                all.push((link.seq, si, idx as u32, item));
-            }
-        }
-    }
-    all.sort_by_key(|&(seq, ..)| std::cmp::Reverse(seq));
-    all.into_iter()
-        .map(|(_, si, idx, item)| (si, idx, item))
-        .collect()
-}
-
-/// Checks the kernel against both references on every class of `s`.
+/// Checks the kernel against the pointer walks on every class of `s`.
 /// `ends` says, step by step and cyclically, which end a mixed walk takes
 /// from (`true`: the hot one).
 fn check(s: &SlabStore, ends: &[bool], when: &str) {
     s.audit().unwrap();
     for class in s.classes.ids() {
-        let want = by_stamp(s, class);
+        let want = by_pointers(s, class);
         assert_eq!(want.len() as u64, s.len_of_class(class), "{when} {class}");
-        for &(_, _, item) in &want {
+        for &(_, item) in &want {
             assert_eq!(s.peek(item.key), Some(item), "{when} {class}");
         }
 
-        // Hot end only: the cursor walk's order, counted down exactly.
-        let mut old = CursorWalk::new(s, class);
+        // Hot end only: the pointer walk's order, counted down exactly.
         let mut new = s.iter_class_mru(class);
-        for (left, &(si, idx, item)) in (1..=want.len()).rev().zip(&want) {
+        for (left, &(idx, item)) in (1..=want.len()).rev().zip(&want) {
             assert_eq!(new.size_hint(), (left, Some(left)), "{when} {class}");
-            assert_eq!(old.next_slot(), Some((si, idx)), "{when} {class}");
-            assert_eq!(new.step::<true>(), Some((si, idx)), "{when} {class}");
-            assert_eq!(new.item(si, idx), item, "{when} {class}");
+            assert_eq!(new.step::<true>(), Some(idx), "{when} {class}");
+            assert_eq!(new.item(idx), item, "{when} {class}");
         }
         assert_eq!(new.size_hint(), (0, Some(0)), "{when} {class}");
-        assert_eq!(old.next_slot(), None, "{when} {class}");
         assert_eq!(new.next(), None, "{when} {class}");
         assert_eq!(
             new.step::<false>(),
@@ -116,21 +75,21 @@ fn check(s: &SlabStore, ends: &[bool], when: &str) {
         let (mut hot, mut cold) = (0, want.len());
         for (left, &from_hot) in (1..=want.len()).rev().zip(ends.iter().cycle()) {
             assert_eq!(new.size_hint(), (left, Some(left)), "{when} {class}");
-            let (got, (si, idx, item)) = if from_hot {
+            let (got, (idx, item)) = if from_hot {
                 hot += 1;
                 (new.step::<true>(), want[hot - 1])
             } else {
                 cold -= 1;
                 (new.step::<false>(), want[cold])
             };
-            assert_eq!(got, Some((si, idx)), "{when} {class}");
-            assert_eq!(new.item(si, idx), item, "{when} {class}");
+            assert_eq!(got, Some(idx), "{when} {class}");
+            assert_eq!(new.item(idx), item, "{when} {class}");
         }
         assert_eq!(hot, cold, "{when} {class}");
         assert_eq!(new.step::<true>(), None, "{when} {class}");
         assert_eq!(new.step::<false>(), None, "{when} {class}");
 
-        let order: Vec<ItemMeta> = want.iter().map(|&(_, _, item)| item).collect();
+        let order: Vec<ItemMeta> = want.iter().map(|&(_, item)| item).collect();
         let walked: Vec<ItemMeta> = s.iter_class_mru(class).collect();
         assert_eq!(walked, order, "{when} {class}");
 
@@ -154,7 +113,7 @@ fn check(s: &SlabStore, ends: &[bool], when: &str) {
         }
         let drained = s
             .iter_class_mru(class)
-            .collect_with(|si, idx, item| (si, idx, item));
+            .collect_with(|idx, item| (idx, item));
         assert_eq!(drained, want, "{when} {class}");
         assert_eq!(
             s.median_hotness(class),
@@ -258,44 +217,41 @@ fn apply(s: &mut SlabStore, op: &Op) {
 }
 
 proptest! {
-    /// The kernel walks what the cursor form walked and what sorting the
-    /// slots by stamp yields — midway through a history, at its end, with
-    /// one shard's lane emptied, and with a whole class emptied.
+    /// The kernel walks what the raw pointer walks read — midway through a
+    /// history, at its end, with every list emptied, refilled, and with a
+    /// whole class emptied.
     #[test]
-    fn kernel_matches_cursor_walk_and_stamp_sort(
+    fn kernel_matches_the_pointer_walks(
         ops in prop::collection::vec(op_strategy(), 1..250),
         ends in prop::collection::vec(any::<bool>(), 1..40),
     ) {
-        for shards in [1usize, 2, 3, 8] {
-            let mut s = store(shards);
-            for (i, op) in ops.iter().enumerate() {
-                apply(&mut s, op);
-                if i == ops.len() / 2 {
-                    check(&s, &ends, "midway");
-                }
+        let mut s = store();
+        for (i, op) in ops.iter().enumerate() {
+            apply(&mut s, op);
+            if i == ops.len() / 2 {
+                check(&s, &ends, "midway");
             }
-            check(&s, &ends, "after the history");
-
-            // Empty the last shard's lane of every class; the others keep
-            // theirs (at one shard that is every item).
-            let lane: Vec<u32> = s.shards[shards - 1].index.keys().copied().collect();
-            for id in lane {
-                s.delete(KeyId(u64::from(id)));
-            }
-            check(&s, &ends, "with one lane emptied");
-
-            // Refill, then empty one class outright.
-            for k in 0..40 {
-                let key = if k % 2 == 0 { k * 3 } else { 500 + k };
-                let size = SIZES[(k % 3) as usize];
-                let _ = s.set(KeyId(key), size, SimTime::from_millis(k % 5));
-            }
-            check(&s, &ends, "after plain sets");
-            let small = ClassId(0);
-            while s.evict_lru(small).is_some() {}
-            prop_assert_eq!(s.len_of_class(small), 0);
-            prop_assert!(s.iter_class_mru(small).next().is_none());
-            check(&s, &ends, "with one class emptied");
         }
+        check(&s, &ends, "after the history");
+
+        // Empty every list, key by key.
+        let keys: Vec<u32> = s.index.keys().copied().collect();
+        for id in keys {
+            s.delete(KeyId(u64::from(id)));
+        }
+        check(&s, &ends, "with every list emptied");
+
+        // Refill, then empty one class outright.
+        for k in 0..40 {
+            let key = if k % 2 == 0 { k * 3 } else { 500 + k };
+            let size = SIZES[(k % 3) as usize];
+            let _ = s.set(KeyId(key), size, SimTime::from_millis(k % 5));
+        }
+        check(&s, &ends, "after plain sets");
+        let small = ClassId(0);
+        while s.evict_lru(small).is_some() {}
+        prop_assert_eq!(s.len_of_class(small), 0);
+        prop_assert!(s.iter_class_mru(small).next().is_none());
+        check(&s, &ends, "with one class emptied");
     }
 }

@@ -1,16 +1,12 @@
 //! Every entry point of the store at the edge of its 32-bit key ids.
 
-use elmem_store::{
-    default_shard_count, ConcurrentSlabStore, ImportMode, ItemMeta, SizeClasses, SlabStore,
-    StoreConfig,
-};
+use elmem_store::{ImportMode, ItemMeta, SizeClasses, SlabStore, StoreConfig};
 use elmem_util::{ByteSize, ElmemError, KeyId, SimTime};
 
 fn config() -> StoreConfig {
     StoreConfig {
-        memory: ByteSize::from_mib(2),
         classes: SizeClasses::new(128, 2.0, 1024),
-        shards: default_shard_count(),
+        ..StoreConfig::with_memory(ByteSize::from_mib(2))
     }
 }
 
@@ -19,7 +15,7 @@ fn t(s: u64) -> SimTime {
 }
 
 /// A slot holds a 32-bit key id. An id that fits is stored and found like
-/// any other; a wider one is refused by every write of both facades with
+/// any other; a wider one is refused by every write with
 /// `InvalidConfig` before anything changes, and is absent to every read —
 /// never truncated onto the key its low 32 bits name, never a panic.
 #[test]
@@ -29,11 +25,6 @@ fn key_ids_past_32_bits_are_refused_not_truncated() {
         fn(&mut SlabStore, KeyId) -> Result<bool, ElmemError>,
     );
     type Read = (&'static str, fn(&mut SlabStore, KeyId) -> bool);
-    type ConcWrite = (
-        &'static str,
-        fn(&ConcurrentSlabStore, KeyId) -> Result<(), ElmemError>,
-    );
-    type ConcRead = (&'static str, fn(&ConcurrentSlabStore, KeyId) -> bool);
     let writes: [Write; 3] = [
         ("fill", |s, k| s.fill().set(k, 10, t(1)).map(|()| true)),
         ("set", |s, k| s.set(k, 10, t(2)).map(|()| true)),
@@ -50,22 +41,14 @@ fn key_ids_past_32_bits_are_refused_not_truncated() {
         ("get", |s, k| s.get(k, t(4)).is_some()),
         ("delete", |s, k| s.delete(k)),
     ];
-    let conc_writes: [ConcWrite; 1] = [("set", |c, k| c.set(k, 10, t(2)))];
-    let conc_reads: [ConcRead; 4] = [
-        ("peek", |c, k| c.peek(k).is_some()),
-        ("contains", |c, k| c.contains(k)),
-        ("get", |c, k| c.get(k, t(4)).is_some()),
-        ("delete", |c, k| c.delete(k)),
-    ];
     let max = u64::from(u32::MAX);
     for id in [max - 1, max, max + 1, u64::MAX] {
         let (key, fits) = (KeyId(id), id <= max);
-        let (mut s, c) = (SlabStore::new(config()), ConcurrentSlabStore::new(config()));
+        let mut s = SlabStore::new(config());
         // The key a truncating store would land on, resident beforehand.
         let alias = KeyId(id & max);
         if !fits {
             s.set(alias, 20, t(0)).unwrap();
-            c.set(alias, 20, t(0)).unwrap();
         }
         let before = s.dump_metadata();
         for (name, write) in writes {
@@ -74,15 +57,6 @@ fn key_ids_past_32_bits_are_refused_not_truncated() {
                 Err(e) => assert!(
                     !fits && matches!(e, ElmemError::InvalidConfig(_)),
                     "{name} of {key}: {e}"
-                ),
-            }
-        }
-        for (name, write) in conc_writes {
-            match write(&c, key) {
-                Ok(()) => assert!(fits, "concurrent {name} of {key}"),
-                Err(e) => assert!(
-                    !fits && matches!(e, ElmemError::InvalidConfig(_)),
-                    "concurrent {name} of {key}: {e}"
                 ),
             }
         }
@@ -96,17 +70,11 @@ fn key_ids_past_32_bits_are_refused_not_truncated() {
         for (name, read) in reads {
             assert_eq!(read(&mut s, key), fits, "{name} of {key}");
         }
-        for (name, read) in conc_reads {
-            assert_eq!(read(&c, key), fits, "concurrent {name} of {key}");
+        assert_eq!(s.len(), u64::from(!fits), "{key}");
+        if !fits {
+            let kept = s.peek(alias).unwrap();
+            assert_eq!((kept.value_size, kept.last_access), (20, t(0)), "{alias}");
         }
-        let c = c.into_serial();
-        for s in [&s, &c] {
-            assert_eq!(s.len(), u64::from(!fits), "{key}");
-            if !fits {
-                let kept = s.peek(alias).unwrap();
-                assert_eq!((kept.value_size, kept.last_access), (20, t(0)), "{alias}");
-            }
-            assert_eq!(s.audit(), Ok(()));
-        }
+        assert_eq!(s.audit(), Ok(()));
     }
 }

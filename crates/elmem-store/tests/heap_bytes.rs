@@ -1,6 +1,6 @@
 //! What a resident item costs in heap bytes: a 20 000-item store, filled by
-//! plain `set`s under a counting allocator. An item is its two 16-byte slot
-//! lanes, its share of the key index's 8-byte entries and control bytes,
+//! plain `set`s under a counting allocator. An item is its 8-byte link and
+//! 16-byte slot lane entries, its share of the key index's 8-byte entries and control bytes,
 //! and the lanes' and index's spare capacity; nothing else in the store
 //! grows with it. The pin moves only when one of those does.
 //!
@@ -10,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
-use elmem_store::{SizeClasses, SlabStore, StoreConfig};
+use elmem_store::{SlabStore, StoreConfig};
 use elmem_util::{ByteSize, KeyId, SimTime};
 
 /// The system allocator, counting the bytes live on the heap.
@@ -42,11 +42,7 @@ static HEAP: Counting = Counting {
 fn a_resident_item_costs_its_pinned_heap_bytes() {
     const ITEMS: u64 = 20_000;
     let before = HEAP.live.load(SeqCst);
-    let mut store = SlabStore::new(StoreConfig {
-        memory: ByteSize::from_mib(64),
-        classes: SizeClasses::memcached_default(),
-        shards: 1,
-    });
+    let mut store = SlabStore::new(StoreConfig::with_memory(ByteSize::from_mib(64)));
     for k in 0..ITEMS {
         let value_size = 100 + (k * 7_919 % 2_000) as u32;
         store
@@ -55,13 +51,14 @@ fn a_resident_item_costs_its_pinned_heap_bytes() {
     }
     let bytes = HEAP.live.load(SeqCst) - before;
     assert_eq!((store.len(), store.stats().evictions), (ITEMS, 0));
-    // 57.75 B an item. The 12-byte (key, class, slot) index entries the
-    // one-handle entries replaced held 1 286 104 bytes here, 64.31 B an
-    // item; the 32-byte item slot and 16-byte entries before them held
-    // 1 843 160, 92.16 B an item.
+    // 47.08 B an item. The 16-byte links with an LRU stamp the 8-byte
+    // links replaced held 1 155 040 bytes here, 57.75 B an item; the
+    // 12-byte (key, class, slot) index entries before them 1 286 104,
+    // 64.31 B; the 32-byte item slot and 16-byte entries before those
+    // 1 843 160, 92.16 B.
     assert_eq!(
         bytes,
-        1_155_040,
+        941_640,
         "{:.2} B an item",
         bytes as f64 / ITEMS as f64
     );

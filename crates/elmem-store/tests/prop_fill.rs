@@ -1,7 +1,6 @@
 //! `SlabStore::fill` against the per-key `set` it stands in for. A fill
 //! touches only the slot lanes and indexes the survivors once at its end,
-//! so the reference is not the fill itself at another shard count but the
-//! plain command loop: after the fill, and after any tail of commands,
+//! so the reference is the plain command loop: after the fill, and after any tail of commands,
 //! the two stores must be indistinguishable through the public surface.
 
 use elmem_store::{ClassId, ImportMode, ItemMeta, SizeClasses, SlabStore, StoreConfig};
@@ -114,7 +113,6 @@ proptest! {
     fn fill_matches_per_key_set(
         ladder in (16u64..512, 125u64..400, 1u64..64),
         pages in 1u64..=6,
-        shards in prop_oneof![Just(1usize), Just(4), Just(8)],
         warm in prop_oneof![Just(0usize), Just(0), Just(0), 1usize..6],
         sizes in prop::collection::vec(0u32..1_100, 0..1_500),
         cut in (0usize..1_800, any::<bool>()),
@@ -128,9 +126,8 @@ proptest! {
         let min_chunk = 8 * min8;
         let max_chunk = (min_chunk * span).clamp(min_chunk, ByteSize::PAGE.as_u64());
         let config = StoreConfig {
-            memory: ByteSize::from_mib(pages),
             classes: SizeClasses::new(min_chunk, growth as f64 / 100.0, max_chunk),
-            shards,
+            ..StoreConfig::with_memory(ByteSize::from_mib(pages))
         };
         let (mut a, mut b) = (SlabStore::new(config.clone()), SlabStore::new(config));
         let classes = a.classes().clone();
@@ -170,50 +167,45 @@ proptest! {
 
 #[test]
 fn dropped_fill_leaves_a_complete_index() {
-    for shards in [1, 4, 8] {
-        let config = StoreConfig {
-            memory: ByteSize::from_mib(1),
-            classes: SizeClasses::new(128, 2.0, 1024),
-            shards,
-        };
-        let (mut a, mut b) = (SlabStore::new(config.clone()), SlabStore::new(config));
-        // 1 MiB of 128 B chunks holds 8192: the fill evicts the coldest
-        // 1 808 of its 10 000 keys, then the guard goes out of scope.
-        let mut fill = b.fill();
-        for i in 0..10_000u64 {
-            let t = SimTime::from_nanos(i + 1);
-            assert_eq!(a.set(key(i), 10, t), fill.set(key(i), 10, t));
-        }
-        drop(fill);
-        assert_eq!(b.stats().evictions, 1_808);
-        assert_same(&a, &b);
-        let now = SimTime::from_secs(1);
-        for i in (0..10_000).rev() {
-            assert_eq!(a.get(key(i), now), b.get(key(i), now), "key {i}");
-        }
-        assert_same(&a, &b);
-        // A second fill of a store that is not empty is plain `set`,
-        // repeats included.
-        let mut fill = b.fill();
-        for i in [5_000, 5_000, 20_000] {
-            let t = SimTime::from_secs(2);
-            assert_eq!(a.set(key(i), 10, t), fill.set(key(i), 10, t));
-        }
-        drop(fill);
-        assert_same(&a, &b);
+    let config = StoreConfig {
+        classes: SizeClasses::new(128, 2.0, 1024),
+        ..StoreConfig::with_memory(ByteSize::from_mib(1))
+    };
+    let (mut a, mut b) = (SlabStore::new(config.clone()), SlabStore::new(config));
+    // 1 MiB of 128 B chunks holds 8192: the fill evicts the coldest
+    // 1 808 of its 10 000 keys, then the guard goes out of scope.
+    let mut fill = b.fill();
+    for i in 0..10_000u64 {
+        let t = SimTime::from_nanos(i + 1);
+        assert_eq!(a.set(key(i), 10, t), fill.set(key(i), 10, t));
     }
+    drop(fill);
+    assert_eq!(b.stats().evictions, 1_808);
+    assert_same(&a, &b);
+    let now = SimTime::from_secs(1);
+    for i in (0..10_000).rev() {
+        assert_eq!(a.get(key(i), now), b.get(key(i), now), "key {i}");
+    }
+    assert_same(&a, &b);
+    // A second fill of a store that is not empty is plain `set`,
+    // repeats included.
+    let mut fill = b.fill();
+    for i in [5_000, 5_000, 20_000] {
+        let t = SimTime::from_secs(2);
+        assert_eq!(a.set(key(i), 10, t), fill.set(key(i), 10, t));
+    }
+    drop(fill);
+    assert_same(&a, &b);
 }
 
 #[test]
 fn fill_refuses_what_set_refuses() {
     // One page: the first class takes it, the second has none to take,
     // and an item past the largest chunk fits no class at all.
-    let config = StoreConfig {
-        memory: ByteSize::from_mib(1),
+    let mut s = SlabStore::new(StoreConfig {
         classes: SizeClasses::new(128, 2.0, 1024),
-        shards: 1,
-    };
-    let mut s = SlabStore::new(config);
+        ..StoreConfig::with_memory(ByteSize::from_mib(1))
+    });
     let mut fill = s.fill();
     let t = SimTime::from_secs(1);
     assert_eq!(fill.set(KeyId(1), 10, t), Ok(()));

@@ -1,5 +1,6 @@
 //! Property-based tests for the slab store: memory accounting, LRU
-//! invariants, and agreement with a naive model cache.
+//! invariants, agreement with a naive model cache, and a consistent store
+//! under every command and import.
 
 use std::collections::HashMap;
 
@@ -24,10 +25,54 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 fn store() -> SlabStore {
     SlabStore::new(StoreConfig {
-        memory: ByteSize::from_mib(2),
         classes: SizeClasses::new(128, 2.0, 1024),
-        shards: elmem_store::default_shard_count(),
+        ..StoreConfig::with_memory(ByteSize::from_mib(2))
     })
+}
+
+#[derive(Debug, Clone)]
+enum MixedOp {
+    Cmd(Op),
+    Import { base: u64, n: u64 },
+}
+
+/// Sizes land in the ladder's three classes (2048/4096/8192); the store
+/// below holds 3 pages, so a busy class fills its page and evicts.
+fn mixed_strategy() -> impl Strategy<Value = MixedOp> {
+    prop_oneof![
+        (0u64..150, 1u32..6000).prop_map(|(key, size)| MixedOp::Cmd(Op::Set { key, size })),
+        (0u64..150).prop_map(|key| MixedOp::Cmd(Op::Get { key })),
+        (0u64..150).prop_map(|key| MixedOp::Cmd(Op::Delete { key })),
+        (0u64..20, 1u64..30).prop_map(|(base, n)| MixedOp::Import { base, n }),
+    ]
+}
+
+fn mixed_store() -> SlabStore {
+    SlabStore::new(StoreConfig {
+        classes: SizeClasses::new(2048, 2.0, 8192),
+        ..StoreConfig::with_memory(ByteSize::from_mib(3))
+    })
+}
+
+/// The batch an `Import` op carries: fresh hot keys (disjoint from the
+/// set/get key range), hottest first, all in the smallest class.
+fn import_batch(base: u64, n: u64, now: SimTime) -> Vec<ItemMeta> {
+    (0..n)
+        .map(|i| {
+            let at = now.checked_add(SimTime::from_millis(n - i)).unwrap();
+            ItemMeta::new(KeyId(10_000 + base * 100 + i), 10, at)
+        })
+        .collect()
+}
+
+/// Every item the store reports — iterated, walked, dumped — is what a
+/// peek of its key reads.
+fn check_reads(s: &SlabStore) {
+    let dumped = s.dump_metadata().classes.into_iter().flat_map(|c| c.items);
+    let walked = s.classes().ids().flat_map(|c| s.iter_class_mru(c));
+    for item in s.iter().chain(dumped).chain(walked) {
+        assert_eq!(s.peek(item.key), Some(item));
+    }
 }
 
 proptest! {
@@ -141,5 +186,32 @@ proptest! {
         for w in hot.windows(2) {
             prop_assert!(w[0] >= w[1]);
         }
+    }
+
+    /// Sets, gets, deletes, evictions (the busy classes overflow their
+    /// pages) and merged imports, in any order: the audit passes after
+    /// every one, every read agrees with `peek`, and the per-class counts
+    /// add up to the store's.
+    #[test]
+    fn mixed_ops_keep_the_store_consistent(ops in prop::collection::vec(mixed_strategy(), 1..300)) {
+        let mut s = mixed_store();
+        for (i, op) in ops.iter().enumerate() {
+            let now = SimTime::from_millis(7 * (i as u64 + 1));
+            match *op {
+                MixedOp::Cmd(Op::Set { key, size }) => { let _ = s.set(KeyId(key), size, now); }
+                MixedOp::Cmd(Op::Get { key }) => { let _ = s.get(KeyId(key), now); }
+                MixedOp::Cmd(Op::Delete { key }) => { let _ = s.delete(KeyId(key)); }
+                MixedOp::Import { base, n } => {
+                    let batch = import_batch(base, n, now);
+                    let class = s.classes().class_for(batch[0].footprint()).unwrap();
+                    let _ = s.batch_import(class, &batch, ImportMode::Merge);
+                }
+            }
+            s.audit().unwrap();
+        }
+        check_reads(&s);
+        let per_class: u64 = s.classes().ids().map(|c| s.len_of_class(c)).sum();
+        prop_assert_eq!(per_class, s.len());
+        prop_assert_eq!(s.dump_metadata().total_items(), s.len());
     }
 }

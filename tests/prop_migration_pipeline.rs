@@ -1,12 +1,10 @@
 //! Property tests for the pipelined migration planner: the shipment plan
 //! — contents, order, and stats — must be **byte-identical** whatever the
-//! worker count and whatever the store's shard count, across arbitrary
-//! warm states, node counts, and retiring sets; and every migration job
-//! (report and every store it leaves behind) must be unaffected by both
-//! knobs.
-//!
-//! The shard counts are named here, not inherited: at the default of one
-//! shard nothing would ever be planned across shards.
+//! worker count, across arbitrary warm states, node counts, and retiring
+//! sets; and every migration job (report and every store it leaves behind)
+//! must be unaffected by it. A store keeps one MRU list per class, so the
+//! worker count is the only knob left (the shard legs went with the
+//! shards).
 
 use elmem::cluster::{CacheTier, ClusterConfig};
 use elmem::core::migration::{
@@ -16,8 +14,6 @@ use elmem::store::{ImportMode, MetadataDump, StoreStats};
 use elmem::util::par::with_par_jobs;
 use elmem::util::{ByteSize, KeyId, NodeId, SimTime};
 use proptest::prelude::*;
-
-const SHARDS: [usize; 3] = [1, 4, 8];
 
 /// A warm tier under `cfg`: each access `(key, extra)` sets the key at its
 /// ring owner with value size `32 + extra` and a strictly increasing
@@ -43,11 +39,10 @@ fn warm_tier(cfg: ClusterConfig, accesses: &[(u64, u16)], one_instant: bool) -> 
     tier
 }
 
-/// The small test cluster with `nodes` members of `shards`-shard stores.
-fn small(nodes: u32, shards: usize) -> ClusterConfig {
+/// The small test cluster with `nodes` members.
+fn small(nodes: u32) -> ClusterConfig {
     ClusterConfig {
         initial_nodes: nodes,
-        store_shards: shards,
         ..ClusterConfig::small_test()
     }
 }
@@ -110,22 +105,12 @@ proptest! {
         let retiring: Vec<NodeId> = (0..retire.min(nodes as usize - 1))
             .map(|i| NodeId(i as u32))
             .collect();
-        let unsharded = warm_tier(small(nodes, 1), &accesses, one_instant);
-        let (serial_plan, serial_stats) =
-            plan_scale_in_shipments(&unsharded, &retiring, 1).unwrap();
-        for shards in SHARDS {
-            let tier = warm_tier(small(nodes, shards), &accesses, one_instant);
-            for jobs in [1usize, 2, 3, 8] {
-                let (plan, stats) = plan_scale_in_shipments(&tier, &retiring, jobs).unwrap();
-                prop_assert_eq!(
-                    &plan, &serial_plan,
-                    "shards={} jobs={} plan diverges from unsharded serial", shards, jobs
-                );
-                prop_assert_eq!(
-                    stats, serial_stats,
-                    "shards={} jobs={} stats diverge from unsharded serial", shards, jobs
-                );
-            }
+        let tier = warm_tier(small(nodes), &accesses, one_instant);
+        let (serial_plan, serial_stats) = plan_scale_in_shipments(&tier, &retiring, 1).unwrap();
+        for jobs in [2usize, 3, 8] {
+            let (plan, stats) = plan_scale_in_shipments(&tier, &retiring, jobs).unwrap();
+            prop_assert_eq!(&plan, &serial_plan, "jobs={} plan diverges from serial", jobs);
+            prop_assert_eq!(stats, serial_stats, "jobs={} stats diverge from serial", jobs);
         }
     }
 
@@ -139,21 +124,18 @@ proptest! {
         let retiring = [NodeId(victim)];
         let naive = Direction::Naive(f64::from(quarters) / 4.0);
         for direction in [Direction::ScaleIn, Direction::ScaleOut, naive] {
-            let mut reference = None;
-            for shards in SHARDS {
-                let tier = warm_tier(small(4, shards), &accesses, one_instant);
-                for jobs in [1usize, 2, 4] {
-                    let got = run(&tier, direction, &retiring, jobs);
-                    let want = reference.get_or_insert_with(|| got.clone());
-                    prop_assert_eq!(
-                        &got.0, &want.0,
-                        "{:?} shards={} jobs={} report diverges", direction, shards, jobs
-                    );
-                    prop_assert_eq!(
-                        &got.1, &want.1,
-                        "{:?} shards={} jobs={} store state diverges", direction, shards, jobs
-                    );
-                }
+            let tier = warm_tier(small(4), &accesses, one_instant);
+            let want = run(&tier, direction, &retiring, 1);
+            for jobs in [2usize, 4] {
+                let got = run(&tier, direction, &retiring, jobs);
+                prop_assert_eq!(
+                    &got.0, &want.0,
+                    "{:?} jobs={} report diverges", direction, jobs
+                );
+                prop_assert_eq!(
+                    &got.1, &want.1,
+                    "{:?} jobs={} store state diverges", direction, jobs
+                );
             }
         }
     }
@@ -163,40 +145,32 @@ proptest! {
 /// items, which no generated tier above does. Here a node does, in two
 /// slab classes, a third of the items re-read in one instant — so each
 /// direction's routing (Naive's per-class trim included) and selection
-/// really run on workers, over one list per class and over four.
+/// really run on workers. (A store has one list per class, so of the two
+/// knobs the name gives only the worker count is left.)
 #[test]
 fn migration_above_the_fanout_floor_ignores_jobs_and_shards() {
     let accesses: Vec<(u64, u16)> = (0..130_000u64).map(|k| (k, 40 * (k % 7) as u16)).collect();
-    let directions = [
+    let cfg = ClusterConfig {
+        node_memory: ByteSize::from_mib(32),
+        ..small(3)
+    };
+    let mut tier = warm_tier(cfg, &accesses, false);
+    let instant = SimTime::from_secs(500_000);
+    for &(k, _) in accesses.iter().step_by(3) {
+        let owner = tier.node_for_key(KeyId(k)).unwrap();
+        let _ = tier.node_mut(owner).unwrap().store.get(KeyId(k), instant);
+    }
+    // The ring never splits evenly: retire whichever node it favoured.
+    let fullest = tier.iter_nodes().max_by_key(|n| n.store.len()).unwrap();
+    assert!(fullest.store.len() >= 32_768, "no node is over the floor");
+    let retiring = [fullest.id()];
+    for direction in [
         Direction::ScaleIn,
         Direction::ScaleOut,
         Direction::Naive(0.4),
-    ];
-    let mut reference = [None, None, None];
-    for shards in [1usize, 4] {
-        let cfg = ClusterConfig {
-            node_memory: ByteSize::from_mib(32),
-            ..small(3, shards)
-        };
-        let mut tier = warm_tier(cfg, &accesses, false);
-        let instant = SimTime::from_secs(500_000);
-        for &(k, _) in accesses.iter().step_by(3) {
-            let owner = tier.node_for_key(KeyId(k)).unwrap();
-            let _ = tier.node_mut(owner).unwrap().store.get(KeyId(k), instant);
-        }
-        // The ring never splits evenly: retire whichever node it favoured.
-        let fullest = tier.iter_nodes().max_by_key(|n| n.store.len()).unwrap();
-        assert!(fullest.store.len() >= 32_768, "no node is over the floor");
-        let retiring = [fullest.id()];
-        for (direction, want) in directions.into_iter().zip(&mut reference) {
-            for jobs in [1usize, 4] {
-                let got = run(&tier, direction, &retiring, jobs);
-                let want = want.get_or_insert_with(|| got.clone());
-                assert_eq!(
-                    got, *want,
-                    "{direction:?} shards={shards} jobs={jobs} diverges"
-                );
-            }
-        }
+    ] {
+        let want = run(&tier, direction, &retiring, 1);
+        let got = run(&tier, direction, &retiring, 4);
+        assert_eq!(got, want, "{direction:?} jobs=4 diverges");
     }
 }
