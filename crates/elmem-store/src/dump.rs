@@ -173,7 +173,7 @@ mod tests {
     }
 
     #[test]
-    fn concatenated_shard_runs_are_merged_not_sifted() {
+    fn concatenated_runs_are_merged_not_sifted() {
         // 8 descending runs have only 7 adjacent inversions, yet ¾ of the
         // items are displaced by a quarter of the list: the shape that made
         // a bounded-inversion insertion fixup quadratic (minutes at this

@@ -28,7 +28,7 @@ pub(crate) fn storable(key: KeyId) -> Result<u32, ElmemError> {
 
 /// The hot half of one chunk: its intrusive MRU links. A walk or a relink
 /// that needs no item never fetches one.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Link {
     /// The hotter neighbour, [`NIL`] at the head, [`FREE`] off the list.
     pub prev: u32,
@@ -58,7 +58,7 @@ impl Handles {
 }
 
 /// What a chunk holds.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Slot {
     pub key: u32,
     pub value_size: u32,
@@ -189,10 +189,54 @@ impl ClassList {
     /// Rewrites an occupied slot with `item`, whose key has id `id`, and
     /// moves it to the MRU head.
     pub fn rewrite(&mut self, idx: u32, id: u32, item: &ItemMeta) {
+        self.overwrite(idx, id, item);
+        self.touch(idx);
+    }
+
+    /// [`rewrite`](Self::rewrite) without the relink.
+    pub fn overwrite(&mut self, idx: u32, id: u32, item: &ItemMeta) {
         let slot = &mut self.slots[idx as usize];
         self.bytes_used = self.bytes_used - item_footprint(slot.value_size) + item.footprint();
         *slot = Slot::new(id, item);
-        self.touch(idx);
+    }
+
+    /// A ring fill's insert: `item` in a fresh slot, the new head. A ring
+    /// takes fresh slots only before its first eviction, so slot 0 is the
+    /// tail; [`link_ring`](Self::link_ring) writes the links.
+    pub fn append(&mut self, id: u32, item: &ItemMeta) {
+        self.len += 1;
+        self.bytes_used += item.footprint();
+        (self.head, self.tail) = (self.slots.len() as u32, 0);
+        self.slots.push(Slot::new(id, item));
+    }
+
+    /// A ring fill's evicting insert: `item` overwrites the tail, the
+    /// oldest slot, which becomes the head; the next slot around the ring
+    /// becomes the tail.
+    pub fn overwrite_tail(&mut self, id: u32, item: &ItemMeta) {
+        (self.head, self.tail) = (self.tail, self.tail + 1);
+        if self.tail as usize == self.slots.len() {
+            self.tail = 0;
+        }
+        self.overwrite(self.head, id, item);
+    }
+
+    /// Links a ring fill's class, its link lane empty until now: slot `i`'s
+    /// newer neighbour is `i + 1` around the ring, cut between the head and
+    /// the tail (DESIGN.md §14). The lane gets the item lane's capacity, as
+    /// pushing both lanes in step leaves.
+    pub fn link_ring(&mut self) {
+        let Some(last) = (self.slots.len() as u32).checked_sub(1) else {
+            return;
+        };
+        self.links.reserve_exact(self.slots.capacity());
+        let around = (0..=last).map(|i| Link {
+            prev: if i == last { 0 } else { i + 1 },
+            next: i.checked_sub(1).unwrap_or(last),
+        });
+        self.links.extend(around);
+        self.links[self.head as usize].prev = NIL;
+        self.links[self.tail as usize].next = NIL;
     }
 
     /// Stores `item`, whose key has id `id`, in a free slot or else a fresh

@@ -389,18 +389,11 @@ impl SlabStore {
     /// * [`ElmemError::OutOfMemory`] if no free chunk, free page, or
     ///   evictable item exists in the needed class.
     pub fn set(&mut self, key: KeyId, value_size: u32, now: SimTime) -> Result<(), ElmemError> {
-        self.set_item(ItemMeta::new(key, value_size, now), true)
-    }
-
-    /// `set` of an item. Unless `indexed` — inside a [`Fill`], whose keys
-    /// are new — the key index is neither read nor written, and a victim is
-    /// unlinked by its slot.
-    fn set_item(&mut self, new_item: ItemMeta, indexed: bool) -> Result<(), ElmemError> {
-        let id = storable(new_item.key)?;
+        let new_item = ItemMeta::new(key, value_size, now);
+        let id = storable(key)?;
         let class = self.classes.class_to_store(new_item.footprint())?;
         let ci = class.0 as usize;
-        let resident = indexed.then(|| self.index.get(&id)).flatten();
-        if let Some(&handle) = resident {
+        if let Some(&handle) = self.index.get(&id) {
             let (old, idx) = self.handles.decode(handle);
             if old == class.0 {
                 self.lists[ci].rewrite(idx, id, &new_item);
@@ -409,31 +402,26 @@ impl SlabStore {
                 return Ok(());
             }
             // A class change removes the old copy; the new one lands below.
-            self.vacate(old, idx, true);
+            self.vacate(old, idx);
         }
 
         // A free chunk or page, else the class's LRU victim's chunk
         // (Memcached semantics: eviction never crosses classes).
-        if !self.secure_chunk(class) && self.evict_tail(class, indexed).is_none() {
+        if !self.secure_chunk(class) && self.evict_lru(class).is_none() {
             self.class_meta[ci].pressure += 1;
             return Err(ElmemError::OutOfMemory);
         }
         self.class_meta[ci].version += 1;
         let idx = self.lists[ci].insert::<true>(id, &new_item);
-        if indexed {
-            self.index.insert(id, self.handles.encode(class.0, idx));
-        }
+        self.index.insert(id, self.handles.encode(class.0, idx));
         self.stats.sets += 1;
         Ok(())
     }
 
-    /// A [`Fill`] of this store: lanes only if the store is empty now.
+    /// A [`Fill`] of this store: a ring if no slot was ever taken.
     pub fn fill(&mut self) -> Fill<'_> {
-        let lanes_only = self.is_empty();
-        Fill {
-            store: self,
-            lanes_only,
-        }
+        let ring = self.lists.iter().all(|l| l.slots.is_empty());
+        Fill { store: self, ring }
     }
 
     /// Removes a key; returns whether it was present.
@@ -447,16 +435,13 @@ impl SlabStore {
 
     fn remove_entry(&mut self, key: KeyId) -> Option<ItemMeta> {
         let (class, idx) = self.locate(key)?;
-        Some(self.vacate(class, idx, true))
+        Some(self.vacate(class, idx))
     }
 
-    /// Unlinks and frees an occupied slot and, if `indexed`, forgets its
-    /// index entry; returns the item.
-    fn vacate(&mut self, class: u16, idx: u32, indexed: bool) -> ItemMeta {
+    /// Unlinks and frees an occupied slot and its index entry; returns it.
+    fn vacate(&mut self, class: u16, idx: u32) -> ItemMeta {
         let item = self.lists[class as usize].vacate(idx);
-        if indexed {
-            self.index.remove(&(item.key.0 as u32));
-        }
+        self.index.remove(&(item.key.0 as u32));
         self.class_meta[class as usize].version += 1;
         item
     }
@@ -464,17 +449,11 @@ impl SlabStore {
     /// Evicts the LRU tail of `class`. Returns the evicted item, or `None`
     /// if the class is empty.
     pub fn evict_lru(&mut self, class: ClassId) -> Option<ItemMeta> {
-        self.evict_tail(class, true)
-    }
-
-    /// [`evict_lru`](Self::evict_lru), unlinking the victim by its slot;
-    /// only if `indexed` is its key also dropped from the index.
-    fn evict_tail(&mut self, class: ClassId, indexed: bool) -> Option<ItemMeta> {
         let tail = self.lists[class.0 as usize].tail;
         if tail == NIL {
             return None;
         }
-        let item = self.vacate(class.0, tail, indexed);
+        let item = self.vacate(class.0, tail);
         self.class_meta[class.0 as usize].pressure += 1;
         self.stats.evictions += 1;
         Some(item)
@@ -715,7 +694,7 @@ impl SlabStore {
         let keep = (n as u64).min(self.class_meta[ci].capacity()) as usize;
         for origin in &merged[keep..] {
             if let Origin::Resident(slot) = *origin {
-                self.vacate(class.0, slot, true);
+                self.vacate(class.0, slot);
             }
         }
 
@@ -849,28 +828,55 @@ impl SlabStore {
     }
 }
 
-/// A bulk load of keys new to the store, from [`SlabStore::fill`]: on a
-/// store empty when it began, [`set`](Self::set) is [`SlabStore::set`] on the
-/// lanes alone and [`finish`](Self::finish) (or a drop) indexes the survivors
-/// once; a key may be set again only after `finish` (DESIGN.md §14).
+/// A bulk load of keys new to the store, from [`SlabStore::fill`]. On a
+/// store no slot was ever taken in, the fill is a *ring*: [`set`](Self::set)
+/// is [`SlabStore::set`] on the item lane alone, an evicting set overwriting
+/// its class's oldest slot in place, and [`finish`](Self::finish) (or a
+/// drop) links each class once and indexes the survivors once; a key may be
+/// set again only after `finish` (DESIGN.md §14).
 #[derive(Debug)]
 pub struct Fill<'a> {
     store: &'a mut SlabStore,
-    /// The index is still to be built.
-    lanes_only: bool,
+    /// The links and the index are still to be built.
+    ring: bool,
 }
 
 impl Fill<'_> {
     /// [`SlabStore::set`], errors included, of a key not yet set in this fill.
     pub fn set(&mut self, key: KeyId, value_size: u32, now: SimTime) -> Result<(), ElmemError> {
+        if !self.ring {
+            return self.store.set(key, value_size, now);
+        }
         let item = ItemMeta::new(key, value_size, now);
-        self.store.set_item(item, !self.lanes_only)
+        let store = &mut *self.store;
+        let id = storable(key)?;
+        let class = store.classes.class_to_store(item.footprint())?;
+        let ci = class.0 as usize;
+        let secured = store.secure_chunk(class);
+        let (list, meta) = (&mut store.lists[ci], &mut store.class_meta[ci]);
+        if secured {
+            list.append(id, &item);
+            meta.version += 1;
+        } else {
+            // No page is left and none comes back, so the class's slot
+            // count is final: its oldest item's slot takes the new one.
+            meta.pressure += 1;
+            if list.tail == NIL {
+                return Err(ElmemError::OutOfMemory);
+            }
+            list.overwrite_tail(id, &item);
+            meta.version += 2; // `set`'s eviction and its insert
+            store.stats.evictions += 1;
+        }
+        store.stats.sets += 1;
+        Ok(())
     }
 
-    /// Indexes every occupied slot, into an index sized once for them; from
-    /// here on `set` is [`SlabStore::set`]. Idempotent.
+    /// Links each class of a ring, newest slot at the head, and indexes
+    /// every slot, into an index sized once for them; from here on `set`
+    /// is [`SlabStore::set`]. Idempotent.
     pub fn finish(&mut self) {
-        if !std::mem::take(&mut self.lanes_only) {
+        if !std::mem::take(&mut self.ring) {
             return;
         }
         let SlabStore {
@@ -881,8 +887,9 @@ impl Fill<'_> {
         } = &mut *self.store;
         let survivors = lists.iter().map(|l| l.len as usize).sum();
         index.reserve(survivors);
-        for (class, list) in lists.iter().enumerate() {
-            for (idx, slot) in list.occupied() {
+        for (class, list) in lists.iter_mut().enumerate() {
+            list.link_ring();
+            for (idx, slot) in (0..).zip(&list.slots) {
                 index.insert(slot.key, handles.encode(class as u16, idx));
             }
         }
@@ -1610,5 +1617,91 @@ mod tests {
         }
         assert!(key > 1_001, "only the freed slot was ever filled");
         clone.audit().unwrap();
+    }
+
+    #[test]
+    fn a_ring_fill_leaves_what_per_key_sets_leave_slot_for_slot() {
+        // 64 KiB to 1 MiB chunks, 16 to 1 a page, five pages. Classes 0
+        // and 1 take two pages each, interleaved; class 2 the last page
+        // and one of its four slots; class 4 finds no page. Then 0 and 1
+        // wrap their rings six times over while class 2 still takes fresh
+        // slots, until it too evicts, and class 4 is refused again.
+        let config = StoreConfig {
+            classes: SizeClasses::new(64 << 10, 2.0, 1 << 20),
+            ..StoreConfig::with_memory(ByteSize::from_mib(5))
+        };
+        let size = |class: u64, i: u64| match class {
+            0 => 10_000 + (i * 7_919) % 50_000,
+            1 => 70_000 + (i * 7_919) % 55_000,
+            2 => 140_000 + (i * 7_919) % 110_000,
+            _ => 600_000 + (i * 7_919) % 400_000,
+        } as u32;
+        let mut stream: Vec<u64> = Vec::new();
+        for i in 0..32 {
+            stream.extend(if i % 2 == 0 { &[0, 1][..] } else { &[0] });
+        }
+        stream.extend([2, 4]);
+        for i in 0..300 {
+            stream.push(if i % 3 == 0 { 1 } else { 0 });
+            if i % 50 == 0 {
+                stream.push(2);
+            }
+        }
+        stream.push(4);
+        let sets = stream.iter().zip(0..).map(|(&c, i)| (KeyId(i), size(c, i)));
+        let sets: Vec<(KeyId, u32)> = sets.collect();
+
+        // Every lane entry, list end, counter and class record, and the
+        // index, compared; the lanes' capacities too, as the heap sees them.
+        let same = |a: &SlabStore, b: &SlabStore, cut: usize| {
+            for (c, (la, lb)) in a.lists.iter().zip(&b.lists).enumerate() {
+                assert_eq!(la.links, lb.links, "cut {cut}, class {c}: links");
+                assert_eq!(la.slots, lb.slots, "cut {cut}, class {c}: slots");
+                let ends = |l: &ClassList| (l.free.clone(), l.head, l.tail, l.len, l.bytes_used);
+                assert_eq!(
+                    ends(la),
+                    ends(lb),
+                    "cut {cut}, class {c}: free, ends, counts"
+                );
+                let caps = |l: &ClassList| (l.links.capacity(), l.slots.capacity());
+                assert_eq!(caps(la), caps(lb), "cut {cut}, class {c}: capacities");
+            }
+            let meta = |s: &SlabStore| -> Vec<_> {
+                let m = s.class_meta.iter();
+                m.map(|m| (m.pages, m.pressure, m.version)).collect()
+            };
+            assert_eq!(meta(a), meta(b), "cut {cut}: pages, pressure, version");
+            assert_eq!(
+                (a.stats, a.pages_used),
+                (b.stats, b.pages_used),
+                "cut {cut}"
+            );
+            let index = |s: &SlabStore| {
+                let mut pairs: Vec<(u32, u32)> = s.index.iter().map(|(&k, &h)| (k, h)).collect();
+                pairs.sort_unstable();
+                pairs
+            };
+            assert_eq!(index(a), index(b), "cut {cut}: index");
+        };
+        // A fill dropped after every prefix, so at every ring position.
+        let mut filled = SlabStore::new(config.clone());
+        for cut in 0..=sets.len() {
+            let (mut a, mut b) = (
+                SlabStore::new(config.clone()),
+                SlabStore::new(config.clone()),
+            );
+            let mut fill = b.fill();
+            for (&(key, v), i) in sets[..cut].iter().zip(1..) {
+                let at = SimTime::from_nanos(i);
+                assert_eq!(a.set(key, v, at), fill.set(key, v, at), "set {i}");
+            }
+            drop(fill);
+            same(&a, &b, cut);
+            filled = b;
+        }
+        // Evictions (or refusals) per class: 232 sets into 32 slots, 116
+        // into 16, 7 into 4, none, and two refused.
+        let pressure: Vec<u64> = filled.class_meta.iter().map(|m| m.pressure).collect();
+        assert_eq!(pressure, [200, 100, 3, 0, 2]);
     }
 }

@@ -1,7 +1,9 @@
-//! `SlabStore::fill` against the per-key `set` it stands in for. A fill
-//! touches only the slot lanes and indexes the survivors once at its end,
-//! so the reference is the plain command loop: after the fill, and after any tail of commands,
-//! the two stores must be indistinguishable through the public surface.
+//! `SlabStore::fill` against the per-key `set` it stands in for. A fill of
+//! a new store is a ring: it writes only the item lane, overwriting each
+//! class's oldest slot once the pages are gone, and links and indexes the
+//! survivors once at its end. The reference is the plain command loop:
+//! after the fill, and after any tail of commands, the two stores must be
+//! indistinguishable through the public surface.
 
 use elmem_store::{ClassId, ImportMode, ItemMeta, SizeClasses, SlabStore, StoreConfig};
 use elmem_util::{ByteSize, ElmemError, KeyId, SimTime};
@@ -219,4 +221,109 @@ fn fill_refuses_what_set_refuses() {
     assert_eq!(s.eviction_pressure(ClassId(3)), 1);
     assert!(s.contains(KeyId(1)));
     assert_eq!(s.audit(), Ok(()));
+}
+
+/// A store of 1 KiB to 8 KiB chunks, 1 024 to 128 a page.
+fn kib_store(mib: u64) -> SlabStore {
+    SlabStore::new(StoreConfig {
+        classes: SizeClasses::new(1024, 2.0, 8192),
+        ..StoreConfig::with_memory(ByteSize::from_mib(mib))
+    })
+}
+
+#[test]
+fn a_fill_finished_mid_ring_takes_a_repeated_key() {
+    // Two pages of class 0 hold 2 048 items: the fill wraps its ring to
+    // slot 700, is finished there by a repeated key, and goes on as plain
+    // `set`s that evict past the ring's last slot and back to its first.
+    let (mut a, mut b) = (kib_store(2), kib_store(2));
+    let mut fill = b.fill();
+    let t = |i: u64| SimTime::from_nanos(i + 1);
+    for i in 0..2_748u64 {
+        assert_eq!(a.set(key(i), 100, t(i)), fill.set(key(i), 100, t(i)));
+    }
+    fill.finish();
+    // One resident (rewritten in place), one evicted (set anew).
+    for (k, i) in [(2_000, 2_748), (3, 2_749)] {
+        assert_eq!(a.set(key(k), 200, t(i)), fill.set(key(k), 200, t(i)));
+    }
+    for i in 2_750..4_500u64 {
+        assert_eq!(a.set(key(i), 100, t(i)), fill.set(key(i), 100, t(i)));
+    }
+    drop(fill);
+    assert_eq!(b.stats().evictions, 2_748 + 1 + 1_750 - 2_048);
+    assert_same(&a, &b);
+    let now = SimTime::from_secs(1);
+    for i in 0..4_500 {
+        assert_eq!(a.get(key(i), now), b.get(key(i), now), "key {i}");
+    }
+    assert_same(&a, &b);
+}
+
+#[test]
+fn a_fill_dropped_mid_ring_serves_like_per_key_sets() {
+    // Classes 0 and 1 share three pages, two and one: each wraps its ring
+    // to a different slot before the guard drops. The lists it links must
+    // then evict, hit and take sets in the per-key loop's order.
+    let (mut a, mut b) = (kib_store(3), kib_store(3));
+    let mut fill = b.fill();
+    let size = |i: u64| if i.is_multiple_of(4) { 1_500 } else { 500 };
+    for i in 0..4_000u64 {
+        let (v, at) = (size(i), SimTime::from_nanos(i + 1));
+        assert_eq!(a.set(key(i), v, at), fill.set(key(i), v, at), "set {i}");
+    }
+    drop(fill);
+    // 3 000 sets into 2 048 slots and 1 000 into 512.
+    assert_eq!(b.eviction_pressure(ClassId(0)), 952);
+    assert_eq!(b.eviction_pressure(ClassId(1)), 488);
+    assert_same(&a, &b);
+    for class in [ClassId(0), ClassId(1)] {
+        for _ in 0..100 {
+            assert_eq!(a.evict_lru(class), b.evict_lru(class), "{class}");
+        }
+    }
+    let now = SimTime::from_secs(1);
+    for i in (0..4_000).rev().step_by(7) {
+        assert_eq!(a.get(key(i), now), b.get(key(i), now), "key {i}");
+    }
+    for i in 4_000..5_000u64 {
+        assert_eq!(a.set(key(i), size(i), now), b.set(key(i), size(i), now));
+    }
+    assert_same(&a, &b);
+}
+
+#[test]
+fn a_class_without_a_page_is_refused_once_the_pages_are_gone() {
+    // Class 0 takes the first page, class 1 the second with one item, and
+    // class 2 then finds none: refused, its pressure counted, while class
+    // 0 evicts around its ring and class 1 still takes fresh slots.
+    let (mut a, mut b) = (kib_store(2), kib_store(2));
+    let mut fill = b.fill();
+    let mut i = 0u64;
+    let mut set = |a: &mut SlabStore, fill: &mut elmem_store::Fill, v: u32| {
+        let at = SimTime::from_nanos(i + 1);
+        let answer = a.set(key(i), v, at);
+        assert_eq!(answer, fill.set(key(i), v, at), "set {i}");
+        i += 1;
+        answer
+    };
+    for _ in 0..1_024 {
+        set(&mut a, &mut fill, 500).unwrap();
+    }
+    set(&mut a, &mut fill, 1_500).unwrap();
+    assert_eq!(set(&mut a, &mut fill, 3_000), Err(ElmemError::OutOfMemory));
+    for _ in 0..300 {
+        set(&mut a, &mut fill, 500).unwrap();
+        set(&mut a, &mut fill, 1_500).unwrap();
+    }
+    assert_eq!(set(&mut a, &mut fill, 3_000), Err(ElmemError::OutOfMemory));
+    drop(fill);
+    assert_eq!(b.pages_of_class(ClassId(2)), 0);
+    assert_eq!(b.eviction_pressure(ClassId(2)), 2);
+    assert_eq!(b.eviction_pressure(ClassId(0)), 300);
+    assert_eq!(
+        (b.len_of_class(ClassId(1)), b.eviction_pressure(ClassId(1))),
+        (301, 0)
+    );
+    assert_same(&a, &b);
 }

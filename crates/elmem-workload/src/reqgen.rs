@@ -506,7 +506,7 @@ mod tests {
     fn a_staged_generator_starts_at_its_first_request() {
         let cfg = config(100.0, TraceKind::Sap.demand_trace());
         let mut gen = RequestGenerator::new(cfg, DetRng::seed(1));
-        assert!(gen.zipf().n() > 0 && gen.config().items_per_request == 5);
+        assert!(gen.zipf().table_bytes() > 0 && gen.config().items_per_request == 5);
         assert!(matches!(gen.source, Source::Pending(_)), "no thread yet");
         assert!(next_pinned(&mut gen, &mut blank(), 2));
         assert!(matches!(gen.source, Source::Staged(_)));

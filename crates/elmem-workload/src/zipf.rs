@@ -5,7 +5,7 @@
 //!
 //! One Walker/Vose alias table over *columns* at every keyspace size: O(1)
 //! per draw, 10–12 KB, so it stays in L1 where a table with a column per
-//! rank (`alias.rs`) is a cache miss per draw. The first `min(HEAD, n)`
+//! rank (8 bytes a key) is a cache miss per draw. The first `min(HEAD, n)`
 //! ranks are a column each, weight `r^-s`; the ranks above are cut into
 //! geometric blocks `[lo, lo + max(1, lo/16))`, a column each, weight
 //! `len · lo^-s` — an envelope of the block's mass, since `k^-s ≤ lo^-s`.
@@ -108,16 +108,6 @@ impl ZipfPopularity {
         }
     }
 
-    /// Number of keys.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Zipf exponent.
-    pub fn exponent(&self) -> f64 {
-        self.s
-    }
-
     /// Bytes the sampler's tables occupy — a few KiB at any `n`.
     pub fn table_bytes(&self) -> usize {
         std::mem::size_of_val(&self.table[..]) + std::mem::size_of_val(&self.blocks[..])
@@ -207,7 +197,6 @@ fn alias_table(mut scaled: Vec<f64>) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alias::ZipfAlias;
     use std::collections::{HashMap, HashSet};
 
     #[test]
@@ -251,22 +240,34 @@ mod tests {
         assert!((p - 0.1928).abs() < 0.01, "p(1) = {p}");
     }
 
-    /// Pearson's χ² of `draws` sampled ranks against the analytic pmf
-    /// `k^-s / Σ j^-s`, consecutive ranks pooled until a bin expects at
-    /// least 20 draws. Returns `(χ², degrees of freedom)`.
-    fn chi_square(z: &ZipfPopularity, seed: u64, draws: u64) -> (f64, f64) {
-        let n = z.n() as usize;
-        let mut observed = vec![0u64; n + 1];
+    /// The analytic pmf `k^-s / Σ j^-s`, indexed by rank (index 0 is 0).
+    fn pmf(z: &ZipfPopularity) -> Vec<f64> {
+        let weight = |k: u64| (k as f64).powf(-z.s);
+        let total: f64 = (1..=z.n).map(weight).sum();
+        let ranks = (1..=z.n).map(|k| weight(k) / total);
+        std::iter::once(0.0).chain(ranks).collect()
+    }
+
+    /// How often each rank comes out of `draws` samples, indexed by rank.
+    fn rank_counts(z: &ZipfPopularity, seed: u64, draws: u64) -> Vec<u64> {
+        let mut observed = vec![0u64; z.n as usize + 1];
         let mut rng = DetRng::seed(seed);
         for _ in 0..draws {
             observed[z.sample_rank(&mut rng) as usize] += 1;
         }
-        let weight = |k: usize| (k as f64).powf(-z.exponent());
-        let per_weight = draws as f64 / (1..=n).map(weight).sum::<f64>();
+        observed
+    }
+
+    /// Pearson's χ² of `draws` sampled ranks against the analytic pmf,
+    /// consecutive ranks pooled until a bin expects at least 20 draws.
+    /// Returns `(χ², degrees of freedom)`.
+    fn chi_square(z: &ZipfPopularity, seed: u64, draws: u64) -> (f64, f64) {
+        let observed = rank_counts(z, seed, draws);
+        let pmf = pmf(z);
         let mut bins: Vec<(f64, f64)> = Vec::new(); // (expected, observed)
         let mut open = (0.0, 0.0);
         for (k, &seen) in observed.iter().enumerate().skip(1) {
-            open.0 += weight(k) * per_weight;
+            open.0 += pmf[k] * draws as f64;
             open.1 += seen as f64;
             if open.0 >= 20.0 {
                 bins.push(std::mem::take(&mut open));
@@ -301,27 +302,18 @@ mod tests {
     }
 
     #[test]
-    fn marginals_match_the_full_alias_table() {
-        // `ZipfAlias` holds one column per rank: the reference this
-        // sampler's columns-and-blocks table is a compression of.
+    fn marginals_match_the_analytic_pmf() {
+        // Every rank its own column, and most ranks in blocks.
         for head in [HEAD, 4] {
             let zipf = ZipfPopularity::with_head(50, 0.9, 5, head);
-            let alias = ZipfAlias::from_zipf(&zipf);
-            let n = 400_000;
-            let mut rng_a = DetRng::seed(3);
-            let mut rng_b = DetRng::seed(4);
-            let mut ca = [0u64; 51];
-            let mut cb = [0u64; 51];
-            for _ in 0..n {
-                ca[alias.sample_rank(&mut rng_a) as usize] += 1;
-                cb[zipf.sample_rank(&mut rng_b) as usize] += 1;
-            }
+            let draws = 400_000;
+            let (seen, pmf) = (rank_counts(&zipf, 4, draws), pmf(&zipf));
             for r in 1..=50usize {
-                let pa = ca[r] as f64 / n as f64;
-                let pb = cb[r] as f64 / n as f64;
+                let p = seen[r] as f64 / draws as f64;
                 assert!(
-                    (pa - pb).abs() < 0.005,
-                    "head {head} rank {r}: full table {pa:.4} vs blocks {pb:.4}"
+                    (p - pmf[r]).abs() < 0.005,
+                    "head {head} rank {r}: drawn {p:.4} vs pmf {:.4}",
+                    pmf[r]
                 );
             }
         }

@@ -145,10 +145,9 @@ proptest! {
 /// items, which no generated tier above does. Here a node does, in two
 /// slab classes, a third of the items re-read in one instant — so each
 /// direction's routing (Naive's per-class trim included) and selection
-/// really run on workers. (A store has one list per class, so of the two
-/// knobs the name gives only the worker count is left.)
+/// really run on workers.
 #[test]
-fn migration_above_the_fanout_floor_ignores_jobs_and_shards() {
+fn migration_above_the_fanout_floor_ignores_jobs() {
     let accesses: Vec<(u64, u16)> = (0..130_000u64).map(|k| (k, 40 * (k % 7) as u16)).collect();
     let cfg = ClusterConfig {
         node_memory: ByteSize::from_mib(32),

@@ -89,11 +89,9 @@ proptest! {
 
     /// The scale claim: the full telemetry dump of a 100-node run —
     /// event stream, histograms, counter series, per-node rows — is
-    /// byte-identical at one worker and at four. (A store has one list per
-    /// class, so of the two knobs the name gives only the worker count is
-    /// left.)
+    /// byte-identical at one worker and at four.
     #[test]
-    fn hundred_node_dump_identical_across_jobs_and_shards(seed in 0u64..1_000) {
+    fn hundred_node_dump_identical_across_jobs(seed in 0u64..1_000) {
         let _guard = JOBS_KNOB.lock().unwrap_or_else(|e| e.into_inner());
         let want = dump(seed, 1);
         let got = dump(seed, 4);
