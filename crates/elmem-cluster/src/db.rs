@@ -16,7 +16,7 @@ pub enum DbFetch {
     /// plane: during the refill storm that follows a scaling commit, the
     /// database sheds fetches while migration traffic is still settling,
     /// and those sheds do **not** count against the migration supervisor's
-    /// transfer retry budget (`RetryPolicy` in `elmem-core`). Only
+    /// transfer retry budget (`elmem-core`'s migration supervisor). Only
     /// injected drops of the migration's own metadata/data shipments
     /// consume retries; a shed fetch is simply retried by the client on a
     /// later request, or the key ages back in through the normal miss

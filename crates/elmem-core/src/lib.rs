@@ -13,8 +13,7 @@
 //!   and CPU costs producing the paper's ~2-minute overhead breakdown —
 //!   one engine ([`migration::migrate`]) for scale-in, scale-out and the
 //!   Naive comparator, runnable under [`migration::Supervision`]
-//!   (per-phase deadlines, shipment-drop retries, crash aborts) against an
-//!   `elmem_sim::FaultPlan`;
+//!   (shipment-drop retries, crash aborts) against an `elmem_sim::FaultPlan`;
 //! * [`policies`] — the comparators of §V: `baseline` (no migration),
 //!   `Naive`, and `CacheScale`;
 //! * [`elasticity`] — the end-to-end driver tying the control plane to the
@@ -71,8 +70,7 @@ pub use journal::{
 pub use master::{Admission, DeferredAction, DeferredKind, JobKind, Master, Orchestration};
 pub use migration::{
     migrate, plan_scale_in_shipments, AbortCause, MigrateJob, MigrationCosts, MigrationOutcome,
-    MigrationPhase, MigrationReport, PhaseBreakdown, PhaseDeadlines, PlanStats, ResumePoint,
-    RetryPolicy, Shipment, Supervision,
+    MigrationPhase, MigrationReport, PhaseBreakdown, PlanStats, ResumePoint, Shipment, Supervision,
 };
 pub use predictive::{PredictiveAutoScaler, PredictiveConfig};
 pub use telemetry::{

@@ -286,8 +286,8 @@ impl Master {
     }
 
     /// [`Master::scale_in`] under supervision: the ElMem migration runs
-    /// with deadlines, shipment-drop retries, and crash-abort handling
-    /// (the comparators have no supervised path and behave as usual).
+    /// with shipment-drop retries and crash-abort handling (the
+    /// comparators have no supervised path and behave as usual).
     ///
     /// On [`MigrationOutcome::Aborted`] the Master does not panic and does
     /// not roll back: partial imports stay, and the scaling is committed

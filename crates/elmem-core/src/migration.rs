@@ -2,9 +2,9 @@
 //! (FuseCache), and data migration, with the per-phase cost model that
 //! reproduces the paper's ~2-minute overhead breakdown (§V-B2).
 //!
-//! One engine — [`migrate`] — runs every direction through the same three
-//! stages, **route → select/seal → ship**; the [`MigrateJob`] says which
-//! nodes move data where and which rule selects what ships:
+//! One engine — [`migrate`] — runs every direction through the same two
+//! stages, **plan → price/ship**; the [`MigrateJob`] says which nodes move
+//! data where and which rule selects what ships:
 //!
 //! * Scale-in: every retiring Agent hashes its keys against the *retained*
 //!   membership and ships `(key, timestamp)` metadata to the target nodes;
@@ -20,9 +20,9 @@
 //! * The Naive comparator (§V-B4): each retiring node ships a fixed share
 //!   of its hottest items, no comparison.
 //!
-//! Supervision (deadlines, retries, crash aborts) and journaling (Master
-//! crash resume, DESIGN.md §13) are arguments of the one engine; their
-//! empty forms supervise and record nothing.
+//! Supervision (retries, crash aborts) and journaling (Master crash
+//! resume, DESIGN.md §13) are arguments of the one engine; their empty
+//! forms supervise and record nothing.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -132,10 +132,10 @@ pub struct MigrationReport {
     /// Items considered (dumped) on the sources.
     pub items_considered: u64,
     /// How the migration ended: ran to completion, or aborted by the
-    /// supervisor on a fault or deadline.
+    /// supervisor on a fault.
     pub outcome: MigrationOutcome,
     /// Shipment attempts beyond the first (metadata + data phases),
-    /// consumed from the [`RetryPolicy`] budget by injected drops.
+    /// consumed by injected drops from a fixed budget of four per shipment.
     ///
     /// Database sheds during the post-commit refill storm do **not**
     /// count here — see `elmem_cluster::DbFetch::Shed`.
@@ -167,8 +167,6 @@ pub enum AbortCause {
     SourceCrashed(NodeId),
     /// A retained (or newly provisioned) destination died mid-flight.
     DestinationCrashed(NodeId),
-    /// A phase overran its [`PhaseDeadlines`] budget.
-    DeadlineExceeded,
     /// A shipment kept dropping until the retry budget ran out.
     TransferRetriesExhausted {
         /// The source whose shipment would not go through.
@@ -227,71 +225,24 @@ impl MigrationOutcome {
     }
 }
 
-/// Per-phase wall-clock budgets. `None` disables the check for that
-/// phase; [`PhaseDeadlines::none`] (the default) supervises nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PhaseDeadlines {
-    /// Budget for the metadata-transfer duration (excluding scoring+dump).
-    pub metadata: Option<SimTime>,
-    /// Budget for the FuseCache duration.
-    pub hotness: Option<SimTime>,
-    /// Budget for data transfer + import combined.
-    pub data: Option<SimTime>,
+/// Retries allowed per dropped shipment before the supervisor aborts
+/// (beyond the first attempt).
+const MAX_SEND_RETRIES: u32 = 4;
+
+/// Backoff before retry number `attempt` (1-based): 500 ms · 2^(a−1),
+/// capped at 8 s.
+fn backoff(attempt: u32) -> SimTime {
+    let ms = 500u64.saturating_mul(1 << attempt.saturating_sub(1).min(32));
+    SimTime::from_millis(ms.min(8_000))
 }
 
-impl PhaseDeadlines {
-    /// No deadlines.
-    pub fn none() -> Self {
-        PhaseDeadlines::default()
-    }
-}
-
-/// Bounded-exponential-backoff retry budget for dropped shipments.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Retries allowed per shipment before aborting (beyond the first
-    /// attempt).
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles each retry.
-    pub backoff_base: SimTime,
-    /// Backoff ceiling.
-    pub backoff_cap: SimTime,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            backoff_base: SimTime::from_millis(500),
-            backoff_cap: SimTime::from_secs(8),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `attempt` (1-based): `base · 2^(a-1)`,
-    /// capped.
-    pub fn backoff(&self, attempt: u32) -> SimTime {
-        let exp = attempt.saturating_sub(1).min(32);
-        let ns = self
-            .backoff_base
-            .as_nanos()
-            .saturating_mul(1u64 << exp)
-            .min(self.backoff_cap.as_nanos());
-        SimTime::from_nanos(ns)
-    }
-}
-
-/// Supervision context for a migration: deadlines, the retry budget, and
-/// (optionally) the fault injector whose scheduled crashes and sampled
-/// drops the supervisor consults. [`Supervision::none`] is the empty form:
-/// it supervises nothing and costs nothing.
+/// Supervision context for a migration: (optionally) the fault injector
+/// whose scheduled crashes and sampled drops the supervisor consults, and
+/// the Master's crash plan. The retry budget for dropped shipments is a
+/// constant. [`Supervision::none`] is the empty form: it supervises
+/// nothing and costs nothing.
 #[derive(Debug)]
 pub struct Supervision<'a> {
-    /// Per-phase wall-clock budgets.
-    pub deadlines: PhaseDeadlines,
-    /// Retry budget for dropped shipments.
-    pub retry: RetryPolicy,
     /// The experiment's fault injector, when faults are being injected.
     pub faults: Option<&'a mut FaultInjector>,
     /// Scheduled Master crashes and the restart/recovery policy. Only a
@@ -300,11 +251,9 @@ pub struct Supervision<'a> {
 }
 
 impl Supervision<'static> {
-    /// No deadlines, default retries, no faults.
+    /// No faults, no Master crashes.
     pub fn none() -> Self {
         Supervision {
-            deadlines: PhaseDeadlines::none(),
-            retry: RetryPolicy::default(),
             faults: None,
             master: MasterPlan::default(),
         }
@@ -312,7 +261,7 @@ impl Supervision<'static> {
 }
 
 impl<'a> Supervision<'a> {
-    /// Supervision against `injector` with default deadlines/retries.
+    /// Supervision against `injector`.
     pub fn with_faults(injector: &'a mut FaultInjector) -> Self {
         Supervision {
             faults: Some(injector),
@@ -355,7 +304,7 @@ impl<'a> Supervision<'a> {
 /// What a migration moves: the direction — a §III-D scale-in, or the
 /// §III-D4 scale-out that runs the same steps with the roles of the nodes
 /// reversed — and the rule that selects what ships. [`migrate`] runs every
-/// job through the same route → select/seal → ship engine.
+/// job through the same plan → price/ship engine.
 #[derive(Debug, Clone, Copy)]
 pub enum MigrateJob<'a> {
     /// Drains the `retiring` members into the retained membership: each
@@ -557,15 +506,15 @@ fn live_node_mut(tier: &mut CacheTier, id: NodeId) -> Result<&mut CacheNode, Elm
 }
 
 // ---------------------------------------------------------------------------
-// Stage 1 — route
+// Stage 1 — plan
 //
 // The migration *plan* — which items each source ships to which
 // (destination, class) cell — is a pure function of the tier: dump + route
-// per source, then one selection per cell. Both stages fan out over
+// per source, then one selection per cell. Both steps fan out over
 // `elmem_util::par::par_map_indexed` and reassemble in input order, so the
 // plan is byte-identical to a serial pass whatever the worker count. The
-// serial per-source link scheduling / fault sampling stays in the ship
-// stage: link state and drop sampling are order-sensitive.
+// serial per-source link scheduling / fault sampling stays in stage 2,
+// price/ship: link state and drop sampling are order-sensitive.
 // ---------------------------------------------------------------------------
 
 /// With no source this large, an automatically-parallelized migration
@@ -573,14 +522,14 @@ fn live_node_mut(tier: &mut CacheTier, id: NodeId) -> Result<&mut CacheNode, Elm
 /// sweep cells migrate faster than worker threads spawn.
 const PAR_MIN_ITEMS: u64 = 32_768;
 
-/// Worker threads for the routing and FuseCache stages of a migration
-/// that dumps `sources` — the one decision the planner and the engine
-/// share, so what [`plan_scale_in_shipments`] times is what a migration
-/// runs. An explicit `requested` count is honoured as is; `0` resolves to
-/// [`par_jobs`], staying serial unless some source holds at least
-/// [`PAR_MIN_ITEMS`] items: sources are routed one at a time, each over
-/// its own classes, so one large source saturates every job
-/// and many small ones would only pay for the threads.
+/// Worker threads for the routing and FuseCache steps of a `plan` that
+/// dumps `sources` — resolved inside `plan`, so what
+/// [`plan_scale_in_shipments`] times is what a migration runs. An explicit
+/// `requested` count is honoured as is; `0` resolves to [`par_jobs`],
+/// staying serial unless some source holds at least [`PAR_MIN_ITEMS`]
+/// items: sources are routed one at a time, each over its own classes, so
+/// one large source saturates every job and many small ones would only pay
+/// for the threads.
 fn fanout_jobs(tier: &CacheTier, sources: &[NodeId], requested: usize) -> usize {
     if requested != 0 {
         return requested;
@@ -598,35 +547,26 @@ fn fanout_jobs(tier: &CacheTier, sources: &[NodeId], requested: usize) -> usize 
     }
 }
 
-/// The routing result for one source: its metadata dump hashed against
-/// the ring the scaling will commit.
-#[derive(Default)]
-struct RoutedSource {
-    /// Items the source dumped (before any source-side trimming).
-    n_items: u64,
-    /// The routed lists by (target, class) cell, each in dump order.
-    per_target: Vec<((NodeId, ClassId), Vec<ItemMeta>)>,
-}
-
-/// Dumps every source and hashes each item against `ring` — the pure part
-/// of phase 1 (§III-D1) — keeping only the lists bound for a `keep` target
-/// when one is given. The unit of work is one (source, class) cell: a
-/// worker dumps that class through the store's ordered walk, applies
-/// Naive's trim, routes the items into one bucket per target node and
-/// drops the dump before it takes the next cell. Peak memory is `jobs`
-/// class dumps beside the routed lists, the fan-out is as wide as sources ×
-/// classes, and the cells reassemble in (source, class, target) order, so
-/// the plan is invariant in the job count.
+/// Dumps every source and hashes each item against the ring the scaling
+/// will commit — the pure part of phase 1 (§III-D1) — keeping only the
+/// lists bound for a `keep` target when the recipe names one. The unit of
+/// work is one (source, class) cell: a worker dumps that class through the
+/// store's ordered walk, applies Naive's trim, routes the items into one
+/// bucket per target node and drops the dump before it takes the next
+/// cell. Peak memory is `jobs` class dumps beside the routed lists, the
+/// fan-out is as wide as sources × classes, and the cells reassemble in
+/// (source, class) order, so each (target, class) cell lists its sources
+/// in recipe order whatever the job count.
+///
+/// Returns the items each source dumped (before any trimming), in recipe
+/// order, beside the routed lists.
 fn route_sources(
     tier: &CacheTier,
-    sources: &[NodeId],
-    ring: &HashRing,
-    keep: Option<&[NodeId]>,
-    hottest: Option<(f64, SimTime)>,
+    recipe: &Recipe<'_>,
     jobs: usize,
-) -> Result<Vec<RoutedSource>, ElmemError> {
+) -> Result<(Vec<u64>, InboundMap), ElmemError> {
     let mut cells: Vec<(usize, &SlabStore, ClassId)> = Vec::new();
-    for (si, &src) in sources.iter().enumerate() {
+    for (si, &src) in recipe.sources.iter().enumerate() {
         let store = &live_node(tier, src)?.store;
         let occupied = store.classes().ids().filter(|&c| store.len_of_class(c) > 0);
         cells.extend(occupied.map(|c| (si, store, c)));
@@ -634,7 +574,7 @@ fn route_sources(
     let by_cell = par_map_indexed(jobs, &cells, |_, &(_, store, class)| {
         let mut items = store.dump_class(class).items;
         let n_items = items.len() as u64;
-        if let Some((fraction, now)) = hottest {
+        if let Some((fraction, now)) = recipe.hottest {
             let take = (items.len() as f64 * fraction).ceil() as usize;
             items.truncate(take);
             // Plain-`set` semantics: the import gets a fresh access time
@@ -645,30 +585,35 @@ fn route_sources(
         }
         let mut buckets: NodeMap<Vec<ItemMeta>> = NodeMap::new();
         for item in &items {
-            let target = ring.node_for(item.key).ok_or_else(|| {
+            let target = recipe.ring.node_for(item.key).ok_or_else(|| {
                 ElmemError::InconsistentMigration("target ring is empty".to_string())
             })?;
-            if keep.is_none_or(|kept| kept.contains(&target)) {
+            if recipe.keep.is_none_or(|kept| kept.contains(&target)) {
                 buckets.get_or_insert_with(target, Vec::new).push(*item);
             }
         }
         Ok((n_items, buckets))
     });
-    let mut routed: Vec<RoutedSource> = sources.iter().map(|_| RoutedSource::default()).collect();
+    let mut dumped = vec![0u64; recipe.sources.len()];
+    let mut inbound: InboundMap = HashMap::new();
     for (&(si, _, class), cell) in cells.iter().zip(by_cell) {
         let (n_items, mut buckets): (u64, NodeMap<Vec<ItemMeta>>) = cell?;
-        routed[si].n_items += n_items;
+        dumped[si] += n_items;
+        let src = recipe.sources[si];
         for target in buckets.keys().collect::<Vec<_>>() {
             if let Some(items) = buckets.remove(target) {
-                routed[si].per_target.push(((target, class), items));
+                inbound
+                    .entry((target, class))
+                    .or_default()
+                    .push((src, items));
             }
         }
     }
-    Ok(routed)
+    Ok((dumped, inbound))
 }
 
 // ---------------------------------------------------------------------------
-// Stage 2 — select / seal
+// Stage 1, continued — select and seal
 // ---------------------------------------------------------------------------
 
 /// One planned phase-3 shipment: the `take` hottest of the items a source
@@ -821,52 +766,34 @@ fn fuse_cell(tier: &CacheTier, cell: &PlanCell) -> Result<(Vec<usize>, u64), Elm
     Ok((picks, stats.comparisons))
 }
 
-/// The FuseCache selection's output: the shipment plan plus the comparison
-/// counts the cost model charges per destination.
-struct CellOutcome {
-    plan: Vec<Shipment>,
-    per_dest_comparisons: HashMap<NodeId, u64>,
-    comparisons: u64,
-}
-
-/// Converts routed inbound lists into the phase-3 shipment plan: one
-/// FuseCache selection per (target, class) cell, fanned out over `jobs`
-/// workers, results reassembled in `dest_keys` (sorted) order so the plan
-/// is byte-identical to a serial pass. Each cell's chosen items are moved
-/// — not cloned — into the plan.
+/// Converts routed inbound lists into the phase-3 shipments: one FuseCache
+/// selection per (target, class) cell, fanned out over `jobs` workers,
+/// results reassembled in sorted cell order so the shipments are
+/// byte-identical to a serial pass. Each cell's chosen items are moved —
+/// not cloned — into them. Also returns the comparisons per destination,
+/// which the cost model charges.
 fn build_shipments(
     tier: &CacheTier,
-    dest_keys: &[(NodeId, ClassId)],
-    mut inbound: InboundMap,
+    inbound: InboundMap,
     jobs: usize,
-) -> Result<CellOutcome, ElmemError> {
-    let cells: Vec<PlanCell> = dest_keys
-        .iter()
-        .map(|&(target, class)| {
-            let sources = inbound.remove(&(target, class)).ok_or_else(|| {
-                ElmemError::InconsistentMigration(format!(
-                    "no inbound lists for destination cell ({target}, {class})"
-                ))
-            })?;
-            Ok(PlanCell {
-                target,
-                class,
-                sources,
-            })
+) -> Result<(Vec<Shipment>, HashMap<NodeId, u64>), ElmemError> {
+    let mut cells: Vec<PlanCell> = inbound
+        .into_iter()
+        .map(|((target, class), sources)| PlanCell {
+            target,
+            class,
+            sources,
         })
-        .collect::<Result<_, ElmemError>>()?;
+        .collect();
+    cells.sort_unstable_by_key(|cell| (cell.target, cell.class));
     let picks = par_map_indexed(jobs, &cells, |_, cell| fuse_cell(tier, cell));
-    let mut outcome = CellOutcome {
-        plan: Vec::new(),
-        per_dest_comparisons: HashMap::new(),
-        comparisons: 0,
-    };
+    let mut shipments: Vec<Shipment> = Vec::new();
+    let mut comparisons_at: HashMap<NodeId, u64> = HashMap::new();
     // Reassembly: cells in sorted (target, class) order, sources within a
-    // cell in retiring order — the exact order the serial code produced.
+    // cell in recipe order — the exact order the serial code produced.
     for (cell, result) in cells.into_iter().zip(picks) {
         let (picks, comparisons) = result?;
-        *outcome.per_dest_comparisons.entry(cell.target).or_default() += comparisons;
-        outcome.comparisons += comparisons;
+        *comparisons_at.entry(cell.target).or_default() += comparisons;
         // picks[0] is the destination's own list; picks[1..] map to sources.
         for (si, (source, items)) in cell.sources.into_iter().enumerate() {
             let pick = picks.get(si + 1).copied().ok_or_else(|| {
@@ -881,8 +808,8 @@ fn build_shipments(
             let take = pick.min(items.len());
             if take > 0 {
                 let checksum = shipment_checksum(&items[..take]);
-                outcome.plan.push(Shipment {
-                    seq: outcome.plan.len() as u64,
+                shipments.push(Shipment {
+                    seq: shipments.len() as u64,
                     source,
                     target: cell.target,
                     class: cell.class,
@@ -893,7 +820,7 @@ fn build_shipments(
             }
         }
     }
-    Ok(outcome)
+    Ok((shipments, comparisons_at))
 }
 
 /// The selection of a job that does not compare: every routed list ships
@@ -976,15 +903,68 @@ fn reconstruct_shipments(
     Ok(plan)
 }
 
-/// The migration *planning* pipeline alone — §III-D1's dump + routing and
-/// §III-D2's FuseCache selection — without mutating the tier, charging
-/// simulated time, or shipping anything: the pure function the data-plane
-/// benchmark times and whose parallel/serial byte-identity the tests pin.
+/// A migration's one decision: what each source dumped, where its items
+/// route, and what ships.
+struct Plan {
+    /// Items each source dumped, in recipe order.
+    dumped: Vec<u64>,
+    /// Every routed target, ascending — including those FuseCache sends
+    /// nothing: each receives metadata, so its crash breaks phase 1.
+    dests: Vec<NodeId>,
+    /// The sealed shipments, in `seq` order.
+    shipments: Vec<Shipment>,
+    /// FuseCache comparisons per destination (empty when nothing compared).
+    comparisons: HashMap<NodeId, u64>,
+    /// The totals [`plan_scale_in_shipments`] reports.
+    stats: PlanStats,
+}
+
+/// Routes and selects for `recipe` — the only code that decides what a
+/// migration moves. Pure: reads the tier only, touches no link and draws
+/// no fault, so the engine may run it before the metadata it prices is
+/// sent. A `sealed` manifest rebuilds and verifies its shipments; otherwise
+/// a comparing job runs FuseCache and any other seals everything routed.
+/// `jobs` resolves through [`fanout_jobs`]; the plan is byte-identical
+/// whatever it is.
+fn plan(
+    tier: &CacheTier,
+    recipe: &Recipe<'_>,
+    sealed: Option<&[ShipmentManifest]>,
+    jobs: usize,
+) -> Result<Plan, ElmemError> {
+    let jobs = fanout_jobs(tier, &recipe.sources, jobs);
+    let (dumped, inbound) = route_sources(tier, recipe, jobs)?;
+    let cells = inbound.len();
+    let mut dests: Vec<NodeId> = inbound.keys().map(|&(target, _)| target).collect();
+    dests.sort_unstable();
+    dests.dedup();
+    let (shipments, comparisons) = match sealed {
+        Some(manifest) => (reconstruct_shipments(inbound, manifest)?, HashMap::new()),
+        None if recipe.compares => build_shipments(tier, inbound, jobs)?,
+        None => (seal_everything(inbound), HashMap::new()),
+    };
+    let stats = PlanStats {
+        items_considered: dumped.iter().sum(),
+        cells,
+        comparisons: comparisons.values().sum(),
+    };
+    Ok(Plan {
+        dumped,
+        dests,
+        shipments,
+        comparisons,
+        stats,
+    })
+}
+
+/// A benchmark shim: the scale-in `plan` alone — §III-D1's dump + routing
+/// and §III-D2's FuseCache selection — without mutating the tier, charging
+/// simulated time, or shipping anything. `benchmark/src/layers.rs:617`
+/// times it (`core.plan_ns_per_item`).
 ///
-/// `jobs` is the worker-thread count for both stages; `0` resolves to
-/// [`par_jobs`] and applies a work-size threshold so tiny migrations stay
-/// on the no-thread serial path. The returned plan is byte-identical
-/// whatever `jobs` is.
+/// `jobs` is the worker-thread count; `0` resolves to [`par_jobs`] and
+/// applies a work-size threshold so tiny migrations stay on the no-thread
+/// serial path. The returned plan is byte-identical whatever `jobs` is.
 ///
 /// # Errors
 ///
@@ -994,35 +974,19 @@ pub fn plan_scale_in_shipments(
     retiring: &[NodeId],
     jobs: usize,
 ) -> Result<(Vec<Shipment>, PlanStats), ElmemError> {
-    validate_retiring(tier.membership().members(), retiring)?;
-    let retained_ring = tier.membership().ring().without(retiring);
-    let jobs = fanout_jobs(tier, retiring, jobs);
-    let routed = route_sources(tier, retiring, &retained_ring, None, None, jobs)?;
-    let mut items_considered = 0u64;
-    let mut inbound: InboundMap = HashMap::new();
-    for (&src, routed_src) in retiring.iter().zip(routed) {
-        items_considered += routed_src.n_items;
-        for (cell, items) in routed_src.per_target {
-            inbound.entry(cell).or_default().push((src, items));
-        }
-    }
-    let mut dest_keys: Vec<(NodeId, ClassId)> = inbound.keys().copied().collect();
-    dest_keys.sort_unstable();
-    let outcome = build_shipments(tier, &dest_keys, inbound, jobs)?;
-    Ok((
-        outcome.plan,
-        PlanStats {
-            items_considered,
-            cells: dest_keys.len(),
-            comparisons: outcome.comparisons,
-        },
-    ))
+    let job = MigrateJob::ScaleIn {
+        retiring,
+        import_mode: ImportMode::Merge,
+    };
+    let recipe = job.resolve(tier, SimTime::ZERO, &MigrationCosts::default())?;
+    let plan = plan(tier, &recipe, None, jobs)?;
+    Ok((plan.shipments, plan.stats))
 }
 
 // ---------------------------------------------------------------------------
 // The engine (DESIGN.md §13)
 //
-// `attempt` runs one pass of a job through the three stages. Under a
+// `attempt` runs one pass of a job through both stages. Under a
 // scheduled Master crash it stops at the first boundary the crash precedes
 // and reports `Attempt::Interrupted`; `migrate` then truncates the journal
 // to what was durable at the crash instant, replays it, and launches the
@@ -1126,9 +1090,9 @@ impl Progress {
 /// Sends `bytes` over a source's NIC starting at `submit_at`; the
 /// shipment arrives `pipeline` (the per-item serialization cost) after the
 /// wire is done. While `dropped` reports the attempt lost it is re-sent
-/// after a bounded exponential backoff, each try burning link time and
-/// counting into `retries` (the budget covers only these injected drops,
-/// not database sheds).
+/// after a bounded exponential [`backoff`], each try burning link time and
+/// counting into `retries` (the [`MAX_SEND_RETRIES`] budget covers only
+/// these injected drops, not database sheds).
 ///
 /// Returns the arrival instant, or — the budget exhausted — the instant
 /// the last attempt failed and how many retries were made.
@@ -1137,7 +1101,6 @@ fn send_with_retries(
     submit_at: SimTime,
     bytes: ByteSize,
     pipeline: SimTime,
-    retry: RetryPolicy,
     mut dropped: impl FnMut() -> bool,
     retries: &mut u32,
 ) -> Result<SimTime, (SimTime, u32)> {
@@ -1150,20 +1113,20 @@ fn send_with_retries(
         }
         attempt += 1;
         *retries += 1;
-        if attempt >= retry.max_attempts {
+        if attempt >= MAX_SEND_RETRIES {
             return Err((completion, attempt));
         }
-        submit_at = completion + retry.backoff(attempt);
+        submit_at = completion + backoff(attempt);
     }
 }
 
-/// One pass of `recipe` through the three stages, from `now`: interruptible
+/// One pass of `recipe` through both stages, from `now`: interruptible
 /// by the Master crash in `ctl`, and — given the replayed journal state of
 /// an interrupted predecessor — a resume of it.
 ///
 /// Faults land on the report, not in the `Err`: a source or destination
-/// crash, an overrun deadline or an exhausted retry budget ends the
-/// attempt with [`MigrationOutcome::Aborted`].
+/// crash or an exhausted retry budget ends the attempt with
+/// [`MigrationOutcome::Aborted`].
 fn attempt(
     tier: &mut CacheTier,
     recipe: &Recipe<'_>,
@@ -1199,27 +1162,26 @@ fn attempt(
     }
     progress.report.phases.scoring = SimTime::from_nanos(max_slabs * costs.score_ns_per_slab);
 
-    // Phase 1 — dump + hash on each source (§III-D1 already runs the
-    // sources in parallel; worker threads fan the routing out when the
-    // volume warrants it), then — when the job compares — ship metadata to
-    // the targets (per-source link, serialized, in source order: link
-    // scheduling and drop sampling are order-sensitive, so shipping stays
-    // serial). Dump totals accumulate source-by-source so an abort's
-    // partial report covers exactly the sources reached.
-    let jobs = fanout_jobs(tier, &recipe.sources, 0);
-    let routed = route_sources(
-        tier,
-        &recipe.sources,
-        &recipe.ring,
-        recipe.keep,
-        recipe.hottest,
-        jobs,
-    )?;
-    // (target, class) → (source, items) lists.
-    let mut inbound: InboundMap = HashMap::new();
+    // The plan first: it reads only the stores, which nothing mutates
+    // before the seal, and touches no link or fault draw — so deciding
+    // up front changes no output, and an abort in phase 1 only wastes the
+    // selection's CPU.
+    let Plan {
+        dumped,
+        dests,
+        shipments,
+        comparisons,
+        ..
+    } = plan(tier, recipe, sealed.as_deref(), 0)?;
+
+    // Phase 1 — dump + hash on each source (§III-D1 runs the sources in
+    // parallel), then — when the job compares — ship metadata to the
+    // targets (per-source link, serialized, in source order: link
+    // scheduling and drop sampling are order-sensitive). Dump totals
+    // accumulate source-by-source so an abort's partial report covers
+    // exactly the sources reached.
     let mut transfer_done = now;
-    for (&src, routed_src) in recipe.sources.iter().zip(routed) {
-        let n_items = routed_src.n_items;
+    for (&src, &n_items) in recipe.sources.iter().zip(&dumped) {
         progress.report.items_considered += n_items;
         let dump = SimTime::from_nanos(n_items * costs.dump_ns_per_item);
         progress.report.phases.dump = progress.report.phases.dump.max(dump);
@@ -1234,7 +1196,6 @@ fn attempt(
                 now,
                 bytes,
                 SimTime::from_nanos(n_items * costs.metadata_ns_per_item),
-                supervision.retry,
                 || sealed.is_none() && supervision.sample_metadata_drop(),
                 &mut progress.report.transfer_retries,
             );
@@ -1252,9 +1213,6 @@ fn attempt(
                     ));
                 }
             }
-        }
-        for (cell, items) in routed_src.per_target {
-            inbound.entry(cell).or_default().push((src, items));
         }
     }
     progress.report.phases.metadata_transfer = transfer_done.saturating_sub(now);
@@ -1279,16 +1237,10 @@ fn attempt(
         });
     }
 
-    // Destinations, deterministic order (needed for the crash checks and
-    // the FuseCache pass).
-    let mut dest_keys: Vec<(NodeId, ClassId)> = inbound.keys().copied().collect();
-    dest_keys.sort_unstable();
-    let mut dests: Vec<NodeId> = dest_keys.iter().map(|&(t, _)| t).collect();
-    dests.dedup();
-
     // A source or destination that dies before the metadata lands aborts
     // the migration in phase 1: its stream breaks and the Master gives up
-    // at the crash instant.
+    // at the crash instant. Every routed target received metadata, so the
+    // check covers those FuseCache sends nothing too.
     if let Some((src, at)) = supervision.first_crash_before(&recipe.sources, phase1_end) {
         let cause = AbortCause::SourceCrashed(src);
         return Ok(progress.abort(at, MigrationPhase::MetadataTransfer, cause));
@@ -1297,41 +1249,18 @@ fn attempt(
         let cause = AbortCause::DestinationCrashed(dest);
         return Ok(progress.abort(at, MigrationPhase::MetadataTransfer, cause));
     }
-    if let Some(budget) = supervision.deadlines.metadata {
-        if progress.report.phases.metadata_transfer > budget {
-            return Ok(progress.abort(
-                metadata_start + budget,
-                MigrationPhase::MetadataTransfer,
-                AbortCause::DeadlineExceeded,
-            ));
-        }
-    }
 
-    // Phase 2 — select and seal. A comparing job runs FuseCache on each
-    // destination, per class (in parallel across destinations — worker
-    // threads too, when the volume warrants it; cost = max per
-    // destination); any other ships every routed list whole. The chosen
-    // items are moved out of the routed lists into the plan — no cloning.
-    // On a manifest-driven resume the selection is skipped entirely (the
-    // destinations already absorbed partial imports, so re-comparing would
-    // pick a different plan): the sealed plan is reconstructed from the
-    // freshly routed lists and checksum-verified.
-    let plan = match &sealed {
-        Some(manifest) => reconstruct_shipments(inbound, manifest)?,
-        None if recipe.compares => {
-            let outcome = build_shipments(tier, &dest_keys, inbound, jobs)?;
-            progress.report.phases.fusecache = SimTime::from_nanos(
-                outcome
-                    .per_dest_comparisons
-                    .values()
-                    .map(|&c| c * costs.fusecache_ns_per_comparison)
-                    .max()
-                    .unwrap_or(0),
-            );
-            outcome.plan
-        }
-        None => seal_everything(inbound),
-    };
+    // Phase 2 — the comparison, priced: FuseCache runs on each
+    // destination in parallel, so it costs the busiest one. Nothing
+    // compared (a job that ships everything, or a rebuild from the sealed
+    // manifest) costs nothing.
+    progress.report.phases.fusecache = SimTime::from_nanos(
+        comparisons
+            .values()
+            .map(|&c| c * costs.fusecache_ns_per_comparison)
+            .max()
+            .unwrap_or(0),
+    );
     let phase2_end = phase1_end + progress.report.phases.fusecache;
     progress.phase2_end = phase2_end;
 
@@ -1353,7 +1282,7 @@ fn attempt(
         ctl.log(phase2_end, |id| JournalRecord::PlanSealed {
             id,
             at: phase2_end,
-            manifest: plan.iter().map(Shipment::manifest).collect(),
+            manifest: shipments.iter().map(Shipment::manifest).collect(),
         });
         ctl.log(phase2_end, |id| JournalRecord::PhaseDone {
             id,
@@ -1368,22 +1297,13 @@ fn attempt(
         let cause = AbortCause::DestinationCrashed(dest);
         return Ok(progress.abort(at, MigrationPhase::HotnessComparison, cause));
     }
-    if let Some(budget) = supervision.deadlines.hotness {
-        if progress.report.phases.fusecache > budget {
-            return Ok(progress.abort(
-                phase1_end + budget,
-                MigrationPhase::HotnessComparison,
-                AbortCause::DeadlineExceeded,
-            ));
-        }
-    }
 
-    ship(tier, recipe, plan, &acked, supervision, ctl, progress)
+    ship(tier, recipe, shipments, &acked, supervision, ctl, progress)
 }
 
-/// Stage 3 — ship: sends every shipment of the sealed `plan` that is not
-/// durably acked over its source's link (serialized per source) and
-/// imports it on its destination. Imports applied before an abort are
+/// Stage 2's last step — ship: sends every shipment of the sealed `plan`
+/// that is not durably acked over its source's link (serialized per
+/// source) and imports it on its destination. Imports applied before an abort are
 /// kept: they are strictly-hotter data already in place.
 fn ship(
     tier: &mut CacheTier,
@@ -1419,7 +1339,6 @@ fn ship(
             data_start,
             bytes,
             SimTime::from_nanos(shipment.len() as u64 * costs.data_ns_per_item),
-            supervision.retry,
             || supervision.sample_transfer_drop(),
             &mut progress.report.transfer_retries,
         );
@@ -1516,15 +1435,6 @@ fn ship(
             phase: MigrationPhase::DataMigration,
         });
     }
-    if let Some(budget) = supervision.deadlines.data {
-        if progress.report.phases.data_transfer + progress.report.phases.import > budget {
-            return Ok(progress.abort(
-                data_start + budget,
-                MigrationPhase::DataMigration,
-                AbortCause::DeadlineExceeded,
-            ));
-        }
-    }
     ctl.log(completed, |id| JournalRecord::PhaseDone {
         id,
         phase: MigrationPhase::DataMigration,
@@ -1542,9 +1452,9 @@ fn ship(
 /// `report.completed` (requests keep being served by the old membership
 /// during the migration, exactly as in the paper).
 ///
-/// `supervision` carries the per-phase deadlines, the bounded
-/// exponential-backoff retry budget for dropped shipments, and the fault
-/// injector whose crashes abort the migration cleanly;
+/// `supervision` carries the fault injector whose crashes abort the
+/// migration cleanly and whose drops are retried against a fixed,
+/// exponentially backed-off budget;
 /// [`Supervision::none`] supervises nothing. On an abort the function
 /// still returns `Ok`: the report's `outcome` is
 /// [`MigrationOutcome::Aborted`] with the phase the fault landed in and
@@ -1996,6 +1906,114 @@ mod tests {
         );
     }
 
+    // ---- the plan ----------------------------------------------------------
+
+    #[test]
+    fn a_manifest_rebuilds_each_jobs_fresh_plan() {
+        let (mut provisioned, _) = warmed_tier();
+        let new = provisioned.provision_nodes(1);
+        let (plain, _) = warmed_tier();
+        let naive = MigrateJob::NaiveScaleIn {
+            retiring: &[NodeId(0)],
+            fraction: 0.75,
+        };
+        let fill = MigrateJob::ScaleOut { new_nodes: &new };
+        for (tier, job) in [(&plain, DRAIN), (&provisioned, fill), (&plain, naive)] {
+            let recipe = job.resolve(tier, NOW, &MigrationCosts::default()).unwrap();
+            let fresh = plan(tier, &recipe, None, 1).unwrap();
+            assert!(!fresh.shipments.is_empty(), "{job:?}");
+            let manifest: Vec<ShipmentManifest> =
+                fresh.shipments.iter().map(Shipment::manifest).collect();
+            let rebuilt = plan(tier, &recipe, Some(&manifest), 1).unwrap();
+            assert_eq!(rebuilt.shipments, fresh.shipments, "{job:?}");
+            assert_eq!(rebuilt.dests, fresh.dests, "{job:?}");
+            assert_eq!(rebuilt.dumped, fresh.dumped, "{job:?}");
+            // A rebuild compares nothing, so its FuseCache phase is free.
+            assert!(rebuilt.comparisons.is_empty(), "{job:?}");
+        }
+    }
+
+    #[test]
+    fn a_manifest_the_routed_lists_do_not_match_is_refused() {
+        let (tier, _) = warmed_tier();
+        let recipe = DRAIN
+            .resolve(&tier, NOW, &MigrationCosts::default())
+            .unwrap();
+        let fresh = plan(&tier, &recipe, None, 1).unwrap();
+        let sealed: Vec<ShipmentManifest> =
+            fresh.shipments.iter().map(Shipment::manifest).collect();
+        let routed = fresh.shipments[0].items.len();
+        let bad = |edit: &dyn Fn(&mut ShipmentManifest)| {
+            let mut manifest = sealed.clone();
+            edit(&mut manifest[0]);
+            plan(&tier, &recipe, Some(&manifest), 1).map(|p| p.shipments)
+        };
+        // Nothing is routed to the retiring node itself.
+        let unrouted = bad(&|m| m.target = NodeId(0));
+        assert!(matches!(
+            unrouted,
+            Err(ElmemError::InconsistentMigration(_))
+        ));
+        let too_long = bad(&|m| m.take = routed + 1);
+        assert!(matches!(
+            too_long,
+            Err(ElmemError::InconsistentMigration(_))
+        ));
+        let forged = bad(&|m| m.checksum ^= 1);
+        assert!(matches!(forged, Err(ElmemError::InvariantViolation(_))));
+    }
+
+    #[test]
+    fn a_routed_target_with_no_shipment_aborts_phase_one_on_its_crash() {
+        // Node 1 holds a full page of hot 40 KiB items; node 0's cold ones
+        // route partly to node 1, where FuseCache keeps the residents, and
+        // partly to nodes whose class is empty.
+        let mut tier = CacheTier::new(ClusterConfig::small_test());
+        let full = NodeId(1);
+        let retained = tier.membership().ring().without(&[NodeId(0)]);
+        let footprint = ItemMeta::new(KeyId(0), 40 << 10, NOW).footprint();
+        let classes = tier.node(full).unwrap().store.classes();
+        let per_page = classes.chunks_per_page(classes.class_for(footprint).unwrap());
+        let (mut hot, mut cold) = (0, 0);
+        for k in 0..10_000u64 {
+            let key = KeyId(k);
+            let owner = tier.node_for_key(key).unwrap();
+            let (at, count) = match owner {
+                NodeId(0) if cold < 2 * per_page => (100 + k, &mut cold),
+                o if o == full && hot < per_page => (100_000 + k, &mut hot),
+                _ => continue,
+            };
+            *count += 1;
+            let node = tier.node_mut(owner).unwrap();
+            node.store
+                .set(key, 40 << 10, SimTime::from_secs(at))
+                .unwrap();
+        }
+        let recipe = DRAIN
+            .resolve(&tier, NOW, &MigrationCosts::default())
+            .unwrap();
+        let planned = plan(&tier, &recipe, None, 1).unwrap();
+        let drained = &tier.node(NodeId(0)).unwrap().store;
+        assert!(drained
+            .iter()
+            .any(|i| retained.node_for(i.key) == Some(full)));
+        assert!(planned.dests.contains(&full));
+        assert!(!planned.shipments.iter().any(|s| s.target == full));
+        assert!(!planned.shipments.is_empty());
+
+        // Node 1 still received node 0's metadata: its crash breaks phase 1.
+        let crash_at = NOW + SimTime::from_millis(1);
+        let mut inj = injector(FaultPlan::new().crash(crash_at, full));
+        let report = supervised_run(&mut tier, &mut inj);
+        assert_eq!(
+            report.outcome,
+            MigrationOutcome::Aborted {
+                phase: MigrationPhase::MetadataTransfer,
+                cause: AbortCause::DestinationCrashed(full),
+            }
+        );
+    }
+
     // ---- the shipment checksum ----------------------------------------------
 
     fn item_of((key, value_size, last_access): (u64, u32, u64)) -> ItemMeta {
@@ -2061,13 +2079,8 @@ mod tests {
         FaultInjector::new(plan, DetRng::seed(42).split("faults"))
     }
 
-    fn supervised_run(
-        tier: &mut CacheTier,
-        faults: &mut FaultInjector,
-        deadlines: PhaseDeadlines,
-    ) -> MigrationReport {
+    fn supervised_run(tier: &mut CacheTier, faults: &mut FaultInjector) -> MigrationReport {
         let mut sup = Supervision::with_faults(faults);
-        sup.deadlines = deadlines;
         migrate(
             tier,
             &DRAIN,
@@ -2084,7 +2097,7 @@ mod tests {
         let (mut tier, _) = warmed_tier();
         let crash_at = NOW + SimTime::from_millis(1);
         let mut inj = injector(FaultPlan::new().crash(crash_at, NodeId(0)));
-        let report = supervised_run(&mut tier, &mut inj, PhaseDeadlines::none());
+        let report = supervised_run(&mut tier, &mut inj);
         assert_eq!(
             report.outcome,
             MigrationOutcome::Aborted {
@@ -2120,7 +2133,7 @@ mod tests {
         let crash_at = data_start + SimTime::from_nanos(1);
         let (mut tier, _) = warmed_tier();
         let mut inj = injector(FaultPlan::new().crash(crash_at, NodeId(3)));
-        let report = supervised_run(&mut tier, &mut inj, PhaseDeadlines::none());
+        let report = supervised_run(&mut tier, &mut inj);
         match report.outcome {
             MigrationOutcome::Aborted { phase, cause } => {
                 assert_eq!(phase, MigrationPhase::DataMigration);
@@ -2140,7 +2153,7 @@ mod tests {
     fn certain_drops_exhaust_retry_budget() {
         let (mut tier, _) = warmed_tier();
         let mut inj = injector(FaultPlan::new().drop_metadata_with_prob(1.0));
-        let report = supervised_run(&mut tier, &mut inj, PhaseDeadlines::none());
+        let report = supervised_run(&mut tier, &mut inj);
         match report.outcome {
             MigrationOutcome::Aborted { phase, cause } => {
                 assert_eq!(phase, MigrationPhase::MetadataTransfer);
@@ -2148,13 +2161,13 @@ mod tests {
                     cause,
                     AbortCause::TransferRetriesExhausted {
                         source: NodeId(0),
-                        attempts: RetryPolicy::default().max_attempts,
+                        attempts: MAX_SEND_RETRIES,
                     }
                 );
             }
             other => panic!("expected abort, got {other:?}"),
         }
-        assert_eq!(report.transfer_retries, RetryPolicy::default().max_attempts);
+        assert_eq!(report.transfer_retries, MAX_SEND_RETRIES);
         assert_eq!(report.items_migrated, 0);
         // Each failed attempt still burned link time.
         assert!(report.completed > NOW);
@@ -2168,7 +2181,7 @@ mod tests {
                 .drop_metadata_with_prob(0.3)
                 .drop_transfers_with_prob(0.15),
         );
-        let report = supervised_run(&mut tier, &mut inj, PhaseDeadlines::none());
+        let report = supervised_run(&mut tier, &mut inj);
         // With these probabilities and a budget of 4 per shipment, the
         // seeded run completes after some retries.
         assert!(report.outcome.is_completed(), "{:?}", report.outcome);
@@ -2180,24 +2193,6 @@ mod tests {
     }
 
     #[test]
-    fn metadata_deadline_aborts() {
-        let (mut tier, _) = warmed_tier();
-        let mut inj = injector(FaultPlan::new());
-        let deadlines = PhaseDeadlines {
-            metadata: Some(SimTime::from_nanos(1)),
-            ..PhaseDeadlines::none()
-        };
-        let report = supervised_run(&mut tier, &mut inj, deadlines);
-        assert_eq!(
-            report.outcome,
-            MigrationOutcome::Aborted {
-                phase: MigrationPhase::MetadataTransfer,
-                cause: AbortCause::DeadlineExceeded,
-            }
-        );
-    }
-
-    #[test]
     fn supervised_runs_are_deterministic() {
         let run = || {
             let (mut tier, _) = warmed_tier();
@@ -2206,19 +2201,18 @@ mod tests {
                     .crash(NOW + SimTime::from_secs(3), NodeId(2))
                     .drop_metadata_with_prob(0.4),
             );
-            supervised_run(&mut tier, &mut inj, PhaseDeadlines::none())
+            supervised_run(&mut tier, &mut inj)
         };
         assert_eq!(run(), run());
     }
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let retry = RetryPolicy::default();
-        assert_eq!(retry.backoff(1), SimTime::from_millis(500));
-        assert_eq!(retry.backoff(2), SimTime::from_secs(1));
-        assert_eq!(retry.backoff(3), SimTime::from_secs(2));
-        assert_eq!(retry.backoff(10), SimTime::from_secs(8));
-        assert_eq!(retry.backoff(60), SimTime::from_secs(8));
+        assert_eq!(backoff(1), SimTime::from_millis(500));
+        assert_eq!(backoff(2), SimTime::from_secs(1));
+        assert_eq!(backoff(3), SimTime::from_secs(2));
+        assert_eq!(backoff(10), SimTime::from_secs(8));
+        assert_eq!(backoff(60), SimTime::from_secs(8));
     }
 
     // ---- crash-recoverable control plane (DESIGN.md §13) -----------------

@@ -211,7 +211,6 @@ pub fn abort_class(cause: &AbortCause) -> AbortClass {
     match cause {
         AbortCause::SourceCrashed(_) => AbortClass::SourceCrashed,
         AbortCause::DestinationCrashed(_) => AbortClass::DestinationCrashed,
-        AbortCause::DeadlineExceeded => AbortClass::DeadlineExceeded,
         AbortCause::TransferRetriesExhausted { .. } => AbortClass::RetriesExhausted,
         AbortCause::MasterCrashed => AbortClass::MasterCrashed,
     }

@@ -378,8 +378,6 @@ pub enum AbortClass {
     SourceCrashed,
     /// A retained or new destination died mid-flight.
     DestinationCrashed,
-    /// A phase overran its deadline.
-    DeadlineExceeded,
     /// The shipment retry budget ran out.
     RetriesExhausted,
     /// The Master died mid-migration and its recovery policy gave up
@@ -393,7 +391,6 @@ impl AbortClass {
         match self {
             AbortClass::SourceCrashed => "source_crashed",
             AbortClass::DestinationCrashed => "destination_crashed",
-            AbortClass::DeadlineExceeded => "deadline_exceeded",
             AbortClass::RetriesExhausted => "retries_exhausted",
             AbortClass::MasterCrashed => "master_crashed",
         }

@@ -1,10 +1,11 @@
-//! Property tests for the pipelined migration planner: the shipment plan
-//! — contents, order, and stats — must be **byte-identical** whatever the
-//! worker count, across arbitrary warm states, node counts, and retiring
-//! sets; and every migration job (report and every store it leaves behind)
-//! must be unaffected by it. A store keeps one MRU list per class, so the
-//! worker count is the only knob left (the shard legs went with the
-//! shards).
+//! Property tests for `plan`, the one migration planner, pinned through
+//! the `plan_scale_in_shipments` shim and through `migrate`: the shipment
+//! plan — contents, order, and stats — must be **byte-identical** whatever
+//! the worker count, across arbitrary warm states, node counts, and
+//! retiring sets; and every migration job (report and every store it
+//! leaves behind) must be unaffected by it. A store keeps one MRU list per
+//! class, so the worker count is the only knob left (the shard legs went
+//! with the shards).
 
 use elmem::cluster::{CacheTier, ClusterConfig};
 use elmem::core::migration::{
