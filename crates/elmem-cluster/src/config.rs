@@ -7,13 +7,11 @@ use crate::breaker::BreakerConfig;
 
 /// Parameters of the simulated deployment.
 ///
-/// The defaults in [`ClusterConfig::paper_scale`] mirror the paper's
-/// testbed (§V-A): 10 Memcached VMs with 4 GB memory each, a database
-/// bottleneck of 4,000 req/s, and sub-millisecond cache access. The
-/// experiments in `elmem-bench` use [`ClusterConfig::laptop_scale`], a
-/// proportionally shrunk deployment that preserves every ratio that
-/// matters (cache-to-dataset size, r_DB-to-demand, migration bandwidth to
-/// bytes moved) while running in seconds.
+/// `elmem_bench::exp::cluster_preset` is the one definition of a scale:
+/// `Preset::Paper` runs the paper's ETC workload (§V-A), and
+/// `Preset::Laptop` shrinks it, preserving every ratio that matters
+/// (cache-to-dataset size, r_DB-to-demand, migration bandwidth to bytes
+/// moved) while running in seconds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Initial number of cache nodes.
@@ -60,50 +58,6 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// The paper's testbed scale: 10 nodes × 4 GB, r_DB = 4,000 req/s
-    /// (8 servers × 2 ms), 0.2 ms cache hits, 1 Gbit/s NICs.
-    pub fn paper_scale() -> Self {
-        ClusterConfig {
-            initial_nodes: 10,
-            node_memory: ByteSize::from_gib(4),
-            vnodes: 128,
-            db_servers: 8,
-            db_service: SimTime::from_millis(2),
-            db_shed_delay: SimTime::from_secs(2),
-            mc_latency: SimTime::from_micros(200),
-            client_timeout: SimTime::from_millis(250),
-            breaker: BreakerConfig::default(),
-            web_overhead: SimTime::from_millis(4),
-            nic_bandwidth: 125_000_000.0,
-            nic_latency: SimTime::from_micros(100),
-            slab_classes: SizeClasses::memcached_default(),
-            store_shards: elmem_store::default_shard_count(),
-        }
-    }
-
-    /// A 1:64 shrink of [`paper_scale`](Self::paper_scale): 10 nodes ×
-    /// 64 MB against a proportionally smaller keyspace, r_DB = 500 req/s.
-    /// Same ratios, seconds-long runs.
-    pub fn laptop_scale() -> Self {
-        ClusterConfig {
-            initial_nodes: 10,
-            node_memory: ByteSize::from_mib(64),
-            vnodes: 128,
-            db_servers: 4,
-            db_service: SimTime::from_millis(8),
-            db_shed_delay: SimTime::from_secs(2),
-            mc_latency: SimTime::from_micros(200),
-            client_timeout: SimTime::from_millis(250),
-            breaker: BreakerConfig::default(),
-            web_overhead: SimTime::from_millis(4),
-            nic_bandwidth: 125_000_000.0,
-            nic_latency: SimTime::from_micros(100),
-            // 64 pages per node vs ~15 classes: every class can get pages.
-            slab_classes: SizeClasses::new(96, 2.0, ByteSize::PAGE.as_u64()),
-            store_shards: elmem_store::default_shard_count(),
-        }
-    }
-
     /// A tiny 4-node × 4 MB config for unit tests.
     pub fn small_test() -> Self {
         ClusterConfig {
@@ -134,16 +88,6 @@ impl ClusterConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_scale_r_db_is_4000() {
-        assert!((ClusterConfig::paper_scale().r_db() - 4000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn laptop_scale_r_db_is_500() {
-        assert!((ClusterConfig::laptop_scale().r_db() - 500.0).abs() < 1e-9);
-    }
 
     #[test]
     fn small_test_is_small() {

@@ -71,7 +71,6 @@ pub struct Cluster {
     mc_latency: ExpDraws,
     secondary: Option<HashRing>,
     promoted: u64,
-    secondary_hits: u64,
     // Id-indexed: walked once per lookup (hot path).
     breakers: NodeMap<CircuitBreaker>,
     client_timeouts: u64,
@@ -99,7 +98,6 @@ impl Cluster {
             mc_latency,
             secondary: None,
             promoted: 0,
-            secondary_hits: 0,
             breakers: NodeMap::new(),
             client_timeouts: 0,
             fast_failovers: 0,
@@ -321,7 +319,6 @@ impl Cluster {
             }
             node.store.get(key, now)?
         };
-        self.secondary_hits += 1;
         // Promote: move the pair to the primary node (CacheScale migration).
         let moved = {
             let node = self.tier.node_mut(sec_node).expect("checked above");
@@ -356,11 +353,6 @@ impl Cluster {
     /// Items promoted from secondary to primary (CacheScale metric).
     pub fn promoted(&self) -> u64 {
         self.promoted
-    }
-
-    /// Secondary-cache hits (CacheScale metric).
-    pub fn secondary_hits(&self) -> u64 {
-        self.secondary_hits
     }
 
     /// Lookups that paid the full `client_timeout` against an unreachable

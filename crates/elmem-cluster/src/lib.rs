@@ -44,6 +44,6 @@ pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use config::ClusterConfig;
 pub use db::DbModel;
 pub use frontend::{Cluster, RequestOutcome};
-pub use node::{CacheNode, ImportLedger, NodeHealth};
+pub use node::{CacheNode, ImportLedger};
 pub use telemetry::{ClusterTelemetry, LookupClass, NodeCounters};
 pub use tier::CacheTier;

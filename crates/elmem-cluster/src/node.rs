@@ -44,21 +44,6 @@ impl ImportLedger {
     }
 }
 
-/// Failure state of a node, as the control plane sees it.
-///
-/// Distinct from [`CacheNode::is_online`]: a node the Master powered off
-/// deliberately is offline but `Up` (it shut down cleanly and could be
-/// re-provisioned); a `Crashed` node died under it — its DRAM is gone, it
-/// cannot serve, and control-plane directives to it (power-off, discard)
-/// are no-ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeHealth {
-    /// The node responds to the control plane (powered on or off).
-    Up,
-    /// The node failed; it is unreachable and its contents are lost.
-    Crashed,
-}
-
 /// A cache node in the Memcached tier.
 ///
 /// Holds the storage engine and the NIC [`Link`] that the node's ElMem
@@ -76,7 +61,12 @@ pub struct CacheNode {
     pub link: Link,
     store_config: StoreConfig,
     online: bool,
-    health: NodeHealth,
+    /// Distinct from `online`: a node the Master powered off deliberately
+    /// is offline but not crashed (it shut down cleanly and could be
+    /// re-provisioned); a crashed node died under it — its DRAM is gone,
+    /// it cannot serve, and control-plane directives to it (power-off,
+    /// discard) are no-ops.
+    crashed: bool,
     ledger: ImportLedger,
 }
 
@@ -94,7 +84,7 @@ impl CacheNode {
             link: Link::new(nic_bandwidth, nic_latency),
             store_config,
             online: true,
-            health: NodeHealth::Up,
+            crashed: false,
             ledger: ImportLedger::default(),
         }
     }
@@ -151,14 +141,9 @@ impl CacheNode {
         self.online
     }
 
-    /// The node's failure state.
-    pub fn health(&self) -> NodeHealth {
-        self.health
-    }
-
     /// Whether the node has crashed.
     pub fn is_crashed(&self) -> bool {
-        self.health == NodeHealth::Crashed
+        self.crashed
     }
 
     /// Whether a client request can reach the node at `now`: powered on,
@@ -186,7 +171,7 @@ impl CacheNode {
     /// Idempotent.
     pub fn crash(&mut self) {
         self.online = false;
-        self.health = NodeHealth::Crashed;
+        self.crashed = true;
         self.store = SlabStore::new(self.store_config.clone());
         self.ledger = ImportLedger::default();
     }
@@ -224,7 +209,6 @@ mod tests {
         n.crash();
         assert!(!n.is_online());
         assert!(n.is_crashed());
-        assert_eq!(n.health(), NodeHealth::Crashed);
         assert_eq!(n.store.len(), 0);
         n.crash();
         assert!(n.is_crashed());

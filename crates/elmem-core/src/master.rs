@@ -198,11 +198,6 @@ impl Master {
         }
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> MigrationPolicy {
-        self.policy
-    }
-
     /// Until when the Master is occupied by an in-flight scaling.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until

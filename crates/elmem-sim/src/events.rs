@@ -1,26 +1,13 @@
-//! A deterministic time-ordered event queue, arena-backed.
+//! A deterministic time-ordered event queue.
 //!
-//! Events live in a slab arena (`Vec<Option<E>>` slots recycled through a
-//! free list) and the heap itself holds only small `Copy` entries
-//! `(time, seq, slot)` — so sift operations move 24-byte records instead
-//! of whole event payloads, and cancelled events free their slot
-//! immediately while their heap entry is *lazily deleted*: it stays in
-//! the heap until it surfaces, where a sequence-number mismatch against
-//! the slot identifies it as stale and it is discarded. At cluster scale
-//! (hundreds of thousands of control events) this keeps `schedule`/`pop`
-//! allocation-free in the steady state and makes cancellation O(1).
+//! A binary heap over `(time, seq)`: `seq` is the insertion count, so no
+//! two entries tie and equal times pop first in, first out. The payload
+//! rides beside the key, outside the order, so `E` needs no `Ord`.
+
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use elmem_util::SimTime;
-
-/// Handle to a scheduled event, returned by [`EventQueue::schedule`] and
-/// accepted by [`EventQueue::cancel`]. The embedded sequence number makes
-/// handles single-use: once the event fires or is cancelled, the handle
-/// is dead and cancelling it again is a no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventKey {
-    slot: u32,
-    seq: u64,
-}
 
 /// A priority queue of `(time, event)` pairs popped in time order.
 ///
@@ -42,30 +29,35 @@ pub struct EventKey {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// Slab arena. `slots[i].1` is the sequence number of the entry
-    /// currently (or last) occupying slot `i`; a heap entry whose `seq`
-    /// differs is stale.
-    slots: Vec<(Option<E>, u64)>,
-    /// Recycled slot indices.
-    free: Vec<u32>,
-    /// Min-heap ordered by `(time, seq)`.
-    heap: Vec<HeapEntry>,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
-    /// Live (scheduled, not cancelled) events.
-    live: usize,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
+/// One scheduled event, ordered by `(time, seq)` alone.
+#[derive(Debug, Clone)]
+struct Entry<E> {
     time: SimTime,
     seq: u64,
-    slot: u32,
+    event: E,
 }
 
-impl HeapEntry {
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.time, self.seq) == (other.time, other.seq)
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.time, self.seq).cmp(&(other.time, other.seq))
     }
 }
 
@@ -79,133 +71,38 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            slots: Vec::new(),
-            free: Vec::new(),
-            heap: Vec::new(),
+            heap: BinaryHeap::new(),
             seq: 0,
-            live: 0,
         }
     }
 
-    /// Schedules `event` at `time`, returning a handle that can later be
-    /// passed to [`Self::cancel`].
-    pub fn schedule(&mut self, time: SimTime, event: E) -> EventKey {
+    /// Schedules `event` at `time`.
+    pub fn schedule(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        let slot = match self.free.pop() {
-            Some(idx) => {
-                self.slots[idx as usize] = (Some(event), seq);
-                idx
-            }
-            None => {
-                let idx = u32::try_from(self.slots.len()).expect("event arena exceeds u32 slots");
-                self.slots.push((Some(event), seq));
-                idx
-            }
-        };
-        self.heap.push(HeapEntry { time, seq, slot });
-        self.sift_up(self.heap.len() - 1);
-        self.live += 1;
-        EventKey { slot, seq }
-    }
-
-    /// Cancels a previously scheduled event, returning its payload if it
-    /// was still pending. The slot is recycled immediately; the stale heap
-    /// entry is discarded lazily when it reaches the top.
-    pub fn cancel(&mut self, key: EventKey) -> Option<E> {
-        let cell = self.slots.get_mut(key.slot as usize)?;
-        if cell.1 != key.seq {
-            return None;
-        }
-        let event = cell.0.take()?;
-        self.free.push(key.slot);
-        self.live -= 1;
-        Some(event)
+        self.heap.push(Reverse(Entry { time, seq, event }));
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            let top = *self.heap.first()?;
-            self.pop_heap_top();
-            let cell = &mut self.slots[top.slot as usize];
-            if cell.1 != top.seq {
-                continue; // stale: slot was cancelled and re-used
-            }
-            let Some(event) = cell.0.take() else {
-                continue; // stale: slot was cancelled, not yet re-used
-            };
-            self.free.push(top.slot);
-            self.live -= 1;
-            return Some((top.time, event));
-        }
+        self.heap
+            .pop()
+            .map(|Reverse(entry)| (entry.time, entry.event))
     }
 
     /// The time of the earliest event without removing it.
-    ///
-    /// Takes `&mut self` because stale (cancelled) heap entries are purged
-    /// from the top on the way to the answer.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            let top = *self.heap.first()?;
-            let cell = &self.slots[top.slot as usize];
-            if cell.1 == top.seq && cell.0.is_some() {
-                return Some(top.time);
-            }
-            self.pop_heap_top();
-        }
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(entry)| entry.time)
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Removes the heap root, restoring the heap property.
-    fn pop_heap_top(&mut self) {
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        self.heap.pop();
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[i].key() < self.heap[parent].key() {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
-        loop {
-            let l = 2 * i + 1;
-            let r = 2 * i + 2;
-            let mut smallest = i;
-            if l < n && self.heap[l].key() < self.heap[smallest].key() {
-                smallest = l;
-            }
-            if r < n && self.heap[r].key() < self.heap[smallest].key() {
-                smallest = r;
-            }
-            if smallest == i {
-                return;
-            }
-            self.heap.swap(i, smallest);
-            i = smallest;
-        }
+        self.heap.is_empty()
     }
 }
 
@@ -257,67 +154,12 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_pending_event() {
-        let mut q = EventQueue::new();
-        let _a = q.schedule(SimTime::from_secs(1), "a");
-        let b = q.schedule(SimTime::from_secs(2), "b");
-        let _c = q.schedule(SimTime::from_secs(3), "c");
-        assert_eq!(q.cancel(b), Some("b"));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert_eq!(q.pop().unwrap().1, "c");
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_is_single_use() {
-        let mut q = EventQueue::new();
-        let k = q.schedule(SimTime::from_secs(1), 1);
-        assert_eq!(q.cancel(k), Some(1));
-        assert_eq!(q.cancel(k), None);
-        // Slot re-use must not resurrect the old handle.
-        let k2 = q.schedule(SimTime::from_secs(2), 2);
-        assert_eq!(q.cancel(k), None);
-        assert_eq!(q.cancel(k2), Some(2));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancelled_head_is_skipped_by_peek_and_pop() {
-        let mut q = EventQueue::new();
-        let head = q.schedule(SimTime::from_secs(1), "dead");
-        q.schedule(SimTime::from_secs(9), "live");
-        assert_eq!(q.cancel(head), Some("dead"));
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(9)));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(9), "live")));
-        assert_eq!(q.peek_time(), None);
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn slots_are_recycled() {
-        let mut q = EventQueue::new();
-        for round in 0..100u64 {
-            let k = q.schedule(SimTime::from_nanos(round), round);
-            if round % 2 == 0 {
-                assert_eq!(q.cancel(k), Some(round));
-            } else {
-                assert_eq!(q.pop().unwrap().1, round);
-            }
-        }
-        // One slot serves all 100 events: free-list reuse keeps the arena flat.
-        assert_eq!(q.slots.len(), 1);
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn matches_reference_heap_under_heavy_interleaving() {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
         let mut q = EventQueue::new();
         let mut reference: BinaryHeap<Reverse<(SimTime, u64, u64)>> = BinaryHeap::new();
-        let mut keys = Vec::new();
         let mut seq = 0u64;
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = || {
@@ -327,33 +169,15 @@ mod tests {
             state
         };
         for step in 0..5000u64 {
-            match next() % 4 {
-                0 | 1 => {
-                    let t = SimTime::from_nanos(next() % 64);
-                    let k = q.schedule(t, step);
-                    reference.push(Reverse((t, seq, step)));
-                    keys.push((k, t, seq, step));
-                    seq += 1;
-                }
-                2 => {
-                    let got = q.pop();
-                    let want = reference.pop().map(|Reverse((t, _, v))| (t, v));
-                    assert_eq!(got, want);
-                    if let Some((_, v)) = got {
-                        keys.retain(|&(_, _, _, val)| val != v);
-                    }
-                }
-                _ => {
-                    if !keys.is_empty() {
-                        let i = (next() % keys.len() as u64) as usize;
-                        let (k, t, s, v) = keys.swap_remove(i);
-                        assert_eq!(q.cancel(k), Some(v));
-                        // Rebuild the reference heap without the cancelled entry.
-                        let mut items: Vec<_> = std::mem::take(&mut reference).into_vec();
-                        items.retain(|Reverse(e)| *e != (t, s, v));
-                        reference = items.into_iter().collect();
-                    }
-                }
+            if next() % 3 < 2 {
+                let t = SimTime::from_nanos(next() % 64);
+                q.schedule(t, step);
+                reference.push(Reverse((t, seq, step)));
+                seq += 1;
+            } else {
+                let want = reference.pop().map(|Reverse((t, _, v))| (t, v));
+                assert_eq!(q.peek_time(), want.map(|(t, _)| t));
+                assert_eq!(q.pop(), want);
             }
             assert_eq!(q.len(), reference.len());
         }

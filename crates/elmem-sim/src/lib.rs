@@ -28,7 +28,7 @@ pub mod network;
 pub mod queueing;
 
 pub use chaos::{ChaosAction, ChaosLimits, ChaosPlan, ScheduledChaosAction};
-pub use events::{EventKey, EventQueue};
+pub use events::EventQueue;
 pub use fault::{FaultAction, FaultInjector, FaultKind, FaultPlan, ScheduledFault};
 pub use network::Link;
 pub use queueing::ServerPool;

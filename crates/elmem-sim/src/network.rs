@@ -44,8 +44,6 @@ pub struct Link {
     busy_until: SimTime,
     /// The instant an injected partition heals (`ZERO` when none active).
     partitioned_until: SimTime,
-    /// Total bytes ever scheduled.
-    bytes_sent: u64,
 }
 
 impl Link {
@@ -65,7 +63,6 @@ impl Link {
             latency,
             busy_until: SimTime::ZERO,
             partitioned_until: SimTime::ZERO,
-            bytes_sent: 0,
         }
     }
 
@@ -75,23 +72,12 @@ impl Link {
         let start = self.busy_until.max(now);
         let duration = SimTime::from_secs_f64(bytes.as_f64() / self.bandwidth) + self.latency;
         self.busy_until = start + duration;
-        self.bytes_sent += bytes.as_u64();
         self.busy_until
     }
 
     /// When the link next becomes idle.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// Total bytes scheduled on this link.
-    pub fn bytes_sent(&self) -> ByteSize {
-        ByteSize(self.bytes_sent)
-    }
-
-    /// Link bandwidth, bytes/s (current, reflecting any active slowdown).
-    pub fn bandwidth(&self) -> f64 {
-        self.bandwidth
     }
 
     /// Per-transfer propagation/setup latency.
@@ -109,12 +95,6 @@ impl Link {
     /// the serving path, and queued transfers wait for the heal instant.
     pub fn is_partitioned(&self, now: SimTime) -> bool {
         now < self.partitioned_until
-    }
-
-    /// The instant the current partition heals (`SimTime::ZERO` when no
-    /// partition was ever injected).
-    pub fn partitioned_until(&self) -> SimTime {
-        self.partitioned_until
     }
 
     /// Degrades the link to `1/factor` of its *base* bandwidth (fault
@@ -188,14 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn accounting_tracks_bytes() {
-        let mut link = gigabit();
-        link.schedule_transfer(SimTime::ZERO, ByteSize(123));
-        link.schedule_transfer(SimTime::ZERO, ByteSize(877));
-        assert_eq!(link.bytes_sent(), ByteSize(1000));
-    }
-
-    #[test]
     #[should_panic]
     fn zero_bandwidth_rejected() {
         let _ = Link::new(0.0, SimTime::ZERO);
@@ -238,7 +210,6 @@ mod tests {
         link.partition_until(SimTime::from_secs(10));
         assert!(link.is_partitioned(SimTime::from_secs(5)));
         assert!(!link.is_partitioned(SimTime::from_secs(10)), "heal instant");
-        assert_eq!(link.partitioned_until(), SimTime::from_secs(10));
     }
 
     #[test]

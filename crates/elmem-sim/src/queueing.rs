@@ -31,8 +31,6 @@ use elmem_util::SimTime;
 pub struct ServerPool {
     /// Earliest-free times, one per server (min-heap).
     free_at: BinaryHeap<Reverse<SimTime>>,
-    completed: u64,
-    busy_time: SimTime,
 }
 
 impl ServerPool {
@@ -47,11 +45,7 @@ impl ServerPool {
         for _ in 0..servers {
             free_at.push(Reverse(SimTime::ZERO));
         }
-        ServerPool {
-            free_at,
-            completed: 0,
-            busy_time: SimTime::ZERO,
-        }
+        ServerPool { free_at }
     }
 
     /// Submits a job arriving at `now` needing `service` time; returns its
@@ -62,9 +56,6 @@ impl ServerPool {
         let mut free = self.free_at.peek_mut().expect("pool nonempty");
         let done = free.0.max(now) + service;
         *free = Reverse(done);
-        drop(free);
-        self.completed += 1;
-        self.busy_time += service;
         done
     }
 
@@ -75,16 +66,6 @@ impl ServerPool {
             Some(Reverse(free)) => free.saturating_sub(now),
             None => SimTime::ZERO,
         }
-    }
-
-    /// Jobs submitted so far.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Total service time dispensed (for utilization accounting).
-    pub fn busy_time(&self) -> SimTime {
-        self.busy_time
     }
 }
 
@@ -98,8 +79,6 @@ mod tests {
         let Reverse(free) = pool.free_at.pop().expect("pool nonempty");
         let done = free.max(now) + service;
         pool.free_at.push(Reverse(done));
-        pool.completed += 1;
-        pool.busy_time += service;
         done
     }
 
@@ -129,8 +108,6 @@ mod tests {
                     );
                 }
             }
-            prop_assert_eq!(fast.completed(), reference.completed());
-            prop_assert_eq!(fast.busy_time(), reference.busy_time());
             prop_assert_eq!(fast.free_at.into_sorted_vec(), reference.free_at.into_sorted_vec());
         }
     }
@@ -184,15 +161,6 @@ mod tests {
         let above = run(6_000.0);
         assert!(below <= SimTime::from_millis(2), "below: {below}");
         assert!(above > SimTime::from_millis(500), "above: {above}");
-    }
-
-    #[test]
-    fn busy_time_accumulates() {
-        let mut pool = ServerPool::new(2);
-        pool.submit(SimTime::ZERO, SimTime::from_millis(3));
-        pool.submit(SimTime::ZERO, SimTime::from_millis(7));
-        assert_eq!(pool.busy_time(), SimTime::from_millis(10));
-        assert_eq!(pool.completed(), 2);
     }
 
     #[test]

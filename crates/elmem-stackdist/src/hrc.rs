@@ -41,11 +41,6 @@ impl HitRateCurve {
         }
     }
 
-    /// Number of requests the curve was built from.
-    pub fn total_requests(&self) -> u64 {
-        self.total
-    }
-
     /// Hit rate achievable with an LRU cache of `capacity_bytes`.
     pub fn hit_rate_at(&self, capacity_bytes: u64) -> f64 {
         if self.total == 0 {

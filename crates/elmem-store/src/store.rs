@@ -29,8 +29,8 @@ pub const fn default_shard_count() -> usize {
 /// use elmem_store::StoreConfig;
 /// use elmem_util::ByteSize;
 ///
-/// let cfg = StoreConfig::with_memory(ByteSize::from_gib(4));
-/// assert_eq!(cfg.memory, ByteSize::from_gib(4));
+/// let cfg = StoreConfig::with_memory(ByteSize::from_mib(64));
+/// assert_eq!(cfg.memory, ByteSize::from_mib(64));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreConfig {
@@ -294,11 +294,6 @@ impl SlabStore {
     /// The size-class ladder in use.
     pub fn classes(&self) -> &SizeClasses {
         &self.classes
-    }
-
-    /// Total pages of memory this store may use.
-    pub fn pages_total(&self) -> u64 {
-        self.pages_total
     }
 
     /// Pages currently assigned to classes.

@@ -88,7 +88,7 @@ proptest! {
                 Op::Get { key } => { let _ = s.get(KeyId(key), now); }
                 Op::Delete { key } => { let _ = s.delete(KeyId(key)); }
             }
-            prop_assert!(s.pages_used() <= s.pages_total());
+            prop_assert!(s.pages_used() <= ByteSize::from_mib(2) / ByteSize::PAGE);
             prop_assert!(s.bytes_used() <= ByteSize::from_mib(2));
         }
     }

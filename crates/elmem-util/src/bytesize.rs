@@ -14,8 +14,8 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// ```
 /// use elmem_util::ByteSize;
 ///
-/// let cap = ByteSize::from_gib(4);
-/// assert_eq!(cap / ByteSize::PAGE, 4 * 1024);
+/// let cap = ByteSize::from_mib(64);
+/// assert_eq!(cap / ByteSize::PAGE, 64);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(pub u64);
@@ -39,11 +39,6 @@ impl ByteSize {
     /// Creates a size from mebibytes.
     pub const fn from_mib(m: u64) -> Self {
         ByteSize(m << 20)
-    }
-
-    /// Creates a size from gibibytes.
-    pub const fn from_gib(g: u64) -> Self {
-        ByteSize(g << 30)
     }
 
     /// The raw byte count.
@@ -134,7 +129,6 @@ mod tests {
     fn constructors() {
         assert_eq!(ByteSize::from_kib(1).as_u64(), 1024);
         assert_eq!(ByteSize::from_mib(1).as_u64(), 1 << 20);
-        assert_eq!(ByteSize::from_gib(1).as_u64(), 1 << 30);
     }
 
     #[test]
@@ -157,7 +151,7 @@ mod tests {
         assert_eq!(ByteSize(512).to_string(), "512B");
         assert_eq!(ByteSize::from_kib(2).to_string(), "2.00KiB");
         assert_eq!(ByteSize::from_mib(3).to_string(), "3.00MiB");
-        assert_eq!(ByteSize::from_gib(4).to_string(), "4.00GiB");
+        assert_eq!(ByteSize(4 << 30).to_string(), "4.00GiB");
         assert_eq!(ByteSize::ZERO.to_string(), "0B");
     }
 }

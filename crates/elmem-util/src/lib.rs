@@ -3,7 +3,7 @@
 //! This crate holds the small vocabulary types used by every other crate in
 //! the workspace: identifier newtypes ([`KeyId`], [`NodeId`]), simulated time
 //! ([`time::SimTime`]), byte quantities ([`bytesize::ByteSize`]), a
-//! deterministic splittable RNG ([`rng::DetRng`]), streaming statistics
+//! deterministic splittable RNG ([`rng::DetRng`]), percentiles and timelines
 //! ([`stats`]) and the static cost/energy model from §II-B of the paper
 //! ([`costmodel`]).
 //!
@@ -15,7 +15,7 @@
 //! let key = KeyId(42);
 //! let node = NodeId(3);
 //! let t = SimTime::from_secs(2) + SimTime::from_millis(500);
-//! assert_eq!(t.as_millis(), 2_500);
+//! assert_eq!(t, SimTime::from_millis(2_500));
 //! assert_ne!(key.0, u64::from(node.0));
 //! ```
 

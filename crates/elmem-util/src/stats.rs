@@ -1,5 +1,5 @@
-//! Statistics utilities: percentiles, online moments, and per-second
-//! timelines of tail response times (how the paper reports Fig. 2/6/8).
+//! Statistics utilities: percentiles and per-second timelines of tail
+//! response times (how the paper reports Fig. 2/6/8).
 
 use crate::time::SimTime;
 
@@ -29,82 +29,6 @@ pub fn quantile(samples: &[f64], q: f64) -> Option<f64> {
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     Some(sorted[rank - 1])
-}
-
-/// Streaming mean/variance (Welford's algorithm).
-///
-/// # Example
-///
-/// ```
-/// use elmem_util::stats::OnlineStats;
-/// let mut s = OnlineStats::new();
-/// for x in [2.0, 4.0, 6.0] { s.push(x); }
-/// assert_eq!(s.mean(), 4.0);
-/// assert_eq!(s.count(), 3);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0.0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Smallest sample, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
 }
 
 /// One point of a reported timeline: a one-second bucket with its hit rate
@@ -378,28 +302,6 @@ mod tests {
     #[should_panic]
     fn quantile_out_of_range_panics() {
         let _ = quantile(&[1.0], 1.5);
-    }
-
-    #[test]
-    fn online_stats_moments() {
-        let mut s = OnlineStats::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 4);
-        assert!((s.mean() - 2.5).abs() < 1e-12);
-        assert!((s.variance() - 1.25).abs() < 1e-12);
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(4.0));
-    }
-
-    #[test]
-    fn online_stats_empty() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
     }
 
     fn tl(hit: impl Fn(u64) -> f64) -> Vec<TimelinePoint> {

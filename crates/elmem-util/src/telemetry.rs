@@ -191,15 +191,6 @@ impl LatencyHistogram {
         self.max
     }
 
-    /// Mean of recorded values, nanoseconds (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// The `q`-quantile (nearest-rank over buckets), reported as the upper
     /// bound of the bucket holding the rank — an overestimate by at most
     /// one bucket width, and monotone in `q`.
@@ -351,20 +342,6 @@ impl MigrationPhase {
             MigrationPhase::MetadataTransfer => "metadata_transfer",
             MigrationPhase::HotnessComparison => "hotness_comparison",
             MigrationPhase::DataMigration => "data_migration",
-        }
-    }
-
-    /// The phase a [`label`](Self::label) names.
-    ///
-    /// # Errors
-    ///
-    /// Any other string.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "metadata_transfer" => Ok(MigrationPhase::MetadataTransfer),
-            "hotness_comparison" => Ok(MigrationPhase::HotnessComparison),
-            "data_migration" => Ok(MigrationPhase::DataMigration),
-            other => Err(format!("unknown migration phase {other:?}")),
         }
     }
 }
@@ -809,7 +786,6 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.p95(), 0);
-        assert_eq!(h.mean(), 0.0);
     }
 
     #[test]
@@ -916,10 +892,6 @@ mod tests {
             MigrationPhase::HotnessComparison,
             MigrationPhase::DataMigration,
         ];
-        for p in phases {
-            assert_eq!(MigrationPhase::parse(p.label()), Ok(p));
-        }
-        assert!(MigrationPhase::parse("import").is_err());
         // §III-D order: a journal's furthest phase is the maximum.
         assert!(phases.windows(2).all(|w| w[0] < w[1]));
     }

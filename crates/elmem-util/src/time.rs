@@ -68,11 +68,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole milliseconds (truncated).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Whole seconds (truncated).
     pub const fn as_secs(self) -> u64 {
         self.0 / 1_000_000_000
@@ -195,7 +190,7 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_secs(3).as_secs(), 3);
-        assert_eq!(SimTime::from_millis(250).as_millis(), 250);
+        assert_eq!(SimTime::from_millis(250).as_nanos(), 250_000_000);
         assert_eq!(SimTime::from_micros(9).as_nanos(), 9_000);
         assert_eq!(SimTime::from_nanos(17).as_nanos(), 17);
     }
@@ -204,8 +199,8 @@ mod tests {
     fn arithmetic() {
         let a = SimTime::from_secs(2);
         let b = SimTime::from_millis(500);
-        assert_eq!((a + b).as_millis(), 2500);
-        assert_eq!((a - b).as_millis(), 1500);
+        assert_eq!(a + b, SimTime::from_millis(2500));
+        assert_eq!(a - b, SimTime::from_millis(1500));
         assert_eq!((b * 4).as_secs(), 2);
         assert_eq!((a / 2).as_secs(), 1);
     }
@@ -221,7 +216,7 @@ mod tests {
     #[test]
     fn from_secs_f64() {
         assert_eq!(SimTime::from_secs_f64(0.001), SimTime::from_millis(1));
-        assert_eq!(SimTime::from_secs_f64(2.5).as_millis(), 2500);
+        assert_eq!(SimTime::from_secs_f64(2.5), SimTime::from_millis(2500));
     }
 
     #[test]
@@ -232,7 +227,10 @@ mod tests {
 
     #[test]
     fn mul_f64_scales() {
-        assert_eq!(SimTime::from_secs(2).mul_f64(1.5).as_millis(), 3000);
+        assert_eq!(
+            SimTime::from_secs(2).mul_f64(1.5),
+            SimTime::from_millis(3000)
+        );
         assert_eq!(SimTime::from_secs(2).mul_f64(0.0), SimTime::ZERO);
     }
 
