@@ -5,8 +5,8 @@
 //! profiler switch engages through its real constant, and the Zipf sampler
 //! is the one every size uses.
 //!
-//! `#[ignore]`d — two minutes of wall clock and about 3 GiB resident in
-//! release; CI runs it nightly:
+//! `#[ignore]`d — in release on a 2-vCPU VM, 67 s of wall clock (39 s at
+//! one worker, 28 s at four) and 1.03 GiB peak RSS; CI runs it nightly:
 //!
 //! ```text
 //! cargo test --release -p elmem-bench --test paper_scale -- --ignored --nocapture
@@ -74,7 +74,7 @@ fn digest(r: &ExperimentResult) -> String {
 }
 
 #[test]
-#[ignore = "paper scale: two minutes of wall clock, ~3 GiB resident; run in release"]
+#[ignore = "paper scale: about 70 s of wall clock, 1.03 GiB peak RSS; run in release"]
 fn paper_scale_run_is_worker_count_independent_and_bounded() {
     let keys = Preset::Paper.keys();
     let table_bytes = RequestGenerator::new(experiment().workload, DetRng::seed(20))

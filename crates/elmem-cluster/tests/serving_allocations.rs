@@ -7,8 +7,7 @@
 //! Alone in its binary on purpose: the allocator counts every allocation
 //! the process makes, and a second test on another thread would add its own.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::atomic::Ordering::SeqCst;
 
 use elmem_cluster::{Cluster, ClusterConfig};
 use elmem_store::SizeClasses;
@@ -18,34 +17,10 @@ use elmem_workload::{
     DemandTrace, GeneralizedPareto, Keyspace, RequestGenerator, WebRequest, WorkloadConfig,
 };
 
-/// The system allocator, counting its allocations (a reallocation is one).
-struct Counting {
-    allocations: AtomicU64,
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-// SAFETY: every call forwards to `System` with the caller's own pointer
-// and layout, so `System` upholds `GlobalAlloc`'s contract; the counter
-// only counts the calls.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocations.fetch_add(1, SeqCst);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocations.fetch_add(1, SeqCst);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static HEAP: Counting = Counting {
-    allocations: AtomicU64::new(0),
-};
+use counting_alloc::HEAP;
 
 const WARM: usize = 200_000;
 const MEASURED: usize = 200_000;

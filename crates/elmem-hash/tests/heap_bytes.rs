@@ -7,36 +7,15 @@
 //! Alone in its binary on purpose: the allocator counts every allocation
 //! the process makes, and a second test on another thread would add its own.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::Ordering::SeqCst;
 
 use elmem_hash::HashRing;
 use elmem_util::NodeId;
 
-/// The system allocator, counting the bytes live on the heap.
-struct Counting {
-    live: AtomicUsize,
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-// SAFETY: every call forwards to `System` with the caller's own pointer
-// and layout, so `System` upholds `GlobalAlloc`'s contract; the counter
-// only adds and subtracts the sizes passed through.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.live.fetch_add(layout.size(), SeqCst);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        self.live.fetch_sub(layout.size(), SeqCst);
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static HEAP: Counting = Counting {
-    live: AtomicUsize::new(0),
-};
+use counting_alloc::HEAP;
 
 #[test]
 fn a_ring_vnode_costs_its_pinned_heap_bytes() {

@@ -40,12 +40,10 @@ pub mod concurrent;
 pub mod dump;
 pub mod item;
 mod list;
-pub mod rebalance;
 pub mod store;
 
 pub use classes::{ClassId, SizeClasses};
 pub use concurrent::ConcurrentSlabStore;
 pub use dump::{ClassDump, MetadataDump};
 pub use item::{Hotness, ItemMeta, ITEM_OVERHEAD_BYTES, KEY_BYTES, TIMESTAMP_BYTES};
-pub use rebalance::RebalanceHint;
 pub use store::{default_shard_count, Fill, ImportMode, SlabStore, StoreConfig, StoreStats};

@@ -203,11 +203,8 @@ enum Origin {
 #[derive(Debug, Clone)]
 struct ClassMeta {
     chunks_per_page: u64,
-    /// Pages granted to this class.
+    /// Pages granted to this class; none is ever taken back.
     pages: u64,
-    /// Evictions + allocation failures since the pressure counter was last
-    /// read (drives the slab rebalancer's recipient choice).
-    pressure: u64,
     /// Bumped on every MRU-list mutation of this class; a stale version is
     /// proof the class — and its median — is unchanged.
     version: u64,
@@ -220,7 +217,6 @@ impl ClassMeta {
         ClassMeta {
             chunks_per_page,
             pages: 0,
-            pressure: 0,
             version: 0,
             median: MedianCache::default(),
         }
@@ -299,11 +295,6 @@ impl SlabStore {
     /// Pages currently assigned to classes.
     pub fn pages_used(&self) -> u64 {
         self.pages_used
-    }
-
-    /// Pages assigned to one class.
-    pub fn pages_of_class(&self, id: ClassId) -> u64 {
-        self.class_meta[id.0 as usize].pages
     }
 
     /// Number of items resident in one class.
@@ -400,14 +391,23 @@ impl SlabStore {
             self.vacate(old, idx);
         }
 
-        // A free chunk or page, else the class's LRU victim's chunk
-        // (Memcached semantics: eviction never crosses classes).
-        if !self.secure_chunk(class) && self.evict_lru(class).is_none() {
-            self.class_meta[ci].pressure += 1;
-            return Err(ElmemError::OutOfMemory);
-        }
+        // A free chunk or page, else the class's LRU victim's slot, taken
+        // over in place (Memcached semantics: eviction never crosses
+        // classes).
+        let idx = if self.secure_chunk(class) {
+            self.lists[ci].insert::<true>(id, &new_item)
+        } else {
+            let list = &mut self.lists[ci];
+            let tail = list.tail;
+            if tail == NIL {
+                return Err(ElmemError::OutOfMemory);
+            }
+            self.index.remove(&list.slots[tail as usize].key);
+            list.rewrite(tail, id, &new_item);
+            self.stats.evictions += 1;
+            tail
+        };
         self.class_meta[ci].version += 1;
-        let idx = self.lists[ci].insert::<true>(id, &new_item);
         self.index.insert(id, self.handles.encode(class.0, idx));
         self.stats.sets += 1;
         Ok(())
@@ -441,19 +441,6 @@ impl SlabStore {
         item
     }
 
-    /// Evicts the LRU tail of `class`. Returns the evicted item, or `None`
-    /// if the class is empty.
-    pub fn evict_lru(&mut self, class: ClassId) -> Option<ItemMeta> {
-        let tail = self.lists[class.0 as usize].tail;
-        if tail == NIL {
-            return None;
-        }
-        let item = self.vacate(class.0, tail);
-        self.class_meta[class.0 as usize].pressure += 1;
-        self.stats.evictions += 1;
-        Some(item)
-    }
-
     /// Secures capacity for one more chunk in `class` without evicting:
     /// true if the class is under its capacity (a freed chunk exists
     /// somewhere) or a fresh page could be granted.
@@ -467,66 +454,6 @@ impl SlabStore {
             self.pages_used += 1;
         }
         len < meta.capacity()
-    }
-
-    /// Free chunks currently available in a class (capacity not yet
-    /// occupied).
-    pub fn free_chunks_of_class(&self, id: ClassId) -> u64 {
-        self.class_meta[id.0 as usize].capacity() - self.len_of_class(id)
-    }
-
-    /// Eviction/allocation-failure pressure accumulated by a class since
-    /// the counters were last reset (see the `rebalance` module).
-    pub fn eviction_pressure(&self, id: ClassId) -> u64 {
-        self.class_meta[id.0 as usize].pressure
-    }
-
-    /// Resets all per-class pressure counters.
-    pub fn reset_eviction_pressure(&mut self) {
-        for meta in &mut self.class_meta {
-            meta.pressure = 0;
-        }
-    }
-
-    /// Moves one page of chunk *capacity* from class `from` to class `to`
-    /// (Memcached's slab rebalancer). The donor evicts its coldest items
-    /// until it fits in one page less; the recipient's budget grows by a
-    /// page. Chunks are virtual (DESIGN.md §14), so no physical compaction
-    /// happens.
-    ///
-    /// Returns the number of items evicted from the donor.
-    ///
-    /// # Errors
-    ///
-    /// [`ElmemError::InvalidConfig`] if `from == to`;
-    /// [`ElmemError::InvalidScaling`] if the donor has no page to give.
-    pub fn reassign_page(&mut self, from: ClassId, to: ClassId) -> Result<u64, ElmemError> {
-        if from == to {
-            return Err(ElmemError::InvalidConfig(
-                "cannot reassign a page to the same class".to_string(),
-            ));
-        }
-        let fi = from.0 as usize;
-        if self.class_meta[fi].pages == 0 {
-            return Err(ElmemError::InvalidScaling(format!(
-                "{from} has no page to donate"
-            )));
-        }
-        // Evict the donor's coldest items until one page's worth of its
-        // capacity is unoccupied.
-        let target = (self.class_meta[fi].pages - 1) * self.class_meta[fi].chunks_per_page;
-        let mut evicted = 0u64;
-        while self.len_of_class(from) > target {
-            if self.evict_lru(from).is_none() {
-                break;
-            }
-            evicted += 1;
-        }
-        self.class_meta[fi].pages -= 1;
-        self.pages_used -= 1;
-        self.class_meta[to.0 as usize].pages += 1;
-        self.pages_used += 1;
-        Ok(evicted)
     }
 
     /// Iterates a class's items in MRU (hottest-first) order.
@@ -720,7 +647,8 @@ impl SlabStore {
     /// Exhaustively checks the store's internal invariants: per-class slot
     /// accounting (every chunk is exactly occupied or free), MRU-list
     /// structure (forward walks agree with prev pointers and length
-    /// counters), byte/page/capacity conservation, and index ↔ slot
+    /// counters), byte/page/capacity conservation (no page ever leaves a
+    /// class, so its lanes never outgrow its grant), and index ↔ slot
     /// agreement.
     ///
     /// This is the slab/byte-conservation leg of the chaos engine's
@@ -756,10 +684,10 @@ impl SlabStore {
         }
         let (mut total_len, mut total_pages) = (0u64, 0u64);
         for (ci, (meta, list)) in self.class_meta.iter().zip(&self.lists).enumerate() {
-            if list.len > meta.capacity() {
+            if list.slots.len() as u64 > meta.capacity() {
                 return fail(format!(
-                    "class {ci}: {} items over capacity {} ({} pages of {} chunks)",
-                    list.len,
+                    "class {ci}: {} slots over capacity {} ({} pages of {} chunks)",
+                    list.slots.len(),
                     meta.capacity(),
                     meta.pages,
                     meta.chunks_per_page
@@ -855,12 +783,11 @@ impl Fill<'_> {
         } else {
             // No page is left and none comes back, so the class's slot
             // count is final: its oldest item's slot takes the new one.
-            meta.pressure += 1;
             if list.tail == NIL {
                 return Err(ElmemError::OutOfMemory);
             }
             list.overwrite_tail(id, &item);
-            meta.version += 2; // `set`'s eviction and its insert
+            meta.version += 1;
             store.stats.evictions += 1;
         }
         store.stats.sets += 1;
@@ -1221,6 +1148,78 @@ mod tests {
     }
 
     #[test]
+    fn an_evicting_set_leaves_what_delete_then_set_leaves_slot_for_slot() {
+        // 64 KiB to 1 MiB chunks, 16 to 1 a page, three pages: class 0
+        // holds 16 items, class 2 four and class 4 one, its tail its head.
+        // Once the pages are gone, `a` evicts through `set` while `b` first
+        // deletes the class's LRU key, then sets: the vacate-then-insert an
+        // evicting set once was. Gets and rewrites in between keep the LRU
+        // order apart from the insertion order.
+        let config = StoreConfig {
+            classes: SizeClasses::new(64 << 10, 2.0, 1 << 20),
+            ..StoreConfig::with_memory(ByteSize::from_mib(3))
+        };
+        let (mut a, mut b) = (SlabStore::new(config.clone()), SlabStore::new(config));
+        let size = |class: u64, i: u64| match class {
+            0 => 10_000 + (i * 7_919) % 50_000,
+            2 => 140_000 + (i * 7_919) % 110_000,
+            _ => 600_000 + (i * 7_919) % 400_000,
+        } as u32;
+        // Every lane entry, list end and counter, and the index; `b`'s
+        // deletes are `a`'s evictions.
+        let same = |a: &SlabStore, b: &SlabStore, step: u64| {
+            for (c, (la, lb)) in a.lists.iter().zip(&b.lists).enumerate() {
+                assert_eq!(la.links, lb.links, "step {step}, class {c}: links");
+                assert_eq!(la.slots, lb.slots, "step {step}, class {c}: slots");
+                let ends = |l: &ClassList| (l.free.clone(), l.head, l.tail, l.len, l.bytes_used);
+                assert_eq!(ends(la), ends(lb), "step {step}, class {c}: free, ends");
+            }
+            let index = |s: &SlabStore| {
+                let mut pairs: Vec<(u32, u32)> = s.index.iter().map(|(&k, &h)| (k, h)).collect();
+                pairs.sort_unstable();
+                pairs
+            };
+            assert_eq!(index(a), index(b), "step {step}: index");
+            let evicted = StoreStats {
+                evictions: b.stats.deletes,
+                deletes: 0,
+                ..b.stats
+            };
+            assert_eq!(a.stats, evicted, "step {step}: stats");
+        };
+        let (mut class_of, mut in_place) = (Vec::new(), 0);
+        for i in 0..600u64 {
+            let at = t(i + 1);
+            if i % 3 == 2 {
+                let k = KeyId(i * 7 % i);
+                assert_eq!(a.get(k, at), b.get(k, at), "get at step {i}");
+            }
+            // A new key, or every fifth step a rewrite of an older one.
+            let (k, class) = if i % 5 == 4 {
+                (i / 2, class_of[(i / 2) as usize])
+            } else {
+                (i, [0, 0, 2, 4][(i % 4) as usize])
+            };
+            class_of.push([0, 0, 2, 4][(i % 4) as usize]);
+            let ci = class as usize;
+            let full = b.lists[ci].len == b.class_meta[ci].capacity();
+            if b.contains(KeyId(k)) {
+                in_place += 1;
+            } else if full && b.pages_used == b.pages_total {
+                let victim = b.iter_class_mru(ClassId(class as u16)).last().unwrap();
+                assert!(b.delete(victim.key));
+            }
+            let v = size(class, i);
+            assert_eq!(a.set(KeyId(k), v, at), b.set(KeyId(k), v, at), "set {i}");
+            same(&a, &b, i);
+        }
+        // 600 sets: 21 into fresh slots, 3 rewrites in place, the rest evict.
+        assert_eq!((a.stats.evictions, in_place), (576, 3));
+        a.audit().unwrap();
+        b.audit().unwrap();
+    }
+
+    #[test]
     fn pages_assigned_on_demand_across_classes() {
         let mut s = small_store();
         assert_eq!(s.pages_used(), 0);
@@ -1464,24 +1463,6 @@ mod tests {
     }
 
     #[test]
-    fn evict_lru_returns_tail() {
-        let mut s = small_store();
-        for k in 0..3 {
-            s.set(KeyId(k), 10, t(k)).unwrap();
-        }
-        let class = s.classes().class_for(item_footprint(10)).unwrap();
-        let evicted = s.evict_lru(class).unwrap();
-        assert_eq!(evicted.key, KeyId(0));
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn evict_lru_empty_class_is_none() {
-        let mut s = small_store();
-        assert!(s.evict_lru(ClassId(0)).is_none());
-    }
-
-    #[test]
     fn bytes_used_tracks_footprints() {
         let mut s = small_store();
         s.set(KeyId(1), 10, t(1)).unwrap();
@@ -1528,14 +1509,12 @@ mod tests {
             }
         }
         s.audit().unwrap();
-        // Imports, eviction, deletes: still consistent.
+        // Imports and deletes: still consistent.
         let class = s.classes().class_for(item_footprint(100)).unwrap();
         let batch: Vec<ItemMeta> = (1000..1020)
             .map(|k| ItemMeta::new(KeyId(k), 100, t(600)))
             .collect();
         s.batch_import(class, &batch, ImportMode::Merge).unwrap();
-        s.audit().unwrap();
-        s.evict_lru(class);
         s.audit().unwrap();
         for k in 0..1020 {
             s.delete(KeyId(k));
@@ -1581,6 +1560,33 @@ mod tests {
             assert!(msg.contains("class 0: "), "{msg}");
             assert!(msg.contains(what), "{msg}");
         }
+    }
+
+    #[test]
+    fn audit_catches_lanes_past_the_page_grant() {
+        // No page ever leaves a class, so its lanes never outgrow its
+        // grant: one free slot past it is corruption. Class 3's 1 KiB
+        // chunks fill its one page at 1 024.
+        let mut s = one_page_store();
+        for k in 0..1_024 {
+            s.set(KeyId(k), 900, t(k)).unwrap();
+        }
+        s.audit().unwrap();
+        let list = &mut s.lists[3];
+        let grant = list.slots.len() as u32;
+        list.links.push(Link {
+            prev: FREE,
+            next: NIL,
+        });
+        list.slots.push(list.slots[0]);
+        list.free.push(grant);
+        let err = s.audit().unwrap_err();
+        assert!(matches!(err, ElmemError::InvariantViolation(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains("class 3: 1025 slots over capacity 1024"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1663,9 +1669,9 @@ mod tests {
             }
             let meta = |s: &SlabStore| -> Vec<_> {
                 let m = s.class_meta.iter();
-                m.map(|m| (m.pages, m.pressure, m.version)).collect()
+                m.map(|m| (m.pages, m.version)).collect()
             };
-            assert_eq!(meta(a), meta(b), "cut {cut}: pages, pressure, version");
+            assert_eq!(meta(a), meta(b), "cut {cut}: pages, version");
             assert_eq!(
                 (a.stats, a.pages_used),
                 (b.stats, b.pages_used),
@@ -1694,9 +1700,7 @@ mod tests {
             same(&a, &b, cut);
             filled = b;
         }
-        // Evictions (or refusals) per class: 232 sets into 32 slots, 116
-        // into 16, 7 into 4, none, and two refused.
-        let pressure: Vec<u64> = filled.class_meta.iter().map(|m| m.pressure).collect();
-        assert_eq!(pressure, [200, 100, 3, 0, 2]);
+        // Evictions: 232 sets into 32 slots, 116 into 16 and 7 into 4.
+        assert_eq!(filled.stats.evictions, 200 + 100 + 3);
     }
 }

@@ -175,8 +175,7 @@ fn observe(s: &SlabStore) -> String {
         .map(|c| {
             (
                 s.len_of_class(c),
-                s.pages_of_class(c),
-                s.eviction_pressure(c),
+                s.class_meta[c.0 as usize].pages,
                 list_keys(s, c),
             )
         })

@@ -146,13 +146,6 @@ enum Op {
     Delete {
         key: u64,
     },
-    Evict {
-        class: u16,
-    },
-    Reassign {
-        from: u16,
-        to: u16,
-    },
     Import {
         pairs: Vec<(u64, u64)>,
         prepend: bool,
@@ -176,8 +169,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         get(),
         get(),
         (0u64..160).prop_map(|key| Op::Delete { key }),
-        (0u16..3).prop_map(|class| Op::Evict { class }),
-        (0u16..3, 0u16..3).prop_map(|(from, to)| Op::Reassign { from, to }),
         (
             prop::collection::vec((0u64..240, 0u64..16), 0..90),
             any::<bool>()
@@ -197,12 +188,6 @@ fn apply(s: &mut SlabStore, op: &Op) {
         }
         Op::Delete { key } => {
             s.delete(KeyId(*key));
-        }
-        Op::Evict { class } => {
-            s.evict_lru(ClassId(*class));
-        }
-        Op::Reassign { from, to } => {
-            let _ = s.reassign_page(ClassId(*from), ClassId(*to));
         }
         Op::Import { pairs, prepend } => {
             let mode = if *prepend {
@@ -249,7 +234,10 @@ proptest! {
         }
         check(&s, &ends, "after plain sets");
         let small = ClassId(0);
-        while s.evict_lru(small).is_some() {}
+        let keys: Vec<KeyId> = s.iter_class_mru(small).map(|i| i.key).collect();
+        for key in keys {
+            s.delete(key);
+        }
         prop_assert_eq!(s.len_of_class(small), 0);
         prop_assert!(s.iter_class_mru(small).next().is_none());
         check(&s, &ends, "with one class emptied");

@@ -27,8 +27,6 @@ enum Op {
     Get(u64),
     Set(u64, u32),
     Delete(u64),
-    EvictLru(u16),
-    ReassignPage(u16, u16),
     /// Items as (key id, size draw, age in ms against now).
     BatchImport(Vec<(u64, u32, u64)>),
 }
@@ -39,8 +37,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         id().prop_map(Op::Get),
         (id(), 0u32..1_100).prop_map(|(k, s)| Op::Set(k, s)),
         id().prop_map(Op::Delete),
-        (0u16..16).prop_map(Op::EvictLru),
-        (0u16..16, 0u16..16).prop_map(|(a, b)| Op::ReassignPage(a, b)),
         prop::collection::vec((id(), 0u32..1_100, 0u64..3_000), 1..40).prop_map(Op::BatchImport),
     ]
 }
@@ -51,14 +47,9 @@ fn assert_same(a: &SlabStore, b: &SlabStore) {
     assert_eq!(a.stats(), b.stats());
     assert_eq!((a.len(), a.bytes_used()), (b.len(), b.bytes_used()));
     assert_eq!(a.pages_used(), b.pages_used());
+    assert_eq!(a.page_weights(), b.page_weights());
     for class in a.classes().ids() {
-        assert_eq!(a.pages_of_class(class), b.pages_of_class(class), "{class}");
         assert_eq!(a.len_of_class(class), b.len_of_class(class), "{class}");
-        assert_eq!(
-            a.eviction_pressure(class),
-            b.eviction_pressure(class),
-            "{class}"
-        );
         assert_eq!(a.median_hotness(class), b.median_hotness(class), "{class}");
     }
     assert_eq!(a.audit(), Ok(()));
@@ -68,7 +59,6 @@ fn assert_same(a: &SlabStore, b: &SlabStore) {
 /// Applies one command to both stores and checks they answer alike.
 fn apply(a: &mut SlabStore, b: &mut SlabStore, op: &Op, now: SimTime) {
     let classes = a.classes().clone();
-    let class = |c: u16| ClassId(c % classes.len() as u16);
     match *op {
         Op::Get(k) => assert_eq!(a.get(key(k), now), b.get(key(k), now)),
         Op::Set(k, s) => {
@@ -76,11 +66,6 @@ fn apply(a: &mut SlabStore, b: &mut SlabStore, op: &Op, now: SimTime) {
             assert_eq!(a.set(key(k), v, now), b.set(key(k), v, now));
         }
         Op::Delete(k) => assert_eq!(a.delete(key(k)), b.delete(key(k))),
-        Op::EvictLru(c) => assert_eq!(a.evict_lru(class(c)), b.evict_lru(class(c))),
-        Op::ReassignPage(f, t) => assert_eq!(
-            a.reassign_page(class(f), class(t)),
-            b.reassign_page(class(f), class(t))
-        ),
         Op::BatchImport(ref raw) => {
             // One class's items (the first item's), each key once,
             // hottest first.
@@ -217,8 +202,8 @@ fn fill_refuses_what_set_refuses() {
         Err(ElmemError::ItemTooLarge { .. })
     ));
     drop(fill);
-    assert_eq!((s.len(), s.stats().sets), (1, 1));
-    assert_eq!(s.eviction_pressure(ClassId(3)), 1);
+    assert_eq!((s.len(), s.stats().sets, s.stats().evictions), (1, 1, 0));
+    assert_eq!(s.page_weights()[3], (ClassId(3), 0.0));
     assert!(s.contains(KeyId(1)));
     assert_eq!(s.audit(), Ok(()));
 }
@@ -274,14 +259,8 @@ fn a_fill_dropped_mid_ring_serves_like_per_key_sets() {
     }
     drop(fill);
     // 3 000 sets into 2 048 slots and 1 000 into 512.
-    assert_eq!(b.eviction_pressure(ClassId(0)), 952);
-    assert_eq!(b.eviction_pressure(ClassId(1)), 488);
+    assert_eq!(b.stats().evictions, 952 + 488);
     assert_same(&a, &b);
-    for class in [ClassId(0), ClassId(1)] {
-        for _ in 0..100 {
-            assert_eq!(a.evict_lru(class), b.evict_lru(class), "{class}");
-        }
-    }
     let now = SimTime::from_secs(1);
     for i in (0..4_000).rev().step_by(7) {
         assert_eq!(a.get(key(i), now), b.get(key(i), now), "key {i}");
@@ -295,8 +274,8 @@ fn a_fill_dropped_mid_ring_serves_like_per_key_sets() {
 #[test]
 fn a_class_without_a_page_is_refused_once_the_pages_are_gone() {
     // Class 0 takes the first page, class 1 the second with one item, and
-    // class 2 then finds none: refused, its pressure counted, while class
-    // 0 evicts around its ring and class 1 still takes fresh slots.
+    // class 2 then finds none: refused, while class 0 evicts around its
+    // ring and class 1 still takes fresh slots.
     let (mut a, mut b) = (kib_store(2), kib_store(2));
     let mut fill = b.fill();
     let mut i = 0u64;
@@ -318,12 +297,8 @@ fn a_class_without_a_page_is_refused_once_the_pages_are_gone() {
     }
     assert_eq!(set(&mut a, &mut fill, 3_000), Err(ElmemError::OutOfMemory));
     drop(fill);
-    assert_eq!(b.pages_of_class(ClassId(2)), 0);
-    assert_eq!(b.eviction_pressure(ClassId(2)), 2);
-    assert_eq!(b.eviction_pressure(ClassId(0)), 300);
-    assert_eq!(
-        (b.len_of_class(ClassId(1)), b.eviction_pressure(ClassId(1))),
-        (301, 0)
-    );
+    assert_eq!(b.page_weights()[2], (ClassId(2), 0.0));
+    assert_eq!(b.len_of_class(ClassId(1)), 301);
+    assert_eq!(b.stats().evictions, 300);
     assert_same(&a, &b);
 }
