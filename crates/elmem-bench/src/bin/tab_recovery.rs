@@ -28,7 +28,8 @@
 
 use elmem_bench::exp::Preset;
 use elmem_bench::figures::{tab_recovery, TabRecovery};
-use elmem_core::{ExperimentResult, HealingConfig};
+use elmem_core::healing::{PROBE_INTERVAL, PROBE_JITTER, SUSPICION_THRESHOLD};
+use elmem_core::ExperimentResult;
 use elmem_util::stats::{hit_rate_recovery_secs, window_mean};
 
 const SEED: u64 = 7;
@@ -170,8 +171,7 @@ fn main() {
     assert!(none.recoveries.is_empty() && none.probes_sent == 0);
     for r in [evict, warm] {
         let rec = r.recoveries.first().expect("crash detected");
-        let d = HealingConfig::evict_only().detector;
-        let window = (d.probe_interval + d.jitter) * u64::from(d.suspicion_threshold + 1);
+        let window = (PROBE_INTERVAL + PROBE_JITTER) * u64::from(SUSPICION_THRESHOLD + 1);
         let latency = rec.detection_latency().expect("crash time known");
         assert!(
             latency <= window,

@@ -13,8 +13,9 @@
 
 use elmem_bench::exp::Preset;
 use elmem_bench::figures::tab_timeseries;
+use elmem_core::telemetry::SERIES_WINDOW;
 use elmem_core::{ExperimentResult, SeriesPoint};
-use elmem_util::{SimTime, TelemetryConfig};
+use elmem_util::SimTime;
 use std::fmt::Write as _;
 
 /// Mean hit rate over series windows starting in `[from, to)` seconds,
@@ -85,7 +86,7 @@ fn main() {
     let t = tab_timeseries(preset, smoke, 42);
     let (baseline, elmem, seed) = (&t.baseline, &t.elmem, t.seed);
     let (scale_s, tail_from, tail_to) = (t.scale_s, t.tail.0, t.tail.1);
-    let window_ns = TelemetryConfig::default().sample_every.as_nanos();
+    let window_ns = SERIES_WINDOW.as_nanos();
     // Determinism: a same-seed rerun of the baseline reproduced its
     // telemetry dump, byte for byte.
     assert!(

@@ -402,7 +402,6 @@ mod tests {
             breaker_transitions: 0,
             telemetry: Default::default(),
             probes_sent: 0,
-            detector_transitions: 0,
             profiler_tracked_keys: 0,
             journal: Default::default(),
         }

@@ -14,8 +14,8 @@ use elmem_cluster::{CacheTier, Cluster, ClusterConfig};
 use elmem_core::{
     choose_retiring, migrate, run_chaos, run_experiment, AutoScaler, AutoScalerConfig, ChaosReport,
     ExperimentConfig, ExperimentResult, FaultPlan, HealingConfig, MasterRecovery, MigrateJob,
-    MigrationCosts, MigrationPolicy, MigrationReport, PredictiveAutoScaler, PredictiveConfig,
-    ScaleAction, Supervision,
+    MigrationCosts, MigrationPolicy, MigrationReport, PredictiveAutoScaler, ScaleAction,
+    Supervision,
 };
 use elmem_sim::chaos::ChaosPlan;
 use elmem_store::item::item_footprint;
@@ -377,7 +377,7 @@ pub fn tab_autoscaler(preset: Preset, seed: u64) -> AutoscaledRun {
     scaler.epoch = SimTime::from_secs(60);
     scaler.max_nodes = preset.scale_nodes(12);
     scaler.min_observations = 2_000_000;
-    cfg.autoscaler = Some(scaler.into());
+    cfg.autoscaler = Some(scaler);
     let demand = [vec![1.0; 8], vec![0.3; 7]].concat();
     cfg.workload.trace = DemandTrace::new(demand, SimTime::from_secs(120));
     let result = run_experiment(cfg);
@@ -466,7 +466,7 @@ pub fn ablate_predictive(seed: u64) -> Vec<RampEpoch> {
     base.min_observations = 100_000;
     base.max_nodes = 32;
     let mut reactive = AutoScaler::new(base.clone());
-    let mut predictive = PredictiveAutoScaler::new(PredictiveConfig::new(base));
+    let mut predictive = PredictiveAutoScaler::new(base);
     // A flat-ish popularity (Zipf 0.8) gives the sizing real dynamic range
     // across the ramp's p_min span.
     let zipf = ZipfPopularity::new(1_000_000, 0.8, 1);

@@ -16,12 +16,12 @@ use std::time::Instant;
 
 use elmem_bench::exp::{experiment_preset, Preset};
 use elmem_core::{
-    run_experiment_with_telemetry, AutoScalerConfig, ExperimentConfig, ExperimentResult,
-    MigrationPolicy, ScaleAction,
+    run_experiment, AutoScalerConfig, ExperimentConfig, ExperimentResult, MigrationPolicy,
+    ScaleAction,
 };
 use elmem_stackdist::ADAPTIVE_SWITCH_KEYS;
 use elmem_util::par::with_par_jobs;
-use elmem_util::{DetRng, SimTime, TelemetryConfig};
+use elmem_util::{DetRng, SimTime};
 use elmem_workload::{DemandTrace, RequestGenerator, TraceKind};
 
 const NODES: u32 = 100;
@@ -55,7 +55,7 @@ fn experiment() -> ExperimentConfig {
     let mut scaler = AutoScalerConfig::new(config.cluster.r_db(), config.cluster.node_memory);
     scaler.min_observations = u64::MAX;
     scaler.max_nodes = NODES + NODES / 5;
-    config.autoscaler = Some(scaler.into());
+    config.autoscaler = Some(scaler);
     config
 }
 
@@ -87,9 +87,7 @@ fn paper_scale_run_is_worker_count_independent_and_bounded() {
 
     let run = |jobs: usize| {
         let t0 = Instant::now();
-        let r = with_par_jobs(jobs, || {
-            run_experiment_with_telemetry(experiment(), TelemetryConfig::default())
-        });
+        let r = with_par_jobs(jobs, || run_experiment(experiment()));
         println!(
             "jobs={jobs}: {} requests, {} scaling events, {} tracked keys, {:.1}s",
             r.total_requests,

@@ -6,11 +6,10 @@
 use elmem_cluster::ClusterConfig;
 use elmem_core::migration::MigrationCosts;
 use elmem_core::{
-    run_experiment_with_telemetry, ExperimentConfig, ExperimentResult, FaultPlan, MigrationPolicy,
-    ScaleAction,
+    run_experiment, ExperimentConfig, ExperimentResult, FaultPlan, MigrationPolicy, ScaleAction,
 };
 use elmem_util::par::par_map_indexed;
-use elmem_util::{SimTime, TelemetryConfig};
+use elmem_util::SimTime;
 use elmem_workload::{DemandTrace, Keyspace, WorkloadConfig};
 use proptest::prelude::*;
 
@@ -78,10 +77,7 @@ proptest! {
         let cells: Vec<ExperimentConfig> = raws.iter().map(cell_config).collect();
         let run = |jobs: usize| -> Vec<String> {
             par_map_indexed(jobs, &cells, |_, cfg| {
-                digest(&run_experiment_with_telemetry(
-                    cfg.clone(),
-                    TelemetryConfig::default(),
-                ))
+                digest(&run_experiment(cfg.clone()))
             })
         };
         let serial = run(1);

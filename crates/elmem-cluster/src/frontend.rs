@@ -154,8 +154,7 @@ impl Cluster {
             hits,
             lookups: req.keys.len() as u64,
         };
-        self.telemetry
-            .on_request(now, outcome.rt, outcome.hits, outcome.lookups);
+        self.telemetry.on_request(outcome.rt);
         outcome
     }
 

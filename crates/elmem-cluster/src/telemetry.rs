@@ -6,10 +6,9 @@
 //! `get_hit` / `get_miss` / `timeout_path` histograms, every request's
 //! response time lands in `request_rt`, and per-node counters track where
 //! hits and failures concentrate. Serving-path *events* — client timeouts,
-//! fast failovers, circuit-breaker transitions and (optionally) one event
-//! per request — go into the same trace the control plane writes to, so a
-//! dump interleaves "breaker opened on node 1" with "migration phase 2
-//! started" on one clock.
+//! fast failovers and circuit-breaker transitions — go into the same trace
+//! the control plane writes to, so a dump interleaves "breaker opened on
+//! node 1" with "migration phase 2 started" on one clock.
 //!
 //! Histograms are always recorded (they are cheap and deterministic);
 //! events respect [`TelemetryConfig::trace_capacity`], with capacity 0 —
@@ -47,8 +46,6 @@ pub struct NodeCounters {
 pub struct ClusterTelemetry {
     /// The shared event trace (serving path + control plane).
     pub trace: EventTrace,
-    /// Whether to record one [`EventKind::RequestServed`] per web request.
-    pub trace_requests: bool,
     /// Response time of whole web requests (overhead + mean item latency).
     pub request_rt: LatencyHistogram,
     /// Latency of lookups answered from cache.
@@ -63,11 +60,10 @@ pub struct ClusterTelemetry {
 }
 
 impl ClusterTelemetry {
-    /// Re-arms the trace with the given capacity and request tracing flag.
-    /// Existing histogram contents are kept; the trace restarts empty.
+    /// Re-arms the trace with the given capacity. Existing histogram
+    /// contents are kept; the trace restarts empty.
     pub fn configure(&mut self, config: &TelemetryConfig) {
         self.trace = EventTrace::with_capacity(config.trace_capacity);
-        self.trace_requests = config.trace_requests;
     }
 
     /// Counters for one node (zeroes if it never served a lookup).
@@ -111,21 +107,10 @@ impl ClusterTelemetry {
         self.trace.record(at, Some(node), EventKind::FastFailover);
     }
 
-    /// Records one served web request: always into the response-time
-    /// histogram, and as an event when request tracing is on.
+    /// Records one served web request's response time.
     #[inline]
-    pub fn on_request(&mut self, at: SimTime, rt: SimTime, hits: u64, lookups: u64) {
+    pub fn on_request(&mut self, rt: SimTime) {
         self.request_rt.record_time(rt);
-        if self.trace_requests {
-            self.trace.record(
-                at,
-                None,
-                EventKind::RequestServed {
-                    hits: hits as u32,
-                    lookups: lookups as u32,
-                },
-            );
-        }
     }
 
     /// Records a breaker state change as an event (no-op when unchanged).
@@ -176,18 +161,6 @@ mod tests {
             BreakerState::Closed,
             BreakerState::Open,
         );
-        assert_eq!(t.trace.len(), 1);
-    }
-
-    #[test]
-    fn request_events_are_gated() {
-        let mut t = ClusterTelemetry::default();
-        t.configure(&TelemetryConfig::default());
-        t.on_request(SimTime::ZERO, SimTime::from_millis(1), 2, 3);
-        assert_eq!(t.request_rt.count(), 1);
-        assert!(t.trace.is_empty(), "request tracing is off by default");
-        t.trace_requests = true;
-        t.on_request(SimTime::ZERO, SimTime::from_millis(1), 2, 3);
         assert_eq!(t.trace.len(), 1);
     }
 

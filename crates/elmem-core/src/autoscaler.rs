@@ -43,28 +43,24 @@ pub struct AutoScalerConfig {
     pub min_nodes: u32,
     /// Never scale above this many nodes.
     pub max_nodes: u32,
-    /// How many recent warm-access distance samples the quantile estimate
-    /// is computed over.
-    pub distance_samples: usize,
     /// Lookups that must be observed before the first scaling hint (the
     /// warm-up guard; scale-in to `min_nodes` on idle demand is exempt).
     pub min_observations: u64,
-    /// Safety headroom multiplied onto the required memory (>1 leaves slack
-    /// so the achieved hit rate lands above p_min despite estimation noise).
-    pub headroom: f64,
-    /// SHARDS-style spatial sampling rate in `(0, 1]`: only keys whose
-    /// stable hash falls under this fraction are tracked, and measured
-    /// distances are scaled by `1/rate`. Hash-based (spatial) sampling
-    /// preserves the reuse-distance distribution — unlike taking 1 of every
-    /// N *requests*, which truncates it — at `rate × ` the tracking cost
-    /// (SHARDS; cited as \[65\] by the paper).
-    pub spatial_sample_rate: f64,
-    /// Ratio of slab-chunk bytes to item-footprint bytes: stack distances
-    /// measure unique *footprint* bytes, but Memcached stores each item in
-    /// a power-ladder chunk (plus page granularity), so the provisioned
-    /// memory must be larger by this factor (~1.5 for a growth-2 ladder).
-    pub slab_overhead: f64,
 }
+
+/// How many recent warm-access distance samples the quantile estimate is
+/// computed over.
+const DISTANCE_SAMPLES: usize = 200_000;
+
+/// Safety headroom multiplied onto the required memory (>1 leaves slack so
+/// the achieved hit rate lands above p_min despite estimation noise).
+const HEADROOM: f64 = 1.1;
+
+/// Ratio of slab-chunk bytes to item-footprint bytes: stack distances
+/// measure unique *footprint* bytes, but Memcached stores each item in a
+/// power-ladder chunk (plus page granularity), so the provisioned memory
+/// must be larger by this factor (~1.5 for a growth-2 ladder).
+const SLAB_OVERHEAD: f64 = 1.5;
 
 impl AutoScalerConfig {
     /// Paper-style defaults for a given r_DB and node memory.
@@ -75,11 +71,7 @@ impl AutoScalerConfig {
             node_memory,
             min_nodes: 1,
             max_nodes: 64,
-            distance_samples: 200_000,
             min_observations: 500_000,
-            headroom: 1.1,
-            slab_overhead: 1.5,
-            spatial_sample_rate: 1.0,
         }
     }
 }
@@ -142,6 +134,9 @@ pub struct AutoScaler {
     engine: AdaptiveStackDistance,
     /// Ring buffer of recent warm-access distances (bytes).
     distances: Vec<u64>,
+    /// The ring's length: [`DISTANCE_SAMPLES`], shorter only in this
+    /// module's tests.
+    ring_len: usize,
     /// How many of `distances` fall in each [`bucket`]: the first digit of
     /// [`Self::memory_for`]'s radix select, kept as the ring turns.
     bucket_counts: Vec<usize>,
@@ -156,21 +151,16 @@ impl AutoScaler {
     ///
     /// # Panics
     ///
-    /// Panics if `r_db` or `headroom` are non-positive, the sample buffer
-    /// is empty, or `min_nodes > max_nodes` or `min_nodes == 0`.
+    /// Panics if `r_db` is non-positive, or `min_nodes > max_nodes` or
+    /// `min_nodes == 0`.
     pub fn new(config: AutoScalerConfig) -> Self {
         assert!(config.r_db > 0.0 && config.r_db.is_finite(), "invalid r_db");
-        assert!(config.headroom > 0.0, "invalid headroom");
-        assert!(config.distance_samples > 0, "empty sample buffer");
         assert!(config.min_nodes <= config.max_nodes, "min > max nodes");
         assert!(config.min_nodes >= 1, "min_nodes must be >= 1");
-        assert!(
-            config.spatial_sample_rate > 0.0 && config.spatial_sample_rate <= 1.0,
-            "spatial_sample_rate out of (0, 1]"
-        );
         AutoScaler {
             engine: AdaptiveStackDistance::new(),
-            distances: Vec::with_capacity(config.distance_samples.min(1 << 20)),
+            distances: Vec::with_capacity(DISTANCE_SAMPLES),
+            ring_len: DISTANCE_SAMPLES,
             bucket_counts: vec![0; BUCKETS],
             pos: 0,
             observed: 0,
@@ -186,29 +176,17 @@ impl AutoScaler {
     }
 
     /// Records one sampled cache lookup (key + item footprint bytes).
-    ///
-    /// With `spatial_sample_rate < 1`, keys outside the sampled hash range
-    /// are counted toward the warm-up but not tracked; distances of tracked
-    /// keys are scaled by `1/rate` to estimate the full-stream distance.
     pub fn observe(&mut self, key: KeyId, footprint: u64) {
         self.observed += 1;
-        let rate = self.config.spatial_sample_rate;
-        if rate < 1.0 {
-            let threshold = (rate * u64::MAX as f64) as u64;
-            if elmem_util::hashutil::mix64(key.0 ^ 0x0005_ca1e_d05a_3b1e) > threshold {
-                return;
-            }
-        }
         if let Some(d) = self.engine.record(key, footprint) {
             self.warm += 1;
-            let scaled = (d as f64 / rate) as u64;
-            self.bucket_counts[bucket(scaled)] += 1;
-            if self.distances.len() < self.config.distance_samples {
-                self.distances.push(scaled);
+            self.bucket_counts[bucket(d)] += 1;
+            if self.distances.len() < self.ring_len {
+                self.distances.push(d);
             } else {
-                let old = std::mem::replace(&mut self.distances[self.pos], scaled);
+                let old = std::mem::replace(&mut self.distances[self.pos], d);
                 self.bucket_counts[bucket(old)] -= 1;
-                self.pos = (self.pos + 1) % self.config.distance_samples;
+                self.pos = (self.pos + 1) % self.ring_len;
             }
         }
     }
@@ -301,9 +279,7 @@ impl AutoScaler {
                 return None; // warm-up guard
             }
             ByteSize::from_bytes(
-                (self.memory_for(p_min)?.as_f64()
-                    * self.config.headroom
-                    * self.config.slab_overhead) as u64,
+                (self.memory_for(p_min)?.as_f64() * HEADROOM * SLAB_OVERHEAD) as u64,
             )
         };
         let target = required
@@ -445,9 +421,8 @@ mod tests {
             seed in any::<u64>(),
             ps in proptest::collection::vec(0.0f64..1.0, 0..6),
         ) {
-            let mut cfg = AutoScalerConfig::new(100.0, ByteSize::from_mib(1));
-            cfg.distance_samples = capacity;
-            let mut a = AutoScaler::new(cfg);
+            let mut a = AutoScaler::new(AutoScalerConfig::new(100.0, ByteSize::from_mib(1)));
+            a.ring_len = capacity;
             // Few keys, many accesses: the ring fills, wraps, and holds
             // runs of equal distances.
             let mut state = seed;
@@ -525,51 +500,6 @@ mod tests {
         a.observe(KeyId(2), 10);
         assert_eq!(a.observed(), 3);
         assert_eq!(a.warm(), 1);
-    }
-
-    #[test]
-    fn spatial_sampling_approximates_full_sizing() {
-        use elmem_workload::ZipfPopularity;
-        let mut full_cfg = AutoScalerConfig::new(100.0, ByteSize::from_kib(64));
-        full_cfg.min_observations = 100;
-        let mut sampled_cfg = full_cfg.clone();
-        sampled_cfg.spatial_sample_rate = 0.25;
-        let mut full = AutoScaler::new(full_cfg);
-        let mut sampled = AutoScaler::new(sampled_cfg);
-        let zipf = ZipfPopularity::new(20_000, 0.9, 3);
-        let mut rng = crate::autoscaler::tests::rng_for_sampling();
-        for _ in 0..400_000 {
-            let key = zipf.sample(&mut rng);
-            full.observe(key, 256);
-            sampled.observe(key, 256);
-        }
-        // The sampled tracker sees ~25% of the keys...
-        assert!(sampled.warm() < full.warm() / 2);
-        // ...but its scaled *tail* quantiles — the ones Eq. (1) sizing
-        // uses — land close to the full ones. (Short distances are
-        // quantized at ~1/rate granularity and noisier; that is the known
-        // SHARDS trade-off and does not affect capacity planning.)
-        for p in [0.9, 0.95, 0.99] {
-            let f = full.memory_for(p).unwrap().as_f64();
-            let s = sampled.memory_for(p).unwrap().as_f64();
-            let ratio = s / f;
-            assert!(
-                (0.7..1.4).contains(&ratio),
-                "p={p}: sampled {s} vs full {f} (ratio {ratio})"
-            );
-        }
-    }
-
-    fn rng_for_sampling() -> elmem_util::DetRng {
-        elmem_util::DetRng::seed(77)
-    }
-
-    #[test]
-    #[should_panic]
-    fn sample_rate_zero_rejected() {
-        let mut cfg = AutoScalerConfig::new(100.0, ByteSize::from_mib(1));
-        cfg.spatial_sample_rate = 0.0;
-        let _ = AutoScaler::new(cfg);
     }
 
     #[test]

@@ -45,9 +45,7 @@
 //! [`SlabStore::audit`]: elmem_store::SlabStore::audit
 
 use crate::autoscaler::AutoScalerConfig;
-use crate::elasticity::{
-    run_experiment_capture, ExperimentConfig, ExperimentResult, ScaleAction, ScalerConfig,
-};
+use crate::elasticity::{run_experiment_capture, ExperimentConfig, ExperimentResult, ScaleAction};
 use crate::healing::HealingConfig;
 use crate::journal::{JournalRecord, MasterPlan};
 use crate::migration::MigrationCosts;
@@ -104,7 +102,7 @@ pub fn experiment_for_plan(plan: &ChaosPlan) -> ExperimentConfig {
         cfg.min_nodes = 2;
         cfg.max_nodes = 12;
         cfg.min_observations = 20_000;
-        ScalerConfig::Reactive(cfg)
+        cfg
     });
     let scheduled = plan
         .actions
@@ -142,7 +140,6 @@ pub fn run_chaos(plan: &ChaosPlan) -> ChaosReport {
     let keyspace = config.workload.keyspace.clone();
     let tcfg = TelemetryConfig {
         trace_capacity: CHAOS_TRACE_CAPACITY,
-        ..TelemetryConfig::default()
     };
     let (result, cluster) = run_experiment_capture(config, tcfg);
     let violations = check_invariants(plan, &result, &cluster, &keyspace);
@@ -571,7 +568,7 @@ fn check_journal(result: &ExperimentResult, cluster: &Cluster, v: &mut Vec<Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elmem_sim::chaos::{ChaosLimits, ScheduledChaosAction};
+    use elmem_sim::chaos::ScheduledChaosAction;
 
     #[test]
     fn quiet_plan_passes_all_invariants() {
@@ -624,7 +621,7 @@ mod tests {
 
     #[test]
     fn generated_plan_runs_clean() {
-        let plan = ChaosPlan::generate_with(42, &ChaosLimits::default());
+        let plan = ChaosPlan::generate(42);
         let report = run_chaos(&plan);
         assert!(report.passed(), "violations: {:?}", report.violations);
     }
@@ -662,7 +659,6 @@ mod tests {
             config,
             TelemetryConfig {
                 trace_capacity: CHAOS_TRACE_CAPACITY,
-                ..TelemetryConfig::default()
             },
         );
         // Hand-corrupt one store — its byte accounting, then each way its

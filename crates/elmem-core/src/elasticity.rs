@@ -18,13 +18,12 @@ use elmem_workload::{RequestGenerator, WebRequest, WorkloadConfig};
 use crate::autoscaler::AutoScalerConfig;
 use crate::healing::{
     ConfirmedDeath, FailureDetector, HealingConfig, NodeState, ProbeObservation, ProbeOutcome,
-    RecoveryEvent,
+    RecoveryEvent, PROBE_INTERVAL, PROBE_JITTER, SUSPICION_THRESHOLD,
 };
 use crate::journal::{MasterPlan, MigrationJournal};
 use crate::master::{Admission, DeferredKind, JobKind, Master, Orchestration};
 use crate::migration::{MigrationCosts, MigrationReport, Supervision};
 use crate::policies::MigrationPolicy;
-use crate::predictive::PredictiveConfig;
 use crate::scaler_stage::ScalerStage;
 use crate::telemetry::{record_migration_events, SeriesRecorder, TelemetryDump, TierSnapshot};
 
@@ -71,7 +70,7 @@ pub struct ExperimentConfig {
     /// How scaling actions move data (Q3).
     pub policy: MigrationPolicy,
     /// Q1 automation; `None` runs only the scripted actions.
-    pub autoscaler: Option<ScalerConfig>,
+    pub autoscaler: Option<AutoScalerConfig>,
     /// Scripted actions (applied at the given times), in addition to or
     /// instead of the AutoScaler.
     pub scheduled: Vec<(SimTime, ScaleAction)>,
@@ -121,8 +120,6 @@ pub struct ExperimentResult {
     pub breaker_transitions: u64,
     /// Heartbeat probes the failure detector sent (0 without healing).
     pub probes_sent: u64,
-    /// Failure-detector state transitions (flap metric; 0 without healing).
-    pub detector_transitions: u64,
     /// Distinct keys the autoscaler's stack-distance engine still tracked
     /// when the run ended (0 without an autoscaler). The adaptive engine
     /// caps this at the exact→MIMIR switch threshold (MIMIR evicts as its
@@ -144,28 +141,6 @@ impl ExperimentResult {
     /// for post-scaling degradation summaries).
     pub fn first_commit_second(&self) -> Option<u64> {
         self.events.iter().map(|e| e.committed_at.as_secs()).min()
-    }
-}
-
-/// Which Q1 (when/how much) module drives the run — §III-B's "pluggable
-/// module".
-#[derive(Debug, Clone)]
-pub enum ScalerConfig {
-    /// The paper's reactive Eq. (1) + stack-distance sizing.
-    Reactive(AutoScalerConfig),
-    /// A Holt linear-trend forecaster wrapped around the reactive sizing.
-    Predictive(PredictiveConfig),
-}
-
-impl From<AutoScalerConfig> for ScalerConfig {
-    fn from(cfg: AutoScalerConfig) -> Self {
-        ScalerConfig::Reactive(cfg)
-    }
-}
-
-impl From<PredictiveConfig> for ScalerConfig {
-    fn from(cfg: PredictiveConfig) -> Self {
-        ScalerConfig::Predictive(cfg)
     }
 }
 
@@ -219,7 +194,7 @@ impl Driver {
         cluster.set_telemetry_config(tcfg);
         let mut control = EventQueue::new();
         let healing = config.healing.map(|healing| {
-            let mut detector = FailureDetector::new(healing.detector, rng.split("heartbeat"));
+            let mut detector = FailureDetector::new(rng.split("heartbeat"));
             control.schedule(
                 detector.next_round_after(SimTime::ZERO),
                 ControlEvent::Heartbeat,
@@ -332,10 +307,9 @@ impl Driver {
     /// corpse in the final membership.
     fn settle(&mut self, last_request: SimTime) {
         self.clock = self.clock.max(last_request);
-        if let Some((_, detector)) = &self.healing {
-            let d = detector.config();
-            let round = d.probe_interval + d.jitter;
-            self.heartbeats_until = last_request + round * u64::from(d.suspicion_threshold + 2);
+        if self.healing.is_some() {
+            let round = PROBE_INTERVAL + PROBE_JITTER;
+            self.heartbeats_until = last_request + round * u64::from(SUSPICION_THRESHOLD + 2);
         }
         self.advance(None);
         // Deaths confirmed but still queued behind a busy Master when the
@@ -517,7 +491,8 @@ impl Driver {
         // One replacement per death, paired in order (empty for evict-only).
         for (i, death) in deaths.iter().enumerate() {
             let replacement = orch.nodes.get(i).copied();
-            let warmed = healing.warmup && replacement.is_some();
+            // Every replacement is warmed before it joins.
+            let warmed = replacement.is_some();
             let completed = EventKind::RecoveryCompleted {
                 replacement,
                 warmed,
@@ -537,25 +512,15 @@ impl Driver {
 }
 
 /// Runs one experiment to completion. Deterministic in `config.seed`.
-/// Telemetry runs with [`TelemetryConfig::default`] (event tracing on,
-/// per-request events off, 1 s series windows).
+/// The event trace holds [`TelemetryConfig::default`]'s capacity.
 pub fn run_experiment(config: ExperimentConfig) -> ExperimentResult {
-    run_experiment_with_telemetry(config, TelemetryConfig::default())
+    run_experiment_capture(config, TelemetryConfig::default()).0
 }
 
-/// [`run_experiment`] with explicit telemetry knobs (trace capacity,
-/// per-request events, series window).
-pub fn run_experiment_with_telemetry(
-    config: ExperimentConfig,
-    tcfg: TelemetryConfig,
-) -> ExperimentResult {
-    run_experiment_capture(config, tcfg).0
-}
-
-/// [`run_experiment_with_telemetry`], additionally returning the final
-/// [`Cluster`] so callers can audit end-of-run state — the chaos engine's
-/// post-run invariant checker inspects every surviving store directly
-/// instead of trusting the aggregated telemetry.
+/// [`run_experiment`] with an explicit trace capacity, additionally
+/// returning the final [`Cluster`] so callers can audit end-of-run state —
+/// the chaos engine's post-run invariant checker inspects every surviving
+/// store directly instead of trusting the aggregated telemetry.
 pub fn run_experiment_capture(
     config: ExperimentConfig,
     tcfg: TelemetryConfig,
@@ -585,7 +550,7 @@ pub fn run_experiment_capture(
     let mut scheduled = scheduled.into_iter().peekable();
 
     let mut recorder = TimelineRecorder::new();
-    let mut series = SeriesRecorder::new(tcfg.sample_every);
+    let mut series = SeriesRecorder::default();
     let mut lookups_since = 0u64;
     let mut rate_anchor = SimTime::ZERO;
     let mut last_now = SimTime::ZERO;
@@ -668,8 +633,7 @@ pub fn run_experiment_capture(
     } = driver;
     let final_snap = TierSnapshot::take(&cluster, bytes_migrated);
     let series = series.finish(clock, &final_snap);
-    let telemetry = TelemetryDump::assemble(config.seed, &tcfg, &cluster, series);
-    let detector = healing.as_ref().map(|(_, detector)| detector);
+    let telemetry = TelemetryDump::assemble(config.seed, &cluster, series);
 
     let result = ExperimentResult {
         timeline: recorder.finish(),
@@ -681,8 +645,7 @@ pub fn run_experiment_capture(
         client_timeouts: cluster.client_timeouts(),
         fast_failovers: cluster.fast_failovers(),
         breaker_transitions: cluster.breaker_transitions(),
-        probes_sent: detector.map_or(0, |d| d.probes_sent()),
-        detector_transitions: detector.map_or(0, |d| d.transitions()),
+        probes_sent: healing.map_or(0, |(_, d)| d.probes_sent()),
         profiler_tracked_keys: autoscaler.map_or(0, ScalerStage::finish),
         telemetry,
         journal: master.journal().clone(),
@@ -869,7 +832,7 @@ mod tests {
             a.epoch = SimTime::from_secs(30);
             a.max_nodes = 4;
             a.min_observations = 5_000;
-            a.into()
+            a
         });
         let result = run_experiment(cfg);
         assert!(

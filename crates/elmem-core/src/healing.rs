@@ -4,7 +4,7 @@
 //! tier loses them. This module gives the Master a heartbeat *failure
 //! detector* and a *recovery* policy:
 //!
-//! * [`FailureDetector`] probes every member on a configurable interval
+//! * [`FailureDetector`] probes every member every [`PROBE_INTERVAL`]
 //!   (jittered from a dedicated `DetRng` stream, so runs stay
 //!   bit-reproducible). A probe returns a [`ProbeOutcome`]: `Ack` from a
 //!   healthy node, `Degraded` from a node behind a partitioned or badly
@@ -18,10 +18,10 @@
 //!   safety property the property tests pin down.
 //! * On confirmation the driver asks the Master to recover
 //!   ([`crate::Master::recover_supervised`]): evict the corpse from the
-//!   membership, optionally admit a replacement, and — when
-//!   [`HealingConfig::warmup`] is set — fill the replacement with the
-//!   FuseCache-selected hottest items from the survivors before the
-//!   membership flip, exactly like a supervised scale-out.
+//!   membership and — when [`HealingConfig::replace`] is set — admit a
+//!   replacement filled with the FuseCache-selected hottest items from the
+//!   survivors before the membership flip, exactly like a supervised
+//!   scale-out.
 //!
 //! Everything here is driven by the simulated clock; there is no
 //! wall-clock time and no hidden randomness.
@@ -32,32 +32,20 @@ use elmem_cluster::Cluster;
 pub use elmem_util::telemetry::ProbeOutcome;
 use elmem_util::{DetRng, NodeId, SimTime};
 
-/// Heartbeat failure-detector parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorConfig {
-    /// Time between probe rounds.
-    pub probe_interval: SimTime,
-    /// Round-trip budget for one probe; a reachable node whose link would
-    /// stretch the ack past this is counted as degraded, not dead.
-    pub probe_timeout: SimTime,
-    /// Consecutive `Lost` probes before a node is confirmed dead (and
-    /// consecutive non-acks before it is suspected).
-    pub suspicion_threshold: u32,
-    /// Maximum deterministic jitter added to each round's schedule (avoids
-    /// probes synchronizing with other periodic events).
-    pub jitter: SimTime,
-}
+/// Time between probe rounds.
+pub const PROBE_INTERVAL: SimTime = SimTime::from_secs(1);
 
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            probe_interval: SimTime::from_secs(1),
-            probe_timeout: SimTime::from_millis(100),
-            suspicion_threshold: 3,
-            jitter: SimTime::from_millis(50),
-        }
-    }
-}
+/// Round-trip budget for one probe; a reachable node whose link would
+/// stretch the ack past this is counted as degraded, not dead.
+pub const PROBE_TIMEOUT: SimTime = SimTime::from_millis(100);
+
+/// Consecutive `Lost` probes before a node is confirmed dead (and
+/// consecutive non-acks before it is suspected).
+pub const SUSPICION_THRESHOLD: u32 = 3;
+
+/// Maximum deterministic jitter added to each round's schedule (avoids
+/// probes synchronizing with other periodic events).
+pub const PROBE_JITTER: SimTime = SimTime::from_millis(50);
 
 /// The detector's opinion of one member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,8 +68,6 @@ struct MemberTrack {
     lost: u32,
     /// When the current non-ack streak started.
     first_miss_at: SimTime,
-    /// State changes so far (flap metric).
-    transitions: u64,
 }
 
 impl MemberTrack {
@@ -91,14 +77,6 @@ impl MemberTrack {
             missed: 0,
             lost: 0,
             first_miss_at: SimTime::ZERO,
-            transitions: 0,
-        }
-    }
-
-    fn set_state(&mut self, state: NodeState) {
-        if self.state != state {
-            self.state = state;
-            self.transitions += 1;
         }
     }
 }
@@ -136,7 +114,6 @@ pub struct ProbeObservation {
 /// ever rejoin.
 #[derive(Debug)]
 pub struct FailureDetector {
-    config: DetectorConfig,
     rng: DetRng,
     tracks: BTreeMap<NodeId, MemberTrack>,
     probes_sent: u64,
@@ -145,25 +122,19 @@ pub struct FailureDetector {
 impl FailureDetector {
     /// A detector with its own jitter stream (split from the experiment
     /// RNG as `"heartbeat"` by the driver).
-    pub fn new(config: DetectorConfig, rng: DetRng) -> Self {
+    pub fn new(rng: DetRng) -> Self {
         FailureDetector {
-            config,
             rng,
             tracks: BTreeMap::new(),
             probes_sent: 0,
         }
     }
 
-    /// The detector's parameters.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.config
-    }
-
     /// When the round after one at `now` should run: interval plus a
     /// deterministic jitter draw.
     pub fn next_round_after(&mut self, now: SimTime) -> SimTime {
-        let jitter = self.config.jitter.mul_f64(self.rng.next_f64());
-        now + self.config.probe_interval + jitter
+        let jitter = PROBE_JITTER.mul_f64(self.rng.next_f64());
+        now + PROBE_INTERVAL + jitter
     }
 
     /// What a probe of `node` observes at `now`. Pure: no state update.
@@ -182,7 +153,7 @@ impl FailureDetector {
         }
         // Round trip over a possibly degraded link vs the probe budget.
         let rtt = (n.link.latency() * 2).mul_f64(n.link.slowdown_factor());
-        if rtt > self.config.probe_timeout {
+        if rtt > PROBE_TIMEOUT {
             ProbeOutcome::Degraded
         } else {
             ProbeOutcome::Ack
@@ -215,7 +186,7 @@ impl FailureDetector {
                 ProbeOutcome::Ack => {
                     track.missed = 0;
                     track.lost = 0;
-                    track.set_state(NodeState::Alive);
+                    track.state = NodeState::Alive;
                 }
                 ProbeOutcome::Degraded | ProbeOutcome::Lost => {
                     if track.missed == 0 {
@@ -229,17 +200,17 @@ impl FailureDetector {
                         // streak restarts, only suspicion persists.
                         track.lost = 0;
                     }
-                    if track.lost >= self.config.suspicion_threshold {
+                    if track.lost >= SUSPICION_THRESHOLD {
                         if track.state != NodeState::ConfirmedDead {
-                            track.set_state(NodeState::ConfirmedDead);
+                            track.state = NodeState::ConfirmedDead;
                             confirmed.push(ConfirmedDeath {
                                 node: id,
                                 suspected_at: track.first_miss_at,
                                 confirmed_at: now,
                             });
                         }
-                    } else if track.missed >= self.config.suspicion_threshold {
-                        track.set_state(NodeState::Suspected);
+                    } else if track.missed >= SUSPICION_THRESHOLD {
+                        track.state = NodeState::Suspected;
                     }
                 }
             }
@@ -262,63 +233,29 @@ impl FailureDetector {
     pub fn probes_sent(&self) -> u64 {
         self.probes_sent
     }
-
-    /// Total detector state transitions across all members (flap metric).
-    pub fn transitions(&self) -> u64 {
-        self.tracks.values().map(|t| t.transitions).sum()
-    }
 }
 
-/// What to do with the hole a dead node leaves.
+/// Self-healing configuration: the recovery policy applied when the
+/// detector confirms a death.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplacementPolicy {
-    /// Evict only: the tier shrinks by one per death.
-    None,
-    /// Provision one replacement per evicted node.
-    OneForOne,
-}
-
-/// Self-healing configuration: detector parameters plus the recovery
-/// policy applied when a death is confirmed.
-#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealingConfig {
-    /// Heartbeat detector parameters.
-    pub detector: DetectorConfig,
-    /// Whether confirmed deaths are replaced.
-    pub replacement: ReplacementPolicy,
-    /// Fill replacements with FuseCache-selected hot items from the
-    /// survivors before the membership flip (a supervised scale-out);
-    /// `false` admits them cold.
-    pub warmup: bool,
+    /// Admit one replacement per confirmed death, filled with
+    /// FuseCache-selected hot items from the survivors before the
+    /// membership flip (a supervised scale-out); `false` only evicts, and
+    /// the tier shrinks by one per death.
+    pub replace: bool,
 }
 
 impl HealingConfig {
     /// Detect and evict, no replacement: the tier shrinks on every death.
     pub fn evict_only() -> Self {
-        HealingConfig {
-            detector: DetectorConfig::default(),
-            replacement: ReplacementPolicy::None,
-            warmup: false,
-        }
-    }
-
-    /// Detect, evict, and admit a cold replacement immediately.
-    pub fn cold_replacement() -> Self {
-        HealingConfig {
-            detector: DetectorConfig::default(),
-            replacement: ReplacementPolicy::OneForOne,
-            warmup: false,
-        }
+        HealingConfig { replace: false }
     }
 
     /// The full self-healing loop: detect, evict, and admit a replacement
     /// warmed via FuseCache before it joins the ring.
     pub fn warm_replacement() -> Self {
-        HealingConfig {
-            detector: DetectorConfig::default(),
-            replacement: ReplacementPolicy::OneForOne,
-            warmup: true,
-        }
+        HealingConfig { replace: true }
     }
 }
 
@@ -365,10 +302,7 @@ mod tests {
     }
 
     fn detector() -> FailureDetector {
-        FailureDetector::new(
-            DetectorConfig::default(),
-            DetRng::seed(2).split("heartbeat"),
-        )
+        FailureDetector::new(DetRng::seed(2).split("heartbeat"))
     }
 
     #[test]
@@ -376,13 +310,15 @@ mod tests {
         let c = cluster();
         let mut d = detector();
         for s in 0..10 {
-            let confirmed = d.probe_round(&c, SimTime::from_secs(s)).0;
+            let (confirmed, observed) = d.probe_round(&c, SimTime::from_secs(s));
             assert!(confirmed.is_empty());
+            assert!(observed
+                .iter()
+                .all(|o| o.before == NodeState::Alive && o.after == NodeState::Alive));
         }
         for &m in c.tier.membership().members() {
             assert_eq!(d.state(m), Some(NodeState::Alive));
         }
-        assert_eq!(d.transitions(), 0);
     }
 
     #[test]
@@ -423,7 +359,6 @@ mod tests {
         // Heal: the node flaps back to alive.
         d.probe_round(&c, SimTime::from_secs(100));
         assert_eq!(d.state(NodeId(2)), Some(NodeState::Alive));
-        assert!(d.transitions() >= 2, "suspected then cleared");
     }
 
     #[test]

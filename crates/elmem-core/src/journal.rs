@@ -371,28 +371,19 @@ pub enum MasterRecovery {
     Abort,
 }
 
+/// Downtime between a Master crash and the restarted Master taking over.
+pub const MASTER_RESTART_DELAY: SimTime = SimTime::from_millis(500);
+
 /// Scheduled Master failures for one experiment: when the Master process
-/// crashes, how long its failover/restart takes, and whether the restarted
-/// Master resumes or aborts interrupted migrations.
-#[derive(Debug, Clone, PartialEq)]
+/// crashes, and whether the restarted Master resumes or aborts interrupted
+/// migrations. A restart takes [`MASTER_RESTART_DELAY`].
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MasterPlan {
     /// Absolute instants the Master crashes. A crash only matters while a
     /// migration is in flight — an idle Master restarts invisibly.
     pub crashes: Vec<SimTime>,
-    /// Downtime between a crash and the restarted Master taking over.
-    pub restart_delay: SimTime,
     /// Resume or abort interrupted migrations.
     pub recovery: MasterRecovery,
-}
-
-impl Default for MasterPlan {
-    fn default() -> Self {
-        MasterPlan {
-            crashes: Vec::new(),
-            restart_delay: SimTime::from_millis(500),
-            recovery: MasterRecovery::Resume,
-        }
-    }
 }
 
 impl MasterPlan {

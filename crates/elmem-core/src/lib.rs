@@ -53,15 +53,15 @@ pub mod telemetry;
 pub use autoscaler::{AutoScaler, AutoScalerConfig, ScalingHint};
 pub use chaos::{check_invariants, experiment_for_plan, run_chaos, ChaosReport};
 pub use elasticity::{
-    run_experiment, run_experiment_capture, run_experiment_with_telemetry, ExperimentConfig,
-    ExperimentResult, ScaleAction, ScalerConfig, ScalingEvent,
+    run_experiment, run_experiment_capture, ExperimentConfig, ExperimentResult, ScaleAction,
+    ScalingEvent,
 };
 pub use fusecache::{
     fusecache, fusecache_instrumented, kway_top_n, sort_merge_top_n, SelectionStats,
 };
 pub use healing::{
-    ConfirmedDeath, DetectorConfig, FailureDetector, HealingConfig, NodeState, ProbeObservation,
-    ProbeOutcome, RecoveryEvent, ReplacementPolicy,
+    ConfirmedDeath, FailureDetector, HealingConfig, NodeState, ProbeObservation, ProbeOutcome,
+    RecoveryEvent,
 };
 pub use journal::{
     JournalRecord, MasterPlan, MasterRecovery, MigrationJournal, MigrationKind, ReplayState,
@@ -72,7 +72,7 @@ pub use migration::{
     migrate, plan_scale_in_shipments, AbortCause, MigrateJob, MigrationCosts, MigrationOutcome,
     MigrationPhase, MigrationReport, PhaseBreakdown, PlanStats, ResumePoint, Shipment, Supervision,
 };
-pub use predictive::{PredictiveAutoScaler, PredictiveConfig};
+pub use predictive::PredictiveAutoScaler;
 pub use telemetry::{
     record_migration_events, NodeDumpRow, SeriesPoint, SeriesRecorder, TelemetryDump, TierSnapshot,
 };

@@ -12,7 +12,7 @@
 use elmem_cluster::Cluster;
 use elmem_util::{DetRng, ElmemError, NodeId, SimTime};
 
-use crate::healing::{HealingConfig, ReplacementPolicy};
+use crate::healing::HealingConfig;
 use crate::journal::MigrationJournal;
 use crate::migration::{migrate, MigrateJob, MigrationCosts, MigrationReport, Supervision};
 use crate::policies::MigrationPolicy;
@@ -504,10 +504,9 @@ impl Master {
     /// Eviction is immediate: a corpse serves nothing, and every instant it
     /// stays in the ring is client timeouts — so the dead nodes (and any
     /// other crashed members) leave the membership before this returns.
-    /// Per [`HealingConfig::replacement`] the Master then admits one
-    /// replacement per death: cold (committed immediately) or, with
-    /// [`HealingConfig::warmup`], filled by a scale-out job — every
-    /// survivor ships what hashes to the replacement; the job itself runs
+    /// With [`HealingConfig::replace`] the Master then admits one
+    /// replacement per death, filled by a scale-out job — every survivor
+    /// ships what hashes to the replacement; the job itself runs
     /// unsupervised and unjournaled — before the deferred
     /// [`DeferredKind::CommitAdd`]. Recovery runs regardless of
     /// the experiment's comparator policy: re-admitting capacity is the
@@ -538,19 +537,11 @@ impl Master {
         // still have somewhere to hash to; it can only leave once the
         // replacements are in.
         let leftover = cluster.tier.crashed_members();
-        let orch = if healing.replacement == ReplacementPolicy::None || dead.is_empty() {
+        let orch = if !healing.replace || dead.is_empty() {
             Orchestration::immediate(vec![], now)
         } else {
             let ids = cluster.tier.provision_nodes(dead.len());
-            if healing.warmup {
-                self.fill(cluster, JobKind::Recovery, ids, now, supervision, leftover)?
-            } else {
-                cluster.tier.commit_add(&ids)?;
-                if !leftover.is_empty() {
-                    let _ = cluster.tier.evict_crashed();
-                }
-                Orchestration::immediate(ids, now)
-            }
+            self.fill(cluster, JobKind::Recovery, ids, now, supervision, leftover)?
         };
         Ok(self.occupied_by(orch))
     }
@@ -928,27 +919,6 @@ mod tests {
             };
             assert_eq!(members, want, "{kind:?} crashes={new_crashes}");
         }
-    }
-
-    #[test]
-    fn recover_cold_replacement_commits_immediately() {
-        use crate::healing::HealingConfig;
-        let mut c = warmed_cluster();
-        let mut m = Master::new(MigrationPolicy::Baseline, MigrationCosts::default(), 1);
-        let now = SimTime::from_secs(10_000);
-        c.tier.crash(NodeId(1)).unwrap();
-        let orch = m
-            .recover_supervised(
-                &mut c,
-                &[NodeId(1)],
-                now,
-                &HealingConfig::cold_replacement(),
-                &mut Supervision::none(),
-            )
-            .unwrap();
-        assert_eq!(orch.committed_at, now);
-        assert_eq!(c.tier.membership().len(), 4);
-        assert!(c.tier.node(orch.nodes[0]).unwrap().store.is_empty(), "cold");
     }
 
     #[test]

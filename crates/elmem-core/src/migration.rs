@@ -39,7 +39,7 @@ use elmem_util::{ByteSize, ElmemError, NodeId, SimTime};
 use crate::fusecache::fusecache_instrumented;
 use crate::journal::{
     JournalRecord, MasterPlan, MasterRecovery, MigrationJournal, MigrationKind, ReplayState,
-    ShipmentManifest, ACK_DURABILITY_LAG,
+    ShipmentManifest, ACK_DURABILITY_LAG, MASTER_RESTART_DELAY,
 };
 
 /// Per-(target, class) inbound metadata lists, keyed by source node.
@@ -1541,7 +1541,7 @@ pub fn migrate(
         };
         // The crash eats every record not yet durable at `at`.
         journal.discard_after(at);
-        let resumed_at = at + supervision.master.restart_delay;
+        let resumed_at = at + MASTER_RESTART_DELAY;
         resumes.push(ResumePoint {
             crashed_at: at,
             resumed_at,
@@ -2358,7 +2358,6 @@ mod tests {
             MasterPlan {
                 crashes: vec![crash],
                 recovery: MasterRecovery::Abort,
-                ..MasterPlan::default()
             },
             &mut journal,
         );

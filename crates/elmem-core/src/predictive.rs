@@ -1,46 +1,33 @@
-//! Predictive autoscaling (the paper's pluggable Q1 module).
+//! Predictive autoscaling: the forecaster Ablation 4 compares against the
+//! reactive AutoScaler.
 //!
 //! §III-B: "the exact autoscaling algorithm is a pluggable module. Thus,
 //! the user can input a different autoscaling algorithm, such as a
 //! predictive scaling framework \[6\]\[41\], if needed." This module is
-//! that plug-in point: a Holt linear-trend (double-exponential) demand
-//! forecaster layered on the same Eq. (1) + stack-distance sizing.
+//! one such algorithm: a Holt linear-trend (double-exponential) demand
+//! forecaster layered on the same Eq. (1) + stack-distance sizing. The
+//! experiment driver runs only the reactive scaler; `elmem-bench`'s
+//! Ablation 4 drives both side by side.
 //!
 //! The operational win of prediction under ElMem: migration takes ~2
-//! minutes (§V-B2), so acting on demand forecast `lead_epochs` ahead means
-//! capacity (with its hot data!) is ready *when* the demand arrives rather
-//! than 2 minutes after. Scale-in remains reactive (`max(current,
+//! minutes (§V-B2), so acting on demand forecast `LEAD_EPOCHS` ahead
+//! means capacity (with its hot data!) is ready *when* the demand arrives
+//! rather than 2 minutes after. Scale-in remains reactive (`max(current,
 //! predicted)`) — scaling down on a forecast risks SLOs for pennies.
 
 use elmem_util::{KeyId, SimTime};
 
 use crate::autoscaler::{AutoScaler, AutoScalerConfig, ScalingHint};
 
-/// Configuration of the predictive wrapper.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PredictiveConfig {
-    /// The underlying reactive sizing.
-    pub reactive: AutoScalerConfig,
-    /// Smoothing factor for the demand level (0–1; higher = more reactive).
-    pub alpha: f64,
-    /// Smoothing factor for the demand trend (0–1).
-    pub beta: f64,
-    /// How many epochs ahead the forecast looks.
-    pub lead_epochs: u32,
-}
+/// Smoothing factor for the demand level (0–1; higher = more reactive).
+const ALPHA: f64 = 0.5;
 
-impl PredictiveConfig {
-    /// Sensible defaults: Holt(α = 0.5, β = 0.3), two epochs of lead —
-    /// enough to cover ElMem's migration overhead at a 1-minute epoch.
-    pub fn new(reactive: AutoScalerConfig) -> Self {
-        PredictiveConfig {
-            reactive,
-            alpha: 0.5,
-            beta: 0.3,
-            lead_epochs: 2,
-        }
-    }
-}
+/// Smoothing factor for the demand trend (0–1).
+const BETA: f64 = 0.3;
+
+/// How many epochs ahead the forecast looks: two cover ElMem's migration
+/// overhead at a 1-minute epoch.
+const LEAD_EPOCHS: f64 = 2.0;
 
 /// A Holt linear-trend forecaster wrapped around the reactive
 /// [`AutoScaler`]: sizes for `max(current, forecast)` demand.
@@ -48,11 +35,11 @@ impl PredictiveConfig {
 /// # Example
 ///
 /// ```
-/// use elmem_core::{AutoScalerConfig, PredictiveAutoScaler, PredictiveConfig};
+/// use elmem_core::{AutoScalerConfig, PredictiveAutoScaler};
 /// use elmem_util::{ByteSize, KeyId, SimTime};
 ///
 /// let reactive = AutoScalerConfig::new(1000.0, ByteSize::from_mib(64));
-/// let mut p = PredictiveAutoScaler::new(PredictiveConfig::new(reactive));
+/// let mut p = PredictiveAutoScaler::new(reactive);
 /// for k in 0..200u64 {
 ///     p.observe(KeyId(k % 50), 100);
 /// }
@@ -64,28 +51,21 @@ impl PredictiveConfig {
 #[derive(Debug, Clone)]
 pub struct PredictiveAutoScaler {
     inner: AutoScaler,
-    config: PredictiveConfig,
     level: f64,
     trend: f64,
     initialized: bool,
 }
 
 impl PredictiveAutoScaler {
-    /// Creates the predictive scaler.
+    /// Creates the predictive scaler around a reactive one built from
+    /// `reactive`.
     ///
     /// # Panics
     ///
-    /// Panics if `alpha`/`beta` are outside `(0, 1]` or the reactive config
-    /// is invalid.
-    pub fn new(config: PredictiveConfig) -> Self {
-        assert!(
-            config.alpha > 0.0 && config.alpha <= 1.0,
-            "alpha out of range"
-        );
-        assert!(config.beta > 0.0 && config.beta <= 1.0, "beta out of range");
+    /// Panics if the reactive config is invalid (see [`AutoScaler::new`]).
+    pub fn new(reactive: AutoScalerConfig) -> Self {
         PredictiveAutoScaler {
-            inner: AutoScaler::new(config.reactive.clone()),
-            config,
+            inner: AutoScaler::new(reactive),
             level: 0.0,
             trend: 0.0,
             initialized: false,
@@ -97,21 +77,11 @@ impl PredictiveAutoScaler {
         self.inner.observe(key, footprint);
     }
 
-    /// Whether an epoch has elapsed since the last decision.
-    pub fn epoch_elapsed(&self, now: SimTime) -> bool {
-        self.inner.epoch_elapsed(now)
-    }
-
-    /// Distinct keys the reactive core's stack-distance engine tracks.
-    pub fn profiler_tracked_keys(&self) -> usize {
-        self.inner.profiler_tracked_keys()
-    }
-
-    /// The current demand forecast `lead_epochs` ahead, after at least one
-    /// rate observation.
+    /// The current demand forecast `LEAD_EPOCHS` ahead, after at least
+    /// one rate observation.
     pub fn forecast(&self) -> Option<f64> {
         self.initialized
-            .then(|| (self.level + self.trend * f64::from(self.config.lead_epochs)).max(0.0))
+            .then(|| (self.level + self.trend * LEAD_EPOCHS).max(0.0))
     }
 
     /// Updates the forecast with the epoch's observed rate and runs the
@@ -138,10 +108,8 @@ impl PredictiveAutoScaler {
             return;
         }
         let prev_level = self.level;
-        self.level =
-            self.config.alpha * rate + (1.0 - self.config.alpha) * (prev_level + self.trend);
-        self.trend =
-            self.config.beta * (self.level - prev_level) + (1.0 - self.config.beta) * self.trend;
+        self.level = ALPHA * rate + (1.0 - ALPHA) * (prev_level + self.trend);
+        self.trend = BETA * (self.level - prev_level) + (1.0 - BETA) * self.trend;
     }
 }
 
@@ -156,7 +124,7 @@ mod tests {
         cfg
     }
 
-    fn warmed(cfg: PredictiveConfig) -> PredictiveAutoScaler {
+    fn warmed(cfg: AutoScalerConfig) -> PredictiveAutoScaler {
         let mut p = PredictiveAutoScaler::new(cfg);
         for round in 0..5u64 {
             for k in 0..500u64 {
@@ -169,7 +137,7 @@ mod tests {
 
     #[test]
     fn steady_demand_matches_reactive() {
-        let mut p = warmed(PredictiveConfig::new(reactive()));
+        let mut p = warmed(reactive());
         let mut r = AutoScaler::new(reactive());
         for round in 0..5u64 {
             for k in 0..500u64 {
@@ -191,7 +159,7 @@ mod tests {
 
     #[test]
     fn rising_demand_provisions_ahead() {
-        let mut p = warmed(PredictiveConfig::new(reactive()));
+        let mut p = warmed(reactive());
         let mut r = AutoScaler::new(reactive());
         for round in 0..5u64 {
             for k in 0..500u64 {
@@ -221,7 +189,7 @@ mod tests {
 
     #[test]
     fn falling_demand_never_scales_below_reactive() {
-        let mut p = warmed(PredictiveConfig::new(reactive()));
+        let mut p = warmed(reactive());
         let mut r = AutoScaler::new(reactive());
         for round in 0..5u64 {
             for k in 0..500u64 {
@@ -244,13 +212,13 @@ mod tests {
 
     #[test]
     fn forecast_none_before_first_rate() {
-        let p = PredictiveAutoScaler::new(PredictiveConfig::new(reactive()));
+        let p = PredictiveAutoScaler::new(reactive());
         assert!(p.forecast().is_none());
     }
 
     #[test]
     fn forecast_tracks_linear_ramp() {
-        let mut p = PredictiveAutoScaler::new(PredictiveConfig::new(reactive()));
+        let mut p = PredictiveAutoScaler::new(reactive());
         for i in 0..30u64 {
             p.decide(SimTime::from_secs(60 * (i + 1)), 100.0 * i as f64, 1);
         }
@@ -261,13 +229,5 @@ mod tests {
             (2900.0..3400.0).contains(&f),
             "forecast {f} for ramp ending at 2900"
         );
-    }
-
-    #[test]
-    #[should_panic]
-    fn invalid_alpha_rejected() {
-        let mut cfg = PredictiveConfig::new(reactive());
-        cfg.alpha = 0.0;
-        let _ = PredictiveAutoScaler::new(cfg);
     }
 }

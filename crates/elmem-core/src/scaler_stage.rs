@@ -22,9 +22,7 @@ use elmem_util::stage::Stage;
 use elmem_util::{KeyId, SimTime};
 use elmem_workload::Keyspace;
 
-use crate::autoscaler::{epoch_elapsed, AutoScaler, ScalingHint};
-use crate::elasticity::ScalerConfig;
-use crate::predictive::PredictiveAutoScaler;
+use crate::autoscaler::{epoch_elapsed, AutoScaler, AutoScalerConfig, ScalingHint};
 
 /// Keys per batch: ≈ 400 five-key requests, 16 KiB. Large enough that a
 /// batch's channel hop and wake-up (a few µs) vanish against the ≈ 160 µs
@@ -63,14 +61,8 @@ enum Reply {
 /// The stage's state: a scaler and what it needs to price a key.
 #[derive(Debug)]
 struct Observer {
-    scaler: ScalerInstance,
+    scaler: AutoScaler,
     keyspace: Keyspace,
-}
-
-#[derive(Debug)]
-enum ScalerInstance {
-    Reactive(AutoScaler),
-    Predictive(PredictiveAutoScaler),
 }
 
 impl Observer {
@@ -79,22 +71,15 @@ impl Observer {
             Msg::Observe(mut keys) => {
                 for &key in &keys {
                     let footprint = item_footprint(self.keyspace.value_size(key));
-                    match &mut self.scaler {
-                        ScalerInstance::Reactive(a) => a.observe(key, footprint),
-                        ScalerInstance::Predictive(p) => p.observe(key, footprint),
-                    }
+                    self.scaler.observe(key, footprint);
                 }
                 keys.clear();
                 Reply::Observed(keys)
             }
-            Msg::Decide { now, rate, members } => Reply::Decided(match &mut self.scaler {
-                ScalerInstance::Reactive(a) => a.decide(now, rate, members),
-                ScalerInstance::Predictive(p) => p.decide(now, rate, members),
-            }),
-            Msg::TrackedKeys => Reply::TrackedKeys(match &self.scaler {
-                ScalerInstance::Reactive(a) => a.profiler_tracked_keys(),
-                ScalerInstance::Predictive(p) => p.profiler_tracked_keys(),
-            }),
+            Msg::Decide { now, rate, members } => {
+                Reply::Decided(self.scaler.decide(now, rate, members))
+            }
+            Msg::TrackedKeys => Reply::TrackedKeys(self.scaler.profiler_tracked_keys()),
         }
     }
 }
@@ -113,18 +98,12 @@ pub(crate) struct ScalerStage {
 impl ScalerStage {
     /// Starts the stage for one run: a thread when the library may fan
     /// out, a direct call when `par_jobs()` is 1.
-    pub(crate) fn start(config: &ScalerConfig, keyspace: Keyspace) -> Self {
-        let (scaler, epoch) = match config {
-            ScalerConfig::Reactive(c) => (
-                ScalerInstance::Reactive(AutoScaler::new(c.clone())),
-                c.epoch,
-            ),
-            ScalerConfig::Predictive(c) => (
-                ScalerInstance::Predictive(PredictiveAutoScaler::new(c.clone())),
-                c.reactive.epoch,
-            ),
+    pub(crate) fn start(config: &AutoScalerConfig, keyspace: Keyspace) -> Self {
+        let epoch = config.epoch;
+        let mut observer = Observer {
+            scaler: AutoScaler::new(config.clone()),
+            keyspace,
         };
-        let mut observer = Observer { scaler, keyspace };
         // At most POOL messages are ever unanswered — every buffer but the
         // open one, plus a query — as the stage requires; the pool running
         // dry is the back-pressure. The whole pool is allocated here.
@@ -212,14 +191,13 @@ impl ScalerStage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::autoscaler::AutoScalerConfig;
     use elmem_util::ByteSize;
 
-    fn config() -> ScalerConfig {
+    fn config() -> AutoScalerConfig {
         let mut c = AutoScalerConfig::new(100.0, ByteSize::from_kib(64));
         c.min_observations = 100;
         c.epoch = SimTime::from_secs(10);
-        c.into()
+        c
     }
 
     /// A key stream with reuse at several horizons, in uneven requests.
@@ -240,11 +218,8 @@ mod tests {
 
     /// Hints and final population from a scaler called once per key.
     fn reference(decide_every: usize) -> (Vec<Option<ScalingHint>>, usize) {
-        let ScalerConfig::Reactive(c) = config() else {
-            unreachable!()
-        };
         let keyspace = Keyspace::new(5_000, 3);
-        let mut scaler = AutoScaler::new(c);
+        let mut scaler = AutoScaler::new(config());
         let mut hints = Vec::new();
         for (i, keys) in requests().iter().enumerate() {
             if i > 0 && i % decide_every == 0 {

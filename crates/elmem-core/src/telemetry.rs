@@ -4,20 +4,18 @@
 //! The primitives (histograms, the event trace, the event taxonomy) live
 //! in [`elmem_util::telemetry`]; the serving-path sink lives in
 //! [`elmem_cluster::telemetry`]. This module is the aggregation layer the
-//! driver ([`crate::elasticity::run_experiment_with_telemetry`]) uses:
+//! driver ([`crate::elasticity::run_experiment`]) uses:
 //!
 //! * [`SeriesRecorder`] samples tier-wide counters (hit rate, DB load,
-//!   timeouts, members, bytes migrated) every
-//!   [`TelemetryConfig::sample_every`] into [`SeriesPoint`]s — the data
-//!   behind the paper's Fig. 2 recovery curves;
+//!   timeouts, members, bytes migrated) every [`SERIES_WINDOW`] into
+//!   [`SeriesPoint`]s — the data behind the paper's Fig. 2 recovery
+//!   curves;
 //! * [`record_migration_events`] synthesizes `MigrationPhaseStart` /
 //!   `End` / `Aborted` events from a [`MigrationReport`]'s phase
 //!   breakdown, so the trace shows *when* each §III-D phase ran;
 //! * [`TelemetryDump`] is the whole story — events, histograms, series,
 //!   per-node rows — with a canonical JSON encoding that is byte-identical
 //!   across same-seed runs (the property the golden tests pin).
-//!
-//! [`TelemetryConfig::sample_every`]: elmem_util::TelemetryConfig
 
 use std::fmt::Write as _;
 
@@ -27,7 +25,7 @@ use elmem_store::StoreStats;
 use elmem_util::telemetry::{
     write_events_json, AbortClass, Event, EventKind, EventTrace, MigrationPhase,
 };
-use elmem_util::{LatencyHistogram, NodeId, SimTime, TelemetryConfig};
+use elmem_util::{LatencyHistogram, NodeId, SimTime};
 
 use crate::migration::{AbortCause, MigrationOutcome, MigrationReport};
 
@@ -117,16 +115,19 @@ impl TierSnapshot {
     }
 }
 
-/// Accumulates the tier-wide counter time series in fixed windows.
+/// Window length of the counter time series (hit rate, DB load, bytes
+/// migrated per window).
+pub const SERIES_WINDOW: SimTime = SimTime::from_secs(1);
+
+/// Accumulates the tier-wide counter time series in [`SERIES_WINDOW`]s.
 ///
 /// The driver calls [`advance`](Self::advance) with the current time and a
 /// fresh [`TierSnapshot`] before serving each request (closing any windows
 /// the clock has passed — traffic gaps produce explicit zero windows, so
 /// the series has no holes), [`record_request`](Self::record_request)
 /// after serving it, and [`finish`](Self::finish) once at the end.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SeriesRecorder {
-    window: SimTime,
     window_start: SimTime,
     requests: u64,
     lookups: u64,
@@ -136,25 +137,11 @@ pub struct SeriesRecorder {
 }
 
 impl SeriesRecorder {
-    /// A recorder with the given window length (zero-length windows would
-    /// never close; they are clamped to 1 ns).
-    pub fn new(window: SimTime) -> Self {
-        SeriesRecorder {
-            window: window.max(SimTime::from_nanos(1)),
-            window_start: SimTime::ZERO,
-            requests: 0,
-            lookups: 0,
-            hits: 0,
-            last: TierSnapshot::default(),
-            points: Vec::new(),
-        }
-    }
-
     /// Closes every window that ends at or before `now`. The cumulative
     /// deltas since the previous close land in the first window closed
     /// here; the rest (idle gaps) close empty.
     pub fn advance(&mut self, now: SimTime, snap: &TierSnapshot) {
-        while self.window_start + self.window <= now {
+        while self.window_start + SERIES_WINDOW <= now {
             let point = SeriesPoint {
                 window_start: self.window_start,
                 requests: self.requests,
@@ -168,7 +155,7 @@ impl SeriesRecorder {
             };
             self.points.push(point);
             self.last = *snap;
-            self.window_start += self.window;
+            self.window_start += SERIES_WINDOW;
             self.requests = 0;
             self.lookups = 0;
             self.hits = 0;
@@ -339,12 +326,7 @@ impl TelemetryDump {
     /// Assembles the dump from the cluster's telemetry state and the
     /// driver's series. Events are put into canonical `(time, seq)` order
     /// — emission order already breaks ties deterministically.
-    pub fn assemble(
-        seed: u64,
-        config: &TelemetryConfig,
-        cluster: &Cluster,
-        series: Vec<SeriesPoint>,
-    ) -> Self {
+    pub fn assemble(seed: u64, cluster: &Cluster, series: Vec<SeriesPoint>) -> Self {
         let telemetry = cluster.telemetry();
         let mut events = telemetry.trace.to_vec();
         events.sort_by_key(|e| (e.at, e.seq));
@@ -359,7 +341,7 @@ impl TelemetryDump {
             .collect();
         TelemetryDump {
             seed,
-            sample_every_ns: config.sample_every.as_nanos(),
+            sample_every_ns: SERIES_WINDOW.as_nanos(),
             recorded_events: telemetry.trace.recorded(),
             dropped_events: telemetry.trace.dropped(),
             events,
@@ -444,7 +426,7 @@ mod tests {
 
     #[test]
     fn series_windows_close_in_order_with_gaps_explicit() {
-        let mut rec = SeriesRecorder::new(SimTime::from_secs(1));
+        let mut rec = SeriesRecorder::default();
         rec.advance(SimTime::from_millis(100), &snap(4, 0, 0));
         rec.record_request(2, 3);
         // The clock jumps 3 windows: one carries the traffic, two close
@@ -462,7 +444,7 @@ mod tests {
 
     #[test]
     fn series_final_partial_window_is_kept() {
-        let mut rec = SeriesRecorder::new(SimTime::from_secs(1));
+        let mut rec = SeriesRecorder::default();
         rec.record_request(1, 1);
         let points = rec.finish(SimTime::from_millis(500), &snap(4, 1, 0));
         assert_eq!(points.len(), 1);

@@ -92,70 +92,39 @@ pub struct ChaosPlan {
     pub master_crashes: Vec<SimTime>,
 }
 
-/// Bounds for [`ChaosPlan::generate`]'s sampling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosLimits {
-    /// Smallest initial tier (inclusive).
-    pub min_nodes: u32,
-    /// Largest initial tier (inclusive).
-    pub max_nodes: u32,
-    /// Smallest keyspace (inclusive).
-    pub min_keys: u64,
-    /// Largest keyspace (inclusive).
-    pub max_keys: u64,
-    /// Shortest run in seconds (inclusive).
-    pub min_duration_secs: u64,
-    /// Longest run in seconds (inclusive).
-    pub max_duration_secs: u64,
-    /// Most scheduled faults per plan.
-    pub max_faults: usize,
-    /// Most scripted scaling actions per plan.
-    pub max_actions: usize,
-    /// Most scheduled Master crashes per plan.
-    pub max_master_crashes: usize,
-}
-
-impl Default for ChaosLimits {
-    fn default() -> Self {
-        ChaosLimits {
-            min_nodes: 4,
-            max_nodes: 8,
-            min_keys: 6_000,
-            max_keys: 20_000,
-            min_duration_secs: 60,
-            max_duration_secs: 150,
-            max_faults: 4,
-            max_actions: 3,
-            max_master_crashes: 2,
-        }
-    }
-}
+// Bounds for `ChaosPlan::generate`'s sampling, all inclusive.
+const MIN_NODES: u32 = 4;
+const MAX_NODES: u32 = 8;
+const MIN_KEYS: u64 = 6_000;
+const MAX_KEYS: u64 = 20_000;
+const MIN_DURATION_SECS: u64 = 60;
+const MAX_DURATION_SECS: u64 = 150;
+/// Most scheduled faults per plan.
+const MAX_FAULTS: usize = 4;
+/// Most scripted scaling actions per plan.
+const MAX_ACTIONS: usize = 3;
+/// Most scheduled Master crashes per plan.
+const MAX_MASTER_CRASHES: usize = 2;
 
 impl ChaosPlan {
-    /// Generates the plan for `seed` under the default [`ChaosLimits`].
-    pub fn generate(seed: u64) -> ChaosPlan {
-        ChaosPlan::generate_with(seed, &ChaosLimits::default())
-    }
-
-    /// Generates the plan for `seed` under explicit bounds.
+    /// Generates the plan for `seed`.
     ///
-    /// Deterministic: the plan is a pure function of `(seed, limits)`. The
-    /// sampler keeps at least two nodes crash-free so the tier always has
-    /// a survivor to serve from and a recovery quorum to heal toward.
-    pub fn generate_with(seed: u64, limits: &ChaosLimits) -> ChaosPlan {
+    /// Deterministic: the plan is a pure function of `seed`. The sampler
+    /// keeps at least two nodes crash-free so the tier always has a
+    /// survivor to serve from and a recovery quorum to heal toward.
+    pub fn generate(seed: u64) -> ChaosPlan {
         let mut rng = DetRng::seed(seed).split("chaos-gen");
-        let nodes = limits.min_nodes
-            + rng.next_below(u64::from(limits.max_nodes - limits.min_nodes) + 1) as u32;
-        let keys = limits.min_keys + rng.next_below(limits.max_keys - limits.min_keys + 1);
-        let duration_secs = limits.min_duration_secs
-            + rng.next_below(limits.max_duration_secs - limits.min_duration_secs + 1);
+        let nodes = MIN_NODES + rng.next_below(u64::from(MAX_NODES - MIN_NODES) + 1) as u32;
+        let keys = MIN_KEYS + rng.next_below(MAX_KEYS - MIN_KEYS + 1);
+        let duration_secs =
+            MIN_DURATION_SECS + rng.next_below(MAX_DURATION_SECS - MIN_DURATION_SECS + 1);
         let healing = rng.next_below(2) == 1;
         let autoscaler = rng.next_below(4) == 0;
 
         // Faults land in the middle of the run so migrations and recoveries
         // they trigger still fit before the drain window.
         let fault_window = duration_secs.saturating_sub(30).max(1);
-        let n_faults = rng.next_below(limits.max_faults as u64 + 1) as usize;
+        let n_faults = rng.next_below(MAX_FAULTS as u64 + 1) as usize;
         let mut plan = FaultPlan::new();
         let mut crashed: Vec<u32> = Vec::new();
         // Keep at least two nodes unscathed: one to serve, one to heal from.
@@ -187,7 +156,7 @@ impl ChaosPlan {
 
         // Scripted scalings overlap the fault window on purpose.
         let action_window = duration_secs.saturating_sub(40).max(1);
-        let n_actions = 1 + rng.next_below(limits.max_actions as u64) as usize;
+        let n_actions = 1 + rng.next_below(MAX_ACTIONS as u64) as usize;
         let mut actions = Vec::with_capacity(n_actions);
         for _ in 0..n_actions {
             let at = SimTime::from_secs(5 + rng.next_below(action_window));
@@ -203,7 +172,7 @@ impl ChaosPlan {
         // Master crashes land shortly after some scripted action's decision
         // time, so they tend to interrupt the migration it triggered and
         // exercise the journal's restart-and-resume path.
-        let n_crashes = rng.next_below(limits.max_master_crashes as u64 + 1) as usize;
+        let n_crashes = rng.next_below(MAX_MASTER_CRASHES as u64 + 1) as usize;
         let mut master_crashes = Vec::with_capacity(n_crashes);
         for _ in 0..n_crashes {
             let idx = rng.next_below(actions.len() as u64) as usize;
@@ -518,17 +487,14 @@ mod tests {
 
     #[test]
     fn generation_respects_limits() {
-        let limits = ChaosLimits::default();
         for seed in 0..64 {
             let plan = ChaosPlan::generate(seed);
-            assert!((limits.min_nodes..=limits.max_nodes).contains(&plan.nodes));
-            assert!((limits.min_keys..=limits.max_keys).contains(&plan.keys));
-            assert!(
-                (limits.min_duration_secs..=limits.max_duration_secs).contains(&plan.duration_secs)
-            );
-            assert!(plan.faults.scheduled().len() <= limits.max_faults);
-            assert!(!plan.actions.is_empty() && plan.actions.len() <= limits.max_actions);
-            assert!(plan.master_crashes.len() <= limits.max_master_crashes);
+            assert!((MIN_NODES..=MAX_NODES).contains(&plan.nodes));
+            assert!((MIN_KEYS..=MAX_KEYS).contains(&plan.keys));
+            assert!((MIN_DURATION_SECS..=MAX_DURATION_SECS).contains(&plan.duration_secs));
+            assert!(plan.faults.scheduled().len() <= MAX_FAULTS);
+            assert!(!plan.actions.is_empty() && plan.actions.len() <= MAX_ACTIONS);
+            assert!(plan.master_crashes.len() <= MAX_MASTER_CRASHES);
             // At least two nodes stay crash-free.
             let crashes = plan
                 .faults

@@ -27,7 +27,7 @@ pub mod fault;
 pub mod network;
 pub mod queueing;
 
-pub use chaos::{ChaosAction, ChaosLimits, ChaosPlan, ScheduledChaosAction};
+pub use chaos::{ChaosAction, ChaosPlan, ScheduledChaosAction};
 pub use events::EventQueue;
 pub use fault::{FaultAction, FaultInjector, FaultKind, FaultPlan, ScheduledFault};
 pub use network::Link;

@@ -62,8 +62,8 @@ impl AdaptiveStackDistance {
         Self::with_switch_threshold(crate::ADAPTIVE_SWITCH_KEYS)
     }
 
-    /// Creates an engine with an explicit switch threshold (tests).
-    pub fn with_switch_threshold(switch_keys: u64) -> Self {
+    /// An engine with an explicit switch threshold (this module's tests).
+    fn with_switch_threshold(switch_keys: u64) -> Self {
         AdaptiveStackDistance {
             engine: Engine::Exact(ExactStackDistance::new()),
             switch_keys: switch_keys.max(1),

@@ -376,22 +376,13 @@ impl AbortClass {
 
 /// One structured event in the trace.
 ///
-/// The taxonomy covers the serving path (request served/timeout/failover,
+/// The taxonomy covers the serving path (request timeout/failover,
 /// breaker transitions), the failure detector (probe outcomes, suspicion,
 /// confirmed deaths, recoveries), the migration pipeline (phase
 /// start/end/abort), scaling decisions and membership commits, and
 /// injected faults.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
-    /// One web request completed (only recorded when
-    /// [`TelemetryConfig::trace_requests`] is set — the highest-volume
-    /// event kind by far).
-    RequestServed {
-        /// Cache lookups that hit.
-        hits: u32,
-        /// Total cache lookups in the multi-get batch.
-        lookups: u32,
-    },
     /// A lookup paid the full client timeout against an unreachable node.
     RequestTimeout,
     /// A lookup failed over to the database immediately (open breaker).
@@ -480,7 +471,6 @@ impl EventKind {
     /// Stable snake_case label used in JSON dumps.
     pub fn label(&self) -> &'static str {
         match self {
-            EventKind::RequestServed { .. } => "request_served",
             EventKind::RequestTimeout => "request_timeout",
             EventKind::FastFailover => "fast_failover",
             EventKind::BreakerTransition { .. } => "breaker_transition",
@@ -536,9 +526,6 @@ impl Event {
         }
         let _ = write!(out, ",\"kind\":\"{}\"", self.kind.label());
         match self.kind {
-            EventKind::RequestServed { hits, lookups } => {
-                let _ = write!(out, ",\"hits\":{hits},\"lookups\":{lookups}");
-            }
             EventKind::BreakerTransition { from, to } => {
                 let _ = write!(
                     out,
@@ -595,27 +582,18 @@ impl Event {
     }
 }
 
-/// Telemetry knobs for one experiment run.
+/// Telemetry settings for one experiment run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
     /// Ring-buffer capacity of the event trace; when full, the *oldest*
     /// events are dropped (and counted). 0 disables tracing entirely.
     pub trace_capacity: usize,
-    /// Record a [`EventKind::RequestServed`] event per web request. Off by
-    /// default: at experiment scale these dominate the ring and evict the
-    /// control-plane events the trace exists for.
-    pub trace_requests: bool,
-    /// Window length of the counter time series (hit rate, DB load, bytes
-    /// migrated per window).
-    pub sample_every: SimTime,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             trace_capacity: 65_536,
-            trace_requests: false,
-            sample_every: SimTime::from_secs(1),
         }
     }
 }

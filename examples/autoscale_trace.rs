@@ -36,7 +36,7 @@ fn main() {
             trace: TraceKind::FacebookSys.demand_trace(),
         },
         policy: MigrationPolicy::elmem(),
-        autoscaler: Some(scaler.into()),
+        autoscaler: Some(scaler),
         scheduled: vec![],
         prefill_top_ranks: 50_000,
         costs: MigrationCosts::default(),

@@ -13,10 +13,8 @@
 
 use elmem::cluster::ClusterConfig;
 use elmem::core::migration::MigrationCosts;
-use elmem::core::{
-    run_experiment_with_telemetry, ExperimentConfig, FaultPlan, MigrationPolicy, ScaleAction,
-};
-use elmem::util::{SimTime, TelemetryConfig};
+use elmem::core::{run_experiment, ExperimentConfig, FaultPlan, MigrationPolicy, ScaleAction};
+use elmem::util::SimTime;
 use elmem::workload::{DemandTrace, Keyspace, WorkloadConfig};
 use std::path::{Path, PathBuf};
 
@@ -94,7 +92,7 @@ fn check_golden(name: &str, dump: &str) {
 }
 
 fn run_dump(action: ScaleAction) -> String {
-    let r = run_experiment_with_telemetry(config(action), TelemetryConfig::default());
+    let r = run_experiment(config(action));
     r.telemetry.to_json()
 }
 
@@ -116,7 +114,7 @@ fn scale_in_resume_dump_matches_golden() {
     // `migration_resumed`) byte-for-byte.
     let mut cfg = config(ScaleAction::In { count: 1 });
     cfg.master.crashes = vec![SimTime::from_secs(30) + SimTime::from_millis(200)];
-    let r = run_experiment_with_telemetry(cfg, TelemetryConfig::default());
+    let r = run_experiment(cfg);
     let dump = r.telemetry.to_json();
     assert!(
         dump.contains("\"master_crashed\"") && dump.contains("\"migration_resumed\""),

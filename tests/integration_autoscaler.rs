@@ -24,7 +24,7 @@ fn config(trace: DemandTrace, peak_rate: f64, seed: u64) -> ExperimentConfig {
             trace,
         },
         policy: MigrationPolicy::elmem(),
-        autoscaler: Some(scaler.into()),
+        autoscaler: Some(scaler),
         scheduled: vec![],
         prefill_top_ranks: 15_000,
         costs: MigrationCosts::default(),

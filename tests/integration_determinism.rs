@@ -4,11 +4,8 @@
 
 use elmem::cluster::ClusterConfig;
 use elmem::core::migration::MigrationCosts;
-use elmem::core::{
-    run_experiment, run_experiment_with_telemetry, ExperimentConfig, FaultPlan, MigrationPolicy,
-    ScaleAction,
-};
-use elmem::util::{SimTime, TelemetryConfig};
+use elmem::core::{run_experiment, ExperimentConfig, FaultPlan, MigrationPolicy, ScaleAction};
+use elmem::util::SimTime;
 use elmem::workload::{Keyspace, TraceKind, WorkloadConfig};
 
 fn config(seed: u64) -> ExperimentConfig {
@@ -53,19 +50,14 @@ fn same_seed_identical_results() {
 fn same_seed_identical_telemetry_dumps() {
     // The full observability surface — event stream, latency histograms,
     // counter series, per-node rows — must be byte-identical across two
-    // runs of the same seed, with request tracing on so the stream also
-    // carries one event per served request.
-    let tcfg = TelemetryConfig {
-        trace_requests: true,
-        ..TelemetryConfig::default()
-    };
-    let a = run_experiment_with_telemetry(config(99), tcfg);
-    let b = run_experiment_with_telemetry(config(99), tcfg);
+    // runs of the same seed.
+    let a = run_experiment(config(99));
+    let b = run_experiment(config(99));
     assert_eq!(a.telemetry, b.telemetry);
     assert_eq!(a.telemetry.to_json(), b.telemetry.to_json());
     assert!(
         a.telemetry.recorded_events > 0,
-        "request tracing must populate the stream"
+        "the two scalings must populate the stream"
     );
 }
 
@@ -80,22 +72,12 @@ fn concurrent_runs_are_byte_identical_to_serial() {
     let seeds = [11u64, 12, 13, 14];
     let serial: Vec<String> = seeds
         .iter()
-        .map(|&s| {
-            run_experiment_with_telemetry(config(s), TelemetryConfig::default())
-                .telemetry
-                .to_json()
-        })
+        .map(|&s| run_experiment(config(s)).telemetry.to_json())
         .collect();
     let concurrent: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = seeds
             .iter()
-            .map(|&s| {
-                scope.spawn(move || {
-                    run_experiment_with_telemetry(config(s), TelemetryConfig::default())
-                        .telemetry
-                        .to_json()
-                })
-            })
+            .map(|&s| scope.spawn(move || run_experiment(config(s)).telemetry.to_json()))
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });

@@ -5,6 +5,7 @@
 //! pays client timeouts (bounded by the circuit breaker) forever.
 
 use elmem::cluster::ClusterConfig;
+use elmem::core::healing::{PROBE_INTERVAL, PROBE_JITTER, SUSPICION_THRESHOLD};
 use elmem::core::migration::MigrationCosts;
 use elmem::core::{
     run_experiment, ExperimentConfig, ExperimentResult, FaultPlan, HealingConfig, MigrationPolicy,
@@ -79,8 +80,7 @@ fn crash_is_detected_within_the_suspicion_window_and_evicted() {
     assert_eq!(rec.crashed_at, Some(SimTime::from_secs(CRASH_S)));
     // Threshold lost probes at interval+jitter each, plus one round of
     // phase alignment: the suspicion window.
-    let d = healing.detector;
-    let window = (d.probe_interval + d.jitter) * u64::from(d.suspicion_threshold + 1);
+    let window = (PROBE_INTERVAL + PROBE_JITTER) * u64::from(SUSPICION_THRESHOLD + 1);
     let latency = rec.detection_latency().expect("crash time known");
     assert!(
         latency <= window,

@@ -9,11 +9,11 @@
 use elmem::cluster::ClusterConfig;
 use elmem::core::migration::MigrationCosts;
 use elmem::core::{
-    run_experiment_with_telemetry, ExperimentConfig, ExperimentResult, FaultPlan, HealingConfig,
-    MigrationPolicy, ScaleAction,
+    run_experiment, ExperimentConfig, ExperimentResult, FaultPlan, HealingConfig, MigrationPolicy,
+    ScaleAction,
 };
 use elmem::util::telemetry::{BreakerState, Event, EventKind, MigrationPhase};
-use elmem::util::{NodeId, SimTime, TelemetryConfig};
+use elmem::util::{NodeId, SimTime};
 use elmem::workload::{DemandTrace, Keyspace, WorkloadConfig};
 use std::collections::BTreeMap;
 
@@ -44,7 +44,7 @@ fn crash_config(healing: Option<HealingConfig>) -> ExperimentConfig {
 }
 
 fn run(cfg: ExperimentConfig) -> ExperimentResult {
-    run_experiment_with_telemetry(cfg, TelemetryConfig::default())
+    run_experiment(cfg)
 }
 
 /// The dumped stream is sorted by `(t_ns, seq)` with no dropped events

@@ -8,6 +8,7 @@
 //! Agents' import ledgers, never imported twice).
 
 use elmem::cluster::{Cluster, ClusterConfig};
+use elmem::core::journal::MASTER_RESTART_DELAY;
 use elmem::core::migration::{migrate, MigrateJob, MigrationCosts, Supervision};
 use elmem::core::{MasterPlan, MigrationJournal};
 use elmem::store::ImportMode;
@@ -173,7 +174,7 @@ proptest! {
         // final state must be identical either way.
         let first = NOW + SimTime::from_nanos(span.as_nanos() * crash_frac / 1000);
         let second = first
-            + MasterPlan::default().restart_delay
+            + MASTER_RESTART_DELAY
             + SimTime::from_nanos(span.as_nanos() / 20);
         let mut crashed = warmed_cluster(&accesses, seed);
         let (report, journal) = run_journaled(
@@ -203,8 +204,7 @@ fn pinned_double_crash_resumes_twice() {
     let span = clean_report.completed.saturating_sub(NOW);
 
     let first = NOW + SimTime::from_nanos(span.as_nanos() / 2);
-    let second =
-        first + MasterPlan::default().restart_delay + SimTime::from_nanos(span.as_nanos() / 4);
+    let second = first + MASTER_RESTART_DELAY + SimTime::from_nanos(span.as_nanos() / 4);
     let mut crashed = warmed_cluster(&accesses, 13);
     let (report, journal) = run_journaled(
         &mut crashed,

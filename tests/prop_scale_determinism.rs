@@ -8,12 +8,10 @@
 
 use elmem::cluster::ClusterConfig;
 use elmem::core::migration::MigrationCosts;
-use elmem::core::{
-    run_experiment_with_telemetry, ExperimentConfig, FaultPlan, MigrationPolicy, ScaleAction,
-};
+use elmem::core::{run_experiment, ExperimentConfig, FaultPlan, MigrationPolicy, ScaleAction};
 use elmem::store::SizeClasses;
 use elmem::util::par::with_par_jobs;
-use elmem::util::{ByteSize, DetRng, SimTime, TelemetryConfig};
+use elmem::util::{ByteSize, DetRng, SimTime};
 use elmem::workload::{DemandTrace, Keyspace, RequestGenerator, WorkloadConfig};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -78,9 +76,7 @@ fn hundred_node_scenario(seed: u64) -> ExperimentConfig {
 }
 
 fn dump(seed: u64, jobs: usize) -> String {
-    let r = with_par_jobs(jobs, || {
-        run_experiment_with_telemetry(hundred_node_scenario(seed), TelemetryConfig::default())
-    });
+    let r = with_par_jobs(jobs, || run_experiment(hundred_node_scenario(seed)));
     r.telemetry.to_json()
 }
 

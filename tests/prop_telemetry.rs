@@ -7,11 +7,9 @@
 
 use elmem::cluster::ClusterConfig;
 use elmem::core::migration::MigrationCosts;
-use elmem::core::{
-    run_experiment_with_telemetry, ExperimentConfig, FaultPlan, MigrationPolicy, ScaleAction,
-};
+use elmem::core::{run_experiment, ExperimentConfig, FaultPlan, MigrationPolicy, ScaleAction};
 use elmem::util::telemetry::{bucket_index, bucket_width};
-use elmem::util::{LatencyHistogram, SimTime, TelemetryConfig};
+use elmem::util::{LatencyHistogram, SimTime};
 use elmem::workload::{DemandTrace, Keyspace, WorkloadConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -139,7 +137,7 @@ proptest! {
 
     #[test]
     fn request_histogram_count_equals_requests_issued(seed in 0u64..1_000) {
-        let r = run_experiment_with_telemetry(tiny_config(seed), TelemetryConfig::default());
+        let r = run_experiment(tiny_config(seed));
         prop_assert_eq!(r.telemetry.request_rt.count(), r.total_requests);
         // Every lookup lands in exactly one per-command histogram.
         let lookups: u64 = r.telemetry.series.iter().map(|p| p.lookups).sum();

@@ -11,7 +11,7 @@ use elmem::cluster::ClusterConfig;
 use elmem::core::migration::MigrationCosts;
 use elmem::core::{
     run_experiment, AutoScalerConfig, ExperimentConfig, ExperimentResult, FaultPlan, HealingConfig,
-    MigrationPolicy, PredictiveConfig,
+    MigrationPolicy,
 };
 use elmem::util::par::with_par_jobs;
 use elmem::util::{NodeId, SimTime};
@@ -44,7 +44,7 @@ fn reactive() -> ExperimentConfig {
             trace: DemandTrace::new(steps, SimTime::from_secs(20)),
         },
         policy: MigrationPolicy::elmem(),
-        autoscaler: Some(scaler(&cluster).into()),
+        autoscaler: Some(scaler(&cluster)),
         scheduled: vec![],
         prefill_top_ranks: KEYS,
         costs: MigrationCosts::default(),
@@ -84,11 +84,6 @@ fn worker_count_never_shows_in_a_scaled_run() {
     );
     let base = reactive();
 
-    let predictive = ExperimentConfig {
-        autoscaler: Some(PredictiveConfig::new(scaler(&base.cluster)).into()),
-        ..base.clone()
-    };
-
     // A crash the detector must confirm and a warmed replacement must
     // repair, while the AutoScaler keeps sizing the tier around it.
     let healed = ExperimentConfig {
@@ -106,7 +101,6 @@ fn worker_count_never_shows_in_a_scaled_run() {
 
     let scenarios = [
         ("reactive", base),
-        ("predictive", predictive),
         ("crash + healing", healed),
         ("master crash", crashed),
     ];
