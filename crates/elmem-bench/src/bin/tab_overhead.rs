@@ -1,7 +1,7 @@
 //! **E4 / §V-B2** — FuseCache/migration overhead breakdown.
 //!
-//! Runs a real 10 → 9 migration at laptop scale and prints the per-phase
-//! wall-clock, then extrapolates each phase to the paper's scale (≈4 M
+//! Runs a real 10 → 9 migration at laptop scale and prints each phase's
+//! modeled time, then extrapolates each phase to the paper's scale (≈4 M
 //! items migrated) using the linear cost model. Paper breakdown: scoring
 //! ≈20 s, hash+dump ≈50 s, metadata transfer ≈70 s, FuseCache <2 s, data
 //! migration ≈45 s, import ≈80 s — about 2 minutes end to end.
@@ -13,7 +13,7 @@ use elmem_util::SimTime;
 fn main() {
     let preset = Preset::from_cli();
     println!("== Tab (SS V-B2): migration overhead breakdown ==\n");
-    let (report, host_elapsed) = tab_overhead(preset, 99);
+    let report = tab_overhead(preset, 99);
 
     let p = &report.phases;
     println!("phase                 modeled time   (paper @10x scale)");
@@ -43,9 +43,5 @@ fn main() {
         report.items_migrated,
         report.bytes_migrated,
         report.metadata_bytes
-    );
-    println!(
-        "(host wall-clock for the whole migration computation: {:.2?})",
-        host_elapsed
     );
 }

@@ -337,6 +337,43 @@ mod tests {
         assert_eq!(fc.iter().sum::<usize>(), n);
     }
 
+    /// E7's inputs: `k` lists of `n_per_list` random stamps below 2⁴⁰, keys
+    /// numbered across the lists.
+    fn make_lists(k: usize, n_per_list: usize, seed: u64) -> Vec<Vec<Hotness>> {
+        let mut rng = DetRng::seed(seed);
+        let mut key = 0u64;
+        (0..k)
+            .map(|_| {
+                let mut l: Vec<Hotness> = (0..n_per_list)
+                    .map(|_| {
+                        key += 1;
+                        h(rng.next_below(1 << 40), key)
+                    })
+                    .collect();
+                l.sort_unstable_by(|a, b| b.cmp(a));
+                l
+            })
+            .collect()
+    }
+
+    /// Runs FuseCache, checks its picks against the sort, and checks §IV-B's
+    /// `O(k·log²n)` as `comparisons ≤ 2·k·log₂²(max(n, 2))`. The factor 2
+    /// is needed: k = 8, n = 1 000 reads 799 against k·log₂²n = 795.
+    fn counted(lists: &[Vec<Hotness>], n: usize) -> SelectionStats {
+        let refs = as_refs(lists);
+        let (picks, stats) = fusecache_instrumented(&refs, n);
+        assert_eq!(picks, sort_merge_top_n(&refs, n));
+        let log = (n.max(2) as f64).log2();
+        let bound = 2.0 * lists.len() as f64 * log * log;
+        assert!(
+            stats.comparisons as f64 <= bound,
+            "k {} n {n}: {} comparisons over the bound {bound:.0}",
+            lists.len(),
+            stats.comparisons
+        );
+        stats
+    }
+
     #[test]
     fn instrumented_rounds_scale_logarithmically() {
         let mut key = 0u64;
@@ -351,8 +388,8 @@ mod tests {
         };
         let small: Vec<Vec<Hotness>> = (0..4).map(|_| mk(1 << 8, &mut key)).collect();
         let large: Vec<Vec<Hotness>> = (0..4).map(|_| mk(1 << 14, &mut key)).collect();
-        let (_, s_small) = fusecache_instrumented(&as_refs(&small), 1 << 8);
-        let (_, s_large) = fusecache_instrumented(&as_refs(&large), 1 << 14);
+        let s_small = counted(&small, 1 << 8);
+        let s_large = counted(&large, 1 << 14);
         // 64x more items should cost far fewer than 64x the rounds.
         assert!(
             s_large.rounds < s_small.rounds * 8,
@@ -360,6 +397,43 @@ mod tests {
             s_large.rounds,
             s_small.rounds
         );
+
+        // E7's seven shapes, pinned as (rounds, comparisons): k = 8 taking
+        // all of n per list, then 20 k items taking 10 k as k grows.
+        for (k, per_list, n, seed, pinned) in [
+            (8, 1_000, 1_000, 42, (12, 799)),
+            (8, 10_000, 10_000, 42, (16, 1_290)),
+            (8, 100_000, 100_000, 42, (19, 1_792)),
+            (2, 10_000, 10_000, 7, (14, 267)),
+            (8, 2_500, 10_000, 7, (12, 994)),
+            (32, 625, 10_000, 7, (15, 3_738)),
+            (128, 156, 10_000, 7, (14, 13_160)),
+        ] {
+            let stats = counted(&make_lists(k, per_list, seed), n);
+            assert_eq!((stats.rounds, stats.comparisons), pinned, "k {k} n {n}");
+        }
+
+        // ROADMAP 7(b)'s adversarial inputs stay within the same bound:
+        // equal stamps, k = 1, n = 0, n > total, and empty lists among full
+        // ones.
+        let mut tied = make_lists(4, 50, 1);
+        for list in &mut tied {
+            list.iter_mut().for_each(|item| item.ts = 5);
+            list.sort_unstable_by(|a, b| b.cmp(a));
+        }
+        let one = make_lists(1, 500, 3);
+        let mut gaps = make_lists(6, 200, 5);
+        gaps[1].clear();
+        gaps[4].clear();
+        for (lists, n) in [
+            (&tied, 120),
+            (&one, 300),
+            (&one, 0),
+            (&one, 501),
+            (&gaps, 500),
+        ] {
+            counted(lists, n);
+        }
     }
 
     #[test]
