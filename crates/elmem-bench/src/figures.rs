@@ -12,8 +12,8 @@ use elmem_cluster::{CacheTier, Cluster, ClusterConfig};
 use elmem_core::{
     choose_retiring, migrate, run_chaos, run_experiment, AutoScaler, AutoScalerConfig, ChaosReport,
     ExperimentConfig, ExperimentResult, FaultPlan, HealingConfig, MasterRecovery, MigrateJob,
-    MigrationCosts, MigrationPolicy, MigrationReport, PredictiveAutoScaler, ScaleAction,
-    Supervision,
+    MigrationCosts, MigrationJournal, MigrationPolicy, MigrationReport, PredictiveAutoScaler,
+    ScaleAction, Supervision,
 };
 use elmem_sim::chaos::ChaosPlan;
 use elmem_store::item::item_footprint;
@@ -104,7 +104,7 @@ fn scale_in(tier: &mut CacheTier, retiring: &[NodeId]) -> MigrationReport {
         SimTime::from_secs(200),
         &costs,
         &mut Supervision::none(),
-        None,
+        (&mut MigrationJournal::new(), 0),
     )
     .expect("migration succeeds")
 }

@@ -36,7 +36,10 @@
 //! 12. surviving import ledgers reference only sealed shipments, with the
 //!     sealed checksums — no duplicate or forged import survived;
 //! 13. duplicate-import suppression only occurs when some migration
-//!     actually resumed (re-delivery is the only legal duplicate source).
+//!     actually resumed (re-delivery is the only legal duplicate source);
+//! 14. no half-joined node: every node a fill provisioned ends either a
+//!     ring member that was alive when its fill ended, or out of the ring
+//!     and offline.
 //!
 //! A violation is a `String` naming the invariant and the smallest
 //! offending key/node, so reports are deterministic even where the
@@ -47,11 +50,12 @@
 use crate::autoscaler::AutoScalerConfig;
 use crate::elasticity::{run_experiment_capture, ExperimentConfig, ExperimentResult, ScaleAction};
 use crate::healing::HealingConfig;
-use crate::journal::{JournalRecord, MasterPlan};
+use crate::journal::{JournalRecord, MasterPlan, MigrationKind};
 use crate::migration::MigrationCosts;
 use crate::policies::MigrationPolicy;
 use elmem_cluster::{Cluster, ClusterConfig};
 use elmem_sim::chaos::{ChaosAction, ChaosPlan};
+use elmem_sim::fault::FaultKind;
 use elmem_util::telemetry::{BreakerState, EventKind, MigrationPhase, ProbeOutcome};
 use elmem_util::{KeyId, NodeId, SimTime, TelemetryConfig};
 use elmem_workload::{DemandTrace, Keyspace, WorkloadConfig};
@@ -172,6 +176,7 @@ pub fn check_invariants(
         ));
     }
     check_journal(result, cluster, &mut v);
+    check_no_half_joined(plan, result, cluster, &mut v);
     if plan.healing && result.final_crashed_members > 0 {
         v.push(format!(
             "healing enabled but {} crashed member(s) left in the ring at end of run",
@@ -565,6 +570,59 @@ fn check_journal(result: &ExperimentResult, cluster: &Cluster, v: &mut Vec<Strin
     }
 }
 
+/// Invariant 14: no half-joined node. Every node a fill provisioned — a
+/// scale-out or recovery job's own nodes, from its `Started` record — ends
+/// the settled run either as a ring member that had not crashed when its
+/// fill ended, or out of the ring and offline: a fill, aborted or not,
+/// commits no node that died before its commit instant, and leaves none
+/// filled and running outside the ring.
+fn check_no_half_joined(
+    plan: &ChaosPlan,
+    result: &ExperimentResult,
+    cluster: &Cluster,
+    v: &mut Vec<String>,
+) {
+    let entries = result.journal.entries();
+    let members = cluster.tier.membership().members();
+    let faults = plan.faults.scheduled();
+    for e in entries {
+        let JournalRecord::Started {
+            id,
+            kind: MigrationKind::ScaleOut,
+            nodes,
+            ..
+        } = &e.record
+        else {
+            continue;
+        };
+        // A job without a terminal record is invariant 9's to report.
+        let Some(ended) = entries.iter().find_map(|t| match t.record {
+            JournalRecord::Committed { id: i, at } | JournalRecord::Aborted { id: i, at }
+                if i == *id =>
+            {
+                Some(at)
+            }
+            _ => None,
+        }) else {
+            continue;
+        };
+        for &node in nodes {
+            let crash = FaultKind::NodeCrash { node };
+            let dead = faults.iter().any(|f| f.kind == crash && f.at < ended);
+            let online = cluster.tier.node(node).is_ok_and(|n| n.is_online());
+            let half = match members.contains(&node) {
+                true if dead => "a ring member that crashed before its fill ended",
+                false if online => "filled and running outside the ring",
+                _ => continue,
+            };
+            v.push(format!(
+                "journal job {id}: node {} half-joined, {half}",
+                node.0
+            ));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,6 +696,49 @@ mod tests {
             b.result.telemetry.to_json(),
             "same plan must produce a byte-identical telemetry dump"
         );
+    }
+
+    #[test]
+    fn checker_flags_a_half_joined_node() {
+        let plan = ChaosPlan {
+            seed: 11,
+            nodes: 4,
+            keys: 6_000,
+            duration_secs: 60,
+            healing: false,
+            autoscaler: false,
+            faults: elmem_sim::FaultPlan::new(),
+            actions: vec![ScheduledChaosAction {
+                at: SimTime::from_secs(20),
+                action: ChaosAction::ScaleOut { count: 1 },
+            }],
+            master_crashes: Vec::new(),
+        };
+        let config = experiment_for_plan(&plan);
+        let keyspace = config.workload.keyspace.clone();
+        let (result, cluster) = run_experiment_capture(
+            config,
+            TelemetryConfig {
+                trace_capacity: CHAOS_TRACE_CAPACITY,
+            },
+        );
+        let check = |plan: &ChaosPlan, cluster: &Cluster| {
+            let violations = check_invariants(plan, &result, cluster, &keyspace);
+            violations.iter().any(|m| m.contains("half-joined"))
+        };
+        let new = NodeId(4);
+        assert!(cluster.tier.membership().members().contains(&new));
+        assert!(!check(&plan, &cluster), "the clean fill joined whole");
+
+        // Out of the ring but still running: filled, never committed.
+        let mut outside = cluster.clone();
+        outside.tier.membership_remove_keep_online(&[new]).unwrap();
+        assert!(check(&plan, &outside));
+
+        // In the ring, though it crashed before its fill ended.
+        let mut dead = plan.clone();
+        dead.faults = elmem_sim::FaultPlan::new().crash(SimTime::from_secs(20), new);
+        assert!(check(&dead, &cluster));
     }
 
     #[test]

@@ -20,8 +20,8 @@ use crate::healing::{
     ConfirmedDeath, FailureDetector, HealingConfig, NodeState, ProbeObservation, ProbeOutcome,
     RecoveryEvent, PROBE_INTERVAL, PROBE_JITTER, SUSPICION_THRESHOLD,
 };
-use crate::journal::{MasterPlan, MigrationJournal};
-use crate::master::{Admission, DeferredKind, JobKind, Master, Orchestration};
+use crate::journal::{MasterPlan, MigrationJournal, MigrationKind};
+use crate::master::{Admission, DeferredKind, Master, Orchestration};
 use crate::migration::{MigrationCosts, MigrationReport, Supervision};
 use crate::policies::MigrationPolicy;
 use crate::scaler_stage::ScalerStage;
@@ -87,7 +87,7 @@ pub struct ExperimentConfig {
     /// pays the client timeout until the breaker opens).
     pub healing: Option<HealingConfig>,
     /// Scheduled Master crashes plus the restart/recovery policy applied
-    /// to journaled scalings (DESIGN.md §13). [`MasterPlan::default`]
+    /// to every migration job (DESIGN.md §13). [`MasterPlan::default`]
     /// never crashes.
     pub master: MasterPlan,
     /// Master seed.
@@ -131,8 +131,9 @@ pub struct ExperimentResult {
     /// [`TelemetryDump::to_json`]) across same-seed runs.
     pub telemetry: TelemetryDump,
     /// The Master's migration journal at the end of the run: every durable
-    /// record the journaled scalings wrote, in append order. Empty when no
-    /// scaling migrated under the journal.
+    /// record its migration jobs wrote — ElMem and Naive drains, scale-out
+    /// and recovery fills — in append order. Empty when no job migrated
+    /// (Baseline and CacheScale move no data, and nothing healed).
     pub journal: MigrationJournal,
 }
 
@@ -163,7 +164,7 @@ enum ControlEvent {
 struct Driver {
     cluster: Cluster,
     master: Master,
-    /// Master crashes scheduled against journaled scalings.
+    /// Master crashes scheduled against every migration job.
     master_plan: MasterPlan,
     /// Self-healing: the recovery policy and the failure detector feeding
     /// it. Heartbeats are only ever scheduled when this is set.
@@ -396,8 +397,8 @@ impl Driver {
         // job conflicting with one still in flight is deferred — re-enqueued
         // for when the conflicting commit window closes — not dropped.
         let kind = match action {
-            ScaleAction::In { .. } => JobKind::ScaleIn,
-            ScaleAction::Out { .. } => JobKind::ScaleOut,
+            ScaleAction::In { .. } => MigrationKind::ScaleIn,
+            ScaleAction::Out { .. } => MigrationKind::ScaleOut,
         };
         if let Admission::Deferred { until, .. } = self.master.admit(kind, now) {
             self.trace(now, None, EventKind::ScalingDeferred { until });
@@ -478,6 +479,7 @@ impl Driver {
         let dead: Vec<NodeId> = deaths.iter().map(|d| d.node).collect();
         let members_before = self.members();
         let mut supervision = Supervision::with_faults(&mut self.injector);
+        supervision.master = self.master_plan.clone();
         let orch = self
             .master
             .recover_supervised(&mut self.cluster, &dead, now, &healing, &mut supervision)
@@ -806,6 +808,32 @@ mod tests {
         assert!(labels.contains(&"resumed"));
         assert_eq!(labels.last(), Some(&"committed"));
         assert!(result.telemetry.to_json().contains("migration_resumed"));
+    }
+
+    #[test]
+    fn master_crash_mid_recovery_fill_resumes_it() {
+        let mut cfg = base_config(MigrationPolicy::elmem());
+        cfg.scheduled = vec![];
+        cfg.faults = FaultPlan::new().crash(SimTime::from_secs(30), NodeId(1));
+        cfg.healing = Some(HealingConfig::warm_replacement());
+        let clean = run_experiment(cfg.clone());
+        let started = clean.journal.entries().iter().find_map(|e| match e.record {
+            crate::journal::JournalRecord::Started { at, .. } => Some(at),
+            _ => None,
+        });
+        cfg.master.crashes =
+            vec![started.expect("the recovery fill journals") + SimTime::from_millis(1)];
+        let result = run_experiment(cfg);
+        let labels: Vec<&str> = result
+            .journal
+            .entries()
+            .iter()
+            .map(|e| e.record.label())
+            .collect();
+        assert!(labels.contains(&"resumed"), "{labels:?}");
+        assert_eq!(labels.last(), Some(&"committed"));
+        assert_eq!(result.final_members, clean.final_members);
+        assert_eq!(result.final_crashed_members, 0);
     }
 
     #[test]

@@ -27,7 +27,10 @@ use elmem_store::Hotness;
 pub struct SelectionStats {
     /// Median-of-medians rounds executed.
     pub rounds: u64,
-    /// Hotness comparisons performed (binary searches + medians).
+    /// The cost model's comparison count, not a tally of `Hotness`
+    /// comparisons made: each round adds `m·max(log₂m, 1)` for sorting its
+    /// `m` medians and `⌈log₂ w⌉ + 1` for each binary search over a window
+    /// of `w` items. The migration prices the FuseCache phase from it.
     pub comparisons: u64,
 }
 

@@ -4,8 +4,8 @@
 //! The Master appends a [`JournalRecord`] at every phase boundary, when a
 //! migration plan is sealed, and per shipment ack. Each record carries the
 //! simulated instant it became *durable*; a Master crash at time `t`
-//! truncates everything not yet durable ([`MigrationJournal::discard_after`])
-//! and the restarted Master [`replays`](MigrationJournal::replay) the
+//! truncates the interrupted job's records not yet durable
+//! ([`MigrationJournal::discard_after`]) and the restarted Master [`replays`](MigrationJournal::replay) the
 //! surviving prefix to resume the migration from the last durable point
 //! instead of aborting it.
 //!
@@ -224,11 +224,15 @@ impl MigrationJournal {
         self.entries.push(JournalEntry { durable_at, record });
     }
 
-    /// Simulates a Master crash at `t`: every record not yet durable is
-    /// lost. Returns how many records were dropped.
-    pub fn discard_after(&mut self, t: SimTime) -> usize {
+    /// Simulates a Master crash at `t` interrupting job `id`: every record
+    /// of that job not yet durable is lost. Returns how many records were
+    /// dropped. Other jobs' records stay: every job in flight at `t` meets
+    /// the same crash in its own run and drops its own records then, so
+    /// what another job holds past `t` the restarted Master wrote.
+    pub fn discard_after(&mut self, id: u64, t: SimTime) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|e| e.durable_at <= t);
+        self.entries
+            .retain(|e| e.record.id() != id || e.durable_at <= t);
         before - self.entries.len()
     }
 
@@ -487,12 +491,24 @@ mod tests {
         let mut j = sample_journal();
         // Crash just after the plan sealed: the ack (durable at 4 s + lag)
         // and the commit are lost.
-        let dropped = j.discard_after(SimTime::from_secs(3));
+        let dropped = j.discard_after(0, SimTime::from_secs(3));
         assert_eq!(dropped, 2);
         let st = j.replay(0);
         assert!(st.manifest.is_some());
         assert!(st.acked.is_empty());
         assert!(!st.committed);
+    }
+
+    #[test]
+    fn discard_after_leaves_other_jobs_records() {
+        // Job 1 already met the crash at 3 s in its own run: what it holds
+        // past 3 s the restarted Master wrote, and job 0's crash keeps it.
+        let mut j = sample_journal();
+        let t = SimTime::from_secs;
+        j.append(t(9), JournalRecord::Committed { id: 1, at: t(9) });
+        assert_eq!(j.discard_after(0, t(3)), 2);
+        assert!(j.replay(1).committed);
+        assert!(!j.replay(0).committed);
     }
 
     #[test]
@@ -514,7 +530,7 @@ mod tests {
         let mut j = sample_journal();
         // Crash inside (done, done + lag): the import applied but the ack
         // never became durable.
-        j.discard_after(SimTime::from_secs(4) + SimTime::from_millis(5));
+        j.discard_after(0, SimTime::from_secs(4) + SimTime::from_millis(5));
         let st = j.replay(0);
         assert!(st.manifest.is_some());
         assert!(st.acked.is_empty(), "ack inside the lag window is lost");

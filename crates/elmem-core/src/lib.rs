@@ -67,7 +67,7 @@ pub use journal::{
     JournalRecord, MasterPlan, MasterRecovery, MigrationJournal, MigrationKind, ReplayState,
     ShipmentManifest, ACK_DURABILITY_LAG,
 };
-pub use master::{Admission, DeferredAction, DeferredKind, JobKind, Master, Orchestration};
+pub use master::{Admission, DeferredAction, DeferredKind, Master, Orchestration};
 pub use migration::{
     migrate, plan_scale_in_shipments, AbortCause, MigrateJob, MigrationCosts, MigrationOutcome,
     MigrationPhase, MigrationReport, PhaseBreakdown, PlanStats, ResumePoint, Shipment, Supervision,

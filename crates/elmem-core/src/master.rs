@@ -13,7 +13,7 @@ use elmem_cluster::Cluster;
 use elmem_util::{DetRng, ElmemError, NodeId, SimTime};
 
 use crate::healing::HealingConfig;
-use crate::journal::MigrationJournal;
+use crate::journal::{MigrationJournal, MigrationKind};
 use crate::migration::{migrate, MigrateJob, MigrationCosts, MigrationReport, Supervision};
 use crate::policies::MigrationPolicy;
 use crate::scoring::choose_retiring;
@@ -41,56 +41,6 @@ pub enum DeferredKind {
     /// them crashed and drop them from the ring. No power-off — they are
     /// already gone.
     EvictCrashed(Vec<NodeId>),
-}
-
-/// The direction of a migration job, for conflict detection: two drains
-/// contend for the same survivor capacity (as do two fills for the same
-/// donor dumps), but a drain and a fill touch disjoint ownership — the
-/// drain moves data *onto* the retained ring, the fill *off* it onto
-/// nodes that are not yet members.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobKind {
-    /// A scale-in drain (retiring nodes push onto survivors).
-    ScaleIn,
-    /// A scale-out fill (members push onto not-yet-member nodes).
-    ScaleOut,
-    /// A healing warm-replacement fill (scale-out shaped).
-    Recovery,
-}
-
-impl JobKind {
-    /// Whether two jobs contend for the same ownership ranges.
-    fn conflicts_with(self, other: JobKind) -> bool {
-        self.is_drain() == other.is_drain()
-    }
-
-    fn is_drain(self) -> bool {
-        matches!(self, JobKind::ScaleIn)
-    }
-
-    /// Healing runs its fill unjournaled: a warm replacement is already
-    /// the recovery action for a failure, and stacking a Master-crash
-    /// resume inside it buys nothing — a crashed-out warmup just re-runs
-    /// (DESIGN.md §13). Scalings write the journal.
-    fn is_journaled(self) -> bool {
-        !matches!(self, JobKind::Recovery)
-    }
-}
-
-/// One in-flight migration's state, tracked per job rather than as a
-/// single global busy flag so non-conflicting operations can overlap.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MigrationJob {
-    /// The journal's job id.
-    pub id: u64,
-    /// Which direction the job moves data.
-    pub kind: JobKind,
-    /// The nodes being retired or added.
-    pub nodes: Vec<NodeId>,
-    /// When the job was admitted.
-    pub started: SimTime,
-    /// When its last deferred commit lands (the job is done after this).
-    pub window_end: SimTime,
 }
 
 /// The Master's answer to "may this scaling start at `now`?".
@@ -173,11 +123,14 @@ pub struct Master {
     /// The Master is busy until this instant (conservative global gate;
     /// [`Master::admit`] offers the finer per-job answer).
     busy_until: SimTime,
-    /// The simulated durable WAL every journaled migration writes to
-    /// (DESIGN.md §13).
+    /// The simulated durable WAL every migration job writes to (DESIGN.md
+    /// §13).
     journal: MigrationJournal,
-    /// In-flight (or not-yet-pruned) migration jobs.
-    jobs: Vec<MigrationJob>,
+    /// In-flight (or not-yet-pruned) migration jobs, tracked per job rather
+    /// than as one busy flag so non-conflicting jobs can overlap: each
+    /// one's kind (a warm-recovery fill is a scale-out) and the instant its
+    /// commit window closes.
+    jobs: Vec<(MigrationKind, SimTime)>,
     /// Next journal job id.
     next_job_id: u64,
 }
@@ -208,61 +161,89 @@ impl Master {
         now >= self.busy_until
     }
 
-    /// The migration journal (every journaled scaling's durable records).
+    /// The migration journal: every migration job's durable records.
     pub fn journal(&self) -> &MigrationJournal {
         &self.journal
     }
 
     /// Answers whether a `kind` scaling may start at `now`, per the
-    /// overlap rules (DESIGN.md §13): a drain may overlap a fill (they
-    /// move disjoint ownership ranges), but two drains — or two fills —
-    /// contend and the later one is deferred until the earlier's commit
-    /// window closes. Advisory: the driver asks before triggering; the
-    /// scale paths themselves stay callable directly (tests, benches).
-    pub fn admit(&mut self, kind: JobKind, now: SimTime) -> Admission {
-        self.jobs.retain(|j| j.window_end > now);
-        let until = self
-            .jobs
-            .iter()
-            .filter(|j| j.kind.conflicts_with(kind))
-            .map(|j| j.window_end)
-            .max();
-        match until {
+    /// overlap rules (DESIGN.md §13): two jobs conflict iff their kinds are
+    /// equal. Two drains contend for the same survivor capacity (as do two
+    /// fills for the same donor dumps), and the later one is deferred until
+    /// the earlier's commit window closes; a drain may overlap a fill — the
+    /// drain moves data *onto* the retained ring, the fill *off* it onto
+    /// nodes that are not yet members. Advisory: the driver asks before
+    /// triggering; the scale paths themselves stay callable directly
+    /// (tests, benches).
+    pub fn admit(&mut self, kind: MigrationKind, now: SimTime) -> Admission {
+        self.jobs.retain(|&(_, window_end)| window_end > now);
+        let conflicting = self.jobs.iter().filter(|&&(k, _)| k == kind);
+        match conflicting.map(|&(_, window_end)| window_end).max() {
             Some(until) => Admission::Deferred {
                 until,
-                reason: if kind.is_drain() {
-                    "concurrent drain in flight"
-                } else {
-                    "concurrent fill in flight"
+                reason: match kind {
+                    MigrationKind::ScaleIn => "concurrent drain in flight",
+                    MigrationKind::ScaleOut => "concurrent fill in flight",
                 },
             },
             None => Admission::Granted,
         }
     }
 
-    /// Allocates the next journal job id.
-    fn next_id(&mut self) -> u64 {
+    /// The one job lifecycle: `job` migrates under the caller's
+    /// `supervision`, journaled under the next job id, and is tracked until
+    /// its commit window closes at the instant it ended.
+    fn run_job(
+        &mut self,
+        cluster: &mut Cluster,
+        job: &MigrateJob<'_>,
+        now: SimTime,
+        supervision: &mut Supervision<'_>,
+    ) -> Result<MigrationReport, ElmemError> {
         let id = self.next_job_id;
         self.next_job_id += 1;
-        id
+        let journal = (&mut self.journal, id);
+        let report = migrate(
+            &mut cluster.tier,
+            job,
+            now,
+            &self.costs,
+            supervision,
+            journal,
+        )?;
+        self.jobs.push((job.identity().0, report.completed));
+        Ok(report)
     }
 
-    /// Records a finished orchestration as a tracked job.
-    fn track_job(
+    /// The drain both migrating policies share: `job` retires its nodes,
+    /// and the scaling commits at the instant it ended. An abort falls back
+    /// to committing without further migration: the node whose crash caused
+    /// it (source or destination) leaves via eviction, never via
+    /// CommitRemove; a completed run has no such node and removes every
+    /// victim.
+    fn drain(
         &mut self,
-        id: u64,
-        kind: JobKind,
-        nodes: &[NodeId],
-        started: SimTime,
-        window_end: SimTime,
-    ) {
-        self.jobs.push(MigrationJob {
-            id,
-            kind,
-            nodes: nodes.to_vec(),
-            started,
-            window_end,
-        });
+        cluster: &mut Cluster,
+        job: &MigrateJob<'_>,
+        now: SimTime,
+        supervision: &mut Supervision<'_>,
+    ) -> Result<Orchestration, ElmemError> {
+        let report = self.run_job(cluster, job, now, supervision)?;
+        let (_, victims) = job.identity();
+        let crashed = report.outcome.crashed_node();
+        let survivors: Vec<NodeId> = victims
+            .iter()
+            .copied()
+            .filter(|v| Some(*v) != crashed)
+            .collect();
+        let evict = crashed.map(|x| DeferredKind::EvictCrashed(vec![x]));
+        let remove = (!survivors.is_empty()).then_some(DeferredKind::CommitRemove(survivors));
+        Ok(Orchestration {
+            deferred: plan_at(report.completed, evict.into_iter().chain(remove)),
+            nodes: victims.to_vec(),
+            committed_at: report.completed,
+            report: Some(report),
+        })
     }
 
     /// Orchestrates a scale-in of `count` nodes at `now`.
@@ -280,9 +261,10 @@ impl Master {
         self.scale_in_supervised(cluster, count, now, &mut Supervision::none())
     }
 
-    /// [`Master::scale_in`] under supervision: the ElMem migration runs
-    /// with shipment-drop retries and crash-abort handling (the
-    /// comparators have no supervised path and behave as usual).
+    /// [`Master::scale_in`] under supervision: the ElMem and Naive drains
+    /// run with shipment-drop retries, crash-abort handling and the
+    /// Master-crash plan, and write the journal (Baseline and CacheScale
+    /// migrate nothing).
     ///
     /// On [`MigrationOutcome::Aborted`] the Master does not panic and does
     /// not roll back: partial imports stay, and the scaling is committed
@@ -318,40 +300,11 @@ impl Master {
             }
             MigrationPolicy::ElMem { import } => {
                 let (victims, _) = choose_retiring(&cluster.tier, count as usize)?;
-                let id = self.next_id();
-                let report = migrate(
-                    &mut cluster.tier,
-                    &MigrateJob::ScaleIn {
-                        retiring: &victims,
-                        import_mode: import,
-                    },
-                    now,
-                    &self.costs,
-                    supervision,
-                    Some((&mut self.journal, id)),
-                )?;
-                let committed_at = report.completed;
-                self.track_job(id, JobKind::ScaleIn, &victims, now, committed_at);
-                // An abort falls back to committing the scaling without
-                // further migration. The node whose crash caused it (source
-                // or destination) leaves via eviction, never via
-                // CommitRemove; a completed run has no such node and
-                // removes every victim.
-                let crashed = report.outcome.crashed_node();
-                let survivors: Vec<NodeId> = victims
-                    .iter()
-                    .copied()
-                    .filter(|v| Some(*v) != crashed)
-                    .collect();
-                let evict = crashed.map(|x| DeferredKind::EvictCrashed(vec![x]));
-                let remove =
-                    (!survivors.is_empty()).then_some(DeferredKind::CommitRemove(survivors));
-                Orchestration {
-                    deferred: plan_at(committed_at, evict.into_iter().chain(remove)),
-                    nodes: victims,
-                    report: Some(report),
-                    committed_at,
-                }
+                let job = MigrateJob::ScaleIn {
+                    retiring: &victims,
+                    import_mode: import,
+                };
+                self.drain(cluster, &job, now, supervision)?
             }
             MigrationPolicy::Naive => {
                 let mut pool = cluster.tier.membership().members().to_vec();
@@ -361,25 +314,11 @@ impl Master {
                     victims.push(pool.swap_remove(i));
                 }
                 victims.sort_unstable();
-                let fraction = f64::from(members - count) / f64::from(members);
-                let report = migrate(
-                    &mut cluster.tier,
-                    &MigrateJob::NaiveScaleIn {
-                        retiring: &victims,
-                        fraction,
-                    },
-                    now,
-                    &self.costs,
-                    &mut Supervision::none(),
-                    None,
-                )?;
-                let committed_at = report.completed;
-                Orchestration {
-                    deferred: plan_at(committed_at, [DeferredKind::CommitRemove(victims.clone())]),
-                    nodes: victims,
-                    report: Some(report),
-                    committed_at,
-                }
+                let job = MigrateJob::NaiveScaleIn {
+                    retiring: &victims,
+                    fraction: f64::from(members - count) / f64::from(members),
+                };
+                self.drain(cluster, &job, now, supervision)?
             }
             MigrationPolicy::CacheScale { window } => {
                 let (victims, _) = choose_retiring(&cluster.tier, count as usize)?;
@@ -413,10 +352,12 @@ impl Master {
         self.scale_out_supervised(cluster, count, now, &mut Supervision::none())
     }
 
-    /// [`Master::scale_out`] under supervision: a freshly provisioned node
-    /// that crashes before the membership flip is filtered out of
-    /// [`DeferredKind::CommitAdd`] and evicted instead — the cluster never
-    /// commits a dead node into the ring.
+    /// [`Master::scale_out`] under supervision: the ElMem fill runs with
+    /// the drain's retries, crash aborts and Master-crash plan, and writes
+    /// the journal. A freshly provisioned node that crashes before the
+    /// membership flip is filtered out of [`DeferredKind::CommitAdd`] and
+    /// evicted instead — the cluster never commits a dead node into the
+    /// ring.
     ///
     /// # Errors
     ///
@@ -433,9 +374,7 @@ impl Master {
         }
         let ids = cluster.tier.provision_nodes(count as usize);
         let orch = match self.policy {
-            MigrationPolicy::ElMem { .. } => {
-                self.fill(cluster, JobKind::ScaleOut, ids, now, supervision, vec![])?
-            }
+            MigrationPolicy::ElMem { .. } => self.fill(cluster, ids, now, supervision, vec![])?,
             // The comparators add cold nodes immediately.
             _ => {
                 cluster.tier.commit_add(&ids)?;
@@ -446,47 +385,39 @@ impl Master {
     }
 
     /// The one fill arm, shared by ElMem scale-out and warm recovery: every
-    /// member ships what hashes to the not-yet-member `new_nodes`, the job
-    /// is tracked, and the membership flip is deferred to the instant the
-    /// fill completes. A new node that crashes before that instant is
-    /// evicted instead of committed — the cluster never commits a dead node
-    /// into the ring. `corpses` (crashed members recovery had to keep) leave
-    /// once a live new node has joined, not before.
-    ///
-    /// A fill is not fault-supervised yet: of the caller's supervision only
-    /// the Master-crash plan carries over (read by a journaled fill only),
-    /// and its fault timeline is consulted after the fill, for the split.
+    /// member ships what hashes to the not-yet-member `new_nodes` through
+    /// the same job lifecycle a drain runs, and the membership flip is
+    /// deferred to the instant the fill ended. An abort falls back as a
+    /// drain's does: the fill commits at the abort instant, and the node
+    /// whose crash caused it leaves via eviction. A new node that crashes
+    /// before that instant is evicted instead of committed — the cluster
+    /// never commits a dead node into the ring. `corpses` (crashed members
+    /// recovery had to keep) leave once a live new node has joined, not
+    /// before.
     fn fill(
         &mut self,
         cluster: &mut Cluster,
-        kind: JobKind,
         new_nodes: Vec<NodeId>,
         now: SimTime,
-        supervision: &Supervision<'_>,
+        supervision: &mut Supervision<'_>,
         corpses: Vec<NodeId>,
     ) -> Result<Orchestration, ElmemError> {
-        let id = self.next_id();
-        let mut master_only = Supervision::none();
-        master_only.master = supervision.master.clone();
-        let report = migrate(
-            &mut cluster.tier,
-            &MigrateJob::ScaleOut {
-                new_nodes: &new_nodes,
-            },
-            now,
-            &self.costs,
-            &mut master_only,
-            kind.is_journaled().then_some((&mut self.journal, id)),
-        )?;
+        let job = MigrateJob::ScaleOut {
+            new_nodes: &new_nodes,
+        };
+        let report = self.run_job(cluster, &job, now, supervision)?;
         let committed_at = report.completed;
-        self.track_job(id, kind, &new_nodes, now, committed_at);
-        let (crashed, alive): (Vec<NodeId>, Vec<NodeId>) = new_nodes
-            .iter()
-            .copied()
-            .partition(|&n| supervision.crash_before(n, committed_at).is_some());
+        let crashed = report.outcome.crashed_node();
+        let (mut dead, alive): (Vec<NodeId>, Vec<NodeId>) =
+            new_nodes.iter().copied().partition(|&n| {
+                Some(n) == crashed || supervision.crash_before(n, committed_at).is_some()
+            });
+        // A member whose crash aborted the fill leaves with the dead new
+        // nodes (a corpse recovery kept leaves after the join instead).
+        dead.extend(crashed.filter(|c| !new_nodes.contains(c) && !corpses.contains(c)));
         let joined = !alive.is_empty();
         let steps = [
-            (!crashed.is_empty()).then_some(DeferredKind::EvictCrashed(crashed)),
+            (!dead.is_empty()).then_some(DeferredKind::EvictCrashed(dead)),
             joined.then_some(DeferredKind::CommitAdd(alive)),
             (joined && !corpses.is_empty()).then_some(DeferredKind::EvictCrashed(corpses)),
         ];
@@ -506,17 +437,17 @@ impl Master {
     /// other crashed members) leave the membership before this returns.
     /// With [`HealingConfig::replace`] the Master then admits one
     /// replacement per death, filled by a scale-out job — every survivor
-    /// ships what hashes to the replacement; the job itself runs
-    /// unsupervised and unjournaled — before the deferred
+    /// ships what hashes to the replacement — before the deferred
     /// [`DeferredKind::CommitAdd`]. Recovery runs regardless of
     /// the experiment's comparator policy: re-admitting capacity is the
     /// control plane's job, not the migration policy's.
     ///
     /// The returned [`Orchestration::nodes`] are the *replacements* (empty
-    /// for evict-only). `supervision` is consulted only after the fill: a
-    /// replacement that itself crashes before its commit is filtered into
-    /// [`DeferredKind::EvictCrashed`], as in
-    /// [`Master::scale_out_supervised`].
+    /// for evict-only). The fill is the one [`Master::scale_out_supervised`]
+    /// runs: supervised by `supervision`, journaled, resumed after a Master
+    /// crash, and falling back on an abort the same way; a replacement that
+    /// itself crashes before its commit is filtered into
+    /// [`DeferredKind::EvictCrashed`].
     ///
     /// # Errors
     ///
@@ -541,7 +472,7 @@ impl Master {
             Orchestration::immediate(vec![], now)
         } else {
             let ids = cluster.tier.provision_nodes(dead.len());
-            self.fill(cluster, JobKind::Recovery, ids, now, supervision, leftover)?
+            self.fill(cluster, ids, now, supervision, leftover)?
         };
         Ok(self.occupied_by(orch))
     }
@@ -846,24 +777,21 @@ mod tests {
         let new = NodeId(4);
         let corpse = NodeId(3);
         let original: Vec<NodeId> = (0..4).map(NodeId).collect();
-        for (kind, new_crashes) in [
-            (JobKind::ScaleOut, false),
-            (JobKind::ScaleOut, true),
-            (JobKind::Recovery, false),
-            (JobKind::Recovery, true),
-        ] {
+        for (recovery, new_crashes) in [(false, false), (false, true), (true, false), (true, true)]
+        {
             let mut c = warmed_cluster();
             let mut m = Master::new(MigrationPolicy::elmem(), MigrationCosts::default(), 1);
-            // An all-dead tier has nothing to ship, so the recovery rows'
-            // fill commits the instant it starts: the one "before the
-            // commit" all rows share is just before `now`.
+            // An all-dead tier has nothing to ship, and a dead new node
+            // aborts the fill, so those rows commit the instant they start:
+            // the one "before the commit" all rows share is just before
+            // `now`.
             let plan = match new_crashes {
                 true => FaultPlan::new().crash(now - SimTime::from_nanos(1), new),
                 false => FaultPlan::new(),
             };
             let mut inj = FaultInjector::new(plan, DetRng::seed(3).split("faults"));
             let mut sup = Supervision::with_faults(&mut inj);
-            let orch = if kind == JobKind::Recovery {
+            let orch = if recovery {
                 for &id in &original {
                     c.tier.crash(id).unwrap();
                 }
@@ -873,33 +801,36 @@ mod tests {
                 m.scale_out_supervised(&mut c, 1, now, &mut sup)
             }
             .unwrap();
-            assert_eq!(orch.nodes, vec![new], "{kind:?}");
+            assert_eq!(orch.nodes, vec![new], "recovery={recovery}");
             assert!(orch.report.is_some());
-            assert_eq!(orch.committed_at > now, kind == JobKind::ScaleOut);
+            assert_eq!(orch.committed_at > now, !recovery && !new_crashes);
 
             let steps: Vec<&DeferredKind> = orch.deferred.iter().map(|d| &d.kind).collect();
-            let expected = match (kind, new_crashes) {
+            let expected = match (recovery, new_crashes) {
                 (_, true) => vec![DeferredKind::EvictCrashed(vec![new])],
-                (JobKind::Recovery, false) => vec![
+                (true, false) => vec![
                     DeferredKind::CommitAdd(vec![new]),
                     DeferredKind::EvictCrashed(vec![corpse]),
                 ],
                 (_, false) => vec![DeferredKind::CommitAdd(vec![new])],
             };
-            assert_eq!(steps, expected.iter().collect::<Vec<_>>(), "{kind:?}");
+            assert_eq!(
+                steps,
+                expected.iter().collect::<Vec<_>>(),
+                "recovery={recovery}"
+            );
             assert!(orch.deferred.iter().all(|d| d.at == orch.committed_at));
 
             // Same tracking for both callers: the job defers a second
-            // fill until its commit window closes. Only scalings journal.
+            // fill until its commit window closes.
             assert_eq!(
-                m.admit(kind, SimTime::ZERO),
+                m.admit(MigrationKind::ScaleOut, SimTime::ZERO),
                 Admission::Deferred {
                     until: orch.committed_at,
                     reason: "concurrent fill in flight"
                 }
             );
             assert_eq!(m.busy_until(), orch.committed_at);
-            assert_eq!(m.journal().entries().is_empty(), kind == JobKind::Recovery);
 
             // The plan applies to a consistent membership: the dead new
             // node never joins, and the corpse only leaves when a live
@@ -911,13 +842,127 @@ mod tests {
                 Master::apply(&mut c, &d.kind);
             }
             let members = c.tier.membership().members();
-            let want: Vec<NodeId> = match (kind, new_crashes) {
-                (JobKind::Recovery, true) => vec![corpse],
-                (JobKind::Recovery, false) => vec![new],
-                (_, true) => original.clone(),
-                (_, false) => original.iter().copied().chain([new]).collect(),
+            let want: Vec<NodeId> = match (recovery, new_crashes) {
+                (true, true) => vec![corpse],
+                (true, false) => vec![new],
+                (false, true) => original.clone(),
+                (false, false) => original.iter().copied().chain([new]).collect(),
             };
-            assert_eq!(members, want, "{kind:?} crashes={new_crashes}");
+            assert_eq!(members, want, "recovery={recovery} crashes={new_crashes}");
+        }
+    }
+
+    #[test]
+    fn every_job_runs_one_supervised_journaled_lifecycle() {
+        use crate::healing::HealingConfig;
+        use crate::journal::JournalRecord;
+        use crate::migration::AbortCause;
+        use elmem_sim::fault::{FaultInjector, FaultPlan};
+
+        let now = SimTime::from_secs(10_000);
+        let at = now + SimTime::from_nanos(1);
+        let run = |row: &str, plan: FaultPlan| {
+            let mut c = warmed_cluster();
+            let policy = match row {
+                "naive scale-in" => MigrationPolicy::Naive,
+                _ => MigrationPolicy::elmem(),
+            };
+            let mut m = Master::new(policy, MigrationCosts::default(), 1);
+            let mut inj = FaultInjector::new(plan, DetRng::seed(3).split("faults"));
+            let sup = &mut Supervision::with_faults(&mut inj);
+            let orch = match row {
+                "scale-out fill" => m.scale_out_supervised(&mut c, 1, now, sup),
+                "recovery fill" => {
+                    c.tier.crash(NodeId(2)).unwrap();
+                    let healing = HealingConfig::warm_replacement();
+                    m.recover_supervised(&mut c, &[NodeId(2)], now, &healing, sup)
+                }
+                _ => m.scale_in_supervised(&mut c, 1, now, sup),
+            };
+            (c, m, orch.unwrap())
+        };
+        for row in [
+            "elmem scale-in",
+            "naive scale-in",
+            "scale-out fill",
+            "recovery fill",
+        ] {
+            // A fault-free probe names the job's own nodes; a drain's source
+            // is its victim and a fill's destination its new node.
+            let (probe_c, _, probe) = run(row, FaultPlan::new());
+            let job = probe.nodes[0];
+            let (source, destination) = match row.ends_with("fill") {
+                true => (NodeId(0), job),
+                false => {
+                    let members = probe_c.tier.membership().members();
+                    (job, *members.iter().find(|&&n| n != job).unwrap())
+                }
+            };
+            let columns = [
+                ("completes", FaultPlan::new()),
+                ("source crash", FaultPlan::new().crash(at, source)),
+                ("destination crash", FaultPlan::new().crash(at, destination)),
+                ("drops", FaultPlan::new().drop_transfers_with_prob(1.0)),
+            ];
+            for (column, plan) in columns {
+                let case = format!("{row} / {column}");
+                let (mut c, m, orch) = run(row, plan);
+                let report = orch.report.as_ref().unwrap();
+                let crashed = report.outcome.crashed_node();
+                match (column, report.outcome) {
+                    ("completes", MigrationOutcome::Completed) => {}
+                    ("source crash", MigrationOutcome::Aborted { cause, .. }) => {
+                        assert_eq!(cause, AbortCause::SourceCrashed(source), "{case}")
+                    }
+                    ("destination crash", MigrationOutcome::Aborted { cause, .. }) => {
+                        assert_eq!(cause, AbortCause::DestinationCrashed(destination), "{case}")
+                    }
+                    ("drops", MigrationOutcome::Aborted { cause, .. }) => assert!(
+                        matches!(cause, AbortCause::TransferRetriesExhausted { .. }),
+                        "{case}"
+                    ),
+                    (_, outcome) => panic!("{case}: {outcome:?}"),
+                }
+
+                // Exactly one Started and one terminal record, which says
+                // how the job ended.
+                let records = m.journal().entries().iter().map(|e| &e.record);
+                let started = records.clone().filter(|r| r.label() == "started");
+                assert_eq!(started.count(), 1, "{case}");
+                let terminal: Vec<&JournalRecord> = records
+                    .filter(|r| matches!(r.label(), "committed" | "aborted"))
+                    .collect();
+                let want = match column {
+                    "completes" => "committed",
+                    _ => "aborted",
+                };
+                assert_eq!(terminal.len(), 1, "{case}");
+                assert_eq!(terminal[0].label(), want, "{case}");
+
+                // The job commits the instant it ended — an abort's instant
+                // for a crash — and its crashed node leaves by eviction,
+                // never by a commit.
+                assert_eq!(orch.committed_at, report.completed, "{case}");
+                assert!(orch.deferred.iter().all(|d| d.at == orch.committed_at));
+                if column.ends_with("crash") {
+                    assert_eq!(report.completed, at, "{case}");
+                }
+                if let Some(x) = crashed {
+                    let evicted = orch.deferred.iter().any(|d| match &d.kind {
+                        DeferredKind::EvictCrashed(v) => v.contains(&x),
+                        DeferredKind::CommitAdd(v) | DeferredKind::CommitRemove(v) => {
+                            panic!("{case}: crashed {x} in a commit {v:?}")
+                        }
+                        DeferredKind::DiscardSecondary(_) => false,
+                    });
+                    assert!(evicted, "{case}");
+                    c.tier.crash(x).unwrap();
+                }
+                for d in &orch.deferred {
+                    Master::apply(&mut c, &d.kind);
+                }
+                assert!(c.tier.crashed_members().is_empty(), "{case}");
+            }
         }
     }
 
@@ -932,16 +977,16 @@ mod tests {
         // A second drain conflicts and is deferred to the commit window's
         // end; a fill moves disjoint ownership and is granted.
         assert_eq!(
-            m.admit(JobKind::ScaleIn, mid),
+            m.admit(MigrationKind::ScaleIn, mid),
             Admission::Deferred {
                 until: orch.committed_at,
                 reason: "concurrent drain in flight",
             }
         );
-        assert_eq!(m.admit(JobKind::ScaleOut, mid), Admission::Granted);
+        assert_eq!(m.admit(MigrationKind::ScaleOut, mid), Admission::Granted);
         // Once the window closes the job is pruned and drains flow again.
         assert_eq!(
-            m.admit(JobKind::ScaleIn, orch.committed_at),
+            m.admit(MigrationKind::ScaleIn, orch.committed_at),
             Admission::Granted
         );
     }
@@ -955,15 +1000,10 @@ mod tests {
         let mid = now + SimTime::from_millis(1);
         assert!(mid < orch.committed_at);
         assert!(matches!(
-            m.admit(JobKind::ScaleOut, mid),
+            m.admit(MigrationKind::ScaleOut, mid),
             Admission::Deferred { .. }
         ));
-        // Recovery's warm replacement is fill-shaped: it conflicts too.
-        assert!(matches!(
-            m.admit(JobKind::Recovery, mid),
-            Admission::Deferred { .. }
-        ));
-        assert_eq!(m.admit(JobKind::ScaleIn, mid), Admission::Granted);
+        assert_eq!(m.admit(MigrationKind::ScaleIn, mid), Admission::Granted);
     }
 
     #[test]

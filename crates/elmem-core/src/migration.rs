@@ -20,9 +20,9 @@
 //! * The Naive comparator (§V-B4): each retiring node ships a fixed share
 //!   of its hottest items, no comparison.
 //!
-//! Supervision (retries, crash aborts) and journaling (Master crash
-//! resume, DESIGN.md §13) are arguments of the one engine; their empty
-//! forms supervise and record nothing.
+//! Every job runs supervised (retries, crash aborts) and journaled
+//! (Master crash resume, DESIGN.md §13): both are arguments of the one
+//! engine, and every import goes through the destination's ledger.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -239,14 +239,15 @@ fn backoff(attempt: u32) -> SimTime {
 /// Supervision context for a migration: (optionally) the fault injector
 /// whose scheduled crashes and sampled drops the supervisor consults, and
 /// the Master's crash plan. The retry budget for dropped shipments is a
-/// constant. [`Supervision::none`] is the empty form: it supervises
-/// nothing and costs nothing.
+/// constant. Every job runs under one — ElMem and Naive drains, scale-out
+/// and recovery fills alike. [`Supervision::none`] is the fault-free form:
+/// nothing crashes and nothing drops.
 #[derive(Debug)]
 pub struct Supervision<'a> {
     /// The experiment's fault injector, when faults are being injected.
     pub faults: Option<&'a mut FaultInjector>,
-    /// Scheduled Master crashes and the restart/recovery policy. Only a
-    /// journaled migration consults it; the default plan never crashes.
+    /// Scheduled Master crashes and the restart/recovery policy; the
+    /// default plan never crashes.
     pub master: MasterPlan,
 }
 
@@ -358,10 +359,6 @@ pub enum MigrateJob<'a> {
 /// the engine's stages read, so that no stage asks which direction it is
 /// serving (DESIGN.md §13 tabulates them).
 struct Recipe<'a> {
-    /// How the journal labels the job.
-    kind: MigrationKind,
-    /// The job's own nodes (retiring or joining), as journaled in `Started`.
-    nodes: &'a [NodeId],
     /// The nodes whose dumps are routed: the retiring ones, or — filling
     /// new nodes — every member.
     sources: Vec<NodeId>,
@@ -387,6 +384,17 @@ struct Recipe<'a> {
 }
 
 impl<'a> MigrateJob<'a> {
+    /// How the journal labels the job, and its own nodes (retiring or
+    /// joining), as journaled in `Started`.
+    pub(crate) fn identity(&self) -> (MigrationKind, &'a [NodeId]) {
+        match *self {
+            MigrateJob::ScaleIn { retiring, .. } | MigrateJob::NaiveScaleIn { retiring, .. } => {
+                (MigrationKind::ScaleIn, retiring)
+            }
+            MigrateJob::ScaleOut { new_nodes } => (MigrationKind::ScaleOut, new_nodes),
+        }
+    }
+
     /// Validates the job against the tier and resolves its constants.
     fn resolve(
         &self,
@@ -410,8 +418,6 @@ impl<'a> MigrateJob<'a> {
             } => {
                 validate_retiring(membership.members(), retiring)?;
                 Ok(Recipe {
-                    kind: MigrationKind::ScaleIn,
-                    nodes: retiring,
                     sources: retiring.to_vec(),
                     ring: membership.ring().without(retiring),
                     keep: None,
@@ -424,8 +430,6 @@ impl<'a> MigrateJob<'a> {
             MigrateJob::ScaleOut { new_nodes } => {
                 validate_scale_out(tier, new_nodes)?;
                 Ok(Recipe {
-                    kind: MigrationKind::ScaleOut,
-                    nodes: new_nodes,
                     sources: membership.members().to_vec(),
                     ring: membership.ring().with(new_nodes),
                     keep: Some(new_nodes),
@@ -443,8 +447,6 @@ impl<'a> MigrateJob<'a> {
                 }
                 validate_retiring(membership.members(), retiring)?;
                 Ok(Recipe {
-                    kind: MigrationKind::ScaleIn,
-                    nodes: retiring,
                     sources: retiring.to_vec(),
                     ring: membership.ring().without(retiring),
                     keep: None,
@@ -997,11 +999,12 @@ pub fn plan_scale_in_shipments(
 // ---------------------------------------------------------------------------
 
 /// The journal a migration writes to and the Master crash that may cut the
-/// current attempt short. The empty form — no journal, no crash — logs
-/// nothing and never interrupts.
+/// current attempt short.
 struct Ctl<'j> {
-    /// The journal and this migration's job id, when journaling.
-    journal: Option<(&'j mut MigrationJournal, u64)>,
+    /// The journal every record goes to.
+    journal: &'j mut MigrationJournal,
+    /// This migration's job id: the journal's and the import ledgers' key.
+    id: u64,
     /// Next Master crash strictly after the attempt's start, if any.
     master_crash: Option<SimTime>,
 }
@@ -1014,11 +1017,9 @@ impl Ctl<'_> {
     }
 
     /// Appends a record (built from the job id) that becomes durable at
-    /// `durable_at`. No-op without a journal.
+    /// `durable_at`.
     fn log(&mut self, durable_at: SimTime, record: impl FnOnce(u64) -> JournalRecord) {
-        if let Some((journal, id)) = self.journal.as_mut() {
-            journal.append(durable_at, record(*id));
-        }
+        self.journal.append(durable_at, record(self.id));
     }
 }
 
@@ -1384,27 +1385,18 @@ fn ship(
         data_done = data_done.max(done);
         // Apply the import (items are hottest-first within each source's
         // class list; the store re-sorts/merges as configured). The sealed
-        // checksum proves the shipment arrives exactly as planned. A
-        // journaled migration goes through the destination's import
-        // ledger, which suppresses a re-delivered shipment whose import
-        // already applied before a Master crash ate its ack.
+        // checksum proves the shipment arrives exactly as planned. The
+        // destination's import ledger suppresses a re-delivered shipment
+        // whose import already applied before a Master crash ate its ack.
         shipment.verify_content()?;
-        let node = live_node_mut(tier, target)?;
-        let applied = match &ctl.journal {
-            Some((_, id)) => node.import_shipment(
-                *id,
-                shipment.seq,
-                shipment.checksum(),
-                shipment.class,
-                shipment.items(),
-                recipe.import_mode,
-            )?,
-            None => {
-                node.store
-                    .batch_import(shipment.class, shipment.items(), recipe.import_mode)?;
-                true
-            }
-        };
+        let applied = live_node_mut(tier, target)?.import_shipment(
+            ctl.id,
+            shipment.seq,
+            shipment.checksum(),
+            shipment.class,
+            shipment.items(),
+            recipe.import_mode,
+        )?;
         if applied {
             *import_ns.entry(target).or_default() +=
                 shipment.len() as u64 * costs.import_ns_per_item;
@@ -1454,23 +1446,21 @@ fn ship(
 ///
 /// `supervision` carries the fault injector whose crashes abort the
 /// migration cleanly and whose drops are retried against a fixed,
-/// exponentially backed-off budget;
-/// [`Supervision::none`] supervises nothing. On an abort the function
+/// exponentially backed-off budget, and the Master's crash plan;
+/// [`Supervision::none`] injects no fault. On an abort the function
 /// still returns `Ok`: the report's `outcome` is
 /// [`MigrationOutcome::Aborted`] with the phase the fault landed in and
 /// its cause, `completed` is the abort instant, and any imports already
 /// applied are **kept** (they are strictly-hotter data already on healthy
 /// nodes). The caller — the Master — decides the fallback: commit the
 /// scaling without further migration, excluding crashed nodes from the
-/// membership.
+/// membership. Every job — drain, fill or Naive — is supervised alike.
 ///
-/// With a `journal` (and the job id to write under) the migration records
-/// its progress, and a Master crash scheduled in `supervision.master`
+/// The migration records its progress in `journal` under the job id beside
+/// it, which also keys every destination's import ledger: an id must not
+/// repeat on a tier. A Master crash scheduled in `supervision.master`
 /// interrupts the running attempt; per the recovery policy the Master then
-/// replays the journal and resumes from the last durable point, or
-/// aborts. With no scheduled crash the journal records are the only
-/// difference to an unjournaled run — which never sees a Master crash:
-/// with nothing to resume from, there is nothing to simulate.
+/// replays the journal and resumes from the last durable point, or aborts.
 ///
 /// # Errors
 ///
@@ -1490,28 +1480,28 @@ pub fn migrate(
     now: SimTime,
     costs: &MigrationCosts,
     supervision: &mut Supervision<'_>,
-    journal: Option<(&mut MigrationJournal, u64)>,
+    (journal, id): (&mut MigrationJournal, u64),
 ) -> Result<MigrationReport, ElmemError> {
     // Validate before journaling Started: a rejected request never
     // existed as far as the journal is concerned.
     let recipe = job.resolve(tier, now, costs)?;
+    let (kind, nodes) = job.identity();
     let mut ctl = Ctl {
         journal,
+        id,
         master_crash: None,
     };
     ctl.log(now, |id| JournalRecord::Started {
         id,
-        kind: recipe.kind,
-        nodes: recipe.nodes.to_vec(),
+        kind,
+        nodes: nodes.to_vec(),
         at: now,
     });
     let mut resumes: Vec<ResumePoint> = Vec::new();
     let mut resume: Option<ReplayState> = None;
     let mut attempt_start = now;
     loop {
-        if ctl.journal.is_some() {
-            ctl.master_crash = supervision.master.next_crash_after(attempt_start);
-        }
+        ctl.master_crash = supervision.master.next_crash_after(attempt_start);
         let (at, phase) = match attempt(
             tier,
             &recipe,
@@ -1534,13 +1524,8 @@ pub fn migrate(
             }
             Attempt::Interrupted { at, phase } => (at, phase),
         };
-        let Some((journal, id)) = ctl.journal.as_mut() else {
-            return Err(ElmemError::InconsistentMigration(
-                "unjournaled migration cannot be interrupted by a Master crash".to_string(),
-            ));
-        };
-        // The crash eats every record not yet durable at `at`.
-        journal.discard_after(at);
+        // The crash eats every record of this job not yet durable at `at`.
+        ctl.journal.discard_after(id, at);
         let resumed_at = at + MASTER_RESTART_DELAY;
         resumes.push(ResumePoint {
             crashed_at: at,
@@ -1548,13 +1533,10 @@ pub fn migrate(
             phase,
         });
         if supervision.master.recovery == MasterRecovery::Abort {
-            journal.append(
-                resumed_at,
-                JournalRecord::Aborted {
-                    id: *id,
-                    at: resumed_at,
-                },
-            );
+            ctl.log(resumed_at, |id| JournalRecord::Aborted {
+                id,
+                at: resumed_at,
+            });
             let outcome = MigrationOutcome::Aborted {
                 phase,
                 cause: AbortCause::MasterCrashed,
@@ -1563,15 +1545,12 @@ pub fn migrate(
             report.resumes = resumes;
             return Ok(report);
         }
-        resume = Some(journal.replay(*id));
-        journal.append(
-            resumed_at,
-            JournalRecord::Resumed {
-                id: *id,
-                at: resumed_at,
-                phase,
-            },
-        );
+        resume = Some(ctl.journal.replay(id));
+        ctl.log(resumed_at, |id| JournalRecord::Resumed {
+            id,
+            at: resumed_at,
+            phase,
+        });
         attempt_start = resumed_at;
     }
 }
@@ -1614,7 +1593,8 @@ mod tests {
         (tier, keys_on_0)
     }
 
-    /// Runs `job` at [`NOW`] with empty supervision and no journal.
+    /// Runs `job` at [`NOW`] with empty supervision, as job 0 of a fresh
+    /// journal.
     fn run(tier: &mut CacheTier, job: MigrateJob<'_>) -> Result<MigrationReport, ElmemError> {
         run_with(tier, job, &MigrationCosts::default())
     }
@@ -1624,7 +1604,15 @@ mod tests {
         job: MigrateJob<'_>,
         costs: &MigrationCosts,
     ) -> Result<MigrationReport, ElmemError> {
-        migrate(tier, &job, NOW, costs, &mut Supervision::none(), None)
+        let journal = &mut MigrationJournal::new();
+        migrate(
+            tier,
+            &job,
+            NOW,
+            costs,
+            &mut Supervision::none(),
+            (journal, 0),
+        )
     }
 
     /// Every node's per-class item vectors, in deterministic order — the
@@ -1669,21 +1657,19 @@ mod tests {
             let mut tier = before.clone();
             let members = tier.membership().members().to_vec();
             let recipe = job.resolve(&tier, NOW, &MigrationCosts::default()).unwrap();
-            let report = run(&mut tier, job).unwrap();
-
-            // Journaling records the same migration without perturbing it;
-            // the journal tells the full story and replays to a committed
-            // job whose every sealed shipment is acked.
-            let mut shadow = before.clone();
             let mut journal = MigrationJournal::new();
-            let recorded = journaled(&mut shadow, job, MasterPlan::default(), &mut journal);
-            assert_eq!(report, recorded, "{name}");
-            assert_eq!(fingerprint(&tier), fingerprint(&shadow), "{name}");
+            let report = journaled(&mut tier, job, MasterPlan::default(), &mut journal);
+
+            // The journal tells the full story and replays to a committed
+            // job whose every sealed shipment is acked — and applied once,
+            // through its destination's import ledger.
             let st = journal.replay(0);
             assert!(st.committed, "{name}");
             assert_eq!(st.resumes, 0, "{name}");
             let manifest = st.manifest.expect("plan sealed");
             assert_eq!(st.acked.len(), manifest.len(), "{name}");
+            let ledgers = tier.iter_nodes().map(|n| n.import_ledger().len());
+            assert_eq!(ledgers.sum::<usize>(), manifest.len(), "{name}");
 
             // An empty supervision never aborts, retries or resumes.
             assert!(report.outcome.is_completed(), "{name}");
@@ -1887,7 +1873,8 @@ mod tests {
         plan[0].items[0].value_size += 1;
 
         let mut ctl = Ctl {
-            journal: None,
+            journal: &mut MigrationJournal::new(),
+            id: 0,
             master_crash: None,
         };
         let result = ship(
@@ -2081,13 +2068,14 @@ mod tests {
 
     fn supervised_run(tier: &mut CacheTier, faults: &mut FaultInjector) -> MigrationReport {
         let mut sup = Supervision::with_faults(faults);
+        let journal = &mut MigrationJournal::new();
         migrate(
             tier,
             &DRAIN,
             NOW,
             &MigrationCosts::default(),
             &mut sup,
-            None,
+            (journal, 0),
         )
         .unwrap()
     }
@@ -2232,7 +2220,7 @@ mod tests {
             NOW,
             &MigrationCosts::default(),
             &mut sup,
-            Some((journal, 0)),
+            (journal, 0),
         )
         .unwrap()
     }
@@ -2242,25 +2230,6 @@ mod tests {
             crashes,
             ..MasterPlan::default()
         }
-    }
-
-    #[test]
-    fn an_unjournaled_migration_ignores_the_master_crash_plan() {
-        let (mut a, _) = warmed_tier();
-        let (mut b, _) = warmed_tier();
-        let clean = run(&mut a, DRAIN).unwrap();
-        let mut sup = Supervision::none();
-        sup.master = crash_at(vec![NOW + SimTime::from_nanos(1)]);
-        let report = migrate(
-            &mut b,
-            &DRAIN,
-            NOW,
-            &MigrationCosts::default(),
-            &mut sup,
-            None,
-        )
-        .unwrap();
-        assert_eq!(report, clean);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use elmem::cluster::{Cluster, ClusterConfig};
 use elmem::core::migration::{migrate, MigrateJob, MigrationCosts, Supervision};
 use elmem::core::scoring::choose_retiring;
+use elmem::core::MigrationJournal;
 use elmem::store::ImportMode;
 use elmem::util::{DetRng, KeyId, SimTime};
 use elmem::workload::{GeneralizedPareto, Keyspace};
@@ -75,7 +76,7 @@ fn main() {
         SimTime::from_secs(20_000),
         &MigrationCosts::default(),
         &mut Supervision::none(),
-        None,
+        (&mut MigrationJournal::new(), 0),
     )
     .expect("migration succeeds");
     cluster

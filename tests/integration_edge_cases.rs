@@ -5,6 +5,7 @@
 use elmem::cluster::{Cluster, ClusterConfig};
 use elmem::core::master::Master;
 use elmem::core::migration::{migrate, MigrateJob, MigrationCosts, Supervision};
+use elmem::core::MigrationJournal;
 use elmem::core::MigrationPolicy;
 use elmem::store::ImportMode;
 use elmem::util::{ByteSize, DetRng, ElmemError, KeyId, NodeId, SimTime};
@@ -49,7 +50,7 @@ fn migrating_an_empty_victim_is_a_clean_noop() {
         t(10_000),
         &MigrationCosts::default(),
         &mut Supervision::none(),
-        None,
+        (&mut MigrationJournal::new(), 0),
     )
     .unwrap();
     assert_eq!(report.items_migrated, 0);
@@ -138,7 +139,7 @@ fn saturated_destination_still_only_keeps_hottest() {
         t(2_000_000),
         &MigrationCosts::default(),
         &mut Supervision::none(),
-        None,
+        (&mut MigrationJournal::new(), 0),
     )
     .unwrap();
     c.tier.commit_remove(&[victim]).unwrap();
@@ -214,7 +215,7 @@ fn scale_out_with_no_provisioned_nodes_rejected() {
         t(1),
         &MigrationCosts::default(),
         &mut Supervision::none(),
-        None,
+        (&mut MigrationJournal::new(), 0),
     );
     assert!(matches!(err, Err(ElmemError::InvalidScaling(_))));
 }

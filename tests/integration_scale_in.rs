@@ -4,6 +4,7 @@
 use elmem::cluster::{Cluster, ClusterConfig};
 use elmem::core::migration::{migrate, MigrateJob, MigrationCosts, Supervision};
 use elmem::core::scoring::choose_retiring;
+use elmem::core::MigrationJournal;
 use elmem::store::{Hotness, ImportMode};
 use elmem::util::{DetRng, KeyId, NodeId, SimTime};
 use elmem::workload::{GeneralizedPareto, Keyspace};
@@ -52,7 +53,7 @@ fn migration_preserves_global_hottest_set() {
         now,
         &MigrationCosts::default(),
         &mut Supervision::none(),
-        None,
+        (&mut MigrationJournal::new(), 0),
     )
     .unwrap();
     cluster.tier.commit_remove(&victims).unwrap();
@@ -103,7 +104,7 @@ fn migration_under_memory_pressure_keeps_sorted_lists() {
         SimTime::from_secs(1_000_000),
         &MigrationCosts::default(),
         &mut Supervision::none(),
-        None,
+        (&mut MigrationJournal::new(), 0),
     )
     .unwrap();
     cluster.tier.commit_remove(&victims).unwrap();
@@ -141,7 +142,7 @@ fn post_flip_requests_hit_migrated_data() {
         now,
         &MigrationCosts::default(),
         &mut Supervision::none(),
-        None,
+        (&mut MigrationJournal::new(), 0),
     )
     .unwrap();
     cluster.tier.commit_remove(&victims).unwrap();

@@ -3,6 +3,7 @@
 
 use elmem::cluster::{Cluster, ClusterConfig};
 use elmem::core::migration::{migrate, MigrateJob, MigrationCosts, Supervision};
+use elmem::core::MigrationJournal;
 use elmem::util::{DetRng, KeyId, SimTime};
 use elmem::workload::{GeneralizedPareto, Keyspace};
 
@@ -41,7 +42,7 @@ fn scale_out_keeps_remapped_keys_hitting() {
         now,
         &MigrationCosts::default(),
         &mut Supervision::none(),
-        None,
+        (&mut MigrationJournal::new(), 0),
     )
     .unwrap();
     cluster.tier.commit_add(&new).unwrap();
@@ -94,7 +95,7 @@ fn scale_out_migrates_about_one_over_k_plus_one() {
         SimTime::from_secs(100_000),
         &MigrationCosts::default(),
         &mut Supervision::none(),
-        None,
+        (&mut MigrationJournal::new(), 0),
     )
     .unwrap();
     // 4 → 5 nodes: ~1/5 of the 4000 cached items should move.
@@ -113,7 +114,7 @@ fn multi_node_scale_out_works() {
         now,
         &MigrationCosts::default(),
         &mut Supervision::none(),
-        None,
+        (&mut MigrationJournal::new(), 0),
     )
     .unwrap();
     cluster.tier.commit_add(&new).unwrap();

@@ -1,16 +1,17 @@
 //! Property test for journal replay idempotence (DESIGN.md §13): a
-//! migration — in either direction — interrupted by a Master crash at
+//! migration — any of the three jobs — interrupted by a Master crash at
 //! *any* point and resumed from the durable journal must leave every store
 //! identical to the same migration run uninterrupted — across warm states,
 //! seeds, and crash points, including a second crash during the resume —
-//! and every sealed
-//! shipment must be applied exactly once (re-deliveries suppressed by the
-//! Agents' import ledgers, never imported twice).
+//! and every sealed shipment must be applied exactly once (re-deliveries
+//! suppressed by the Agents' import ledgers, never imported twice). One
+//! `Master`-level case does the same for a warm-recovery fill.
 
 use elmem::cluster::{Cluster, ClusterConfig};
 use elmem::core::journal::MASTER_RESTART_DELAY;
 use elmem::core::migration::{migrate, MigrateJob, MigrationCosts, Supervision};
-use elmem::core::{MasterPlan, MigrationJournal};
+use elmem::core::{DeferredKind, HealingConfig, Master, MasterPlan, MigrationJournal};
+use elmem::core::{MigrationPolicy, MigrationReport};
 use elmem::store::ImportMode;
 use elmem::util::{DetRng, KeyId, NodeId, SimTime};
 use elmem::workload::{GeneralizedPareto, Keyspace};
@@ -65,26 +66,28 @@ fn fingerprint(cluster: &Cluster) -> Fingerprint {
         .collect()
 }
 
-/// Runs one journaled migration under `master` — the scale-in of
-/// [`VICTIM`], or with `fill` the scale-out onto one freshly provisioned
-/// node — returning the report and the journal.
+/// Runs one journaled migration under `master` — by `job`, the ElMem
+/// scale-in of [`VICTIM`] (0), its Naive drain (1), or the scale-out onto
+/// one freshly provisioned node (2) — returning the report and the journal.
 fn run_journaled(
     cluster: &mut Cluster,
-    fill: bool,
+    job: u8,
     master: MasterPlan,
-) -> (elmem::core::migration::MigrationReport, MigrationJournal) {
-    let new = if fill {
-        cluster.tier.provision_nodes(1)
-    } else {
-        Vec::new()
+) -> (MigrationReport, MigrationJournal) {
+    let new = match job {
+        2 => cluster.tier.provision_nodes(1),
+        _ => Vec::new(),
     };
-    let job = if fill {
-        MigrateJob::ScaleOut { new_nodes: &new }
-    } else {
-        MigrateJob::ScaleIn {
+    let job = match job {
+        0 => MigrateJob::ScaleIn {
             retiring: &[VICTIM],
             import_mode: ImportMode::Merge,
-        }
+        },
+        1 => MigrateJob::NaiveScaleIn {
+            retiring: &[VICTIM],
+            fraction: 0.75,
+        },
+        _ => MigrateJob::ScaleOut { new_nodes: &new },
     };
     let mut supervision = Supervision::none();
     supervision.master = master;
@@ -95,7 +98,7 @@ fn run_journaled(
         NOW,
         &MigrationCosts::default(),
         &mut supervision,
-        Some((&mut journal, 0)),
+        (&mut journal, 0),
     )
     .expect("journaled migration runs");
     (report, journal)
@@ -131,11 +134,11 @@ proptest! {
         accesses in prop::collection::vec(0u64..3000, 50..600),
         crash_frac in 1u64..1000,
         seed in 0u64..100,
-        fill in any::<bool>(),
+        job in 0u8..3,
     ) {
         // Uninterrupted reference run.
         let mut clean = warmed_cluster(&accesses, seed);
-        let (clean_report, _) = run_journaled(&mut clean, fill, MasterPlan::default());
+        let (clean_report, _) = run_journaled(&mut clean, job, MasterPlan::default());
         prop_assert!(clean_report.outcome.is_completed());
         let span = clean_report.completed.saturating_sub(NOW);
 
@@ -144,7 +147,7 @@ proptest! {
         let mut crashed = warmed_cluster(&accesses, seed);
         let (report, journal) = run_journaled(
             &mut crashed,
-            fill,
+            job,
             MasterPlan {
                 crashes: vec![crash],
                 ..MasterPlan::default()
@@ -163,10 +166,10 @@ proptest! {
         accesses in prop::collection::vec(0u64..3000, 50..600),
         crash_frac in 1u64..900,
         seed in 0u64..100,
-        fill in any::<bool>(),
+        job in 0u8..3,
     ) {
         let mut clean = warmed_cluster(&accesses, seed);
-        let (clean_report, _) = run_journaled(&mut clean, fill, MasterPlan::default());
+        let (clean_report, _) = run_journaled(&mut clean, job, MasterPlan::default());
         let span = clean_report.completed.saturating_sub(NOW);
 
         // A second crash lands shortly after the first resume; whether it
@@ -179,7 +182,7 @@ proptest! {
         let mut crashed = warmed_cluster(&accesses, seed);
         let (report, journal) = run_journaled(
             &mut crashed,
-            fill,
+            job,
             MasterPlan {
                 crashes: vec![first, second],
                 ..MasterPlan::default()
@@ -200,7 +203,7 @@ proptest! {
 fn pinned_double_crash_resumes_twice() {
     let accesses: Vec<u64> = (0..400).map(|i| (i * 7) % 3000).collect();
     let mut clean = warmed_cluster(&accesses, 13);
-    let (clean_report, _) = run_journaled(&mut clean, false, MasterPlan::default());
+    let (clean_report, _) = run_journaled(&mut clean, 0, MasterPlan::default());
     let span = clean_report.completed.saturating_sub(NOW);
 
     let first = NOW + SimTime::from_nanos(span.as_nanos() / 2);
@@ -208,7 +211,7 @@ fn pinned_double_crash_resumes_twice() {
     let mut crashed = warmed_cluster(&accesses, 13);
     let (report, journal) = run_journaled(
         &mut crashed,
-        false,
+        0,
         MasterPlan {
             crashes: vec![first, second],
             ..MasterPlan::default()
@@ -218,4 +221,52 @@ fn pinned_double_crash_resumes_twice() {
     assert_eq!(report.resumes.len(), 2, "both crashes interrupt");
     assert_eq!(fingerprint(&crashed), fingerprint(&clean));
     assert_exactly_once(&crashed, &journal);
+}
+
+/// A warm-recovery fill runs the same journaled lifecycle through the
+/// Master: a Master crash mid-fill resumes from the journal, the
+/// replacement ends byte-identical to an uninterrupted recovery's, and it
+/// still commits.
+#[test]
+fn a_recovery_fill_resumes_from_the_journal_and_commits_its_replacement() {
+    let accesses: Vec<u64> = (0..600).map(|i| (i * 11) % 3000).collect();
+    let dead = NodeId(2);
+    let recover = |master: MasterPlan| {
+        let mut cluster = warmed_cluster(&accesses, 5);
+        cluster.tier.crash(dead).unwrap();
+        let mut m = Master::new(MigrationPolicy::elmem(), MigrationCosts::default(), 1);
+        let mut supervision = Supervision::none();
+        supervision.master = master;
+        let healing = HealingConfig::warm_replacement();
+        let orch = m
+            .recover_supervised(&mut cluster, &[dead], NOW, &healing, &mut supervision)
+            .expect("recovery runs");
+        (cluster, m, orch)
+    };
+    let (clean, _, clean_orch) = recover(MasterPlan::default());
+    let clean_report = clean_orch.report.expect("a warm replacement migrates");
+    let span = clean_report.completed.saturating_sub(NOW);
+    assert!(clean_report.items_migrated > 0);
+
+    let crash = NOW + SimTime::from_nanos(span.as_nanos() / 2);
+    let (mut cluster, m, orch) = recover(MasterPlan {
+        crashes: vec![crash],
+        ..MasterPlan::default()
+    });
+    let report = orch.report.as_ref().expect("a warm replacement migrates");
+    assert!(report.outcome.is_completed());
+    assert_eq!(report.resumes.len(), 1, "the crash must interrupt the fill");
+    assert_eq!(report.items_migrated, clean_report.items_migrated);
+    assert_eq!(fingerprint(&cluster), fingerprint(&clean));
+    assert_exactly_once(&cluster, m.journal());
+
+    let replacement = orch.nodes[0];
+    assert_eq!(
+        orch.deferred.iter().map(|d| &d.kind).collect::<Vec<_>>(),
+        [&DeferredKind::CommitAdd(vec![replacement])]
+    );
+    for d in &orch.deferred {
+        Master::apply(&mut cluster, &d.kind);
+    }
+    assert!(cluster.tier.membership().members().contains(&replacement));
 }

@@ -8,6 +8,7 @@ use std::collections::{HashMap, HashSet};
 
 use elmem::cluster::{Cluster, ClusterConfig};
 use elmem::core::migration::{migrate, MigrateJob, MigrationCosts, Supervision};
+use elmem::core::MigrationJournal;
 use elmem::store::{Hotness, ImportMode};
 use elmem::util::{DetRng, KeyId, NodeId, SimTime};
 use elmem::workload::{GeneralizedPareto, Keyspace};
@@ -81,7 +82,7 @@ proptest! {
         }
 
         // Run the real migration and flip.
-        migrate(&mut cluster.tier, &MigrateJob::ScaleIn { retiring: &[victim], import_mode: ImportMode::Merge }, now + SimTime::from_secs(10), &MigrationCosts::default(), &mut Supervision::none(), None)
+        migrate(&mut cluster.tier, &MigrateJob::ScaleIn { retiring: &[victim], import_mode: ImportMode::Merge }, now + SimTime::from_secs(10), &MigrationCosts::default(), &mut Supervision::none(), (&mut MigrationJournal::new(), 0))
         .unwrap();
         cluster.tier.commit_remove(&[victim]).unwrap();
 

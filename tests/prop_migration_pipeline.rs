@@ -11,6 +11,7 @@ use elmem::cluster::{CacheTier, ClusterConfig};
 use elmem::core::migration::{
     migrate, plan_scale_in_shipments, MigrateJob, MigrationCosts, MigrationReport, Supervision,
 };
+use elmem::core::MigrationJournal;
 use elmem::store::{ImportMode, MetadataDump, StoreStats};
 use elmem::util::par::with_par_jobs;
 use elmem::util::{ByteSize, KeyId, NodeId, SimTime};
@@ -87,7 +88,14 @@ fn run(
     let now = SimTime::from_secs(1_000_000);
     let costs = MigrationCosts::default();
     let report = with_par_jobs(jobs, || {
-        migrate(&mut t, &job, now, &costs, &mut Supervision::none(), None)
+        migrate(
+            &mut t,
+            &job,
+            now,
+            &costs,
+            &mut Supervision::none(),
+            (&mut MigrationJournal::new(), 0),
+        )
     })
     .unwrap();
     (report, tier_state(&t))
